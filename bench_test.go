@@ -27,6 +27,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/baseline"
 	"repro/internal/bsp"
 	"repro/internal/core"
@@ -118,10 +119,10 @@ func graphs(tb testing.TB) *struct {
 		must(sem.WriteCSR(&buf, benchGraphs.weightedUW))
 		benchGraphs.semFileW = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
-		must(sem.WriteCSRCompressed(&buf, benchGraphs.directed))
+		must(sem.Write(&buf, benchGraphs.directed, sem.WriteConfig{Compress: true}))
 		benchGraphs.semFileC = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
-		must(sem.WriteCSRCompressed(&buf, benchGraphs.weightedUW))
+		must(sem.Write(&buf, benchGraphs.weightedUW, sem.WriteConfig{Compress: true}))
 		benchGraphs.semFileWC = append([]byte(nil), buf.Bytes()...)
 	})
 	return &benchGraphs
@@ -378,14 +379,8 @@ func shardFiles(b *testing.B, g *graph.CSR[uint32], shards int, compressed bool)
 	files := make([][]byte, shards)
 	for k := range files {
 		var buf bytes.Buffer
-		var err error
-		cfg := sem.ShardConfig{Shard: k, Shards: shards}
-		if compressed {
-			err = sem.WriteCSRShardCompressed(&buf, g, cfg)
-		} else {
-			err = sem.WriteCSRShard(&buf, g, cfg)
-		}
-		if err != nil {
+		cfg := sem.WriteConfig{Compress: compressed, Shard: &sem.ShardConfig{Shard: k, Shards: shards}}
+		if err := sem.Write(&buf, g, cfg); err != nil {
 			b.Fatal(err)
 		}
 		files[k] = append([]byte(nil), buf.Bytes()...)
@@ -910,10 +905,9 @@ func BenchmarkServerQueries(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv := server.New(server.Config{
-		MaxConcurrent: 4,
-		MaxQueue:      256,
-		CacheEntries:  64,
-		Engine:        core.Config{Workers: 16, Prefetch: 64},
+		Admit:        admit.Config{Slots: 4, MaxQueue: 256},
+		CacheEntries: 64,
+		Engine:       core.Config{Workers: 16, Prefetch: 64},
 	})
 	if err := srv.AddGraph(server.Graph{
 		Name: "bench", Adj: sg, Storage: "sem", Device: dev, BlockCache: blockCache,

@@ -38,7 +38,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/load"
 	"repro/internal/server"
 )
@@ -75,19 +74,11 @@ func run() error {
 		noCache    = flag.Bool("nocache", false, "set no_cache on every query (defeat the result cache)")
 		jsonOut    = flag.String("json", "", "write the JSON report to this file (\"-\" for stdout)")
 
-		// Server / model policy (in-process and sim targets).
-		concurrency  = flag.Int("concurrency", 4, "max traversals running at once")
-		queue        = flag.Int("queue", 64, "max requests waiting for a traversal slot")
-		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "max wait for a traversal slot before 503")
-		admitPolicy  = flag.String("admission", server.AdmitPriority, "admission queue order: priority or fifo")
-		shedPolicy   = flag.String("shed", server.ShedDeadline, "deadline shedding: deadline or off")
-		rateLimit    = flag.String("ratelimit", "", "per-tenant token-bucket rate as rate[:burst] (empty = unlimited)")
-		cacheEntries = flag.Int("cache", 64, "in-process result-cache capacity (negative disables)")
-		workers      = flag.Int("workers", 0, "in-process engine workers per traversal (0 = default)")
-
 		// Sim-only shape.
 		jitter = flag.Float64("jitter", 0.2, "sim service-time jitter fraction")
 	)
+	// Server / model policy (in-process and sim targets).
+	servingPolicy := server.BindFlags(flag.CommandLine)
 	var tenants []load.Tenant
 	flag.Func("tenant", "tenant profile, as name:class:weight:deadline (repeatable; e.g. acme:gold:1:500ms)", func(arg string) error {
 		t, err := parseTenant(arg)
@@ -107,19 +98,6 @@ func run() error {
 		spec, haveSpec = s, true
 		return nil
 	})
-	tenantLimits := make(map[string]server.TenantLimit)
-	flag.Func("tenant-limit", "per-tenant rate override, as name=rate[:burst] (repeatable)", func(arg string) error {
-		tname, rspec, ok := strings.Cut(arg, "=")
-		if !ok || tname == "" {
-			return fmt.Errorf("tenant limit %q: want name=rate[:burst]", arg)
-		}
-		r, b, err := server.ParseRateSpec(rspec)
-		if err != nil {
-			return err
-		}
-		tenantLimits[tname] = server.TenantLimit{Rate: r, Burst: b}
-		return nil
-	})
 	flag.Parse()
 
 	modes := 0
@@ -131,26 +109,14 @@ func run() error {
 	if modes != 1 {
 		usageErr("exactly one of -url, -graph, or -sim must be given")
 	}
-	if *admitPolicy != server.AdmitPriority && *admitPolicy != server.AdmitFIFO {
-		usageErr("unknown -admission %q (want priority or fifo)", *admitPolicy)
-	}
-	if *shedPolicy != server.ShedDeadline && *shedPolicy != server.ShedOff {
-		usageErr("unknown -shed %q (want deadline or off)", *shedPolicy)
+	scfg, err := servingPolicy()
+	if err != nil {
+		usageErr("%v", err)
 	}
 	mix, err := parseMix(*mixSpec)
 	if err != nil {
 		usageErr("%v", err)
 	}
-	var rl server.RateLimitConfig
-	if *rateLimit != "" {
-		if rl.Rate, rl.Burst, err = server.ParseRateSpec(*rateLimit); err != nil {
-			usageErr("-ratelimit: %v", err)
-		}
-	}
-	if len(tenantLimits) > 0 {
-		rl.Tenants = tenantLimits
-	}
-
 	graphName := *name
 	if graphName == "" && haveSpec {
 		graphName = spec.Name
@@ -181,16 +147,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		sim := load.SimConfig{
-			Slots:        *concurrency,
-			MaxQueue:     *queue,
-			QueueTimeout: *queueTimeout,
-			Admission:    *admitPolicy,
-			Shedding:     *shedPolicy,
-			Jitter:       *jitter,
-			RateLimit:    rl.Rate,
-			Burst:        rl.Burst,
-		}
+		sim := load.SimConfig{Admit: scfg.Admit, RateLimit: scfg.RateLimit, Jitter: *jitter}
 		if outcomes, err = load.Simulate(&cfg, &sim, schedule); err != nil {
 			return err
 		}
@@ -215,16 +172,7 @@ func run() error {
 		outcomes = r.Run(ctx, schedule)
 
 	default: // in-process mount
-		srv := server.New(server.Config{
-			MaxConcurrent: *concurrency,
-			MaxQueue:      *queue,
-			QueueTimeout:  *queueTimeout,
-			Admission:     *admitPolicy,
-			Shedding:      *shedPolicy,
-			RateLimit:     rl,
-			CacheEntries:  *cacheEntries,
-			Engine:        core.Config{Workers: *workers},
-		})
+		srv := server.New(scfg)
 		g, err := server.MountGraph(spec, server.MountOptions{})
 		if err != nil {
 			return err

@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -51,15 +50,7 @@ func main() {
 	var specs []server.MountSpec
 	var (
 		listen       = flag.String("listen", ":8080", "address to serve HTTP on")
-		concurrency  = flag.Int("concurrency", 4, "max traversals running at once")
-		queue        = flag.Int("queue", 64, "max requests waiting for a traversal slot")
-		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "max wait for a traversal slot before 503")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query traversal deadline")
-		admitPolicy  = flag.String("admission", server.AdmitPriority, "admission queue order: priority (SLO class + deadline) or fifo")
-		shedPolicy   = flag.String("shed", server.ShedDeadline, "deadline shedding: deadline (reject budget-exhausted requests early) or off")
-		rateLimit    = flag.String("ratelimit", "", "per-tenant token-bucket rate as rate[:burst] in req/s (empty = unlimited)")
-		cacheEntries = flag.Int("cache", 64, "result-cache capacity in snapshots (negative disables)")
-		workers      = flag.Int("workers", 0, "engine workers per traversal (0 = default)")
 		semisort     = flag.Bool("semisort", true, "secondary vertex-id sort key (SEM locality)")
 		batch        = flag.Int("batch", 0, "engine mailbox batch size (0 = default)")
 		prefetch     = flag.Int("prefetch", 64, "SEM pop-window prefetch size (0 = off)")
@@ -67,25 +58,13 @@ func main() {
 		cachePol     = flag.String("cachepolicy", sem.PolicyLRU, "SEM block-cache eviction policy: lru (legacy) or state (algorithm-driven pinning)")
 		dirFlag      = flag.String("direction", "", "BFS direction policy: topdown (default), bottomup, or hybrid; non-topdown requires every -graph to carry in-edges")
 	)
-	tenantLimits := make(map[string]server.TenantLimit)
+	servingPolicy := server.BindFlags(flag.CommandLine)
 	flag.Func("graph", "graph to serve, as name=path[,sem[,profile]][,shards=N][,limit=R[:B]] (repeatable, required)", func(arg string) error {
 		s, err := server.ParseMountSpec(arg)
 		if err != nil {
 			return err
 		}
 		specs = append(specs, s)
-		return nil
-	})
-	flag.Func("tenant-limit", "per-tenant rate override, as name=rate[:burst] (repeatable)", func(arg string) error {
-		name, spec, ok := strings.Cut(arg, "=")
-		if !ok || name == "" {
-			return fmt.Errorf("tenant limit %q: want name=rate[:burst]", arg)
-		}
-		rate, burst, err := server.ParseRateSpec(spec)
-		if err != nil {
-			return err
-		}
-		tenantLimits[name] = server.TenantLimit{Rate: rate, Burst: burst}
 		return nil
 	})
 	flag.Parse()
@@ -109,36 +88,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serve: -cachepolicy: %v\n", err)
 		os.Exit(2)
 	}
-	if *admitPolicy != server.AdmitPriority && *admitPolicy != server.AdmitFIFO {
-		fmt.Fprintf(os.Stderr, "serve: unknown -admission %q (want priority or fifo)\n", *admitPolicy)
+	cfg, err := servingPolicy()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(2)
 	}
-	if *shedPolicy != server.ShedDeadline && *shedPolicy != server.ShedOff {
-		fmt.Fprintf(os.Stderr, "serve: unknown -shed %q (want deadline or off)\n", *shedPolicy)
-		os.Exit(2)
-	}
-	var rl server.RateLimitConfig
-	if *rateLimit != "" {
-		if rl.Rate, rl.Burst, err = server.ParseRateSpec(*rateLimit); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: -ratelimit: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if len(tenantLimits) > 0 {
-		rl.Tenants = tenantLimits
-	}
+	cfg.QueryTimeout = *queryTimeout
+	cfg.Engine = core.Config{Workers: cfg.Engine.Workers, SemiSort: *semisort, Batch: *batch, Prefetch: *prefetch, Direction: dir}
 
-	s := server.New(server.Config{
-		MaxConcurrent: *concurrency,
-		MaxQueue:      *queue,
-		QueueTimeout:  *queueTimeout,
-		QueryTimeout:  *queryTimeout,
-		Admission:     *admitPolicy,
-		Shedding:      *shedPolicy,
-		RateLimit:     rl,
-		CacheEntries:  *cacheEntries,
-		Engine:        core.Config{Workers: *workers, SemiSort: *semisort, Batch: *batch, Prefetch: *prefetch, Direction: dir},
-	})
+	s := server.New(cfg)
 	for _, spec := range specs {
 		g, err := server.MountGraph(spec, server.MountOptions{Prefetch: *prefetch, PrefetchGap: gap, Direction: dir, CachePolicy: policy})
 		if err != nil {
@@ -166,7 +124,7 @@ func main() {
 		}
 	}
 
-	log.Printf("serving %d graph(s) on %s (admission=%s shed=%s)", len(specs), *listen, *admitPolicy, *shedPolicy)
+	log.Printf("serving %d graph(s) on %s (admission=%s shed=%s)", len(specs), *listen, cfg.Admit.Order, cfg.Admit.Shedding)
 	if err := http.ListenAndServe(*listen, s.Handler()); err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)

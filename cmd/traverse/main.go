@@ -85,8 +85,8 @@ func validate(path, algo, engine string, workers, ranks int, semMode bool, profi
 	if shards < 0 {
 		return fmt.Errorf("-shards must be >= 0 (0 = auto-detect), got %d", shards)
 	}
-	if _, _, err := shardPaths(path, shards); err != nil {
-		return err
+	if _, _, err := sem.ShardPaths(path, shards); err != nil {
+		return fmt.Errorf("-graph: %w", err)
 	}
 	supported, ok := engines[algo]
 	if !ok {
@@ -126,38 +126,6 @@ func validate(path, algo, engine string, workers, ranks int, semMode bool, profi
 	return nil
 }
 
-// shardPaths resolves -graph/-shards into the concrete file list. shards==0
-// auto-detects: a plain file mounts as is, otherwise path.shard0.. are
-// discovered; shards>=1 demands exactly that many shard files. The second
-// result reports whether the mount is a shard set.
-func shardPaths(path string, shards int) ([]string, bool, error) {
-	if shards == 0 {
-		if _, err := os.Stat(path); err == nil {
-			return []string{path}, false, nil
-		}
-		var paths []string
-		for k := 0; ; k++ {
-			p := sem.ShardFileName(path, k)
-			if _, err := os.Stat(p); err != nil {
-				break
-			}
-			paths = append(paths, p)
-		}
-		if len(paths) == 0 {
-			return nil, false, fmt.Errorf("-graph: neither %s nor %s exists", path, sem.ShardFileName(path, 0))
-		}
-		return paths, true, nil
-	}
-	paths := make([]string, shards)
-	for k := range paths {
-		paths[k] = sem.ShardFileName(path, k)
-		if _, err := os.Stat(paths[k]); err != nil {
-			return nil, false, fmt.Errorf("%w: -shards %d but shard file missing: %v", sem.ErrShardSpec, shards, err)
-		}
-	}
-	return paths, true, nil
-}
-
 func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, semMode, nocache bool, profile string, semisort bool, batch, prefetch int, prefetchGapSpec string, check bool, shards int, direction, cachePolicy string) error {
 	dir, err := core.ParseDirection(direction)
 	if err != nil {
@@ -171,7 +139,7 @@ func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, sem
 	if err != nil {
 		return fmt.Errorf("-cachepolicy: %v", err)
 	}
-	paths, sharded, err := shardPaths(path, shards)
+	paths, sharded, err := sem.ShardPaths(path, shards)
 	if err != nil {
 		return err
 	}

@@ -30,20 +30,15 @@ func shardedSemMirror(t testing.TB, g *graph.CSR[uint32], shards int, compressed
 	}
 	for k := 0; k < shards; k++ {
 		var buf bytes.Buffer
-		var err error
-		cfg := sem.ShardConfig{Shard: k, Shards: shards}
-		if compressed {
-			err = sem.WriteCSRShardCompressed(&buf, g, cfg)
-		} else {
-			err = sem.WriteCSRShard(&buf, g, cfg)
-		}
-		if err != nil {
+		cfg := sem.WriteConfig{Compress: compressed, Shard: &sem.ShardConfig{Shard: k, Shards: shards}}
+		if err := sem.Write(&buf, g, cfg); err != nil {
 			t.Fatal(err)
 		}
 		m.devs[k] = ssd.New(
 			ssd.Profile{Name: "fast", Channels: 64, ReadLatency: time.Nanosecond},
 			&ssd.MemBacking{Data: buf.Bytes()},
 		)
+		var err error
 		if m.sgs[k], err = sem.Open[uint32](m.devs[k]); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -27,19 +28,16 @@ func (s *slowAdj) Neighbors(v uint32, scratch *graph.Scratch[uint32]) ([]uint32,
 // 1ms on a single worker: each traversal costs a stable ~35ms (the sleep
 // dwarfs scheduler jitter), so one slot caps capacity near 30 queries/s on
 // any machine.
-func newLiveServer(t *testing.T, admission, shedding string) *server.Server {
+func newLiveServer(t *testing.T, order, shedding string) *server.Server {
 	t.Helper()
 	csr, err := gen.RMAT[uint32](5, 8, gen.RMATA, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := server.New(server.Config{
-		MaxConcurrent: 1,
-		MaxQueue:      64,
-		Admission:     admission,
-		Shedding:      shedding,
-		CacheEntries:  -1,
-		Engine:        core.Config{Workers: 1},
+		Admit:        admit.Config{Slots: 1, MaxQueue: 64, Order: order, Shedding: shedding},
+		CacheEntries: -1,
+		Engine:       core.Config{Workers: 1},
 	})
 	if err := s.AddGraph(server.Graph{Name: "g", Adj: &slowAdj{CSR: csr, delay: time.Millisecond}}); err != nil {
 		t.Fatal(err)
@@ -91,8 +89,8 @@ func TestLivePriorityInversion(t *testing.T) {
 		return good, total
 	}
 
-	prioGood, prioTotal := goldGood(server.AdmitPriority, server.ShedDeadline)
-	fifoGood, fifoTotal := goldGood(server.AdmitFIFO, server.ShedOff)
+	prioGood, prioTotal := goldGood(admit.OrderPriority, admit.ShedDeadline)
+	fifoGood, fifoTotal := goldGood(admit.OrderFIFO, admit.ShedOff)
 	if prioTotal == 0 || prioTotal != fifoTotal {
 		t.Fatalf("gold request counts diverged: %d vs %d (schedule must be shared)", prioTotal, fifoTotal)
 	}

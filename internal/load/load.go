@@ -33,6 +33,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/admit"
 )
 
 // Tenant is one traffic source in the workload: a share of the arrival
@@ -165,13 +167,11 @@ func (c *Config) Validate() error {
 		if t.Name == "" {
 			return fmt.Errorf("load: tenant %d has no name", i)
 		}
-		switch t.Class {
-		case "gold", "silver", "bronze", "batch":
-		case "":
-			t.Class = "bronze"
-		default:
+		class, ok := admit.ClassByName(t.Class)
+		if !ok && t.Class != "" {
 			return fmt.Errorf("load: tenant %q: unknown class %q", t.Name, t.Class)
 		}
+		t.Class = class.String()
 		if t.Weight < 0 {
 			return fmt.Errorf("load: tenant %q: weight %v is negative", t.Name, t.Weight)
 		}

@@ -6,20 +6,24 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"time"
+
+	"repro/internal/admit"
+	"repro/internal/server"
 )
 
-// Discrete-event simulator: replays a schedule through a model of the query
-// service's admission pipeline in virtual time. The model mirrors
-// internal/server request for request — bounded slots, a policy-ordered
-// wait queue (FIFO or SLO-priority), queue timeout, deadline-aware shedding
-// with the same EWMA wait estimator, per-tenant GCRA token buckets, and
-// deadline cancellation of running queries (the 504 path) — but replaces
-// goroutines and wall time with an event heap, so a run is deterministic to
-// the byte. Same seed, same config → same report. That is what lets CI
-// assert "priority beats FIFO for gold p99 under 2× overload" as a
-// regression test instead of a flaky benchmark, and what the EXPERIMENTS.md
-// policy tables are generated from.
+// Discrete-event simulator: replays a schedule against the query service's
+// serving policy in virtual time. Every policy decision — rate-limit
+// conformance, slot or queue, ordering, displacement, shedding, expiry — is
+// made by internal/admit, the state machine internal/server drives; the
+// simulator replaces goroutines and wall time with an event heap, so a run
+// is deterministic to the byte. Same seed, same config → same report. That
+// is what lets CI assert "priority beats FIFO for gold p99 under 2× overload"
+// as a regression test instead of a flaky benchmark, and what the
+// EXPERIMENTS.md policy tables are generated from.
 //
+// The simulator owns the event heap and its order at equal timestamps, the
+// engine model (a granted request holds its slot for its service demand, or
+// until its deadline cancels it — the 504 path), and outcome recording.
 // Service demands are drawn per request, in schedule order, from their own
 // seeded stream before the event loop runs — so FIFO and priority runs over
 // one schedule face identical work, making the comparison paired.
@@ -27,63 +31,24 @@ import (
 // SimConfig models the server being simulated. Zero values select the
 // documented defaults; Validate normalizes in place.
 type SimConfig struct {
-	// Slots is the modeled MaxConcurrent. Default 4.
-	Slots int
-	// MaxQueue is the modeled admission queue capacity. Default 64.
-	MaxQueue int
-	// QueueTimeout is the modeled max queue wait before 503. Default 2s.
-	QueueTimeout time.Duration
-	// Admission is the queue order: "priority" (default) or "fifo".
-	Admission string
-	// Shedding is "deadline" (default) or "off", as in server.Config.
-	Shedding string
+	// Admit and RateLimit are the serving policy under test, the structs
+	// server.Config carries.
+	Admit     admit.Config
+	RateLimit server.RateLimitConfig
 	// Service is the mean traversal time per kernel. Defaults:
 	// bfs 20ms, sssp 40ms, cc 30ms.
 	Service map[string]time.Duration
 	// Jitter spreads each service draw uniformly over
 	// mean * [1-Jitter, 1+Jitter]. Default 0.2; 0 < exact means.
 	Jitter float64
-	// RateLimit is the per-tenant sustained rate in req/s; 0 disables.
-	RateLimit float64
-	// Burst is the per-tenant burst allowance; raised to 1 when RateLimit
-	// is set.
-	Burst float64
 }
 
 // Validate normalizes defaults in place and reports contradictions.
 func (c *SimConfig) Validate() error {
-	if c.Slots == 0 {
-		c.Slots = 4
+	if err := c.Admit.Validate(); err != nil {
+		return err
 	}
-	if c.Slots < 0 {
-		return fmt.Errorf("load: sim Slots %d is negative", c.Slots)
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = 64
-	}
-	if c.MaxQueue < 0 {
-		return fmt.Errorf("load: sim MaxQueue %d is negative", c.MaxQueue)
-	}
-	if c.QueueTimeout == 0 {
-		c.QueueTimeout = 2 * time.Second
-	}
-	if c.QueueTimeout < 0 {
-		return fmt.Errorf("load: sim QueueTimeout %v is negative", c.QueueTimeout)
-	}
-	switch c.Admission {
-	case "":
-		c.Admission = "priority"
-	case "priority", "fifo":
-	default:
-		return fmt.Errorf("load: sim Admission %q (want priority or fifo)", c.Admission)
-	}
-	switch c.Shedding {
-	case "":
-		c.Shedding = "deadline"
-	case "deadline", "off":
-	default:
-		return fmt.Errorf("load: sim Shedding %q (want deadline or off)", c.Shedding)
-	}
+	c.RateLimit.Normalize()
 	if c.Service == nil {
 		c.Service = map[string]time.Duration{
 			"bfs": 20 * time.Millisecond, "sssp": 40 * time.Millisecond, "cc": 30 * time.Millisecond,
@@ -100,125 +65,24 @@ func (c *SimConfig) Validate() error {
 	if c.Jitter < 0 || c.Jitter >= 1 {
 		return fmt.Errorf("load: sim Jitter %v out of [0, 1)", c.Jitter)
 	}
-	if c.RateLimit < 0 {
-		return fmt.Errorf("load: sim RateLimit %v is negative", c.RateLimit)
-	}
-	if c.RateLimit > 0 && c.Burst < 1 {
-		c.Burst = 1
-	}
 	return nil
 }
 
-// classRank mirrors server.ParseSLOClass's ladder for the simulator's
-// priority ordering.
-func classRank(class string) int {
-	switch class {
-	case "gold":
-		return 0
-	case "silver":
-		return 1
-	case "batch":
-		return 3
-	default:
-		return 2 // bronze and anything unknown
-	}
-}
-
-// simWaiter is one queued request in the model.
-type simWaiter struct {
-	i        int           // schedule index
-	rank     int           // class rank
-	deadline time.Duration // absolute virtual deadline
-	seq      uint64
-	index    int // heap position; -1 once granted or removed
-}
-
-type simQueue struct {
-	ws   []*simWaiter
-	fifo bool
-}
-
-func (q *simQueue) Len() int { return len(q.ws) }
-
-func (q *simQueue) Less(i, j int) bool { return q.before(q.ws[i], q.ws[j]) }
-
-// before mirrors the server's admission ordering exactly.
-func (q *simQueue) before(a, b *simWaiter) bool {
-	if q.fifo {
-		return a.seq < b.seq
-	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	if a.deadline != b.deadline {
-		return a.deadline < b.deadline
-	}
-	return a.seq < b.seq
-}
-
-// aheadOf counts queued waiters served before w.
-func (q *simQueue) aheadOf(w *simWaiter) int {
-	n := 0
-	for _, o := range q.ws {
-		if q.before(o, w) {
-			n++
-		}
-	}
-	return n
-}
-
-// worst returns the waiter served last, nil when empty.
-func (q *simQueue) worst() *simWaiter {
-	if len(q.ws) == 0 {
-		return nil
-	}
-	w := q.ws[0]
-	for _, o := range q.ws[1:] {
-		if q.before(w, o) {
-			w = o
-		}
-	}
-	return w
-}
-
-func (q *simQueue) Swap(i, j int) {
-	q.ws[i], q.ws[j] = q.ws[j], q.ws[i]
-	q.ws[i].index = i
-	q.ws[j].index = j
-}
-
-func (q *simQueue) Push(x any) {
-	w := x.(*simWaiter)
-	w.index = len(q.ws)
-	q.ws = append(q.ws, w)
-}
-
-func (q *simQueue) Pop() any {
-	old := q.ws
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.index = -1
-	q.ws = old[:n-1]
-	return w
-}
-
 // Event kinds, in deliberate order: at equal timestamps departures free
-// slots before arrivals claim them and before queue timers judge waiters.
+// slots before arrivals claim them and before expiries judge waiters.
 const (
 	evDepart = iota
 	evArrive
-	evTimeout
-	evDeadline
+	evExpire
 )
 
 type simEvent struct {
 	at   time.Duration
 	kind int
 	seq  uint64
-	i    int           // schedule index (arrive, depart)
-	svc  time.Duration // service consumed (depart)
-	w    *simWaiter    // timeout, deadline
+	i    int                // schedule index (arrive, depart)
+	svc  time.Duration      // service consumed (depart)
+	t    *admit.Ticket[int] // queued ticket, Data = schedule index (expire)
 }
 
 type eventHeap []*simEvent
@@ -244,23 +108,10 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// simBucket is the virtual-time mirror of the server's GCRA token bucket.
+// simBucket is one tenant's GCRA state; nil means the tenant is exempt.
 type simBucket struct {
-	interval time.Duration
-	tau      time.Duration
-	tat      time.Duration
-}
-
-func (b *simBucket) allow(now time.Duration) bool {
-	t := b.tat
-	if now > t {
-		t = now
-	}
-	if t-now > b.tau {
-		return false
-	}
-	b.tat = t + b.interval
-	return true
+	admit.Bucket
+	tat time.Duration
 }
 
 // simState is the event loop's mutable world.
@@ -272,10 +123,7 @@ type simState struct {
 
 	events  eventHeap
 	evSeq   uint64
-	queue   simQueue
-	wSeq    uint64
-	running int
-	avgNs   int64 // EWMA of consumed service, alpha 1/8
+	core    *admit.Core[int]
 	buckets map[string]*simBucket
 }
 
@@ -283,6 +131,17 @@ type simState struct {
 // for the service-demand stream (kept separate from the schedule stream so
 // both are stable under policy changes).
 func Simulate(cfg *Config, sim *SimConfig, schedule []Request) ([]Outcome, error) {
+	st, err := newSimState(cfg, sim, schedule)
+	if err != nil {
+		return nil, err
+	}
+	for st.events.Len() > 0 {
+		st.step()
+	}
+	return st.outcomes, nil
+}
+
+func newSimState(cfg *Config, sim *SimConfig, schedule []Request) (*simState, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -295,7 +154,7 @@ func Simulate(cfg *Config, sim *SimConfig, schedule []Request) ([]Outcome, error
 		schedule: schedule,
 		svc:      make([]time.Duration, len(schedule)),
 		outcomes: make([]Outcome, len(schedule)),
-		queue:    simQueue{fifo: sim.Admission == "fifo"},
+		core:     admit.New[int](sim.Admit),
 		buckets:  make(map[string]*simBucket),
 	}
 	for i, req := range schedule {
@@ -307,26 +166,27 @@ func Simulate(cfg *Config, sim *SimConfig, schedule []Request) ([]Outcome, error
 		st.svc[i] = time.Duration(float64(mean) * f)
 		st.push(&simEvent{at: req.At, kind: evArrive, i: i})
 	}
-	for st.events.Len() > 0 {
-		ev := heap.Pop(&st.events).(*simEvent)
-		switch ev.kind {
-		case evArrive:
-			st.arrive(ev.at, ev.i)
-		case evDepart:
-			st.depart(ev.at, ev.svc)
-		case evTimeout:
-			if ev.w.index >= 0 {
-				heap.Remove(&st.queue, ev.w.index)
-				st.reject(ev.w.i, http.StatusServiceUnavailable, "queue-timeout", st.cfg.QueueTimeout)
-			}
-		case evDeadline:
-			if ev.w.index >= 0 {
-				heap.Remove(&st.queue, ev.w.index)
-				st.reject(ev.w.i, http.StatusServiceUnavailable, "deadline-shed", st.schedule[ev.w.i].Deadline)
-			}
+	return st, nil
+}
+
+// step pops and applies the next event, returning it.
+func (st *simState) step() *simEvent {
+	ev := heap.Pop(&st.events).(*simEvent)
+	switch ev.kind {
+	case evArrive:
+		st.arrive(ev.at, ev.i)
+	case evDepart:
+		if next := st.core.Release(ev.at, ev.svc); next != nil {
+			st.start(ev.at, next.Data)
+		}
+	case evExpire:
+		// The ticket was enqueued at its request's arrival time, so the wait
+		// it is rejected after is QueueTimeout or the whole Deadline.
+		if st.core.Remove(ev.t) {
+			st.reject(ev.t.Data, ev.t.Expire, ev.at-st.schedule[ev.t.Data].At)
 		}
 	}
-	return st.outcomes, nil
+	return ev
 }
 
 func (st *simState) push(ev *simEvent) {
@@ -335,94 +195,65 @@ func (st *simState) push(ev *simEvent) {
 	heap.Push(&st.events, ev)
 }
 
-func (st *simState) reject(i, code int, reason string, latency time.Duration) {
-	st.outcomes[i] = Outcome{Req: st.schedule[i], Code: code, Reason: reason, Latency: latency}
+func (st *simState) reject(i int, d admit.Decision, latency time.Duration) {
+	st.outcomes[i] = Outcome{Req: st.schedule[i], Code: server.RejectStatus(d), Reason: d.String(), Latency: latency}
 }
 
-// estimate mirrors admission.estimateWaitLocked: drain rounds ahead of the
-// candidate — ahead in queue order, not arrival order — times the EWMA
-// service time; zero until the first completion.
-func (st *simState) estimate(cand *simWaiter) time.Duration {
-	if st.avgNs == 0 {
-		return 0
+// conforms runs tenant's request at now through its bucket, materialized on
+// the tenant's first request as in the server.
+func (st *simState) conforms(now time.Duration, tenant string) bool {
+	b, ok := st.buckets[tenant]
+	if !ok {
+		if gcra, limited := st.cfg.RateLimit.Bucket(tenant); limited {
+			b = &simBucket{Bucket: gcra}
+		}
+		st.buckets[tenant] = b
 	}
-	rounds := int64(st.queue.aheadOf(cand)/st.cfg.Slots + 1)
-	return time.Duration(rounds * st.avgNs)
+	if b == nil {
+		return true
+	}
+	next, ok := b.Conform(b.tat, now)
+	if ok {
+		b.tat = next
+	}
+	return ok
 }
 
 func (st *simState) arrive(now time.Duration, i int) {
 	req := st.schedule[i]
-	if st.cfg.RateLimit > 0 {
-		b, ok := st.buckets[req.Tenant]
-		if !ok {
-			interval := time.Duration(float64(time.Second) / st.cfg.RateLimit)
-			b = &simBucket{interval: interval, tau: time.Duration((st.cfg.Burst - 1) * float64(interval))}
-			st.buckets[req.Tenant] = b
-		}
-		if !b.allow(now) {
-			st.reject(i, http.StatusTooManyRequests, "rate-limit", 0)
-			return
-		}
-	}
-	if st.running < st.cfg.Slots {
-		st.start(now, i)
+	if !st.conforms(now, req.Tenant) {
+		st.reject(i, admit.RateLimited, 0)
 		return
 	}
-	deadlineAt := req.At + req.Deadline
-	w := &simWaiter{i: i, rank: classRank(req.Class), deadline: deadlineAt, seq: st.wSeq}
-	if st.cfg.Shedding == "deadline" {
-		if est := st.estimate(w); est > 0 && now+est > deadlineAt {
-			st.reject(i, http.StatusServiceUnavailable, "deadline-shed", 0)
-			return
-		}
+	d, t, displaced := st.core.Arrive(now, admit.ParseClass(req.Class), req.At+req.Deadline)
+	if displaced != nil {
+		st.reject(displaced.Data, admit.QueueFull, now-st.schedule[displaced.Data].At)
 	}
-	if st.queue.Len() >= st.cfg.MaxQueue {
-		// Full queue: displace the worst waiter when the newcomer outranks
-		// it (never under FIFO), exactly as the server does.
-		worst := st.queue.worst()
-		if worst == nil || !st.queue.before(w, worst) {
-			st.reject(i, http.StatusTooManyRequests, "queue-full", 0)
-			return
-		}
-		heap.Remove(&st.queue, worst.index)
-		st.reject(worst.i, http.StatusTooManyRequests, "queue-full", now-st.schedule[worst.i].At)
-	}
-	st.wSeq++
-	heap.Push(&st.queue, w)
-	st.push(&simEvent{at: now + st.cfg.QueueTimeout, kind: evTimeout, w: w})
-	if st.cfg.Shedding == "deadline" && deadlineAt < now+st.cfg.QueueTimeout {
-		st.push(&simEvent{at: deadlineAt, kind: evDeadline, w: w})
+	switch d {
+	case admit.Run:
+		st.start(now, i)
+	case admit.Queued:
+		t.Data = i
+		st.push(&simEvent{at: t.ExpireAt, kind: evExpire, t: t})
+	default:
+		st.reject(i, d, 0)
 	}
 }
 
 // start puts request i on a slot at time now, judging its outcome up front:
-// completion within budget is a 200 at finish time, past budget the engine
-// is canceled at the deadline and the reply is a 504 — exactly the server's
-// per-query context semantics.
+// completion within budget is a 200 at finish time; past budget the engine
+// is canceled at the deadline and the reply is a 504 — the server's
+// per-query context semantics. A slot granted at or after the deadline (only
+// possible with shedding off) is the server's already-expired context: the
+// engine consumes nothing and the 504 goes out now.
 func (st *simState) start(now time.Duration, i int) {
-	st.running++
 	req := st.schedule[i]
-	deadlineAt := req.At + req.Deadline
-	finish := now + st.svc[i]
-	if finish > deadlineAt {
-		consumed := deadlineAt - now
-		st.outcomes[i] = Outcome{Req: req, Code: http.StatusGatewayTimeout, Latency: req.Deadline}
-		st.push(&simEvent{at: deadlineAt, kind: evDepart, i: i, svc: consumed})
+	budget := max(0, req.At+req.Deadline-now)
+	if st.svc[i] > budget {
+		st.outcomes[i] = Outcome{Req: req, Code: http.StatusGatewayTimeout, Latency: max(req.Deadline, now-req.At)}
+		st.push(&simEvent{at: now + budget, kind: evDepart, i: i, svc: budget})
 		return
 	}
-	st.outcomes[i] = Outcome{Req: req, Code: http.StatusOK, Latency: finish - req.At}
-	st.push(&simEvent{at: finish, kind: evDepart, i: i, svc: st.svc[i]})
-}
-
-func (st *simState) depart(now time.Duration, consumed time.Duration) {
-	next := st.avgNs + (int64(consumed)-st.avgNs)/8
-	if st.avgNs == 0 {
-		next = int64(consumed)
-	}
-	st.avgNs = next
-	st.running--
-	if st.queue.Len() > 0 {
-		w := heap.Pop(&st.queue).(*simWaiter)
-		st.start(now, w.i)
-	}
+	st.outcomes[i] = Outcome{Req: req, Code: http.StatusOK, Latency: now + st.svc[i] - req.At}
+	st.push(&simEvent{at: now + st.svc[i], kind: evDepart, i: i, svc: st.svc[i]})
 }

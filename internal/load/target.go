@@ -42,7 +42,7 @@ type Target interface {
 	Do(ctx context.Context, req Request) Outcome
 }
 
-// queryBody is the wire shape of POST /v1/query (mirrors the server's
+// queryBody is the wire shape of POST /v1/query (a copy of the server's
 // request schema; kept local so the generator exercises the real decode
 // path instead of sharing a struct with the server).
 type queryBody struct {

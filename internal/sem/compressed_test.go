@@ -14,7 +14,7 @@ import (
 func writeCompressedToMem[V graph.Vertex](t testing.TB, g *graph.CSR[V]) *ssd.MemBacking {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCSRCompressed(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{Compress: true}); err != nil {
 		t.Fatal(err)
 	}
 	return &ssd.MemBacking{Data: buf.Bytes()}
@@ -276,7 +276,7 @@ func TestCompressed64Bit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSRCompressed(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{Compress: true}); err != nil {
 		t.Fatal(err)
 	}
 	sg, err := Open[uint64](&ssd.MemBacking{Data: buf.Bytes()})

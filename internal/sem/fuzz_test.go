@@ -35,7 +35,7 @@ func FuzzOpen(f *testing.F) {
 	// Seed the compressed (v2) layout the same way so the fuzzer explores the
 	// block-index and degree-array validation paths too.
 	var cbuf bytes.Buffer
-	if err := WriteCSRCompressed(&cbuf, g); err != nil {
+	if err := Write(&cbuf, g, WriteConfig{Compress: true}); err != nil {
 		f.Fatal(err)
 	}
 	validV2 := cbuf.Bytes()

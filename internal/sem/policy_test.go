@@ -234,13 +234,7 @@ func statePair(t testing.TB, g *graph.CSR[uint32], compressed bool) (lru, state 
 	t.Helper()
 	mount := func(stateAware bool) *Graph[uint32] {
 		var buf bytes.Buffer
-		var err error
-		if compressed {
-			err = WriteCSRCompressed(&buf, g)
-		} else {
-			err = WriteCSR(&buf, g)
-		}
-		if err != nil {
+		if err := Write(&buf, g, WriteConfig{Compress: compressed}); err != nil {
 			t.Fatal(err)
 		}
 		dev := fastDevice(&ssd.MemBacking{Data: buf.Bytes()})

@@ -41,7 +41,7 @@ const Magic = 0x31475341
 
 // Format versions: v1 stores raw fixed-width edge records, v2 stores
 // delta+varint compressed adjacency blocks behind a block-extent index.
-// Open accepts both; WriteCSR emits v1 and WriteCompressed emits v2.
+// Open accepts both; Write emits v1, or v2 under WriteConfig.Compress.
 const (
 	Version           = 1
 	VersionCompressed = 2
@@ -342,12 +342,8 @@ func writeCSR[V graph.Vertex](w io.Writer, g, in *graph.CSR[V], symmetric bool, 
 	return nil
 }
 
-// WriteCompressed serializes an already-compressed graph into format v2:
+// writeCompressed serializes an already-compressed graph into format v2:
 // header, block-extent index ((n+1) byte offsets), degree array, blob.
-func WriteCompressed[V graph.Vertex](w io.Writer, c *graph.CompressedCSR[V]) error {
-	return writeCompressed(w, c, nil, false, nil)
-}
-
 func writeCompressed[V graph.Vertex](w io.Writer, c, in *graph.CompressedCSR[V], symmetric bool, sm *shardMap) error {
 	vSize := vertexWidth[V]()
 	flags := uint64(flagCompressed)
@@ -403,16 +399,6 @@ func writeIndexAndBlob(w io.Writer, offsets []uint64, degrees []uint32, blob []b
 		return fmt.Errorf("sem: write blocks: %w", err)
 	}
 	return nil
-}
-
-// WriteCSRCompressed compresses an in-memory CSR and serializes it into
-// format v2, the -compress path of gengraph and convert.
-func WriteCSRCompressed[V graph.Vertex](w io.Writer, g *graph.CSR[V]) error {
-	c, err := graph.Compress(g)
-	if err != nil {
-		return err
-	}
-	return WriteCompressed(w, c)
 }
 
 // Open reads the header and vertex index of a semi-external graph, leaving

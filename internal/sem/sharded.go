@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"os"
 
 	"repro/internal/graph"
 )
@@ -114,17 +114,35 @@ func ShardFileName(base string, shard int) string {
 	return fmt.Sprintf("%s.shard%d", base, shard)
 }
 
-// WriteCSRShard extracts cfg's shard of g and serializes it as a format v1
-// file with a shard map. The logical graph's edge total goes in the shard
-// map; the header's m counts only this shard's records.
-func WriteCSRShard[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg ShardConfig) error {
-	return Write(w, g, WriteConfig{Shard: &cfg})
-}
-
-// WriteCSRShardCompressed extracts cfg's shard of g, compresses it, and
-// serializes it as a format v2 file with a shard map.
-func WriteCSRShardCompressed[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg ShardConfig) error {
-	return Write(w, g, WriteConfig{Compress: true, Shard: &cfg})
+// ShardPaths resolves a graph path and a requested shard count into the
+// concrete file list: shards==0 auto-detects (a plain file mounts as is,
+// otherwise path.shard0.. are discovered); shards>=1 demands exactly that
+// many shard files. sharded reports whether the result is a shard set.
+func ShardPaths(path string, shards int) (paths []string, sharded bool, err error) {
+	if shards == 0 {
+		if _, err := os.Stat(path); err == nil {
+			return []string{path}, false, nil
+		}
+		for k := 0; ; k++ {
+			p := ShardFileName(path, k)
+			if _, err := os.Stat(p); err != nil {
+				break
+			}
+			paths = append(paths, p)
+		}
+		if len(paths) == 0 {
+			return nil, false, fmt.Errorf("neither %s nor %s exists", path, ShardFileName(path, 0))
+		}
+		return paths, true, nil
+	}
+	paths = make([]string, shards)
+	for k := range paths {
+		paths[k] = ShardFileName(path, k)
+		if _, err := os.Stat(paths[k]); err != nil {
+			return nil, false, fmt.Errorf("%w: %d shards requested but shard file missing: %v", ErrShardSpec, shards, err)
+		}
+	}
+	return paths, true, nil
 }
 
 // validateShardSet checks that gs assembles into one coherent partition:

@@ -14,12 +14,7 @@ import (
 func writeShardBytes(t testing.TB, g *graph.CSR[uint32], shard, shards int, compressed bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
-	if compressed {
-		err = WriteCSRShardCompressed(&buf, g, ShardConfig{Shard: shard, Shards: shards})
-	} else {
-		err = WriteCSRShard(&buf, g, ShardConfig{Shard: shard, Shards: shards})
-	}
+	err := Write(&buf, g, WriteConfig{Compress: compressed, Shard: &ShardConfig{Shard: shard, Shards: shards}})
 	if err != nil {
 		t.Fatalf("write shard %d/%d (compressed=%v): %v", shard, shards, compressed, err)
 	}

@@ -1,153 +1,27 @@
 package server
 
 import (
-	"container/heap"
 	"context"
-	"errors"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/admit"
 )
 
-// Admission control: the SEM device services a bounded number of concurrent
-// operations (ssd.Profile.Channels) and every traversal multiplies into
-// hundreds of worker goroutines, so an unbounded query intake would
-// oversubscribe the device and collapse every query's latency at once.
-// admission caps running traversals at MaxConcurrent, parks up to MaxQueue
-// excess requests on a wait queue, and sheds everything beyond that
-// immediately — bounded concurrency, bounded queue, bounded wait.
-//
-// The wait queue is not FIFO by default. Under overload a FIFO queue gives
-// every class the same p99, which is exactly backwards: the point of SLO
-// classes is that a flood of batch traffic must not push interactive
-// traffic's tail past its deadline. The queue is therefore a priority heap
-// ordered by (SLO class rank, remaining deadline budget): a freed slot goes
-// to the highest class first, and within a class to the request whose
-// deadline expires soonest (earliest-deadline-first). A full queue does not
-// blindly 429 either: if the newcomer outranks the worst parked waiter, the
-// worst waiter is displaced (it gets the 429) and the newcomer takes its
-// place — otherwise a batch flood that fills the queue first would lock
-// interactive traffic out entirely. Config.Admission "fifo" restores strict
-// arrival order (and plain reject-newest-on-full) for comparison runs.
-//
-// Deadline-aware shedding (Config.Shedding "deadline", the default) rejects
-// a request at enqueue time when the estimated queue wait would consume its
-// whole latency budget — a 503 now instead of a guaranteed 503/504 after
-// QueueTimeout of dead waiting. The estimate is an EWMA of recent service
-// times scaled by how many drain rounds stand ahead of the request — ahead
-// in queue order, not arrival order, so under the priority policy a gold
-// request is judged only against the waiters that would actually be served
-// before it. The estimate is deliberately coarse (a scheduler hint, not a
-// promise) and errs toward admitting: with no observations yet it never
-// sheds. A queued request whose deadline expires before a slot frees is
-// likewise shed at the deadline instead of waiting out the timer.
+// admission drives the shared policy core (internal/admit owns every
+// decision: ordering, displacement, shedding, expiry) with goroutines and
+// wall time. What this driver adds: one mutex serializing the core, a grant
+// channel per parked request, one timer per parked request armed at the
+// ticket's expiry, and the counters and queue-wait histogram behind /metrics.
 
-// ErrOverloaded reports that the admission queue is full; the handler maps it
-// to 429 Too Many Requests.
-var ErrOverloaded = errors.New("server: admission queue full")
-
-// ErrQueueTimeout reports that a queued request waited QueueTimeout without a
-// traversal slot freeing up; the handler maps it to 503 Service Unavailable.
-var ErrQueueTimeout = errors.New("server: timed out waiting for a traversal slot")
-
-// ErrDeadlineShed reports that a request was rejected because its latency
-// budget cannot survive the queue: either the estimated wait already exceeds
-// the remaining budget at enqueue time, or the deadline expired while
-// queued. The handler maps it to 503 Service Unavailable.
-var ErrDeadlineShed = errors.New("server: deadline budget exhausted before admission")
-
-// waiter is one parked request. index is its heap position (-1 once popped
-// or removed), grant is closed when the outcome is decided: a slot handoff,
-// or displacement by a better waiter (displaced is set before the close, so
-// the close's happens-before edge publishes it).
+// waiter is one parked request's rendezvous. grant is closed when the outcome
+// is decided: a slot hand-off, or displacement by a better arrival (displaced
+// is set before the close, so the close's happens-before edge publishes it).
 type waiter struct {
-	class     SLOClass
-	deadline  time.Time // zero = no deadline
-	seq       uint64    // arrival order; FIFO key and final tiebreak
-	index     int
-	displaced bool
 	grant     chan struct{}
-}
-
-// waiterQueue implements heap.Interface over *waiter with the admission
-// policy's ordering.
-type waiterQueue struct {
-	ws   []*waiter
-	fifo bool
-}
-
-func (q *waiterQueue) Len() int { return len(q.ws) }
-
-func (q *waiterQueue) Less(i, j int) bool { return q.before(q.ws[i], q.ws[j]) }
-
-// before is the admission policy's ordering, shared by the heap, the
-// ahead-of count, and worst-waiter selection.
-func (q *waiterQueue) before(a, b *waiter) bool {
-	if q.fifo {
-		return a.seq < b.seq
-	}
-	if a.class != b.class {
-		return a.class < b.class
-	}
-	// Within a class: earliest deadline first; no deadline sorts last.
-	switch {
-	case a.deadline.IsZero() && b.deadline.IsZero():
-		return a.seq < b.seq
-	case a.deadline.IsZero():
-		return false
-	case b.deadline.IsZero():
-		return true
-	case !a.deadline.Equal(b.deadline):
-		return a.deadline.Before(b.deadline)
-	}
-	return a.seq < b.seq
-}
-
-// aheadOf counts queued waiters that would be served before w.
-func (q *waiterQueue) aheadOf(w *waiter) int {
-	n := 0
-	for _, o := range q.ws {
-		if q.before(o, w) {
-			n++
-		}
-	}
-	return n
-}
-
-// worst returns the queued waiter that would be served last, nil when empty.
-func (q *waiterQueue) worst() *waiter {
-	if len(q.ws) == 0 {
-		return nil
-	}
-	w := q.ws[0]
-	for _, o := range q.ws[1:] {
-		if q.before(w, o) {
-			w = o
-		}
-	}
-	return w
-}
-
-func (q *waiterQueue) Swap(i, j int) {
-	q.ws[i], q.ws[j] = q.ws[j], q.ws[i]
-	q.ws[i].index = i
-	q.ws[j].index = j
-}
-
-func (q *waiterQueue) Push(x any) {
-	w := x.(*waiter)
-	w.index = len(q.ws)
-	q.ws = append(q.ws, w)
-}
-
-func (q *waiterQueue) Pop() any {
-	old := q.ws
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.index = -1
-	q.ws = old[:n-1]
-	return w
+	displaced bool
 }
 
 // classCounters are the per-SLO-class admission outcomes surfaced under
@@ -158,191 +32,124 @@ type classCounters struct {
 }
 
 type admission struct {
-	maxConcurrent int
-	maxQueue      int
-	queueTimeout  time.Duration
-	shed          bool
+	epoch time.Time // the core's clock is time.Since(epoch)
 
-	mu      sync.Mutex
-	running int
-	queue   waiterQueue
-	seq     uint64
-
-	// avgServiceNs is an EWMA (alpha 1/8) of completed traversal times,
-	// feeding the shed estimator.
-	avgServiceNs atomic.Int64
+	mu   sync.Mutex
+	core *admit.Core[*waiter]
 
 	inFlight atomic.Int64
 	queued   atomic.Int64
 	waitHist *histogram
-	classes  [NumClasses]classCounters
-	rejected atomic.Uint64 // queue full
-	timedOut atomic.Uint64 // queue timeout
-	shedded  atomic.Uint64 // deadline shed (at enqueue or while queued)
+	classes  [admit.NumClasses]classCounters
+	rejects  [admit.NumDecisions]atomic.Uint64 // by rejection reason
 }
 
-func newAdmission(cfg *Config) *admission {
-	return &admission{
-		maxConcurrent: cfg.MaxConcurrent,
-		maxQueue:      cfg.MaxQueue,
-		queueTimeout:  cfg.QueueTimeout,
-		shed:          cfg.Shedding == ShedDeadline,
-		queue:         waiterQueue{fifo: cfg.Admission == AdmitFIFO},
-		waitHist:      newHistogram(),
-	}
+func newAdmission(cfg admit.Config) *admission {
+	return &admission{epoch: time.Now(), core: admit.New[*waiter](cfg), waitHist: newHistogram()}
 }
 
-// estimateWaitLocked guesses how long the candidate waiter would wait: the
-// running queries must drain once, then the waiters served before it drain
-// maxConcurrent per round, each round costing one EWMA service time. Under
-// the priority policy "before it" is queue order, so a high-class arrival is
-// not judged against the batch backlog behind it. Zero until the first
-// completion seeds the average — cold servers never shed. Callers hold a.mu.
-func (a *admission) estimateWaitLocked(cand *waiter) time.Duration {
-	avg := a.avgServiceNs.Load()
-	if avg == 0 {
-		return 0
+// RejectStatus maps an admission or rate-limit rejection to its HTTP status:
+// the two "try again later, you are over a bound" reasons are 429, the two
+// "the service cannot meet your budget" reasons are 503.
+func RejectStatus(d admit.Decision) int {
+	if d == admit.QueueFull || d == admit.RateLimited {
+		return http.StatusTooManyRequests
 	}
-	rounds := int64(a.queue.aheadOf(cand)/a.maxConcurrent + 1)
-	return time.Duration(rounds * avg)
+	return http.StatusServiceUnavailable
 }
 
 // acquire claims a traversal slot for a request of the given class and
 // absolute deadline (zero = none), waiting in the policy-ordered queue if no
-// slot is free. It fails fast with ErrOverloaded when the queue is full,
-// with ErrDeadlineShed when the deadline cannot survive the queue, with
-// ErrQueueTimeout after queueTimeout, and with ctx.Err() when the caller's
-// request dies while waiting.
-func (a *admission) acquire(ctx context.Context, class SLOClass, deadline time.Time) error {
-	start := time.Now()
+// slot is free. It returns admit.Run once the caller holds a slot, the
+// rejection (QueueFull, QueueTimeout or DeadlineShed) otherwise, and
+// ctx.Err() when the caller's request dies while waiting.
+func (a *admission) acquire(ctx context.Context, class admit.Class, deadline time.Time) (admit.Decision, error) {
+	dl := admit.NoDeadline
+	if !deadline.IsZero() {
+		dl = deadline.Sub(a.epoch)
+	}
+	var w *waiter
+	// The clock is read under the lock so the core sees time in call order.
 	a.mu.Lock()
-	if a.running < a.maxConcurrent {
-		a.running++
-		a.mu.Unlock()
-		a.admitted(class, 0)
-		return nil
+	now := time.Since(a.epoch)
+	d, t, displaced := a.core.Arrive(now, class, dl)
+	if d == admit.Queued {
+		w = &waiter{grant: make(chan struct{})}
+		t.Data = w
 	}
-	w := &waiter{class: class, deadline: deadline, seq: a.seq, grant: make(chan struct{})}
-	if a.shed && !deadline.IsZero() {
-		if wait := a.estimateWaitLocked(w); wait > 0 && start.Add(wait).After(deadline) {
-			a.mu.Unlock()
-			a.shedded.Add(1)
-			a.classes[class].rejected.Add(1)
-			return ErrDeadlineShed
-		}
-	}
-	if a.queue.Len() >= a.maxQueue {
-		// Full queue: displace the worst waiter if the newcomer outranks it
-		// (never under FIFO, where before() is arrival order and the
-		// newcomer always loses); otherwise reject the newcomer.
-		worst := a.queue.worst()
-		if worst == nil || !a.queue.before(w, worst) {
-			a.mu.Unlock()
-			a.rejected.Add(1)
-			a.classes[class].rejected.Add(1)
-			return ErrOverloaded
-		}
-		heap.Remove(&a.queue, worst.index)
-		worst.displaced = true
-		close(worst.grant)
-	}
-	a.seq++
-	heap.Push(&a.queue, w)
 	a.mu.Unlock()
+	if displaced != nil {
+		displaced.Data.displaced = true
+		close(displaced.Data.grant)
+	}
+	switch d {
+	case admit.Run:
+		a.admitted(class, 0)
+		return d, nil
+	case admit.Queued:
+	default:
+		return a.rejected(class, d), nil
+	}
 	a.queued.Add(1)
 	defer a.queued.Add(-1)
 
-	timer := time.NewTimer(a.queueTimeout)
+	timer := time.NewTimer(t.ExpireAt - now)
 	defer timer.Stop()
-	var deadlineC <-chan time.Time
-	if a.shed && !deadline.IsZero() {
-		if until := time.Until(deadline); until < a.queueTimeout {
-			dt := time.NewTimer(until)
-			defer dt.Stop()
-			deadlineC = dt.C
-		}
-	}
 	select {
 	case <-w.grant:
-		return a.granted(w, start)
 	case <-timer.C:
-		if a.abandon(w) {
-			a.timedOut.Add(1)
-			a.classes[class].rejected.Add(1)
-			return ErrQueueTimeout
+		if a.abandon(t) {
+			return a.rejected(class, t.Expire), nil
 		}
-	case <-deadlineC:
-		if a.abandon(w) {
-			a.shedded.Add(1)
-			a.classes[class].rejected.Add(1)
-			return ErrDeadlineShed
-		}
+		// Lost the race: a releaser popped (or a newcomer displaced) this
+		// waiter before abandon got the lock — the grant channel carries the
+		// outcome.
+		<-w.grant
 	case <-ctx.Done():
-		if a.abandon(w) {
-			return ctx.Err()
+		if a.abandon(t) {
+			return 0, ctx.Err()
 		}
+		<-w.grant
 	}
-	// Lost the race: a releaser popped (or a newcomer displaced) this waiter
-	// before abandon got the lock — the grant channel carries the outcome.
-	<-w.grant
-	return a.granted(w, start)
-}
-
-// granted resolves a closed grant channel: either the waiter was handed a
-// slot, or it was displaced from a full queue by a better request.
-func (a *admission) granted(w *waiter, start time.Time) error {
 	if w.displaced {
-		a.rejected.Add(1)
-		a.classes[w.class].rejected.Add(1)
-		return ErrOverloaded
+		return a.rejected(class, admit.QueueFull), nil
 	}
-	a.admitted(w.class, time.Since(start))
-	return nil
+	a.admitted(class, time.Since(a.epoch)-now)
+	return admit.Run, nil
 }
 
 // admitted records one successful admission after the given queue wait.
-func (a *admission) admitted(class SLOClass, wait time.Duration) {
+func (a *admission) admitted(class admit.Class, wait time.Duration) {
 	a.inFlight.Add(1)
 	a.waitHist.observe(wait)
 	a.classes[class].accepted.Add(1)
 }
 
-// abandon removes a still-queued waiter, reporting whether the caller owns
-// the outcome. False means a releaser already granted it the slot.
-func (a *admission) abandon(w *waiter) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if w.index < 0 {
-		return false
-	}
-	heap.Remove(&a.queue, w.index)
-	return true
+// rejected records one rejection and returns its reason.
+func (a *admission) rejected(class admit.Class, d admit.Decision) admit.Decision {
+	a.rejects[d].Add(1)
+	a.classes[class].rejected.Add(1)
+	return d
 }
 
-// release returns a slot after a traversal that ran for service, handing it
-// directly to the best queued waiter if any (running stays constant across
-// the handoff) and folding the service time into the shed estimator's EWMA.
+// abandon removes a still-queued ticket, reporting whether the caller owns
+// the outcome. False means the grant channel is or will be closed.
+func (a *admission) abandon(t *admit.Ticket[*waiter]) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.core.Remove(t)
+}
+
+// release returns a slot after a traversal that ran for service; the core
+// hands it directly to the best queued request, if any.
 func (a *admission) release(service time.Duration) {
-	for {
-		old := a.avgServiceNs.Load()
-		next := old + (int64(service)-old)/8
-		if old == 0 {
-			next = int64(service)
-		}
-		if a.avgServiceNs.CompareAndSwap(old, next) {
-			break
-		}
-	}
 	a.inFlight.Add(-1)
 	a.mu.Lock()
-	if a.queue.Len() > 0 {
-		w := heap.Pop(&a.queue).(*waiter)
-		a.mu.Unlock()
-		close(w.grant)
-		return
-	}
-	a.running--
+	next := a.core.Release(time.Since(a.epoch), service)
 	a.mu.Unlock()
+	if next != nil {
+		close(next.Data.grant)
+	}
 }
 
 // InFlight reports traversals currently running.

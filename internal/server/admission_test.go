@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 )
 
@@ -37,182 +38,175 @@ func waitForQueueDepth(tb testing.TB, a *admission, want int64) {
 	}
 }
 
-func TestAdmissionPriorityOrdering(t *testing.T) {
-	a := newAdmission(&Config{MaxConcurrent: 1, MaxQueue: 8, QueueTimeout: 5 * time.Second})
-	if err := a.acquire(context.Background(), ClassBronze, time.Time{}); err != nil {
+// The ordering, displacement and shedding rules are tested on the policy core
+// in virtual time (internal/admit). The tests here cover what the driver adds
+// around it: timers, grant channels, caller cancellation, and the races
+// between them.
+
+func newTestAdmission(t *testing.T, cfg admit.Config) *admission {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return newAdmission(cfg)
+}
 
-	// Park one waiter per class, worst class first so arrival order and
-	// priority order disagree.
-	order := make(chan SLOClass, 4)
-	var wg sync.WaitGroup
-	for i, class := range []SLOClass{ClassBatch, ClassBronze, ClassSilver, ClassGold} {
-		wg.Add(1)
-		go func(class SLOClass) {
-			defer wg.Done()
-			if err := a.acquire(context.Background(), class, time.Time{}); err != nil {
-				t.Errorf("class %v: %v", class, err)
-				return
-			}
-			order <- class
-			a.release(time.Millisecond)
-		}(class)
-		waitForQueueDepth(t, a, int64(i+1))
-	}
-	a.release(time.Millisecond) // free the seed slot; waiters drain one at a time
-	wg.Wait()
-	close(order)
-
-	want := []SLOClass{ClassGold, ClassSilver, ClassBronze, ClassBatch}
-	i := 0
-	for got := range order {
-		if got != want[i] {
-			t.Fatalf("admission %d went to class %v, want %v", i, got, want[i])
-		}
-		i++
+// mustRun acquires a slot that has to be free.
+func mustRun(t *testing.T, a *admission, class admit.Class) {
+	t.Helper()
+	if d, err := a.acquire(context.Background(), class, time.Time{}); d != admit.Run || err != nil {
+		t.Fatalf("acquire on a free slot: %v, %v", d, err)
 	}
 }
 
-func TestAdmissionEDFWithinClass(t *testing.T) {
-	a := newAdmission(&Config{MaxConcurrent: 1, MaxQueue: 8, QueueTimeout: 5 * time.Second})
-	if err := a.acquire(context.Background(), ClassBronze, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	base := time.Now().Add(time.Hour)
-	order := make(chan time.Duration, 3)
-	var wg sync.WaitGroup
-	for i, off := range []time.Duration{3 * time.Second, time.Second, 2 * time.Second} {
-		wg.Add(1)
-		go func(off time.Duration) {
-			defer wg.Done()
-			if err := a.acquire(context.Background(), ClassBronze, base.Add(off)); err != nil {
-				t.Errorf("offset %v: %v", off, err)
-				return
-			}
-			order <- off
-			a.release(time.Millisecond)
-		}(off)
-		waitForQueueDepth(t, a, int64(i+1))
-	}
-	a.release(time.Millisecond)
-	wg.Wait()
-	close(order)
-
-	want := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}
-	i := 0
-	for got := range order {
-		if got != want[i] {
-			t.Fatalf("admission %d had deadline offset %v, want %v (earliest first)", i, got, want[i])
-		}
-		i++
+// assertIdle checks that every slot and queue seat came back.
+func assertIdle(t *testing.T, a *admission) {
+	t.Helper()
+	a.mu.Lock()
+	running, queued := a.core.Running(), a.core.QueueLen()
+	a.mu.Unlock()
+	if running != 0 || queued != 0 || a.InFlight() != 0 || a.QueueDepth() != 0 {
+		t.Fatalf("admission not idle: core %d running / %d queued, counters %d in flight / %d queued",
+			running, queued, a.InFlight(), a.QueueDepth())
 	}
 }
 
-func TestAdmissionDisplacesWorstWhenFull(t *testing.T) {
-	a := newAdmission(&Config{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 5 * time.Second})
-	if err := a.acquire(context.Background(), ClassGold, time.Time{}); err != nil {
-		t.Fatal(err)
+func TestAdmissionQueueExpiry(t *testing.T) {
+	a := newTestAdmission(t, admit.Config{Slots: 1, MaxQueue: 4, QueueTimeout: 5 * time.Millisecond})
+	mustRun(t, a, admit.ClassBronze)
+	if d, err := a.acquire(context.Background(), admit.ClassBronze, time.Time{}); d != admit.QueueTimeout || err != nil {
+		t.Fatalf("starved waiter got %v, %v, want queue-timeout", d, err)
 	}
-
-	batchErr := make(chan error, 1)
-	go func() { batchErr <- a.acquire(context.Background(), ClassBatch, time.Time{}) }()
-	waitForQueueDepth(t, a, 1)
-
-	// Queue is full of batch; a gold arrival must displace it, not get 429.
-	goldDone := make(chan error, 1)
-	go func() { goldDone <- a.acquire(context.Background(), ClassGold, time.Now().Add(time.Minute)) }()
-
-	if err := <-batchErr; !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("displaced batch waiter got %v, want ErrOverloaded", err)
-	}
-	a.release(time.Millisecond)
-	if err := <-goldDone; err != nil {
-		t.Fatalf("gold acquire after displacement: %v", err)
-	}
-	a.release(time.Millisecond)
-
-	// And the mirror case: a batch arrival must not displace anyone.
-	if err := a.acquire(context.Background(), ClassGold, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	go func() { batchErr <- a.acquire(context.Background(), ClassBronze, time.Time{}) }()
-	waitForQueueDepth(t, a, 1)
-	if err := a.acquire(context.Background(), ClassBatch, time.Time{}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("batch arrival on a full queue got %v, want ErrOverloaded", err)
-	}
-	a.release(time.Millisecond)
-	if err := <-batchErr; err != nil {
-		t.Fatal(err)
-	}
-	a.release(time.Millisecond)
-}
-
-func TestAdmissionFIFONeverDisplaces(t *testing.T) {
-	a := newAdmission(&Config{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 5 * time.Second, Admission: AdmitFIFO})
-	if err := a.acquire(context.Background(), ClassBatch, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	parked := make(chan error, 1)
-	go func() { parked <- a.acquire(context.Background(), ClassBatch, time.Time{}) }()
-	waitForQueueDepth(t, a, 1)
-	if err := a.acquire(context.Background(), ClassGold, time.Now().Add(time.Minute)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("gold on a full FIFO queue got %v, want ErrOverloaded (no displacement)", err)
-	}
-	a.release(time.Millisecond)
-	if err := <-parked; err != nil {
-		t.Fatal(err)
-	}
-	a.release(time.Millisecond)
-}
-
-func TestAdmissionDeadlineShedImmediate(t *testing.T) {
-	a := newAdmission(&Config{MaxConcurrent: 1, MaxQueue: 8, QueueTimeout: 5 * time.Second, Shedding: ShedDeadline})
-
-	// Cold server: no service observations, so nothing is shed even with a
-	// hopeless deadline — admit-and-try is the cold policy.
-	if err := a.acquire(context.Background(), ClassBronze, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	a.release(50 * time.Millisecond) // seeds the EWMA at 50ms
-
-	// Occupy the slot, then offer a request whose whole budget is below the
-	// estimated wait: it must be shed now, not after queueTimeout.
-	if err := a.acquire(context.Background(), ClassBronze, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
+	// A deadline inside the queue timeout expires the waiter first (the cold
+	// core has no estimate to shed it with at arrival).
 	start := time.Now()
-	err := a.acquire(context.Background(), ClassBronze, start.Add(time.Millisecond))
-	if !errors.Is(err, ErrDeadlineShed) {
-		t.Fatalf("hopeless deadline got %v, want ErrDeadlineShed", err)
+	if d, err := a.acquire(context.Background(), admit.ClassBronze, start.Add(time.Millisecond)); d != admit.DeadlineShed || err != nil {
+		t.Fatalf("waiter past its deadline got %v, %v, want deadline-shed", d, err)
 	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("shed decision took %v, want immediate", waited)
+	a.release(time.Millisecond)
+	assertIdle(t, a)
+	if q, s := a.rejects[admit.QueueTimeout].Load(), a.rejects[admit.DeadlineShed].Load(); q != 1 || s != 1 {
+		t.Fatalf("counted %d queue timeouts and %d deadline sheds, want 1 and 1", q, s)
 	}
-	// A deadline that fits the estimate is queued, not shed.
-	fits := make(chan error, 1)
-	go func() { fits <- a.acquire(context.Background(), ClassBronze, time.Now().Add(time.Minute)) }()
-	waitForQueueDepth(t, a, 1)
-	a.release(50 * time.Millisecond)
-	if err := <-fits; err != nil {
-		t.Fatal(err)
-	}
-	a.release(50 * time.Millisecond)
-
-	if got := a.shedded.Load(); got != 1 {
-		t.Fatalf("shedded = %d, want 1", got)
+	if got := a.classes[admit.ClassBronze].rejected.Load(); got != 2 {
+		t.Fatalf("bronze rejected = %d, want 2", got)
 	}
 }
 
-func TestAdmissionQueueTimeout(t *testing.T) {
-	a := newAdmission(&Config{MaxConcurrent: 1, MaxQueue: 4, QueueTimeout: 5 * time.Millisecond})
-	if err := a.acquire(context.Background(), ClassBronze, time.Time{}); err != nil {
-		t.Fatal(err)
+func TestAdmissionCancelWhileQueued(t *testing.T) {
+	a := newTestAdmission(t, admit.Config{Slots: 1, MaxQueue: 4, QueueTimeout: time.Minute})
+	mustRun(t, a, admit.ClassBronze)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.acquire(ctx, admit.ClassGold, time.Time{})
+		done <- err
+	}()
+	waitForQueueDepth(t, a, 1)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter got %v, want context.Canceled", err)
 	}
-	if err := a.acquire(context.Background(), ClassBronze, time.Time{}); !errors.Is(err, ErrQueueTimeout) {
-		t.Fatalf("starved waiter got %v, want ErrQueueTimeout", err)
-	}
+	// The seat is gone: the release frees the slot instead of handing it to
+	// the dead waiter.
 	a.release(time.Millisecond)
+	assertIdle(t, a)
+	if got := a.classes[admit.ClassGold].rejected.Load(); got != 0 {
+		t.Fatalf("a caller cancel was counted as %d rejections", got)
+	}
+}
+
+// TestAdmissionAbandonVsGrant races the waiter's queue timer against the
+// release that would grant it the slot. Whichever wins, the waiter gets one
+// outcome and the slot is never leaked or double-granted.
+func TestAdmissionAbandonVsGrant(t *testing.T) {
+	const timeout = 2 * time.Millisecond
+	a := newTestAdmission(t, admit.Config{Slots: 1, MaxQueue: 4, QueueTimeout: timeout})
+	var granted, timedOut int
+	for i := 0; i < 300; i++ {
+		mustRun(t, a, admit.ClassBronze)
+		outcome := make(chan admit.Decision, 1)
+		go func() {
+			d, _ := a.acquire(context.Background(), admit.ClassBronze, time.Time{})
+			outcome <- d
+		}()
+		// Sweep the release across the timer. No waiting for the waiter to
+		// park: if the release wins even that race the waiter finds the slot
+		// free, which is a grant all the same.
+		time.Sleep(time.Duration(i%8) * timeout / 6)
+		a.release(time.Millisecond)
+		switch d := <-outcome; d {
+		case admit.Run:
+			granted++
+			a.release(time.Millisecond)
+		case admit.QueueTimeout:
+			timedOut++
+		default:
+			t.Fatalf("iteration %d: waiter got %v", i, d)
+		}
+		assertIdle(t, a)
+	}
+	t.Logf("granted %d, timed out %d", granted, timedOut)
+	if got := a.rejects[admit.QueueTimeout].Load(); got != uint64(timedOut) {
+		t.Fatalf("counted %d queue timeouts, observed %d", got, timedOut)
+	}
+}
+
+// TestAdmissionDisplacedWhileTimerFires races a parked batch waiter's queue
+// timer against the gold arrival that displaces it from a full queue: the
+// batch waiter is rejected exactly once, for one of the two reasons, and the
+// gold arrival keeps the seat either way.
+func TestAdmissionDisplacedWhileTimerFires(t *testing.T) {
+	const timeout = 2 * time.Millisecond
+	for i := 0; i < 300; i++ {
+		a := newTestAdmission(t, admit.Config{Slots: 1, MaxQueue: 1, QueueTimeout: timeout})
+		mustRun(t, a, admit.ClassBronze)
+		batch := make(chan admit.Decision, 1)
+		go func() {
+			d, _ := a.acquire(context.Background(), admit.ClassBatch, time.Time{})
+			batch <- d
+		}()
+		// Sweep the gold arrival across the batch waiter's timer. Should gold
+		// even beat the batch request to the seat, the batch arrival finds the
+		// queue full of a better waiter: the same rejection.
+		time.Sleep(time.Duration(i%8) * timeout / 6)
+		gold := make(chan admit.Decision, 1)
+		go func() {
+			d, _ := a.acquire(context.Background(), admit.ClassGold, time.Now().Add(time.Minute))
+			gold <- d
+		}()
+		d := <-batch
+		if d != admit.QueueFull && d != admit.QueueTimeout {
+			t.Fatalf("iteration %d: batch waiter got %v, want queue-full or queue-timeout", i, d)
+		}
+		// Gold holds the seat until its own timer; release before that.
+		a.release(time.Millisecond)
+		if d := <-gold; d == admit.Run {
+			a.release(time.Millisecond)
+		} else if d != admit.QueueTimeout {
+			t.Fatalf("iteration %d: gold arrival got %v", i, d)
+		}
+		assertIdle(t, a)
+		if got := a.classes[admit.ClassBatch].rejected.Load(); got != 1 {
+			t.Fatalf("iteration %d: batch rejected %d times, want once", i, got)
+		}
+	}
+}
+
+func TestRejectStatus(t *testing.T) {
+	for d, want := range map[admit.Decision]struct {
+		status int
+		reason string
+	}{
+		admit.QueueFull:    {http.StatusTooManyRequests, "queue-full"},
+		admit.RateLimited:  {http.StatusTooManyRequests, "rate-limit"},
+		admit.QueueTimeout: {http.StatusServiceUnavailable, "queue-timeout"},
+		admit.DeadlineShed: {http.StatusServiceUnavailable, "deadline-shed"},
+	} {
+		if got := RejectStatus(d); got != want.status || d.String() != want.reason {
+			t.Errorf("%v: status %d reason %q, want %d %q", d, got, d.String(), want.status, want.reason)
+		}
+	}
 }
 
 // TestOverloadRejectReasons drives the overload paths end to end over HTTP
@@ -220,11 +214,9 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 func TestOverloadRejectReasons(t *testing.T) {
 	slow := slowStores(t, 200*time.Microsecond)
 	s := New(Config{
-		MaxConcurrent: 1,
-		MaxQueue:      1,
-		QueueTimeout:  50 * time.Millisecond,
-		CacheEntries:  -1,
-		Engine:        core.Config{Workers: 2},
+		Admit:        admit.Config{Slots: 1, MaxQueue: 1, QueueTimeout: 50 * time.Millisecond},
+		CacheEntries: -1,
+		Engine:       core.Config{Workers: 2},
 	})
 	if err := s.AddGraph(Graph{Name: "slow", Adj: slow}); err != nil {
 		t.Fatal(err)
@@ -296,12 +288,9 @@ func TestOverloadRejectReasons(t *testing.T) {
 func TestQueueTimeoutReturns503(t *testing.T) {
 	slow := slowStores(t, time.Millisecond)
 	s := New(Config{
-		MaxConcurrent: 1,
-		MaxQueue:      4,
-		QueueTimeout:  5 * time.Millisecond,
-		Shedding:      ShedOff,
-		CacheEntries:  -1,
-		Engine:        core.Config{Workers: 2},
+		Admit:        admit.Config{Slots: 1, MaxQueue: 4, QueueTimeout: 5 * time.Millisecond, Shedding: admit.ShedOff},
+		CacheEntries: -1,
+		Engine:       core.Config{Workers: 2},
 	})
 	if err := s.AddGraph(Graph{Name: "slow", Adj: slow}); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
@@ -94,27 +95,27 @@ func (s *Server) buildVars() *expvar.Map {
 	m.Set("queries_total", expvar.Func(func() any { return s.queriesTotal.Load() }))
 	m.Set("queries_in_flight", expvar.Func(func() any { return s.admit.InFlight() }))
 	m.Set("queue_depth", expvar.Func(func() any { return s.admit.QueueDepth() }))
-	m.Set("queries_rejected", expvar.Func(func() any { return s.admit.rejected.Load() }))
-	m.Set("queries_queue_timeout", expvar.Func(func() any { return s.admit.timedOut.Load() }))
+	m.Set("queries_rejected", expvar.Func(func() any { return s.admit.rejects[admit.QueueFull].Load() }))
+	m.Set("queries_queue_timeout", expvar.Func(func() any { return s.admit.rejects[admit.QueueTimeout].Load() }))
 	m.Set("queries_deadline_exceeded", expvar.Func(func() any { return s.queriesDeadline.Load() }))
 	m.Set("queries_canceled", expvar.Func(func() any { return s.queriesCanceled.Load() }))
 	m.Set("queries_failed", expvar.Func(func() any { return s.queriesFailed.Load() }))
-	m.Set("queries_deadline_shed", expvar.Func(func() any { return s.admit.shedded.Load() }))
+	m.Set("queries_deadline_shed", expvar.Func(func() any { return s.admit.rejects[admit.DeadlineShed].Load() }))
 	m.Set("queries_rate_limited", expvar.Func(func() any { return s.queriesRateLimited.Load() }))
 	m.Set("admission", expvar.Func(func() any {
-		classes := make(map[string]any, NumClasses)
-		for c := SLOClass(0); c < NumClasses; c++ {
+		classes := make(map[string]any, admit.NumClasses)
+		for c := admit.Class(0); c < admit.NumClasses; c++ {
 			classes[c.String()] = map[string]any{
 				"accepted": s.admit.classes[c].accepted.Load(),
 				"rejected": s.admit.classes[c].rejected.Load(),
 			}
 		}
 		return map[string]any{
-			"policy":        s.cfg.Admission,
-			"shedding":      s.cfg.Shedding,
-			"queue_full":    s.admit.rejected.Load(),
-			"queue_timeout": s.admit.timedOut.Load(),
-			"deadline_shed": s.admit.shedded.Load(),
+			"policy":        s.cfg.Admit.Order,
+			"shedding":      s.cfg.Admit.Shedding,
+			"queue_full":    s.admit.rejects[admit.QueueFull].Load(),
+			"queue_timeout": s.admit.rejects[admit.QueueTimeout].Load(),
+			"deadline_shed": s.admit.rejects[admit.DeadlineShed].Load(),
 			"queue_wait": map[string]any{
 				"count":   s.admit.waitHist.n.Load(),
 				"mean_ms": ms(s.admit.waitHist.mean()),

@@ -62,7 +62,7 @@ func ParseMountSpec(arg string) (MountSpec, error) {
 			return s, fmt.Errorf("graph spec %q: unknown option %q (want \"sem\", \"shards=N\", or \"limit=R[:B]\")", arg, opt)
 		}
 	}
-	if _, _, err := shardPaths(s.Path, s.Shards); err != nil {
+	if _, _, err := sem.ShardPaths(s.Path, s.Shards); err != nil {
 		return s, fmt.Errorf("graph %q: %w", s.Name, err)
 	}
 	if s.SEM {
@@ -88,37 +88,6 @@ func ParseRateSpec(arg string) (rate, burst float64, err error) {
 	return rate, burst, nil
 }
 
-// shardPaths resolves a spec's path/shards into the concrete file list:
-// shards==0 auto-detects (a plain file mounts as is, otherwise path.shard0..
-// are discovered); shards>=1 demands exactly that many shard files.
-func shardPaths(path string, shards int) ([]string, bool, error) {
-	if shards == 0 {
-		if _, err := os.Stat(path); err == nil {
-			return []string{path}, false, nil
-		}
-		var paths []string
-		for k := 0; ; k++ {
-			p := sem.ShardFileName(path, k)
-			if _, err := os.Stat(p); err != nil {
-				break
-			}
-			paths = append(paths, p)
-		}
-		if len(paths) == 0 {
-			return nil, false, fmt.Errorf("neither %s nor %s exists", path, sem.ShardFileName(path, 0))
-		}
-		return paths, true, nil
-	}
-	paths := make([]string, shards)
-	for k := range paths {
-		paths[k] = sem.ShardFileName(path, k)
-		if _, err := os.Stat(paths[k]); err != nil {
-			return nil, false, fmt.Errorf("%w: shards=%d but shard file missing: %v", sem.ErrShardSpec, shards, err)
-		}
-	}
-	return paths, true, nil
-}
-
 // MountOptions tune how MountGraph assembles the storage stack.
 type MountOptions struct {
 	// Prefetch is the engine pop-window size; SEM mounts enable the
@@ -140,7 +109,7 @@ type MountOptions struct {
 // semi-externally with one block-cached simulated flash device per shard.
 func MountGraph(spec MountSpec, opt MountOptions) (Graph, error) {
 	g := Graph{Name: spec.Name, RateLimit: spec.Limit}
-	paths, sharded, err := shardPaths(spec.Path, spec.Shards)
+	paths, sharded, err := sem.ShardPaths(spec.Path, spec.Shards)
 	if err != nil {
 		return g, err
 	}

@@ -4,106 +4,23 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/admit"
 )
 
-// Per-tenant rate limiting: admission bounds how much work runs at once, but
-// nothing stops one tenant from filling the whole queue and shedding
-// everyone else's traffic before priority ordering can help. A token bucket
-// per tenant caps each tenant's sustained request rate ahead of admission,
-// so the queue only ever sees traffic each tenant is entitled to send.
-//
-// The bucket is the GCRA (virtual-scheduling) form: a single atomic int64
-// holds the theoretical arrival time (TAT) of the next conforming request,
-// in nanoseconds since the limiter started. A request at time t conforms
-// when max(TAT, t) - t <= (burst-1)*interval; conforming requests advance
-// TAT by one emission interval with a CAS. One atomic word, no locks, no
-// token counters to refill — the vsa atomic-limiter idiom.
+// RateLimitConfig and TenantLimit configure per-tenant token buckets; the
+// policy (override resolution, the GCRA conformance step) is internal/admit's.
+type (
+	RateLimitConfig = admit.RateLimitConfig
+	TenantLimit     = admit.TenantLimit
+)
 
-// TenantLimit overrides the default per-tenant rate for one named tenant.
-// Rate <= 0 exempts the tenant from limiting entirely.
-type TenantLimit struct {
-	// Rate is the sustained request rate in requests/second.
-	Rate float64
-	// Burst is the instantaneous burst allowance in requests; values below 1
-	// are raised to 1.
-	Burst float64
-}
-
-// RateLimitConfig configures per-tenant token buckets. The zero value
-// disables limiting.
-type RateLimitConfig struct {
-	// Rate is the default sustained per-tenant request rate in
-	// requests/second; 0 disables limiting for tenants without an override.
-	Rate float64
-	// Burst is the default instantaneous burst allowance in requests;
-	// values below 1 are raised to 1 when Rate is set.
-	Burst float64
-	// Tenants overrides Rate/Burst for named tenants.
-	Tenants map[string]TenantLimit
-}
-
-func (c *RateLimitConfig) normalize() {
-	if c.Rate < 0 {
-		c.Rate = 0
-	}
-	if c.Rate > 0 && c.Burst < 1 {
-		c.Burst = 1
-	}
-	for name, t := range c.Tenants {
-		if t.Rate > 0 && t.Burst < 1 {
-			t.Burst = 1
-			c.Tenants[name] = t
-		}
-	}
-}
-
-// enabled reports whether any tenant can ever be limited.
-func (c *RateLimitConfig) enabled() bool {
-	if c.Rate > 0 {
-		return true
-	}
-	for _, t := range c.Tenants {
-		if t.Rate > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// tokenBucket is one tenant's GCRA state.
+// tokenBucket is one tenant's GCRA state: the theoretical arrival time of
+// the next conforming request, in nanoseconds since the limiter started,
+// advanced lock-free with a CAS around the shared conformance step.
 type tokenBucket struct {
-	intervalNs int64 // ns between conforming requests at the sustained rate
-	tauNs      int64 // burst tolerance: (burst-1) * interval
-	tat        atomic.Int64
-}
-
-func newTokenBucket(rate, burst float64) *tokenBucket {
-	interval := int64(float64(time.Second) / rate)
-	if interval < 1 {
-		interval = 1
-	}
-	return &tokenBucket{
-		intervalNs: interval,
-		tauNs:      int64((burst - 1) * float64(interval)),
-	}
-}
-
-// allow reports whether a request arriving nowNs conforms, advancing the
-// bucket state when it does.
-func (b *tokenBucket) allow(nowNs int64) bool {
-	for {
-		tat := b.tat.Load()
-		t := tat
-		if nowNs > t {
-			t = nowNs
-		}
-		if t-nowNs > b.tauNs {
-			return false
-		}
-		if b.tat.CompareAndSwap(tat, t+b.intervalNs) {
-			return true
-		}
-	}
+	admit.Bucket
+	tat atomic.Int64
 }
 
 // limiter holds one scope's per-tenant buckets (the server-wide scope, or a
@@ -118,8 +35,8 @@ type limiter struct {
 }
 
 func newLimiter(cfg RateLimitConfig) *limiter {
-	cfg.normalize()
-	if !cfg.enabled() {
+	cfg.Normalize()
+	if !cfg.Enabled() {
 		return nil
 	}
 	return &limiter{cfg: cfg, start: time.Now()}
@@ -133,27 +50,28 @@ func (l *limiter) allow(tenant string) bool {
 	}
 	v, ok := l.buckets.Load(tenant)
 	if !ok {
-		rate, burst := l.cfg.Rate, l.cfg.Burst
-		if t, ok := l.cfg.Tenants[tenant]; ok {
-			rate, burst = t.Rate, t.Burst
-		}
 		var b *tokenBucket
-		if rate > 0 {
-			b = newTokenBucket(rate, burst)
+		if gcra, limited := l.cfg.Bucket(tenant); limited {
+			b = &tokenBucket{Bucket: gcra}
 		}
 		v, _ = l.buckets.LoadOrStore(tenant, b)
 	}
-	b, _ := v.(*tokenBucket)
-	if b == nil {
-		l.allowed.Add(1)
-		return true
+	if b, _ := v.(*tokenBucket); b != nil {
+		now := time.Since(l.start)
+		for {
+			tat := b.tat.Load()
+			next, ok := b.Conform(time.Duration(tat), now)
+			if !ok {
+				l.rejected.Add(1)
+				return false
+			}
+			if b.tat.CompareAndSwap(tat, int64(next)) {
+				break
+			}
+		}
 	}
-	if b.allow(int64(time.Since(l.start))) {
-		l.allowed.Add(1)
-		return true
-	}
-	l.rejected.Add(1)
-	return false
+	l.allowed.Add(1)
+	return true
 }
 
 // Counters snapshots allowed/rejected totals for /metrics.

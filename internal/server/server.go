@@ -13,8 +13,9 @@
 // (X-SLO-Class: gold/silver/bronze/batch); the admission queue is ordered
 // by class and remaining deadline budget, requests whose budget cannot
 // survive the estimated queue wait are shed immediately, and each tenant's
-// request rate is bounded by a token bucket (slo.go, admission.go,
-// ratelimit.go).
+// request rate is bounded by a token bucket. Those decisions are
+// internal/admit's, one state machine shared with the load simulator;
+// admission.go and ratelimit.go drive it with goroutines and wall time.
 //
 // Three mechanisms make it safe to put the batch engine behind traffic:
 //
@@ -53,54 +54,22 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
 
-// Admission policy names for Config.Admission.
-const (
-	// AdmitPriority orders the wait queue by (SLO class, remaining deadline
-	// budget); the default.
-	AdmitPriority = "priority"
-	// AdmitFIFO orders the wait queue by arrival, the pre-SLO behavior; kept
-	// for policy comparison runs.
-	AdmitFIFO = "fifo"
-)
-
-// Shedding policy names for Config.Shedding.
-const (
-	// ShedDeadline rejects requests whose latency budget cannot survive the
-	// estimated queue wait, and queued requests whose deadline expires
-	// before a slot frees; the default.
-	ShedDeadline = "deadline"
-	// ShedOff disables deadline-aware shedding: queued requests wait the
-	// full QueueTimeout regardless of budget.
-	ShedOff = "off"
-)
-
 // Config tunes the service. Zero values select the documented defaults.
 type Config struct {
-	// MaxConcurrent caps traversals running at once. Each traversal spawns
-	// Engine.Workers goroutines and, on SEM stores, competes for the
-	// device's bounded channel pool. Default 4.
-	MaxConcurrent int
-	// MaxQueue caps requests waiting for a traversal slot; the request
-	// beyond it is rejected immediately with 429. Default 64.
-	MaxQueue int
-	// QueueTimeout bounds how long a request waits in the admission queue
-	// before 503. Default 2s.
-	QueueTimeout time.Duration
+	// Admit is the admission policy: slots, wait-queue capacity, timeout and
+	// order, deadline shedding. New cannot report an error, so values
+	// Admit.Validate would reject select the defaults instead.
+	Admit admit.Config
 	// QueryTimeout is the per-query traversal deadline; a request may lower
 	// (never raise) it via timeout_ms. Default 30s.
 	QueryTimeout time.Duration
-	// Admission selects the wait-queue order: AdmitPriority (default) or
-	// AdmitFIFO. Unknown values select AdmitPriority.
-	Admission string
-	// Shedding selects deadline handling for queued requests: ShedDeadline
-	// (default) or ShedOff. Unknown values select ShedDeadline.
-	Shedding string
 	// RateLimit configures per-tenant token buckets applied before
 	// admission; the zero value disables limiting. Graphs may override it
 	// via Graph.RateLimit.
@@ -115,25 +84,19 @@ type Config struct {
 }
 
 func (c *Config) normalize() {
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 4
+	a := &c.Admit
+	a.Slots, a.MaxQueue, a.QueueTimeout = max(a.Slots, 0), max(a.MaxQueue, 0), max(a.QueueTimeout, 0)
+	if a.Order != admit.OrderFIFO {
+		a.Order = admit.OrderPriority
 	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 64
+	if a.Shedding != admit.ShedOff {
+		a.Shedding = admit.ShedDeadline
 	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = 2 * time.Second
-	}
+	_ = a.Validate() // only fills defaults now
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 30 * time.Second
 	}
-	if c.Admission != AdmitFIFO {
-		c.Admission = AdmitPriority
-	}
-	if c.Shedding != ShedOff {
-		c.Shedding = ShedDeadline
-	}
-	c.RateLimit.normalize()
+	c.RateLimit.Normalize()
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 64
 	}
@@ -230,7 +193,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		pool:   core.NewEnginePool[uint32](cfg.Engine),
-		admit:  newAdmission(&cfg),
+		admit:  newAdmission(cfg.Admit),
 		hist:   newHistogram(),
 		limit:  newLimiter(cfg.RateLimit),
 		graphs: make(map[string]*Graph),
@@ -465,7 +428,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	class := ParseSLOClass(r.Header.Get(ClassHeader))
+	class := admit.ParseClass(r.Header.Get(ClassHeader))
 	timeout := s.cfg.QueryTimeout
 	if req.TimeoutMs > 0 {
 		if d := time.Duration(req.TimeoutMs) * time.Millisecond; d < timeout {
@@ -483,25 +446,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if !lim.allow(tenant) {
 		s.queriesRateLimited.Add(1)
-		w.Header().Set(RejectReasonHeader, "rate-limit")
-		writeError(w, http.StatusTooManyRequests, "server: tenant %q over its request rate", tenant)
+		s.reject(w, admit.RateLimited, tenant)
 		return
 	}
 
-	if err := s.admit.acquire(r.Context(), class, deadline); err != nil {
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			w.Header().Set(RejectReasonHeader, "queue-full")
-			writeError(w, http.StatusTooManyRequests, "%v", err)
-		case errors.Is(err, ErrQueueTimeout):
-			w.Header().Set(RejectReasonHeader, "queue-timeout")
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, ErrDeadlineShed):
-			w.Header().Set(RejectReasonHeader, "deadline-shed")
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		default: // client went away while queued
-			s.queriesCanceled.Add(1)
-		}
+	if d, err := s.admit.acquire(r.Context(), class, deadline); err != nil {
+		s.queriesCanceled.Add(1) // client went away while queued
+		return
+	} else if d != admit.Run {
+		s.reject(w, d, tenant)
 		return
 	}
 
@@ -531,6 +484,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.cache.put(key, res)
 	}
 	s.render(w, &req, res, false)
+}
+
+// reject answers a request the serving policy turned away: the reason's
+// status, the reason itself in RejectReasonHeader.
+func (s *Server) reject(w http.ResponseWriter, d admit.Decision, tenant string) {
+	w.Header().Set(RejectReasonHeader, d.String())
+	writeError(w, RejectStatus(d), "server: tenant %q not admitted: %s", tenant, d)
 }
 
 // cacheKeyFor builds the result-cache key for one validated request. Every

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -318,9 +319,9 @@ func fetchMetrics(tb testing.TB, ts *httptest.Server) map[string]any {
 func TestConcurrentSSSPSharedSEM(t *testing.T) {
 	st := buildStores(t, 8)
 	ts := newTestServer(t, Config{
-		MaxConcurrent: 32,
-		CacheEntries:  -1, // disabled: every query must traverse the store
-		Engine:        core.Config{Workers: 8, Prefetch: 64},
+		Admit:        admit.Config{Slots: 32},
+		CacheEntries: -1, // disabled: every query must traverse the store
+		Engine:       core.Config{Workers: 8, Prefetch: 64},
 	}, st)
 
 	const queries = 32
@@ -427,11 +428,9 @@ func TestQueryDeadlineReturns504(t *testing.T) {
 func TestAdmissionShedsLoad(t *testing.T) {
 	slow := slowStores(t, time.Millisecond)
 	s := New(Config{
-		MaxConcurrent: 1,
-		MaxQueue:      1,
-		QueueTimeout:  5 * time.Millisecond,
-		CacheEntries:  -1,
-		Engine:        core.Config{Workers: 2},
+		Admit:        admit.Config{Slots: 1, MaxQueue: 1, QueueTimeout: 5 * time.Millisecond},
+		CacheEntries: -1,
+		Engine:       core.Config{Workers: 2},
 	})
 	if err := s.AddGraph(Graph{Name: "slow", Adj: slow}); err != nil {
 		t.Fatal(err)
@@ -506,7 +505,7 @@ func buildShardedGraph(tb testing.TB, name string, g *graph.CSR[uint32], shards 
 	sgs := make([]*sem.Graph[uint32], shards)
 	for k := 0; k < shards; k++ {
 		var buf bytes.Buffer
-		if err := sem.WriteCSRShard(&buf, g, sem.ShardConfig{Shard: k, Shards: shards}); err != nil {
+		if err := sem.Write(&buf, g, sem.WriteConfig{Shard: &sem.ShardConfig{Shard: k, Shards: shards}}); err != nil {
 			tb.Fatal(err)
 		}
 		devs[k] = ssd.New(
@@ -541,9 +540,9 @@ func TestConcurrentQueriesShardedSEM(t *testing.T) {
 	st := buildStores(t, 8)
 	const shards = 3
 	s := New(Config{
-		MaxConcurrent: 16,
-		CacheEntries:  -1, // disabled: every query must traverse the stores
-		Engine:        core.Config{Workers: 8, Prefetch: 64},
+		Admit:        admit.Config{Slots: 16},
+		CacheEntries: -1, // disabled: every query must traverse the stores
+		Engine:       core.Config{Workers: 8, Prefetch: 64},
 	})
 	if err := s.AddGraph(buildShardedGraph(t, "sharded", st.im, shards)); err != nil {
 		t.Fatal(err)

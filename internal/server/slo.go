@@ -1,16 +1,9 @@
 package server
 
-import "strings"
-
-// SLO classes: every request carries a service-level class that admission
-// uses to order the wait queue and that the report layer (internal/load)
-// aggregates by. Classes are a small fixed ladder — a serving tier is a
-// contract, not an open namespace — ranked from most to least latency-
-// sensitive. Unknown or absent class headers fall into ClassBronze so that
-// untagged traffic neither jumps the queue nor starves.
-//
-// The class arrives on the X-SLO-Class request header; the tenant identity
-// (for per-tenant rate limiting and reporting) on X-Tenant.
+// Every request carries a tenant identity (for per-tenant rate limiting and
+// reporting) on X-Tenant and an SLO class (admit.Class; admission orders the
+// wait queue by it) on X-SLO-Class. Unknown or absent class headers fall into
+// the default tier, admit.ClassBronze.
 
 // Header names the query endpoint reads and the load generator sets.
 const (
@@ -28,46 +21,3 @@ const (
 
 // DefaultTenant is the tenant identity of requests without a tenant header.
 const DefaultTenant = "anon"
-
-// SLOClass is a serving tier. Lower values admit first.
-type SLOClass int
-
-const (
-	// ClassGold is interactive traffic with the tightest deadlines.
-	ClassGold SLOClass = iota
-	// ClassSilver is latency-sensitive but tolerant traffic.
-	ClassSilver
-	// ClassBronze is the default tier for untagged traffic.
-	ClassBronze
-	// ClassBatch is throughput-oriented traffic that yields to everything.
-	ClassBatch
-
-	// NumClasses bounds the class ladder; per-class counter arrays index by
-	// SLOClass and are sized by it.
-	NumClasses
-)
-
-var sloClassNames = [NumClasses]string{"gold", "silver", "bronze", "batch"}
-
-func (c SLOClass) String() string {
-	if c < 0 || c >= NumClasses {
-		return "bronze"
-	}
-	return sloClassNames[c]
-}
-
-// ParseSLOClass maps a class header value to its tier. Unknown spellings and
-// the empty string land in ClassBronze: misconfigured clients get the
-// default tier, never an error and never a priority boost.
-func ParseSLOClass(s string) SLOClass {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "gold":
-		return ClassGold
-	case "silver":
-		return ClassSilver
-	case "batch":
-		return ClassBatch
-	default:
-		return ClassBronze
-	}
-}
