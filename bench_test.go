@@ -35,6 +35,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lockfree"
+	"repro/internal/mount"
 	"repro/internal/pq"
 	"repro/internal/sem"
 	"repro/internal/server"
@@ -110,13 +111,13 @@ func graphs(tb testing.TB) *struct {
 			}
 		}
 		var buf bytes.Buffer
-		must(sem.WriteCSR(&buf, benchGraphs.directed))
+		must(sem.Write(&buf, benchGraphs.directed, sem.WriteConfig{}))
 		benchGraphs.semFile = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
-		must(sem.WriteCSR(&buf, benchGraphs.undirected))
+		must(sem.Write(&buf, benchGraphs.undirected, sem.WriteConfig{}))
 		benchGraphs.semFileU = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
-		must(sem.WriteCSR(&buf, benchGraphs.weightedUW))
+		must(sem.Write(&buf, benchGraphs.weightedUW, sem.WriteConfig{}))
 		benchGraphs.semFileW = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
 		must(sem.Write(&buf, benchGraphs.directed, sem.WriteConfig{Compress: true}))
@@ -308,18 +309,25 @@ func BenchmarkTable3CC(b *testing.B) {
 	})
 }
 
-func semMount(b *testing.B, file []byte, p ssd.Profile) (*sem.Graph[uint32], *ssd.Device) {
+// semMount mounts serialized graph images (one per shard) through
+// internal/mount with SEM and SemiSort on: behind the default block cache, or
+// — with opt.NoCache — directly on the device, the regime where the prefetch
+// pipeline's span coalescing is the only source of locality. The returned
+// engine configuration runs 128 workers.
+func semMount(b *testing.B, files [][]byte, opt mount.Options) (*mount.Mounted, core.Config) {
 	b.Helper()
-	dev := ssd.New(p, &ssd.MemBacking{Data: file})
-	cache, err := sem.NewCachedStoreRA(dev, 4096, int64(len(file))/2, 8)
+	backings := make([]ssd.Backing, len(files))
+	for k, f := range files {
+		backings[k] = &ssd.MemBacking{Data: f}
+	}
+	opt.SEM, opt.SemiSort = true, true
+	m, err := mount.Graph(backings, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sg, err := sem.Open[uint32](cache)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sg, dev
+	cfg := m.Engine
+	cfg.Workers = 128
+	return m, cfg
 }
 
 // BenchmarkTable4SEMBFS regenerates Table IV: semi-external BFS per flash
@@ -329,8 +337,8 @@ func BenchmarkTable4SEMBFS(b *testing.B) {
 	for _, p := range ssd.Profiles {
 		b.Run(p.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sg, _ := semMount(b, gs.semFile, p)
-				if _, err := core.BFS[uint32](sg, gs.src, core.Config{Workers: 128, SemiSort: true}); err != nil {
+				m, cfg := semMount(b, [][]byte{gs.semFile}, mount.Options{Profile: p})
+				if _, err := core.BFS[uint32](m.Adj, gs.src, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -346,30 +354,14 @@ func BenchmarkTable5SEMCC(b *testing.B) {
 	for _, p := range ssd.Profiles {
 		b.Run(p.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sg, _ := semMount(b, gs.semFileU, p)
-				if _, err := core.CC[uint32](sg, core.Config{Workers: 128, SemiSort: true}); err != nil {
+				m, cfg := semMount(b, [][]byte{gs.semFileU}, mount.Options{Profile: p})
+				if _, err := core.CC[uint32](m.Adj, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 			edgesPerSec(b, gs.undirected.NumEdges())
 		})
 	}
-}
-
-// semMountRaw mounts a SEM graph directly on the simulated device with no
-// block cache: every adjacency access is a device read, the regime where the
-// prefetch pipeline's span coalescing is the only source of locality.
-func semMountRaw(b *testing.B, file []byte, p ssd.Profile, window int) (*sem.Graph[uint32], *ssd.Device) {
-	b.Helper()
-	dev := ssd.New(p, &ssd.MemBacking{Data: file})
-	sg, err := sem.Open[uint32](dev)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if window > 1 {
-		sg.EnablePrefetch(sem.PrefetchConfig{MaxGap: sem.DefaultPrefetchGap})
-	}
-	return sg, dev
 }
 
 // shardFiles serializes g as a `shards`-way partition, one byte slice per
@@ -386,30 +378,6 @@ func shardFiles(b *testing.B, g *graph.CSR[uint32], shards int, compressed bool)
 		files[k] = append([]byte(nil), buf.Bytes()...)
 	}
 	return files
-}
-
-// semMountSharded mounts a shard set with each member directly on its own
-// simulated device (no block cache, matching semMountRaw's regime).
-func semMountSharded(b *testing.B, files [][]byte, p ssd.Profile, window int) (*graph.Sharded[uint32], []*ssd.Device) {
-	b.Helper()
-	devs := make([]*ssd.Device, len(files))
-	sgs := make([]*sem.Graph[uint32], len(files))
-	for k, f := range files {
-		devs[k] = ssd.New(p, &ssd.MemBacking{Data: f})
-		sg, err := sem.Open[uint32](devs[k])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if window > 1 {
-			sg.EnablePrefetch(sem.PrefetchConfig{MaxGap: sem.DefaultPrefetchGap})
-		}
-		sgs[k] = sg
-	}
-	mounted, err := sem.MountShards(sgs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return mounted, devs
 }
 
 // BenchmarkSEMTraversal measures the asynchronous SEM I/O pipeline: BFS and
@@ -441,20 +409,19 @@ func BenchmarkSEMTraversal(b *testing.B) {
 		name      string
 		src       *graph.CSR[uint32]
 		raw, comp []byte
-		run       func(adj graph.Adjacency[uint32], prefetch int) error
+		run       func(adj graph.Adjacency[uint32], cfg core.Config) error
 	}{
-		{"BFS", gs.directed, gs.semFile, gs.semFileC, func(adj graph.Adjacency[uint32], prefetch int) error {
-			_, err := core.BFS[uint32](adj, gs.src, core.Config{
-				Workers: 128, SemiSort: true, Prefetch: prefetch,
-			})
+		{"BFS", gs.directed, gs.semFile, gs.semFileC, func(adj graph.Adjacency[uint32], cfg core.Config) error {
+			_, err := core.BFS[uint32](adj, gs.src, cfg)
 			return err
 		}},
-		{"SSSP", gs.weightedUW, gs.semFileW, gs.semFileWC, func(adj graph.Adjacency[uint32], prefetch int) error {
-			_, err := core.SSSP[uint32](adj, gs.src, core.Config{
-				Workers: 128, SemiSort: true, Prefetch: prefetch,
-			})
+		{"SSSP", gs.weightedUW, gs.semFileW, gs.semFileWC, func(adj graph.Adjacency[uint32], cfg core.Config) error {
+			_, err := core.SSSP[uint32](adj, gs.src, cfg)
 			return err
 		}},
+	}
+	raw := func(p ssd.Profile, window int) mount.Options {
+		return mount.Options{Profile: p, NoCache: true, Prefetch: window, PrefetchGap: sem.DefaultPrefetchGap}
 	}
 	for _, a := range algos {
 		for _, fm := range []struct {
@@ -471,14 +438,15 @@ func BenchmarkSEMTraversal(b *testing.B) {
 					b.Run(fmt.Sprintf("%s/%s/%s/%s", a.name, fm.name, p.Name, mode), func(b *testing.B) {
 						var reads, devBytes, spans, verts uint64
 						for i := 0; i < b.N; i++ {
-							sg, dev := semMountRaw(b, fm.file, p, prefetch)
+							m, cfg := semMount(b, [][]byte{fm.file}, raw(p, prefetch))
+							dev := m.Devices[0]
 							mounted := dev.Stats().BytesRead
-							if err := a.run(sg, prefetch); err != nil {
+							if err := a.run(m.Adj, cfg); err != nil {
 								b.Fatal(err)
 							}
 							reads += dev.Stats().Reads
 							devBytes += dev.Stats().BytesRead - mounted
-							ps := sg.PrefetchStats()
+							ps := m.Graphs[0].PrefetchStats()
 							spans += ps.Spans
 							verts += ps.Vertices
 						}
@@ -501,14 +469,14 @@ func BenchmarkSEMTraversal(b *testing.B) {
 					var devBytes uint64
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						mounted, devs := semMountSharded(b, files, ssd.FusionIO, window)
-						for k, d := range devs {
+						m, cfg := semMount(b, files, raw(ssd.FusionIO, window))
+						for k, d := range m.Devices {
 							base[k] = d.Stats().BytesRead
 						}
-						if err := a.run(mounted, window); err != nil {
+						if err := a.run(m.Adj, cfg); err != nil {
 							b.Fatal(err)
 						}
-						for k, d := range devs {
+						for k, d := range m.Devices {
 							st := d.Stats()
 							perReads[k] += st.Reads
 							devBytes += st.BytesRead - base[k]
@@ -540,23 +508,21 @@ func BenchmarkSEMTraversal(b *testing.B) {
 			b.Fatal(err)
 		}
 		file := append([]byte(nil), buf.Bytes()...)
-		alpha, beta := graph.DegreesOf[uint32](in.g).DirectionThresholds()
 		for _, dir := range []core.Direction{core.DirectionTopDown, core.DirectionHybrid} {
 			b.Run(fmt.Sprintf("BFS/direction/%s/%s", in.name, dir), func(b *testing.B) {
 				var reads, devBytes, scanSpans uint64
 				for i := 0; i < b.N; i++ {
-					sg, dev := semMountRaw(b, file, ssd.FusionIO, window)
-					mounted := dev.Stats().BytesRead
-					if _, err := core.BFS[uint32](sg, in.src, core.Config{
-						Workers: 128, SemiSort: true, Prefetch: window,
-						Direction: dir, Alpha: alpha, Beta: beta,
-					}); err != nil {
+					opt := raw(ssd.FusionIO, window)
+					opt.Direction = dir
+					m, cfg := semMount(b, [][]byte{file}, opt)
+					mounted := m.Devices[0].Stats().BytesRead
+					if _, err := core.BFS[uint32](m.Adj, in.src, cfg); err != nil {
 						b.Fatal(err)
 					}
-					st := dev.Stats()
+					st := m.Devices[0].Stats()
 					reads += st.Reads
 					devBytes += st.BytesRead - mounted
-					scanSpans += sg.PrefetchStats().ScanSpans
+					scanSpans += m.Graphs[0].PrefetchStats().ScanSpans
 				}
 				edgesPerSec(b, in.g.NumEdges())
 				b.ReportMetric(float64(reads)/float64(b.N), "devReads/op")
@@ -603,34 +569,14 @@ func BenchmarkAblationSemiSort(b *testing.B) {
 		b.Run(fmt.Sprintf("semisort=%v", sorted), func(b *testing.B) {
 			var reads uint64
 			for i := 0; i < b.N; i++ {
-				sg, dev := semMount(b, gs.semFile, ssd.FusionIO)
-				if _, err := core.BFS[uint32](sg, gs.src, core.Config{Workers: 128, SemiSort: sorted}); err != nil {
+				m, cfg := semMount(b, [][]byte{gs.semFile}, mount.Options{Profile: ssd.FusionIO})
+				cfg.SemiSort = sorted
+				if _, err := core.BFS[uint32](m.Adj, gs.src, cfg); err != nil {
 					b.Fatal(err)
 				}
-				reads += dev.Stats().Reads
+				reads += m.Devices[0].Stats().Reads
 			}
 			b.ReportMetric(float64(reads)/float64(b.N), "devReads/op")
-		})
-	}
-}
-
-// BenchmarkAblationCoarsen regenerates the Δ-style priority-coarsening study
-// on the asynchronous SSSP.
-func BenchmarkAblationCoarsen(b *testing.B) {
-	gs := graphs(b)
-	for _, shift := range []uint8{0, 8, 16} {
-		b.Run(fmt.Sprintf("shift=%d", shift), func(b *testing.B) {
-			var visits uint64
-			for i := 0; i < b.N; i++ {
-				res, err := core.SSSP[uint32](gs.weightedUW, gs.src, core.Config{
-					Workers: 64, SemiSort: true, CoarseShift: shift,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				visits += res.Stats.Visits
-			}
-			b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
 		})
 	}
 }
@@ -691,40 +637,34 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // BenchmarkPushThroughput isolates the visitor-to-visitor Push delivery
 // path, the operation the mailbox layer batches: each visitor fans out
 // follow-up pushes while a shared budget lasts, so nearly all b.N pushes
-// travel producer→owner through Ctx.Push (external Engine.Push, as used by
-// BenchmarkEngineThroughput, always takes the direct lock-per-push path).
-// "direct" is the pre-mailbox behavior (Batch=1, one lock acquisition and
-// condvar signal per push); "batched" is the default outbox delivery.
+// travel producer→owner through Ctx.Push and the outbox (external
+// Engine.Push, as used by BenchmarkEngineThroughput, takes the queue lock per
+// push).
 func BenchmarkPushThroughput(b *testing.B) {
 	maxProcs := runtime.GOMAXPROCS(0)
 	for _, workers := range []int{1, maxProcs, 4 * maxProcs} {
-		for _, mode := range []struct {
-			name  string
-			batch int
-		}{{"direct", 1}, {"batched", core.DefaultBatch}} {
-			b.Run(fmt.Sprintf("workers=%d/%s", workers, mode.name), func(b *testing.B) {
-				var budget atomic.Int64
-				budget.Store(int64(b.N))
-				e := core.New[uint32](core.Config{Workers: workers, Batch: mode.batch},
-					func(ctx *core.Ctx[uint32], it pq.Item) error {
-						for k := uint64(0); k < 4; k++ {
-							if budget.Add(-1) < 0 {
-								return nil
-							}
-							ctx.Push(it.Pri+1, uint32((it.V*4+k+1)%65536), 0)
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var budget atomic.Int64
+			budget.Store(int64(b.N))
+			e := core.New[uint32](core.Config{Workers: workers},
+				func(ctx *core.Ctx[uint32], it pq.Item) error {
+					for k := uint64(0); k < 4; k++ {
+						if budget.Add(-1) < 0 {
+							return nil
 						}
-						return nil
-					})
-				e.Start()
-				b.ResetTimer()
-				e.Push(0, 0, 0)
-				st, err := e.Wait()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(st.Pushes)/b.Elapsed().Seconds(), "pushes/s")
-			})
-		}
+						ctx.Push(it.Pri+1, uint32((it.V*4+k+1)%65536), 0)
+					}
+					return nil
+				})
+			e.Start()
+			b.ResetTimer()
+			e.Push(0, 0, 0)
+			st, err := e.Wait()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(st.Pushes)/b.Elapsed().Seconds(), "pushes/s")
+		})
 	}
 }
 
@@ -742,7 +682,7 @@ func BenchmarkSEMFormatRoundTrip(b *testing.B) {
 	b.Run("write", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := sem.WriteCSR(&buf, gs.directed); err != nil {
+			if err := sem.Write(&buf, gs.directed, sem.WriteConfig{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -758,22 +698,14 @@ func BenchmarkSEMFormatRoundTrip(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineComparison pits the ownership-hashed engine (heap and
-// bucket queues) against the lock-free CAS + work-stealing alternative on
-// the same BFS, the engine-design ablation in testing.B form.
+// BenchmarkEngineComparison pits the ownership-hashed engine against the
+// lock-free CAS + work-stealing alternative on the same BFS, the
+// engine-design ablation in testing.B form.
 func BenchmarkEngineComparison(b *testing.B) {
 	gs := graphs(b)
 	b.Run("ownership-heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.BFS[uint32](gs.directed, gs.src, core.Config{Workers: 64}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		edgesPerSec(b, gs.directed.NumEdges())
-	})
-	b.Run("ownership-bucket", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.BFS[uint32](gs.directed, gs.src, core.Config{Workers: 64, Queue: core.QueueBucket}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -872,17 +804,6 @@ func BenchmarkRAID0Striping(b *testing.B) {
 			wg.Wait()
 			b.ReportMetric(float64(32*per)/b.Elapsed().Seconds(), "IOPS")
 		})
-	}
-}
-
-func BenchmarkBucketQueue(b *testing.B) {
-	q := pq.NewBucket()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Push(pq.Item{Pri: uint64(i % 8), V: uint64(i)})
-		if i%2 == 1 {
-			q.Pop()
-		}
 	}
 }
 

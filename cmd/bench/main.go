@@ -18,9 +18,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/sem"
+	"repro/internal/mount"
 )
 
 func main() {
@@ -32,15 +31,24 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "workload seed (default 42)")
 		memModel  = flag.Bool("memmodel", true, "apply the DRAM-latency model to in-memory runs")
 		compress  = flag.Bool("compress", false, "mount SEM tables on the delta+varint compressed (v2) edge format")
-		shards    = flag.Int("shards", 1, "mount SEM tables as an N-way hash partition, one device per shard")
-		dirFlag   = flag.String("direction", "", "BFS direction policy for SEM tables: topdown (default), bottomup, or hybrid")
-		cachePol  = flag.String("cachepolicy", "", "SEM block-cache eviction policy: lru (default) or state")
-		prefgap   = flag.String("prefetchgap", "", "span-coalescing slack for SEM prefetch reads (bytes, or with a k/KiB/m/MiB suffix; empty = harness default)")
+		shards    = flag.Int("shards", 0, "mount SEM tables as an N-way hash partition, one device per shard (0 or 1 = one store)")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
 	)
+	mountFlags := mount.Bind(flag.CommandLine)
 	flag.Parse()
 
+	// The shared flag block steers the SEM tables' mounts; budget, readahead
+	// and the device profiles stay the harness's.
 	o := harness.Defaults()
+	f, err := mountFlags()
+	if err != nil {
+		usage(err)
+	}
+	o.SemiSort, o.Prefetch, o.PrefetchGap, o.CachePolicy, o.Direction = f.SemiSort, f.Prefetch, f.PrefetchGap, f.CachePolicy, f.Direction
+	o.Shards = *shards
+	if err := o.Options.Validate(); err != nil {
+		usage(err)
+	}
 	if !*quiet {
 		o.Log = os.Stderr
 	}
@@ -66,23 +74,6 @@ func main() {
 	}
 	o.MemModel = *memModel
 	o.Compressed = *compress
-	if *shards < 1 {
-		usage(fmt.Errorf("-shards must be >= 1, got %d", *shards))
-	}
-	o.Shards = *shards
-	dir, err := core.ParseDirection(*dirFlag)
-	if err != nil {
-		usage(err)
-	}
-	o.Direction = dir
-	if o.CachePolicy, err = sem.ParseCachePolicy(*cachePol); err != nil {
-		usage(fmt.Errorf("-cachepolicy: %v", err))
-	}
-	if *prefgap != "" {
-		if o.PrefetchGap, err = sem.ParseByteSize(*prefgap); err != nil {
-			usage(fmt.Errorf("-prefetchgap: %v", err))
-		}
-	}
 
 	start := time.Now()
 	tables, err := run(*exp, o)

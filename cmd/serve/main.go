@@ -38,10 +38,10 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/server"
 )
@@ -51,13 +51,8 @@ func main() {
 	var (
 		listen       = flag.String("listen", ":8080", "address to serve HTTP on")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query traversal deadline")
-		semisort     = flag.Bool("semisort", true, "secondary vertex-id sort key (SEM locality)")
-		batch        = flag.Int("batch", 0, "engine mailbox batch size (0 = default)")
-		prefetch     = flag.Int("prefetch", 64, "SEM pop-window prefetch size (0 = off)")
-		prefgap      = flag.String("prefetchgap", strconv.Itoa(sem.DefaultPrefetchGap), "max byte gap coalesced into one prefetch read (bytes, or with a k/KiB/m/MiB suffix)")
-		cachePol     = flag.String("cachepolicy", sem.PolicyLRU, "SEM block-cache eviction policy: lru (legacy) or state (algorithm-driven pinning)")
-		dirFlag      = flag.String("direction", "", "BFS direction policy: topdown (default), bottomup, or hybrid; non-topdown requires every -graph to carry in-edges")
 	)
+	mountFlags := mount.Bind(flag.CommandLine)
 	servingPolicy := server.BindFlags(flag.CommandLine)
 	flag.Func("graph", "graph to serve, as name=path[,sem[,profile]][,shards=N][,limit=R[:B]] (repeatable, required)", func(arg string) error {
 		s, err := server.ParseMountSpec(arg)
@@ -73,19 +68,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	dir, err := core.ParseDirection(*dirFlag)
+	opt, err := mountFlags()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		os.Exit(2)
-	}
-	gap, err := sem.ParseByteSize(*prefgap)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: -prefetchgap: %v\n", err)
-		os.Exit(2)
-	}
-	policy, err := sem.ParseCachePolicy(*cachePol)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: -cachepolicy: %v\n", err)
 		os.Exit(2)
 	}
 	cfg, err := servingPolicy()
@@ -94,25 +79,22 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.QueryTimeout = *queryTimeout
-	cfg.Engine = core.Config{Workers: cfg.Engine.Workers, SemiSort: *semisort, Batch: *batch, Prefetch: *prefetch, Direction: dir}
+	workers := cfg.Engine.Workers
+	cfg.Engine = opt.Engine()
+	cfg.Engine.Workers = workers
 
 	s := server.New(cfg)
 	for _, spec := range specs {
-		g, err := server.MountGraph(spec, server.MountOptions{Prefetch: *prefetch, PrefetchGap: gap, Direction: dir, CachePolicy: policy})
+		g, err := server.MountGraph(spec, opt)
+		if err == nil {
+			err = s.AddGraph(g)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			if errors.Is(err, sem.ErrShardSpec) {
-				// The shard files contradict the requested mount: a usage
-				// error, not a runtime failure.
-				os.Exit(2)
-			}
-			os.Exit(1)
-		}
-		if err := s.AddGraph(g); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			if errors.Is(err, core.ErrNoInEdges) {
-				// The graph file cannot honor the requested direction: a
-				// usage error caught at startup, not per query.
+			if errors.Is(err, sem.ErrShardSpec) || errors.Is(err, core.ErrNoInEdges) {
+				// The files contradict the requested mount or cannot honor
+				// the requested direction: a usage error caught at startup,
+				// not per query.
 				os.Exit(2)
 			}
 			os.Exit(1)

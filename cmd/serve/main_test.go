@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/mount/mounttest"
 )
 
 // TestUsageErrorsExit2 re-executes the test binary as serve itself (the child
@@ -22,15 +24,22 @@ func TestUsageErrorsExit2(t *testing.T) {
 	if err := os.WriteFile(g, []byte("stub"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ args, want string }{
+	type usageCase struct{ args, want string }
+	cases := []usageCase{
 		{"-graph g=" + g + " -admission lifo", `serve: unknown -admission "lifo" (want priority or fifo)`},
 		{"-graph g=" + g + " -shed maybe", `serve: unknown -shed "maybe" (want deadline or off)`},
 		{"-graph g=" + g + " -ratelimit 5:x", `serve: -ratelimit: bad burst "5:x" (want rate[:burst])`},
 		{"-graph g=" + g + " -tenant-limit =5", `tenant limit "=5": want name=rate[:burst]`},
 		{"-graph g=" + g + " -queue -1", "MaxQueue -1 is negative"},
-		{"-graph g=" + g + " -direction sideways", "serve: "},
+		{"-graph g=" + g + ",shards=-1", `bad shard count "shards=-1"`},
 		{"", "serve: at least one -graph name=path is required"},
-	} {
+	}
+	// The engine/mount flag block is shared with cmd/traverse and cmd/bench;
+	// all three run the same table.
+	for _, bad := range mounttest.BadFlags {
+		cases = append(cases, usageCase{"-graph g=" + g + " " + bad.Args, "serve: " + bad.Want})
+	}
+	for _, tc := range cases {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrorsExit2$")
 		cmd.Env = append(os.Environ(), "SERVE_ARGS="+tc.args)
 		out, err := cmd.CombinedOutput()

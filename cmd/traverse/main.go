@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/baseline"
@@ -25,37 +24,52 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/lockfree"
+	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
 
+// options is one parsed invocation: what to run, and the storage stack to
+// run it on (the -semisort -prefetch -prefetchgap -cachepolicy -direction
+// block shared with cmd/bench and cmd/serve, plus this command's own
+// -sem -nocache -profile -shards).
+type options struct {
+	path, algo, engine string
+	workers, ranks     int
+	src                uint64
+	autoSrc, check     bool
+	profile            string
+	mount              mount.Options
+}
+
 func main() {
+	var o options
+	flag.StringVar(&o.path, "graph", "", "graph file from gengraph (required)")
+	flag.StringVar(&o.algo, "algo", "bfs", "algorithm: bfs, sssp, cc")
+	flag.StringVar(&o.engine, "engine", "async", "engine: async, lockfree, serial, levelsync, bsp")
+	flag.IntVar(&o.workers, "workers", 512, "async/levelsync worker count")
+	flag.IntVar(&o.ranks, "ranks", 16, "bsp simulated rank count")
+	flag.Uint64Var(&o.src, "src", 0, "source vertex (bfs/sssp); max-degree vertex if unset")
+	flag.BoolVar(&o.autoSrc, "autosrc", true, "pick the max-degree vertex as source")
+	flag.BoolVar(&o.check, "check", false, "verify async results against the serial baseline")
+	flag.StringVar(&o.profile, "profile", "FusionIO", "flash profile for -sem: FusionIO, Intel, Corsair")
 	var (
-		path     = flag.String("graph", "", "graph file from gengraph (required)")
-		algo     = flag.String("algo", "bfs", "algorithm: bfs, sssp, cc")
-		engine   = flag.String("engine", "async", "engine: async, lockfree, serial, levelsync, bsp")
-		workers  = flag.Int("workers", 512, "async/levelsync worker count")
-		ranks    = flag.Int("ranks", 16, "bsp simulated rank count")
-		src      = flag.Uint64("src", 0, "source vertex (bfs/sssp); max-degree vertex if unset")
-		autoSrc  = flag.Bool("autosrc", true, "pick the max-degree vertex as source")
-		semMode  = flag.Bool("sem", false, "semi-external: leave edges on a simulated flash device")
-		nocache  = flag.Bool("nocache", false, "mount the flash device without the block cache (every adjacency read hits the device; the regime BenchmarkSEMTraversal measures)")
-		profile  = flag.String("profile", "FusionIO", "flash profile for -sem: FusionIO, Intel, Corsair")
-		semisort = flag.Bool("semisort", true, "secondary vertex-id sort key (SEM locality)")
-		batch    = flag.Int("batch", 0, "async mailbox batch size: 0 = default, 1 = lock-per-push")
-		prefetch = flag.Int("prefetch", 0, "SEM pop-window size: pop this many visitors at once and start their adjacency reads asynchronously (0 = off)")
-		prefgap  = flag.String("prefetchgap", strconv.Itoa(sem.DefaultPrefetchGap), "max byte gap bridged when coalescing prefetched adjacency extents into one device read (bytes, or with a k/KiB/m/MiB suffix)")
-		cachePol = flag.String("cachepolicy", sem.PolicyLRU, "SEM block-cache eviction policy: lru (legacy recency order) or state (algorithm-driven: blocks with queued visitors are pinned, settled blocks evicted first)")
-		check    = flag.Bool("check", false, "verify async results against the serial baseline")
-		shards   = flag.Int("shards", 0, "mount graph.shard0..N-1 as one sharded graph (0 = auto-detect from the files present)")
-		dirFlag  = flag.String("direction", "", "BFS direction policy: topdown (default), bottomup, or hybrid; non-topdown needs a graph with in-edges (gengraph/convert -symmetric)")
+		semMode = flag.Bool("sem", false, "semi-external: leave edges on a simulated flash device")
+		nocache = flag.Bool("nocache", false, "mount the flash device without the block cache (every adjacency read hits the device; the regime -prefetch is for)")
+		shards  = flag.Int("shards", 0, "mount graph.shard0..N-1 as one sharded graph (0 = auto-detect from the files present)")
 	)
+	mountFlags := mount.Bind(flag.CommandLine)
 	flag.Parse()
-	if err := validate(*path, *algo, *engine, *workers, *ranks, *semMode, *profile, *shards, *dirFlag, *prefgap, *cachePol); err != nil {
+	var err error
+	if o.mount, err = mountFlags(); err == nil {
+		o.mount.SEM, o.mount.NoCache, o.mount.Shards = *semMode, *nocache, *shards
+		err = validate(&o)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "traverse: %v\n", err)
 		os.Exit(2)
 	}
-	if err := run(*path, *algo, *engine, *workers, *ranks, *src, *autoSrc, *semMode, *nocache, *profile, *semisort, *batch, *prefetch, *prefgap, *check, *shards, *dirFlag, *cachePol); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "traverse: %v\n", err)
 		if errors.Is(err, sem.ErrShardSpec) || errors.Is(err, core.ErrNoInEdges) {
 			// The files contradict the requested mount or capability: a usage
@@ -77,196 +91,87 @@ var engines = map[string][]string{
 
 // validate rejects bad flag combinations up front: unknown algorithm or
 // engine, missing graph or shard files, non-positive parallelism, and
-// direction policies the requested algorithm/engine pair cannot honor.
-func validate(path, algo, engine string, workers, ranks int, semMode bool, profile string, shards int, direction, prefetchGap, cachePolicy string) error {
-	if path == "" {
+// direction policies the requested algorithm/engine pair cannot honor. It
+// resolves -profile into o.mount.Profile.
+func validate(o *options) error {
+	if o.path == "" {
 		return fmt.Errorf("-graph is required (a file produced by gengraph)")
 	}
-	if shards < 0 {
-		return fmt.Errorf("-shards must be >= 0 (0 = auto-detect), got %d", shards)
+	if err := o.mount.Validate(); err != nil {
+		return err
 	}
-	if _, _, err := sem.ShardPaths(path, shards); err != nil {
+	if _, _, err := sem.ShardPaths(o.path, o.mount.Shards); err != nil {
 		return fmt.Errorf("-graph: %w", err)
 	}
-	supported, ok := engines[algo]
+	supported, ok := engines[o.algo]
 	if !ok {
-		return fmt.Errorf("unknown -algo %q (want bfs, sssp, or cc)", algo)
+		return fmt.Errorf("unknown -algo %q (want bfs, sssp, or cc)", o.algo)
 	}
 	found := false
 	for _, e := range supported {
-		found = found || e == engine
+		found = found || e == o.engine
 	}
 	if !found {
-		return fmt.Errorf("-algo %s does not support -engine %q (want one of %v)", algo, engine, supported)
+		return fmt.Errorf("-algo %s does not support -engine %q (want one of %v)", o.algo, o.engine, supported)
 	}
-	if workers <= 0 {
-		return fmt.Errorf("-workers must be positive, got %d", workers)
+	if o.workers <= 0 {
+		return fmt.Errorf("-workers must be positive, got %d", o.workers)
 	}
-	if engine == "bsp" && ranks <= 0 {
-		return fmt.Errorf("-ranks must be positive, got %d", ranks)
+	if o.engine == "bsp" && o.ranks <= 0 {
+		return fmt.Errorf("-ranks must be positive, got %d", o.ranks)
 	}
-	if semMode {
-		if _, err := ssd.ProfileByName(profile); err != nil {
+	if o.mount.SEM {
+		var err error
+		if o.mount.Profile, err = ssd.ProfileByName(o.profile); err != nil {
 			return err
 		}
 	}
-	if _, err := sem.ParseByteSize(prefetchGap); err != nil {
-		return fmt.Errorf("-prefetchgap: %v", err)
-	}
-	if _, err := sem.ParseCachePolicy(cachePolicy); err != nil {
-		return fmt.Errorf("-cachepolicy: %v", err)
-	}
-	dir, err := core.ParseDirection(direction)
-	if err != nil {
-		return err
-	}
-	if dir != core.DirectionTopDown && (algo != "bfs" || engine != "async") {
-		return fmt.Errorf("-direction %s requires -algo bfs -engine async (got -algo %s -engine %s)", dir, algo, engine)
+	if dir := o.mount.Direction; dir != core.DirectionTopDown && (o.algo != "bfs" || o.engine != "async") {
+		return fmt.Errorf("-direction %s requires -algo bfs -engine async (got -algo %s -engine %s)", dir, o.algo, o.engine)
 	}
 	return nil
 }
 
-func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, semMode, nocache bool, profile string, semisort bool, batch, prefetch int, prefetchGapSpec string, check bool, shards int, direction, cachePolicy string) error {
-	dir, err := core.ParseDirection(direction)
+func run(o options) error {
+	src := o.src
+	m, err := mount.Files(o.path, o.mount)
 	if err != nil {
 		return err
 	}
-	prefetchGap, err := sem.ParseByteSize(prefetchGapSpec)
-	if err != nil {
-		return fmt.Errorf("-prefetchgap: %v", err)
-	}
-	policy, err := sem.ParseCachePolicy(cachePolicy)
-	if err != nil {
-		return fmt.Errorf("-cachepolicy: %v", err)
-	}
-	paths, sharded, err := sem.ShardPaths(path, shards)
-	if err != nil {
-		return err
-	}
-	backings := make([]*ssd.FileBacking, len(paths))
-	for i, pth := range paths {
-		f, err := os.Open(pth)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if backings[i], err = ssd.NewFileBacking(f); err != nil {
-			return err
-		}
-	}
-
-	var adj graph.Adjacency[uint32]
-	var im *graph.CSR[uint32]
-	var devs []*ssd.Device
-	var caches []*sem.CachedStore
-	var sgs []*sem.Graph[uint32]
-	if semMode {
-		p, err := ssd.ProfileByName(profile)
-		if err != nil {
-			return err
-		}
-		devs = make([]*ssd.Device, len(backings))
-		caches = make([]*sem.CachedStore, len(backings))
-		sgs = make([]*sem.Graph[uint32], len(backings))
-		for i, b := range backings {
-			devs[i] = ssd.New(p, b)
-			var store sem.Store = devs[i]
-			if !nocache {
-				if caches[i], err = sem.NewCachedStoreRA(devs[i], 4096, b.Size()/2, 8); err != nil {
-					return err
-				}
-				store = caches[i]
-			}
-			if sgs[i], err = sem.Open[uint32](store); err != nil {
-				return err
-			}
-			if policy.StateAware() {
-				sgs[i].EnableStateCache()
-			}
-			if prefetch > 1 {
-				sgs[i].EnablePrefetch(sem.PrefetchConfig{MaxGap: prefetchGap})
-			}
-		}
-		if sharded {
-			mounted, err := sem.MountShards(sgs)
-			if err != nil {
-				return err
-			}
-			var edgeBytes int64
-			for _, sg := range sgs {
-				edgeBytes += sg.EdgeBytes()
-			}
-			bpe := 0.0
-			if mounted.NumEdges() > 0 {
-				bpe = float64(edgeBytes) / float64(mounted.NumEdges())
-			}
-			fmt.Printf("semi-external sharded: %d shards, %d vertices, %d edges, %d edge bytes (%.2f B/edge) on %s\n",
-				mounted.NumShards(), mounted.NumVertices(), mounted.NumEdges(), edgeBytes, bpe, p.Name)
-			adj = mounted
-		} else {
-			sg := sgs[0]
-			format := "raw"
-			if sg.Compressed() {
-				format = "compressed"
-			}
-			bpe := 0.0
-			if sg.NumEdges() > 0 {
-				bpe = float64(sg.EdgeBytes()) / float64(sg.NumEdges())
-			}
-			fmt.Printf("semi-external: %d vertices, %d edges, %d edge bytes (%s, %.2f B/edge) on %s\n",
-				sg.NumVertices(), sg.NumEdges(), sg.EdgeBytes(), format, bpe, p.Name)
-			adj = sg
-		}
-	} else {
-		if sharded {
-			stores := make([]sem.Store, len(backings))
-			for i, b := range backings {
-				stores[i] = b
-			}
-			im, err = sem.LoadShardedCSR[uint32](stores)
-		} else {
-			im, err = sem.LoadCSR[uint32](backings[0])
-		}
-		if err != nil {
-			return err
-		}
+	defer m.Close()
+	adj, dir := m.Adj, o.mount.Direction
+	switch {
+	case m.CSR != nil:
 		fmt.Printf("in-memory: %d vertices, %d edges, weighted=%v\n",
-			im.NumVertices(), im.NumEdges(), im.Weighted())
-		adj = im
-		if dir != core.DirectionTopDown {
-			// An in-memory mount can always serve reverse adjacency: pair the
-			// CSR with its transpose (the on-flash in-edge section only
-			// matters when the edges stay on the device).
-			rev, err := graph.Transpose(im)
-			if err != nil {
-				return err
-			}
-			bidi, err := graph.NewBidi[uint32](im, rev)
-			if err != nil {
-				return err
-			}
-			adj = bidi
+			m.CSR.NumVertices(), m.CSR.NumEdges(), m.CSR.Weighted())
+	case m.Shards > 0:
+		router := adj.(*graph.Sharded[uint32])
+		edgeBytes := semEdgeBytes(m.Graphs)
+		fmt.Printf("semi-external sharded: %d shards, %d vertices, %d edges, %d edge bytes (%.2f B/edge) on %s\n",
+			router.NumShards(), router.NumVertices(), router.NumEdges(), edgeBytes, perEdge(edgeBytes, router.NumEdges()), o.mount.Profile.Name)
+	default:
+		sg := m.Graphs[0]
+		format := "raw"
+		if sg.Compressed() {
+			format = "compressed"
 		}
+		fmt.Printf("semi-external: %d vertices, %d edges, %d edge bytes (%s, %.2f B/edge) on %s\n",
+			sg.NumVertices(), sg.NumEdges(), sg.EdgeBytes(), format, perEdge(sg.EdgeBytes(), sg.NumEdges()), o.mount.Profile.Name)
 	}
 
-	if autoSrc && src == 0 && algo != "cc" {
+	if o.autoSrc && src == 0 && o.algo != "cc" {
 		src = maxDegreeVertex(adj)
 		fmt.Printf("source: %d (max degree %d)\n", src, adj.Degree(uint32(src)))
 	}
 
-	cfg := core.Config{Workers: workers, SemiSort: semisort, Batch: batch, Prefetch: prefetch, Direction: dir}
+	cfg := m.Engine
+	cfg.Workers = o.workers
 	if dir != core.DirectionTopDown {
-		if _, ok := graph.InEdges[uint32](adj); !ok {
-			return fmt.Errorf("%w: -direction %s needs a graph written with in-edges (gengraph/convert -symmetric)", core.ErrNoInEdges, dir)
-		}
-		// Derive the switch thresholds from the mounted graph's degree shape
-		// instead of one-size-fits-all constants.
-		cfg.Alpha, cfg.Beta = graph.DegreesOf[uint32](adj).DirectionThresholds()
 		fmt.Printf("direction: %s (alpha=%d beta=%d)\n", dir, cfg.Alpha, cfg.Beta)
 	}
 	start := time.Now()
 	switch {
-	case algo == "bfs" && engine == "async":
+	case o.algo == "bfs" && o.engine == "async":
 		res, err := core.BFS[uint32](adj, uint32(src), cfg)
 		if err != nil {
 			return err
@@ -277,7 +182,7 @@ func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, sem
 			fmt.Printf("direction: topdown=%d bottomup=%d switches=%d peakFrontier=%d\n",
 				res.Stats.TopDownPhases, res.Stats.BottomUpPhases, res.Stats.DirectionSwitches, res.Stats.PeakFrontier)
 		}
-		if check {
+		if o.check {
 			want, err := baseline.SerialBFS(adj, uint32(src))
 			if err != nil {
 				return err
@@ -289,24 +194,24 @@ func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, sem
 			}
 			fmt.Println("check: levels match serial BFS")
 		}
-	case algo == "bfs" && engine == "lockfree":
-		res, err := lockfree.BFS(adj, uint32(src), lockfree.Config{Workers: workers})
+	case o.algo == "bfs" && o.engine == "lockfree":
+		res, err := lockfree.BFS(adj, uint32(src), lockfree.Config{Workers: o.workers})
 		if err != nil {
 			return err
 		}
 		report(start, res.Stats.String())
-	case algo == "bfs" && engine == "serial":
+	case o.algo == "bfs" && o.engine == "serial":
 		if _, err := baseline.SerialBFS(adj, uint32(src)); err != nil {
 			return err
 		}
 		report(start, "serial queue BFS")
-	case algo == "bfs" && engine == "levelsync":
-		if _, err := baseline.LevelSyncBFS(adj, uint32(src), workers); err != nil {
+	case o.algo == "bfs" && o.engine == "levelsync":
+		if _, err := baseline.LevelSyncBFS(adj, uint32(src), o.workers); err != nil {
 			return err
 		}
-		report(start, fmt.Sprintf("level-synchronous BFS, %d workers", workers))
-	case algo == "bfs" && engine == "bsp":
-		c, err := bsp.NewCluster[uint32](adj, ranks)
+		report(start, fmt.Sprintf("level-synchronous BFS, %d workers", o.workers))
+	case o.algo == "bfs" && o.engine == "bsp":
+		c, err := bsp.NewCluster[uint32](adj, o.ranks)
 		if err != nil {
 			return err
 		}
@@ -316,13 +221,13 @@ func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, sem
 		}
 		report(start, fmt.Sprintf("BSP BFS: %d supersteps, %d messages, max imbalance %.2f",
 			stats.Supersteps, stats.Messages, stats.MaxImbalance()))
-	case algo == "sssp" && engine == "async":
+	case o.algo == "sssp" && o.engine == "async":
 		res, err := core.SSSP[uint32](adj, uint32(src), cfg)
 		if err != nil {
 			return err
 		}
 		report(start, res.Stats.String())
-		if check {
+		if o.check {
 			want, _, err := baseline.SerialDijkstra(adj, uint32(src))
 			if err != nil {
 				return err
@@ -334,25 +239,25 @@ func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, sem
 			}
 			fmt.Println("check: distances match Dijkstra")
 		}
-	case algo == "sssp" && engine == "lockfree":
-		res, err := lockfree.SSSP(adj, uint32(src), lockfree.Config{Workers: workers})
+	case o.algo == "sssp" && o.engine == "lockfree":
+		res, err := lockfree.SSSP(adj, uint32(src), lockfree.Config{Workers: o.workers})
 		if err != nil {
 			return err
 		}
 		report(start, res.Stats.String())
-	case algo == "sssp" && engine == "serial":
+	case o.algo == "sssp" && o.engine == "serial":
 		if _, _, err := baseline.SerialDijkstra(adj, uint32(src)); err != nil {
 			return err
 		}
 		report(start, "serial Dijkstra")
-	case algo == "cc" && engine == "async":
+	case o.algo == "cc" && o.engine == "async":
 		res, err := core.CC[uint32](adj, cfg)
 		if err != nil {
 			return err
 		}
 		report(start, res.Stats.String())
 		fmt.Printf("components=%d\n", res.NumComponents())
-		if check {
+		if o.check {
 			want, err := baseline.SerialCC(adj)
 			if err != nil {
 				return err
@@ -364,24 +269,24 @@ func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, sem
 			}
 			fmt.Println("check: labels match serial CC")
 		}
-	case algo == "cc" && engine == "lockfree":
-		res, err := lockfree.CC(adj, lockfree.Config{Workers: workers})
+	case o.algo == "cc" && o.engine == "lockfree":
+		res, err := lockfree.CC(adj, lockfree.Config{Workers: o.workers})
 		if err != nil {
 			return err
 		}
 		report(start, res.Stats.String())
-	case algo == "cc" && engine == "serial":
+	case o.algo == "cc" && o.engine == "serial":
 		if _, err := baseline.SerialCC(adj); err != nil {
 			return err
 		}
 		report(start, "serial BFS-labelling CC")
-	case algo == "cc" && engine == "levelsync":
-		if _, err := baseline.LabelPropCC(adj, workers); err != nil {
+	case o.algo == "cc" && o.engine == "levelsync":
+		if _, err := baseline.LabelPropCC(adj, o.workers); err != nil {
 			return err
 		}
-		report(start, fmt.Sprintf("label-propagation CC, %d workers", workers))
-	case algo == "cc" && engine == "bsp":
-		c, err := bsp.NewCluster[uint32](adj, ranks)
+		report(start, fmt.Sprintf("label-propagation CC, %d workers", o.workers))
+	case o.algo == "cc" && o.engine == "bsp":
+		c, err := bsp.NewCluster[uint32](adj, o.ranks)
 		if err != nil {
 			return err
 		}
@@ -392,12 +297,27 @@ func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, sem
 		report(start, fmt.Sprintf("BSP CC: %d supersteps, %d messages, max imbalance %.2f",
 			stats.Supersteps, stats.Messages, stats.MaxImbalance()))
 	default:
-		return fmt.Errorf("unsupported -algo %q with -engine %q", algo, engine)
+		return fmt.Errorf("unsupported -algo %q with -engine %q", o.algo, o.engine)
 	}
-	if semMode {
-		reportSemIO(devs, caches, sgs, sharded)
+	if o.mount.SEM {
+		reportSemIO(m.Devices, m.Caches, m.Graphs, m.Shards > 0)
 	}
 	return nil
+}
+
+func semEdgeBytes(sgs []*sem.Graph[uint32]) int64 {
+	var total int64
+	for _, sg := range sgs {
+		total += sg.EdgeBytes()
+	}
+	return total
+}
+
+func perEdge(edgeBytes int64, edges uint64) float64 {
+	if edges == 0 {
+		return 0
+	}
+	return float64(edgeBytes) / float64(edges)
 }
 
 // reportSemIO prints the end-to-end I/O picture of a semi-external run:

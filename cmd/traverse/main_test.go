@@ -1,9 +1,17 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mount"
+	"repro/internal/mount/mounttest"
+	"repro/internal/sem"
 )
 
 func TestValidate(t *testing.T) {
@@ -18,65 +26,78 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name      string
-		path      string
-		algo      string
-		engine    string
-		workers   int
-		ranks     int
-		sem       bool
-		profile   string
-		shards    int
-		direction string
-		gap       string // "" means the flag default
-		policy    string // "" normalizes to lru
-		ok        bool
+		name string
+		set  func(o *options)
+		ok   bool
 	}{
-		{"valid async bfs", g, "bfs", "async", 512, 16, false, "", 0, "", "", "", true},
-		{"valid bsp cc", g, "cc", "bsp", 8, 4, false, "", 0, "", "", "", true},
-		{"valid sem profile", g, "sssp", "async", 8, 16, true, "Intel", 0, "", "", "", true},
-		{"missing path", "", "bfs", "async", 8, 16, false, "", 0, "", "", "", false},
-		{"nonexistent file", g + ".nope", "bfs", "async", 8, 16, false, "", 0, "", "", "", false},
-		{"unknown algo", g, "pagerank", "async", 8, 16, false, "", 0, "", "", "", false},
-		{"unknown engine", g, "bfs", "quantum", 8, 16, false, "", 0, "", "", "", false},
-		{"sssp has no bsp engine", g, "sssp", "bsp", 8, 16, false, "", 0, "", "", "", false},
-		{"negative workers", g, "bfs", "async", -1, 16, false, "", 0, "", "", "", false},
-		{"zero workers", g, "bfs", "async", 0, 16, false, "", 0, "", "", "", false},
-		{"bsp needs ranks", g, "bfs", "bsp", 8, 0, false, "", 0, "", "", "", false},
-		{"unknown sem profile", g, "bfs", "async", 8, 16, true, "FloppyDisk", 0, "", "", "", false},
-		{"negative shards", g, "bfs", "async", 8, 16, false, "", -1, "", "", "", false},
-		{"shard files present", sharded, "bfs", "async", 8, 16, false, "", 2, "", "", "", true},
-		{"shard files auto-detected", sharded, "bfs", "async", 8, 16, false, "", 0, "", "", "", true},
-		{"shard count exceeds files", sharded, "bfs", "async", 8, 16, false, "", 3, "", "", "", false},
-		{"shards of a plain file", g, "bfs", "async", 8, 16, false, "", 2, "", "", "", false},
-		{"hybrid async bfs", g, "bfs", "async", 8, 16, false, "", 0, "hybrid", "", "", true},
-		{"bottomup async bfs", g, "bfs", "async", 8, 16, false, "", 0, "bottomup", "", "", true},
-		{"explicit topdown", g, "bfs", "async", 8, 16, false, "", 0, "topdown", "", "", true},
-		{"unknown direction", g, "bfs", "async", 8, 16, false, "", 0, "sideways", "", "", false},
-		{"hybrid needs bfs", g, "cc", "async", 8, 16, false, "", 0, "hybrid", "", "", false},
-		{"hybrid needs async", g, "bfs", "serial", 8, 16, false, "", 0, "hybrid", "", "", false},
-		{"topdown on any engine", g, "bfs", "serial", 8, 16, false, "", 0, "topdown", "", "", true},
-		{"plain-byte prefetch gap", g, "bfs", "async", 8, 16, false, "", 0, "", "4096", "", true},
-		{"suffixed prefetch gap", g, "bfs", "async", 8, 16, false, "", 0, "", "32KiB", "", true},
-		{"lowercase k gap", g, "bfs", "async", 8, 16, false, "", 0, "", "8k", "", true},
-		{"unknown gap unit", g, "bfs", "async", 8, 16, false, "", 0, "", "32GiB", "", false},
-		{"negative gap", g, "bfs", "async", 8, 16, false, "", 0, "", "-1", "", false},
-		{"garbage gap", g, "bfs", "async", 8, 16, false, "", 0, "", "lots", "", false},
-		{"lru cache policy", g, "bfs", "async", 8, 16, true, "Intel", 0, "", "", "lru", true},
-		{"state cache policy", g, "bfs", "async", 8, 16, true, "Intel", 0, "", "", "state", true},
-		{"unknown cache policy", g, "bfs", "async", 8, 16, true, "Intel", 0, "", "", "mru", false},
+		{"valid async bfs", func(o *options) { o.workers = 512 }, true},
+		{"valid bsp cc", func(o *options) { o.algo, o.engine, o.ranks = "cc", "bsp", 4 }, true},
+		{"valid sem profile", func(o *options) { o.algo, o.mount.SEM, o.profile = "sssp", true, "Intel" }, true},
+		{"missing path", func(o *options) { o.path = "" }, false},
+		{"nonexistent file", func(o *options) { o.path = g + ".nope" }, false},
+		{"unknown algo", func(o *options) { o.algo = "pagerank" }, false},
+		{"unknown engine", func(o *options) { o.engine = "quantum" }, false},
+		{"sssp has no bsp engine", func(o *options) { o.algo, o.engine = "sssp", "bsp" }, false},
+		{"negative workers", func(o *options) { o.workers = -1 }, false},
+		{"zero workers", func(o *options) { o.workers = 0 }, false},
+		{"bsp needs ranks", func(o *options) { o.engine, o.ranks = "bsp", 0 }, false},
+		{"unknown sem profile", func(o *options) { o.mount.SEM, o.profile = true, "FloppyDisk" }, false},
+		{"negative shards", func(o *options) { o.mount.Shards = -1 }, false},
+		{"shard files present", func(o *options) { o.path, o.mount.Shards = sharded, 2 }, true},
+		{"shard files auto-detected", func(o *options) { o.path = sharded }, true},
+		{"shard count exceeds files", func(o *options) { o.path, o.mount.Shards = sharded, 3 }, false},
+		{"shards of a plain file", func(o *options) { o.mount.Shards = 2 }, false},
+		{"hybrid async bfs", func(o *options) { o.mount.Direction = core.DirectionHybrid }, true},
+		{"bottomup async bfs", func(o *options) { o.mount.Direction = core.DirectionBottomUp }, true},
+		{"hybrid needs bfs", func(o *options) { o.algo, o.mount.Direction = "cc", core.DirectionHybrid }, false},
+		{"hybrid needs async", func(o *options) { o.engine, o.mount.Direction = "serial", core.DirectionHybrid }, false},
+		{"topdown on any engine", func(o *options) { o.engine = "serial" }, true},
+		{"negative prefetch", func(o *options) { o.mount.Prefetch = -1 }, false},
+		{"state cache policy", func(o *options) { o.mount.CachePolicy = sem.CachePolicyConfig{Kind: sem.PolicyState} }, true},
+		{"unknown cache policy", func(o *options) { o.mount.CachePolicy = sem.CachePolicyConfig{Kind: "mru"} }, false},
 	}
 	for _, tc := range cases {
-		gap := tc.gap
-		if gap == "" {
-			gap = "512" // stand in for the flag default, which is never empty
-		}
-		err := validate(tc.path, tc.algo, tc.engine, tc.workers, tc.ranks, tc.sem, tc.profile, tc.shards, tc.direction, gap, tc.policy)
+		o := options{path: g, algo: "bfs", engine: "async", workers: 8, ranks: 16, mount: mount.Options{PrefetchGap: 512}}
+		tc.set(&o)
+		err := validate(&o)
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("%s: expected an error", tc.name)
+		}
+	}
+}
+
+// TestUsageErrorsExit2 re-executes the test binary as traverse itself (the
+// child sees TRAVERSE_ARGS and runs main) and checks that a bad flag is a
+// usage error caught before any file is opened: the message on stderr, exit
+// status 2. The engine/mount rows are mounttest.BadFlags, the table cmd/bench
+// and cmd/serve run too, so all three binaries are held to one message each.
+func TestUsageErrorsExit2(t *testing.T) {
+	if args, ok := os.LookupEnv("TRAVERSE_ARGS"); ok {
+		os.Args = append([]string{"traverse"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	g := filepath.Join(t.TempDir(), "g.asg")
+	if err := os.WriteFile(g, []byte("stub"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := append([]mounttest.BadFlag{
+		{Args: "-shards -1", Want: "-shards must be >= 0 (0 = auto-detect), got -1"},
+		{Args: "-algo pagerank", Want: `unknown -algo "pagerank" (want bfs, sssp, or cc)`},
+	}, mounttest.BadFlags...)
+	for _, tc := range cases {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrorsExit2$")
+		cmd.Env = append(os.Environ(), "TRAVERSE_ARGS=-graph "+g+" "+tc.Args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("traverse %s: %v, want exit status 2\n%s", tc.Args, err, out)
+		}
+		if want := "traverse: " + tc.Want; !strings.Contains(string(out), want) {
+			t.Errorf("traverse %s: output %q, want it to contain %q", tc.Args, out, want)
 		}
 	}
 }

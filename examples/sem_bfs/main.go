@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
@@ -35,31 +36,30 @@ func main() {
 	// Serialize into the semi-external format: header + RAM-resident vertex
 	// index + on-device edge records.
 	var buf bytes.Buffer
-	if err := sem.WriteCSR(&buf, g); err != nil {
+	if err := sem.Write(&buf, g, sem.WriteConfig{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("graph file: %d bytes (%d vertices, %d edges)\n\n",
 		buf.Len(), g.NumVertices(), g.NumEdges())
 
 	run := func(name string, profile ssd.Profile, workers int, semiSort bool, cacheFrac int64, readahead int) time.Duration {
-		dev := ssd.New(profile, &ssd.MemBacking{Data: buf.Bytes()})
-		cache, err := sem.NewCachedStoreRA(dev, 4096, int64(buf.Len())/cacheFrac, readahead)
+		m, err := mount.Graph([]ssd.Backing{&ssd.MemBacking{Data: buf.Bytes()}}, mount.Options{
+			SEM: true, Profile: profile, CacheFrac: cacheFrac, Readahead: readahead, SemiSort: semiSort,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		sg, err := sem.Open[uint32](cache)
-		if err != nil {
-			log.Fatal(err)
-		}
+		cfg := m.Engine
+		cfg.Workers = workers
 		start := time.Now()
-		res, err := core.BFS[uint32](sg, src, core.Config{Workers: workers, SemiSort: semiSort})
+		res, err := core.BFS[uint32](m.Adj, src, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		dur := time.Since(start)
-		hits, misses := cache.Stats()
+		hits, misses := m.Caches[0].Stats()
 		fmt.Printf("%-34s %8v  devReads=%-5d cacheHit=%4.1f%%  levels=%d visited=%.1f%%\n",
-			name, dur.Round(time.Millisecond), dev.Stats().Reads,
+			name, dur.Round(time.Millisecond), m.Devices[0].Stats().Reads,
 			100*float64(hits)/float64(hits+misses), res.NumLevels(), 100*res.FracVisited())
 		return dur
 	}

@@ -493,27 +493,6 @@ func TestQuickBFSEquivalence(t *testing.T) {
 	}
 }
 
-func TestSSSPCoarseShiftStillExact(t *testing.T) {
-	// Δ-style priority coarsening may reorder work but must not change the
-	// final shortest-path labels (label correction repairs any ordering).
-	g := randomDigraph(t, 300, 1500, true, 77)
-	want, _, err := baseline.SerialDijkstra(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shift := range []uint8{0, 2, 6, 12, 63} {
-		res, err := SSSP[uint32](g, 0, Config{Workers: 8, CoarseShift: shift})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want {
-			if res.Dist[v] != want[v] {
-				t.Fatalf("shift=%d: dist[%d] = %d, want %d", shift, v, res.Dist[v], want[v])
-			}
-		}
-	}
-}
-
 func TestCCWithIdentityHash(t *testing.T) {
 	g := randomUndirected(t, 300, 500, 5)
 	want, err := baseline.SerialCC(g)
@@ -527,59 +506,6 @@ func TestCCWithIdentityHash(t *testing.T) {
 	for v := range want {
 		if res.ID[v] != want[v] {
 			t.Fatalf("id[%d] = %d, want %d", v, res.ID[v], want[v])
-		}
-	}
-}
-
-func TestBFSWithBucketQueue(t *testing.T) {
-	g := randomDigraph(t, 300, 1500, false, 21)
-	want, err := baseline.SerialBFS[uint32](g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerSweep {
-		res, err := BFS[uint32](g, 0, Config{Workers: w, Queue: QueueBucket})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want {
-			if res.Level[v] != want[v] {
-				t.Fatalf("workers=%d: level[%d] = %d, want %d", w, v, res.Level[v], want[v])
-			}
-		}
-	}
-}
-
-func TestCCWithBucketQueue(t *testing.T) {
-	g := randomUndirected(t, 300, 500, 22)
-	want, err := baseline.SerialCC[uint32](g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := CC[uint32](g, Config{Workers: 8, Queue: QueueBucket})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if res.ID[v] != want[v] {
-			t.Fatalf("id[%d] = %d, want %d", v, res.ID[v], want[v])
-		}
-	}
-}
-
-func TestSSSPWithBucketQueue(t *testing.T) {
-	g := randomDigraph(t, 200, 1000, true, 23)
-	want, _, err := baseline.SerialDijkstra[uint32](g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SSSP[uint32](g, 0, Config{Workers: 8, Queue: QueueBucket})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if res.Dist[v] != want[v] {
-			t.Fatalf("dist[%d] = %d, want %d", v, res.Dist[v], want[v])
 		}
 	}
 }

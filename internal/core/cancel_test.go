@@ -133,3 +133,83 @@ func TestContextUncancelledIsNoop(t *testing.T) {
 		}
 	}
 }
+
+// balanceSettler tracks, per vertex, visitors queued minus visitors settled.
+type balanceSettler struct {
+	mu      sync.Mutex
+	open    map[uint64]int
+	settled int
+}
+
+func (s *balanceSettler) VertexQueued(v uint64) {
+	s.mu.Lock()
+	s.open[v]++
+	s.mu.Unlock()
+}
+
+func (s *balanceSettler) VertexSettled(v uint64) {
+	s.mu.Lock()
+	s.open[v]--
+	s.settled++
+	s.mu.Unlock()
+}
+
+// TestAbortMidWindowSettlesEveryVisitor aborts from inside the fourth visit
+// of an eight-wide pop window, with work sitting in the window, the queue and
+// the outbox. With one worker nothing can be stranded in another worker's
+// outbox, so the settle accounting must balance exactly: the rest of the
+// window is skipped but settled, queue and outbox are drained, and every
+// goroutine exits.
+func TestAbortMidWindowSettlesEveryVisitor(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sentinel := errors.New("abort mid-window")
+	settle := &balanceSettler{open: make(map[uint64]int)}
+	visits, abortAt := 0, -1
+	var e *Engine[uint32]
+	e = New[uint32](Config{Workers: 1, Prefetch: 8}, func(ctx *Ctx[uint32], it pq.Item) error {
+		visits++
+		if visits == abortAt {
+			e.Abort(sentinel)
+			return nil
+		}
+		for k := uint64(1); k <= 3; k++ {
+			ctx.Push(it.Pri+1, uint32((it.V*3+k)%4096), 0)
+		}
+		return nil
+	})
+	e.SetSettle(settle)
+	e.SetPrefetch(func(window []pq.Item, _ *graph.Scratch[uint32]) {
+		// Arm on the first full window once the outbox has flushed at least
+		// once, so all three hiding places hold visitors at abort time.
+		if abortAt < 0 && len(window) == 8 && visits > 2*batchSize {
+			abortAt = visits + 4
+		}
+	})
+	e.Start()
+	e.Push(0, 0, 0)
+	st, err := e.Wait()
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want %v", err, sentinel)
+	}
+	if abortAt < 0 {
+		t.Fatal("the traversal never popped a full window; nothing was tested")
+	}
+	if int(st.Visits) != abortAt || visits != abortAt {
+		t.Fatalf("visits = %d (stats %d), want the window cut short at visit %d", visits, st.Visits, abortAt)
+	}
+	for v, n := range settle.open {
+		if n != 0 {
+			t.Fatalf("vertex %d: %d visitors queued but never settled", v, n)
+		}
+	}
+	if settle.settled <= abortAt+4 {
+		t.Fatalf("settled %d visitors after %d visits: queue and outbox were not drained", settle.settled, abortAt)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -16,7 +16,7 @@
 //
 //   - mailbox.go — the delivery layer: lock-protected per-worker queues and
 //     per-worker outboxes that batch pushes per destination owner, amortizing
-//     the destination queue's lock over Config.Batch items;
+//     the destination queue's lock over batchSize items;
 //   - terminate.go — the termination layer: the Terminator outstanding-work
 //     counter with init token and CAS-max peak tracking, shared with
 //     internal/lockfree;
@@ -37,9 +37,6 @@ import (
 	"repro/internal/pq"
 )
 
-// DefaultBatch is the outbox flush threshold used when Config.Batch is 0.
-const DefaultBatch = 64
-
 // Config controls an Engine run.
 type Config struct {
 	// Workers is the number of worker goroutines, each owning one visitor
@@ -54,24 +51,6 @@ type Config struct {
 	// Fibonacci multiplicative hash. An identity hash is provided for the
 	// hash-quality ablation.
 	Hash func(uint64) uint64
-	// CoarseShift coarsens queue priority comparison to 2^CoarseShift-wide
-	// buckets (Δ-stepping-style). 0 keeps exact priority order. Coarser
-	// buckets trade extra label corrections for cheaper ordering and, with
-	// SemiSort, longer sorted runs of vertex ids.
-	CoarseShift uint8
-	// Queue selects the per-worker queue implementation. The default binary
-	// heap supports SemiSort and CoarseShift; the bucket queue is faster for
-	// small integer priority domains (BFS levels) but is FIFO within a
-	// priority.
-	Queue QueueKind
-	// Batch is the mailbox batching threshold: pushes issued from visitors
-	// (and ParallelInit) are buffered per destination worker and delivered
-	// Batch at a time under a single lock acquisition, with a drain-triggered
-	// flush whenever the producing worker runs out of local work. 0 selects
-	// DefaultBatch. 1 disables batching entirely — every push takes the
-	// destination queue's lock, the engine's original behavior, kept
-	// selectable for the mailbox ablation.
-	Batch int
 	// Prefetch is the pop-window size of the semi-external I/O pipeline: a
 	// worker pops up to Prefetch visitors from its queue in one batch and
 	// announces their vertices to the storage back end (via
@@ -79,9 +58,10 @@ type Config struct {
 	// visits run. 0 and 1 disable the window, preserving one-pop-per-visit
 	// behavior exactly; back ends that do not implement BatchAdjacency (the
 	// in-memory CSR) are unaffected at any setting. Window-order visiting is
-	// safe for the label-correcting kernels by the same monotonicity argument
-	// as CoarseShift, and exclusive vertex ownership is untouched — every
-	// popped visitor still belongs to the popping worker.
+	// safe for the label-correcting kernels because every relaxation is
+	// monotone (reordering costs at most extra label corrections), and
+	// exclusive vertex ownership is untouched — every popped visitor still
+	// belongs to the popping worker.
 	Prefetch int
 	// Direction selects the BFS traversal direction policy (see direction.go):
 	// DirectionTopDown (the default) runs the pure asynchronous
@@ -111,44 +91,16 @@ type Config struct {
 	Context context.Context
 }
 
-// QueueKind selects the per-worker visitor queue implementation.
-type QueueKind int
-
-const (
-	// QueueHeap is a binary min-heap on (priority, optional vertex id).
-	QueueHeap QueueKind = iota
-	// QueueBucket is a two-level bucket queue: O(1) push into an existing
-	// priority bucket, FIFO within a bucket. Ignores SemiSort/CoarseShift.
-	QueueBucket
-)
-
-func (c Config) newQueue() pq.Queue {
-	switch c.Queue {
-	case QueueBucket:
-		return pq.NewBucket()
-	default:
-		return pq.NewCoarse(c.SemiSort, c.CoarseShift)
-	}
-}
-
 func (c *Config) normalize() {
+	_ = c.SemiSort // free toggle: both values are valid with every other setting
 	if c.Workers <= 0 {
 		c.Workers = 4 * runtime.GOMAXPROCS(0)
 	}
 	if c.Hash == nil {
 		c.Hash = FibHash
 	}
-	if c.Batch == 0 {
-		c.Batch = DefaultBatch
-	}
-	if c.Batch < 1 {
-		c.Batch = 1
-	}
 	if c.Prefetch < 0 {
 		c.Prefetch = 0
-	}
-	if c.Queue != QueueHeap && c.Queue != QueueBucket {
-		c.Queue = QueueHeap
 	}
 	if c.Direction < DirectionTopDown || c.Direction > DirectionHybrid {
 		c.Direction = DirectionTopDown
@@ -158,19 +110,6 @@ func (c *Config) normalize() {
 	}
 	if c.Beta <= 0 {
 		c.Beta = DefaultBeta
-	}
-	if c.CoarseShift > 64 {
-		// Priorities are 64-bit; every shift >= 64 coarsens all priorities
-		// into one bucket, so 64 is the canonical saturating value.
-		c.CoarseShift = 64
-	}
-	if c.Queue == QueueBucket {
-		// The bucket queue is FIFO within a priority and supports neither the
-		// secondary semi-sort key nor coarsened comparison; canonicalize the
-		// ignored knobs so configurations that behave identically also
-		// compare identically (EnginePool reuse keys off the whole Config).
-		c.SemiSort = false
-		c.CoarseShift = 0
 	}
 }
 
@@ -234,7 +173,7 @@ type Ctx[V graph.Vertex] struct {
 	engine  *Engine[V]
 	Worker  int
 	Scratch *graph.Scratch[V]
-	out     *outbox // nil when batching is disabled (Batch == 1)
+	out     *outbox
 	// stats points at this worker's padded counter cell in the resource set
 	// (engineRes.stats); the cell, not the Ctx, is what retire folds into the
 	// engine totals.
@@ -242,9 +181,9 @@ type Ctx[V graph.Vertex] struct {
 }
 
 // Push queues a visitor for vertex v with the given priority and payload.
-// With batching enabled the visitor is buffered in the worker's outbox and
-// delivered when the destination bucket reaches Config.Batch items or the
-// worker runs out of local work.
+// The visitor is buffered in the worker's outbox and delivered when the
+// destination bucket reaches batchSize items or the worker runs out of local
+// work.
 //
 //lint:hotpath
 func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
@@ -254,13 +193,7 @@ func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
 	if e.settle != nil {
 		e.settle.VertexQueued(uint64(v))
 	}
-	owner := e.owner(uint64(v))
-	it := pq.Item{Pri: pri, V: uint64(v), Aux: aux}
-	if c.out != nil {
-		c.out.add(owner, it)
-		return
-	}
-	e.queues[owner].push(it)
+	c.out.add(e.owner(uint64(v)), pq.Item{Pri: pri, V: uint64(v), Aux: aux})
 }
 
 // Owns reports whether this worker is the hash-designated owner of v, i.e.
@@ -331,7 +264,8 @@ type Engine[V graph.Vertex] struct {
 
 	// prefetch, when set (SetPrefetch), receives each worker's pop-window
 	// before the window's visitors execute, so a storage back end can start
-	// adjacency I/O early. Only consulted when cfg.Prefetch > 1.
+	// adjacency I/O early. Widens the worker loop's pop window to cfg.Prefetch
+	// when that exceeds 1.
 	prefetch func(window []pq.Item, scratch *graph.Scratch[V])
 
 	// settle, when set (SetSettle), receives the visitor lifecycle: a
@@ -420,8 +354,8 @@ func (e *Engine[V]) Push(pri uint64, v V, aux uint64) {
 
 // ParallelInit pushes n initial visitors concurrently, the paper's
 // "for all v in g.vertex_list() parallel do" loop (Algorithm 3). Each init
-// goroutine batches its pushes through an outbox when batching is enabled.
-// gen is invoked once per index i in [0, n).
+// goroutine batches its pushes through an outbox of its own. gen is invoked
+// once per index i in [0, n).
 func (e *Engine[V]) ParallelInit(n uint64, gen func(i uint64) (pri uint64, v V, aux uint64)) {
 	par := uint64(runtime.GOMAXPROCS(0))
 	if par > n {
@@ -441,27 +375,16 @@ func (e *Engine[V]) ParallelInit(n uint64, gen func(i uint64) (pri uint64, v V, 
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
-			var out *outbox
-			if e.cfg.Batch > 1 {
-				out = newOutbox(e.queues, e.cfg.Batch)
-			}
+			out := newOutbox(e.queues)
 			for i := lo; i < hi; i++ {
 				pri, v, aux := gen(i)
 				e.term.Start()
 				if e.settle != nil {
 					e.settle.VertexQueued(uint64(v))
 				}
-				owner := e.owner(uint64(v))
-				it := pq.Item{Pri: pri, V: uint64(v), Aux: aux}
-				if out != nil {
-					out.add(owner, it)
-				} else {
-					e.queues[owner].push(it)
-				}
+				out.add(e.owner(uint64(v)), pq.Item{Pri: pri, V: uint64(v), Aux: aux})
 			}
-			if out != nil {
-				out.flush()
-			}
+			out.flush()
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -536,48 +459,65 @@ func (e *Engine[V]) retire(ctx *Ctx[V], id int) {
 	e.wg.Done()
 }
 
+// worker is the engine's one loop (§III): pop from the owned queue, visit,
+// push to the hash-selected owner. It pops a window of visitors under one
+// lock acquisition — Config.Prefetch wide when a pop-window hook is
+// registered, otherwise one — announces a multi-visitor window to the storage
+// back end so adjacency I/O starts immediately, then executes the visits in
+// window order while the reads are in flight. Every popped visitor came off
+// this worker's queue, so exclusive vertex ownership holds at any width.
+//
 //lint:hotpath
 func (e *Engine[V]) worker(id int) {
-	ctx := &Ctx[V]{engine: e, Worker: id, Scratch: e.res.scratch[id], stats: &e.res.stats[id]}
-	if e.res.outs != nil {
-		ctx.out = e.res.outs[id]
-	}
+	ctx := &Ctx[V]{engine: e, Worker: id, Scratch: e.res.scratch[id], out: e.res.outs[id], stats: &e.res.stats[id]}
 	defer e.retire(ctx, id)
-	if e.cfg.Prefetch > 1 && e.prefetch != nil {
-		e.workerWindowed(id, ctx)
-		return
-	}
 	q := e.queues[id]
+	width, window := 1, ctx.stats.pop[:0]
+	if e.prefetch != nil && e.cfg.Prefetch > 1 {
+		width = e.cfg.Prefetch
+		window = make([]pq.Item, 0, width)
+	}
 	// The abort check at the loop top is the engine's cancellation point: an
 	// aborted worker exits without draining its queue, so a deadline fires in
 	// at most one visit's time regardless of how much work is still queued.
 	for !e.aborted.Load() {
-		it, ok := q.tryPop()
-		if !ok {
+		window = q.tryPopBatch(window[:0], width)
+		if len(window) == 0 {
 			// Drain trigger: deliver every buffered visitor before blocking,
 			// so a waiting worker never holds undelivered work.
-			if ctx.out != nil {
-				ctx.out.flush()
-			}
-			it, ok = q.pop()
+			ctx.out.flush()
+			it, ok := q.pop()
 			if !ok {
 				return
 			}
+			window = append(window, it)
 		}
 		if invariant.Enabled {
-			if o := e.owner(it.V); o != id {
-				invariant.Failf("owner rule: visitor for vertex %d (owner %d) popped by worker %d", it.V, o, id)
+			for _, it := range window {
+				if o := e.owner(it.V); o != id {
+					invariant.Failf("owner rule: visitor for vertex %d (owner %d) popped by worker %d", it.V, o, id)
+				}
 			}
 		}
-		ctx.stats.visits++
-		if err := e.visit(ctx, it); err != nil {
-			e.fail(err)
+		if len(window) > 1 && !e.aborted.Load() {
+			e.prefetch(window, ctx.Scratch)
 		}
-		if e.settle != nil {
-			e.settle.VertexSettled(it.V)
-		}
-		if e.term.Finish() {
-			e.finish()
+		// An abort landing mid-window skips the remaining visits but still
+		// settles and finishes every popped visitor: they left the queue, so
+		// drainAborted will not see them.
+		for _, it := range window {
+			if !e.aborted.Load() {
+				ctx.stats.visits++
+				if err := e.visit(ctx, it); err != nil {
+					e.fail(err)
+				}
+			}
+			if e.settle != nil {
+				e.settle.VertexSettled(it.V)
+			}
+			if e.term.Finish() {
+				e.finish()
+			}
 		}
 	}
 	e.drainAborted(q, ctx)
@@ -595,73 +535,19 @@ func (e *Engine[V]) drainAborted(q *workQueue, ctx *Ctx[V]) {
 	if e.settle == nil {
 		return
 	}
-	if ctx.out != nil {
-		for owner, buf := range ctx.out.bufs {
-			for _, it := range buf {
-				e.settle.VertexSettled(it.V)
-			}
-			ctx.out.bufs[owner] = buf[:0]
+	for owner, buf := range ctx.out.bufs {
+		for _, it := range buf {
+			e.settle.VertexSettled(it.V)
 		}
+		ctx.out.bufs[owner] = buf[:0]
 	}
+	// fail marked every queue done, so pop returns false once this one is
+	// empty instead of blocking.
 	for {
-		it, ok := q.tryPop()
+		it, ok := q.pop()
 		if !ok {
 			return
 		}
 		e.settle.VertexSettled(it.V)
 	}
-}
-
-// workerWindowed is the pop-window variant of the worker loop, used when
-// Config.Prefetch > 1 and a prefetch hook is registered. It pops up to
-// Prefetch visitors in one lock acquisition, announces the window to the
-// storage back end so adjacency I/O starts immediately, then executes the
-// visits in window order while the reads are in flight. All popped visitors
-// came off this worker's queue, so exclusive vertex ownership is exactly as
-// in the one-at-a-time loop.
-//
-//lint:hotpath
-func (e *Engine[V]) workerWindowed(id int, ctx *Ctx[V]) {
-	q := e.queues[id]
-	window := make([]pq.Item, 0, e.cfg.Prefetch)
-	for !e.aborted.Load() {
-		window = q.tryPopBatch(window[:0], e.cfg.Prefetch)
-		if len(window) == 0 {
-			// Drain trigger, as in the one-at-a-time loop: deliver every
-			// buffered visitor before blocking.
-			if ctx.out != nil {
-				ctx.out.flush()
-			}
-			it, ok := q.pop()
-			if !ok {
-				return
-			}
-			window = append(window, it)
-		}
-		if invariant.Enabled {
-			for _, it := range window {
-				if o := e.owner(it.V); o != id {
-					invariant.Failf("owner rule: visitor for vertex %d (owner %d) popped by worker %d", it.V, o, id)
-				}
-			}
-		}
-		if len(window) > 1 && !e.aborted.Load() {
-			e.prefetch(window, ctx.Scratch)
-		}
-		for _, it := range window {
-			if !e.aborted.Load() {
-				ctx.stats.visits++
-				if err := e.visit(ctx, it); err != nil {
-					e.fail(err)
-				}
-			}
-			if e.settle != nil {
-				e.settle.VertexSettled(it.V)
-			}
-			if e.term.Finish() {
-				e.finish()
-			}
-		}
-	}
-	e.drainAborted(q, ctx)
 }

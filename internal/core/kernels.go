@@ -12,8 +12,8 @@ import (
 // 4 are the same visitor with different relaxation arithmetic). The kernel is
 // parameterized over graph.Adjacency, so every algorithm runs unchanged
 // against the in-memory CSR and the semi-external store — SEM traversals get
-// SemiSort, CoarseShift, queue selection, and mailbox batching with no
-// per-backend visitor code.
+// SemiSort, the pop window, and mailbox batching with no per-backend visitor
+// code.
 //
 // The shared visitor body (label-correcting, §III-B):
 //

@@ -17,7 +17,7 @@ import (
 func semMirror(t testing.TB, g *graph.CSR[uint32]) *sem.Graph[uint32] {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := sem.WriteCSR(&buf, g); err != nil {
+	if err := sem.Write(&buf, g, sem.WriteConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	sg, err := sem.Open[uint32](bytes.NewReader(buf.Bytes()))
@@ -96,10 +96,8 @@ func TestKernelIMAndSEMMatchSerialBaselines(t *testing.T) {
 }
 
 // TestCrossQueueEquivalence is the cross-queue property test: on random RMAT
-// and Erdős–Rényi graphs, BFS labels must be identical across every queue
-// discipline — binary heap vs bucket queue, semi-sort on or off, batched
-// mailboxes or lock-per-push — and across the raw and compressed adjacency
-// back ends. The label-correcting kernel guarantees the final labels are
+// and Erdős–Rényi graphs, BFS labels must be identical with the semi-sort
+// key on or off, and across the raw and compressed adjacency back ends. The label-correcting kernel guarantees the final labels are
 // independent of visit order, and the compressed CSR must present exactly the
 // raw graph's adjacency.
 func TestCrossQueueEquivalence(t *testing.T) {
@@ -136,11 +134,8 @@ func TestCrossQueueEquivalence(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"heap", Config{Workers: 6, Queue: QueueHeap}},
-		{"heap-semisort", Config{Workers: 6, Queue: QueueHeap, SemiSort: true}},
-		{"heap-semisort-direct", Config{Workers: 6, Queue: QueueHeap, SemiSort: true, Batch: 1}},
-		{"bucket", Config{Workers: 6, Queue: QueueBucket}},
-		{"bucket-direct", Config{Workers: 6, Queue: QueueBucket, Batch: 1}},
+		{"heap", Config{Workers: 6}},
+		{"heap-semisort", Config{Workers: 6, SemiSort: true}},
 	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
@@ -162,78 +157,5 @@ func TestCrossQueueEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMailboxBatchingMatchesLockPerPush pins the mailbox acceptance
-// criterion directly: batched delivery must produce traversal results
-// identical to the lock-per-push path for all three algorithms, across batch
-// sizes that force both the size trigger and the drain trigger.
-func TestMailboxBatchingMatchesLockPerPush(t *testing.T) {
-	dg := randomDigraph(t, 400, 2400, true, 31)
-	ug := randomUndirected(t, 400, 1200, 32)
-	base := Config{Workers: 8, Batch: 1}
-	wantBFS, err := BFS[uint32](dg, 0, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSSSP, err := SSSP[uint32](dg, 0, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCC, err := CC[uint32](ug, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{2, 3, DefaultBatch, 1024} {
-		cfg := Config{Workers: 8, Batch: batch}
-		bfs, err := BFS[uint32](dg, 0, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sssp, err := SSSP[uint32](dg, 0, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc, err := CC[uint32](ug, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range wantBFS.Level {
-			if bfs.Level[v] != wantBFS.Level[v] {
-				t.Fatalf("batch=%d: BFS level[%d] = %d, want %d", batch, v, bfs.Level[v], wantBFS.Level[v])
-			}
-			if sssp.Dist[v] != wantSSSP.Dist[v] {
-				t.Fatalf("batch=%d: SSSP dist[%d] = %d, want %d", batch, v, sssp.Dist[v], wantSSSP.Dist[v])
-			}
-		}
-		for v := range wantCC.ID {
-			if cc.ID[v] != wantCC.ID[v] {
-				t.Fatalf("batch=%d: CC id[%d] = %d, want %d", batch, v, cc.ID[v], wantCC.ID[v])
-			}
-		}
-	}
-}
-
-// TestKernelSEMWithSemiSortAndCoarsen gives the SEM backend the optimization
-// knobs that used to be IM-only concerns: semi-sort plus Δ-style coarsening
-// through the same kernel, still exact against Dijkstra.
-func TestKernelSEMWithSemiSortAndCoarsen(t *testing.T) {
-	dg := randomDigraph(t, 250, 1500, true, 17)
-	sg := semMirror(t, dg)
-	want, _, err := baseline.SerialDijkstra[uint32](dg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shift := range []uint8{0, 4, 10} {
-		res, err := SSSP[uint32](sg, 0, Config{Workers: 8, SemiSort: true, CoarseShift: shift})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want {
-			if res.Dist[v] != want[v] {
-				t.Fatalf("shift=%d: dist[%d] = %d, want %d", shift, v, res.Dist[v], want[v])
-			}
-		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // mailbox layer attacks the same cost directly: a visitor's pushes are
 // buffered in its worker's outbox, bucketed by destination owner, and
 // delivered in batches, so the destination's lock and condvar signal are
-// amortized over Config.Batch items instead of paid per push. Batching is
+// amortized over batchSize items instead of paid per push. Batching is
 // drain-triggered as well as size-triggered: a worker flushes every outbox
 // buffer before it blocks on its own empty mailbox, which bounds delivery
 // latency and makes starvation (and outbox-induced deadlock) impossible —
@@ -23,17 +23,24 @@ import (
 // counter includes buffered visitors, so the traversal cannot be declared
 // finished while any outbox is non-empty.
 
+// batchSize is the outbox flush threshold: a destination's bucket is
+// delivered when it holds this many visitors. Batched delivery beat
+// lock-per-push at every point of the EXPERIMENTS.md sweep, with the curve
+// flat between 16 and 256.
+const batchSize = 64
+
 // workQueue is one worker's mailbox: a priority queue guarded by a mutex and
 // condvar. Only the owning worker pops; any worker (or external caller)
 // delivers into it.
 type workQueue struct {
 	mu   sync.Mutex
 	cond sync.Cond
-	heap pq.Queue
+	heap *pq.Heap
 	done bool
 }
 
-// push delivers a single visitor (the lock-per-push path).
+// push delivers a single visitor under its own lock acquisition: the path of
+// Engine.Push, whose callers are outside the engine and own no outbox.
 //
 //lint:hotpath
 func (q *workQueue) push(it pq.Item) {
@@ -57,20 +64,8 @@ func (q *workQueue) pushBatch(its []pq.Item) {
 	q.cond.Signal()
 }
 
-// tryPop removes the minimum visitor without blocking.
-//
-//lint:hotpath
-func (q *workQueue) tryPop() (pq.Item, bool) {
-	q.mu.Lock()
-	it, ok := q.heap.Pop()
-	q.mu.Unlock()
-	return it, ok
-}
-
 // tryPopBatch removes up to k visitors under one lock acquisition, appending
-// them to dst (the worker's pop-window path; see Config.Prefetch). The queue
-// implementation bounds the batch: the heap hands out k successive minima,
-// the bucket queue at most the current minimum-priority bucket.
+// them to dst: the worker loop's pop, k successive minima of the heap.
 //
 //lint:hotpath
 func (q *workQueue) tryPopBatch(dst []pq.Item, k int) []pq.Item {
@@ -111,15 +106,10 @@ func (q *workQueue) finish() {
 type outbox struct {
 	queues []*workQueue
 	bufs   [][]pq.Item
-	batch  int
 }
 
-func newOutbox(queues []*workQueue, batch int) *outbox {
-	return &outbox{
-		queues: queues,
-		bufs:   make([][]pq.Item, len(queues)),
-		batch:  batch,
-	}
+func newOutbox(queues []*workQueue) *outbox {
+	return &outbox{queues: queues, bufs: make([][]pq.Item, len(queues))}
 }
 
 // add buffers a visitor for the given owner, flushing that owner's bucket if
@@ -129,7 +119,7 @@ func newOutbox(queues []*workQueue, batch int) *outbox {
 //lint:hotpath
 func (o *outbox) add(owner int, it pq.Item) {
 	buf := append(o.bufs[owner], it)
-	if len(buf) >= o.batch {
+	if len(buf) >= batchSize {
 		o.queues[owner].pushBatch(buf)
 		o.bufs[owner] = buf[:0]
 		return

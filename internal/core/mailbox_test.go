@@ -14,15 +14,16 @@ func TestOutboxSizeTrigger(t *testing.T) {
 		queues[i] = &workQueue{heap: pq.New(false)}
 		queues[i].cond.L = &queues[i].mu
 	}
-	out := newOutbox(queues, 3)
-	out.add(0, pq.Item{Pri: 1})
-	out.add(0, pq.Item{Pri: 2})
+	out := newOutbox(queues)
+	for i := 1; i < batchSize; i++ {
+		out.add(0, pq.Item{Pri: uint64(i)})
+	}
 	if queues[0].heap.Len() != 0 {
 		t.Fatal("delivered before reaching the batch size")
 	}
-	out.add(0, pq.Item{Pri: 3}) // size trigger
-	if got := queues[0].heap.Len(); got != 3 {
-		t.Fatalf("queue holds %d items after size trigger, want 3", got)
+	out.add(0, pq.Item{Pri: batchSize}) // size trigger
+	if got := queues[0].heap.Len(); got != batchSize {
+		t.Fatalf("queue holds %d items after size trigger, want %d", got, batchSize)
 	}
 	out.add(1, pq.Item{Pri: 9})
 	if queues[1].heap.Len() != 0 {
@@ -33,7 +34,7 @@ func TestOutboxSizeTrigger(t *testing.T) {
 		t.Fatalf("queue holds %d items after drain flush, want 1", got)
 	}
 	out.flush() // idempotent on empty buckets
-	if queues[0].heap.Len() != 3 || queues[1].heap.Len() != 1 {
+	if queues[0].heap.Len() != batchSize || queues[1].heap.Len() != 1 {
 		t.Fatal("second flush changed queue contents")
 	}
 }
@@ -44,11 +45,7 @@ func TestWorkQueuePushBatchOrdersItems(t *testing.T) {
 	q.pushBatch([]pq.Item{{Pri: 5}, {Pri: 1}, {Pri: 3}})
 	q.pushBatch(nil) // no-op
 	var got []uint64
-	for {
-		it, ok := q.tryPop()
-		if !ok {
-			break
-		}
+	for _, it := range q.tryPopBatch(nil, 8) {
 		got = append(got, it.Pri)
 	}
 	want := []uint64{1, 3, 5}
@@ -58,51 +55,6 @@ func TestWorkQueuePushBatchOrdersItems(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pop order %v, want %v", got, want)
-		}
-	}
-}
-
-func TestConfigBatchNormalization(t *testing.T) {
-	var c Config
-	c.normalize()
-	if c.Batch != DefaultBatch {
-		t.Fatalf("default batch = %d, want %d", c.Batch, DefaultBatch)
-	}
-	c = Config{Batch: -7}
-	c.normalize()
-	if c.Batch != 1 {
-		t.Fatalf("negative batch normalized to %d, want 1", c.Batch)
-	}
-	c = Config{Batch: 1}
-	c.normalize()
-	if c.Batch != 1 {
-		t.Fatalf("batch 1 normalized to %d", c.Batch)
-	}
-}
-
-// TestEngineBatchedCascade re-runs the cascading-push workload across batch
-// sizes: the visit count is exact regardless of delivery batching, proving no
-// visitor is lost in an outbox (the termination counter includes buffered
-// visitors, and the drain trigger flushes before any worker blocks).
-func TestEngineBatchedCascade(t *testing.T) {
-	const depth = 10
-	for _, batch := range []int{1, 2, DefaultBatch, 4096} {
-		e := New[uint32](Config{Workers: 8, Batch: batch}, func(ctx *Ctx[uint32], it pq.Item) error {
-			if it.Pri > 0 {
-				ctx.Push(it.Pri-1, uint32(it.V*2+1)%1000, 0)
-				ctx.Push(it.Pri-1, uint32(it.V*2+2)%1000, 0)
-			}
-			return nil
-		})
-		e.Start()
-		e.Push(depth, 0, 0)
-		st, err := e.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := uint64(1)<<(depth+1) - 1
-		if st.Visits != want {
-			t.Fatalf("batch=%d: visits = %d, want %d", batch, st.Visits, want)
 		}
 	}
 }

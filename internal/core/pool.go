@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
+	"repro/internal/pq"
 )
 
 // This file is the engine's reuse layer, built for long-lived serving
@@ -17,25 +18,29 @@ import (
 // resources across traversals so a query service reaches a zero-allocation
 // steady state on everything except the result arrays themselves.
 
-// engineRes is the recyclable per-worker state of one engine run: the
-// visitor queues (mailboxes), the batching outboxes, and the adjacency
-// scratch buffers. A resource set is built for one normalized Config and may
-// only be reused under the same Workers/Queue/Batch settings.
-// workerStats is one worker's hot visit/push counters. The cells live in one
+// workerStats is one worker's hot, written-on-every-visit state: the
+// visit/push counters and the one-visitor pop window. The cells live in one
 // contiguous array (engineRes.stats), so without padding adjacent workers'
-// counters would share cache lines and every increment would ping-pong the
-// line between cores; the pad gives each worker a 64-byte line of its own.
+// cells would share cache lines and every write would ping-pong the line
+// between cores; the pad gives each worker a 64-byte line of its own. The pop
+// window sits here for the same reason: as a 24-byte heap object of its own
+// it lands next to another worker's, and every pop becomes a shared write.
 type workerStats struct {
 	visits uint64
 	pushes uint64
-	_      [48]byte
+	pop    [1]pq.Item
+	_      [24]byte
 }
 
+// engineRes is the recyclable per-worker state of one engine run: the
+// visitor queues (mailboxes), the batching outboxes, and the adjacency
+// scratch buffers. A resource set is built for one normalized Config and may
+// only be reused under the same Workers and SemiSort settings.
 type engineRes[V graph.Vertex] struct {
 	queues  []*workQueue
 	scratch []*graph.Scratch[V]
 	stats   []workerStats
-	outs    []*outbox // nil when batching is disabled (Batch == 1)
+	outs    []*outbox
 
 	// pooled marks a set currently sitting on the free list. Only consulted
 	// under `-tags invariants`, where releasing a set twice — which would let
@@ -50,18 +55,16 @@ func newEngineRes[V graph.Vertex](cfg Config) *engineRes[V] {
 		queues:  make([]*workQueue, cfg.Workers),
 		scratch: make([]*graph.Scratch[V], cfg.Workers),
 		stats:   make([]workerStats, cfg.Workers),
+		outs:    make([]*outbox, cfg.Workers),
 	}
 	for i := range r.queues {
-		q := &workQueue{heap: cfg.newQueue()}
+		q := &workQueue{heap: pq.New(cfg.SemiSort)}
 		q.cond.L = &q.mu
 		r.queues[i] = q
 		r.scratch[i] = &graph.Scratch[V]{}
 	}
-	if cfg.Batch > 1 {
-		r.outs = make([]*outbox, cfg.Workers)
-		for i := range r.outs {
-			r.outs[i] = newOutbox(r.queues, cfg.Batch)
-		}
+	for i := range r.outs {
+		r.outs[i] = newOutbox(r.queues)
 	}
 	return r
 }

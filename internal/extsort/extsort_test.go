@@ -25,7 +25,7 @@ func buildBoth(t testing.TB, n uint64, weighted bool, budget int, edges []graph.
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sem.WriteCSR(&buf, g); err != nil {
+	if err := sem.Write(&buf, g, sem.WriteConfig{}); err != nil {
 		t.Fatal(err)
 	}
 

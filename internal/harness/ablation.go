@@ -11,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lockfree"
+	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
@@ -90,6 +91,16 @@ func AblationHash(o Options) (*Table, error) {
 	return t, nil
 }
 
+// runSEMBFS times one BFS from src on a fresh mount of g (no repetitions: the
+// single-store ablations report the counters of exactly the run they timed).
+func runSEMBFS(o Options, g *graph.CSR[uint32], p ssd.Profile, src uint32) (time.Duration, SEMIO, error) {
+	o.SEMReps = 1
+	return timeSEM(o, g, p, func(adj graph.Adjacency[uint32], cfg core.Config) error {
+		_, err := core.BFS[uint32](adj, src, cfg)
+		return err
+	})
+}
+
 // AblationSemiSort measures the device-read savings of the secondary
 // vertex-id sort key on semi-external traversal (paper §IV-C: semi-sorting
 // "increases access locality to the storage devices").
@@ -105,24 +116,14 @@ func AblationSemiSort(o Options) (*Table, error) {
 	}
 	src := pickSource(g)
 	for _, sorted := range []bool{true, false} {
-		sg, dev, cache, err := semGraph(o, g, ssd.FusionIO)
+		opts := o
+		opts.SemiSort = sorted
+		dur, io, err := runSEMBFS(opts, g, ssd.FusionIO, src)
 		if err != nil {
 			return nil, err
-		}
-		dur, err := timeIt(func() error {
-			_, err := core.BFS[uint32](sg, src, core.Config{Workers: o.SEMThreads, SemiSort: sorted})
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		hits, misses := cache.Stats()
-		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = 100 * float64(hits) / float64(hits+misses)
 		}
 		t.Add(fmt.Sprintf("%v", sorted), Seconds(dur),
-			fmt.Sprintf("%d", dev.Stats().Reads), fmt.Sprintf("%.1f", hitRate))
+			fmt.Sprintf("%d", io.Device.Reads), fmt.Sprintf("%.1f", 100*io.CacheHitRate()))
 		o.logf("ablation-semisort: sorted=%v done\n", sorted)
 	}
 	return t, nil
@@ -144,74 +145,24 @@ func AblationCache(o Options) (*Table, error) {
 	for _, frac := range []int64{2, 4, 8, 16, 64} {
 		opts := o
 		opts.CacheFrac = frac
-		sg, dev, cache, err := semGraph(opts, g, ssd.Intel)
+		dur, io, err := runSEMBFS(opts, g, ssd.Intel, src)
 		if err != nil {
 			return nil, err
-		}
-		dur, err := timeIt(func() error {
-			_, err := core.BFS[uint32](sg, src, core.Config{Workers: o.SEMThreads, SemiSort: true})
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		hits, misses := cache.Stats()
-		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = 100 * float64(hits) / float64(hits+misses)
 		}
 		t.Add(fmt.Sprintf("1/%d", frac), Seconds(dur),
-			fmt.Sprintf("%d", dev.Stats().Reads), fmt.Sprintf("%.1f", hitRate))
+			fmt.Sprintf("%d", io.Device.Reads), fmt.Sprintf("%.1f", 100*io.CacheHitRate()))
 		o.logf("ablation-cache: frac=1/%d done\n", frac)
 	}
 	return t, nil
 }
 
-// AblationCoarsen sweeps Δ-style priority coarsening on weighted SSSP: wider
-// buckets cheapen heap ordering and lengthen semi-sorted runs at the cost of
-// extra label corrections.
-func AblationCoarsen(o Options) (*Table, error) {
-	t := &Table{
-		Title: "Ablation: Δ-style priority coarsening (async SSSP, RMAT-A, UW)",
-		Cols:  []string{"shiftBits", "time(s)", "visits", "pushes"},
-	}
-	scale := o.Scales[len(o.Scales)-1]
-	g, err := gen.RMAT[uint32](scale, o.Degree, gen.RMATA, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	g, err = gen.UniformWeights(g, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	src := pickSource(g)
-	adj := o.wrap(g)
-	for _, shift := range []uint8{0, 4, 8, 12, 16} {
-		var res *core.SSSPResult[uint32]
-		dur, err := timeIt(func() error {
-			var err error
-			res, err = core.SSSP[uint32](adj, src, core.Config{
-				Workers: 64, SemiSort: true, CoarseShift: shift,
-			})
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Add(fmt.Sprintf("%d", shift), Seconds(dur),
-			fmt.Sprintf("%d", res.Stats.Visits), fmt.Sprintf("%d", res.Stats.Pushes))
-		o.logf("ablation-coarsen: shift=%d done\n", shift)
-	}
-	return t, nil
-}
-
 // AblationEngine compares the paper's ownership-hashed engine against the
-// lock-free alternative (atomic CAS relaxation + work stealing) and the
-// bucket-queue variant, quantifying the design choices of §III-A.
+// lock-free alternative (atomic CAS relaxation + work stealing), quantifying
+// the design choices of §III-A.
 func AblationEngine(o Options) (*Table, error) {
 	t := &Table{
 		Title: "Ablation: engine design (BFS, RMAT-A)",
-		Note:  "ownership = hash-routed queues, plain writes; lockfree = CAS labels + stealing; bucket = FIFO buckets per level",
+		Note:  "ownership = hash-routed queues, plain writes; lockfree = CAS labels + stealing",
 		Cols:  []string{"engine", "workers", "time(s)", "visits", "extra"},
 	}
 	scale := o.Scales[len(o.Scales)-1]
@@ -234,17 +185,6 @@ func AblationEngine(o Options) (*Table, error) {
 		t.Add("ownership-heap", fmt.Sprintf("%d", w), Seconds(dur),
 			fmt.Sprintf("%d", res.Stats.Visits), "")
 
-		dur, err = timeIt(func() error {
-			var err error
-			res, err = core.BFS[uint32](adj, src, core.Config{Workers: w, Queue: core.QueueBucket})
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Add("ownership-bucket", fmt.Sprintf("%d", w), Seconds(dur),
-			fmt.Sprintf("%d", res.Stats.Visits), "")
-
 		var lf *lockfree.Result
 		dur, err = timeIt(func() error {
 			var err error
@@ -258,42 +198,6 @@ func AblationEngine(o Options) (*Table, error) {
 			fmt.Sprintf("%d", lf.Stats.Visits),
 			fmt.Sprintf("steals=%d casFail=%d", lf.Stats.Steals, lf.Stats.CASFail))
 		o.logf("ablation-engine: workers=%d done\n", w)
-	}
-	return t, nil
-}
-
-// AblationMailbox compares batched mailbox delivery against lock-per-push on
-// the asynchronous BFS: each producer buffers visitors per destination owner
-// and delivers a full bucket under one lock acquisition and one condvar
-// signal, amortizing the destination queue's synchronization over Batch items.
-func AblationMailbox(o Options) (*Table, error) {
-	t := &Table{
-		Title: "Ablation: mailbox batching (async BFS, RMAT-A)",
-		Note:  "batch=1 locks the destination queue per push; batch>1 delivers per-owner buffers in one acquisition",
-		Cols:  []string{"batch", "workers", "time(s)", "visits", "peakOutstanding"},
-	}
-	scale := o.Scales[len(o.Scales)-1]
-	g, err := gen.RMAT[uint32](scale, o.Degree, gen.RMATA, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	src := pickSource(g)
-	adj := o.wrap(g)
-	for _, batch := range []int{1, 16, core.DefaultBatch, 256} {
-		for _, w := range []int{16, 512} {
-			var res *core.BFSResult[uint32]
-			dur, err := timeIt(func() error {
-				var err error
-				res, err = core.BFS[uint32](adj, src, core.Config{Workers: w, Batch: batch})
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.Add(fmt.Sprintf("%d", batch), fmt.Sprintf("%d", w), Seconds(dur),
-				fmt.Sprintf("%d", res.Stats.Visits), fmt.Sprintf("%d", res.Stats.PeakOutstanding))
-			o.logf("ablation-mailbox: batch=%d workers=%d done\n", batch, w)
-		}
 	}
 	return t, nil
 }
@@ -320,8 +224,8 @@ func AblationPrefetch(o Options) (*Table, error) {
 		return nil, err
 	}
 	src := pickSource(g)
-	var buf bytes.Buffer
-	if err := sem.WriteCSR(&buf, g); err != nil {
+	backings, err := serialize(g, sem.WriteConfig{}, 1)
+	if err != nil {
 		return nil, err
 	}
 	type setting struct{ window, gap int }
@@ -334,26 +238,23 @@ func AblationPrefetch(o Options) (*Table, error) {
 	}
 	for _, p := range ssd.Profiles {
 		for _, s := range settings {
-			dev := ssd.New(p, &ssd.MemBacking{Data: buf.Bytes()})
-			sg, err := sem.Open[uint32](dev)
+			m, err := mount.Graph(backings, mount.Options{
+				SEM: true, Profile: p, NoCache: true, SemiSort: true,
+				Prefetch: s.window, PrefetchGap: s.gap,
+			})
 			if err != nil {
 				return nil, err
 			}
-			if s.window > 1 {
-				sg.EnablePrefetch(sem.PrefetchConfig{MaxGap: s.gap})
-			}
 			dur, err := timeIt(func() error {
-				_, err := core.BFS[uint32](sg, src, core.Config{
-					Workers: o.SEMThreads, SemiSort: true, Prefetch: s.window,
-				})
+				_, err := core.BFS[uint32](m.Adj, src, o.semConfig(m))
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
-			st := dev.Stats()
+			st := m.Devices[0].Stats()
 			vps, consumed, gapMB := "-", "-", "-"
-			if ps := sg.PrefetchStats(); s.window > 1 {
+			if ps := m.Graphs[0].PrefetchStats(); s.window > 1 {
 				vps = fmt.Sprintf("%.1f", ps.VertsPerSpan())
 				consumed = fmt.Sprintf("%.0f%%", 100*ps.ConsumedFrac())
 				gapMB = fmt.Sprintf("%.1f", float64(ps.GapBytes)/(1<<20))
@@ -382,28 +283,24 @@ func AblationStripe(o Options) (*Table, error) {
 		return nil, err
 	}
 	src := pickSource(g)
-	var buf bytes.Buffer
-	if err := sem.WriteCSR(&buf, g); err != nil {
+	backings, err := serialize(g, sem.WriteConfig{}, 1)
+	if err != nil {
 		return nil, err
 	}
 	for _, cards := range []int{1, 2, 4} {
 		// Fixed per-card hardware: stripe width multiplies available
 		// parallelism, as adding cards to the array did for the authors.
 		card := ssd.CardProfile(ssd.FusionIO, 4)
-		arr, err := ssd.NewRAID0Array(card, cards, 64*1024, &ssd.MemBacking{Data: buf.Bytes()})
+		arr, err := ssd.NewRAID0Array(card, cards, 64*1024, backings[0])
 		if err != nil {
 			return nil, err
 		}
-		cache, err := sem.NewCachedStoreRA(arr, 4096, int64(buf.Len())/o.CacheFrac, o.Readahead)
-		if err != nil {
-			return nil, err
-		}
-		sg, err := sem.Open[uint32](cache)
+		m, err := mount.Stores([]sem.Store{arr}, mount.Options{CacheFrac: o.CacheFrac, Readahead: o.Readahead, SemiSort: true})
 		if err != nil {
 			return nil, err
 		}
 		dur, err := timeIt(func() error {
-			_, err := core.BFS[uint32](sg, src, core.Config{Workers: o.SEMThreads, SemiSort: true})
+			_, err := core.BFS[uint32](m.Adj, src, o.semConfig(m))
 			return err
 		})
 		if err != nil {
@@ -492,7 +389,7 @@ func AblationWriteAsymmetry(o Options) (*Table, error) {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := sem.WriteCSR(&buf, g); err != nil {
+	if err := sem.Write(&buf, g, sem.WriteConfig{}); err != nil {
 		return nil, err
 	}
 	data := buf.Bytes()
@@ -591,9 +488,8 @@ func AblationDirection(o Options) (*Table, error) {
 		for _, dir := range in.dirs {
 			opts := o
 			opts.Direction = dir
-			cfg := opts.semBFSConfig(in.g)
 			var stats core.Stats
-			dur, io, err := timeSEM(opts, in.g, ssd.FusionIO, func(adj graph.Adjacency[uint32]) error {
+			dur, io, err := timeSEM(opts, in.g, ssd.FusionIO, func(adj graph.Adjacency[uint32], cfg core.Config) error {
 				res, err := core.BFS[uint32](adj, in.src, cfg)
 				if err == nil {
 					stats = res.Stats
@@ -692,7 +588,6 @@ func AblationCachePolicy(o Options) (*Table, error) {
 			for pi, pol := range policies {
 				opts := o
 				opts.CachePolicy = sem.CachePolicyConfig{Kind: pol}
-				cfg := opts.semBFSConfig(in.g)
 				// Async BFS is nondeterministic: per-run device reads vary by
 				// several percent as label corrections race. One draw per cell
 				// would compare noise, not policies, so the claim metric is
@@ -711,7 +606,7 @@ func AblationCachePolicy(o Options) (*Table, error) {
 				var io SEMIO
 				var sumReads uint64
 				for r := 0; r < reps; r++ {
-					rd, rio, err := timeSEM(opts, in.g, p, func(adj graph.Adjacency[uint32]) error {
+					rd, rio, err := timeSEM(opts, in.g, p, func(adj graph.Adjacency[uint32], cfg core.Config) error {
 						_, err := core.BFS[uint32](adj, in.src, cfg)
 						return err
 					})
@@ -759,7 +654,7 @@ func Ablations(o Options) ([]*Table, error) {
 	var tables []*Table
 	for _, fn := range []func(Options) (*Table, error){
 		AblationOversubscription, AblationHash, AblationSemiSort, AblationCache,
-		AblationCoarsen, AblationEngine, AblationMailbox, AblationPrefetch,
+		AblationEngine, AblationPrefetch,
 		AblationStripe, AblationSSSP, AblationWriteAsymmetry, AblationDirection,
 		AblationCachePolicy,
 	} {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
@@ -32,48 +33,26 @@ type Options struct {
 	// competitor so comparisons run in the paper's memory-bound regime
 	// rather than at on-chip-cache speed.
 	MemModel bool
-	// CacheFrac sets the semi-external block-cache budget to
-	// edgeBytes/CacheFrac, modelling the paper's RAM-vs-graph ratio: with
-	// 16 GB of RAM the page cache covered most of the 9-36 GB graph files
-	// and ~12%% of the 136 GB one.
-	CacheFrac int64
-	// Readahead is the number of consecutive 4 KiB blocks fetched per cache
-	// miss in one device operation, modelling OS readahead over the
-	// semi-sorted access stream.
-	Readahead int
+	// Options is the storage stack of every semi-external mount, handed to
+	// internal/mount with Profile filled in per measurement. CacheFrac models
+	// the paper's RAM-vs-graph ratio (with 16 GB of RAM the page cache covered
+	// most of the 9-36 GB graph files and ~12%% of the 136 GB one), Readahead
+	// the OS readahead over the semi-sorted access stream. Shards > 1
+	// hash-partitions each mount across that many member stores, each with
+	// its own simulated device, block cache and prefetcher. A non-top-down
+	// Direction makes every mount carry an on-flash in-edge section.
+	mount.Options
 	// WebScale is the log2 size of the web-like stand-in graphs used by the
 	// CC tables (paper: it-2004 .. ClueWeb09).
 	WebScale int
 	// SEMReps runs each semi-external measurement this many times and
 	// reports the fastest, damping cache-timing variance.
 	SEMReps int
-	// Prefetch is the pop-window size applied to semi-external runs
-	// (core.Config.Prefetch): 0 disables the asynchronous I/O pipeline,
-	// preserving the historical one-read-per-visit behavior.
-	Prefetch int
-	// PrefetchGap is the span-coalescing slack in bytes
-	// (sem.PrefetchConfig.MaxGap); only meaningful when Prefetch > 1.
-	PrefetchGap int
-	// CachePolicy selects the block-cache eviction policy of every SEM mount
-	// (zero value = legacy LRU). The state-aware policy wires the engine's
-	// settle hook into per-block pending-visitor counters, pins blocks with
-	// queued work, and biases pop-windows toward cache-resident vertices.
-	CachePolicy sem.CachePolicyConfig
 	// Compressed mounts the semi-external tables on the delta+varint
 	// compressed (v2) on-flash format instead of raw fixed records, cutting
 	// device bytes per traversed edge; Table IV/V's B/edge column shows the
 	// achieved density.
 	Compressed bool
-	// Shards hash-partitions every semi-external mount across this many
-	// member stores, each with its own simulated device, block cache, and
-	// prefetcher (0 or 1 = one store, the historical layout). SEMIO.PerShard
-	// carries the per-member device counters.
-	Shards int
-	// Direction selects the BFS phase policy for the semi-external tables
-	// (core.Config.Direction). Non-top-down values make every SEM mount carry
-	// an on-flash in-edge section, and BFS runs derive the α/β switch
-	// thresholds from each workload's degree statistics.
-	Direction core.Direction
 	// Fig1Threads and Fig1Duration control the IOPS sweep.
 	Fig1Threads  []int
 	Fig1Duration time.Duration
@@ -96,8 +75,7 @@ func Defaults() Options {
 		Ranks:        16,
 		Seed:         42,
 		MemModel:     true,
-		CacheFrac:    2,
-		Readahead:    8,
+		Options:      mount.Options{SEM: true, CacheFrac: 2, CacheFloor: 64 << 10, Readahead: 8, SemiSort: true},
 		SEMReps:      3,
 		WebScale:     13,
 		Fig1Threads:  []int{1, 2, 4, 8, 16, 32, 64, 128, 256},
@@ -128,21 +106,6 @@ func (o *Options) writeConfig() sem.WriteConfig {
 		Compress: o.Compressed,
 		InEdges:  o.Direction != core.DirectionTopDown,
 	}
-}
-
-// semBFSConfig is the engine config for the SEM BFS measurements, with the
-// direction switch thresholds derived from g's degree statistics when a
-// non-top-down policy is selected (the same derivation cmd/traverse and the
-// server apply at mount time).
-func (o *Options) semBFSConfig(g *graph.CSR[uint32]) core.Config {
-	cfg := core.Config{
-		Workers: o.SEMThreads, SemiSort: true, Prefetch: o.Prefetch,
-		Direction: o.Direction,
-	}
-	if o.Direction != core.DirectionTopDown {
-		cfg.Alpha, cfg.Beta = graph.DegreesOf[uint32](g).DirectionThresholds()
-	}
-	return cfg
 }
 
 func (o *Options) logf(format string, args ...any) {

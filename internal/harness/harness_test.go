@@ -190,8 +190,8 @@ func TestFigure2AndAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(abl) != 13 {
-		t.Fatalf("ablations = %d tables, want 13", len(abl))
+	if len(abl) != 11 {
+		t.Fatalf("ablations = %d tables, want 11", len(abl))
 	}
 	for _, tbl := range abl {
 		if len(tbl.Rows) == 0 {

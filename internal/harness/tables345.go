@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
@@ -178,27 +179,18 @@ func (s SEMIO) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
 }
 
-// mountedSEM is one semi-external mount built for a measurement: a single
-// store, or a shard router over per-shard devices and caches.
-type mountedSEM struct {
-	adj    graph.Adjacency[uint32]
-	devs   []*ssd.Device
-	caches []*sem.CachedStore
-	sgs    []*sem.Graph[uint32]
-}
-
-// io snapshots the mount's observability counters into a SEMIO.
-func (m *mountedSEM) io() SEMIO {
+// semIO snapshots a mount's observability counters into a SEMIO.
+func semIO(m *mount.Mounted) SEMIO {
 	var out SEMIO
-	stats := make([]ssd.Stats, len(m.devs))
-	for i, d := range m.devs {
+	stats := make([]ssd.Stats, len(m.Devices))
+	for i, d := range m.Devices {
 		stats[i] = d.Stats()
 	}
 	out.Device = ssd.Sum(stats...)
 	if len(stats) > 1 {
 		out.PerShard = stats
 	}
-	for _, c := range m.caches {
+	for _, c := range m.Caches {
 		hits, misses := c.Stats()
 		out.CacheHits += hits
 		out.CacheMisses += misses
@@ -206,7 +198,7 @@ func (m *mountedSEM) io() SEMIO {
 			out.PinnedHW = hw
 		}
 	}
-	for _, sg := range m.sgs {
+	for _, sg := range m.Graphs {
 		out.Prefetch.Add(sg.PrefetchStats())
 		out.EdgeBytes += sg.EdgeBytes()
 		out.Edges += sg.NumEdges()
@@ -216,70 +208,44 @@ func (m *mountedSEM) io() SEMIO {
 	return out
 }
 
-// semMount serializes g into the SEM format and mounts it for a measurement:
-// one store when o.Shards <= 1 (byte-identical to the historical layout), or
-// o.Shards hash-partitioned stores behind the shard router, each with its own
-// simulated device, block cache, and prefetcher.
-func semMount(o Options, g *graph.CSR[uint32], p ssd.Profile) (*mountedSEM, error) {
-	shards := o.Shards
+// serialize writes g in the SEM format cfg selects as one image when
+// shards <= 1 (byte-identical to the historical layout) or as that many
+// hash-partitioned images.
+func serialize(g *graph.CSR[uint32], cfg sem.WriteConfig, shards int) ([]ssd.Backing, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	if shards == 1 {
-		sg, dev, cache, err := semGraph(o, g, p)
-		if err != nil {
-			return nil, err
+	backings := make([]ssd.Backing, shards)
+	for k := range backings {
+		if shards > 1 {
+			cfg.Shard = &sem.ShardConfig{Shard: k, Shards: shards}
 		}
-		return &mountedSEM{
-			adj:    sg,
-			devs:   []*ssd.Device{dev},
-			caches: []*sem.CachedStore{cache},
-			sgs:    []*sem.Graph[uint32]{sg},
-		}, nil
-	}
-	m := &mountedSEM{
-		devs:   make([]*ssd.Device, shards),
-		caches: make([]*sem.CachedStore, shards),
-		sgs:    make([]*sem.Graph[uint32], shards),
-	}
-	for k := 0; k < shards; k++ {
 		var buf bytes.Buffer
-		cfg := o.writeConfig()
-		cfg.Shard = &sem.ShardConfig{Shard: k, Shards: shards}
 		if err := sem.Write(&buf, g, cfg); err != nil {
 			return nil, err
 		}
-		var err error
-		m.devs[k] = ssd.New(p, &ssd.MemBacking{Data: buf.Bytes()})
-		budget := int64(buf.Len()) / o.CacheFrac
-		if budget < 64*1024 {
-			budget = 64 * 1024
-		}
-		if m.caches[k], err = sem.NewCachedStoreRA(m.devs[k], 4096, budget, o.Readahead); err != nil {
-			return nil, err
-		}
-		if m.sgs[k], err = sem.Open[uint32](m.caches[k]); err != nil {
-			return nil, err
-		}
-		if o.CachePolicy.StateAware() {
-			m.sgs[k].EnableStateCache()
-		}
-		if o.Prefetch > 1 {
-			m.sgs[k].EnablePrefetch(sem.PrefetchConfig{MaxGap: o.PrefetchGap})
-		}
+		backings[k] = &ssd.MemBacking{Data: buf.Bytes()}
 	}
-	mounted, err := sem.MountShards(m.sgs)
+	return backings, nil
+}
+
+// semMount serializes g per the options — raw v1 records or compressed v2
+// blocks, with an in-edge section for a non-top-down direction, o.Shards
+// ways — and mounts it on simulated devices of profile p for one measurement
+// (fresh devices and cold caches every call).
+func semMount(o Options, g *graph.CSR[uint32], p ssd.Profile) (*mount.Mounted, error) {
+	backings, err := serialize(g, o.writeConfig(), o.Shards)
 	if err != nil {
 		return nil, err
 	}
-	m.adj = mounted
-	return m, nil
+	o.Profile = p
+	return mount.Graph(backings, o.Options)
 }
 
 // timeSEM measures a semi-external run best-of-SEMReps, remounting fresh
 // devices and cold caches each repetition. The returned SEMIO belongs to the
 // fastest repetition.
-func timeSEM(o Options, g *graph.CSR[uint32], p ssd.Profile, run func(adj graph.Adjacency[uint32]) error) (time.Duration, SEMIO, error) {
+func timeSEM(o Options, g *graph.CSR[uint32], p ssd.Profile, run func(adj graph.Adjacency[uint32], cfg core.Config) error) (time.Duration, SEMIO, error) {
 	reps := o.SEMReps
 	if reps < 1 {
 		reps = 1
@@ -292,49 +258,25 @@ func timeSEM(o Options, g *graph.CSR[uint32], p ssd.Profile, run func(adj graph.
 		if err != nil {
 			return 0, SEMIO{}, err
 		}
-		dur, err := timeIt(func() error { return run(mnt.adj) })
+		dur, err := timeIt(func() error { return run(mnt.Adj, o.semConfig(mnt)) })
 		if err != nil {
 			return 0, SEMIO{}, err
 		}
 		if !have || dur < best {
 			have = true
 			best = dur
-			bestIO = mnt.io()
+			bestIO = semIO(mnt)
 		}
 	}
 	return best, bestIO, nil
 }
 
-// semGraph serializes g into the SEM format (raw v1 records, or compressed v2
-// blocks under o.Compressed) and mounts it on a simulated flash device of the
-// given profile behind the block cache, enabling the prefetch pipeline when
-// o.Prefetch asks for it.
-func semGraph(o Options, g *graph.CSR[uint32], p ssd.Profile) (*sem.Graph[uint32], *ssd.Device, *sem.CachedStore, error) {
-	var buf bytes.Buffer
-	if err := sem.Write(&buf, g, o.writeConfig()); err != nil {
-		return nil, nil, nil, err
-	}
-	dev := ssd.New(p, &ssd.MemBacking{Data: buf.Bytes()})
-	edgeBytes := int64(buf.Len())
-	budget := edgeBytes / o.CacheFrac
-	if budget < 64*1024 {
-		budget = 64 * 1024
-	}
-	cache, err := sem.NewCachedStoreRA(dev, 4096, budget, o.Readahead)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sg, err := sem.Open[uint32](cache)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if o.CachePolicy.StateAware() {
-		sg.EnableStateCache()
-	}
-	if o.Prefetch > 1 {
-		sg.EnablePrefetch(sem.PrefetchConfig{MaxGap: o.PrefetchGap})
-	}
-	return sg, dev, cache, nil
+// semConfig is the engine configuration for a run on m: the one the mount
+// derived (pop window, direction and its thresholds) at SEMThreads workers.
+func (o *Options) semConfig(m *mount.Mounted) core.Config {
+	cfg := m.Engine
+	cfg.Workers = o.SEMThreads
+	return cfg
 }
 
 // Table4 reproduces the semi-external BFS comparison of Table IV: the
@@ -375,9 +317,8 @@ func Table4(o Options) (*Table, error) {
 				fmt.Sprintf("%d", g.NumVertices()), "", "", Seconds(bglTime),
 			}
 			var devReads uint64
-			cfg := o.semBFSConfig(g)
 			for _, p := range ssd.Profiles {
-				dur, io, err := timeSEM(o, g, p, func(adj graph.Adjacency[uint32]) error {
+				dur, io, err := timeSEM(o, g, p, func(adj graph.Adjacency[uint32], cfg core.Config) error {
 					_, err := core.BFS[uint32](adj, src, cfg)
 					return err
 				})
@@ -396,10 +337,10 @@ func Table4(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			cfg1 := cfg
+			cfg1 := o.semConfig(mnt)
 			cfg1.Workers, cfg1.Prefetch = 1, 0
 			oneThread, err := timeIt(func() error {
-				_, err := core.BFS[uint32](mnt.adj, src, cfg1)
+				_, err := core.BFS[uint32](mnt.Adj, src, cfg1)
 				return err
 			})
 			if err != nil {
@@ -453,10 +394,8 @@ func Table5(o Options) (*Table, error) {
 		}
 		row := []string{in.Name, fmt.Sprintf("%d", g.NumVertices()), "", "", Seconds(bglTime)}
 		for _, p := range ssd.Profiles {
-			dur, io, err := timeSEM(o, g, p, func(adj graph.Adjacency[uint32]) error {
-				_, err := core.CC[uint32](adj, core.Config{
-					Workers: o.SEMThreads, SemiSort: true, Prefetch: o.Prefetch,
-				})
+			dur, io, err := timeSEM(o, g, p, func(adj graph.Adjacency[uint32], cfg core.Config) error {
+				_, err := core.CC[uint32](adj, cfg)
 				return err
 			})
 			if err != nil {

@@ -10,9 +10,8 @@ import (
 // struct (a struct type named "Config" or "...Config") is referenced by the
 // package's validate/normalize function. The engine's knobs default and
 // clamp in normalize; a field that normalize never sees is a knob that can
-// be set to garbage and silently misbehave at traversal time — historically
-// how an out-of-range CoarseShift or an unvalidated Queue kind slipped
-// through. Validator names recognized: validate, Validate, normalize,
+// be set to garbage and silently misbehave at traversal time. Validator
+// names recognized: validate, Validate, normalize,
 // Normalize — as a method on the struct (pointer or value receiver) or a
 // function taking it as first parameter.
 //

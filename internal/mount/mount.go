@@ -1,0 +1,341 @@
+// Package mount assembles the storage stack under a traversal — one simulated
+// flash device per shard, the block cache, the semi-external graph, the cache
+// policy, the prefetcher and the shard router, or an in-memory CSR — and
+// derives the engine configuration that matches it. cmd/traverse, cmd/serve,
+// cmd/bench, the harness and the examples all mount through here, so the
+// default recipe (4 KiB blocks, half the file, readahead 8), the rule that
+// the engine's pop window is the mount's prefetch window, and the rule that
+// an in-memory mount transposes itself for a non-top-down direction each
+// exist once.
+package mount
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/sem"
+	"repro/internal/ssd"
+)
+
+// The block-cache recipe every mount shares unless Options overrides the
+// budget or the readahead.
+const (
+	blockSize        = 4096
+	defaultCacheFrac = 2
+	defaultReadahead = 8
+)
+
+// Options selects the storage stack and the engine knobs tied to it.
+type Options struct {
+	// SEM leaves the edges on a simulated flash device per shard; false
+	// decodes every shard into one in-memory CSR.
+	SEM bool
+	// Profile is the device model of a SEM mount.
+	Profile ssd.Profile
+	// NoCache mounts the raw device without the block cache: every adjacency
+	// read is a device operation, the regime the prefetch window is for.
+	NoCache bool
+	// CacheFrac sets the block-cache budget to the store's bytes / CacheFrac
+	// (0 = 2, half the file), never below CacheFloor bytes.
+	CacheFrac  int64
+	CacheFloor int64
+	// Readahead is the number of consecutive blocks one cache miss fetches
+	// in a single device operation (0 = 8; 1 disables readahead).
+	Readahead int
+	// CachePolicy selects the block cache's eviction policy (zero value =
+	// LRU). Without a cache there is nothing to steer and it is ignored.
+	CachePolicy sem.CachePolicyConfig
+	// Prefetch is the pop-window size: above 1 a SEM mount gets a prefetcher
+	// and the engine pops that many visitors at once to feed it.
+	Prefetch int
+	// PrefetchGap is the largest byte gap the prefetcher bridges when it
+	// coalesces a window's adjacency extents into one device read.
+	PrefetchGap int
+	// Shards is the shard count Files demands of the path (0 = auto-detect).
+	Shards int
+	// SemiSort enables the engine's secondary vertex-id sort key.
+	SemiSort bool
+	// Direction is the BFS direction policy. A non-top-down in-memory mount
+	// pairs the CSR with its transpose; a semi-external one must have been
+	// written with in-edges.
+	Direction core.Direction
+}
+
+// Validate rejects values no mount can honor. The messages name the flags
+// Bind registers, since that is where bad values come from.
+func (o Options) Validate() error {
+	if o.Prefetch < 0 {
+		return fmt.Errorf("-prefetch must be >= 0, got %d", o.Prefetch)
+	}
+	if o.PrefetchGap < 0 {
+		return fmt.Errorf("-prefetchgap must be >= 0, got %d", o.PrefetchGap)
+	}
+	if o.Shards < 0 {
+		return fmt.Errorf("-shards must be >= 0 (0 = auto-detect), got %d", o.Shards)
+	}
+	if err := o.CachePolicy.Validate(); err != nil {
+		return fmt.Errorf("-cachepolicy: %v", err)
+	}
+	if o.Direction < core.DirectionTopDown || o.Direction > core.DirectionHybrid {
+		return fmt.Errorf("unknown direction %d", o.Direction)
+	}
+	if o.CacheFrac < 0 || o.CacheFloor < 0 || o.Readahead < 0 {
+		return fmt.Errorf("cache budget divisor %d, floor %d and readahead %d must be >= 0", o.CacheFrac, o.CacheFloor, o.Readahead)
+	}
+	return nil
+}
+
+// Bind registers on fs the engine/mount flags cmd/traverse, cmd/bench and
+// cmd/serve share: -semisort -prefetch -prefetchgap -cachepolicy -direction.
+// After fs.Parse, the returned function yields the Options they fill, or a
+// usage error (the binaries exit 2 on it).
+func Bind(fs *flag.FlagSet) func() (Options, error) {
+	var o Options
+	fs.BoolVar(&o.SemiSort, "semisort", true, "secondary vertex-id sort key (SEM locality)")
+	fs.IntVar(&o.Prefetch, "prefetch", 0, "SEM pop-window size: pop this many visitors at once and start their adjacency reads asynchronously (0 = off; pays on a mount without the block cache, behind the cache it is redundant)")
+	gap := fs.String("prefetchgap", strconv.Itoa(sem.DefaultPrefetchGap), "max byte gap bridged when coalescing prefetched adjacency extents into one device read (bytes, or with a k/KiB/m/MiB suffix)")
+	policy := fs.String("cachepolicy", sem.PolicyLRU, "SEM block-cache eviction policy: lru (recency order) or state (blocks with queued visitors are pinned, settled blocks evicted first)")
+	dir := fs.String("direction", "", "BFS direction policy: topdown (default), bottomup, or hybrid; non-topdown needs in-edges (gengraph/convert -symmetric) on a semi-external graph")
+	return func() (Options, error) {
+		var err error
+		if o.PrefetchGap, err = sem.ParseByteSize(*gap); err != nil {
+			return o, fmt.Errorf("-prefetchgap: %v", err)
+		}
+		if o.CachePolicy, err = sem.ParseCachePolicy(*policy); err != nil {
+			return o, fmt.Errorf("-cachepolicy: %v", err)
+		}
+		if o.Direction, err = core.ParseDirection(*dir); err != nil {
+			return o, fmt.Errorf("-direction: %v", err)
+		}
+		return o, o.Validate()
+	}
+}
+
+// Engine is the engine configuration that matches a mount built from o: the
+// pop window is the prefetch window, or off when no prefetcher is mounted.
+// Callers add Workers; Mounted.Engine adds the direction thresholds.
+func (o Options) Engine() core.Config {
+	cfg := core.Config{SemiSort: o.SemiSort, Direction: o.Direction}
+	if o.Prefetch > 1 {
+		cfg.Prefetch = o.Prefetch
+	}
+	return cfg
+}
+
+// Mounted is one assembled storage stack.
+type Mounted struct {
+	// Adj is what traversals run against: the CSR (paired with its transpose
+	// for a non-top-down direction), one semi-external graph, or the shard
+	// router over several.
+	Adj graph.Adjacency[uint32]
+	// CSR is the decoded graph of an in-memory mount, nil otherwise.
+	CSR *graph.CSR[uint32]
+	// Devices, Caches and Graphs are the per-shard layers of a SEM mount, in
+	// shard order. Devices is nil when the caller built the stores (Stores);
+	// Caches is nil under NoCache.
+	Devices []*ssd.Device
+	Caches  []*sem.CachedStore
+	Graphs  []*sem.Graph[uint32]
+	// Shards is the width of the shard set behind Adj — a shard router, or in
+	// memory the merged CSR — and 0 for a plain file.
+	Shards int
+	// Engine is Options.Engine plus, for a non-top-down direction, the switch
+	// thresholds derived from the mounted graph's degree distribution.
+	Engine core.Config
+
+	files []*os.File
+}
+
+// Close releases the files Files opened. A semi-external mount reads them
+// for as long as it is traversed.
+func (m *Mounted) Close() error {
+	var first error
+	for _, f := range m.files {
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	m.files = nil
+	return first
+}
+
+// Files mounts the graph file at path, or the shard set path.shard0..N-1
+// (opt.Shards of them, or as many as exist when it is 0).
+func Files(path string, opt Options) (m *Mounted, err error) {
+	paths, sharded, err := sem.ShardPaths(path, opt.Shards)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]*os.File, 0, len(paths))
+	defer func() {
+		if err != nil {
+			for _, f := range files {
+				_ = f.Close() // read-only; the mount error is the one to report
+			}
+		}
+	}()
+	backings := make([]ssd.Backing, len(paths))
+	for i, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		if backings[i], err = ssd.NewFileBacking(f); err != nil {
+			return nil, err
+		}
+	}
+	if m, err = assemble(backings, sharded, opt); err != nil {
+		return nil, err
+	}
+	m.files = files
+	return m, nil
+}
+
+// Graph mounts one serialized graph per backing; more than one backing is a
+// shard set in shard order.
+func Graph(backings []ssd.Backing, opt Options) (*Mounted, error) {
+	return assemble(backings, len(backings) > 1, opt)
+}
+
+func assemble(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	if len(backings) == 0 {
+		return nil, fmt.Errorf("mount: no backing to mount")
+	}
+	if opt.SEM {
+		devs := make([]*ssd.Device, len(backings))
+		stores := make([]sem.Store, len(backings))
+		for i, b := range backings {
+			devs[i] = ssd.New(opt.Profile, b)
+			stores[i] = devs[i]
+		}
+		m, err := semStack(stores, sharded, opt)
+		if err != nil {
+			return nil, err
+		}
+		m.Devices = devs
+		return m, nil
+	}
+	m := &Mounted{}
+	var err error
+	if sharded {
+		m.Shards = len(backings)
+		stores := make([]sem.Store, len(backings))
+		for i, b := range backings {
+			stores[i] = b
+		}
+		m.CSR, err = sem.LoadShardedCSR[uint32](stores)
+	} else {
+		m.CSR, err = sem.LoadCSR[uint32](backings[0])
+	}
+	if err != nil {
+		return nil, err
+	}
+	m.Adj = m.CSR
+	if opt.Direction != core.DirectionTopDown {
+		// An in-memory mount can always serve reverse adjacency: pair the CSR
+		// with its transpose (an on-flash in-edge section only matters when
+		// the edges stay on the device).
+		rev, err := graph.Transpose(m.CSR)
+		if err != nil {
+			return nil, err
+		}
+		if m.Adj, err = graph.NewBidi[uint32](m.CSR, rev); err != nil {
+			return nil, err
+		}
+	}
+	return m, m.finish(opt)
+}
+
+// Stores mounts semi-externally over devices the caller built — a RAID-0
+// array, say — one per shard. Each store must report its size (sem.Sizer)
+// unless opt.NoCache. opt.SEM and opt.Profile are not consulted.
+func Stores(stores []sem.Store, opt Options) (*Mounted, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	if len(stores) == 0 {
+		return nil, fmt.Errorf("mount: no store to mount")
+	}
+	return semStack(stores, len(stores) > 1, opt)
+}
+
+// semStack is the semi-external half: cache, open, policy, prefetcher and
+// shard router over one store per shard.
+func semStack(stores []sem.Store, sharded bool, opt Options) (*Mounted, error) {
+	m := &Mounted{Graphs: make([]*sem.Graph[uint32], len(stores))}
+	if !opt.NoCache {
+		m.Caches = make([]*sem.CachedStore, len(stores))
+	}
+	for i, store := range stores {
+		var err error
+		if !opt.NoCache {
+			szr, ok := store.(sem.Sizer)
+			if !ok {
+				return nil, fmt.Errorf("mount: shard %d: the block cache needs a store with a known size", i)
+			}
+			if m.Caches[i], err = sem.NewCachedStoreRA(store, blockSize, opt.cacheBudget(szr.Size()), opt.readahead()); err != nil {
+				return nil, err
+			}
+			store = m.Caches[i]
+		}
+		if m.Graphs[i], err = sem.Open[uint32](store); err != nil {
+			return nil, err
+		}
+		if opt.CachePolicy.StateAware() {
+			m.Graphs[i].EnableStateCache()
+		}
+		if opt.Prefetch > 1 {
+			m.Graphs[i].EnablePrefetch(sem.PrefetchConfig{MaxGap: opt.PrefetchGap})
+		}
+	}
+	m.Adj = m.Graphs[0]
+	if sharded {
+		router, err := sem.MountShards(m.Graphs)
+		if err != nil {
+			return nil, err
+		}
+		m.Adj, m.Shards = router, len(stores)
+	}
+	return m, m.finish(opt)
+}
+
+func (o Options) cacheBudget(size int64) int64 {
+	frac := o.CacheFrac
+	if frac == 0 {
+		frac = defaultCacheFrac
+	}
+	if budget := size / frac; budget > o.CacheFloor {
+		return budget
+	}
+	return o.CacheFloor
+}
+
+func (o Options) readahead() int {
+	if o.Readahead == 0 {
+		return defaultReadahead
+	}
+	return o.Readahead
+}
+
+// finish derives the engine configuration once Adj stands.
+func (m *Mounted) finish(opt Options) error {
+	m.Engine = opt.Engine()
+	if opt.Direction == core.DirectionTopDown {
+		return nil
+	}
+	if _, ok := graph.InEdges[uint32](m.Adj); !ok {
+		return fmt.Errorf("%w: direction %s needs a graph written with in-edges (gengraph/convert -symmetric)", core.ErrNoInEdges, opt.Direction)
+	}
+	// Derive the switch thresholds from the mounted graph's degree shape
+	// instead of one-size-fits-all constants.
+	m.Engine.Alpha, m.Engine.Beta = graph.DegreesOf[uint32](m.Adj).DirectionThresholds()
+	return nil
+}

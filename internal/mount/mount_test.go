@@ -1,0 +1,360 @@
+package mount
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/baseline"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/mount/mounttest"
+	"repro/internal/sem"
+	"repro/internal/ssd"
+)
+
+// fast is a device model with no latency worth sleeping for.
+var fast = ssd.Profile{Name: "fast", Channels: 64, ReadLatency: time.Nanosecond}
+
+func testGraph(t *testing.T) (*graph.CSR[uint32], uint32) {
+	t.Helper()
+	g, err := gen.RMAT[uint32](9, 8, gen.RMATA, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err = gen.UniformWeights(g, 7); err != nil {
+		t.Fatal(err)
+	}
+	src := uint32(0)
+	for v := uint32(0); uint64(v) < g.NumVertices(); v++ {
+		if g.Degree(v) > g.Degree(src) {
+			src = v
+		}
+	}
+	return g, src
+}
+
+// images serializes g as one plain image (shards <= 1) or a shard set.
+func images(t *testing.T, g *graph.CSR[uint32], cfg sem.WriteConfig, shards int) [][]byte {
+	t.Helper()
+	if shards < 1 {
+		shards = 1
+	}
+	out := make([][]byte, shards)
+	for k := range out {
+		if shards > 1 {
+			cfg.Shard = &sem.ShardConfig{Shard: k, Shards: shards}
+		}
+		var buf bytes.Buffer
+		if err := sem.Write(&buf, g, cfg); err != nil {
+			t.Fatal(err)
+		}
+		out[k] = buf.Bytes()
+	}
+	return out
+}
+
+func memBackings(imgs [][]byte) []ssd.Backing {
+	out := make([]ssd.Backing, len(imgs))
+	for k, img := range imgs {
+		out[k] = &ssd.MemBacking{Data: img}
+	}
+	return out
+}
+
+// TestMountTable mounts one graph every way the callers do and checks, per
+// configuration, that BFS and SSSP on the returned adjacency under the
+// returned engine configuration match the serial baselines, that the layers
+// the options ask for are the layers present, and that the engine's pop
+// window is on exactly when a prefetcher was mounted to consume it.
+func TestMountTable(t *testing.T) {
+	g, src := testGraph(t)
+	wantLevel, err := baseline.SerialBFS[uint32](g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDist, _, err := baseline.SerialDijkstra[uint32](g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sem1 := Options{SEM: true, Profile: fast, SemiSort: true}
+	with := func(o Options, f func(*Options)) Options { f(&o); return o }
+	cases := []struct {
+		name   string
+		write  sem.WriteConfig
+		shards int
+		opt    Options
+		check  func(t *testing.T, m *Mounted)
+	}{
+		{"IM", sem.WriteConfig{}, 1, Options{}, func(t *testing.T, m *Mounted) {
+			if m.CSR == nil || m.Adj != graph.Adjacency[uint32](m.CSR) || m.Graphs != nil || m.Shards != 0 {
+				t.Errorf("in-memory mount: CSR=%v graphs=%d shards=%d", m.CSR != nil, len(m.Graphs), m.Shards)
+			}
+		}},
+		{"IM hybrid", sem.WriteConfig{}, 1, Options{Direction: core.DirectionHybrid}, func(t *testing.T, m *Mounted) {
+			if _, ok := m.Adj.(*graph.Bidi[uint32]); !ok {
+				t.Errorf("non-top-down in-memory mount is %T, want the CSR paired with its transpose", m.Adj)
+			}
+			if m.Engine.Alpha <= 0 || m.Engine.Beta <= 0 {
+				t.Errorf("thresholds not derived: alpha=%d beta=%d", m.Engine.Alpha, m.Engine.Beta)
+			}
+		}},
+		{"IM from 4 shards", sem.WriteConfig{}, 4, Options{}, func(t *testing.T, m *Mounted) {
+			if m.CSR == nil || m.Shards != 4 || m.CSR.NumEdges() != g.NumEdges() {
+				t.Errorf("merged shard set: CSR=%v shards=%d", m.CSR != nil, m.Shards)
+			}
+		}},
+		{"SEM cached", sem.WriteConfig{}, 1, sem1, func(t *testing.T, m *Mounted) {
+			if len(m.Devices) != 1 || len(m.Caches) != 1 || m.Caches[0].PolicyName() != sem.PolicyLRU {
+				t.Errorf("default SEM mount: %d devices, %d caches", len(m.Devices), len(m.Caches))
+			}
+			if hits, misses := m.Caches[0].Stats(); hits+misses == 0 {
+				t.Error("traversals did not read through the block cache")
+			}
+		}},
+		{"SEM nocache window 16", sem.WriteConfig{}, 1,
+			with(sem1, func(o *Options) { o.NoCache, o.Prefetch, o.PrefetchGap = true, 16, 4096 }),
+			func(t *testing.T, m *Mounted) {
+				if m.Caches != nil || m.Engine.Prefetch != 16 {
+					t.Errorf("raw-device mount: caches=%d window=%d", len(m.Caches), m.Engine.Prefetch)
+				}
+			}},
+		{"SEM window 1 is off", sem.WriteConfig{}, 1,
+			with(sem1, func(o *Options) { o.Prefetch = 1 }),
+			func(t *testing.T, m *Mounted) {
+				if m.Engine.Prefetch != 0 {
+					t.Errorf("engine window = %d with no prefetcher mounted", m.Engine.Prefetch)
+				}
+			}},
+		{"compressed + in-edges hybrid", sem.WriteConfig{Compress: true, InEdges: true}, 1,
+			with(sem1, func(o *Options) { o.Direction, o.Prefetch, o.PrefetchGap = core.DirectionHybrid, 16, 4096 }),
+			func(t *testing.T, m *Mounted) {
+				if !m.Graphs[0].Compressed() || !m.Graphs[0].HasInEdges() || m.Engine.Alpha <= 0 {
+					t.Errorf("compressed=%v inEdges=%v alpha=%d", m.Graphs[0].Compressed(), m.Graphs[0].HasInEdges(), m.Engine.Alpha)
+				}
+			}},
+		{"4 shards", sem.WriteConfig{}, 4,
+			with(sem1, func(o *Options) { o.Prefetch, o.PrefetchGap = 16, 4096 }),
+			func(t *testing.T, m *Mounted) {
+				if _, ok := m.Adj.(*graph.Sharded[uint32]); !ok || m.Shards != 4 || len(m.Devices) != 4 || len(m.Caches) != 4 || len(m.Graphs) != 4 {
+					t.Errorf("sharded mount: adj=%T shards=%d devices=%d caches=%d graphs=%d", m.Adj, m.Shards, len(m.Devices), len(m.Caches), len(m.Graphs))
+				}
+			}},
+		{"state policy", sem.WriteConfig{}, 1,
+			with(sem1, func(o *Options) {
+				o.CachePolicy, o.CacheFrac, o.Prefetch, o.PrefetchGap = sem.CachePolicyConfig{Kind: sem.PolicyState}, 8, 16, 4096
+			}),
+			func(t *testing.T, m *Mounted) {
+				if m.Caches[0].PolicyName() != sem.PolicyState || m.Caches[0].PinnedHW() == 0 {
+					t.Errorf("policy=%s pinnedHW=%d", m.Caches[0].PolicyName(), m.Caches[0].PinnedHW())
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Graph(memBackings(images(t, g, tc.write, tc.shards)), tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := m.Engine
+			cfg.Workers = 8
+			if cfg.SemiSort != tc.opt.SemiSort || cfg.Direction != tc.opt.Direction {
+				t.Errorf("engine config %+v does not carry the options' semisort/direction", cfg)
+			}
+			bfs, err := core.BFS[uint32](m.Adj, src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sssp, err := core.SSSP[uint32](m.Adj, src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range wantLevel {
+				if bfs.Level[v] != wantLevel[v] {
+					t.Fatalf("BFS level[%d] = %d, want %d", v, bfs.Level[v], wantLevel[v])
+				}
+				if sssp.Dist[v] != wantDist[v] {
+					t.Fatalf("SSSP dist[%d] = %d, want %d", v, sssp.Dist[v], wantDist[v])
+				}
+			}
+			var ps sem.PrefetchStats
+			for _, sg := range m.Graphs {
+				ps.Add(sg.PrefetchStats())
+			}
+			if windowed, fed := cfg.Prefetch > 1, ps.Windows > 0; windowed != fed {
+				t.Errorf("engine pop window %d, but the mounted prefetcher saw %d windows", cfg.Prefetch, ps.Windows)
+			}
+			tc.check(t, m)
+		})
+	}
+}
+
+// TestCacheRecipe pins the budget arithmetic: half the store and readahead 8
+// by default, the divisor and the floor when set.
+func TestCacheRecipe(t *testing.T) {
+	for _, tc := range []struct {
+		opt  Options
+		size int64
+		want int64
+	}{
+		{Options{}, 1 << 20, 1 << 19},
+		{Options{CacheFrac: 32}, 1 << 20, 1 << 15},
+		{Options{CacheFrac: 2, CacheFloor: 64 << 10}, 100 << 10, 64 << 10},
+		{Options{CacheFrac: 2, CacheFloor: 64 << 10}, 1 << 20, 1 << 19},
+	} {
+		if got := tc.opt.cacheBudget(tc.size); got != tc.want {
+			t.Errorf("%+v over %d bytes: budget %d, want %d", tc.opt, tc.size, got, tc.want)
+		}
+	}
+	if (Options{}).readahead() != 8 || (Options{Readahead: 1}).readahead() != 1 {
+		t.Error("readahead default is not 8, or an explicit 1 is not honored")
+	}
+}
+
+// TestStoresOverRAID0 mounts over a caller-built stripe set, the one stack
+// Graph cannot build itself.
+func TestStoresOverRAID0(t *testing.T) {
+	g, src := testGraph(t)
+	want, err := baseline.SerialBFS[uint32](g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := ssd.NewRAID0Array(fast, 2, 64<<10, memBackings(images(t, g, sem.WriteConfig{}, 1))[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Stores([]sem.Store{arr}, Options{SemiSort: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Devices != nil || len(m.Caches) != 1 {
+		t.Fatalf("devices=%d caches=%d, want the caller's devices left alone behind one cache", len(m.Devices), len(m.Caches))
+	}
+	cfg := m.Engine
+	cfg.Workers = 8
+	got, err := core.BFS[uint32](m.Adj, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range want {
+		if got.Level[v] != want[v] {
+			t.Fatalf("level[%d] = %d, want %d", v, got.Level[v], want[v])
+		}
+	}
+	if _, err := Stores([]sem.Store{bytes.NewReader(nil)}, Options{}); err == nil {
+		t.Error("a store of unknown size was accepted behind the block cache")
+	}
+}
+
+// TestFiles covers the path half: plain files, auto-detected and pinned shard
+// sets, a pinned width the files contradict, and a direction the file cannot
+// serve.
+func TestFiles(t *testing.T) {
+	g, src := testGraph(t)
+	want, err := baseline.SerialBFS[uint32](g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	plain := filepath.Join(dir, "g.asg")
+	if err := os.WriteFile(plain, images(t, g, sem.WriteConfig{}, 1)[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sharded := filepath.Join(dir, "s.asg")
+	for k, img := range images(t, g, sem.WriteConfig{}, 4) {
+		if err := os.WriteFile(sem.ShardFileName(sharded, k), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		path   string
+		opt    Options
+		shards int
+	}{
+		{"plain IM", plain, Options{}, 0},
+		{"plain SEM", plain, Options{SEM: true, Profile: fast}, 0},
+		{"shards auto-detected IM", sharded, Options{}, 4},
+		{"shards pinned SEM", sharded, Options{SEM: true, Profile: fast, Shards: 4}, 4},
+	} {
+		m, err := Files(tc.path, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if m.Shards != tc.shards {
+			t.Errorf("%s: shards = %d, want %d", tc.name, m.Shards, tc.shards)
+		}
+		cfg := m.Engine
+		cfg.Workers = 8
+		got, err := core.BFS[uint32](m.Adj, src, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for v := range want {
+			if got.Level[v] != want[v] {
+				t.Fatalf("%s: level[%d] = %d, want %d", tc.name, v, got.Level[v], want[v])
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Errorf("%s: close: %v", tc.name, err)
+		}
+	}
+	for _, opt := range []Options{{Shards: 2}, {SEM: true, Profile: fast, Shards: 2}} {
+		if _, err := Files(sharded, opt); !errors.Is(err, sem.ErrShardSpec) {
+			t.Errorf("2 of 4 shards (sem=%v): err = %v, want ErrShardSpec", opt.SEM, err)
+		}
+	}
+	if _, err := Files(plain, Options{SEM: true, Profile: fast, Direction: core.DirectionHybrid}); !errors.Is(err, core.ErrNoInEdges) {
+		t.Errorf("hybrid over a file without in-edges: err = %v, want ErrNoInEdges", err)
+	}
+	if _, err := Files(filepath.Join(dir, "missing.asg"), Options{}); err == nil {
+		t.Error("a missing file mounted")
+	}
+}
+
+func TestBind(t *testing.T) {
+	parse := func(args string) (Options, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		get := Bind(fs)
+		if err := fs.Parse(strings.Fields(args)); err != nil {
+			t.Fatalf("parse %q: %v", args, err)
+		}
+		return get()
+	}
+	def, err := parse("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Options{SemiSort: true, PrefetchGap: sem.DefaultPrefetchGap, CachePolicy: sem.CachePolicyConfig{Kind: sem.PolicyLRU}}); def != want {
+		t.Errorf("defaults = %+v, want %+v", def, want)
+	}
+	got, err := parse("-semisort=false -prefetch 16 -prefetchgap 8k -cachepolicy state -direction hybrid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Options{Prefetch: 16, PrefetchGap: 8192, CachePolicy: sem.CachePolicyConfig{Kind: sem.PolicyState}, Direction: core.DirectionHybrid}); got != want {
+		t.Errorf("parsed = %+v, want %+v", got, want)
+	}
+	if cfg := got.Engine(); cfg.Prefetch != 16 || cfg.SemiSort || cfg.Direction != core.DirectionHybrid {
+		t.Errorf("engine config %+v does not mirror the options", cfg)
+	}
+	// The table the three binaries' re-exec tests run, checked in process.
+	for _, bad := range mounttest.BadFlags {
+		if _, err := parse(bad.Args); err == nil || err.Error() != bad.Want {
+			t.Errorf("%s: err = %v, want %q", bad.Args, err, bad.Want)
+		}
+	}
+	for _, o := range []Options{{Shards: -1}, {PrefetchGap: -1}, {CacheFrac: -2}, {Readahead: -1}, {Direction: 9}} {
+		if o.Validate() == nil {
+			t.Errorf("%+v validated", o)
+		}
+	}
+}

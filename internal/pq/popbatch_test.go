@@ -53,65 +53,3 @@ func TestHeapPopBatchBounds(t *testing.T) {
 		t.Fatalf("PopBatch with prefix = %v", got)
 	}
 }
-
-func TestBucketPopBatchCurrentBucketOnly(t *testing.T) {
-	q := NewBucket()
-	for _, it := range []Item{
-		{Pri: 2, V: 20}, {Pri: 1, V: 10}, {Pri: 1, V: 11}, {Pri: 1, V: 12}, {Pri: 2, V: 21},
-	} {
-		q.Push(it)
-	}
-	// The batch never crosses a priority boundary, even with k to spare.
-	got := q.PopBatch(nil, 10)
-	if len(got) != 3 {
-		t.Fatalf("PopBatch = %v, want the 3 priority-1 items", got)
-	}
-	for i, it := range got {
-		if it.Pri != 1 || it.V != uint64(10+i) {
-			t.Fatalf("PopBatch[%d] = %+v, want pri 1 in FIFO order", i, it)
-		}
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 priority-2 items left", q.Len())
-	}
-	got = q.PopBatch(nil, 10)
-	if len(got) != 2 || got[0].V != 20 || got[1].V != 21 {
-		t.Fatalf("second PopBatch = %v, want priority-2 items in FIFO order", got)
-	}
-	if got := q.PopBatch(nil, 4); len(got) != 0 {
-		t.Fatalf("empty queue PopBatch = %v", got)
-	}
-}
-
-func TestBucketPopBatchPartialDrain(t *testing.T) {
-	q := NewBucket()
-	for v := uint64(0); v < 6; v++ {
-		q.Push(Item{Pri: 4, V: v})
-	}
-	got := q.PopBatch(nil, 4)
-	if len(got) != 4 {
-		t.Fatalf("PopBatch = %d items, want 4", len(got))
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-	// The remainder of the bucket stays poppable in FIFO order.
-	for want := uint64(4); want < 6; want++ {
-		it, ok := q.Pop()
-		if !ok || it.V != want {
-			t.Fatalf("Pop = %+v (ok=%v), want V=%d", it, ok, want)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("queue should be empty")
-	}
-}
-
-func TestQueueInterfacePopBatch(t *testing.T) {
-	for _, q := range []Queue{New(true), NewBucket()} {
-		q.Push(Item{Pri: 1, V: 1})
-		if got := q.PopBatch(nil, 3); len(got) < 1 {
-			t.Fatalf("%T: PopBatch on non-empty queue returned nothing", q)
-		}
-	}
-}

@@ -18,15 +18,14 @@ type Item struct {
 // belongs to the owning worker queue, not the heap.
 type Heap struct {
 	items    []Item
-	semiSort bool  // break priority ties by ascending vertex id
-	priShift uint8 // compare Pri >> priShift: Δ-style priority coarsening
+	semiSort bool // break priority ties by ascending vertex id
 	maxLen   int
 }
 
 // Note on cache-affine ordering: an earlier revision let semi-external mounts
-// install a residency probe here as a tiebreak between the coarse priority
-// and the semi-sort key, so pop-windows would drain cache-resident work
-// first. Measured on RMAT under the state-aware cache policy it raised device
+// install a residency probe here as a tiebreak between the priority and the
+// semi-sort key, so pop-windows would drain cache-resident work first.
+// Measured on RMAT under the state-aware cache policy it raised device
 // reads 30-65%: the semi-sort key exists to make each window's extents
 // contiguous on storage, and any ordering layered above it fragments the
 // coalesced spans the prefetcher forms. Window membership must stay purely
@@ -37,14 +36,6 @@ type Heap struct {
 // ascending V.
 func New(semiSort bool) *Heap {
 	return &Heap{semiSort: semiSort}
-}
-
-// NewCoarse returns a heap that compares priorities coarsened by shift bits
-// (Δ-stepping-style bucketing: priorities within the same 2^shift-wide bucket
-// are considered equal, falling through to the semi-sort key). shift = 0 is
-// exact ordering.
-func NewCoarse(semiSort bool, shift uint8) *Heap {
-	return &Heap{semiSort: semiSort, priShift: shift}
 }
 
 // Len reports the number of queued items.
@@ -62,8 +53,8 @@ func (h *Heap) Reset() {
 }
 
 func (h *Heap) less(a, b Item) bool {
-	if pa, pb := a.Pri>>h.priShift, b.Pri>>h.priShift; pa != pb {
-		return pa < pb
+	if a.Pri != b.Pri {
+		return a.Pri < b.Pri
 	}
 	if h.semiSort && a.V != b.V {
 		return a.V < b.V

@@ -205,38 +205,3 @@ func TestQuickSemiSortLexOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCoarseHeapBuckets(t *testing.T) {
-	// shift=2: priorities 0-3 are one bucket; within it, semi-sort by V.
-	h := NewCoarse(true, 2)
-	h.Push(Item{Pri: 3, V: 9})
-	h.Push(Item{Pri: 0, V: 5})
-	h.Push(Item{Pri: 2, V: 1})
-	h.Push(Item{Pri: 4, V: 0}) // next bucket
-	want := []uint64{1, 5, 9, 0}
-	for i, v := range want {
-		it, ok := h.Pop()
-		if !ok || it.V != v {
-			t.Fatalf("pop %d: got v=%d ok=%v, want %d", i, it.V, ok, v)
-		}
-	}
-}
-
-func TestCoarseShiftZeroIsExact(t *testing.T) {
-	a := New(false)
-	b := NewCoarse(false, 0)
-	for _, p := range []uint64{9, 3, 7, 1} {
-		a.Push(Item{Pri: p})
-		b.Push(Item{Pri: p})
-	}
-	for {
-		ia, oka := a.Pop()
-		ib, okb := b.Pop()
-		if oka != okb || ia.Pri != ib.Pri {
-			t.Fatalf("divergence: %v/%v %v/%v", ia, oka, ib, okb)
-		}
-		if !oka {
-			break
-		}
-	}
-}

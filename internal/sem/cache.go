@@ -320,22 +320,6 @@ func (c *CachedStore) evictLocked(sh *cacheShard, keep *list.Element) {
 	}
 }
 
-// Resize changes the cache's total byte capacity at runtime, shrinking each
-// shard in one batched eviction pass instead of a per-entry lock-and-walk.
-func (c *CachedStore) Resize(capacityBytes int64) {
-	perShard := int(capacityBytes / c.blockSize / int64(len(c.shards)))
-	if perShard < 1 {
-		perShard = 1
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.capacity = perShard
-		c.evictLocked(sh, nil)
-		sh.mu.Unlock()
-	}
-}
-
 func (c *CachedStore) remove(id int64, el *list.Element) {
 	sh := c.shard(id)
 	sh.mu.Lock()

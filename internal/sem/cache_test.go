@@ -411,7 +411,7 @@ func TestSEM64BitTraversal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	sg, err := Open[uint64](fastDevice(&ssd.MemBacking{Data: buf.Bytes()}))

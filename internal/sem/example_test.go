@@ -26,7 +26,7 @@ func Example() {
 	}
 
 	var file bytes.Buffer
-	if err := sem.WriteCSR(&file, g); err != nil {
+	if err := sem.Write(&file, g, sem.WriteConfig{}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -50,7 +50,7 @@ func Example() {
 	// Output: [0 1 2 3] 3
 }
 
-func ExampleWriteCSR() {
+func ExampleWrite() {
 	b := graph.NewBuilder[uint32](2, true)
 	b.AddEdge(0, 1, 9)
 	g, err := b.Build(true)
@@ -58,7 +58,7 @@ func ExampleWriteCSR() {
 		log.Fatal(err)
 	}
 	var file bytes.Buffer
-	if err := sem.WriteCSR(&file, g); err != nil {
+	if err := sem.Write(&file, g, sem.WriteConfig{}); err != nil {
 		log.Fatal(err)
 	}
 	back, err := sem.LoadCSR[uint32](&ssd.MemBacking{Data: file.Bytes()})

@@ -21,7 +21,7 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{}); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()

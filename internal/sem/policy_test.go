@@ -8,6 +8,7 @@ package sem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -381,7 +382,7 @@ func TestConcurrentStateTraversals(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	cache, err := NewCachedStoreRA(fastDevice(&ssd.MemBacking{Data: buf.Bytes()}), 512, int64(buf.Len())/4, 4)
@@ -434,27 +435,53 @@ func TestConcurrentStateTraversals(t *testing.T) {
 	}
 }
 
-// BenchmarkCacheEvict measures the batched eviction pass: Resize shrinks the
-// cache by many entries in one lock acquisition per shard instead of a
-// lock-and-walk per entry (the satellite fix this PR guards).
-func BenchmarkCacheEvict(b *testing.B) {
-	g := buildGraph(b, 1<<12, 1<<15, false, 5)
-	back := writeToMem(b, g)
-	blocks := int64(len(back.Data)) / 512 // full blocks only; the tail fragment would read past EOF
-	buf := make([]byte, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cache, err := NewCachedStore(fastDevice(back), 512, blocks*512)
-		if err != nil {
-			b.Fatal(err)
+// failAfter serves a fixed number of adjacency reads from the embedded graph
+// and then fails, aborting the traversal from inside a visit. Embedding keeps
+// the graph's NeighborsBatch and SettleSink, so the engine still windows its
+// pops and still feeds the state policy.
+type failAfter struct {
+	*Graph[uint32]
+	left int
+}
+
+func (f *failAfter) Neighbors(v uint32, s *graph.Scratch[uint32]) ([]uint32, []graph.Weight, error) {
+	if f.left == 0 {
+		return nil, nil, errInjected
+	}
+	f.left--
+	return f.Graph.Neighbors(v, s)
+}
+
+var errInjected = errors.New("injected storage failure")
+
+// TestAbortedTraversalUnpinsStatePolicy aborts a one-worker windowed BFS in
+// the middle of a pop window and checks the state policy ends where it
+// started: every pending-visitor counter back at zero, no block left pinned
+// on a mount that outlives the query. One worker makes the drain exact — no
+// visitor can be stranded in another worker's outbox.
+func TestAbortedTraversalUnpinsStatePolicy(t *testing.T) {
+	g, err := gen.RMATUndirected[uint32](10, 8, gen.RMATA, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, state := statePair(t, g, false)
+	// 37 successful reads: past the first few windows, and not a multiple of
+	// the window, so the failure lands inside one.
+	adj := &failAfter{Graph: state, left: 37}
+	_, err = core.BFS[uint32](adj, 1, core.Config{Workers: 1, SemiSort: true, Prefetch: 16})
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want the injected failure", err)
+	}
+	sp := state.state
+	if sp.PinnedHW() == 0 {
+		t.Fatal("the traversal never pinned a block; nothing was tested")
+	}
+	if n := sp.Pinned(); n != 0 {
+		t.Errorf("%d blocks still pinned after the aborted traversal", n)
+	}
+	for b := range sp.pending {
+		if n := sp.pending[b].Load(); n != 0 {
+			t.Errorf("block %d: pending = %d after the aborted traversal", b, n)
 		}
-		for id := int64(0); id < blocks; id++ {
-			if _, err := cache.ReadAt(buf, id*512); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		cache.Resize(blocks * 512 / 8) // evict 7/8 of the cache in one pass
 	}
 }

@@ -19,9 +19,9 @@ package sem
 // other worker ever touches it. The I/O goroutines communicate with the owner
 // only through each span's ready channel (close happens-after the buffer and
 // error are written). Visiting in pop-window order rather than strict
-// one-at-a-time heap order is safe for the label-correcting kernels by the
-// same monotonicity argument as CoarseShift: reordering costs at most extra
-// corrections, never wrong labels.
+// one-at-a-time heap order is safe for the label-correcting kernels because
+// every relaxation is monotone: reordering costs at most extra corrections,
+// never wrong labels.
 
 import (
 	"sort"

@@ -252,11 +252,6 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 	return writeCSR(w, sub, in, cfg.Symmetric, sm)
 }
 
-// WriteCSR serializes an in-memory CSR into the semi-external format.
-func WriteCSR[V graph.Vertex](w io.Writer, g *graph.CSR[V]) error {
-	return writeCSR(w, g, nil, false, nil)
-}
-
 // sectionFlags folds the reverse-capability bits into flags.
 func sectionFlags(flags uint64, hasIn, symmetric bool) uint64 {
 	if hasIn {

@@ -34,7 +34,7 @@ func buildGraph(t testing.TB, n uint64, m int, weighted bool, seed uint64) *grap
 func writeToMem[V graph.Vertex](t testing.TB, g *graph.CSR[V]) *ssd.MemBacking {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	return &ssd.MemBacking{Data: buf.Bytes()}
@@ -311,7 +311,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := WriteCSR(&buf, g); err != nil {
+		if err := Write(&buf, g, WriteConfig{}); err != nil {
 			return false
 		}
 		got, err := LoadCSR[uint32](fastDevice(&ssd.MemBacking{Data: buf.Bytes()}))

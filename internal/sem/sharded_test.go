@@ -91,7 +91,7 @@ func TestShardMapRoundTrip(t *testing.T) {
 	}
 	// Plain writers stay shard-free: TotalEdges falls back to the header m.
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	pg, err := Open[uint32](bytes.NewReader(buf.Bytes()))
@@ -173,7 +173,7 @@ func TestMountShardsMixedFormats(t *testing.T) {
 func TestMountShardsSinglePlainFile(t *testing.T) {
 	g := buildGraph(t, 80, 400, false, 4)
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	sg, err := Open[uint32](bytes.NewReader(buf.Bytes()))
@@ -193,7 +193,7 @@ func TestMountShardsRejectsBadSets(t *testing.T) {
 	g := buildGraph(t, 150, 900, true, 17)
 	set3 := openShardSet(t, g, 3, false)
 	var plainBuf bytes.Buffer
-	if err := WriteCSR(&plainBuf, g); err != nil {
+	if err := Write(&plainBuf, g, WriteConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	plain, err := Open[uint32](bytes.NewReader(plainBuf.Bytes()))

@@ -6,12 +6,10 @@ package server
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
@@ -88,115 +86,30 @@ func ParseRateSpec(arg string) (rate, burst float64, err error) {
 	return rate, burst, nil
 }
 
-// MountOptions tune how MountGraph assembles the storage stack.
-type MountOptions struct {
-	// Prefetch is the engine pop-window size; SEM mounts enable the
-	// prefetcher when it exceeds 1.
-	Prefetch int
-	// PrefetchGap is the max byte gap coalesced into one prefetch read.
-	PrefetchGap int
-	// CachePolicy selects the block-cache eviction policy of SEM mounts
-	// (zero value = legacy LRU; see sem.CachePolicyConfig).
-	CachePolicy sem.CachePolicyConfig
-	// Direction is the engine's BFS direction policy; non-top-down
-	// in-memory mounts pair the CSR with its transpose (semi-external
-	// mounts must carry an in-edge section; AddGraph enforces that).
-	Direction core.Direction
-}
+// MountOptions are the storage-stack options shared by every graph a server
+// mounts (see mount.Options). MountGraph fills in SEM, Profile and Shards
+// from the graph's own spec.
+type MountOptions = mount.Options
 
 // MountGraph opens one graph (a plain file or a complete shard set) as a
 // server.Graph: decoded fully into an in-memory CSR, or mounted
 // semi-externally with one block-cached simulated flash device per shard.
+// The files stay open for the life of the process.
 func MountGraph(spec MountSpec, opt MountOptions) (Graph, error) {
-	g := Graph{Name: spec.Name, RateLimit: spec.Limit}
-	paths, sharded, err := sem.ShardPaths(spec.Path, spec.Shards)
+	g := Graph{Name: spec.Name, RateLimit: spec.Limit, Storage: "im"}
+	opt.SEM, opt.Shards = spec.SEM, spec.Shards
+	if spec.SEM {
+		var err error
+		if opt.Profile, err = ssd.ProfileByName(spec.Profile); err != nil {
+			return g, err
+		}
+		g.Storage = "sem"
+	}
+	m, err := mount.Files(spec.Path, opt)
 	if err != nil {
-		return g, err
+		return g, fmt.Errorf("graph %q: %w", spec.Name, err)
 	}
-	backings := make([]*ssd.FileBacking, len(paths))
-	for i, pth := range paths {
-		f, err := os.Open(pth)
-		if err != nil {
-			return g, err
-		}
-		// The backing mmap-reads the file for the process lifetime; nothing
-		// to close eagerly here.
-		if backings[i], err = ssd.NewFileBacking(f); err != nil {
-			_ = f.Close()
-			return g, err
-		}
-	}
-	if !spec.SEM {
-		if sharded {
-			stores := make([]sem.Store, len(backings))
-			for i, b := range backings {
-				stores[i] = b
-			}
-			csr, err := sem.LoadShardedCSR[uint32](stores)
-			if err != nil {
-				return g, err
-			}
-			if g.Adj, err = imAdjacency(csr, opt.Direction); err != nil {
-				return g, err
-			}
-			g.Storage, g.Shards = "im", len(stores)
-			return g, nil
-		}
-		csr, err := sem.LoadCSR[uint32](backings[0])
-		if err != nil {
-			return g, err
-		}
-		if g.Adj, err = imAdjacency(csr, opt.Direction); err != nil {
-			return g, err
-		}
-		g.Storage = "im"
-		return g, nil
-	}
-	p, err := ssd.ProfileByName(spec.Profile)
-	if err != nil {
-		return g, err
-	}
-	devs := make([]*ssd.Device, len(backings))
-	caches := make([]*sem.CachedStore, len(backings))
-	sgs := make([]*sem.Graph[uint32], len(backings))
-	for i, b := range backings {
-		devs[i] = ssd.New(p, b)
-		if caches[i], err = sem.NewCachedStoreRA(devs[i], 4096, b.Size()/2, 8); err != nil {
-			return g, err
-		}
-		if sgs[i], err = sem.Open[uint32](caches[i]); err != nil {
-			return g, err
-		}
-		if opt.CachePolicy.StateAware() {
-			sgs[i].EnableStateCache()
-		}
-		if opt.Prefetch > 1 {
-			sgs[i].EnablePrefetch(sem.PrefetchConfig{MaxGap: opt.PrefetchGap})
-		}
-	}
-	g.SEMGraphs = sgs
-	if sharded {
-		mounted, err := sem.MountShards(sgs)
-		if err != nil {
-			return g, err
-		}
-		g.Adj, g.Storage = mounted, "sem"
-		g.Devices, g.BlockCaches, g.Shards = devs, caches, len(sgs)
-		return g, nil
-	}
-	g.Adj, g.Storage, g.Device, g.BlockCache = sgs[0], "sem", devs[0], caches[0]
+	g.Adj, g.Alpha, g.Beta = m.Adj, m.Engine.Alpha, m.Engine.Beta
+	g.Devices, g.BlockCaches, g.SEMGraphs, g.Shards = m.Devices, m.Caches, m.Graphs, m.Shards
 	return g, nil
-}
-
-// imAdjacency wraps an in-memory CSR for the requested direction: top-down
-// serves the CSR as is, anything else pairs it with its transpose.
-func imAdjacency(csr *graph.CSR[uint32], dir core.Direction) (graph.Adjacency[uint32], error) {
-	if dir == core.DirectionTopDown {
-		return csr, nil
-	}
-	rev, err := graph.Transpose(csr)
-	if err != nil {
-		return nil, err
-	}
-	return graph.NewBidi[uint32](csr, rev)
 }

@@ -44,7 +44,7 @@ func buildStores(tb testing.TB, scale int) *testStores {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sem.WriteCSR(&buf, weighted); err != nil {
+	if err := sem.Write(&buf, weighted, sem.WriteConfig{}); err != nil {
 		tb.Fatal(err)
 	}
 	dev := ssd.New(
