@@ -123,10 +123,19 @@ func IdentityHash(v uint64) uint64 { return v }
 
 // Stats summarizes a completed traversal.
 type Stats struct {
-	Visits   uint64 // visitors executed (a vertex may be visited many times)
-	Pushes   uint64 // visitors queued
-	MaxQueue int    // high-water mark across all visitor queues
-	Workers  int    // worker count used
+	Visits uint64 // visitors executed (a vertex may be visited many times)
+	// Pushes counts the visitors queued from inside visitors (Ctx.Push).
+	// External seeds (Engine.Push, ParallelInit) are counted by neither Pushes
+	// nor Pruned.
+	Pushes uint64
+	// Pruned counts the proposals the relaxation kernel dropped at the sender
+	// because an equal-or-better one for the same vertex was already claimed
+	// (kernelState.propose); they were never queued. Pushes + Pruned is the
+	// number of edges the kernel's visitors relaxed. Zero for custom visitors
+	// and for the direction driver.
+	Pruned   uint64
+	MaxQueue int // high-water mark across all visitor queues
+	Workers  int // worker count used
 	// PeakOutstanding is the maximum number of simultaneously queued or
 	// executing visitors: a direct measurement of the graph's available
 	// path parallelism (§III-B1 — the chain of Figure 2 pins this near 1,
@@ -162,8 +171,8 @@ func (s Stats) Imbalance() float64 {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("visits=%d pushes=%d maxQueue=%d peak=%d workers=%d",
-		s.Visits, s.Pushes, s.MaxQueue, s.PeakOutstanding, s.Workers)
+	return fmt.Sprintf("visits=%d pushes=%d pruned=%d maxQueue=%d peak=%d workers=%d",
+		s.Visits, s.Pushes, s.Pruned, s.MaxQueue, s.PeakOutstanding, s.Workers)
 }
 
 // Ctx is the per-worker context handed to every visitor invocation. It
@@ -231,19 +240,17 @@ type Engine[V graph.Vertex] struct {
 	queues []*workQueue
 	wg     sync.WaitGroup
 
-	// res holds the recyclable per-worker state (queues, outboxes, scratch).
-	// pool, when non-nil, receives res back after Wait so the next traversal
-	// reuses it instead of reallocating (see EnginePool).
-	res  *engineRes[V]
-	pool *EnginePool[V]
+	// res holds the recyclable per-worker state (queues, outboxes, scratch);
+	// a pooled traversal's caller hands it back to its EnginePool after Wait.
+	res *engineRes[V]
 	// stop is closed by Wait once the workers have exited; it retires the
 	// Config.Context watcher goroutine so cancellation support never leaks.
 	stop chan struct{}
 	// watcherDone, non-nil iff Start launched a Config.Context watcher, is
-	// closed when that watcher exits. Wait joins on it before handing the
-	// resource set back to the pool: a watcher caught mid-Abort still holds
-	// e.queues, and releasing (then recycling) the queues under it would let
-	// its finish() mark a *different* traversal's queues done.
+	// closed when that watcher exits. Wait joins on it before returning, so a
+	// pooled caller cannot release the resource set under it: a watcher caught
+	// mid-Abort still holds e.queues, and recycling the queues under it would
+	// let its finish() mark a *different* traversal's queues done.
 	watcherDone chan struct{}
 
 	// term detects termination: it counts queued-but-unfinished visitors
@@ -258,6 +265,7 @@ type Engine[V graph.Vertex] struct {
 
 	visits atomic.Uint64
 	pushes atomic.Uint64
+	pruned atomic.Uint64
 
 	// workerVisits[i] is written only by worker i and read after wg.Wait.
 	workerVisits []uint64
@@ -280,18 +288,17 @@ type Engine[V graph.Vertex] struct {
 // New creates an engine that will execute visit for every queued visitor.
 func New[V graph.Vertex](cfg Config, visit VisitFunc[V]) *Engine[V] {
 	cfg.normalize()
-	return newEngine(cfg, visit, newEngineRes[V](cfg), nil)
+	return newEngine(cfg, visit, newEngineRes[V](cfg))
 }
 
 // newEngine wires an engine onto a (fresh or recycled) resource set. cfg must
 // already be normalized and must match the configuration res was built with.
-func newEngine[V graph.Vertex](cfg Config, visit VisitFunc[V], res *engineRes[V], pool *EnginePool[V]) *Engine[V] {
+func newEngine[V graph.Vertex](cfg Config, visit VisitFunc[V], res *engineRes[V]) *Engine[V] {
 	e := &Engine[V]{
 		cfg:   cfg,
 		visit: visit,
 		term:  NewTerminator(),
 		res:   res,
-		pool:  pool,
 		stop:  make(chan struct{}),
 	}
 	e.workerVisits = make([]uint64, cfg.Workers)
@@ -406,6 +413,7 @@ func (e *Engine[V]) Wait() (Stats, error) {
 	st := Stats{
 		Visits:          e.visits.Load(),
 		Pushes:          e.pushes.Load(),
+		Pruned:          e.pruned.Load(),
 		Workers:         len(e.queues),
 		PeakOutstanding: e.term.Peak(),
 		WorkerVisits:    e.workerVisits,
@@ -414,11 +422,6 @@ func (e *Engine[V]) Wait() (Stats, error) {
 		if m := q.heap.MaxLen(); m > st.MaxQueue {
 			st.MaxQueue = m
 		}
-	}
-	if e.pool != nil {
-		res := e.res
-		e.res, e.queues = nil, nil // single-shot: no use after release
-		e.pool.release(res)
 	}
 	return st, e.err
 }
@@ -455,6 +458,7 @@ func (e *Engine[V]) Abort(err error) {
 func (e *Engine[V]) retire(ctx *Ctx[V], id int) {
 	e.visits.Add(ctx.stats.visits)
 	e.pushes.Add(ctx.stats.pushes)
+	e.pruned.Add(ctx.stats.pruned)
 	e.workerVisits[id] = ctx.stats.visits
 	e.wg.Done()
 }

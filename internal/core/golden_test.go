@@ -35,6 +35,7 @@ func labelDigest(labels []graph.Dist) uint64 {
 
 type goldenRun struct {
 	visits, pushes     uint64
+	pruned             uint64
 	maxQueue           int
 	digest             uint64
 	windows, announced int
@@ -49,7 +50,7 @@ func ccSeededBeforeStart(t *testing.T, g *graph.CSR[uint32], prefetch int) golde
 	t.Helper()
 	labels := make([]graph.Dist, g.NumVertices())
 	initLabels[uint32](labels, nil)
-	k := &kernelState[uint32]{g: g, labels: labels, step: ccStep}
+	k := newKernelState[uint32](g, labels, nil, ccStep, nil, nil)
 	e := New[uint32](Config{Workers: 1, Prefetch: prefetch}, k.visit)
 	var run goldenRun
 	if prefetch > 1 {
@@ -66,26 +67,35 @@ func ccSeededBeforeStart(t *testing.T, g *graph.CSR[uint32], prefetch int) golde
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.visits, run.pushes, run.maxQueue, run.digest = st.Visits, st.Pushes, st.MaxQueue, labelDigest(labels)
+	run.visits, run.pushes, run.pruned, run.maxQueue, run.digest = st.Visits, st.Pushes, st.Pruned, st.MaxQueue, labelDigest(labels)
 	return run
 }
 
 // TestSingleWorkerGolden pins the worker loop's pop order: a one-worker run
-// is deterministic, so its visit, push and queue high-water counters and its
-// labels are a fingerprint of the exact pop/visit/deliver sequence, with the
-// loop at width 1 and at a 16-wide pop window. The expected values were
-// recorded from the two-loop engine (worker + workerWindowed) this loop
-// replaced.
+// is deterministic, so its visit, push, prune and queue high-water counters
+// and its labels are a fingerprint of the exact pop/visit/deliver sequence,
+// with the loop at width 1 and at a 16-wide pop window.
+//
+// The label digests are the ones recorded before the claim-at-push filter
+// (kernelState.propose); the counters were re-recorded with it. Without the
+// filter the same runs read {visits, pushes, maxQueue, windows, announced}:
+//
+//	bfs          4770 4769 2977   0    0
+//	bfs-window   4770 4769 3040 118  606
+//	sssp         4770 4769 2963   0    0
+//	sssp-window  4783 4782 2960 128  606
+//	cc           3680 3080 2168   0    0
+//	cc-window    3710 3110 2280 233 3709
 func TestSingleWorkerGolden(t *testing.T) {
 	dg := randomDigraph(t, 600, 4800, true, 41)
 	ug := randomUndirected(t, 600, 1500, 43)
 	want := map[string]goldenRun{
-		"bfs":         {4770, 4769, 2977, 0x9b3a73cd36111e6, 0, 0},
-		"bfs-window":  {4770, 4769, 3040, 0x9b3a73cd36111e6, 118, 606},
-		"sssp":        {4770, 4769, 2963, 0xa039ef19f5f055a5, 0, 0},
-		"sssp-window": {4783, 4782, 2960, 0xa039ef19f5f055a5, 128, 606},
-		"cc":          {3680, 3080, 2168, 0xda43a2686a5590c5, 0, 0},
-		"cc-window":   {3710, 3110, 2280, 0xda43a2686a5590c5, 233, 3709},
+		"bfs":         {600, 599, 4170, 375, 0x9b3a73cd36111e6, 0, 0},
+		"bfs-window":  {600, 599, 4170, 368, 0x9b3a73cd36111e6, 38, 597},
+		"sssp":        {1111, 1110, 3942, 654, 0xa039ef19f5f055a5, 0, 0},
+		"sssp-window": {1125, 1124, 3978, 656, 0xa039ef19f5f055a5, 70, 647},
+		"cc":          {1301, 701, 2553, 966, 0xda43a2686a5590c5, 0, 0},
+		"cc-window":   {1307, 707, 2578, 968, 0xda43a2686a5590c5, 83, 1305},
 	}
 	got := map[string]goldenRun{}
 	for _, window := range []bool{false, true} {
@@ -99,14 +109,33 @@ func TestSingleWorkerGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got["bfs"+suffix] = goldenRun{bfs.Stats.Visits, bfs.Stats.Pushes, bfs.Stats.MaxQueue, labelDigest(bfs.Level), wa.windows, wa.announced}
+		got["bfs"+suffix] = goldenRun{bfs.Stats.Visits, bfs.Stats.Pushes, bfs.Stats.Pruned, bfs.Stats.MaxQueue, labelDigest(bfs.Level), wa.windows, wa.announced}
 		wa.windows, wa.announced = 0, 0
 		sssp, err := SSSP[uint32](adj, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got["sssp"+suffix] = goldenRun{sssp.Stats.Visits, sssp.Stats.Pushes, sssp.Stats.MaxQueue, labelDigest(sssp.Dist), wa.windows, wa.announced}
+		got["sssp"+suffix] = goldenRun{sssp.Stats.Visits, sssp.Stats.Pushes, sssp.Stats.Pruned, sssp.Stats.MaxQueue, labelDigest(sssp.Dist), wa.windows, wa.announced}
 		got["cc"+suffix] = ccSeededBeforeStart(t, ug, cfg.Prefetch)
+
+		// What the filter makes true of a one-worker BFS: no vertex is queued
+		// twice, so every reached vertex is visited exactly once and relaxes
+		// each of its out-edges exactly once — queued or pruned. (The source's
+		// external seed is counted by neither Pushes nor Pruned.)
+		var reached, outEdges uint64
+		for v, l := range bfs.Level {
+			if l != graph.InfDist {
+				reached++
+				outEdges += uint64(dg.Degree(uint32(v)))
+			}
+		}
+		if bfs.Stats.Visits != reached {
+			t.Errorf("bfs%s: %d visits for %d reached vertices", suffix, bfs.Stats.Visits, reached)
+		}
+		if sum := bfs.Stats.Pushes + bfs.Stats.Pruned; sum != outEdges {
+			t.Errorf("bfs%s: pushes %d + pruned %d = %d, want the reached vertices' %d out-edges",
+				suffix, bfs.Stats.Pushes, bfs.Stats.Pruned, sum, outEdges)
+		}
 	}
 	for name, w := range want {
 		if g := got[name]; g != w {

@@ -137,3 +137,18 @@ func TestPoolResetRestoresPristine(t *testing.T) {
 	// dirty, closed queue set is fully restored.
 	r.reset()
 }
+
+// TestLostProposalPanics leaves the state a sender would that won the claim
+// on best[t] and then skipped the push: the traversal completes, but t's
+// filter word is lower than any label it was ever given.
+func TestLostProposalPanics(t *testing.T) {
+	g := randomDigraph(t, 8, 16, false, 1)
+	labels := make([]uint64, g.NumVertices())
+	initLabels[uint32](labels, nil)
+	src := uint32(0)
+	k := newKernelState[uint32](g, labels, nil, bfsStep, &src, nil)
+	labels[src] = 0
+	k.assertQuiescent() // the seed was applied, nothing else was claimed
+	k.best[3] = 1
+	expectInvariantPanic(t, "proposal filter", k.assertQuiescent)
+}

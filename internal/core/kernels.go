@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/invariant"
 	"repro/internal/pq"
 )
 
@@ -15,12 +17,26 @@ import (
 // SemiSort, the pop window, and mailbox batching with no per-backend visitor
 // code.
 //
-// The shared visitor body (label-correcting, §III-B):
+// The shared visitor body (label-correcting, §III-B) is "claim, then push":
 //
 //	if it.Pri >= label[v]: return            // stale visitor, drop
 //	label[v] = it.Pri                        // relax vertex information
 //	for each neighbor t of v:
-//	    push(step(it.Pri, weight), t)        // propose a better label
+//	    p = step(it.Pri, weight)             // propose a better label
+//	    if p >= best[t]: continue            // already beaten: never queued
+//	    if CAS-min(best[t], p): push(p, t)   // claim, then push
+//
+// best is one filter word per vertex, the lowest priority any sender has
+// queued for it so far. A proposal is dropped only when an equal-or-better
+// one for the same vertex has already been claimed — and a claimed proposal
+// is a seed or is pushed by the sender that won the claim, so it is
+// registered with the Terminator before the traversal can end, will be
+// visited, and will relax t at least as far. Final labels are therefore the
+// ones the unfiltered kernel computes, and whichever proposal wins a tie is
+// still a tree edge. The paper lets the owner decide everything (§III-B:
+// push per edge, drop on arrival); the filter departs from that by exactly
+// this one shared word, while vertex state — labels, parents — stays written
+// by the owner alone (§III-A).
 //
 // Correctness does not depend on visit order: every relaxation is monotone,
 // so any interleaving (including mailbox-delayed delivery) converges to the
@@ -35,15 +51,43 @@ func ssspStep(pri uint64, w graph.Weight) uint64 { return pri + uint64(w) }
 func ccStep(pri uint64, _ graph.Weight) uint64   { return pri }
 
 // kernelState is the per-traversal state of the shared relaxation kernel:
-// the label (and optional parent) arrays plus the relaxation arithmetic. Its
-// visit method is the engine's VisitFunc — a named method rather than a
-// closure so the per-visit path allocates nothing and carries the hotpath
-// annotation.
+// the label (and optional parent) arrays, the proposal filter, and the
+// relaxation arithmetic. Its visit method is the engine's VisitFunc — a named
+// method rather than a closure so the per-visit path allocates nothing and
+// carries the hotpath annotation.
 type kernelState[V graph.Vertex] struct {
 	g      graph.Adjacency[V]
 	labels []graph.Dist
 	parent []V
 	step   stepFunc
+	// best[t] is the lowest priority claimed for t so far: a seed's, or a
+	// proposal's whose sender then pushed it. Any worker lowers it, with
+	// sync/atomic only; best[t] <= labels[t] at all times, with equality once
+	// the traversal has completed. The fill in newKernelState and the read in
+	// assertQuiescent are plain: they are ordered before Start and after Wait.
+	best []uint64
+}
+
+// newKernelState builds the kernel state of one traversal and claims its
+// seeds in best: priority 0 for the single source *src (BFS, SSSP), or, with
+// src nil, every vertex's own id (CC) — so a proposal that cannot beat a seed
+// is pruned like any other. The caller queues the matching seed visitors.
+// buf is recycled storage for best and may be nil or too short.
+func newKernelState[V graph.Vertex](g graph.Adjacency[V], labels []graph.Dist, parent []V, step stepFunc, src *V, buf []uint64) *kernelState[V] {
+	n := len(labels)
+	if cap(buf) < n {
+		buf = make([]uint64, n)
+	}
+	best := buf[:n]
+	if src != nil {
+		initLabels[V](best, nil)
+		best[*src] = 0
+	} else {
+		for i := range best {
+			best[i] = uint64(i)
+		}
+	}
+	return &kernelState[V]{g: g, labels: labels, parent: parent, step: step, best: best}
 }
 
 // visit is the shared visitor body (label-correcting, §III-B). The owner
@@ -70,22 +114,55 @@ func (k *kernelState[V]) visit(ctx *Ctx[V], it pq.Item) error {
 	}
 	if weights == nil {
 		for _, t := range targets {
-			ctx.Push(k.step(it.Pri, 1), t, aux)
+			k.propose(ctx, k.step(it.Pri, 1), t, aux)
 		}
 	} else {
 		for i, t := range targets {
-			ctx.Push(k.step(it.Pri, weights[i]), t, aux)
+			k.propose(ctx, k.step(it.Pri, weights[i]), t, aux)
 		}
 	}
 	return nil
+}
+
+// propose queues a visitor for t at priority pri unless an equal-or-better
+// one was already claimed: it lowers best[t] to pri, and only the sender
+// whose compare-and-swap lands pushes. A pruned proposal touches neither the
+// Terminator, the settle sink nor the outbox.
+//
+//lint:hotpath
+func (k *kernelState[V]) propose(ctx *Ctx[V], pri uint64, t V, aux uint64) {
+	b := &k.best[t]
+	for {
+		cur := atomic.LoadUint64(b)
+		if pri >= cur {
+			ctx.stats.pruned++
+			return
+		}
+		if atomic.CompareAndSwapUint64(b, cur, pri) {
+			ctx.Push(pri, t, aux)
+			return
+		}
+	}
+}
+
+// assertQuiescent checks a completed traversal under `-tags invariants`:
+// every claimed proposal was delivered and applied, so the filter word of
+// every vertex equals its final label.
+func (k *kernelState[V]) assertQuiescent() {
+	for v, b := range k.best {
+		if b != k.labels[v] {
+			invariant.Failf("proposal filter: vertex %d finished with label %d but best claimed proposal %d", v, k.labels[v], b)
+		}
+	}
 }
 
 // runKernel executes the shared label-relaxation traversal. labels must be
 // length NumVertices and initialized to graph.InfDist ("initialized to
 // infinity"). parent, when non-nil, records the proposing vertex of each
 // accepted label (tree edges for BFS/SSSP); pass nil for algorithms without
-// parent tracking (CC). seed issues the initial visitors between Start and
-// Wait.
+// parent tracking (CC). The traversal is seeded from *src at priority 0 with
+// itself as parent, or, when src is nil, from every vertex at priority = its
+// own id. A non-nil pool lends the engine resources and takes them back.
 func runKernel[V graph.Vertex](
 	g graph.Adjacency[V],
 	cfg Config,
@@ -93,15 +170,18 @@ func runKernel[V graph.Vertex](
 	labels []graph.Dist,
 	parent []V,
 	step stepFunc,
-	seed func(e *Engine[V]),
+	src *V,
 ) (Stats, error) {
-	k := &kernelState[V]{g: g, labels: labels, parent: parent, step: step}
-	var e *Engine[V]
+	cfg.normalize()
+	var res *engineRes[V]
 	if pool != nil {
-		e = newEngine(cfg, k.visit, pool.acquire(), pool)
+		res = pool.acquire()
 	} else {
-		e = New[V](cfg, k.visit)
+		res = newEngineRes[V](cfg)
 	}
+	k := newKernelState(g, labels, parent, step, src, res.best)
+	res.best = k.best // recycled with the rest of the set
+	e := newEngine(cfg, k.visit, res)
 	// Storage back ends with state-aware caching opt in through an optional
 	// capability: a SettleProvider's sink receives the visitor lifecycle,
 	// feeding the per-block settle counters behind the cache's eviction
@@ -133,8 +213,21 @@ func runKernel[V graph.Vertex](
 		}
 	}
 	e.Start()
-	seed(e)
-	return e.Wait()
+	if src != nil {
+		e.Push(0, *src, uint64(*src))
+	} else {
+		e.ParallelInit(uint64(len(labels)), func(i uint64) (uint64, V, uint64) {
+			return i, V(i), 0
+		})
+	}
+	st, err := e.Wait()
+	if invariant.Enabled && err == nil {
+		k.assertQuiescent()
+	}
+	if pool != nil {
+		pool.release(res)
+	}
+	return st, err
 }
 
 // initLabels fills labels with InfDist and parent (if non-nil) with NoVertex.
@@ -173,9 +266,7 @@ func bfsKernel[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config, pool *En
 		Parent: make([]V, n),
 	}
 	initLabels(res.Level, res.Parent)
-	st, err := runKernel(g, cfg, pool, res.Level, res.Parent, bfsStep, func(e *Engine[V]) {
-		e.Push(0, src, uint64(src))
-	})
+	st, err := runKernel(g, cfg, pool, res.Level, res.Parent, bfsStep, &src)
 	res.Stats = st
 	if err != nil {
 		return nil, err
@@ -204,9 +295,7 @@ func ssspKernel[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config, pool *E
 		Parent: make([]V, n),
 	}
 	initLabels(res.Dist, res.Parent)
-	st, err := runKernel(g, cfg, pool, res.Dist, res.Parent, ssspStep, func(e *Engine[V]) {
-		e.Push(0, src, uint64(src)) // source visitor with path length 0, parent = self
-	})
+	st, err := runKernel(g, cfg, pool, res.Dist, res.Parent, ssspStep, &src)
 	res.Stats = st
 	if err != nil {
 		return nil, err
@@ -228,11 +317,8 @@ func ccKernel[V graph.Vertex](g graph.Adjacency[V], cfg Config, pool *EnginePool
 	n := g.NumVertices()
 	labels := make([]graph.Dist, n)
 	initLabels[V](labels, nil) // the paper's "initialized to infinity"
-	st, err := runKernel(g, cfg, pool, labels, nil, ccStep, func(e *Engine[V]) {
-		e.ParallelInit(n, func(i uint64) (uint64, V, uint64) {
-			return i, V(i), 0 // each vertex starts as its own component id
-		})
-	})
+	// A nil source seeds every vertex with its own id as component id.
+	st, err := runKernel(g, cfg, pool, labels, nil, ccStep, nil)
 	if err != nil {
 		return nil, err
 	}

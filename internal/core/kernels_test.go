@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -157,5 +158,105 @@ func TestCrossQueueEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkTreeEdges asserts that parent describes a tree of tight edges of g:
+// the source is its own parent, an unreached vertex has none, and every other
+// reached v hangs off an existing edge parent[v] -> v whose weight (1 when
+// unweighted) closes label[parent[v]] + w == label[v].
+func checkTreeEdges(t *testing.T, g *graph.CSR[uint32], src uint32, labels []graph.Dist, parent []uint32, unweighted bool) {
+	t.Helper()
+	no := graph.NoVertex[uint32]()
+	for v := uint32(0); uint64(v) < g.NumVertices(); v++ {
+		p := parent[v]
+		switch {
+		case v == src:
+			if p != src {
+				t.Fatalf("parent[src] = %d, want the source itself", p)
+			}
+			continue
+		case labels[v] == graph.InfDist:
+			if p != no {
+				t.Fatalf("unreached vertex %d has parent %d", v, p)
+			}
+			continue
+		case p == no || labels[p] == graph.InfDist:
+			t.Fatalf("reached vertex %d has parent %d, which is not a reached vertex", v, p)
+		}
+		targets, weights, _ := g.Neighbors(p, nil)
+		tight := false
+		for i, u := range targets {
+			w := graph.Dist(1)
+			if !unweighted && weights != nil {
+				w = graph.Dist(weights[i])
+			}
+			if u == v && labels[p]+w == labels[v] {
+				tight = true
+				break
+			}
+		}
+		if !tight {
+			t.Fatalf("parent[%d] = %d is not a tree edge: label %d -> %d over no edge of that weight", v, p, labels[p], labels[v])
+		}
+	}
+}
+
+// TestParentsAreTreeEdges pins what the proposal filter must not change. It
+// narrows which of several racing proposals for a vertex gets queued, so
+// which tie wins a parent differs from run to run; whichever does, the
+// recorded parent must be a tree edge, on both back ends, with several
+// workers.
+func TestParentsAreTreeEdges(t *testing.T) {
+	dg := randomDigraph(t, 400, 3200, true, 17)
+	const src = 5
+	for _, be := range []struct {
+		name string
+		g    graph.Adjacency[uint32]
+	}{{"IM", dg}, {"SEM", semMirror(t, dg)}} {
+		t.Run(be.name, func(t *testing.T) {
+			for rep := 0; rep < 5; rep++ {
+				cfg := Config{Workers: 8, SemiSort: rep%2 == 1}
+				bfs, err := BFS[uint32](be.g, src, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkTreeEdges(t, dg, src, bfs.Level, bfs.Parent, true)
+				sssp, err := SSSP[uint32](be.g, src, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkTreeEdges(t, dg, src, sssp.Dist, sssp.Parent, false)
+			}
+		})
+	}
+}
+
+// TestPrunedAccounting checks Stats.Pruned against what it is defined by, on
+// a multi-worker run: every queued visitor of a completed traversal is
+// visited (Visits = Pushes + the one external seed), and every relaxation of
+// a reached vertex sends each out-edge to exactly one of Pushes and Pruned —
+// at least once per reached vertex, more when a label was corrected.
+func TestPrunedAccounting(t *testing.T) {
+	dg := randomDigraph(t, 400, 3200, true, 17)
+	res, err := SSSP[uint32](dg, 5, Config{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.Visits != st.Pushes+1 {
+		t.Errorf("visits %d, want pushes %d + 1 seed", st.Visits, st.Pushes)
+	}
+	var outEdges uint64
+	for v, d := range res.Dist {
+		if d != graph.InfDist {
+			outEdges += uint64(dg.Degree(uint32(v)))
+		}
+	}
+	if st.Pruned == 0 || st.Pushes+st.Pruned < outEdges {
+		t.Errorf("pushes %d + pruned %d, want at least the reached vertices' %d out-edges and some pruned", st.Pushes, st.Pruned, outEdges)
+	}
+	if want := "pruned="; !strings.Contains(st.String(), want) {
+		t.Errorf("Stats.String() = %q, want it to carry %q", st.String(), want)
 	}
 }

@@ -19,8 +19,8 @@ import (
 // steady state on everything except the result arrays themselves.
 
 // workerStats is one worker's hot, written-on-every-visit state: the
-// visit/push counters and the one-visitor pop window. The cells live in one
-// contiguous array (engineRes.stats), so without padding adjacent workers'
+// visit/push/prune counters and the one-visitor pop window. The cells live in
+// one contiguous array (engineRes.stats), so without padding adjacent workers'
 // cells would share cache lines and every write would ping-pong the line
 // between cores; the pad gives each worker a 64-byte line of its own. The pop
 // window sits here for the same reason: as a 24-byte heap object of its own
@@ -28,19 +28,25 @@ import (
 type workerStats struct {
 	visits uint64
 	pushes uint64
+	pruned uint64
 	pop    [1]pq.Item
-	_      [24]byte
+	_      [16]byte
 }
 
 // engineRes is the recyclable per-worker state of one engine run: the
-// visitor queues (mailboxes), the batching outboxes, and the adjacency
-// scratch buffers. A resource set is built for one normalized Config and may
-// only be reused under the same Workers and SemiSort settings.
+// visitor queues (mailboxes), the batching outboxes, the adjacency scratch
+// buffers, and the storage of the kernel's proposal filter. A resource set is
+// built for one normalized Config and may only be reused under the same
+// Workers and SemiSort settings.
 type engineRes[V graph.Vertex] struct {
 	queues  []*workQueue
 	scratch []*graph.Scratch[V]
 	stats   []workerStats
 	outs    []*outbox
+	// best parks the relaxation kernel's per-vertex proposal array between
+	// traversals (see kernelState.best). Only its storage is recycled: every
+	// traversal resizes and refills it, so reset leaves it alone.
+	best []uint64
 
 	// pooled marks a set currently sitting on the free list. Only consulted
 	// under `-tags invariants`, where releasing a set twice — which would let
@@ -124,8 +130,8 @@ func (r *engineRes[V]) assertPristine() {
 
 // EnginePool runs traversals on recycled engine resources. It is safe for
 // concurrent use: each traversal acquires its own resource set (allocating
-// one only when the free list is empty), and Wait returns the set after
-// resetting it. The pool is unbounded — a serving layer bounds it implicitly
+// one only when the free list is empty), and runKernel returns the set, reset,
+// once the traversal is over. The pool is unbounded — a serving layer bounds it implicitly
 // by bounding concurrent traversals (admission control).
 //
 // All traversals run under the pool's Config; the per-query knob is the

@@ -297,6 +297,7 @@ type querySummary struct {
 type queryStats struct {
 	Visits          uint64 `json:"visits"`
 	Pushes          uint64 `json:"pushes"`
+	Pruned          uint64 `json:"pruned"` // proposals dropped at the sender, never queued
 	MaxQueue        int    `json:"max_queue"`
 	PeakOutstanding int64  `json:"peak_outstanding"`
 	Workers         int    `json:"workers"`
@@ -586,6 +587,7 @@ func (s *Server) render(w http.ResponseWriter, req *queryRequest, res *queryResu
 		Stats: queryStats{
 			Visits:            res.stats.Visits,
 			Pushes:            res.stats.Pushes,
+			Pruned:            res.stats.Pruned,
 			MaxQueue:          res.stats.MaxQueue,
 			PeakOutstanding:   res.stats.PeakOutstanding,
 			Workers:           res.stats.Workers,

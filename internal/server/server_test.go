@@ -220,8 +220,8 @@ func TestQueryTargetsMatchStandalone(t *testing.T) {
 			t.Fatalf("vertex %d: dist=%d, standalone says %d", v, ts.Value, want.Dist[v])
 		}
 	}
-	if qr.Stats.Visits == 0 || qr.Stats.Workers != 8 {
-		t.Fatalf("stats = %+v, want visits > 0 and 8 workers", qr.Stats)
+	if qr.Stats.Visits == 0 || qr.Stats.Pruned == 0 || qr.Stats.Workers != 8 {
+		t.Fatalf("stats = %+v, want visits > 0, pruned > 0 and 8 workers", qr.Stats)
 	}
 }
 
