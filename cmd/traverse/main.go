@@ -300,7 +300,7 @@ func run(o options) error {
 		return fmt.Errorf("unsupported -algo %q with -engine %q", o.algo, o.engine)
 	}
 	if o.mount.SEM {
-		reportSemIO(m.Devices, m.Caches, m.Graphs, m.Shards > 0)
+		reportSemIO(m)
 	}
 	return nil
 }
@@ -325,7 +325,8 @@ func perEdge(edgeBytes int64, edges uint64) float64 {
 // the fan-out of pop-window spans across member devices is visible), block-
 // cache effectiveness, and — when the prefetch pipeline was on — its
 // span-coalescing counters.
-func reportSemIO(devs []*ssd.Device, caches []*sem.CachedStore, sgs []*sem.Graph[uint32], sharded bool) {
+func reportSemIO(m *mount.Mounted) {
+	devs, caches, sgs, sharded := m.Devices, m.Caches, m.Graphs, m.Shards > 0
 	stats := make([]ssd.Stats, len(devs))
 	for i, d := range devs {
 		stats[i] = d.Stats()
@@ -359,7 +360,12 @@ func reportSemIO(devs []*ssd.Device, caches []*sem.CachedStore, sgs []*sem.Graph
 		if hits+misses > 0 {
 			hitRate = 100 * float64(hits) / float64(hits+misses)
 		}
-		fmt.Printf("cache: policy=%s hits=%d misses=%d hitRate=%.1f%%", policy, hits, misses, hitRate)
+		// waits are the hits that found their block still under I/O; fetched
+		// blocks over misses is the mean span; inflightHW is memory held
+		// beyond the budget at the worst moment, in blocks (per shard device).
+		io := m.CacheIO()
+		fmt.Printf("cache: policy=%s hits=%d misses=%d hitRate=%.1f%% waits=%d fetched=%d evictions=%d inflightHW=%d",
+			policy, hits, misses, hitRate, io.Waits, io.Blocks, io.Evictions, io.InflightHW)
 		if policy == sem.PolicyState {
 			// High-water mark of simultaneously pinned blocks (per shard device):
 			// how much of the budget the settle counters actually defended.

@@ -526,7 +526,7 @@ func AblationDirection(o Options) (*Table, error) {
 func AblationCachePolicy(o Options) (*Table, error) {
 	t := &Table{
 		Title: "Ablation: SEM block-cache policy (async BFS, equal cache size)",
-		Cols:  []string{"graph", "profile", "policy", "time(s)", "devReads", "rd/edge", "cacheHit%", "pinnedHW", "dedupSp"},
+		Cols:  []string{"graph", "profile", "policy", "time(s)", "devReads", "rd/edge", "cacheHit%", "pinnedHW", "inflHW", "dedupSp"},
 	}
 	// The cell is pinned, not inherited from the sweep options: the policies
 	// only separate under sustained eviction pressure with a victim set big
@@ -628,6 +628,7 @@ func AblationCachePolicy(o Options) (*Table, error) {
 					fmt.Sprintf("%.4f", io.ReadsPerEdge()),
 					fmt.Sprintf("%.1f", 100*io.CacheHitRate()),
 					fmt.Sprintf("%d", io.PinnedHW),
+					fmt.Sprintf("%d", io.CacheIO.InflightHW),
 					fmt.Sprintf("%d", io.DedupSpans))
 				o.logf("ablation-cachepolicy: %s %s %s done\n", in.name, p.Name, pol)
 			}

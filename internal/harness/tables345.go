@@ -147,6 +147,7 @@ type SEMIO struct {
 	PerShard    []ssd.Stats // nil when the mount is a single store
 	CacheHits   uint64
 	CacheMisses uint64
+	CacheIO     sem.CacheIOStats // the miss path's side: waits, blocks fetched, evictions, in-flight high-water
 	Prefetch    sem.PrefetchStats
 	// DedupSpans / DedupBytes count prefetch spans (and their bytes) that were
 	// satisfied by another worker's in-flight read instead of a device
@@ -190,6 +191,7 @@ func semIO(m *mount.Mounted) SEMIO {
 	if len(stats) > 1 {
 		out.PerShard = stats
 	}
+	out.CacheIO = m.CacheIO()
 	for _, c := range m.Caches {
 		hits, misses := c.Stats()
 		out.CacheHits += hits

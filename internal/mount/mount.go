@@ -150,6 +150,15 @@ type Mounted struct {
 	files []*os.File
 }
 
+// CacheIO rolls the block caches' miss-path counters up across the shards.
+func (m *Mounted) CacheIO() sem.CacheIOStats {
+	var io sem.CacheIOStats
+	for _, c := range m.Caches {
+		io.Add(c.IOStats())
+	}
+	return io
+}
+
 // Close releases the files Files opened. A semi-external mount reads them
 // for as long as it is traversed.
 func (m *Mounted) Close() error {

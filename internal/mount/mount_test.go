@@ -146,6 +146,14 @@ func TestMountTable(t *testing.T) {
 				if _, ok := m.Adj.(*graph.Sharded[uint32]); !ok || m.Shards != 4 || len(m.Devices) != 4 || len(m.Caches) != 4 || len(m.Graphs) != 4 {
 					t.Errorf("sharded mount: adj=%T shards=%d devices=%d caches=%d graphs=%d", m.Adj, m.Shards, len(m.Devices), len(m.Caches), len(m.Graphs))
 				}
+				var misses uint64
+				for _, c := range m.Caches {
+					_, mi := c.Stats()
+					misses += mi
+				}
+				if io := m.CacheIO(); io.Fetches != misses || io.Blocks < io.Fetches || io.InflightHW < 1 || io.InflightHW > 8*4*defaultReadahead {
+					t.Errorf("rolled-up cache I/O %+v with %d misses over the shards, 8 workers", io, misses)
+				}
 			}},
 		{"state policy", sem.WriteConfig{}, 1,
 			with(sem1, func(o *Options) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/invariant"
 )
 
 // CachedStore wraps a Store with a fixed-budget block cache. The paper's
@@ -30,25 +32,38 @@ type CachedStore struct {
 	policy CachePolicy
 
 	// resident is a bitset over block ids: a set bit means the block is
-	// cached or being fetched. It gives the prefetcher and the recency-touch
-	// path a residency answer without taking shard locks on the hot path.
+	// cached (on a shard's lru) or being fetched (in a shard's in-flight
+	// table). It gives the prefetcher and the recency-touch path a residency
+	// answer without taking shard locks on the hot path.
 	resident []atomic.Uint64
 
 	hits   atomic.Uint64
-	misses atomic.Uint64
+	misses atomic.Uint64 // one per fetch: every miss is one device operation
+
+	// The rest of IOStats. flying is the number of blocks under I/O now.
+	fetched, waits, evictions atomic.Uint64
+	flying, flyingHW          atomic.Int64
 }
 
+// cacheShard holds the filled blocks it is charged for — blocks and lru, at
+// most capacity of them — and, apart from those, the blocks under I/O.
 type cacheShard struct {
 	mu       sync.Mutex
-	capacity int // max cached blocks in this shard
+	capacity int // max filled blocks in this shard
 	blocks   map[int64]*list.Element
 	lru      *list.List // front = most recent; values are *cacheEntry
+	// inflight is the table of blocks a fetch has reserved and not yet
+	// filled. Like a page locked for I/O, such a block is on no replacement
+	// order, so it is never a victim, and it is charged to capacity only when
+	// its bytes arrive: an empty placeholder must not push a filled block out.
+	// Later readers of the block find it here and wait (singleflight).
+	inflight map[int64]*cacheEntry
 }
 
 type cacheEntry struct {
 	id    int64
-	data  []byte
-	ready chan struct{} // closed once data/err are set (singleflight)
+	data  []byte        // the block's own backing, cap <= blockSize
+	ready chan struct{} // closed once data/err are set
 	err   error
 }
 
@@ -67,6 +82,8 @@ func NewCachedStore(inner Store, blockSize int, capacityBytes int64) (*CachedSto
 // turns the semi-sorted edge sweep into large sequential transfers. One
 // operation's latency is charged regardless of span; the extra bytes pay only
 // the device's bandwidth term, matching sequential-transfer behaviour.
+// capacityBytes bounds the filled blocks; blocks under I/O are extra, at most
+// concurrent misses x 4*readahead of them (see IOStats.InflightHW).
 func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead int) (*CachedStore, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("sem: block size must be positive, got %d", blockSize)
@@ -112,6 +129,7 @@ func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead
 			capacity: perShard,
 			blocks:   make(map[int64]*list.Element),
 			lru:      list.New(),
+			inflight: make(map[int64]*cacheEntry),
 		}
 	}
 	return c, nil
@@ -131,7 +149,8 @@ func (c *CachedStore) EnableStatePolicy() *StatePolicy {
 	return sp
 }
 
-// touch refreshes block id's recency if it is resident. The state policy
+// touch refreshes block id's recency if it is cached (a block still in
+// flight has no recency yet and enters the lru at its front). The state policy
 // calls it when a block gains its first pending visitor: the engine just
 // queued a vertex whose adjacency lives there, so the block will be read
 // within a pop-window's time. Pure LRU would leave it wherever its *last*
@@ -210,9 +229,39 @@ func (c *CachedStore) residentRange(off int64, n int) bool {
 	return true
 }
 
-// Stats reports cache hits and misses (block granularity).
+// Stats reports cache hits and misses (block granularity). A read that waited
+// on a block another reader was fetching counts as a hit; IOStats splits those
+// out.
 func (c *CachedStore) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
+}
+
+// CacheIOStats is the miss path's side of the counters: what the cache asked
+// of the device and what it held while asking.
+type CacheIOStats struct {
+	Fetches   uint64 // device operations issued
+	Blocks    uint64 // blocks those operations filled or failed
+	Waits     uint64 // reads that waited on a block in flight (hits in Stats)
+	Evictions uint64
+	// InflightHW is the high-water mark of blocks under I/O at once: memory
+	// held beyond the budget, bounded by concurrent misses x the widest span.
+	InflightHW int64
+}
+
+// Add accumulates other into s for a shard mount's roll-up: counters sum,
+// InflightHW takes the larger member.
+func (s *CacheIOStats) Add(other CacheIOStats) {
+	s.Fetches += other.Fetches
+	s.Blocks += other.Blocks
+	s.Waits += other.Waits
+	s.Evictions += other.Evictions
+	s.InflightHW = max(s.InflightHW, other.InflightHW)
+}
+
+// IOStats reports the miss-path counters.
+func (c *CachedStore) IOStats() CacheIOStats {
+	return CacheIOStats{Fetches: c.misses.Load(), Blocks: c.fetched.Load(), Waits: c.waits.Load(),
+		Evictions: c.evictions.Load(), InflightHW: c.flyingHW.Load()}
 }
 
 // Size implements Sizer.
@@ -222,30 +271,14 @@ func (c *CachedStore) shard(id int64) *cacheShard {
 	return &c.shards[uint64(id)%uint64(len(c.shards))]
 }
 
-// install adds an in-flight placeholder for id to its shard, evicting
-// entries past capacity. Returns (nil, existing) when id is already present.
-func (c *CachedStore) install(id int64, entry *cacheEntry) (el *list.Element, existing *cacheEntry) {
-	sh := c.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.blocks[id]; ok {
-		sh.lru.MoveToFront(cur)
-		return nil, cur.Value.(*cacheEntry)
-	}
-	el = sh.lru.PushFront(entry)
-	sh.blocks[id] = el
-	c.setResident(id)
-	c.evictLocked(sh, el)
-	return el, nil
-}
-
-// dropLocked removes one entry from the shard's list, map, and the residency
-// bitset. Caller holds sh.mu.
+// dropLocked evicts one filled block: off the shard's list and map, out of the
+// residency bitset. Caller holds sh.mu.
 func (c *CachedStore) dropLocked(sh *cacheShard, el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	sh.lru.Remove(el)
 	delete(sh.blocks, ent.id)
 	c.clearResident(ent.id)
+	c.evictions.Add(1)
 }
 
 // evictSampleSlack bounds how far past the overflow count the state-aware
@@ -258,7 +291,9 @@ func (c *CachedStore) dropLocked(sh *cacheShard, el *list.Element) {
 const evictSampleSlack = 4
 
 // evictLocked brings the shard back under capacity in one batched
-// back-to-front pass (keep, when non-nil, is never evicted). With no policy
+// back-to-front pass over the filled blocks — the in-flight table is not on
+// the list, so neither order below can pick a block under I/O (keep, the block
+// just filled, is never evicted either). With no policy
 // this is exact LRU: the tail entries are dropped oldest-first. With a policy
 // it samples the tail, evicting settled blocks (score 0) oldest-first and
 // falling back to plain LRU order over the sample when the shard is over
@@ -320,135 +355,134 @@ func (c *CachedStore) evictLocked(sh *cacheShard, keep *list.Element) {
 	}
 }
 
-func (c *CachedStore) remove(id int64, el *list.Element) {
-	sh := c.shard(id)
-	sh.mu.Lock()
-	if cur, ok := sh.blocks[id]; ok && cur == el {
-		c.dropLocked(sh, el)
-	}
-	sh.mu.Unlock()
-}
-
-func (c *CachedStore) await(entry *cacheEntry) ([]byte, error) {
-	<-entry.ready // no-op for completed entries
-	if entry.err != nil {
-		return nil, entry.err
-	}
-	c.hits.Add(1)
-	return entry.data, nil
-}
-
 // block returns the cached contents of block id, fetching from the device on
 // a miss. Concurrent misses on the same block share one device read
 // (singleflight): with hundreds of visitors sweeping the same id range, the
 // first requester fetches and the rest wait on the in-flight entry — without
-// this, a cold block would be read once per waiting visitor. Each miss
-// fetches up to `readahead` consecutive blocks in one device operation.
+// this, a cold block would be read once per waiting visitor.
 func (c *CachedStore) block(id int64) ([]byte, error) {
 	sh := c.shard(id)
-	sh.mu.Lock()
-	if el, ok := sh.blocks[id]; ok {
-		sh.lru.MoveToFront(el)
-		entry := el.Value.(*cacheEntry)
+	for {
+		sh.mu.Lock()
+		if el, ok := sh.blocks[id]; ok {
+			sh.lru.MoveToFront(el)
+			data := el.Value.(*cacheEntry).data
+			sh.mu.Unlock()
+			c.hits.Add(1)
+			return data, nil
+		}
+		entry := sh.inflight[id]
 		sh.mu.Unlock()
-		return c.await(entry)
+		if entry != nil {
+			c.waits.Add(1)
+			<-entry.ready
+			if entry.err != nil {
+				return nil, entry.err
+			}
+			c.hits.Add(1)
+			return entry.data, nil
+		}
+		if id < 0 || id >= c.maxBlock {
+			return nil, fmt.Errorf("sem: cache read beyond device end (block %d)", id)
+		}
+		if entry = c.fetch(id, id+1); entry != nil {
+			return entry.data, entry.err
+		}
+		// Another reader reserved or filled id since the lookup: look again.
 	}
-	sh.mu.Unlock()
+}
 
-	maxBlock := (c.size + c.blockSize - 1) / c.blockSize
-	if id >= maxBlock || id < 0 {
-		return nil, fmt.Errorf("sem: cache read beyond device end (block %d)", id)
-	}
-	span := int64(c.readahead)
-	if id+span > maxBlock {
-		span = maxBlock - id
-	}
+// fetch is the only place the cache reads the device. It wants blocks
+// [lo, hi), shapes them into a span, reserves the span's absent blocks in the
+// in-flight tables, reads the span in one device operation, then fills or
+// fails every block it reserved and only then charges the filled ones to
+// their shards. It returns lo's entry, completed, or nil without reading when
+// lo is already cached or in flight under another fetch.
+func (c *CachedStore) fetch(lo, hi int64) *cacheEntry {
+	// Each miss fetches up to `readahead` consecutive blocks.
+	hi = min(max(hi, lo+int64(c.readahead)), c.maxBlock)
 	// State-aware span shaping: a miss's readahead window extends through
 	// the contiguous run of blocks with pending visitors. Those blocks are
 	// guaranteed future reads — the settle counters say queued work targets
 	// them — so fetching them now converts their upcoming miss operations
 	// into hits for only the bandwidth term of this one operation. The
 	// extension is capped at 4x the legacy readahead and at half of the
-	// cache's block budget: an uncapped span can install the entire cache
-	// in one miss and flush exactly the residency it is trying to build
+	// cache's block budget: an uncapped span can fill the entire cache
+	// from one miss and flush exactly the residency it is trying to build
 	// (measured as a ~10-20% read regression when the span reaches the
 	// whole budget). Blocks past the pending run are never fetched
 	// beyond the legacy window, so a cold start or a settled region reads
 	// exactly as before.
 	if c.policy != nil {
-		max := 4 * int64(c.readahead)
-		if cb := c.capBlocks / 2; cb < max {
-			max = cb
+		limit := min(lo+min(4*int64(c.readahead), c.capBlocks/2), c.maxBlock)
+		for hi < limit && c.policy.Score(hi) > 0 {
+			hi++
 		}
-		if id+max > maxBlock {
-			max = maxBlock - id
-		}
-		k := span
-		for k < max && c.policy.Score(id+k) > 0 {
-			k++
-		}
-		span = k
 	}
 
-	// Install placeholders for every absent block of the span. If block id
-	// itself appears concurrently, another fetcher owns it: wait on theirs.
-	type owned struct {
-		id    int64
-		el    *list.Element
-		entry *cacheEntry
-	}
-	var mine []owned
-	for k := int64(0); k < span; k++ {
-		bid := id + k
-		entry := &cacheEntry{id: bid, ready: make(chan struct{})}
-		el, existing := c.install(bid, entry)
-		if existing != nil {
-			if k == 0 {
-				return c.await(existing)
-			}
-			continue // already cached or being fetched by someone else
+	// Reserve every absent block of the span; a block already cached or in
+	// flight stays its holder's.
+	owned := make([]*cacheEntry, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		sh := c.shard(id)
+		sh.mu.Lock()
+		_, cached := sh.blocks[id]
+		_, flying := sh.inflight[id]
+		if !cached && !flying {
+			entry := &cacheEntry{id: id, ready: make(chan struct{})}
+			sh.inflight[id] = entry
+			c.setResident(id)
+			owned = append(owned, entry)
 		}
-		mine = append(mine, owned{id: bid, el: el, entry: entry})
+		sh.mu.Unlock()
+		if len(owned) == 0 {
+			return nil
+		}
 	}
 	c.misses.Add(1)
+	c.fetched.Add(uint64(len(owned)))
+	for n := c.flying.Add(int64(len(owned))); ; {
+		hw := c.flyingHW.Load()
+		if n <= hw || c.flyingHW.CompareAndSwap(hw, n) {
+			break
+		}
+	}
 
-	// One device operation covers the whole span; extra blocks pay only the
-	// bandwidth term, as with OS readahead.
-	off := id * c.blockSize
-	n := span * c.blockSize
-	if off+n > c.size {
-		n = c.size - off
-	}
-	data := make([]byte, n)
-	_, err := c.inner.ReadAt(data, off)
-	var out []byte
-	for _, o := range mine {
+	// One device operation covers lo through the last reserved block; extra
+	// blocks pay only the bandwidth term, as with OS readahead.
+	off := lo * c.blockSize
+	span := make([]byte, min((owned[len(owned)-1].id+1)*c.blockSize, c.size)-off)
+	_, err := c.inner.ReadAt(span, off)
+	for _, entry := range owned {
+		entry.err = err
+		if err == nil && int64(len(span)) <= c.blockSize {
+			entry.data = span
+		} else if err == nil {
+			// Not a sub-slice of the span, which would keep all of it alive
+			// for as long as any one of its blocks stays cached: each block
+			// gets a backing of its own, so evicting span-mates frees bytes.
+			from := span[(entry.id-lo)*c.blockSize:]
+			entry.data = make([]byte, min(int64(len(from)), c.blockSize))
+			copy(entry.data, from)
+		}
+		sh := c.shard(entry.id)
+		sh.mu.Lock()
+		delete(sh.inflight, entry.id)
 		if err != nil {
-			o.entry.err = err
-			close(o.entry.ready)
-			c.remove(o.id, o.el) // drop so later reads can retry
-			continue
+			c.clearResident(entry.id) // gone from the table: a later read refetches
+		} else {
+			el := sh.lru.PushFront(entry)
+			sh.blocks[entry.id] = el
+			c.evictLocked(sh, el)
+			if invariant.Enabled && sh.lru.Len() > sh.capacity {
+				invariant.Failf("sem cache: shard holds %d filled blocks, capacity %d", sh.lru.Len(), sh.capacity)
+			}
 		}
-		lo := (o.id - id) * c.blockSize
-		hi := lo + c.blockSize
-		if hi > n {
-			hi = n
-		}
-		o.entry.data = data[lo:hi:hi]
-		close(o.entry.ready)
-		if o.id == id {
-			out = o.entry.data
-		}
+		sh.mu.Unlock()
+		close(entry.ready)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if out == nil {
-		// id was concurrently owned elsewhere and we fetched only trailing
-		// blocks; fall back to the (now-present or refetchable) entry.
-		return c.block(id)
-	}
-	return out, nil
+	c.flying.Add(-int64(len(owned)))
+	return owned[0]
 }
 
 // ReadAt implements Store, assembling the request from cached blocks.

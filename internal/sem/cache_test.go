@@ -245,27 +245,48 @@ func TestCachedStoreSingleflight(t *testing.T) {
 	}
 }
 
+// TestCachedStoreFailedFetchRetries fails a four-block fetch that has a reader
+// waiting on a block other than its first. Both readers get the error, the
+// span's blocks leave the in-flight table (a failed block must not be cached
+// as poisoned), and each can be fetched again.
 func TestCachedStoreFailedFetchRetries(t *testing.T) {
-	back := seqBacking(8192)
-	inner := &erroringStore{inner: fastDevice(back), after: 0}
-	// Wrap with a size so NewCachedStore accepts it.
-	sized := struct {
-		Store
-		Sizer
-	}{inner, &ssd.MemBacking{Data: back.Data}}
-	c, err := NewCachedStore(sized, 4096, 4*4096)
+	dev := newGatedStore(8, 0)
+	c, err := NewCachedStoreRA(dev, gatedBlock, 8*gatedBlock, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	errs := make(chan error, 2)
+	read := func(b int64) {
+		_, err := c.ReadAt(make([]byte, 8), b*gatedBlock)
+		errs <- err
+	}
+	go read(0)
+	waitFor(t, "the fetch to reach the device", func() bool { n, _ := dev.counts(); return n == 1 })
+	go read(2)
+	waitFor(t, "the reader of block 2 to wait", func() bool { return c.IOStats().Waits == 1 })
+	dev.fail.Store(true)
+	dev.open()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err == nil {
+			t.Error("a reader of the failed span got no error")
+		}
+	}
+	if c.residentRange(0, 1) || c.residentRange(2*gatedBlock, 1) {
+		t.Error("a failed block is still reported resident")
+	}
+	assertQuiescent(t, c)
+
+	dev.fail.Store(false)
 	buf := make([]byte, 8)
-	if _, err := c.ReadAt(buf, 0); err == nil {
-		t.Fatal("first read should fail")
+	for _, b := range []int64{2, 0} {
+		if _, err := c.ReadAt(buf, b*gatedBlock); err != nil {
+			t.Fatalf("block %d after the failure: %v", b, err)
+		}
+		if !bytes.Equal(buf, dev.data[b*gatedBlock:b*gatedBlock+8]) {
+			t.Fatalf("block %d after the failure: wrong bytes", b)
+		}
 	}
-	// Allow reads again: the failed block must not be cached as poisoned.
-	inner.after = 1 << 30
-	if _, err := c.ReadAt(buf, 0); err != nil {
-		t.Fatalf("retry failed: %v", err)
-	}
+	assertQuiescent(t, c)
 }
 
 func TestConcurrentTraversalsShareCache(t *testing.T) {
@@ -306,6 +327,7 @@ func TestConcurrentTraversalsShareCache(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	assertQuiescent(t, c)
 }
 
 func TestCachedStoreTailBlockClamp(t *testing.T) {
@@ -399,6 +421,7 @@ func TestCachedStoreConcurrentColdMisses(t *testing.T) {
 	if got := d.Stats().Reads; got > blocks {
 		t.Fatalf("device reads = %d, want <= %d (one per distinct block)", got, blocks)
 	}
+	assertQuiescent(t, c)
 }
 
 func TestSEM64BitTraversal(t *testing.T) {

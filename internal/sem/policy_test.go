@@ -323,6 +323,8 @@ func TestPolicyEquivalence(t *testing.T) {
 				t.Fatalf("%s CC id[%d]: im=%d state=%d", name, v, imCC.ID[v], stCC.ID[v])
 			}
 		}
+		assertQuiescent(t, lru.store)
+		assertQuiescent(t, state.store)
 	}
 }
 
@@ -433,6 +435,7 @@ func TestConcurrentStateTraversals(t *testing.T) {
 	if sk := sg.PrefetchStats(); sk.Spans == 0 {
 		t.Error("prefetcher issued no spans; test exercised nothing")
 	}
+	assertQuiescent(t, cache)
 }
 
 // failAfter serves a fixed number of adjacency reads from the embedded graph

@@ -203,6 +203,7 @@ func (s *Server) buildVars() *expvar.Map {
 			}
 			if len(g.BlockCaches) > 0 {
 				var hits, misses uint64
+				var io sem.CacheIOStats
 				var pinnedHW int64
 				policy := ""
 				perShard := make([]map[string]any, 0, len(g.BlockCaches))
@@ -214,12 +215,17 @@ func (s *Server) buildVars() *expvar.Map {
 					h, mi := c.Stats()
 					hits += h
 					misses += mi
+					io.Add(c.IOStats())
 					if hw := c.PinnedHW(); hw > pinnedHW {
 						pinnedHW = hw
 					}
 					perShard = append(perShard, map[string]any{"hits": h, "misses": mi})
 				}
-				bc := map[string]any{"hits": hits, "misses": misses, "policy": policy}
+				// inflight_waits are the hits that found their block still
+				// under I/O; inflight_hw is blocks held beyond the budget.
+				bc := map[string]any{"hits": hits, "misses": misses, "policy": policy,
+					"inflight_waits": io.Waits, "blocks_fetched": io.Blocks,
+					"evictions": io.Evictions, "inflight_hw": io.InflightHW}
 				if policy == sem.PolicyState {
 					bc["pinned_hw"] = pinnedHW
 				}

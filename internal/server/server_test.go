@@ -639,6 +639,10 @@ func TestConcurrentQueriesShardedSEM(t *testing.T) {
 	if bc := gv["shard_block_caches"].([]any); len(bc) != shards {
 		t.Fatalf("shard_block_caches has %d entries, want %d", len(bc), shards)
 	}
+	bc := gv["block_cache"].(map[string]any)
+	if bc["blocks_fetched"].(float64) < bc["misses"].(float64) || bc["inflight_hw"].(float64) < 1 {
+		t.Fatalf("block_cache miss-path counters = %v", bc)
+	}
 }
 
 // TestDirectionServing covers the hybrid serving path end to end: a server
