@@ -186,14 +186,19 @@ func TestFigure2AndAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTable(t, tbl, 3)
-	abl, err := Ablations(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(abl) != 11 {
-		t.Fatalf("ablations = %d tables, want 11", len(abl))
-	}
-	for _, tbl := range abl {
+	// Every study Ablations runs except AblationCachePolicy: that one ignores
+	// the tiny sizes by design (pinned scale 13, 6 reps x 3 profiles x 2
+	// policies x 2 graphs, ~34 s on a 2-CPU host) and CI runs the same table,
+	// with its claim and guard greps, as its own `bench -exp cachepolicy` step.
+	for _, fn := range []func(Options) (*Table, error){
+		AblationOversubscription, AblationHash, AblationSemiSort, AblationCache,
+		AblationEngine, AblationPrefetch,
+		AblationStripe, AblationSSSP, AblationWriteAsymmetry, AblationDirection,
+	} {
+		tbl, err := fn(o)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s: empty", tbl.Title)
 		}

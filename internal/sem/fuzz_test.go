@@ -45,6 +45,22 @@ func FuzzOpen(f *testing.F) {
 	mutatedV2[headerSize+8*21] = 0xFF // corrupt a degree-array byte
 	f.Add(mutatedV2)
 
+	// Seed the reverse path — in-edge sections in both formats, a symmetric
+	// file, and a shard-map file (whose in-edge section is exempt from the
+	// edge-count equality) — so the in-edge index sees mutations too.
+	for _, cfg := range []WriteConfig{
+		{InEdges: true},
+		{Compress: true, InEdges: true},
+		{Symmetric: true},
+		{InEdges: true, Shard: &ShardConfig{Shard: 1, Shards: 2}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, g, cfg); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := &ssd.MemBacking{Data: data}
 		sg, err := Open[uint32](store)
@@ -68,5 +84,24 @@ func FuzzOpen(f *testing.F) {
 			}
 			_ = ts
 		}
+		// The reverse path must hold up the same way: per vertex, and through
+		// the bulk scan's coalesced spans.
+		if !sg.HasInEdges() {
+			return
+		}
+		for v := uint64(0); v < n; v++ {
+			in, err := sg.InNeighbors(uint32(v), scratch)
+			if err == nil && len(in) != sg.InDegree(uint32(v)) {
+				t.Fatalf("InNeighbors(%d) returned %d sources, InDegree says %d", v, len(in), sg.InDegree(uint32(v)))
+			}
+		}
+		all := func(uint32) bool { return true }
+		visit := func(v uint32, in []uint32) error {
+			if len(in) != sg.InDegree(v) {
+				t.Fatalf("scan handed %d sources to %d, InDegree says %d", len(in), v, sg.InDegree(v))
+			}
+			return nil
+		}
+		_ = sg.ScanInEdges(0, uint32(n), all, visit, scratch) // a decode error on corrupt blocks is fine
 	})
 }

@@ -12,7 +12,6 @@ package sem
 // frontier's worth of scattered records.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/graph"
@@ -32,7 +31,7 @@ var errNoInSection = fmt.Errorf("sem: store carries no in-edge section (write wi
 // dynamic side of the graph.InAdjacency capability: a symmetric file serves
 // in-edges from its edge region, otherwise a dedicated in-edge section must
 // be present.
-func (g *Graph[V]) HasInEdges() bool { return g.symmetric || g.inOffsets != nil }
+func (g *Graph[V]) HasInEdges() bool { return g.in != nil }
 
 // Symmetric reports whether the file was written with the symmetric flag
 // (out-adjacency is its own transpose).
@@ -44,87 +43,26 @@ func (g *Graph[V]) Symmetric() bool { return g.symmetric }
 //
 //lint:hotpath
 func (g *Graph[V]) InDegree(v V) int {
-	if g.symmetric {
-		return g.Degree(v)
-	}
-	if g.inOffsets == nil {
+	if g.in == nil {
 		return 0
 	}
-	if g.compressed {
-		return int(g.inDegrees[v])
-	}
-	return int(g.inOffsets[v+1] - g.inOffsets[v])
-}
-
-// inExtentOf reports the byte range of v's in-adjacency within the in-edge
-// section: bare id records in v1, a compressed block in v2.
-//
-//lint:hotpath
-func (g *Graph[V]) inExtentOf(v V) (off int64, n int) {
-	lo, hi := g.inOffsets[v], g.inOffsets[v+1]
-	if g.compressed {
-		return g.inEdgeBase + int64(lo), int(hi - lo)
-	}
-	return g.inEdgeBase + int64(lo)*int64(g.vSize), int(hi-lo) * g.vSize
-}
-
-// decodeInBlock decodes v's in-adjacency block (deg sources, bare vertex-id
-// records or a v2 compressed block — in-edge sections never carry weights)
-// through the scratch target buffer, returning a slice valid until the next
-// call with the same scratch.
-//
-//lint:hotpath
-func (g *Graph[V]) decodeInBlock(block []byte, v V, deg int, scratch *graph.Scratch[V]) ([]V, error) {
-	if cap(scratch.Targets) < deg {
-		scratch.Targets = make([]V, deg)
-	}
-	targets := scratch.Targets[:deg]
-	if g.compressed {
-		if _, err := graph.DecodeAdjBlock(block, v, targets, nil); err != nil {
-			return nil, err
-		}
-		return targets, nil
-	}
-	for i := range targets {
-		rec := block[i*g.vSize:]
-		if g.vSize == 4 {
-			targets[i] = V(binary.LittleEndian.Uint32(rec))
-		} else {
-			targets[i] = V(binary.LittleEndian.Uint64(rec))
-		}
-	}
-	return targets, nil
+	return g.in.degree(v)
 }
 
 // InNeighbors implements graph.InAdjacency with one positional read per call,
-// mirroring Neighbors. Symmetric files answer from the edge region (and may
-// therefore consume a prefetched pop-window span); in-edge sections read
-// synchronously — bottom-up phases should use ScanInEdges, whose sequential
-// spans are the whole point.
+// through the same routine as Neighbors. Symmetric files answer from the edge
+// region (and may therefore consume a prefetched pop-window span); in-edge
+// sections read synchronously — bottom-up phases should use ScanInEdges,
+// whose sequential spans are the whole point.
 func (g *Graph[V]) InNeighbors(v V, scratch *graph.Scratch[V]) ([]V, error) {
+	if g.in == nil {
+		return nil, errNoInSection
+	}
 	if scratch == nil {
 		scratch = &graph.Scratch[V]{}
 	}
-	if g.symmetric {
-		targets, _, err := g.Neighbors(v, scratch)
-		return targets, err
-	}
-	if g.inOffsets == nil {
-		return nil, errNoInSection
-	}
-	deg := g.InDegree(v)
-	if deg == 0 {
-		return nil, nil
-	}
-	off, need := g.inExtentOf(v)
-	if cap(scratch.Block) < need {
-		scratch.Block = make([]byte, need)
-	}
-	block := scratch.Block[:need]
-	if _, err := g.store.ReadAt(block, off); err != nil {
-		return nil, fmt.Errorf("sem: read in-adjacency of %d: %w", v, err)
-	}
-	return g.decodeInBlock(block, v, deg, scratch)
+	in, _, err := g.neighbors(g.in, v, scratch)
+	return in, err
 }
 
 // scanSpan is one sequential bottom-up read: the extents of exts[i:j] merged
@@ -145,7 +83,7 @@ type scanSpan struct {
 // path — but with megabyte streams instead of per-vertex records. Scan reads
 // are tallied in PrefetchStats.ScanSpans/ScanBytes.
 func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in []V) error, scratch *graph.Scratch[V]) error {
-	if !g.HasInEdges() {
+	if g.in == nil {
 		return errNoInSection
 	}
 	if scratch == nil {
@@ -166,13 +104,7 @@ func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in [
 		if !need(v) {
 			continue
 		}
-		var off int64
-		var nb int
-		if g.symmetric {
-			off, nb = g.extentOf(v)
-		} else {
-			off, nb = g.inExtentOf(v)
-		}
+		off, nb := g.in.extent(v)
 		if nb == 0 {
 			continue
 		}
@@ -187,24 +119,11 @@ func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in [
 		maxGap = int64(g.prefetch.cfg.MaxGap)
 	}
 
-	// Merge into sequential spans: a following extent joins while it starts
-	// within maxGap of the span's end and the span stays under scanSpanBytes.
+	// Merge into sequential spans, each capped at scanSpanBytes.
 	spans := make([]scanSpan, 0, 16)
 	for i := 0; i < len(exts); {
-		start := exts[i].off
-		end := start + int64(exts[i].n)
-		j := i + 1
-		for j < len(exts) {
-			e := exts[j].off + int64(exts[j].n)
-			if exts[j].off > end+maxGap || e-start > scanSpanBytes {
-				break
-			}
-			if e > end {
-				end = e
-			}
-			j++
-		}
-		spans = append(spans, scanSpan{sp: span{off: start, buf: make([]byte, end-start)}, i: i, j: j})
+		j, end, _ := coalesce(exts, i, maxGap, scanSpanBytes)
+		spans = append(spans, scanSpan{sp: span{off: exts[i].off, buf: make([]byte, end-exts[i].off)}, i: i, j: j})
 		i = j
 	}
 
@@ -252,17 +171,10 @@ func (g *Graph[V]) visitScanSpan(s *scanSpan, exts []extent, visit func(v V, in 
 	for k := s.i; k < s.j; k++ {
 		e := &exts[k]
 		v := V(e.v)
-		deg := g.InDegree(v)
 		block := s.sp.buf[e.off-s.sp.off : e.off-s.sp.off+int64(e.n)]
-		var in []V
-		var err error
-		if g.symmetric {
-			// Symmetric scans read the edge region, whose records may carry
-			// weights; decode through the forward path and drop them.
-			in, _, err = g.decodeInto(block, v, deg, scratch)
-		} else {
-			in, err = g.decodeInBlock(block, v, deg, scratch)
-		}
+		// A symmetric scan reads the edge region, whose records may carry
+		// weights; they decode into scratch and are dropped here.
+		in, _, err := g.in.decode(block, v, scratch)
 		if err != nil {
 			return err
 		}

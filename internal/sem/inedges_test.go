@@ -2,7 +2,9 @@ package sem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -170,19 +172,51 @@ func TestWriteRejectsInEdgesWithSymmetric(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsTruncatedInSection checks that a store cut off inside the
-// in-edge section fails at open, not at first bottom-up read.
+// TestOpenRejectsTruncatedInSection checks that a store whose in-edge section
+// does not fit — cut off inside it, or indexed past the end of the store —
+// fails at open, naming the section, not at the first bottom-up read.
 func TestOpenRejectsTruncatedInSection(t *testing.T) {
 	g := buildGraph(t, 50, 300, false, 24)
-	for _, cfg := range []WriteConfig{{InEdges: true}, {Compress: true, InEdges: true}} {
+	write := func(g *graph.CSR[uint32], cfg WriteConfig) []byte {
 		var buf bytes.Buffer
 		if err := Write(&buf, g, cfg); err != nil {
 			t.Fatal(err)
 		}
-		full := buf.Bytes()
-		cut := full[:len(full)-8]
-		if _, err := Open[uint32](bytes.NewReader(cut)); err == nil {
-			t.Fatalf("compress=%v: opened a store with a truncated in-edge section", cfg.Compress)
+		return buf.Bytes()
+	}
+	v1, v2 := write(g, WriteConfig{InEdges: true}), write(g, WriteConfig{Compress: true, InEdges: true})
+
+	// The fuzz-found crasher (testdata/fuzz/FuzzOpen/unbounded-in-edge-index-416):
+	// a 20-vertex, 2-edge shard file whose last two in-offsets claim ~2^62
+	// records. Shards skip the in-edges == m equality, and the old size check
+	// multiplied the count by the record size and wrapped negative, so Open
+	// accepted it and InNeighbors(18) asked for an 827 GB buffer.
+	b := graph.NewBuilder[uint32](20, false)
+	b.AddEdge(0, 1, 0)
+	b.AddEdge(1, 19, 0)
+	small, err := b.Build(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crasher := write(small, WriteConfig{InEdges: true, Shard: &ShardConfig{Shards: 1}})
+	inIndex := headerSize + shardMapSize + 21*8 + 2*4
+	binary.LittleEndian.PutUint64(crasher[inIndex+19*8:], 0x3030303030)
+	binary.LittleEndian.PutUint64(crasher[inIndex+20*8:], 0x3030303030303030)
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"v1 cut", v1[:len(v1)-8]},
+		{"v2 cut", v2[:len(v2)-8]},
+		{"sharded v1 index past the store", crasher},
+	} {
+		_, err := Open[uint32](bytes.NewReader(tc.data))
+		if err == nil {
+			t.Fatalf("%s: opened a store whose in-edge section does not fit", tc.name)
+		}
+		if !strings.Contains(err.Error(), "in-edge") {
+			t.Fatalf("%s: error does not name the section: %v", tc.name, err)
 		}
 	}
 }

@@ -24,6 +24,7 @@ package sem
 // never wrong labels.
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -261,6 +262,34 @@ type extent struct {
 	n   int
 }
 
+// coalesce merges the run of offset-sorted extents starting at exts[i] into
+// one span — the one place extents become device requests, shared by the
+// pop-window (NeighborsBatch) and the bottom-up scan (ScanInEdges). A
+// following extent joins while it starts within maxGap bytes of the span's
+// end and the span stays within maxBytes; duplicate or overlapping extents
+// (the same vertex popped twice in one window) fold into the same span bytes.
+// The span is exts[i:j] over [exts[i].off, end), of which gap bytes belong
+// to no extent and are read only to bridge.
+//
+//lint:hotpath
+func coalesce(exts []extent, i int, maxGap, maxBytes int64) (j int, end, gap int64) {
+	start := exts[i].off
+	end = start + int64(exts[i].n)
+	for j = i + 1; j < len(exts); j++ {
+		e := exts[j].off + int64(exts[j].n)
+		if exts[j].off > end+maxGap || e-start > maxBytes {
+			break
+		}
+		if exts[j].off > end {
+			gap += exts[j].off - end
+		}
+		if e > end {
+			end = e
+		}
+	}
+	return j, end, gap
+}
+
 // prefetchSession is the per-worker window state, stored in the worker's
 // graph.Scratch.Prefetch. Only the owning worker reads or writes it; the I/O
 // pool publishes results through span.ready alone.
@@ -351,7 +380,7 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 	for _, v := range vs {
 		// The extent is a record span on v1 stores and a compressed block on
 		// v2 — the coalescing and zero-copy handoff below are format-blind.
-		off, n := g.extentOf(v)
+		off, n := g.out.extent(v)
 		if n == 0 {
 			continue
 		}
@@ -365,29 +394,10 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 	p.windows.Add(1)
 	p.vertices.Add(uint64(len(exts)))
 
-	// Merge offset-sorted extents into coalesced spans: a following extent
-	// joins the current span while it starts within MaxGap bytes of the
-	// span's end. Duplicate or overlapping extents (the same vertex popped
-	// twice in one window) fold into the same span bytes.
-	maxGap := int64(p.cfg.MaxGap)
 	affine := g.state != nil && g.cache != nil
 	for i := 0; i < len(exts); {
+		j, end, gap := coalesce(exts, i, int64(p.cfg.MaxGap), math.MaxInt64)
 		start := exts[i].off
-		end := start + int64(exts[i].n)
-		var gap int64
-		j := i + 1
-		for j < len(exts) {
-			if exts[j].off > end+maxGap {
-				break
-			}
-			if exts[j].off > end {
-				gap += exts[j].off - end
-			}
-			if e := exts[j].off + int64(exts[j].n); e > end {
-				end = e
-			}
-			j++
-		}
 		// Cache-affine accounting: a span whose whole byte range is already
 		// resident (or in flight) is recorded as a resident window — its read
 		// below is served block-for-block from the cache and costs no device

@@ -5,27 +5,28 @@
 // explicit random read, issued concurrently by the traversal workers so the
 // device's internal parallelism is exercised.
 //
-// Two on-device layouts share the header. Format v1 is a raw compressed
-// sparse row:
+// A file is a 40-byte header (magic "ASG1", version, flags, n, m, v2 blob
+// size), an optional 24-byte shard map (see sharded.go), and one or two
+// adjacency sections of one layout (see section): the forward edge region
+// and, under flagInEdges, the reverse-adjacency section behind it. Format v1
+// sections hold raw fixed-width records:
 //
-//	header (40 bytes): magic "ASG1", version, flags, n, m
-//	offsets: (n+1) x uint64        -- edge counts, loaded into RAM at open
-//	edges:   m x record            -- fetched per-visit with ReadAt
+//	offsets: (n+1) x uint64        -- record counts, loaded into RAM at open
+//	records: offsets[n] x record   -- fetched per-visit with ReadAt
 //
-// A record is the target vertex id (4 or 8 bytes per the vertex width flag)
-// followed by a uint32 weight when the graph is weighted. Format v2 replaces
-// the fixed-width edge region with delta+varint compressed per-vertex blocks
+// A record is the neighbor's vertex id (4 or 8 bytes per the vertex width
+// flag) followed, in a weighted forward section, by a uint32 weight. Format
+// v2 sections hold delta+varint compressed per-vertex blocks
 // (graph.AppendAdjBlock) behind a block-extent index:
 //
-//	header (40 bytes): magic "ASG1", version=2, flags|compressed, n, m, blob size
 //	offsets: (n+1) x uint64        -- BYTE offsets of each block in the blob
 //	degrees: n x uint32            -- neighbor counts (blocks are self-delimiting
 //	                                  in bytes via the index, not in edges)
 //	blob:    concatenated blocks   -- fetched per-visit with ReadAt
 //
-// The offsets and degrees are the RAM-resident vertex information; the blob
-// is what the traversal reads from flash, typically 2-4x smaller than the v1
-// edge region. All integers are little-endian.
+// The offsets and degrees are the RAM-resident vertex information; the
+// records or blob are what the traversal reads from flash, the blob typically
+// 2-4x smaller than the v1 records. All integers are little-endian.
 package sem
 
 import (
@@ -57,18 +58,12 @@ const (
 	// vertex index. Files without the flag are byte-identical to pre-shard
 	// writers' output.
 	flagSharded = 1 << 3
-	// flagInEdges marks a file carrying a reverse-adjacency (in-edge) section
-	// after the edge region, the storage behind bottom-up traversal phases:
-	//
-	//	v1: in-offsets (n+1) x uint64   -- edge-record counts
-	//	    in-records  mIn x vertexId  -- source ids only, never weighted
-	//	v2: in-index   (n+1) x uint64   -- BYTE offsets of in-blocks
-	//	    in-degrees  n x uint32      -- in-neighbor counts
-	//	    in-blob                     -- delta+varint blocks, no weight stream
-	//
-	// The section mirrors the file's own format version. Weights are never
-	// stored: the only consumer is the bottom-up BFS step, which needs edge
-	// sources, not costs.
+	// flagInEdges marks a file carrying a second adjacency section after the
+	// edge region: the transpose, the storage behind bottom-up traversal
+	// phases. It mirrors the file's own format version and never stores
+	// weights (v1 records are bare source ids, v2 blocks have no weight stream):
+	// the only consumer is the bottom-up BFS step, which needs edge sources, not
+	// costs.
 	flagInEdges = 1 << 4
 	// flagSymmetric asserts the out-adjacency is its own transpose (the writer
 	// symmetrized the graph), so in-edge reads are served from the edge region
@@ -88,18 +83,15 @@ type Store interface {
 // Graph is a semi-external CSR: offsets in memory, edges on the store.
 // It implements graph.Adjacency.
 type Graph[V graph.Vertex] struct {
-	store   Store
-	offsets []uint64 // n+1 entries, RAM-resident ("information about the vertices")
-	// In format v1 offsets count edge records; in v2 they are byte offsets of
-	// the compressed blocks within the blob, and degrees carries the neighbor
-	// counts the byte extents cannot express.
-	degrees    []uint32 // v2 only: out-degree per vertex
-	n, m       uint64
-	weighted   bool
-	compressed bool
-	recSize    int
-	vSize      int
-	edgeBase   int64 // byte offset of the first edge record (v2: of the blob)
+	store Store
+	n, m  uint64
+
+	// out is the forward edge region. in is the reverse adjacency: the in-edge
+	// section of a flagInEdges file, &out for a symmetric file (the edge region
+	// is its own transpose), nil for files without reverse capability.
+	out       section[V]
+	in        *section[V]
+	symmetric bool
 
 	// Shard-map fields (zero values for plain files): this file holds shard
 	// `shard` of a `shards`-way partition whose logical graph has totalEdges
@@ -107,15 +99,6 @@ type Graph[V graph.Vertex] struct {
 	shard      int
 	shards     int
 	totalEdges uint64
-
-	// In-edge section state (see flagInEdges / flagSymmetric). symmetric means
-	// in-edges are served from the edge region; otherwise inOffsets (and, for
-	// v2, inDegrees) index a dedicated reverse-adjacency section at
-	// inEdgeBase. Both nil/false for files without reverse capability.
-	symmetric  bool
-	inOffsets  []uint64
-	inDegrees  []uint32 // v2 in-sections only
-	inEdgeBase int64
 
 	// prefetch, when non-nil, services NeighborsBatch windows with coalesced
 	// asynchronous span reads (see prefetch.go). Nil means NeighborsBatch is
@@ -128,6 +111,23 @@ type Graph[V graph.Vertex] struct {
 	// pop-window affinity probes. Both nil under the legacy LRU policy.
 	state *StatePolicy
 	cache *CachedStore
+}
+
+// section is one adjacency section of a file: a RAM-resident index over
+// neighbor bytes on the store. The forward edge region and the in-edge
+// section are two instances of it, opened, validated, read, decoded and
+// written by the same code.
+type section[V graph.Vertex] struct {
+	// base is the byte offset of the first record (v2: of the blob).
+	base int64
+	// offsets has n+1 entries. In format v1 they count records; in v2 they are
+	// byte offsets of the compressed blocks within the blob, and degrees
+	// carries the neighbor counts the byte extents cannot express.
+	offsets    []uint64
+	degrees    []uint32 // v2 only
+	recSize    int      // v1 record bytes: the vertex id width, plus 4 when weighted
+	weighted   bool
+	compressed bool
 }
 
 // vertexWidth reports the on-disk vertex id width for V.
@@ -236,59 +236,86 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 			return err
 		}
 	}
-	if cfg.Compress {
-		c, err := graph.Compress(sub)
-		if err != nil {
-			return err
-		}
-		var inC *graph.CompressedCSR[V]
-		if in != nil {
-			if inC, err = graph.Compress(in); err != nil {
-				return err
-			}
-		}
-		return writeCompressed(w, c, inC, cfg.Symmetric, sm)
-	}
-	return writeCSR(w, sub, in, cfg.Symmetric, sm)
-}
-
-// sectionFlags folds the reverse-capability bits into flags.
-func sectionFlags(flags uint64, hasIn, symmetric bool) uint64 {
-	if hasIn {
-		flags |= flagInEdges
-	}
-	if symmetric {
-		flags |= flagSymmetric
-	}
-	return flags
-}
-
-func writeCSR[V graph.Vertex](w io.Writer, g, in *graph.CSR[V], symmetric bool, sm *shardMap) error {
-	vSize := vertexWidth[V]()
 	var flags uint64
-	if g.Weighted() {
+	if sub.Weighted() {
 		flags |= flagWeighted
 	}
-	if vSize == 8 {
+	if vertexWidth[V]() == 8 {
 		flags |= flag64Bit
 	}
-	flags = sectionFlags(flags, in != nil, symmetric)
-	if err := writeHeader(w, Version, flags, g.NumVertices(), g.NumEdges(), 0, sm); err != nil {
+	if in != nil {
+		flags |= flagInEdges
+	}
+	if cfg.Symmetric {
+		flags |= flagSymmetric
+	}
+	n, m := sub.NumVertices(), sub.NumEdges()
+	if !cfg.Compress {
+		if err := writeHeader(w, Version, flags, n, m, 0, sm); err != nil {
+			return err
+		}
+		if err := writeSection(w, "edge", sub.Offsets(), nil, nil, sub.Targets(), sub.WeightsRaw()); err != nil {
+			return err
+		}
+		if in == nil {
+			return nil
+		}
+		return writeSection(w, "in-edge", in.Offsets(), nil, nil, in.Targets(), nil)
+	}
+	c, err := graph.Compress(sub)
+	if err != nil {
 		return err
 	}
-
-	buf := make([]byte, 0, 1<<16)
-	for _, off := range g.Offsets() {
-		buf = binary.LittleEndian.AppendUint64(buf, off)
-		if len(buf) >= 1<<16-8 {
-			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("sem: write offsets: %w", err)
-			}
-			buf = buf[:0]
+	var inC *graph.CompressedCSR[V]
+	if in != nil {
+		if inC, err = graph.Compress(in); err != nil {
+			return err
 		}
 	}
-	targets := g.Targets()
-	weights := g.WeightsRaw()
+	if err := writeHeader(w, VersionCompressed, flags|flagCompressed, n, m, uint64(len(c.Blob())), sm); err != nil {
+		return err
+	}
+	if err := writeSection[V](w, "edge", c.BlockOffsets(), c.Degrees(), c.Blob(), nil, nil); err != nil {
+		return err
+	}
+	if inC == nil {
+		return nil
+	}
+	return writeSection[V](w, "in-edge", inC.BlockOffsets(), inC.Degrees(), inC.Blob(), nil, nil)
+}
+
+// writeSection emits one adjacency section: the (n+1)-entry index, then the
+// v2 degree array and block blob, or one v1 record per target (with its
+// weight when weights is non-nil). A file's edge region and in-edge section
+// are two calls.
+func writeSection[V graph.Vertex](w io.Writer, what string, offsets []uint64, degrees []uint32, blob []byte, targets []V, weights []graph.Weight) error {
+	buf := make([]byte, 0, 1<<16)
+	// flush hands buf to w once it is within one record of full, or at once
+	// when final.
+	flush := func(final bool) error {
+		if len(buf) == 0 || !final && len(buf) < 1<<16-16 {
+			return nil
+		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		if err != nil {
+			return fmt.Errorf("sem: write %s section: %w", what, err)
+		}
+		return nil
+	}
+	for _, off := range offsets {
+		buf = binary.LittleEndian.AppendUint64(buf, off)
+		if err := flush(false); err != nil {
+			return err
+		}
+	}
+	for _, deg := range degrees {
+		buf = binary.LittleEndian.AppendUint32(buf, deg)
+		if err := flush(false); err != nil {
+			return err
+		}
+	}
+	vSize := vertexWidth[V]()
 	for i, t := range targets {
 		if vSize == 4 {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(t))
@@ -298,100 +325,17 @@ func writeCSR[V graph.Vertex](w io.Writer, g, in *graph.CSR[V], symmetric bool, 
 		if weights != nil {
 			buf = binary.LittleEndian.AppendUint32(buf, weights[i])
 		}
-		if len(buf) >= 1<<16-16 {
-			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("sem: write edges: %w", err)
-			}
-			buf = buf[:0]
+		if err := flush(false); err != nil {
+			return err
 		}
 	}
-	if in != nil {
-		for _, off := range in.Offsets() {
-			buf = binary.LittleEndian.AppendUint64(buf, off)
-			if len(buf) >= 1<<16-8 {
-				if _, err := w.Write(buf); err != nil {
-					return fmt.Errorf("sem: write in-edge offsets: %w", err)
-				}
-				buf = buf[:0]
-			}
-		}
-		for _, t := range in.Targets() {
-			if vSize == 4 {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(t))
-			} else {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
-			}
-			if len(buf) >= 1<<16-16 {
-				if _, err := w.Write(buf); err != nil {
-					return fmt.Errorf("sem: write in-edge records: %w", err)
-				}
-				buf = buf[:0]
-			}
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("sem: write tail: %w", err)
-		}
-	}
-	return nil
-}
-
-// writeCompressed serializes an already-compressed graph into format v2:
-// header, block-extent index ((n+1) byte offsets), degree array, blob.
-func writeCompressed[V graph.Vertex](w io.Writer, c, in *graph.CompressedCSR[V], symmetric bool, sm *shardMap) error {
-	vSize := vertexWidth[V]()
-	flags := uint64(flagCompressed)
-	if c.Weighted() {
-		flags |= flagWeighted
-	}
-	if vSize == 8 {
-		flags |= flag64Bit
-	}
-	flags = sectionFlags(flags, in != nil, symmetric)
-	blob := c.Blob()
-	if err := writeHeader(w, VersionCompressed, flags, c.NumVertices(), c.NumEdges(), uint64(len(blob)), sm); err != nil {
+	if err := flush(true); err != nil {
 		return err
 	}
-	if err := writeIndexAndBlob(w, c.BlockOffsets(), c.Degrees(), blob); err != nil {
-		return err
-	}
-	if in != nil {
-		return writeIndexAndBlob(w, in.BlockOffsets(), in.Degrees(), in.Blob())
-	}
-	return nil
-}
-
-// writeIndexAndBlob emits one v2 section: byte-offset index, degree array,
-// then the block blob. Both the edge region and the in-edge section share
-// this layout.
-func writeIndexAndBlob(w io.Writer, offsets []uint64, degrees []uint32, blob []byte) error {
-	buf := make([]byte, 0, 1<<16)
-	for _, off := range offsets {
-		buf = binary.LittleEndian.AppendUint64(buf, off)
-		if len(buf) >= 1<<16-8 {
-			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("sem: write block index: %w", err)
-			}
-			buf = buf[:0]
+	if len(blob) > 0 {
+		if _, err := w.Write(blob); err != nil {
+			return fmt.Errorf("sem: write %s blocks: %w", what, err)
 		}
-	}
-	for _, deg := range degrees {
-		buf = binary.LittleEndian.AppendUint32(buf, deg)
-		if len(buf) >= 1<<16-8 {
-			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("sem: write degrees: %w", err)
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("sem: write degrees: %w", err)
-		}
-	}
-	if _, err := w.Write(blob); err != nil {
-		return fmt.Errorf("sem: write blocks: %w", err)
 	}
 	return nil
 }
@@ -422,20 +366,17 @@ func Open[V graph.Vertex](store Store) (*Graph[V], error) {
 	if vSize != vertexWidth[V]() {
 		return nil, fmt.Errorf("sem: file has %d-byte vertex ids, caller expects %d", vSize, vertexWidth[V]())
 	}
-	g := &Graph[V]{
-		store:      store,
-		n:          n,
-		m:          m,
+	g := &Graph[V]{store: store, n: n, m: m, symmetric: flags&flagSymmetric != 0}
+	g.out = section[V]{
+		recSize:    vSize,
 		weighted:   flags&flagWeighted != 0,
 		compressed: flags&flagCompressed != 0,
-		vSize:      vSize,
 	}
-	if g.compressed != (version == VersionCompressed) {
-		return nil, fmt.Errorf("sem: version %d contradicts compressed flag %v", version, g.compressed)
+	if g.out.weighted {
+		g.out.recSize += 4
 	}
-	g.recSize = vSize
-	if g.weighted {
-		g.recSize += 4
+	if g.out.compressed != (version == VersionCompressed) {
+		return nil, fmt.Errorf("sem: version %d contradicts compressed flag %v", version, g.out.compressed)
 	}
 	if n >= 1<<56 || m >= 1<<56 || blobBytes >= 1<<56 {
 		return nil, fmt.Errorf("sem: implausible header (n=%d m=%d blob=%d)", n, m, blobBytes)
@@ -459,147 +400,112 @@ func Open[V graph.Vertex](store Store) (*Graph[V], error) {
 		}
 		indexBase += shardMapSize
 	}
-	g.edgeBase = indexBase + int64(n+1)*8
-	if g.compressed {
-		g.edgeBase += int64(n) * 4 // the degree array sits between index and blob
-	}
 
-	// Validate the header against the store size before allocating the
-	// index: a corrupt vertex count must not drive a huge allocation.
-	if szr, ok := store.(interface{ Size() int64 }); ok {
-		need := g.edgeBase + int64(m)*int64(g.recSize)
-		if g.compressed {
-			need = g.edgeBase + int64(blobBytes)
-		}
-		if szr.Size() < need {
-			return nil, fmt.Errorf("sem: store holds %d bytes, header requires %d", szr.Size(), need)
-		}
+	edges, err := g.out.open(store, "edge", indexBase, n)
+	if err != nil {
+		return nil, err
 	}
-
-	// The vertex index is the RAM-resident "algorithmic information about
-	// the vertices". One sequential read at open time.
-	raw := make([]byte, (n+1)*8)
-	if _, err := io.ReadFull(io.NewSectionReader(store, indexBase, int64(len(raw))), raw); err != nil {
-		return nil, fmt.Errorf("sem: read vertex index: %w", err)
+	if edges != m {
+		return nil, fmt.Errorf("sem: corrupt edge index: %d edges indexed, header says %d", edges, m)
 	}
-	g.offsets = make([]uint64, n+1)
-	for i := range g.offsets {
-		g.offsets[i] = binary.LittleEndian.Uint64(raw[i*8:])
-	}
-	want := m
-	if g.compressed {
-		want = blobBytes
-	}
-	if g.offsets[n] != want {
-		return nil, fmt.Errorf("sem: corrupt index: offsets[n]=%d, want %d", g.offsets[n], want)
-	}
-	for i := uint64(0); i < n; i++ {
-		if g.offsets[i] > g.offsets[i+1] {
-			return nil, fmt.Errorf("sem: corrupt index: offsets decrease at %d", i)
-		}
-	}
-	if g.compressed {
-		raw = make([]byte, n*4)
-		if _, err := io.ReadFull(io.NewSectionReader(store, indexBase+int64(n+1)*8, int64(len(raw))), raw); err != nil {
-			return nil, fmt.Errorf("sem: read degree array: %w", err)
-		}
-		g.degrees = make([]uint32, n)
-		var sum uint64
-		for i := range g.degrees {
-			deg := binary.LittleEndian.Uint32(raw[i*4:])
-			g.degrees[i] = deg
-			sum += uint64(deg)
-			// Every encoded value is at least one varint byte, so a degree
-			// can never exceed its block's byte length. Rejecting here bounds
-			// every decode-buffer allocation by the blob size.
-			if uint64(deg) > g.offsets[uint64(i)+1]-g.offsets[i] {
-				return nil, fmt.Errorf("sem: corrupt degree array: vertex %d claims %d edges in a %d-byte block",
-					i, deg, g.offsets[uint64(i)+1]-g.offsets[i])
-			}
-		}
-		if sum != m {
-			return nil, fmt.Errorf("sem: corrupt degree array: sum %d, m %d", sum, m)
-		}
+	if g.out.compressed && g.out.offsets[n] != blobBytes {
+		return nil, fmt.Errorf("sem: corrupt edge index: offsets[n]=%d, header says a %d-byte blob", g.out.offsets[n], blobBytes)
 	}
 
 	// Reverse-adjacency capability: a symmetric graph serves in-edges from
 	// the edge region itself; otherwise an in-edge section may follow it.
-	g.symmetric = flags&flagSymmetric != 0
-	if flags&flagInEdges != 0 {
-		if g.symmetric {
-			return nil, fmt.Errorf("sem: corrupt header: symmetric and in-edge flags are mutually exclusive")
-		}
-		if err := g.openInSection(store); err != nil {
+	switch {
+	case g.symmetric && flags&flagInEdges != 0:
+		return nil, fmt.Errorf("sem: corrupt header: symmetric and in-edge flags are mutually exclusive")
+	case g.symmetric:
+		g.in = &g.out
+	case flags&flagInEdges != 0:
+		in := &section[V]{recSize: vSize, compressed: g.out.compressed}
+		edges, err := in.open(store, "in-edge", g.out.base+g.out.bytes(), n)
+		if err != nil {
 			return nil, err
 		}
+		// A whole file's in-edge count must equal its edge count — every edge
+		// has one source. A shard is exempt: its in-edge section holds the
+		// in-adjacency of the vertices it owns, a different edge set from its
+		// own out-edges.
+		if !g.Sharded() && edges != m {
+			return nil, fmt.Errorf("sem: corrupt in-edge index: %d in-edges indexed, header says %d edges", edges, m)
+		}
+		g.in = in
 	}
 	return g, nil
 }
 
-// openInSection reads the RAM-resident indexes of the in-edge section that
-// follows the edge region (see flagInEdges for the layout) and validates them
-// the same way Open validates the forward index.
-func (g *Graph[V]) openInSection(store Store) error {
-	inBase := g.edgeBase + g.EdgeBytes()
-	raw := make([]byte, (g.n+1)*8)
-	if _, err := io.ReadFull(io.NewSectionReader(store, inBase, int64(len(raw))), raw); err != nil {
-		return fmt.Errorf("sem: read in-edge index: %w", err)
+// open reads the section's index (and v2 degree array) from indexBase and
+// validates it — the one place a section index is checked: offsets start at 0,
+// never decrease, and end inside the store, and a v2 degree never exceeds its
+// block's byte length. It returns the number of edges the section indexes;
+// comparing that against the header is the caller's business, because only
+// the caller knows whether the section must hold every edge (a shard's
+// in-edge section does not).
+func (s *section[V]) open(store Store, what string, indexBase int64, n uint64) (edges uint64, err error) {
+	s.base = indexBase + int64(n+1)*8
+	unit := uint64(s.recSize)
+	if s.compressed {
+		s.base += int64(n) * 4 // the degree array sits between index and blob
+		unit = 1
 	}
-	g.inOffsets = make([]uint64, g.n+1)
-	for i := range g.inOffsets {
-		g.inOffsets[i] = binary.LittleEndian.Uint64(raw[i*8:])
+	// limit bounds offsets[n], and with it every extent length: by what the
+	// store can hold when it reports its size — a division, never a product
+	// that a corrupt count could wrap — and by the header's plausibility cap
+	// otherwise. Checked before allocating the index: a corrupt vertex count
+	// must not drive a huge allocation.
+	limit := uint64(1) << 56
+	if szr, ok := store.(Sizer); ok {
+		if szr.Size() < s.base {
+			return 0, fmt.Errorf("sem: store holds %d bytes, %s index ends at %d", szr.Size(), what, s.base)
+		}
+		limit = uint64(szr.Size()-s.base) / unit
 	}
-	if g.inOffsets[0] != 0 {
-		return fmt.Errorf("sem: corrupt in-edge index: offsets start at %d", g.inOffsets[0])
+
+	// The index is the RAM-resident "algorithmic information about the
+	// vertices". One sequential read at open time.
+	raw := make([]byte, (n+1)*8)
+	if _, err := io.ReadFull(io.NewSectionReader(store, indexBase, int64(len(raw))), raw); err != nil {
+		return 0, fmt.Errorf("sem: read %s index: %w", what, err)
 	}
-	for i := uint64(0); i < g.n; i++ {
-		if g.inOffsets[i] > g.inOffsets[i+1] {
-			return fmt.Errorf("sem: corrupt in-edge index: offsets decrease at %d", i)
+	s.offsets = make([]uint64, n+1)
+	for i := range s.offsets {
+		s.offsets[i] = binary.LittleEndian.Uint64(raw[i*8:])
+	}
+	if s.offsets[0] != 0 {
+		return 0, fmt.Errorf("sem: corrupt %s index: offsets start at %d", what, s.offsets[0])
+	}
+	for i := uint64(0); i < n; i++ {
+		if s.offsets[i] > s.offsets[i+1] {
+			return 0, fmt.Errorf("sem: corrupt %s index: offsets decrease at %d", what, i)
 		}
 	}
-	g.inEdgeBase = inBase + int64(g.n+1)*8
-	if !g.compressed {
-		// v1: offsets count bare vertex-id records. A whole (unsharded) file's
-		// in-edge count must equal its edge count — every edge has one source.
-		if !g.Sharded() && g.inOffsets[g.n] != g.m {
-			return fmt.Errorf("sem: corrupt in-edge index: %d in-records, %d edges", g.inOffsets[g.n], g.m)
-		}
-		if szr, ok := store.(interface{ Size() int64 }); ok {
-			if need := g.inEdgeBase + int64(g.inOffsets[g.n])*int64(g.vSize); szr.Size() < need {
-				return fmt.Errorf("sem: store holds %d bytes, in-edge section requires %d", szr.Size(), need)
-			}
-		}
-		return nil
+	if s.offsets[n] > limit {
+		return 0, fmt.Errorf("sem: corrupt %s index: offsets[n]=%d, the store has room for %d", what, s.offsets[n], limit)
 	}
-	// v2: a degree array sits between the byte-offset index and the in-blob.
-	g.inEdgeBase += int64(g.n) * 4
-	raw = make([]byte, g.n*4)
-	if _, err := io.ReadFull(io.NewSectionReader(store, inBase+int64(g.n+1)*8, int64(len(raw))), raw); err != nil {
-		return fmt.Errorf("sem: read in-degree array: %w", err)
+	if !s.compressed {
+		return s.offsets[n], nil
 	}
-	g.inDegrees = make([]uint32, g.n)
-	var sum uint64
-	for i := range g.inDegrees {
+
+	raw = make([]byte, n*4)
+	if _, err := io.ReadFull(io.NewSectionReader(store, indexBase+int64(n+1)*8, int64(len(raw))), raw); err != nil {
+		return 0, fmt.Errorf("sem: read %s degree array: %w", what, err)
+	}
+	s.degrees = make([]uint32, n)
+	for i := range s.degrees {
 		deg := binary.LittleEndian.Uint32(raw[i*4:])
-		g.inDegrees[i] = deg
-		sum += uint64(deg)
-		// Same bound as the forward degrees: one varint byte per value means a
-		// degree can never exceed its block's byte length, which bounds every
-		// decode-buffer allocation by the in-blob size.
-		if uint64(deg) > g.inOffsets[uint64(i)+1]-g.inOffsets[i] {
-			return fmt.Errorf("sem: corrupt in-degree array: vertex %d claims %d in-edges in a %d-byte block",
-				i, deg, g.inOffsets[uint64(i)+1]-g.inOffsets[i])
+		s.degrees[i] = deg
+		edges += uint64(deg)
+		// Every encoded value is at least one varint byte, so a degree can
+		// never exceed its block's byte length. Rejecting here bounds every
+		// decode-buffer allocation by the blob size.
+		if size := s.offsets[i+1] - s.offsets[i]; uint64(deg) > size {
+			return 0, fmt.Errorf("sem: corrupt %s degree array: vertex %d claims %d edges in a %d-byte block", what, i, deg, size)
 		}
 	}
-	if !g.Sharded() && sum != g.m {
-		return fmt.Errorf("sem: corrupt in-degree array: sum %d, m %d", sum, g.m)
-	}
-	if szr, ok := store.(interface{ Size() int64 }); ok {
-		if need := g.inEdgeBase + int64(g.inOffsets[g.n]); szr.Size() < need {
-			return fmt.Errorf("sem: store holds %d bytes, in-edge section requires %d", szr.Size(), need)
-		}
-	}
-	return nil
+	return edges, nil
 }
 
 // NumVertices implements graph.Adjacency.
@@ -609,10 +515,10 @@ func (g *Graph[V]) NumVertices() uint64 { return g.n }
 func (g *Graph[V]) NumEdges() uint64 { return g.m }
 
 // Weighted reports whether edge records carry weights.
-func (g *Graph[V]) Weighted() bool { return g.weighted }
+func (g *Graph[V]) Weighted() bool { return g.out.weighted }
 
 // Compressed reports whether the store holds format v2 compressed blocks.
-func (g *Graph[V]) Compressed() bool { return g.compressed }
+func (g *Graph[V]) Compressed() bool { return g.out.compressed }
 
 // Sharded reports whether the file carries a shard map: it holds one shard of
 // a hash-partitioned logical graph rather than the whole graph.
@@ -636,78 +542,89 @@ func (g *Graph[V]) TotalEdges() uint64 {
 }
 
 // Degree implements graph.Adjacency from the RAM-resident index.
-func (g *Graph[V]) Degree(v V) int {
-	if g.compressed {
-		return int(g.degrees[v])
-	}
-	return int(g.offsets[v+1] - g.offsets[v])
-}
+func (g *Graph[V]) Degree(v V) int { return g.out.degree(v) }
 
 // EdgeBytes reports the size of the edge region in bytes, the paper's
 // "size on EM device" (excluding the RAM-resident index). For compressed
 // graphs this is the blob size — divide by NumEdges for bytes/edge.
-func (g *Graph[V]) EdgeBytes() int64 {
-	if g.compressed {
-		return int64(g.offsets[g.n])
+func (g *Graph[V]) EdgeBytes() int64 { return g.out.bytes() }
+
+// bytes reports the size of the section's records or blob on the store.
+func (s *section[V]) bytes() int64 {
+	if s.compressed {
+		return int64(s.offsets[len(s.offsets)-1])
 	}
-	return int64(g.m) * int64(g.recSize)
+	return int64(s.offsets[len(s.offsets)-1]) * int64(s.recSize)
 }
 
-// extentOf reports the byte range of v's adjacency on the store: the record
+// degree reports v's neighbor count from the RAM-resident index.
+//
+//lint:hotpath
+func (s *section[V]) degree(v V) int {
+	if s.compressed {
+		return int(s.degrees[v])
+	}
+	return int(s.offsets[v+1] - s.offsets[v])
+}
+
+// extent reports the byte range of v's adjacency on the store: the record
 // span in v1, the compressed block in v2. n is 0 for isolated vertices.
 //
 //lint:hotpath
-func (g *Graph[V]) extentOf(v V) (off int64, n int) {
-	lo, hi := g.offsets[v], g.offsets[v+1]
-	if g.compressed {
-		return g.edgeBase + int64(lo), int(hi - lo)
+func (s *section[V]) extent(v V) (off int64, n int) {
+	lo, hi := s.offsets[v], s.offsets[v+1]
+	if s.compressed {
+		return s.base + int64(lo), int(hi - lo)
 	}
-	return g.edgeBase + int64(lo)*int64(g.recSize), int(hi-lo) * g.recSize
+	return s.base + int64(lo)*int64(s.recSize), int(hi-lo) * s.recSize
 }
 
-// decodeRecords decodes len(targets) consecutive edge records from block into
+// decodeRecords decodes len(targets) consecutive v1 records from block into
 // targets and, when non-nil, weights. block must hold at least
 // len(targets)*recSize bytes.
 //
 //lint:hotpath
-func (g *Graph[V]) decodeRecords(block []byte, targets []V, weights []graph.Weight) {
+func (s *section[V]) decodeRecords(block []byte, targets []V, weights []graph.Weight) {
+	vSize := vertexWidth[V]()
 	for i := range targets {
-		rec := block[i*g.recSize:]
-		if g.vSize == 4 {
+		rec := block[i*s.recSize:]
+		if vSize == 4 {
 			targets[i] = V(binary.LittleEndian.Uint32(rec))
 		} else {
 			targets[i] = V(binary.LittleEndian.Uint64(rec))
 		}
 		if weights != nil {
-			weights[i] = binary.LittleEndian.Uint32(rec[g.vSize:])
+			weights[i] = binary.LittleEndian.Uint32(rec[vSize:])
 		}
 	}
 }
 
-// decodeInto decodes v's adjacency block (deg edges, raw records or a v2
-// compressed block) through the scratch buffers, returning slices valid
-// until the next call with the same scratch.
+// decode decodes v's adjacency (raw records or a v2 compressed block, as
+// delimited by extent) through the scratch buffers, returning slices valid
+// until the next call with the same scratch. weights is nil for an
+// unweighted section.
 //
 //lint:hotpath
-func (g *Graph[V]) decodeInto(block []byte, v V, deg int, scratch *graph.Scratch[V]) ([]V, []graph.Weight, error) {
+func (s *section[V]) decode(block []byte, v V, scratch *graph.Scratch[V]) ([]V, []graph.Weight, error) {
+	deg := s.degree(v)
 	if cap(scratch.Targets) < deg {
 		scratch.Targets = make([]V, deg)
 	}
 	targets := scratch.Targets[:deg]
 	var weights []graph.Weight
-	if g.weighted {
+	if s.weighted {
 		if cap(scratch.Weights) < deg {
 			scratch.Weights = make([]graph.Weight, deg)
 		}
 		weights = scratch.Weights[:deg]
 	}
-	if g.compressed {
+	if s.compressed {
 		if _, err := graph.DecodeAdjBlock(block, v, targets, weights); err != nil {
 			return nil, nil, err
 		}
 		return targets, weights, nil
 	}
-	g.decodeRecords(block, targets, weights)
+	s.decodeRecords(block, targets, weights)
 	return targets, weights, nil
 }
 
@@ -718,19 +635,26 @@ func (g *Graph[V]) decodeInto(block []byte, v V, deg int, scratch *graph.Scratch
 // and decodes straight out of the coalesced span buffer. The decoded slices
 // live in scratch and are valid until the next call.
 func (g *Graph[V]) Neighbors(v V, scratch *graph.Scratch[V]) ([]V, []graph.Weight, error) {
-	deg := g.Degree(v)
-	if deg == 0 {
+	return g.neighbors(&g.out, v, scratch)
+}
+
+// neighbors is the one read-extent-and-decode routine behind Neighbors and
+// InNeighbors. Pop-window spans cover edge-region extents, so only reads of
+// that section (a symmetric file's in-reads included) consult the prefetch
+// session.
+func (g *Graph[V]) neighbors(s *section[V], v V, scratch *graph.Scratch[V]) ([]V, []graph.Weight, error) {
+	if s.degree(v) == 0 {
 		return nil, nil, nil
 	}
-	if sess, ok := scratch.Prefetch.(*prefetchSession); ok {
+	if sess, ok := scratch.Prefetch.(*prefetchSession); ok && s == &g.out {
 		if block, err, prefetched := sess.take(uint64(v)); prefetched {
 			if err != nil {
 				return nil, nil, fmt.Errorf("sem: read adjacency of %d: %w", v, err)
 			}
-			return g.decodeInto(block, v, deg, scratch)
+			return s.decode(block, v, scratch)
 		}
 	}
-	off, need := g.extentOf(v)
+	off, need := s.extent(v)
 	if cap(scratch.Block) < need {
 		scratch.Block = make([]byte, need)
 	}
@@ -738,7 +662,7 @@ func (g *Graph[V]) Neighbors(v V, scratch *graph.Scratch[V]) ([]V, []graph.Weigh
 	if _, err := g.store.ReadAt(block, off); err != nil {
 		return nil, nil, fmt.Errorf("sem: read adjacency of %d: %w", v, err)
 	}
-	return g.decodeInto(block, v, deg, scratch)
+	return s.decode(block, v, scratch)
 }
 
 // loadChunkBytes is the sequential read granularity of LoadCSR.
@@ -755,26 +679,26 @@ func LoadCSR[V graph.Vertex](store Store) (*graph.CSR[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	if g.compressed {
+	if g.out.compressed {
 		return g.loadCompressed()
 	}
 	targets := make([]V, g.m)
 	var weights []graph.Weight
-	if g.weighted {
+	if g.out.weighted {
 		weights = make([]graph.Weight, g.m)
 	}
-	recsPerChunk := uint64(loadChunkBytes / g.recSize)
+	recsPerChunk := uint64(loadChunkBytes / g.out.recSize)
 	if recsPerChunk < 1 {
 		recsPerChunk = 1
 	}
-	buf := make([]byte, recsPerChunk*uint64(g.recSize))
+	buf := make([]byte, recsPerChunk*uint64(g.out.recSize))
 	for rec := uint64(0); rec < g.m; {
 		take := recsPerChunk
 		if rec+take > g.m {
 			take = g.m - rec
 		}
-		block := buf[:take*uint64(g.recSize)]
-		off := g.edgeBase + int64(rec)*int64(g.recSize)
+		block := buf[:take*uint64(g.out.recSize)]
+		off := g.out.base + int64(rec)*int64(g.out.recSize)
 		if _, err := g.store.ReadAt(block, off); err != nil {
 			return nil, fmt.Errorf("sem: load edge records at %d: %w", rec, err)
 		}
@@ -782,11 +706,11 @@ func LoadCSR[V graph.Vertex](store Store) (*graph.CSR[V], error) {
 		if weights != nil {
 			ws = weights[rec : rec+take]
 		}
-		g.decodeRecords(block, targets[rec:rec+take], ws)
+		g.out.decodeRecords(block, targets[rec:rec+take], ws)
 		rec += take
 	}
-	offsets := make([]uint64, len(g.offsets))
-	copy(offsets, g.offsets)
+	offsets := make([]uint64, len(g.out.offsets))
+	copy(offsets, g.out.offsets)
 	return graph.NewCSRRaw(offsets, targets, weights)
 }
 
@@ -796,11 +720,11 @@ func LoadCSR[V graph.Vertex](store Store) (*graph.CSR[V], error) {
 func (g *Graph[V]) loadCompressed() (*graph.CSR[V], error) {
 	edgeOffsets := make([]uint64, g.n+1)
 	for v := uint64(0); v < g.n; v++ {
-		edgeOffsets[v+1] = edgeOffsets[v] + uint64(g.degrees[v])
+		edgeOffsets[v+1] = edgeOffsets[v] + uint64(g.out.degrees[v])
 	}
 	targets := make([]V, g.m)
 	var weights []graph.Weight
-	if g.weighted {
+	if g.out.weighted {
 		weights = make([]graph.Weight, g.m)
 	}
 	var buf []byte
@@ -808,16 +732,16 @@ func (g *Graph[V]) loadCompressed() (*graph.CSR[V], error) {
 		// Extend the chunk vertex by vertex until it holds ~loadChunkBytes of
 		// blob (always at least one vertex, however large its block).
 		end := v + 1
-		for end < g.n && g.offsets[end+1]-g.offsets[v] <= loadChunkBytes {
+		for end < g.n && g.out.offsets[end+1]-g.out.offsets[v] <= loadChunkBytes {
 			end++
 		}
-		lo, hi := g.offsets[v], g.offsets[end]
+		lo, hi := g.out.offsets[v], g.out.offsets[end]
 		if need := int(hi - lo); cap(buf) < need {
 			buf = make([]byte, need)
 		}
 		block := buf[:hi-lo]
 		if len(block) > 0 {
-			if _, err := g.store.ReadAt(block, g.edgeBase+int64(lo)); err != nil {
+			if _, err := g.store.ReadAt(block, g.out.base+int64(lo)); err != nil {
 				return nil, fmt.Errorf("sem: load blocks at vertex %d: %w", v, err)
 			}
 		}
@@ -830,7 +754,7 @@ func (g *Graph[V]) loadCompressed() (*graph.CSR[V], error) {
 			if weights != nil {
 				ws = weights[elo:ehi]
 			}
-			vb := block[g.offsets[v]-lo : g.offsets[v+1]-lo]
+			vb := block[g.out.offsets[v]-lo : g.out.offsets[v+1]-lo]
 			if _, err := graph.DecodeAdjBlock(vb, V(v), targets[elo:ehi], ws); err != nil {
 				return nil, fmt.Errorf("sem: decode block of vertex %d: %w", v, err)
 			}
@@ -848,22 +772,22 @@ func LoadCompressedCSR[V graph.Vertex](store Store) (*graph.CompressedCSR[V], er
 	if err != nil {
 		return nil, err
 	}
-	if !g.compressed {
+	if !g.out.compressed {
 		return nil, fmt.Errorf("sem: store holds a raw v1 graph, not compressed blocks")
 	}
-	blob := make([]byte, g.offsets[g.n])
+	blob := make([]byte, g.out.offsets[g.n])
 	for off := 0; off < len(blob); off += loadChunkBytes {
 		end := off + loadChunkBytes
 		if end > len(blob) {
 			end = len(blob)
 		}
-		if _, err := g.store.ReadAt(blob[off:end], g.edgeBase+int64(off)); err != nil {
+		if _, err := g.store.ReadAt(blob[off:end], g.out.base+int64(off)); err != nil {
 			return nil, fmt.Errorf("sem: load blob at %d: %w", off, err)
 		}
 	}
-	offsets := make([]uint64, len(g.offsets))
-	copy(offsets, g.offsets)
-	degrees := make([]uint32, len(g.degrees))
-	copy(degrees, g.degrees)
-	return graph.NewCompressedCSRRaw[V](offsets, degrees, blob, g.weighted)
+	offsets := make([]uint64, len(g.out.offsets))
+	copy(offsets, g.out.offsets)
+	degrees := make([]uint32, len(g.out.degrees))
+	copy(degrees, g.out.degrees)
+	return graph.NewCompressedCSRRaw[V](offsets, degrees, blob, g.out.weighted)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -153,6 +154,20 @@ func TestOpenRejectsCorruptHeader(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[40+n*8:], 1<<60)
 	}); err == nil {
 		t.Fatal("corrupt index accepted")
+	}
+	// An index that does not start at 0 silently drops edges (v1) or shifts
+	// every block (v2); both formats go through the one section validator.
+	for _, compress := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := Write(&buf, g, WriteConfig{Compress: compress}); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		binary.LittleEndian.PutUint64(data[headerSize:], 1)
+		_, err := Open[uint32](fastDevice(&ssd.MemBacking{Data: data}))
+		if err == nil || !strings.Contains(err.Error(), "edge index") {
+			t.Fatalf("compress=%v: offsets[0]=1 not rejected as a corrupt edge index: %v", compress, err)
+		}
 	}
 	if _, err := Open[uint32](fastDevice(&ssd.MemBacking{Data: pristine[:20]})); err == nil {
 		t.Fatal("truncated header accepted")

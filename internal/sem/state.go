@@ -2,7 +2,7 @@ package sem
 
 // This file glues the traversal engine's state notifications to the block
 // cache's state-aware policy. The engine sees vertices; the cache sees device
-// blocks. The graph sits between them and owns the translation: extentOf maps
+// blocks. The graph sits between them and owns the translation: out.extent maps
 // a vertex to its adjacency bytes (format-blind, v1 records or v2 compressed
 // blocks), and the byte offset divided by the cache's block size names the
 // block whose pending-visitor counter the settle events drive. The same
@@ -41,7 +41,7 @@ func (g *Graph[V]) blockOf(v V) (int64, bool) {
 	if g.state == nil {
 		return 0, false
 	}
-	off, n := g.extentOf(v)
+	off, n := g.out.extent(v)
 	if n == 0 {
 		return 0, false
 	}
