@@ -380,23 +380,23 @@ func shardFiles(b *testing.B, g *graph.CSR[uint32], shards int, compressed bool)
 	return files
 }
 
-// BenchmarkSEMTraversal measures the asynchronous SEM I/O pipeline: BFS and
-// SSSP per flash profile and per on-flash edge format (raw v1 records vs
-// delta+varint compressed v2 blocks), with the pop-window prefetcher off (the
-// historical one-read-per-visit path) and on. With the device cold and
-// uncached, the prefetch win is the coalescing rate — v/span vertices
-// serviced per device read, each span paying one latency term instead of
-// v/span of them — and the compression win is devB/edge: traversal bytes read
-// from the device per graph edge (index reads at mount time excluded).
+// BenchmarkSEMTraversal measures the asynchronous SEM I/O pipeline as a
+// raw-device mount runs it: BFS and SSSP per flash profile and per on-flash
+// edge format (raw v1 records vs delta+varint compressed v2 blocks). With the
+// device cold and uncached, what the pop window buys is the coalescing rate —
+// v/span vertices serviced per device read, each span paying one latency term
+// instead of v/span of them — and the compression win is devB/edge: traversal
+// bytes read from the device per graph edge (index reads at mount time
+// excluded).
 //
-// The shards dimension (FusionIO only, prefetch on) mounts the same graph as
+// The shards dimension (FusionIO only) mounts the same graph as
 // a 2- or 4-way partition with one device per shard: per-shard read counts
 // make the pop-window fan-out visible (healthy mounts read near-evenly), and
 // devB/edge tracks the side cost of coalescing per shard — member files are
 // sparser (same id space, 1/N the edges), so span coalescing bridges
 // proportionally more discarded gap bytes.
 //
-// The direction dimension (BFS, FusionIO, prefetch on) runs the per-phase
+// The direction dimension (BFS, FusionIO) runs the per-phase
 // direction controller over files carrying the on-flash in-edge section:
 // bottom-up phases replace per-vertex record pops with sequential in-section
 // spans (scanSpans/op), which is where hybrid must beat pure top-down on the
@@ -420,9 +420,7 @@ func BenchmarkSEMTraversal(b *testing.B) {
 			return err
 		}},
 	}
-	raw := func(p ssd.Profile, window int) mount.Options {
-		return mount.Options{Profile: p, NoCache: true, Prefetch: window, PrefetchGap: sem.DefaultPrefetchGap}
-	}
+	raw := func(p ssd.Profile) mount.Options { return mount.Options{Profile: p, NoCache: true} }
 	for _, a := range algos {
 		for _, fm := range []struct {
 			name       string
@@ -430,35 +428,27 @@ func BenchmarkSEMTraversal(b *testing.B) {
 			compressed bool
 		}{{"raw", a.raw, false}, {"compressed", a.comp, true}} {
 			for _, p := range ssd.Profiles {
-				for _, prefetch := range []int{0, window} {
-					mode := "off"
-					if prefetch > 1 {
-						mode = fmt.Sprintf("window%d", prefetch)
+				b.Run(fmt.Sprintf("%s/%s/%s/window%d", a.name, fm.name, p.Name, window), func(b *testing.B) {
+					var reads, devBytes, spans, verts uint64
+					for i := 0; i < b.N; i++ {
+						m, cfg := semMount(b, [][]byte{fm.file}, raw(p))
+						dev := m.Devices[0]
+						mounted := dev.Stats().BytesRead
+						if err := a.run(m.Adj, cfg); err != nil {
+							b.Fatal(err)
+						}
+						reads += dev.Stats().Reads
+						devBytes += dev.Stats().BytesRead - mounted
+						ps := m.Graphs[0].PrefetchStats()
+						spans += ps.Spans
+						verts += ps.Vertices
 					}
-					b.Run(fmt.Sprintf("%s/%s/%s/%s", a.name, fm.name, p.Name, mode), func(b *testing.B) {
-						var reads, devBytes, spans, verts uint64
-						for i := 0; i < b.N; i++ {
-							m, cfg := semMount(b, [][]byte{fm.file}, raw(p, prefetch))
-							dev := m.Devices[0]
-							mounted := dev.Stats().BytesRead
-							if err := a.run(m.Adj, cfg); err != nil {
-								b.Fatal(err)
-							}
-							reads += dev.Stats().Reads
-							devBytes += dev.Stats().BytesRead - mounted
-							ps := m.Graphs[0].PrefetchStats()
-							spans += ps.Spans
-							verts += ps.Vertices
-						}
-						edges := gs.directed.NumEdges()
-						edgesPerSec(b, edges)
-						b.ReportMetric(float64(reads)/float64(b.N), "devReads/op")
-						b.ReportMetric(float64(devBytes)/float64(b.N)/float64(edges), "devB/edge")
-						if spans > 0 {
-							b.ReportMetric(float64(verts)/float64(spans), "v/span")
-						}
-					})
-				}
+					edges := gs.directed.NumEdges()
+					edgesPerSec(b, edges)
+					b.ReportMetric(float64(reads)/float64(b.N), "devReads/op")
+					b.ReportMetric(float64(devBytes)/float64(b.N)/float64(edges), "devB/edge")
+					b.ReportMetric(float64(verts)/float64(spans), "v/span")
+				})
 			}
 			for _, shards := range []int{2, 4} {
 				name := fmt.Sprintf("%s/%s/%s/window%d/shards=%d", a.name, fm.name, ssd.FusionIO.Name, window, shards)
@@ -469,7 +459,7 @@ func BenchmarkSEMTraversal(b *testing.B) {
 					var devBytes uint64
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						m, cfg := semMount(b, files, raw(ssd.FusionIO, window))
+						m, cfg := semMount(b, files, raw(ssd.FusionIO))
 						for k, d := range m.Devices {
 							base[k] = d.Stats().BytesRead
 						}
@@ -512,7 +502,7 @@ func BenchmarkSEMTraversal(b *testing.B) {
 			b.Run(fmt.Sprintf("BFS/direction/%s/%s", in.name, dir), func(b *testing.B) {
 				var reads, devBytes, scanSpans uint64
 				for i := 0; i < b.N; i++ {
-					opt := raw(ssd.FusionIO, window)
+					opt := raw(ssd.FusionIO)
 					opt.Direction = dir
 					m, cfg := semMount(b, [][]byte{file}, opt)
 					mounted := m.Devices[0].Stats().BytesRead

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: all, fig1, fig2, table1, table2, table3, table4, table5, ablation, direction, cachepolicy")
+		exp       = flag.String("exp", "all", "experiment: all, fig1, fig2, table1, table2, table3, table4, table5, ablation, direction")
 		scales    = flag.String("scales", "", "comma-separated log2 vertex counts for in-memory tables")
 		semScales = flag.String("semscales", "", "comma-separated log2 vertex counts for SEM tables")
 		degree    = flag.Int("degree", 0, "average out-degree (default 16)")
@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	o.SemiSort, o.Prefetch, o.PrefetchGap, o.CachePolicy, o.Direction = f.SemiSort, f.Prefetch, f.PrefetchGap, f.CachePolicy, f.Direction
+	o.SemiSort, o.Direction = f.SemiSort, f.Direction
 	o.Shards = *shards
 	if err := o.Options.Validate(); err != nil {
 		usage(err)
@@ -117,8 +117,6 @@ func run(exp string, o harness.Options) ([]*harness.Table, error) {
 		return harness.Ablations(o)
 	case "direction":
 		return one(harness.AblationDirection(o))
-	case "cachepolicy":
-		return one(harness.AblationCachePolicy(o))
 	default:
 		return nil, fmt.Errorf("unknown -exp %q", exp)
 	}

@@ -37,7 +37,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 	// The engine/mount flag block is shared with cmd/traverse and cmd/bench;
 	// all three run the same table.
 	for _, bad := range mounttest.BadFlags {
-		cases = append(cases, usageCase{"-graph g=" + g + " " + bad.Args, "serve: " + bad.Want})
+		cases = append(cases, usageCase{"-graph g=" + g + " " + bad.Args, bad.Want})
 	}
 	for _, tc := range cases {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrorsExit2$")

@@ -30,9 +30,8 @@ import (
 )
 
 // options is one parsed invocation: what to run, and the storage stack to
-// run it on (the -semisort -prefetch -prefetchgap -cachepolicy -direction
-// block shared with cmd/bench and cmd/serve, plus this command's own
-// -sem -nocache -profile -shards).
+// run it on (the -semisort -direction block shared with cmd/bench and
+// cmd/serve, plus this command's own -sem -nocache -profile -shards).
 type options struct {
 	path, algo, engine string
 	workers, ranks     int
@@ -55,7 +54,7 @@ func main() {
 	flag.StringVar(&o.profile, "profile", "FusionIO", "flash profile for -sem: FusionIO, Intel, Corsair")
 	var (
 		semMode = flag.Bool("sem", false, "semi-external: leave edges on a simulated flash device")
-		nocache = flag.Bool("nocache", false, "mount the flash device without the block cache (every adjacency read hits the device; the regime -prefetch is for)")
+		nocache = flag.Bool("nocache", false, "raw device: mount the flash device without the block cache; the mount pops 16-visitor windows and coalesces their reads")
 		shards  = flag.Int("shards", 0, "mount graph.shard0..N-1 as one sharded graph (0 = auto-detect from the files present)")
 	)
 	mountFlags := mount.Bind(flag.CommandLine)
@@ -341,13 +340,11 @@ func reportSemIO(m *mount.Mounted) {
 	var hits, misses uint64
 	var pinnedHW int64
 	haveCache := false
-	policy := ""
 	for _, c := range caches {
 		if c == nil {
 			continue
 		}
 		haveCache = true
-		policy = c.PolicyName()
 		h, m := c.Stats()
 		hits += h
 		misses += m
@@ -362,16 +359,12 @@ func reportSemIO(m *mount.Mounted) {
 		}
 		// waits are the hits that found their block still under I/O; fetched
 		// blocks over misses is the mean span; inflightHW is memory held
-		// beyond the budget at the worst moment, in blocks (per shard device).
+		// beyond the budget at the worst moment, in blocks (per shard device);
+		// pinnedHW is the most blocks holding queued visitors at once (per
+		// shard device): how much of the budget the settle counters defended.
 		io := m.CacheIO()
-		fmt.Printf("cache: policy=%s hits=%d misses=%d hitRate=%.1f%% waits=%d fetched=%d evictions=%d inflightHW=%d",
-			policy, hits, misses, hitRate, io.Waits, io.Blocks, io.Evictions, io.InflightHW)
-		if policy == sem.PolicyState {
-			// High-water mark of simultaneously pinned blocks (per shard device):
-			// how much of the budget the settle counters actually defended.
-			fmt.Printf(" pinnedHW=%d", pinnedHW)
-		}
-		fmt.Println()
+		fmt.Printf("cache: hits=%d misses=%d hitRate=%.1f%% waits=%d fetched=%d evictions=%d inflightHW=%d pinnedHW=%d\n",
+			hits, misses, hitRate, io.Waits, io.Blocks, io.Evictions, io.InflightHW, pinnedHW)
 	}
 	var ps sem.PrefetchStats
 	for _, sg := range sgs {

@@ -156,10 +156,11 @@ func (s *balanceSettler) VertexSettled(v uint64) {
 
 // TestAbortMidWindowSettlesEveryVisitor aborts from inside the fourth visit
 // of an eight-wide pop window, with work sitting in the window, the queue and
-// the outbox. With one worker nothing can be stranded in another worker's
-// outbox, so the settle accounting must balance exactly: the rest of the
-// window is skipped but settled, queue and outbox are drained, and every
-// goroutine exits.
+// the outbox. One worker makes the visit the abort lands on deterministic
+// (internal/sem's TestAbortedTraversalUnpinsStatePolicy is the 128-worker
+// loop); the settle accounting must balance exactly: the rest of the window
+// is skipped but settled, Wait drains queue and outbox, and every goroutine
+// exits.
 func TestAbortMidWindowSettlesEveryVisitor(t *testing.T) {
 	before := runtime.NumGoroutine()
 	sentinel := errors.New("abort mid-window")

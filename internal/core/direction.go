@@ -96,6 +96,16 @@ var ErrNoInEdges = errors.New("backend has no in-edge capability")
 // goroutine spawns would dominate the traversal.
 const serialPhaseEdges = 2048
 
+// ioFanout is the slice of the frontier one worker of a top-down phase takes
+// on an I/O-backed store (one that batches adjacency reads). Such a phase is
+// bound by device latency, not by its edge count, so it fans out until every
+// ioFanout vertices have a worker even when serialPhaseEdges would run it
+// inline. The same 16 a raw-device mount pops and announces at once; behind
+// the cache, where nothing is announced, it is what keeps a trickle phase
+// from paying its misses one after another (EXPERIMENTS.md "The mount
+// chooses", table 4).
+const ioFanout = 16
+
 // dirDriver is the per-traversal state of the hybrid driver.
 type dirDriver[V graph.Vertex] struct {
 	g      graph.Adjacency[V]
@@ -137,12 +147,11 @@ func (w *dirWorker[V]) grow() {
 
 // topDown expands one slice of the current frontier: the CAS winner on a
 // neighbor's level word settles it, records the parent, and claims it for
-// the next frontier. On batching back ends (the semi-external store, the
-// shard router) each window of frontier vertices is announced before its
-// expansions run — the pop-window trick of the asynchronous engine — so
-// adjacency reads are in flight concurrently even in a width-1 phase; without
-// it, the trickle phases of high-diameter graphs would pay one full device
-// latency per vertex that the top-down async kernel overlaps.
+// the next frontier. On a mount that pops windows (cfg.Prefetch > 1: the raw
+// device) each window of frontier vertices is announced to the batching back
+// end before its expansions run — the pop-window trick of the asynchronous
+// engine — so a slice's adjacency reads are in flight concurrently; behind
+// the cache only the phase's ioFanout width overlaps them.
 //
 //lint:hotpath
 func (w *dirWorker[V]) topDown(d *dirDriver[V], frontier []V, nextLevel uint64) {
@@ -352,13 +361,12 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 		} else {
 			st.TopDownPhases++
 			width = phaseWorkers(cfg.Workers, mf)
-			if d.batch != nil && d.window > 1 {
+			if d.batch != nil {
 				// On an I/O-backed store the phase is latency-bound, not
-				// CPU-bound: fan out by announce windows so every frontier
-				// vertex's read is in flight at once, matching the overlap the
-				// asynchronous kernel gets from its per-worker pop windows.
-				if byWin := (len(frontier) + d.window - 1) / d.window; byWin > width {
-					width = byWin
+				// CPU-bound: fan out so the frontier's reads overlap, as the
+				// asynchronous kernel's do across its oversubscribed workers.
+				if byIO := (len(frontier) + ioFanout - 1) / ioFanout; byIO > width {
+					width = byIO
 					if width > cfg.Workers {
 						width = cfg.Workers
 					}

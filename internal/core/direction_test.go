@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/baseline"
@@ -197,6 +198,53 @@ func TestDirectionHybridStaysTopDownOnChain(t *testing.T) {
 	}
 	if res.Stats.PeakFrontier != 1 {
 		t.Fatalf("peak frontier %d on a chain, want 1", res.Stats.PeakFrontier)
+	}
+}
+
+// scratchCounter is a semi-external graph that notes which per-worker
+// scratches read adjacency through it: one per phase worker that ran.
+type scratchCounter struct {
+	*sem.Graph[uint32]
+	seen sync.Map // *graph.Scratch[uint32] -> struct{}
+}
+
+func (c *scratchCounter) Neighbors(v uint32, s *graph.Scratch[uint32]) ([]uint32, []graph.Weight, error) {
+	c.seen.Store(s, struct{}{})
+	return c.Graph.Neighbors(v, s)
+}
+
+// TestDirectionTopDownFansOutOnIOBackedStore pins the width of a top-down
+// phase on a batching (I/O-backed) back end that announces no windows — a
+// cached mount, Config.Prefetch 0. A 64x64 grid's frontiers hold at most 64
+// vertices and 128 edges, far below serialPhaseEdges, so by edge count every
+// phase would run inline and pay its cache misses one after another; the
+// driver must give every ioFanout frontier vertices a worker instead.
+func TestDirectionTopDownFansOutOnIOBackedStore(t *testing.T) {
+	grid, err := gen.Grid[uint32](64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := &scratchCounter{Graph: semMirrorCfg(t, grid, sem.WriteConfig{InEdges: true})}
+	res, err := BFS[uint32](adj, 0, Config{Workers: 32, Direction: DirectionHybrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := baseline.SerialBFS[uint32](grid, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range want {
+		if res.Level[v] != want[v] {
+			t.Fatalf("level[%d] = %d, want %d", v, res.Level[v], want[v])
+		}
+	}
+	if res.Stats.BottomUpPhases != 0 || res.Stats.PeakFrontier != 64 {
+		t.Fatalf("stats %+v: want a top-down-only run peaking at 64 frontier vertices", res.Stats)
+	}
+	workers := 0
+	adj.seen.Range(func(_, _ any) bool { workers++; return true })
+	if want := 64 / ioFanout; workers != want {
+		t.Fatalf("%d phase workers read adjacency, want %d (peak frontier 64 / ioFanout %d)", workers, want, ioFanout)
 	}
 }
 

@@ -279,9 +279,10 @@ type Engine[V graph.Vertex] struct {
 	// settle, when set (SetSettle), receives the visitor lifecycle: a
 	// VertexQueued at every push site (Ctx.Push, Engine.Push, ParallelInit)
 	// and a VertexSettled for every visitor that leaves the engine — visited,
-	// dropped stale by the kernel, or drained on abort. The pairing rides the
-	// exact same sites as the Terminator's Start/Finish accounting, so on a
-	// completed traversal the two notification streams balance per vertex.
+	// dropped stale by the kernel, or drained by Wait after an abort. The
+	// pairing rides the exact same sites as the Terminator's Start/Finish
+	// accounting, so once Wait returns the two notification streams balance
+	// per vertex.
 	settle graph.Settler
 }
 
@@ -406,6 +407,7 @@ func (e *Engine[V]) Wait() (Stats, error) {
 		e.finish()
 	}
 	e.wg.Wait()
+	e.drainAborted()
 	close(e.stop)
 	if e.watcherDone != nil {
 		<-e.watcherDone
@@ -482,8 +484,9 @@ func (e *Engine[V]) worker(id int) {
 		window = make([]pq.Item, 0, width)
 	}
 	// The abort check at the loop top is the engine's cancellation point: an
-	// aborted worker exits without draining its queue, so a deadline fires in
-	// at most one visit's time regardless of how much work is still queued.
+	// aborted worker exits without draining its queue (Wait settles what is
+	// left), so a deadline fires in at most one visit's time regardless of
+	// how much work is still queued.
 	for !e.aborted.Load() {
 		window = q.tryPopBatch(window[:0], width)
 		if len(window) == 0 {
@@ -508,7 +511,7 @@ func (e *Engine[V]) worker(id int) {
 		}
 		// An abort landing mid-window skips the remaining visits but still
 		// settles and finishes every popped visitor: they left the queue, so
-		// drainAborted will not see them.
+		// Wait's drain will not see them.
 		for _, it := range window {
 			if !e.aborted.Load() {
 				ctx.stats.visits++
@@ -524,34 +527,46 @@ func (e *Engine[V]) worker(id int) {
 			}
 		}
 	}
-	e.drainAborted(q, ctx)
 }
 
-// drainAborted settles the visitors an aborted worker leaves behind — its own
-// queue plus its undelivered outbox buffers — so a storage back end's settle
-// counters do not stay pinned after a cancelled query on a long-lived mount.
-// Best-effort by design: visitors sitting in *other* workers' outboxes at
-// abort time are missed, which graph.Settler implementations must tolerate
-// (the sem policy's decrements saturate at zero, so a missed settle means at
-// most a block that stays pinned until the file's next traversal touches it).
-// The Terminator is left alone: aborted traversals already abandon its count.
-func (e *Engine[V]) drainAborted(q *workQueue, ctx *Ctx[V]) {
-	if e.settle == nil {
+// drainAborted settles every visitor an aborted traversal left queued — all
+// queues, all worker outboxes — so a storage back end's settle counters return
+// to where the traversal found them on a mount that outlives the query. Wait
+// runs it once the workers have exited, when nothing can deliver into a queue
+// any more: a drain each worker ran on its own way out missed what a
+// still-running neighbour flushed into its queue afterwards, and counters fed
+// in pairs never recover such a miss. What is drained is what the Terminator
+// still counts (it saw a Start at every queueing site and a Finish for every
+// popped visitor), which `-tags invariants` asserts — on completed traversals
+// too, where that count is zero and every other build skips the walk
+// (Workers queues and Workers x Workers outbox buckets).
+func (e *Engine[V]) drainAborted() {
+	if !invariant.Enabled && (e.settle == nil || !e.aborted.Load()) {
 		return
 	}
-	for owner, buf := range ctx.out.bufs {
-		for _, it := range buf {
+	var drained int64
+	settle := func(it pq.Item) {
+		drained++
+		if e.settle != nil {
 			e.settle.VertexSettled(it.V)
 		}
-		ctx.out.bufs[owner] = buf[:0]
 	}
-	// fail marked every queue done, so pop returns false once this one is
-	// empty instead of blocking.
-	for {
-		it, ok := q.pop()
-		if !ok {
-			return
+	for _, q := range e.queues {
+		// Every queue is marked done by now, so pop returns false on empty
+		// instead of blocking.
+		for it, ok := q.pop(); ok; it, ok = q.pop() {
+			settle(it)
 		}
-		e.settle.VertexSettled(it.V)
+	}
+	for _, out := range e.res.outs {
+		for owner, buf := range out.bufs {
+			for _, it := range buf {
+				settle(it)
+			}
+			out.bufs[owner] = buf[:0]
+		}
+	}
+	if invariant.Enabled && drained != e.term.Outstanding() {
+		invariant.Failf("settle feed: drained %d visitors after Wait, the terminator counts %d queued and unsettled", drained, e.term.Outstanding())
 	}
 }

@@ -182,12 +182,11 @@ func runKernel[V graph.Vertex](
 	k := newKernelState(g, labels, parent, step, src, res.best)
 	res.best = k.best // recycled with the rest of the set
 	e := newEngine(cfg, k.visit, res)
-	// Storage back ends with state-aware caching opt in through an optional
+	// A storage back end that caches blocks opts in through an optional
 	// capability: a SettleProvider's sink receives the visitor lifecycle,
 	// feeding the per-block settle counters behind the cache's eviction
-	// scoring and span shaping. The sink is nil while state-aware caching is
-	// inactive, so plain mounts wire nothing and run bit-identically to the
-	// legacy engine.
+	// scoring and span shaping. The sink is nil when nothing consumes the
+	// feed, so in-memory and raw-device mounts wire nothing.
 	if sp, ok := g.(graph.SettleProvider); ok {
 		if sink := sp.SettleSink(); sink != nil {
 			e.SetSettle(sink)

@@ -77,22 +77,21 @@ type BatchAdjacency[V Vertex] interface {
 // Settler is implemented by storage back ends that want traversal-state
 // notifications from the engine: VertexQueued fires when a visitor for v
 // enters the engine (push), VertexSettled when that visitor leaves it
-// (visited, or dropped stale). The semi-external back end feeds these into
-// its state-aware block-cache policy — a block whose vertices all settled is
-// evicted early, one with queued work is pinned. Calls arrive concurrently
-// from every worker; implementations must be atomic and cheap. The engine
-// guarantees queued/settled arrive pairwise per visitor on completed
-// traversals and best-effort (drained, possibly lossy) on aborted ones, so
-// implementations should tolerate missing settles.
+// (visited, dropped stale, or drained after an abort). The semi-external back
+// end feeds these into its block cache's replacement order — a block whose
+// vertices all settled is evicted early, one with queued work is pinned.
+// Calls arrive concurrently from every worker; implementations must be atomic
+// and cheap. The engine guarantees queued/settled arrive pairwise per visitor
+// by the time Wait returns, on completed and aborted traversals alike.
 type Settler interface {
 	VertexQueued(v uint64)
 	VertexSettled(v uint64)
 }
 
 // SettleProvider is the discovery side of Settler: back ends expose it
-// unconditionally and return a nil sink while state-aware caching is
-// inactive, so the engine wires the per-push notification calls only on
-// mounts that will actually consume them — a plain LRU mount pays nothing.
+// unconditionally and return a nil sink when nothing consumes the feed, so
+// the engine wires the per-push notification calls only on mounts that will
+// actually use them — an in-memory or raw-device mount pays nothing.
 type SettleProvider interface {
 	SettleSink() Settler
 }

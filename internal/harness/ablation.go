@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/baseline"
@@ -198,72 +197,6 @@ func AblationEngine(o Options) (*Table, error) {
 			fmt.Sprintf("%d", lf.Stats.Visits),
 			fmt.Sprintf("steals=%d casFail=%d", lf.Stats.Steals, lf.Stats.CASFail))
 		o.logf("ablation-engine: workers=%d done\n", w)
-	}
-	return t, nil
-}
-
-// AblationPrefetch sweeps the semi-external asynchronous I/O pipeline: the
-// pop-window size (core.Config.Prefetch) against the span-coalescing gap
-// (sem.PrefetchConfig.MaxGap), per device profile. The graph is mounted on
-// the raw device with no block cache, so the devReads column is exactly the
-// number of ReadAt operations the traversal issued and the coalescing effect
-// is undiluted: window 0 pays one latency term per visited vertex, a window
-// with a generous gap pays one per span. The v/span column is the coalescing
-// rate (window vertices covered by one device read); gapB is the bytes read
-// only to bridge near-contiguous extents.
-func AblationPrefetch(o Options) (*Table, error) {
-	t := &Table{
-		Title: "Ablation: SEM prefetch pipeline (async BFS, RMAT-A, raw device)",
-		Note: fmt.Sprintf("no block cache; %d workers; window = pop-window size, gap = coalescing slack (bytes)",
-			o.SEMThreads),
-		Cols: []string{"profile", "window", "gap", "time(s)", "devReads", "avgRead(B)", "v/span", "consumed%", "gapMB"},
-	}
-	scale := o.SEMScales[len(o.SEMScales)-1]
-	g, err := gen.RMAT[uint32](scale, o.Degree, gen.RMATA, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	src := pickSource(g)
-	backings, err := serialize(g, sem.WriteConfig{}, 1)
-	if err != nil {
-		return nil, err
-	}
-	type setting struct{ window, gap int }
-	settings := []setting{
-		{0, 0},
-		{16, 0},
-		{16, 4096},
-		{16, sem.DefaultPrefetchGap},
-		{64, sem.DefaultPrefetchGap},
-	}
-	for _, p := range ssd.Profiles {
-		for _, s := range settings {
-			m, err := mount.Graph(backings, mount.Options{
-				SEM: true, Profile: p, NoCache: true, SemiSort: true,
-				Prefetch: s.window, PrefetchGap: s.gap,
-			})
-			if err != nil {
-				return nil, err
-			}
-			dur, err := timeIt(func() error {
-				_, err := core.BFS[uint32](m.Adj, src, o.semConfig(m))
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			st := m.Devices[0].Stats()
-			vps, consumed, gapMB := "-", "-", "-"
-			if ps := m.Graphs[0].PrefetchStats(); s.window > 1 {
-				vps = fmt.Sprintf("%.1f", ps.VertsPerSpan())
-				consumed = fmt.Sprintf("%.0f%%", 100*ps.ConsumedFrac())
-				gapMB = fmt.Sprintf("%.1f", float64(ps.GapBytes)/(1<<20))
-			}
-			t.Add(p.Name, fmt.Sprintf("%d", s.window), fmt.Sprintf("%d", s.gap),
-				Seconds(dur), fmt.Sprintf("%d", st.Reads),
-				fmt.Sprintf("%.0f", st.AvgReadBytes()), vps, consumed, gapMB)
-			o.logf("ablation-prefetch: %s window=%d gap=%d done\n", p.Name, s.window, s.gap)
-		}
 	}
 	return t, nil
 }
@@ -479,11 +412,9 @@ func AblationDirection(o Options) (*Table, error) {
 	inputs = append(inputs, input{fmt.Sprintf("grid %dx%d", side, side), grid, 0, guard})
 
 	// The scan-phase double buffering (and its ScanSpans/ScanBytes counters)
-	// lives in the prefetcher, so the ablation always mounts with the pipeline
-	// on — the direction comparison should not also toggle I/O overlap.
-	if o.Prefetch <= 1 {
-		o.Prefetch, o.PrefetchGap = 64, sem.DefaultPrefetchGap
-	}
+	// lives in the prefetcher, which a mount attaches on the raw device — the
+	// direction comparison should not also toggle I/O overlap.
+	o.NoCache = true
 	for _, in := range inputs {
 		for _, dir := range in.dirs {
 			opts := o
@@ -512,152 +443,13 @@ func AblationDirection(o Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationCachePolicy compares the legacy recency-only block-cache eviction
-// (lru) against the state-aware policy (state: settle counters pin blocks with
-// queued visitors, pop-windows prefer cache-resident vertices, workers share
-// in-flight spans) at equal cache size. The interesting regime is eviction
-// pressure: at the harness default half-graph budget both policies mostly hit,
-// so the comparison mounts with a tighter budget, identical for both. RMAT
-// rows run all three flash profiles and carry the reads/edge claim; chain and
-// grid rows are the guard — their narrow frontiers give the state policy
-// nothing to pin, and its row must not regress wall clock. Each claim: /
-// guard: line in the rendered note is machine-greppable; CI's cache-policy
-// smoke step asserts them.
-func AblationCachePolicy(o Options) (*Table, error) {
-	t := &Table{
-		Title: "Ablation: SEM block-cache policy (async BFS, equal cache size)",
-		Cols:  []string{"graph", "profile", "policy", "time(s)", "devReads", "rd/edge", "cacheHit%", "pinnedHW", "inflHW", "dedupSp"},
-	}
-	// The cell is pinned, not inherited from the sweep options: the policies
-	// only separate under sustained eviction pressure with a victim set big
-	// enough for replacement order to matter. A quarter-graph budget at
-	// scale 13 puts the cache at 64 blocks against a 256-block edge file —
-	// large enough that announce-time residency survives to visit time (so
-	// keeping the right blocks pays), small enough that both policies evict
-	// constantly. At half-graph budgets both policies mostly hit; at an
-	// eighth of the graph the churn is so fast no replacement order matters.
-	scale := 13
-	o.SEMThreads = 32
-	o.CacheFrac = 4
-	if o.Prefetch <= 1 {
-		o.Prefetch = 64
-	}
-	// DefaultPrefetchGap (32 KiB) is sized for paper-scale edge files; at
-	// ablation scales it bridges most of the edge region, every pop-window
-	// degenerates into a near-sequential sweep, and no eviction policy can
-	// matter. A one-block gap keeps spans honest about locality, so the
-	// policies differ by what the cache keeps, not by what the prefetcher
-	// accidentally streams.
-	o.PrefetchGap = 4096
-	t.Note = fmt.Sprintf("cache=edges/%d (equal for both policies), %d workers, window=%d; state = settle-counter pinning + cache-affine pop-windows + span dedup",
-		o.CacheFrac, o.SEMThreads, o.Prefetch)
-	type input struct {
-		name     string
-		g        *graph.CSR[uint32]
-		src      uint32
-		profiles []ssd.Profile
-		claim    bool // RMAT rows claim reads/edge wins; others guard wall clock
-	}
-	var inputs []input
-	for _, variant := range rmatVariants {
-		g, err := gen.RMAT[uint32](scale, o.Degree, variant.Params, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		inputs = append(inputs, input{fmt.Sprintf("%s 2^%d", variant.Name, scale), g, pickSource(g), ssd.Profiles, true})
-	}
-	chain, err := gen.Chain[uint32](1 << scale)
-	if err != nil {
-		return nil, err
-	}
-	inputs = append(inputs, input{fmt.Sprintf("chain 2^%d", scale), chain, 0, []ssd.Profile{ssd.FusionIO}, false})
-	side := uint64(1) << (scale / 2)
-	grid, err := gen.Grid[uint32](side, side)
-	if err != nil {
-		return nil, err
-	}
-	inputs = append(inputs, input{fmt.Sprintf("grid %dx%d", side, side), grid, 0, []ssd.Profile{ssd.FusionIO}, false})
-
-	policies := []string{sem.PolicyLRU, sem.PolicyState}
-	var claims []string
-	for _, in := range inputs {
-		wins, runs := 0, 0
-		for _, p := range in.profiles {
-			var rpe [2]float64
-			var dur [2]time.Duration
-			for pi, pol := range policies {
-				opts := o
-				opts.CachePolicy = sem.CachePolicyConfig{Kind: pol}
-				// Async BFS is nondeterministic: per-run device reads vary by
-				// several percent as label corrections race. One draw per cell
-				// would compare noise, not policies, so the claim metric is
-				// the per-rep MEAN of device reads over fresh mounts (wall
-				// clock stays best-of, matching the other SEM tables). The
-				// mean's standard error shrinks with the rep count, which is
-				// why claim cells run more reps than guard cells.
-				reps := opts.SEMReps
-				if in.claim && reps < 6 {
-					reps = 6
-				} else if reps < 3 {
-					reps = 3
-				}
-				opts.SEMReps = 1
-				var d time.Duration
-				var io SEMIO
-				var sumReads uint64
-				for r := 0; r < reps; r++ {
-					rd, rio, err := timeSEM(opts, in.g, p, func(adj graph.Adjacency[uint32], cfg core.Config) error {
-						_, err := core.BFS[uint32](adj, in.src, cfg)
-						return err
-					})
-					if err != nil {
-						return nil, err
-					}
-					sumReads += rio.Device.Reads
-					if r == 0 || rd < d {
-						d = rd
-					}
-					if r == 0 || rio.Device.Reads < io.Device.Reads {
-						io = rio
-					}
-				}
-				io.Device.Reads = sumReads / uint64(reps)
-				rpe[pi], dur[pi] = io.ReadsPerEdge(), d
-				t.Add(in.name, p.Name, pol, Seconds(d),
-					fmt.Sprintf("%d", io.Device.Reads),
-					fmt.Sprintf("%.4f", io.ReadsPerEdge()),
-					fmt.Sprintf("%.1f", 100*io.CacheHitRate()),
-					fmt.Sprintf("%d", io.PinnedHW),
-					fmt.Sprintf("%d", io.CacheIO.InflightHW),
-					fmt.Sprintf("%d", io.DedupSpans))
-				o.logf("ablation-cachepolicy: %s %s %s done\n", in.name, p.Name, pol)
-			}
-			if in.claim {
-				runs++
-				if rpe[1] < rpe[0] {
-					wins++
-				}
-			} else {
-				claims = append(claims, fmt.Sprintf("guard: %s %s state/lru time ratio=%.2f",
-					in.name, p.Name, dur[1].Seconds()/dur[0].Seconds()))
-			}
-		}
-		if in.claim {
-			claims = append(claims, fmt.Sprintf("claim: %s state reads/edge beats lru on %d/%d profiles", in.name, wins, runs))
-		}
-	}
-	t.Note += "\n" + strings.Join(claims, "\n")
-	return t, nil
-}
-
 // Ablations runs every ablation study.
 func Ablations(o Options) ([]*Table, error) {
 	var tables []*Table
 	for _, fn := range []func(Options) (*Table, error){
 		AblationOversubscription, AblationHash, AblationSemiSort, AblationCache,
-		AblationEngine, AblationPrefetch,
+		AblationEngine,
 		AblationStripe, AblationSSSP, AblationWriteAsymmetry, AblationDirection,
-		AblationCachePolicy,
 	} {
 		tbl, err := fn(o)
 		if err != nil {

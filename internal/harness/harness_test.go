@@ -186,19 +186,11 @@ func TestFigure2AndAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTable(t, tbl, 3)
-	// Every study Ablations runs except AblationCachePolicy: that one ignores
-	// the tiny sizes by design (pinned scale 13, 6 reps x 3 profiles x 2
-	// policies x 2 graphs, ~34 s on a 2-CPU host) and CI runs the same table,
-	// with its claim and guard greps, as its own `bench -exp cachepolicy` step.
-	for _, fn := range []func(Options) (*Table, error){
-		AblationOversubscription, AblationHash, AblationSemiSort, AblationCache,
-		AblationEngine, AblationPrefetch,
-		AblationStripe, AblationSSSP, AblationWriteAsymmetry, AblationDirection,
-	} {
-		tbl, err := fn(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+	tables, err := Ablations(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s: empty", tbl.Title)
 		}

@@ -147,28 +147,9 @@ type SEMIO struct {
 	PerShard    []ssd.Stats // nil when the mount is a single store
 	CacheHits   uint64
 	CacheMisses uint64
-	CacheIO     sem.CacheIOStats // the miss path's side: waits, blocks fetched, evictions, in-flight high-water
 	Prefetch    sem.PrefetchStats
-	// DedupSpans / DedupBytes count prefetch spans (and their bytes) that were
-	// satisfied by another worker's in-flight read instead of a device
-	// operation — the cross-worker span dedup's savings. They mirror the same
-	// counters inside Prefetch, lifted out as first-class columns.
-	DedupSpans uint64
-	DedupBytes uint64
-	// PinnedHW is the high-water mark of simultaneously pinned blocks under
-	// the state-aware cache policy (max across shard members; 0 under LRU).
-	PinnedHW  int64
-	EdgeBytes int64  // on-flash edge bytes, summed across members
-	Edges     uint64 // logical edge count
-}
-
-// ReadsPerEdge reports device read operations per logical edge, the ablation
-// metric the cache-policy comparison is judged on (0 when the mount is empty).
-func (s SEMIO) ReadsPerEdge() float64 {
-	if s.Edges == 0 {
-		return 0
-	}
-	return float64(s.Device.Reads) / float64(s.Edges)
+	EdgeBytes   int64  // on-flash edge bytes, summed across members
+	Edges       uint64 // logical edge count
 }
 
 // CacheHitRate reports block-cache hits over total block lookups (0 when the
@@ -191,22 +172,16 @@ func semIO(m *mount.Mounted) SEMIO {
 	if len(stats) > 1 {
 		out.PerShard = stats
 	}
-	out.CacheIO = m.CacheIO()
 	for _, c := range m.Caches {
 		hits, misses := c.Stats()
 		out.CacheHits += hits
 		out.CacheMisses += misses
-		if hw := c.PinnedHW(); hw > out.PinnedHW {
-			out.PinnedHW = hw
-		}
 	}
 	for _, sg := range m.Graphs {
 		out.Prefetch.Add(sg.PrefetchStats())
 		out.EdgeBytes += sg.EdgeBytes()
 		out.Edges += sg.NumEdges()
 	}
-	out.DedupSpans = out.Prefetch.DedupSpans
-	out.DedupBytes = out.Prefetch.DedupBytes
 	return out
 }
 

@@ -1,10 +1,12 @@
 // Package mount assembles the storage stack under a traversal — one simulated
-// flash device per shard, the block cache, the semi-external graph, the cache
-// policy, the prefetcher and the shard router, or an in-memory CSR — and
+// flash device per shard, the semi-external graph and the shard router, with
+// the block cache or the prefetcher between them, or an in-memory CSR — and
 // derives the engine configuration that matches it. cmd/traverse, cmd/serve,
 // cmd/bench, the harness and the examples all mount through here, so the
-// default recipe (4 KiB blocks, half the file, readahead 8), the rule that
-// the engine's pop window is the mount's prefetch window, and the rule that
+// default recipe (4 KiB blocks, half the file, readahead 8), the choice of
+// read path from whether a cache is mounted (behind the cache the traversal's
+// state steers replacement and nothing windows; on the raw device the engine
+// pops windows and the prefetcher coalesces their reads), and the rule that
 // an in-memory mount transposes itself for a non-top-down direction each
 // exist once.
 package mount
@@ -13,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -22,11 +23,16 @@ import (
 )
 
 // The block-cache recipe every mount shares unless Options overrides the
-// budget or the readahead.
+// budget or the readahead, and the pop window of a mount without the cache.
 const (
 	blockSize        = 4096
 	defaultCacheFrac = 2
 	defaultReadahead = 8
+	// rawWindow visitors are popped at once on a raw-device mount, their
+	// reads coalesced across sem.DefaultPrefetchGap: 1.5-3.7x faster than
+	// one read per visit there, 1.3-2.2x slower behind the cache
+	// (EXPERIMENTS.md "The mount chooses").
+	rawWindow = 16
 )
 
 // Options selects the storage stack and the engine knobs tied to it.
@@ -37,7 +43,8 @@ type Options struct {
 	// Profile is the device model of a SEM mount.
 	Profile ssd.Profile
 	// NoCache mounts the raw device without the block cache: every adjacency
-	// read is a device operation, the regime the prefetch window is for.
+	// read is a device operation, so the engine pops rawWindow visitors at
+	// once and a prefetcher coalesces their reads.
 	NoCache bool
 	// CacheFrac sets the block-cache budget to the store's bytes / CacheFrac
 	// (0 = 2, half the file), never below CacheFloor bytes.
@@ -46,15 +53,6 @@ type Options struct {
 	// Readahead is the number of consecutive blocks one cache miss fetches
 	// in a single device operation (0 = 8; 1 disables readahead).
 	Readahead int
-	// CachePolicy selects the block cache's eviction policy (zero value =
-	// LRU). Without a cache there is nothing to steer and it is ignored.
-	CachePolicy sem.CachePolicyConfig
-	// Prefetch is the pop-window size: above 1 a SEM mount gets a prefetcher
-	// and the engine pops that many visitors at once to feed it.
-	Prefetch int
-	// PrefetchGap is the largest byte gap the prefetcher bridges when it
-	// coalesces a window's adjacency extents into one device read.
-	PrefetchGap int
 	// Shards is the shard count Files demands of the path (0 = auto-detect).
 	Shards int
 	// SemiSort enables the engine's secondary vertex-id sort key.
@@ -68,17 +66,8 @@ type Options struct {
 // Validate rejects values no mount can honor. The messages name the flags
 // Bind registers, since that is where bad values come from.
 func (o Options) Validate() error {
-	if o.Prefetch < 0 {
-		return fmt.Errorf("-prefetch must be >= 0, got %d", o.Prefetch)
-	}
-	if o.PrefetchGap < 0 {
-		return fmt.Errorf("-prefetchgap must be >= 0, got %d", o.PrefetchGap)
-	}
 	if o.Shards < 0 {
 		return fmt.Errorf("-shards must be >= 0 (0 = auto-detect), got %d", o.Shards)
-	}
-	if err := o.CachePolicy.Validate(); err != nil {
-		return fmt.Errorf("-cachepolicy: %v", err)
 	}
 	if o.Direction < core.DirectionTopDown || o.Direction > core.DirectionHybrid {
 		return fmt.Errorf("unknown direction %d", o.Direction)
@@ -90,24 +79,15 @@ func (o Options) Validate() error {
 }
 
 // Bind registers on fs the engine/mount flags cmd/traverse, cmd/bench and
-// cmd/serve share: -semisort -prefetch -prefetchgap -cachepolicy -direction.
+// cmd/serve share: -semisort -direction.
 // After fs.Parse, the returned function yields the Options they fill, or a
 // usage error (the binaries exit 2 on it).
 func Bind(fs *flag.FlagSet) func() (Options, error) {
 	var o Options
 	fs.BoolVar(&o.SemiSort, "semisort", true, "secondary vertex-id sort key (SEM locality)")
-	fs.IntVar(&o.Prefetch, "prefetch", 0, "SEM pop-window size: pop this many visitors at once and start their adjacency reads asynchronously (0 = off; pays on a mount without the block cache, behind the cache it is redundant)")
-	gap := fs.String("prefetchgap", strconv.Itoa(sem.DefaultPrefetchGap), "max byte gap bridged when coalescing prefetched adjacency extents into one device read (bytes, or with a k/KiB/m/MiB suffix)")
-	policy := fs.String("cachepolicy", sem.PolicyLRU, "SEM block-cache eviction policy: lru (recency order) or state (blocks with queued visitors are pinned, settled blocks evicted first)")
 	dir := fs.String("direction", "", "BFS direction policy: topdown (default), bottomup, or hybrid; non-topdown needs in-edges (gengraph/convert -symmetric) on a semi-external graph")
 	return func() (Options, error) {
 		var err error
-		if o.PrefetchGap, err = sem.ParseByteSize(*gap); err != nil {
-			return o, fmt.Errorf("-prefetchgap: %v", err)
-		}
-		if o.CachePolicy, err = sem.ParseCachePolicy(*policy); err != nil {
-			return o, fmt.Errorf("-cachepolicy: %v", err)
-		}
 		if o.Direction, err = core.ParseDirection(*dir); err != nil {
 			return o, fmt.Errorf("-direction: %v", err)
 		}
@@ -116,12 +96,15 @@ func Bind(fs *flag.FlagSet) func() (Options, error) {
 }
 
 // Engine is the engine configuration that matches a mount built from o: the
-// pop window is the prefetch window, or off when no prefetcher is mounted.
+// pop window is on exactly when the mount attaches a prefetcher to consume it.
+// Direction does not enter into it: the one thing a window gave the direction
+// driver behind the cache, the width of its top-down phases, is that driver's
+// own rule on any I/O-backed mount (core's ioFanout).
 // Callers add Workers; Mounted.Engine adds the direction thresholds.
 func (o Options) Engine() core.Config {
 	cfg := core.Config{SemiSort: o.SemiSort, Direction: o.Direction}
-	if o.Prefetch > 1 {
-		cfg.Prefetch = o.Prefetch
+	if o.NoCache {
+		cfg.Prefetch = rawWindow
 	}
 	return cfg
 }
@@ -276,8 +259,9 @@ func Stores(stores []sem.Store, opt Options) (*Mounted, error) {
 	return semStack(stores, len(stores) > 1, opt)
 }
 
-// semStack is the semi-external half: cache, open, policy, prefetcher and
-// shard router over one store per shard.
+// semStack is the semi-external half: the cache fed by the graph it serves or
+// the prefetcher on the raw device, and the shard router, over one store per
+// shard.
 func semStack(stores []sem.Store, sharded bool, opt Options) (*Mounted, error) {
 	m := &Mounted{Graphs: make([]*sem.Graph[uint32], len(stores))}
 	if !opt.NoCache {
@@ -298,11 +282,10 @@ func semStack(stores []sem.Store, sharded bool, opt Options) (*Mounted, error) {
 		if m.Graphs[i], err = sem.Open[uint32](store); err != nil {
 			return nil, err
 		}
-		if opt.CachePolicy.StateAware() {
+		if opt.NoCache {
+			m.Graphs[i].EnablePrefetch(sem.PrefetchConfig{MaxGap: sem.DefaultPrefetchGap})
+		} else {
 			m.Graphs[i].EnableStateCache()
-		}
-		if opt.Prefetch > 1 {
-			m.Graphs[i].EnablePrefetch(sem.PrefetchConfig{MaxGap: opt.PrefetchGap})
 		}
 	}
 	m.Adj = m.Graphs[0]

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -72,8 +73,10 @@ func memBackings(imgs [][]byte) []ssd.Backing {
 // TestMountTable mounts one graph every way the callers do and checks, per
 // configuration, that BFS and SSSP on the returned adjacency under the
 // returned engine configuration match the serial baselines, that the layers
-// the options ask for are the layers present, and that the engine's pop
-// window is on exactly when a prefetcher was mounted to consume it.
+// the options ask for are the layers present, and that the read path is the
+// one the mount derives from them: behind the cache the traversal feeds the
+// replacement order and nothing windows, on the raw device the engine pops
+// 16-visitor windows and the prefetcher consumes them.
 func TestMountTable(t *testing.T) {
 	g, src := testGraph(t)
 	wantLevel, err := baseline.SerialBFS[uint32](g, src)
@@ -84,8 +87,11 @@ func TestMountTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v1, v2 := sem.WriteConfig{}, sem.WriteConfig{Compress: true}
 	sem1 := Options{SEM: true, Profile: fast, SemiSort: true}
+	raw := Options{SEM: true, Profile: fast, SemiSort: true, NoCache: true}
 	with := func(o Options, f func(*Options)) Options { f(&o); return o }
+	none := func(*testing.T, *Mounted) {}
 	cases := []struct {
 		name   string
 		write  sem.WriteConfig
@@ -93,12 +99,12 @@ func TestMountTable(t *testing.T) {
 		opt    Options
 		check  func(t *testing.T, m *Mounted)
 	}{
-		{"IM", sem.WriteConfig{}, 1, Options{}, func(t *testing.T, m *Mounted) {
+		{"IM", v1, 1, Options{}, func(t *testing.T, m *Mounted) {
 			if m.CSR == nil || m.Adj != graph.Adjacency[uint32](m.CSR) || m.Graphs != nil || m.Shards != 0 {
 				t.Errorf("in-memory mount: CSR=%v graphs=%d shards=%d", m.CSR != nil, len(m.Graphs), m.Shards)
 			}
 		}},
-		{"IM hybrid", sem.WriteConfig{}, 1, Options{Direction: core.DirectionHybrid}, func(t *testing.T, m *Mounted) {
+		{"IM hybrid", v1, 1, Options{Direction: core.DirectionHybrid}, func(t *testing.T, m *Mounted) {
 			if _, ok := m.Adj.(*graph.Bidi[uint32]); !ok {
 				t.Errorf("non-top-down in-memory mount is %T, want the CSR paired with its transpose", m.Adj)
 			}
@@ -106,64 +112,50 @@ func TestMountTable(t *testing.T) {
 				t.Errorf("thresholds not derived: alpha=%d beta=%d", m.Engine.Alpha, m.Engine.Beta)
 			}
 		}},
-		{"IM from 4 shards", sem.WriteConfig{}, 4, Options{}, func(t *testing.T, m *Mounted) {
+		{"IM from 4 shards", v1, 4, Options{}, func(t *testing.T, m *Mounted) {
 			if m.CSR == nil || m.Shards != 4 || m.CSR.NumEdges() != g.NumEdges() {
 				t.Errorf("merged shard set: CSR=%v shards=%d", m.CSR != nil, m.Shards)
 			}
 		}},
-		{"SEM cached", sem.WriteConfig{}, 1, sem1, func(t *testing.T, m *Mounted) {
-			if len(m.Devices) != 1 || len(m.Caches) != 1 || m.Caches[0].PolicyName() != sem.PolicyLRU {
+		{"SEM cached", v1, 1, sem1, func(t *testing.T, m *Mounted) {
+			if len(m.Devices) != 1 || len(m.Caches) != 1 {
 				t.Errorf("default SEM mount: %d devices, %d caches", len(m.Devices), len(m.Caches))
 			}
 			if hits, misses := m.Caches[0].Stats(); hits+misses == 0 {
 				t.Error("traversals did not read through the block cache")
 			}
 		}},
-		{"SEM nocache window 16", sem.WriteConfig{}, 1,
-			with(sem1, func(o *Options) { o.NoCache, o.Prefetch, o.PrefetchGap = true, 16, 4096 }),
-			func(t *testing.T, m *Mounted) {
-				if m.Caches != nil || m.Engine.Prefetch != 16 {
-					t.Errorf("raw-device mount: caches=%d window=%d", len(m.Caches), m.Engine.Prefetch)
-				}
-			}},
-		{"SEM window 1 is off", sem.WriteConfig{}, 1,
-			with(sem1, func(o *Options) { o.Prefetch = 1 }),
-			func(t *testing.T, m *Mounted) {
-				if m.Engine.Prefetch != 0 {
-					t.Errorf("engine window = %d with no prefetcher mounted", m.Engine.Prefetch)
-				}
-			}},
+		{"SEM nocache window 16", v1, 1, raw, none},
+		{"compressed cached", v2, 1, sem1, none},
+		{"compressed nocache", v2, 1, raw, none},
 		{"compressed + in-edges hybrid", sem.WriteConfig{Compress: true, InEdges: true}, 1,
-			with(sem1, func(o *Options) { o.Direction, o.Prefetch, o.PrefetchGap = core.DirectionHybrid, 16, 4096 }),
+			with(sem1, func(o *Options) { o.Direction = core.DirectionHybrid }),
 			func(t *testing.T, m *Mounted) {
 				if !m.Graphs[0].Compressed() || !m.Graphs[0].HasInEdges() || m.Engine.Alpha <= 0 {
 					t.Errorf("compressed=%v inEdges=%v alpha=%d", m.Graphs[0].Compressed(), m.Graphs[0].HasInEdges(), m.Engine.Alpha)
 				}
 			}},
-		{"4 shards", sem.WriteConfig{}, 4,
-			with(sem1, func(o *Options) { o.Prefetch, o.PrefetchGap = 16, 4096 }),
-			func(t *testing.T, m *Mounted) {
-				if _, ok := m.Adj.(*graph.Sharded[uint32]); !ok || m.Shards != 4 || len(m.Devices) != 4 || len(m.Caches) != 4 || len(m.Graphs) != 4 {
-					t.Errorf("sharded mount: adj=%T shards=%d devices=%d caches=%d graphs=%d", m.Adj, m.Shards, len(m.Devices), len(m.Caches), len(m.Graphs))
-				}
-				var misses uint64
-				for _, c := range m.Caches {
-					_, mi := c.Stats()
-					misses += mi
-				}
-				if io := m.CacheIO(); io.Fetches != misses || io.Blocks < io.Fetches || io.InflightHW < 1 || io.InflightHW > 8*4*defaultReadahead {
-					t.Errorf("rolled-up cache I/O %+v with %d misses over the shards, 8 workers", io, misses)
-				}
-			}},
-		{"state policy", sem.WriteConfig{}, 1,
-			with(sem1, func(o *Options) {
-				o.CachePolicy, o.CacheFrac, o.Prefetch, o.PrefetchGap = sem.CachePolicyConfig{Kind: sem.PolicyState}, 8, 16, 4096
-			}),
-			func(t *testing.T, m *Mounted) {
-				if m.Caches[0].PolicyName() != sem.PolicyState || m.Caches[0].PinnedHW() == 0 {
-					t.Errorf("policy=%s pinnedHW=%d", m.Caches[0].PolicyName(), m.Caches[0].PinnedHW())
-				}
-			}},
+		{"4 shards", v1, 4, sem1, func(t *testing.T, m *Mounted) {
+			if _, ok := m.Adj.(*graph.Sharded[uint32]); !ok || m.Shards != 4 || len(m.Devices) != 4 || len(m.Caches) != 4 || len(m.Graphs) != 4 {
+				t.Errorf("sharded mount: adj=%T shards=%d devices=%d caches=%d graphs=%d", m.Adj, m.Shards, len(m.Devices), len(m.Caches), len(m.Graphs))
+			}
+			var misses uint64
+			for _, c := range m.Caches {
+				_, mi := c.Stats()
+				misses += mi
+			}
+			if io := m.CacheIO(); io.Fetches != misses || io.Blocks < io.Fetches || io.InflightHW < 1 || io.InflightHW > 8*4*defaultReadahead {
+				t.Errorf("rolled-up cache I/O %+v with %d misses over the shards, 8 workers", io, misses)
+			}
+		}},
+		{"4 shards nocache", v1, 4, raw, func(t *testing.T, m *Mounted) {
+			if m.Shards != 4 || len(m.Devices) != 4 || len(m.Graphs) != 4 {
+				t.Errorf("sharded raw mount: shards=%d devices=%d graphs=%d", m.Shards, len(m.Devices), len(m.Graphs))
+			}
+		}},
+		{"compressed 4 shards", v2, 4, sem1, none},
+		{"compressed 4 shards nocache", v2, 4, raw, none},
+		{"state policy", v1, 1, with(sem1, func(o *Options) { o.CacheFrac = 8 }), none},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,6 +167,37 @@ func TestMountTable(t *testing.T) {
 			cfg.Workers = 8
 			if cfg.SemiSort != tc.opt.SemiSort || cfg.Direction != tc.opt.Direction {
 				t.Errorf("engine config %+v does not carry the options' semisort/direction", cfg)
+			}
+			// The top-down BFS is what feeds a cache (the level-synchronous
+			// driver of a non-top-down direction has no visitor queues), so
+			// the derived-behaviour checks below read its counters.
+			td := cfg
+			td.Direction = core.DirectionTopDown
+			if _, err := core.BFS[uint32](m.Adj, src, td); err != nil {
+				t.Fatal(err)
+			}
+			var ps sem.PrefetchStats
+			for _, sg := range m.Graphs {
+				ps.Add(sg.PrefetchStats())
+			}
+			switch {
+			case !tc.opt.SEM:
+				if cfg.Prefetch != 0 || m.Caches != nil {
+					t.Errorf("in-memory mount: window=%d caches=%d", cfg.Prefetch, len(m.Caches))
+				}
+			case tc.opt.NoCache:
+				if m.Caches != nil || cfg.Prefetch != 16 || ps.Windows == 0 {
+					t.Errorf("raw-device mount: caches=%d window=%d, the prefetcher saw %d windows", len(m.Caches), cfg.Prefetch, ps.Windows)
+				}
+			default:
+				if cfg.Prefetch != 0 || ps.Windows != 0 {
+					t.Errorf("cached mount: window=%d, a prefetcher saw %d windows", cfg.Prefetch, ps.Windows)
+				}
+				for i, c := range m.Caches {
+					if c.PinnedHW() == 0 {
+						t.Errorf("cache %d ended a BFS with pinnedHW=0: the traversal did not feed it", i)
+					}
+				}
 			}
 			bfs, err := core.BFS[uint32](m.Adj, src, cfg)
 			if err != nil {
@@ -191,13 +214,6 @@ func TestMountTable(t *testing.T) {
 				if sssp.Dist[v] != wantDist[v] {
 					t.Fatalf("SSSP dist[%d] = %d, want %d", v, sssp.Dist[v], wantDist[v])
 				}
-			}
-			var ps sem.PrefetchStats
-			for _, sg := range m.Graphs {
-				ps.Add(sg.PrefetchStats())
-			}
-			if windowed, fed := cfg.Prefetch > 1, ps.Windows > 0; windowed != fed {
-				t.Errorf("engine pop window %d, but the mounted prefetcher saw %d windows", cfg.Prefetch, ps.Windows)
 			}
 			tc.check(t, m)
 		})
@@ -333,26 +349,38 @@ func TestBind(t *testing.T) {
 		fs.SetOutput(io.Discard)
 		get := Bind(fs)
 		if err := fs.Parse(strings.Fields(args)); err != nil {
-			t.Fatalf("parse %q: %v", args, err)
+			return Options{}, err
 		}
 		return get()
+	}
+	// The flag block is exactly this: a new knob is a conscious edit here and
+	// in TestOptionLedger.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Bind(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got := strings.Join(names, " "); got != "direction semisort" {
+		t.Errorf("Bind registered %q, want exactly -direction and -semisort", got)
 	}
 	def, err := parse("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (Options{SemiSort: true, PrefetchGap: sem.DefaultPrefetchGap, CachePolicy: sem.CachePolicyConfig{Kind: sem.PolicyLRU}}); def != want {
+	if want := (Options{SemiSort: true}); def != want {
 		t.Errorf("defaults = %+v, want %+v", def, want)
 	}
-	got, err := parse("-semisort=false -prefetch 16 -prefetchgap 8k -cachepolicy state -direction hybrid")
+	got, err := parse("-semisort=false -direction hybrid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (Options{Prefetch: 16, PrefetchGap: 8192, CachePolicy: sem.CachePolicyConfig{Kind: sem.PolicyState}, Direction: core.DirectionHybrid}); got != want {
+	if want := (Options{Direction: core.DirectionHybrid}); got != want {
 		t.Errorf("parsed = %+v, want %+v", got, want)
 	}
-	if cfg := got.Engine(); cfg.Prefetch != 16 || cfg.SemiSort || cfg.Direction != core.DirectionHybrid {
+	if cfg := got.Engine(); cfg.Prefetch != 0 || cfg.SemiSort || cfg.Direction != core.DirectionHybrid {
 		t.Errorf("engine config %+v does not mirror the options", cfg)
+	}
+	if cfg := (Options{NoCache: true}).Engine(); cfg.Prefetch != rawWindow {
+		t.Errorf("raw-device engine window = %d, want %d", cfg.Prefetch, rawWindow)
 	}
 	// The table the three binaries' re-exec tests run, checked in process.
 	for _, bad := range mounttest.BadFlags {
@@ -360,9 +388,17 @@ func TestBind(t *testing.T) {
 			t.Errorf("%s: err = %v, want %q", bad.Args, err, bad.Want)
 		}
 	}
-	for _, o := range []Options{{Shards: -1}, {PrefetchGap: -1}, {CacheFrac: -2}, {Readahead: -1}, {Direction: 9}} {
+	for _, o := range []Options{{Shards: -1}, {CacheFrac: -2}, {Readahead: -1}, {Direction: 9}} {
 		if o.Validate() == nil {
 			t.Errorf("%+v validated", o)
 		}
+	}
+}
+
+// TestOptionLedger pins the number of independently settable mount options, so
+// the next one is added on purpose.
+func TestOptionLedger(t *testing.T) {
+	if n := reflect.TypeOf(Options{}).NumField(); n != 9 {
+		t.Errorf("mount.Options has %d fields, the ledger says 9", n)
 	}
 }

@@ -4,14 +4,14 @@
 package mounttest
 
 // BadFlag is one bad invocation of the flag block mount.Bind registers: the
-// arguments to append to an otherwise valid command line, and the message
-// the binary must print after its "name: " prefix before exiting 2.
+// arguments to append to an otherwise valid command line, and the message the
+// binary must print before exiting 2 — after its "name: " prefix when the
+// binary's own validation caught it, bare when the flag package did.
 type BadFlag struct{ Args, Want string }
 
-// BadFlags is the table.
+// BadFlags is the table. The -prefetch row holds the binaries to rejecting a
+// selection the mount now makes itself.
 var BadFlags = []BadFlag{
 	{"-direction sideways", `-direction: core: unknown direction "sideways" (want topdown, bottomup, or hybrid)`},
-	{"-prefetchgap 3x", `-prefetchgap: bad byte size "3x" (want digits with optional k/KiB/m/MiB suffix)`},
-	{"-cachepolicy mru", `-cachepolicy: sem: unknown cache policy "mru" (want lru or state)`},
-	{"-prefetch -1", "-prefetch must be >= 0, got -1"},
+	{"-prefetch 16", "flag provided but not defined: -prefetch"},
 }

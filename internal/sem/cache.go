@@ -26,15 +26,16 @@ type CachedStore struct {
 	capBlocks int64 // total block budget across shards
 	shards    []cacheShard
 
-	// policy, when non-nil, scores blocks at eviction time (see CachePolicy);
-	// nil is exact LRU. Set once via UsePolicy/EnableStatePolicy before the
-	// store sees traffic.
-	policy CachePolicy
+	// pending counts the queued visitors per block. Eviction and span
+	// shaping read it; only a graph mounted with EnableStateCache writes it,
+	// and while it is all zero the cache is exact LRU with the plain
+	// readahead span.
+	pending pendingBlocks
 
 	// resident is a bitset over block ids: a set bit means the block is
 	// cached (on a shard's lru) or being fetched (in a shard's in-flight
-	// table). It gives the prefetcher and the recency-touch path a residency
-	// answer without taking shard locks on the hot path.
+	// table). It gives the recency-touch path a residency answer without
+	// taking a shard lock.
 	resident []atomic.Uint64
 
 	hits   atomic.Uint64
@@ -123,6 +124,7 @@ func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead
 		shards:    make([]cacheShard, numShards),
 	}
 	c.maxBlock = (c.size + c.blockSize - 1) / c.blockSize
+	c.pending.count = make([]atomic.Int32, c.maxBlock)
 	c.resident = make([]atomic.Uint64, (c.maxBlock+63)/64)
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
@@ -135,29 +137,24 @@ func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead
 	return c, nil
 }
 
-// UsePolicy installs an eviction policy (nil = exact LRU). Call before the
-// store sees traffic; the policy pointer is read without synchronization on
-// the miss path.
-func (c *CachedStore) UsePolicy(p CachePolicy) { c.policy = p }
-
-// EnableStatePolicy installs a state-aware policy sized for this store and
-// returns it so the settle hook can feed it. Call before traffic.
-func (c *CachedStore) EnableStatePolicy() *StatePolicy {
-	sp := NewStatePolicy(c.maxBlock)
-	sp.onHot = c.touch
-	c.policy = sp
-	return sp
+// queued records a visitor queued for a vertex on block id. A block gaining
+// its first pending visitor has its recency refreshed: the engine just queued
+// a vertex whose adjacency lives there, so the block will be read shortly.
+// Recency alone would leave it wherever its *last* read put it — often the
+// tail, evicted in the push-to-pop gap and then re-read from the device
+// moments later.
+//
+//lint:hotpath
+func (c *CachedStore) queued(id int64) {
+	if c.pending.queued(id) {
+		c.touch(id)
+	}
 }
 
 // touch refreshes block id's recency if it is cached (a block still in
-// flight has no recency yet and enters the lru at its front). The state policy
-// calls it when a block gains its first pending visitor: the engine just
-// queued a vertex whose adjacency lives there, so the block will be read
-// within a pop-window's time. Pure LRU would leave it wherever its *last*
-// read put it — often the tail, evicted in the push-to-pop gap and then
-// re-read from the device moments later. The residency bitset pre-filters
-// non-resident blocks, so the common cold-block case costs one atomic load
-// and no lock.
+// flight has no recency yet and enters the lru at its front). The residency
+// bitset pre-filters non-resident blocks, so the common cold-block case costs
+// one atomic load and no lock.
 //
 //lint:hotpath
 func (c *CachedStore) touch(id int64) {
@@ -175,22 +172,9 @@ func (c *CachedStore) touch(id int64) {
 	sh.mu.Unlock()
 }
 
-// PolicyName reports the active eviction policy's flag spelling.
-func (c *CachedStore) PolicyName() string {
-	if c.policy == nil {
-		return PolicyLRU
-	}
-	return c.policy.Name()
-}
-
-// PinnedHW reports the state policy's pinned-block high-water mark (0 under
-// plain LRU).
-func (c *CachedStore) PinnedHW() int64 {
-	if sp, ok := c.policy.(*StatePolicy); ok {
-		return sp.PinnedHW()
-	}
-	return 0
-}
+// PinnedHW reports the high-water mark of blocks holding queued visitors at
+// once (0 on a cache nobody feeds).
+func (c *CachedStore) PinnedHW() int64 { return c.pending.pinnedHW.Load() }
 
 // setResident / clearResident maintain the residency bitset.
 func (c *CachedStore) setResident(id int64) {
@@ -203,30 +187,6 @@ func (c *CachedStore) clearResident(id int64) {
 	if id >= 0 && id < c.maxBlock {
 		c.resident[id>>6].And(^uint64(1 << (uint(id) & 63)))
 	}
-}
-
-// residentRange reports whether every block covering [off, off+n) is cached
-// or already being fetched. The prefetcher uses it to drop extents from span
-// formation: a fully resident extent is served by a synchronous cache hit at
-// visit time, so putting it in a device span would re-read bytes the cache
-// already holds. Lock-free bitset probes; an in-flight block counts as
-// resident because the visit-time hit simply waits on that fetch.
-//
-//lint:hotpath
-func (c *CachedStore) residentRange(off int64, n int) bool {
-	if n <= 0 {
-		return true
-	}
-	last := (off + int64(n) - 1) / c.blockSize
-	for b := off / c.blockSize; b <= last; b++ {
-		if b < 0 || b >= c.maxBlock {
-			return false
-		}
-		if c.resident[b>>6].Load()&(1<<(uint(b)&63)) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Stats reports cache hits and misses (block granularity). A read that waited
@@ -281,77 +241,46 @@ func (c *CachedStore) dropLocked(sh *cacheShard, el *list.Element) {
 	c.evictions.Add(1)
 }
 
-// evictSampleSlack bounds how far past the overflow count the state-aware
-// eviction pass looks for settled blocks before it starts evicting pinned
-// ones. It caps the lock-hold time at O(overflow + slack), and it also bounds
-// how far the policy may deviate from LRU order: on power-law graphs a hub
-// block's counter dips to zero between label corrections, and a wide sample
-// evicts exactly those about-to-be-re-queued blocks. A few positions of slack
-// keep the settled-first preference without surrendering the recency signal.
+// evictSampleSlack bounds how far past the overflow count eviction looks for
+// settled blocks before it starts evicting pinned ones. It caps the lock-hold
+// time at O(overflow + slack), and it also bounds how far the order may
+// deviate from recency: on power-law graphs a hub block's counter dips to
+// zero between label corrections, and a wide sample evicts exactly those
+// about-to-be-re-queued blocks. A few positions of slack keep the
+// settled-first preference without surrendering the recency signal.
 const evictSampleSlack = 4
 
-// evictLocked brings the shard back under capacity in one batched
-// back-to-front pass over the filled blocks — the in-flight table is not on
-// the list, so neither order below can pick a block under I/O (keep, the block
-// just filled, is never evicted either). With no policy
-// this is exact LRU: the tail entries are dropped oldest-first. With a policy
-// it samples the tail, evicting settled blocks (score 0) oldest-first and
-// falling back to plain LRU order over the sample when the shard is over
-// capacity with everything pinned — capacity is a hard budget, and recency
-// beats near-uniform positive scores as a reuse predictor. Caller holds
+// evictLocked brings the shard back under capacity, walking the filled blocks
+// back to front — the in-flight table is not on the list, so a block under I/O
+// is never picked (keep, the block just filled, is never evicted either). It
+// samples the tail, evicting settled blocks (score 0) oldest-first; on a cache
+// nobody feeds every block is settled, which makes this exact LRU. When the
+// shard is still over capacity with everything sampled pinned it falls back
+// to recency order — capacity is a hard budget, pending-work counts carry no
+// recency signal, and when the frontier spans several times the cache nearly
+// every block scores positive and score differences are noise. Caller holds
 // sh.mu.
 func (c *CachedStore) evictLocked(sh *cacheShard, keep *list.Element) {
 	over := sh.lru.Len() - sh.capacity
-	if over <= 0 {
-		return
-	}
-	if c.policy == nil {
-		for el := sh.lru.Back(); el != nil && over > 0; {
-			prev := el.Prev()
-			if el != keep {
+	sample := over + evictSampleSlack
+	for el := sh.lru.Back(); el != nil && over > 0 && sample > 0; {
+		prev := el.Prev()
+		if el != keep {
+			sample--
+			if c.pending.score(el.Value.(*cacheEntry).id) == 0 {
 				c.dropLocked(sh, el)
 				over--
 			}
-			el = prev
 		}
-		return
+		el = prev
 	}
-	type victim struct {
-		el    *list.Element
-		score int64
-	}
-	cand := make([]victim, 0, over+evictSampleSlack)
-	for el := sh.lru.Back(); el != nil && len(cand) < cap(cand); el = el.Prev() {
-		if el == keep {
-			continue
-		}
-		cand = append(cand, victim{el, c.policy.Score(el.Value.(*cacheEntry).id)})
-	}
-	// First pass: settled blocks, oldest first.
-	for i := range cand {
-		if over == 0 {
-			return
-		}
-		if cand[i].score == 0 {
-			c.dropLocked(sh, cand[i].el)
-			cand[i].el = nil
+	for el := sh.lru.Back(); el != nil && over > 0; {
+		prev := el.Prev()
+		if el != keep {
+			c.dropLocked(sh, el)
 			over--
 		}
-	}
-	// Still over capacity: everything sampled is pinned, and pending-work
-	// counts carry no recency signal — when the frontier spans several times
-	// the cache, nearly every block scores positive and score differences are
-	// noise. Fall back to LRU order (cand is back-to-front, oldest first):
-	// capacity is a hard budget, and recency is the best remaining predictor.
-	for i := range cand {
-		if over == 0 {
-			return
-		}
-		if cand[i].el != nil {
-			c.dropLocked(sh, cand[i].el)
-			cand[i].el = nil
-			over--
-		}
+		el = prev
 	}
 }
 
@@ -401,23 +330,20 @@ func (c *CachedStore) block(id int64) ([]byte, error) {
 func (c *CachedStore) fetch(lo, hi int64) *cacheEntry {
 	// Each miss fetches up to `readahead` consecutive blocks.
 	hi = min(max(hi, lo+int64(c.readahead)), c.maxBlock)
-	// State-aware span shaping: a miss's readahead window extends through
-	// the contiguous run of blocks with pending visitors. Those blocks are
-	// guaranteed future reads — the settle counters say queued work targets
-	// them — so fetching them now converts their upcoming miss operations
-	// into hits for only the bandwidth term of this one operation. The
-	// extension is capped at 4x the legacy readahead and at half of the
-	// cache's block budget: an uncapped span can fill the entire cache
-	// from one miss and flush exactly the residency it is trying to build
-	// (measured as a ~10-20% read regression when the span reaches the
-	// whole budget). Blocks past the pending run are never fetched
-	// beyond the legacy window, so a cold start or a settled region reads
-	// exactly as before.
-	if c.policy != nil {
-		limit := min(lo+min(4*int64(c.readahead), c.capBlocks/2), c.maxBlock)
-		for hi < limit && c.policy.Score(hi) > 0 {
-			hi++
-		}
+	// Span shaping: the readahead window extends through the contiguous run of
+	// blocks with pending visitors. Those blocks are guaranteed future reads —
+	// the settle counters say queued work targets them — so fetching them now
+	// converts their upcoming miss operations into hits for only the
+	// bandwidth term of this one operation. The extension is capped at 4x the
+	// readahead and at half of the cache's block budget: an uncapped span can
+	// fill the entire cache from one miss and flush exactly the residency it
+	// is trying to build (measured as a ~10-20% read regression when the span
+	// reaches the whole budget). Blocks past the pending run are never
+	// fetched beyond the readahead window, so a cold start, a settled region
+	// or an unfed cache reads exactly the readahead span.
+	limit := min(lo+min(4*int64(c.readahead), c.capBlocks/2), c.maxBlock)
+	for hi < limit && c.pending.score(hi) > 0 {
+		hi++
 	}
 
 	// Reserve every absent block of the span; a block already cached or in

@@ -118,16 +118,26 @@ func assertQuiescent(t testing.TB, store Store) {
 	}
 }
 
-// inflightPolicies runs a test under exact LRU and under the state policy
-// with every block pinned, where eviction goes through the sample's
-// fall-back-to-LRU branch.
+// residentRange reports whether every block covering [off, off+n) is cached or
+// already being fetched, by the residency bitset.
+func (c *CachedStore) residentRange(off int64, n int) bool {
+	for b := off / c.blockSize; b <= (off+int64(n)-1)/c.blockSize; b++ {
+		if b < 0 || b >= c.maxBlock || c.resident[b>>6].Load()&(1<<(uint(b)&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// inflightPolicies runs a test on an unfed cache (exact LRU) and with every
+// block pinned, where eviction goes through the sample's fall-back-to-recency
+// branch.
 func inflightPolicies(t *testing.T, test func(t *testing.T, pinAll func(*CachedStore))) {
 	t.Run("lru", func(t *testing.T) { test(t, func(*CachedStore) {}) })
 	t.Run("state-all-pinned", func(t *testing.T) {
 		test(t, func(c *CachedStore) {
-			sp := c.EnableStatePolicy()
 			for b := int64(0); b < c.maxBlock; b++ {
-				sp.Queued(b)
+				c.queued(b)
 			}
 		})
 	})

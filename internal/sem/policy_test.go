@@ -1,16 +1,17 @@
 package sem
 
-// Tests for the state-aware cache-policy layer: flag parsing, the settle
-// counters themselves, their effect on eviction, and — the contract the
-// -cachepolicy flag advertises — bit-identical traversal results under either
-// policy across kernels, formats, and sharding. The concurrency tests run
-// under -race in CI alongside the existing sem concurrency suite.
+// Tests for the cache's traversal-state counters: the counters themselves,
+// their effect on eviction, and — the contract a fed mount keeps — bit-identical
+// traversal results whether or not the cache is fed, across kernels, formats,
+// and sharding. The concurrency tests run under -race in CI alongside the
+// existing sem concurrency suite.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -19,107 +20,46 @@ import (
 	"repro/internal/ssd"
 )
 
-func TestParseCachePolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		kind string
-		ok   bool
-	}{
-		{"", PolicyLRU, true},
-		{"lru", PolicyLRU, true},
-		{"state", PolicyState, true},
-		{"mru", "", false},
-		{"State", "", false}, // case-sensitive, like -direction
-		{"lru ", "", false},
-	}
-	for _, c := range cases {
-		cfg, err := ParseCachePolicy(c.in)
-		if c.ok && (err != nil || cfg.Kind != c.kind) {
-			t.Errorf("ParseCachePolicy(%q) = %+v, %v; want kind %q", c.in, cfg, err, c.kind)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseCachePolicy(%q) succeeded, want error", c.in)
-		}
-	}
-	if !(CachePolicyConfig{Kind: PolicyState}).StateAware() {
-		t.Error("state config not StateAware")
-	}
-	if (CachePolicyConfig{}).StateAware() {
-		t.Error("empty config (defaults to lru) reports StateAware")
-	}
-}
-
-func TestParseByteSize(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-		ok   bool
-	}{
-		{"0", 0, true},
-		{"4096", 4096, true},
-		{" 8k ", 8 << 10, true},
-		{"8K", 8 << 10, true},
-		{"32KiB", 32 << 10, true},
-		{"32KB", 32 << 10, true},
-		{"2m", 2 << 20, true},
-		{"1MiB", 1 << 20, true},
-		{"", 0, false},
-		{"-1", 0, false},
-		{"32GiB", 0, false},
-		{"lots", 0, false},
-		{"k", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseByteSize(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseByteSize(%q) succeeded, want error", c.in)
-		}
-	}
-}
-
 func TestStatePolicyCounters(t *testing.T) {
-	p := NewStatePolicy(4)
-	if p.Score(2) != 0 || p.Pinned() != 0 {
+	p := &pendingBlocks{count: make([]atomic.Int32, 4)}
+	if p.score(2) != 0 || p.pinned.Load() != 0 {
 		t.Fatal("fresh policy not zeroed")
 	}
-	p.Queued(2)
-	p.Queued(2)
-	p.Queued(3)
-	if p.Score(2) != 2 || p.Score(3) != 1 {
-		t.Fatalf("scores = %d,%d; want 2,1", p.Score(2), p.Score(3))
+	p.queued(2)
+	p.queued(2)
+	p.queued(3)
+	if p.score(2) != 2 || p.score(3) != 1 {
+		t.Fatalf("scores = %d,%d; want 2,1", p.score(2), p.score(3))
 	}
-	if p.Pinned() != 2 || p.PinnedHW() != 2 {
-		t.Fatalf("pinned=%d hw=%d; want 2,2", p.Pinned(), p.PinnedHW())
+	if p.pinned.Load() != 2 || p.pinnedHW.Load() != 2 {
+		t.Fatalf("pinned=%d hw=%d; want 2,2", p.pinned.Load(), p.pinnedHW.Load())
 	}
-	p.Settled(2)
-	p.Settled(2)
-	p.Settled(3)
-	if p.Score(2) != 0 || p.Score(3) != 0 || p.Pinned() != 0 {
+	p.settled(2)
+	p.settled(2)
+	p.settled(3)
+	if p.score(2) != 0 || p.score(3) != 0 || p.pinned.Load() != 0 {
 		t.Fatal("settle did not drain counters")
 	}
-	if p.PinnedHW() != 2 {
-		t.Fatalf("high-water lost: %d", p.PinnedHW())
+	if p.pinnedHW.Load() != 2 {
+		t.Fatalf("high-water lost: %d", p.pinnedHW.Load())
 	}
 	// Saturating decrement: an aborted traversal can settle more than it
 	// queued; the counter must not go negative and poison the next run.
-	p.Settled(1)
-	p.Settled(1)
-	if p.Score(1) != 0 {
-		t.Fatalf("over-settle produced score %d", p.Score(1))
+	p.settled(1)
+	p.settled(1)
+	if p.score(1) != 0 {
+		t.Fatalf("over-settle produced score %d", p.score(1))
 	}
-	p.Queued(1)
-	if p.Score(1) != 1 {
-		t.Fatalf("counter poisoned after over-settle: %d", p.Score(1))
+	p.queued(1)
+	if p.score(1) != 1 {
+		t.Fatalf("counter poisoned after over-settle: %d", p.score(1))
 	}
 	// Out-of-range blocks are ignored, not a panic: shard maps can route a
 	// vertex of another shard through a member's settle sink.
-	p.Queued(-1)
-	p.Queued(99)
-	p.Settled(99)
-	if p.Score(99) != 0 {
+	p.queued(-1)
+	p.queued(99)
+	p.settled(99)
+	if p.score(99) != 0 {
 		t.Fatal("out-of-range score")
 	}
 }
@@ -128,7 +68,7 @@ func TestStatePolicyCounters(t *testing.T) {
 // settle, and score traffic — the exact shape of engine workers feeding settle
 // hooks while cache shards read scores during eviction.
 func TestStatePolicyRace(t *testing.T) {
-	p := NewStatePolicy(32)
+	p := &pendingBlocks{count: make([]atomic.Int32, 32)}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -136,28 +76,27 @@ func TestStatePolicyRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				b := int64((w*31 + i) % 32)
-				p.Queued(b)
-				p.Score((b + 7) % 32)
-				p.Settled(b)
+				p.queued(b)
+				p.score((b + 7) % 32)
+				p.settled(b)
 			}
 		}(w)
 	}
 	wg.Wait()
 	for b := int64(0); b < 32; b++ {
-		if p.Score(b) != 0 {
-			t.Fatalf("block %d ended with score %d, want 0", b, p.Score(b))
+		if p.score(b) != 0 {
+			t.Fatalf("block %d ended with score %d, want 0", b, p.score(b))
 		}
 	}
-	if p.Pinned() != 0 {
-		t.Fatalf("pinned gauge ended at %d", p.Pinned())
+	if p.pinned.Load() != 0 {
+		t.Fatalf("pinned gauge ended at %d", p.pinned.Load())
 	}
-	if hw := p.PinnedHW(); hw < 1 || hw > 32 {
+	if hw := p.pinnedHW.Load(); hw < 1 || hw > 32 {
 		t.Fatalf("high-water %d out of range", hw)
 	}
 }
 
-// TestStateEvictionPrefersSettled checks the tentpole's eviction contract
-// directly: with the cache over capacity, blocks whose settle counters are
+// TestStateEvictionPrefersSettled checks the eviction contract directly: with the cache over capacity, blocks whose settle counters are
 // positive survive while settled blocks at equal recency are evicted.
 func TestStateEvictionPrefersSettled(t *testing.T) {
 	back := &ssd.MemBacking{Data: make([]byte, 64*512)}
@@ -166,7 +105,7 @@ func TestStateEvictionPrefersSettled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := cache.EnableStatePolicy()
+	sp := &cache.pending
 	buf := make([]byte, 512)
 	readBlock := func(id int64) {
 		t.Helper()
@@ -176,7 +115,7 @@ func TestStateEvictionPrefersSettled(t *testing.T) {
 	}
 	// Pin block 0 (oldest), then stream enough blocks through to force
 	// evictions. LRU order alone would evict block 0 first.
-	sp.Queued(0)
+	sp.queued(0)
 	readBlock(0)
 	for id := int64(1); id < 12; id++ {
 		readBlock(id)
@@ -187,7 +126,7 @@ func TestStateEvictionPrefersSettled(t *testing.T) {
 	if cache.residentRange(1*512, 512) {
 		t.Fatal("settled block 1 survived eviction pressure that should have taken it")
 	}
-	sp.Settled(0)
+	sp.settled(0)
 	for id := int64(12); id < 24; id++ {
 		readBlock(id)
 	}
@@ -229,8 +168,8 @@ func TestCachedStoreTouchAndResidentRange(t *testing.T) {
 	cache.touch(999999) // out of range: must be a no-op, not a panic
 }
 
-// statePair mounts g twice on fast devices — once per policy — with prefetch
-// enabled, returning the two adjacency views.
+// statePair mounts g twice on fast devices — once unfed, once feeding its
+// cache — with prefetch enabled, returning the two adjacency views.
 func statePair(t testing.TB, g *graph.CSR[uint32], compressed bool) (lru, state *Graph[uint32]) {
 	t.Helper()
 	mount := func(stateAware bool) *Graph[uint32] {
@@ -258,10 +197,9 @@ func statePair(t testing.TB, g *graph.CSR[uint32], compressed bool) (lru, state 
 	return mount(false), mount(true)
 }
 
-// TestPolicyEquivalence is the -cachepolicy contract: the state-aware policy
-// changes device traffic, never results. BFS, SSSP, and CC results under the
-// state policy must equal the LRU mount's and the in-memory baseline's,
-// raw and compressed.
+// TestPolicyEquivalence is the feed's contract: it changes device traffic,
+// never results. BFS, SSSP, and CC results on a fed mount must equal the unfed
+// (exact LRU) mount's and the in-memory baseline's, raw and compressed.
 func TestPolicyEquivalence(t *testing.T) {
 	base, err := gen.RMATUndirected[uint32](9, 8, gen.RMATB, 17)
 	if err != nil {
@@ -328,9 +266,8 @@ func TestPolicyEquivalence(t *testing.T) {
 	}
 }
 
-// TestPolicyEquivalenceSharded runs BFS over a sharded mount with the state
-// policy active on every member cache and checks distances against the
-// in-memory run.
+// TestPolicyEquivalenceSharded runs BFS over a sharded mount with every member
+// cache fed and checks distances against the in-memory run.
 func TestPolicyEquivalenceSharded(t *testing.T) {
 	g, err := gen.RMAT[uint32](9, 8, gen.RMATA, 23)
 	if err != nil {
@@ -441,50 +378,55 @@ func TestConcurrentStateTraversals(t *testing.T) {
 // failAfter serves a fixed number of adjacency reads from the embedded graph
 // and then fails, aborting the traversal from inside a visit. Embedding keeps
 // the graph's NeighborsBatch and SettleSink, so the engine still windows its
-// pops and still feeds the state policy.
+// pops and still feeds the cache.
 type failAfter struct {
 	*Graph[uint32]
-	left int
+	left atomic.Int64
 }
 
 func (f *failAfter) Neighbors(v uint32, s *graph.Scratch[uint32]) ([]uint32, []graph.Weight, error) {
-	if f.left == 0 {
+	if f.left.Add(-1) < 0 {
 		return nil, nil, errInjected
 	}
-	f.left--
 	return f.Graph.Neighbors(v, s)
 }
 
 var errInjected = errors.New("injected storage failure")
 
-// TestAbortedTraversalUnpinsStatePolicy aborts a one-worker windowed BFS in
-// the middle of a pop window and checks the state policy ends where it
-// started: every pending-visitor counter back at zero, no block left pinned
-// on a mount that outlives the query. One worker makes the drain exact — no
-// visitor can be stranded in another worker's outbox.
+// TestAbortedTraversalUnpinsStatePolicy aborts a few hundred 128-worker BFS
+// runs on one fed mount, each at a different depth and alternately with and
+// without a pop window, and checks after every one that the cache's counters
+// are where the traversal found them: every pending-visitor count back at
+// zero, no block left pinned on a mount that outlives its queries. With 128
+// workers some visitor is usually in flight between an outbox and a queue
+// whose owner has already exited when the abort lands; a drain each worker
+// ran on its way out stranded those (about one aborted run in a hundred).
 func TestAbortedTraversalUnpinsStatePolicy(t *testing.T) {
-	g, err := gen.RMATUndirected[uint32](10, 8, gen.RMATA, 3)
+	g, err := gen.RMATUndirected[uint32](12, 8, gen.RMATA, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, state := statePair(t, g, false)
-	// 37 successful reads: past the first few windows, and not a multiple of
-	// the window, so the failure lands inside one.
-	adj := &failAfter{Graph: state, left: 37}
-	_, err = core.BFS[uint32](adj, 1, core.Config{Workers: 1, SemiSort: true, Prefetch: 16})
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("err = %v, want the injected failure", err)
-	}
-	sp := state.state
-	if sp.PinnedHW() == 0 {
-		t.Fatal("the traversal never pinned a block; nothing was tested")
-	}
-	if n := sp.Pinned(); n != 0 {
-		t.Errorf("%d blocks still pinned after the aborted traversal", n)
-	}
-	for b := range sp.pending {
-		if n := sp.pending[b].Load(); n != 0 {
-			t.Errorf("block %d: pending = %d after the aborted traversal", b, n)
+	_, fed := statePair(t, g, false)
+	sp := &fed.cache.pending
+	for i := 0; i < 400; i++ {
+		adj := &failAfter{Graph: fed}
+		// Past the first few windows, and not a multiple of the window, so the
+		// failure lands inside one.
+		adj.left.Store(int64(37 + 61*(i%40)))
+		_, err = core.BFS[uint32](adj, uint32(1+i%7), core.Config{Workers: 128, SemiSort: true, Prefetch: 16 * (i % 2)})
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("abort %d: err = %v, want the injected failure", i, err)
 		}
+		if n := sp.pinned.Load(); n != 0 {
+			t.Fatalf("abort %d: %d blocks still pinned after the aborted traversal", i, n)
+		}
+		for b := range sp.count {
+			if n := sp.count[b].Load(); n != 0 {
+				t.Fatalf("abort %d: block %d: pending = %d after the aborted traversal", i, b, n)
+			}
+		}
+	}
+	if sp.pinnedHW.Load() == 0 {
+		t.Fatal("no traversal ever pinned a block; nothing was tested")
 	}
 }

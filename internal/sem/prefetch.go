@@ -32,8 +32,8 @@ import (
 	"repro/internal/graph"
 )
 
-// DefaultPrefetchGap is the coalescing gap used by the traverse CLI and the
-// harness when none is given. It is sized to bridge the ownership stride:
+// DefaultPrefetchGap is the coalescing gap of every raw-device mount and of
+// the bottom-up scan. It is sized to bridge the ownership stride:
 // with W workers each owning a pseudorandom 1/W of the frontier, consecutive
 // extents in one worker's semi-sorted window sit ~W x degree x recordSize
 // bytes apart (~16 KiB at the repository defaults of 128 workers, degree 16,
@@ -42,12 +42,12 @@ import (
 // slowest profile) against the whole latency term they save (3 ms there).
 const DefaultPrefetchGap = 32 << 10
 
-// DefaultPrefetchIOWorkers bounds concurrent span reads per graph when
-// PrefetchConfig.IOWorkers is unset. It sits above every simulated profile's
-// channel count (20 at most), so the bound never throttles the device below
-// its own parallelism; it exists to keep the goroutine and buffer fan-out
-// finite when hundreds of traversal workers window simultaneously.
-const DefaultPrefetchIOWorkers = 32
+// prefetchIOWorkers bounds concurrent span reads per graph. It sits above
+// every simulated profile's channel count (20 at most), so the bound never
+// throttles the device below its own parallelism; it exists to keep the
+// goroutine and buffer fan-out finite when hundreds of traversal workers
+// window simultaneously.
+const prefetchIOWorkers = 32
 
 // PrefetchConfig tunes the asynchronous adjacency pipeline.
 type PrefetchConfig struct {
@@ -56,9 +56,6 @@ type PrefetchConfig struct {
 	// discarded: they cost the device's bandwidth term but save a whole
 	// latency term. 0 merges only extents that touch exactly.
 	MaxGap int
-	// IOWorkers bounds the number of span reads in flight for this graph
-	// across all traversal workers. <= 0 selects DefaultPrefetchIOWorkers.
-	IOWorkers int
 }
 
 // PrefetchStats counts prefetcher activity over the graph's lifetime. All
@@ -78,12 +75,6 @@ type PrefetchStats struct {
 	DedupSpans uint64 // device reads avoided by sharing an in-flight span
 	DedupBytes uint64 // bytes those avoided reads would have transferred
 
-	// ResidentSkips counts coalesced spans whose whole byte range was already
-	// cached or in flight at window time (state-aware mounts only): the span
-	// read is served block-for-block from the cache and costs no device
-	// operation.
-	ResidentSkips uint64
-
 	// Bottom-up scan-phase counters (ScanInEdges): sequential in-edge section
 	// reads, disjoint from the pop-window span counters above.
 	ScanSpans uint64 // sequential spans issued by bottom-up scans
@@ -101,7 +92,6 @@ func (s *PrefetchStats) Add(other PrefetchStats) {
 	s.Abandoned += other.Abandoned
 	s.DedupSpans += other.DedupSpans
 	s.DedupBytes += other.DedupBytes
-	s.ResidentSkips += other.ResidentSkips
 	s.ScanSpans += other.ScanSpans
 	s.ScanBytes += other.ScanBytes
 }
@@ -149,7 +139,6 @@ type Prefetcher struct {
 	abandoned  atomic.Uint64
 	dedupSpans atomic.Uint64
 	dedupBytes atomic.Uint64
-	resSkips   atomic.Uint64
 	scanSpans  atomic.Uint64
 	scanBytes  atomic.Uint64
 }
@@ -202,11 +191,8 @@ func (p *Prefetcher) unregister(sp *span) {
 	p.mu.Unlock()
 }
 
-// normalize clamps the prefetch knobs to their working ranges.
+// normalize clamps the gap to its working range.
 func (c *PrefetchConfig) normalize() {
-	if c.IOWorkers <= 0 {
-		c.IOWorkers = DefaultPrefetchIOWorkers
-	}
 	if c.MaxGap < 0 {
 		c.MaxGap = 0
 	}
@@ -214,24 +200,23 @@ func (c *PrefetchConfig) normalize() {
 
 func newPrefetcher(cfg PrefetchConfig) *Prefetcher {
 	cfg.normalize()
-	return &Prefetcher{cfg: cfg, sem: make(chan struct{}, cfg.IOWorkers)}
+	return &Prefetcher{cfg: cfg, sem: make(chan struct{}, prefetchIOWorkers)}
 }
 
 // Stats snapshots the counters.
 func (p *Prefetcher) Stats() PrefetchStats {
 	return PrefetchStats{
-		Windows:       p.windows.Load(),
-		Vertices:      p.vertices.Load(),
-		Spans:         p.spans.Load(),
-		SpanBytes:     p.spanBytes.Load(),
-		GapBytes:      p.gapBytes.Load(),
-		Consumed:      p.consumed.Load(),
-		Abandoned:     p.abandoned.Load(),
-		DedupSpans:    p.dedupSpans.Load(),
-		DedupBytes:    p.dedupBytes.Load(),
-		ResidentSkips: p.resSkips.Load(),
-		ScanSpans:     p.scanSpans.Load(),
-		ScanBytes:     p.scanBytes.Load(),
+		Windows:    p.windows.Load(),
+		Vertices:   p.vertices.Load(),
+		Spans:      p.spans.Load(),
+		SpanBytes:  p.spanBytes.Load(),
+		GapBytes:   p.gapBytes.Load(),
+		Consumed:   p.consumed.Load(),
+		Abandoned:  p.abandoned.Load(),
+		DedupSpans: p.dedupSpans.Load(),
+		DedupBytes: p.dedupBytes.Load(),
+		ScanSpans:  p.scanSpans.Load(),
+		ScanBytes:  p.scanBytes.Load(),
 	}
 }
 
@@ -394,20 +379,9 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 	p.windows.Add(1)
 	p.vertices.Add(uint64(len(exts)))
 
-	affine := g.state != nil && g.cache != nil
 	for i := 0; i < len(exts); {
 		j, end, gap := coalesce(exts, i, int64(p.cfg.MaxGap), math.MaxInt64)
 		start := exts[i].off
-		// Cache-affine accounting: a span whose whole byte range is already
-		// resident (or in flight) is recorded as a resident window — its read
-		// below is served block-for-block from the cache and costs no device
-		// operation, only the copy into the span buffer. Skipping the read
-		// instead is a trap: the bytes must be snapshotted now, while they are
-		// resident, because visit-time fallback reads land after eviction
-		// churn has recycled the blocks.
-		if affine && g.cache.residentRange(start, int(end-start)) {
-			p.resSkips.Add(1)
-		}
 		// Cross-worker dedup: when another worker's in-flight span already
 		// covers this range, share its buffer and ready channel instead of
 		// issuing a duplicate device read. The buffer is only allocated when

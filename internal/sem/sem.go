@@ -105,11 +105,9 @@ type Graph[V graph.Vertex] struct {
 	// a no-op and every Neighbors call reads synchronously.
 	prefetch *Prefetcher
 
-	// State-aware cache-policy glue (see state.go): set together by
-	// EnableStateCache when the store is a CachedStore. state receives the
-	// engine's settle notifications mapped to block ids; cache answers the
-	// pop-window affinity probes. Both nil under the legacy LRU policy.
-	state *StatePolicy
+	// cache, set by EnableStateCache when the store is a CachedStore,
+	// receives the engine's settle notifications mapped to block ids (see
+	// state.go). Nil means nobody feeds the cache.
 	cache *CachedStore
 }
 

@@ -1,34 +1,25 @@
 package sem
 
 // This file glues the traversal engine's state notifications to the block
-// cache's state-aware policy. The engine sees vertices; the cache sees device
-// blocks. The graph sits between them and owns the translation: out.extent maps
-// a vertex to its adjacency bytes (format-blind, v1 records or v2 compressed
-// blocks), and the byte offset divided by the cache's block size names the
-// block whose pending-visitor counter the settle events drive. The same
-// block translation drives the prefetcher's residency accounting against the
-// cache's residency bitset.
+// cache's pending-visitor counters. The engine sees vertices; the cache sees
+// device blocks. The graph sits between them and owns the translation:
+// out.extent maps a vertex to its adjacency bytes (format-blind, v1 records or
+// v2 compressed blocks), and the byte offset divided by the cache's block size
+// names the block whose counter the settle events drive.
 
 import "repro/internal/graph"
 
-// EnableStateCache switches the graph's block cache to the state-aware
-// eviction policy and wires the graph up as a graph.Settler. It reports false (and changes nothing) when the
-// graph does not read through a CachedStore — a raw-device mount has no cache
-// to steer. Call once, before the first traversal.
+// EnableStateCache makes the graph feed its block cache the traversal's state:
+// from now on it is a graph.Settler, and the cache evicts settled blocks
+// before blocks with queued visitors. It reports false (and changes nothing)
+// when the graph does not read through a CachedStore directly — a raw-device
+// mount has no cache to steer. Call once, before the first traversal.
 func (g *Graph[V]) EnableStateCache() bool {
 	cs, ok := g.store.(*CachedStore)
-	if !ok {
-		return false
+	if ok {
+		g.cache = cs
 	}
-	g.cache = cs
-	g.state = cs.EnableStatePolicy()
-	return true
-}
-
-// StateCache reports the graph's cached store and whether the state-aware
-// policy is active on it.
-func (g *Graph[V]) StateCache() (*CachedStore, bool) {
-	return g.cache, g.state != nil
+	return ok
 }
 
 // blockOf names the device block holding the start of v's adjacency extent.
@@ -38,21 +29,18 @@ func (g *Graph[V]) StateCache() (*CachedStore, bool) {
 //
 //lint:hotpath
 func (g *Graph[V]) blockOf(v V) (int64, bool) {
-	if g.state == nil {
+	if g.cache == nil {
 		return 0, false
 	}
 	off, n := g.out.extent(v)
-	if n == 0 {
-		return 0, false
-	}
-	return off / g.cache.blockSize, true
+	return off / g.cache.blockSize, n > 0
 }
 
 // SettleSink implements graph.SettleProvider: the graph is its own settle
-// sink once the state-aware policy is active, nil (no per-push notification
-// overhead) otherwise.
+// sink once it feeds a cache, nil (no per-push notification overhead)
+// otherwise.
 func (g *Graph[V]) SettleSink() graph.Settler {
-	if g.state == nil {
+	if g.cache == nil {
 		return nil
 	}
 	return g
@@ -64,7 +52,7 @@ func (g *Graph[V]) SettleSink() graph.Settler {
 //lint:hotpath
 func (g *Graph[V]) VertexQueued(v uint64) {
 	if b, ok := g.blockOf(V(v)); ok {
-		g.state.Queued(b)
+		g.cache.queued(b)
 	}
 }
 
@@ -74,7 +62,7 @@ func (g *Graph[V]) VertexQueued(v uint64) {
 //lint:hotpath
 func (g *Graph[V]) VertexSettled(v uint64) {
 	if b, ok := g.blockOf(V(v)); ok {
-		g.state.Settled(b)
+		g.cache.pending.settled(b)
 	}
 }
 

@@ -205,13 +205,11 @@ func (s *Server) buildVars() *expvar.Map {
 				var hits, misses uint64
 				var io sem.CacheIOStats
 				var pinnedHW int64
-				policy := ""
 				perShard := make([]map[string]any, 0, len(g.BlockCaches))
 				for _, c := range g.BlockCaches {
 					if c == nil {
 						continue
 					}
-					policy = c.PolicyName()
 					h, mi := c.Stats()
 					hits += h
 					misses += mi
@@ -222,14 +220,11 @@ func (s *Server) buildVars() *expvar.Map {
 					perShard = append(perShard, map[string]any{"hits": h, "misses": mi})
 				}
 				// inflight_waits are the hits that found their block still
-				// under I/O; inflight_hw is blocks held beyond the budget.
-				bc := map[string]any{"hits": hits, "misses": misses, "policy": policy,
+				// under I/O; inflight_hw is blocks held beyond the budget;
+				// pinned_hw is the most blocks holding queued visitors at once.
+				gv["block_cache"] = map[string]any{"hits": hits, "misses": misses,
 					"inflight_waits": io.Waits, "blocks_fetched": io.Blocks,
-					"evictions": io.Evictions, "inflight_hw": io.InflightHW}
-				if policy == sem.PolicyState {
-					bc["pinned_hw"] = pinnedHW
-				}
-				gv["block_cache"] = bc
+					"evictions": io.Evictions, "inflight_hw": io.InflightHW, "pinned_hw": pinnedHW}
 				if len(perShard) > 1 {
 					gv["shard_block_caches"] = perShard
 				}

@@ -46,16 +46,15 @@ func TestMountGraph(t *testing.T) {
 	}
 
 	limit := &RateLimitConfig{Rate: 5}
-	se, err := MountGraph(MountSpec{Name: "sem", Path: sharded, SEM: true, Profile: "Intel", Limit: limit},
-		MountOptions{Prefetch: 16, PrefetchGap: 4096, CachePolicy: sem.CachePolicyConfig{Kind: sem.PolicyState}})
+	se, err := MountGraph(MountSpec{Name: "sem", Path: sharded, SEM: true, Profile: "Intel", Limit: limit}, MountOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if se.Storage != "sem" || se.Shards != 4 || len(se.Devices) != 4 || len(se.BlockCaches) != 4 || len(se.SEMGraphs) != 4 || se.RateLimit != limit {
 		t.Errorf("sharded SEM mount: storage=%s shards=%d devices=%d caches=%d graphs=%d", se.Storage, se.Shards, len(se.Devices), len(se.BlockCaches), len(se.SEMGraphs))
 	}
-	if se.Devices[0].Profile().Name != "Intel" || se.BlockCaches[0].PolicyName() != sem.PolicyState {
-		t.Errorf("spec profile or cache policy not applied: %s, %s", se.Devices[0].Profile().Name, se.BlockCaches[0].PolicyName())
+	if se.Devices[0].Profile().Name != "Intel" {
+		t.Errorf("spec profile not applied: %s", se.Devices[0].Profile().Name)
 	}
 
 	hy, err := MountGraph(MountSpec{Name: "hy", Path: plain}, MountOptions{Direction: core.DirectionHybrid})
