@@ -1,13 +1,14 @@
-// Command traverse runs a graph traversal over a graph file produced by
-// cmd/gengraph, either in-memory or semi-externally through a simulated
-// flash device, with a choice of engines.
+// Command traverse runs the asynchronous traversal engine over a graph file
+// produced by cmd/gengraph, either in-memory or semi-externally through a
+// simulated flash device. The comparator engines (serial, level-synchronous,
+// BSP) are the paper's exhibits and run from cmd/bench; here -check compares
+// the engine's answer against the serial one.
 //
 // Examples:
 //
-//	traverse -graph a16.asg -algo bfs -engine async -workers 512
-//	traverse -graph a16.asg -algo bfs -engine serial
-//	traverse -graph a14w.asg -algo sssp -engine async
-//	traverse -graph b14u.asg -algo cc -engine bsp -ranks 16
+//	traverse -graph a16.asg -algo bfs -workers 512
+//	traverse -graph a14w.asg -algo sssp -src 0 -check
+//	traverse -graph b14u.asg -algo cc -check
 //	traverse -graph a16.asg -algo bfs -sem -profile FusionIO -workers 128
 //	traverse -graph b16.asg -shards 4 -algo bfs -sem        # b16.asg.shard0..3
 package main
@@ -20,10 +21,8 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/lockfree"
 	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
@@ -33,37 +32,19 @@ import (
 // run it on (the -semisort -direction block shared with cmd/bench and
 // cmd/serve, plus this command's own -sem -nocache -profile -shards).
 type options struct {
-	path, algo, engine string
-	workers, ranks     int
-	src                uint64
-	autoSrc, check     bool
-	profile            string
-	mount              mount.Options
+	path, algo string
+	workers    int
+	src        uint64
+	srcSet     bool // -src was given; otherwise the max-degree vertex is the source
+	check      bool
+	profile    string
+	mount      mount.Options
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.path, "graph", "", "graph file from gengraph (required)")
-	flag.StringVar(&o.algo, "algo", "bfs", "algorithm: bfs, sssp, cc")
-	flag.StringVar(&o.engine, "engine", "async", "engine: async, lockfree, serial, levelsync, bsp")
-	flag.IntVar(&o.workers, "workers", 512, "async/levelsync worker count")
-	flag.IntVar(&o.ranks, "ranks", 16, "bsp simulated rank count")
-	flag.Uint64Var(&o.src, "src", 0, "source vertex (bfs/sssp); max-degree vertex if unset")
-	flag.BoolVar(&o.autoSrc, "autosrc", true, "pick the max-degree vertex as source")
-	flag.BoolVar(&o.check, "check", false, "verify async results against the serial baseline")
-	flag.StringVar(&o.profile, "profile", "FusionIO", "flash profile for -sem: FusionIO, Intel, Corsair")
-	var (
-		semMode = flag.Bool("sem", false, "semi-external: leave edges on a simulated flash device")
-		nocache = flag.Bool("nocache", false, "raw device: mount the flash device without the block cache; the mount pops 16-visitor windows and coalesces their reads")
-		shards  = flag.Int("shards", 0, "mount graph.shard0..N-1 as one sharded graph (0 = auto-detect from the files present)")
-	)
-	mountFlags := mount.Bind(flag.CommandLine)
+	get := bind(flag.CommandLine)
 	flag.Parse()
-	var err error
-	if o.mount, err = mountFlags(); err == nil {
-		o.mount.SEM, o.mount.NoCache, o.mount.Shards = *semMode, *nocache, *shards
-		err = validate(&o)
-	}
+	o, err := get()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "traverse: %v\n", err)
 		os.Exit(2)
@@ -79,19 +60,38 @@ func main() {
 	}
 }
 
-// engines maps each algorithm to the engines that implement it — the same
-// pairs the run switch dispatches on, checked before any file is opened so
-// bad invocations fail in microseconds with one line on stderr.
-var engines = map[string][]string{
-	"bfs":  {"async", "lockfree", "serial", "levelsync", "bsp"},
-	"sssp": {"async", "lockfree", "serial"},
-	"cc":   {"async", "lockfree", "serial", "levelsync", "bsp"},
+// bind registers every flag of the command on fs. After fs.Parse, the
+// returned function yields the validated options, or a usage error.
+func bind(fs *flag.FlagSet) func() (options, error) {
+	var o options
+	fs.StringVar(&o.path, "graph", "", "graph file from gengraph (required)")
+	fs.StringVar(&o.algo, "algo", "bfs", "algorithm: bfs, sssp, cc")
+	fs.IntVar(&o.workers, "workers", 512, "worker count")
+	fs.Uint64Var(&o.src, "src", 0, "source vertex (bfs/sssp); the max-degree vertex when not given")
+	fs.BoolVar(&o.check, "check", false, "verify the result against the serial baseline")
+	fs.StringVar(&o.profile, "profile", "FusionIO", "flash profile for -sem: FusionIO, Intel, Corsair")
+	var (
+		semMode = fs.Bool("sem", false, "semi-external: leave edges on a simulated flash device")
+		nocache = fs.Bool("nocache", false, "raw device: mount the flash device without the block cache; the mount pops 16-visitor windows and coalesces their reads")
+		shards  = fs.Int("shards", 0, "mount graph.shard0..N-1 as one sharded graph (0 = auto-detect from the files present)")
+	)
+	mountFlags := mount.Bind(fs)
+	return func() (options, error) {
+		fs.Visit(func(f *flag.Flag) { o.srcSet = o.srcSet || f.Name == "src" })
+		var err error
+		if o.mount, err = mountFlags(); err != nil {
+			return o, err
+		}
+		o.mount.SEM, o.mount.NoCache, o.mount.Shards = *semMode, *nocache, *shards
+		return o, validate(&o)
+	}
 }
 
-// validate rejects bad flag combinations up front: unknown algorithm or
-// engine, missing graph or shard files, non-positive parallelism, and
-// direction policies the requested algorithm/engine pair cannot honor. It
-// resolves -profile into o.mount.Profile.
+// validate rejects bad flag combinations up front, before any file is
+// opened, so bad invocations fail in microseconds with one line on stderr:
+// unknown algorithm, missing graph or shard files, non-positive parallelism,
+// and direction policies the algorithm cannot honor. It resolves -profile
+// into o.mount.Profile.
 func validate(o *options) error {
 	if o.path == "" {
 		return fmt.Errorf("-graph is required (a file produced by gengraph)")
@@ -102,22 +102,13 @@ func validate(o *options) error {
 	if _, _, err := sem.ShardPaths(o.path, o.mount.Shards); err != nil {
 		return fmt.Errorf("-graph: %w", err)
 	}
-	supported, ok := engines[o.algo]
-	if !ok {
+	switch o.algo {
+	case "bfs", "sssp", "cc":
+	default:
 		return fmt.Errorf("unknown -algo %q (want bfs, sssp, or cc)", o.algo)
-	}
-	found := false
-	for _, e := range supported {
-		found = found || e == o.engine
-	}
-	if !found {
-		return fmt.Errorf("-algo %s does not support -engine %q (want one of %v)", o.algo, o.engine, supported)
 	}
 	if o.workers <= 0 {
 		return fmt.Errorf("-workers must be positive, got %d", o.workers)
-	}
-	if o.engine == "bsp" && o.ranks <= 0 {
-		return fmt.Errorf("-ranks must be positive, got %d", o.ranks)
 	}
 	if o.mount.SEM {
 		var err error
@@ -125,14 +116,13 @@ func validate(o *options) error {
 			return err
 		}
 	}
-	if dir := o.mount.Direction; dir != core.DirectionTopDown && (o.algo != "bfs" || o.engine != "async") {
-		return fmt.Errorf("-direction %s requires -algo bfs -engine async (got -algo %s -engine %s)", dir, o.algo, o.engine)
+	if dir := o.mount.Direction; dir != core.DirectionTopDown && o.algo != "bfs" {
+		return fmt.Errorf("-direction %s requires -algo bfs (got -algo %s)", dir, o.algo)
 	}
 	return nil
 }
 
 func run(o options) error {
-	src := o.src
 	m, err := mount.Files(o.path, o.mount)
 	if err != nil {
 		return err
@@ -158,9 +148,13 @@ func run(o options) error {
 			sg.NumVertices(), sg.NumEdges(), sg.EdgeBytes(), format, perEdge(sg.EdgeBytes(), sg.NumEdges()), o.mount.Profile.Name)
 	}
 
-	if o.autoSrc && src == 0 && o.algo != "cc" {
-		src = maxDegreeVertex(adj)
-		fmt.Printf("source: %d (max degree %d)\n", src, adj.Degree(uint32(src)))
+	var src uint32
+	if o.algo != "cc" {
+		var rule string
+		if src, rule, err = chooseSource(o, adj); err != nil {
+			return err
+		}
+		fmt.Printf("source: %d (%s)\n", src, rule)
 	}
 
 	cfg := m.Engine
@@ -169,9 +163,9 @@ func run(o options) error {
 		fmt.Printf("direction: %s (alpha=%d beta=%d)\n", dir, cfg.Alpha, cfg.Beta)
 	}
 	start := time.Now()
-	switch {
-	case o.algo == "bfs" && o.engine == "async":
-		res, err := core.BFS[uint32](adj, uint32(src), cfg)
+	switch o.algo {
+	case "bfs":
+		res, err := core.BFS[uint32](adj, src, cfg)
 		if err != nil {
 			return err
 		}
@@ -182,7 +176,7 @@ func run(o options) error {
 				res.Stats.TopDownPhases, res.Stats.BottomUpPhases, res.Stats.DirectionSwitches, res.Stats.PeakFrontier)
 		}
 		if o.check {
-			want, err := baseline.SerialBFS(adj, uint32(src))
+			want, err := baseline.SerialBFS(adj, src)
 			if err != nil {
 				return err
 			}
@@ -193,41 +187,14 @@ func run(o options) error {
 			}
 			fmt.Println("check: levels match serial BFS")
 		}
-	case o.algo == "bfs" && o.engine == "lockfree":
-		res, err := lockfree.BFS(adj, uint32(src), lockfree.Config{Workers: o.workers})
-		if err != nil {
-			return err
-		}
-		report(start, res.Stats.String())
-	case o.algo == "bfs" && o.engine == "serial":
-		if _, err := baseline.SerialBFS(adj, uint32(src)); err != nil {
-			return err
-		}
-		report(start, "serial queue BFS")
-	case o.algo == "bfs" && o.engine == "levelsync":
-		if _, err := baseline.LevelSyncBFS(adj, uint32(src), o.workers); err != nil {
-			return err
-		}
-		report(start, fmt.Sprintf("level-synchronous BFS, %d workers", o.workers))
-	case o.algo == "bfs" && o.engine == "bsp":
-		c, err := bsp.NewCluster[uint32](adj, o.ranks)
-		if err != nil {
-			return err
-		}
-		_, stats, err := c.BFS(uint32(src))
-		if err != nil {
-			return err
-		}
-		report(start, fmt.Sprintf("BSP BFS: %d supersteps, %d messages, max imbalance %.2f",
-			stats.Supersteps, stats.Messages, stats.MaxImbalance()))
-	case o.algo == "sssp" && o.engine == "async":
-		res, err := core.SSSP[uint32](adj, uint32(src), cfg)
+	case "sssp":
+		res, err := core.SSSP[uint32](adj, src, cfg)
 		if err != nil {
 			return err
 		}
 		report(start, res.Stats.String())
 		if o.check {
-			want, _, err := baseline.SerialDijkstra(adj, uint32(src))
+			want, _, err := baseline.SerialDijkstra(adj, src)
 			if err != nil {
 				return err
 			}
@@ -238,18 +205,7 @@ func run(o options) error {
 			}
 			fmt.Println("check: distances match Dijkstra")
 		}
-	case o.algo == "sssp" && o.engine == "lockfree":
-		res, err := lockfree.SSSP(adj, uint32(src), lockfree.Config{Workers: o.workers})
-		if err != nil {
-			return err
-		}
-		report(start, res.Stats.String())
-	case o.algo == "sssp" && o.engine == "serial":
-		if _, _, err := baseline.SerialDijkstra(adj, uint32(src)); err != nil {
-			return err
-		}
-		report(start, "serial Dijkstra")
-	case o.algo == "cc" && o.engine == "async":
+	case "cc":
 		res, err := core.CC[uint32](adj, cfg)
 		if err != nil {
 			return err
@@ -268,40 +224,28 @@ func run(o options) error {
 			}
 			fmt.Println("check: labels match serial CC")
 		}
-	case o.algo == "cc" && o.engine == "lockfree":
-		res, err := lockfree.CC(adj, lockfree.Config{Workers: o.workers})
-		if err != nil {
-			return err
-		}
-		report(start, res.Stats.String())
-	case o.algo == "cc" && o.engine == "serial":
-		if _, err := baseline.SerialCC(adj); err != nil {
-			return err
-		}
-		report(start, "serial BFS-labelling CC")
-	case o.algo == "cc" && o.engine == "levelsync":
-		if _, err := baseline.LabelPropCC(adj, o.workers); err != nil {
-			return err
-		}
-		report(start, fmt.Sprintf("label-propagation CC, %d workers", o.workers))
-	case o.algo == "cc" && o.engine == "bsp":
-		c, err := bsp.NewCluster[uint32](adj, o.ranks)
-		if err != nil {
-			return err
-		}
-		_, stats, err := c.CC()
-		if err != nil {
-			return err
-		}
-		report(start, fmt.Sprintf("BSP CC: %d supersteps, %d messages, max imbalance %.2f",
-			stats.Supersteps, stats.Messages, stats.MaxImbalance()))
-	default:
-		return fmt.Errorf("unsupported -algo %q with -engine %q", o.algo, o.engine)
 	}
 	if o.mount.SEM {
 		reportSemIO(m)
 	}
 	return nil
+}
+
+// chooseSource is the source rule: -src when it was given on the command
+// line (0 included), the max-degree vertex otherwise. rule says which.
+func chooseSource(o options, adj graph.Adjacency[uint32]) (src uint32, rule string, err error) {
+	if o.srcSet {
+		if o.src >= adj.NumVertices() {
+			return 0, "", fmt.Errorf("-src %d out of range for %d vertices", o.src, adj.NumVertices())
+		}
+		return uint32(o.src), "-src", nil
+	}
+	for v := uint32(0); uint64(v) < adj.NumVertices(); v++ {
+		if adj.Degree(v) > adj.Degree(src) {
+			src = v
+		}
+	}
+	return src, fmt.Sprintf("max degree %d", adj.Degree(src)), nil
 }
 
 func semEdgeBytes(sgs []*sem.Graph[uint32]) int64 {
@@ -378,16 +322,6 @@ func reportSemIO(m *mount.Mounted) {
 		fmt.Printf("scan: spans=%d spanBytes=%d avgSpan=%.0fB\n",
 			ps.ScanSpans, ps.ScanBytes, float64(ps.ScanBytes)/float64(ps.ScanSpans))
 	}
-}
-
-func maxDegreeVertex(g graph.Adjacency[uint32]) uint64 {
-	best := uint32(0)
-	for v := uint32(0); uint64(v) < g.NumVertices(); v++ {
-		if g.Degree(v) > g.Degree(best) {
-			best = v
-		}
-	}
-	return uint64(best)
 }
 
 func report(start time.Time, detail string) {

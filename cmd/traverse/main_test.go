@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,7 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/mount/mounttest"
+	"repro/internal/sem"
 )
 
 func TestValidate(t *testing.T) {
@@ -28,31 +32,26 @@ func TestValidate(t *testing.T) {
 		set  func(o *options)
 		ok   bool
 	}{
-		{"valid async bfs", func(o *options) { o.workers = 512 }, true},
-		{"valid bsp cc", func(o *options) { o.algo, o.engine, o.ranks = "cc", "bsp", 4 }, true},
+		{"valid bfs", func(o *options) { o.workers = 512 }, true},
+		{"valid cc", func(o *options) { o.algo = "cc" }, true},
 		{"valid sem profile", func(o *options) { o.algo, o.mount.SEM, o.profile = "sssp", true, "Intel" }, true},
 		{"missing path", func(o *options) { o.path = "" }, false},
 		{"nonexistent file", func(o *options) { o.path = g + ".nope" }, false},
 		{"unknown algo", func(o *options) { o.algo = "pagerank" }, false},
-		{"unknown engine", func(o *options) { o.engine = "quantum" }, false},
-		{"sssp has no bsp engine", func(o *options) { o.algo, o.engine = "sssp", "bsp" }, false},
 		{"negative workers", func(o *options) { o.workers = -1 }, false},
 		{"zero workers", func(o *options) { o.workers = 0 }, false},
-		{"bsp needs ranks", func(o *options) { o.engine, o.ranks = "bsp", 0 }, false},
 		{"unknown sem profile", func(o *options) { o.mount.SEM, o.profile = true, "FloppyDisk" }, false},
 		{"negative shards", func(o *options) { o.mount.Shards = -1 }, false},
 		{"shard files present", func(o *options) { o.path, o.mount.Shards = sharded, 2 }, true},
 		{"shard files auto-detected", func(o *options) { o.path = sharded }, true},
 		{"shard count exceeds files", func(o *options) { o.path, o.mount.Shards = sharded, 3 }, false},
 		{"shards of a plain file", func(o *options) { o.mount.Shards = 2 }, false},
-		{"hybrid async bfs", func(o *options) { o.mount.Direction = core.DirectionHybrid }, true},
-		{"bottomup async bfs", func(o *options) { o.mount.Direction = core.DirectionBottomUp }, true},
+		{"hybrid bfs", func(o *options) { o.mount.Direction = core.DirectionHybrid }, true},
+		{"bottomup bfs", func(o *options) { o.mount.Direction = core.DirectionBottomUp }, true},
 		{"hybrid needs bfs", func(o *options) { o.algo, o.mount.Direction = "cc", core.DirectionHybrid }, false},
-		{"hybrid needs async", func(o *options) { o.engine, o.mount.Direction = "serial", core.DirectionHybrid }, false},
-		{"topdown on any engine", func(o *options) { o.engine = "serial" }, true},
 	}
 	for _, tc := range cases {
-		o := options{path: g, algo: "bfs", engine: "async", workers: 8, ranks: 16}
+		o := options{path: g, algo: "bfs", workers: 8}
 		tc.set(&o)
 		err := validate(&o)
 		if tc.ok && err != nil {
@@ -64,11 +63,79 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestUsageErrorsExit2 re-executes the test binary as traverse itself (the
-// child sees TRAVERSE_ARGS and runs main) and checks that a bad flag is a
-// usage error caught before any file is opened: the message on stderr, exit
-// status 2. The engine/mount rows are mounttest.BadFlags, the table cmd/bench
-// and cmd/serve run too, so all three binaries are held to one message each.
+// TestFlagLedger pins the command's flag set: the comparator engines are
+// reached through cmd/bench only, so a new flag here — or the return of
+// -engine, -ranks or -autosrc — is a conscious edit of this list.
+func TestFlagLedger(t *testing.T) {
+	fs := flag.NewFlagSet("traverse", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	bind(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	const want = "algo check direction graph nocache profile sem semisort shards src workers"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("traverse registers %q, want exactly %q", got, want)
+	}
+}
+
+// TestSourceRule: the source is -src when it was given on the command line,
+// 0 included, and the max-degree vertex otherwise.
+func TestSourceRule(t *testing.T) {
+	// Vertex 2 has the highest out-degree.
+	g, err := graph.FromEdges[uint32](4, false, true, []graph.Edge[uint32]{{Src: 0, Dst: 1}, {Src: 2, Dst: 0}, {Src: 2, Dst: 1}, {Src: 2, Dst: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.asg")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sem.Write(f, g, sem.WriteConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ args, want string }{
+		{"-src 0", "source: 0 (-src)"},
+		{"", "source: 2 (max degree 3)"},
+		{"-src 3", "source: 3 (-src)"},
+	} {
+		out, err := traverse("-graph " + path + " -workers 2 " + tc.args)
+		if err != nil {
+			t.Errorf("traverse %s: %v\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("traverse %s: output %q, want it to contain %q", tc.args, out, tc.want)
+		}
+	}
+	if out, err := traverse("-graph " + path + " -src 4"); exitCode(err) != 1 || !strings.Contains(out, "-src 4 out of range for 4 vertices") {
+		t.Errorf("traverse -src 4: %v, want exit status 1 and an out-of-range message\n%s", err, out)
+	}
+}
+
+// traverse re-executes the test binary as traverse itself: the child enters
+// TestUsageErrorsExit2, sees TRAVERSE_ARGS and runs main.
+func traverse(args string) (string, error) {
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrorsExit2$")
+	cmd.Env = append(os.Environ(), "TRAVERSE_ARGS="+args)
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+func exitCode(err error) int {
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode()
+	}
+	return 0
+}
+
+// TestUsageErrorsExit2 checks that a bad flag is a usage error caught before
+// any file is opened: the message on stderr, exit status 2. The engine/mount
+// rows are mounttest.BadFlags, the table cmd/bench and cmd/serve run too, so
+// all three binaries are held to one message each.
 func TestUsageErrorsExit2(t *testing.T) {
 	if args, ok := os.LookupEnv("TRAVERSE_ARGS"); ok {
 		os.Args = append([]string{"traverse"}, strings.Fields(args)...)
@@ -82,16 +149,15 @@ func TestUsageErrorsExit2(t *testing.T) {
 	cases := append([]mounttest.BadFlag{
 		{Args: "-shards -1", Want: "traverse: -shards must be >= 0 (0 = auto-detect), got -1"},
 		{Args: "-algo pagerank", Want: `traverse: unknown -algo "pagerank" (want bfs, sssp, or cc)`},
+		{Args: "-ranks 4", Want: "flag provided but not defined: -ranks"},
+		{Args: "-autosrc=false", Want: "flag provided but not defined: -autosrc"},
 	}, mounttest.BadFlags...)
 	for _, tc := range cases {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestUsageErrorsExit2$")
-		cmd.Env = append(os.Environ(), "TRAVERSE_ARGS=-graph "+g+" "+tc.Args)
-		out, err := cmd.CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		out, err := traverse("-graph " + g + " " + tc.Args)
+		if exitCode(err) != 2 {
 			t.Errorf("traverse %s: %v, want exit status 2\n%s", tc.Args, err, out)
 		}
-		if !strings.Contains(string(out), tc.Want) {
+		if !strings.Contains(out, tc.Want) {
 			t.Errorf("traverse %s: output %q, want it to contain %q", tc.Args, out, tc.Want)
 		}
 	}

@@ -74,7 +74,11 @@ func bidiCompressed(t testing.TB, g *graph.CSR[uint32]) *graph.Bidi[uint32] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := graph.TransposeCompressed(c)
+	tr, err := graph.Transpose(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := graph.Compress(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +118,13 @@ func TestDirectionEquivalence(t *testing.T) {
 		)
 	}
 	ug := randomUndirected(t, 400, 1200, 7)
+	// A symmetric graph is its own transpose.
+	sym, err := graph.NewBidi[uint32](ug, ug)
+	if err != nil {
+		t.Fatal(err)
+	}
 	workloads = append(workloads,
-		workload{"undirected-im-symmetric", graph.NewSymmetric[uint32](ug), ug},
+		workload{"undirected-im-symmetric", sym, ug},
 		workload{"undirected-sem-symmetric-v1", semMirrorCfg(t, ug, sem.WriteConfig{Symmetric: true}), ug},
 		workload{"undirected-sem-symmetric-v2", semMirrorCfg(t, ug, sem.WriteConfig{Compress: true, Symmetric: true}), ug},
 		// Sharded symmetric members hold complete out-lists of their owned

@@ -18,8 +18,7 @@
 //     per-worker outboxes that batch pushes per destination owner, amortizing
 //     the destination queue's lock over batchSize items;
 //   - terminate.go — the termination layer: the Terminator outstanding-work
-//     counter with init token and CAS-max peak tracking, shared with
-//     internal/lockfree;
+//     counter with init token and CAS-max peak tracking;
 //   - kernels.go — the algorithm layer: the single label-relaxation kernel
 //     that BFS, SSSP, and CC instantiate against any graph.Adjacency
 //     (in-memory CSR or semi-external store).
@@ -203,14 +202,6 @@ func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
 		e.settle.VertexQueued(uint64(v))
 	}
 	c.out.add(e.owner(uint64(v)), pq.Item{Pri: pri, V: uint64(v), Aux: aux})
-}
-
-// Owns reports whether this worker is the hash-designated owner of v, i.e.
-// whether the ownership protocol permits this visitor to read or write v's
-// per-vertex state. Visitors only ever receive vertices they own; Owns exists
-// so state writes can be guarded explicitly (see AssertOwned).
-func (c *Ctx[V]) Owns(v V) bool {
-	return c.engine.owner(uint64(v)) == c.Worker
 }
 
 // AssertOwned asserts the engine's owner rule — per-vertex state may only be

@@ -78,26 +78,6 @@ func TestOwnerRuleViolationPanics(t *testing.T) {
 	}
 }
 
-// TestOwnsAgreesWithAssertOwned pins the non-panicking query against the
-// asserting form: a visitor owns exactly the vertex it was delivered.
-func TestOwnsAgreesWithAssertOwned(t *testing.T) {
-	visit := func(ctx *Ctx[uint32], it pq.Item) error {
-		if !ctx.Owns(uint32(it.V)) {
-			return errors.New("visitor delivered a vertex it does not own")
-		}
-		ctx.AssertOwned(uint32(it.V)) // must not panic
-		return nil
-	}
-	e := New[uint32](Config{Workers: 4, Hash: IdentityHash}, visit)
-	e.Start()
-	for v := uint32(0); v < 64; v++ {
-		e.Push(uint64(v), v, 0)
-	}
-	if _, err := e.Wait(); err != nil {
-		t.Fatalf("owner-respecting visitor failed: %v", err)
-	}
-}
-
 func TestTerminatorUnderflowPanics(t *testing.T) {
 	tm := NewTerminator()
 	if !tm.Release() { // drops the init token: count 1 -> 0, terminated

@@ -18,9 +18,8 @@ import (
 // zero while the caller is still issuing initial pushes; Release drops the
 // token when initialization is complete.
 //
-// Terminator is shared by the ownership-hashed engine (Engine) and the
-// lock-free work-stealing alternative (internal/lockfree): the detection
-// protocol is independent of the queueing discipline.
+// The protocol counts work units, not queues, so it is independent of the
+// queueing discipline.
 type Terminator struct {
 	// outstanding counts queued-or-executing visitors plus the init token.
 	// Every Start and Finish from every worker hits this cell, making it the

@@ -32,7 +32,6 @@ type Builder struct {
 
 	buf    []graph.Edge[uint32]
 	spills []*os.File
-	total  uint64
 	closed bool
 }
 
@@ -56,15 +55,11 @@ func (b *Builder) Add(src, dst uint32, w graph.Weight) error {
 		return fmt.Errorf("extsort: edge (%d,%d) out of range for %d vertices", src, dst, b.n)
 	}
 	b.buf = append(b.buf, graph.Edge[uint32]{Src: src, Dst: dst, W: w})
-	b.total++
 	if len(b.buf) >= b.budget {
 		return b.spill()
 	}
 	return nil
 }
-
-// NumEdgesAdded reports the number of edges added so far (before dedup).
-func (b *Builder) NumEdgesAdded() uint64 { return b.total }
 
 func (b *Builder) sortBuf() {
 	sort.Slice(b.buf, func(i, j int) bool {
@@ -218,10 +213,10 @@ func (b *Builder) merge(emit func(e graph.Edge[uint32]) error) error {
 func pack(e graph.Edge[uint32]) uint64 { return uint64(e.Src)<<32 | uint64(e.Dst) }
 
 // WriteTo finishes the build: it merges all runs twice — once to compute the
-// de-duplicated vertex index, once to stream edge records — and writes a
-// complete semi-external graph file to w. The writer must support Seek
-// because the edge count is only known after the first pass. On success the
-// spill files are removed and the builder cannot be reused.
+// de-duplicated vertex index, once to stream edge records through sem's
+// encoder — and writes a complete semi-external graph file to f, from its
+// start. On success the spill files are removed and the builder cannot be
+// reused.
 func (b *Builder) WriteTo(f io.WriteSeeker) (edges uint64, err error) {
 	if b.closed {
 		return 0, fmt.Errorf("extsort: builder already finished")
@@ -233,10 +228,8 @@ func (b *Builder) WriteTo(f io.WriteSeeker) (edges uint64, err error) {
 	// Pass 1: de-duplicated degrees -> offsets (RAM-resident, 8(n+1) bytes:
 	// the semi-external vertex budget).
 	offsets := make([]uint64, b.n+1)
-	var m uint64
 	err = b.merge(func(e graph.Edge[uint32]) error {
 		offsets[e.Src+1]++
-		m++
 		return nil
 	})
 	if err != nil {
@@ -246,56 +239,15 @@ func (b *Builder) WriteTo(f io.WriteSeeker) (edges uint64, err error) {
 		offsets[i+1] += offsets[i]
 	}
 
-	// Write header + offsets.
+	// Pass 2: stream the records behind the header and index.
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("extsort: seek: %w", err)
 	}
-	bw := bufio.NewWriterSize(writerOnly{f}, 1<<20)
-	header := make([]byte, 40)
-	binary.LittleEndian.PutUint32(header[0:], sem.Magic)
-	binary.LittleEndian.PutUint32(header[4:], sem.Version)
-	var flags uint64
-	if b.weighted {
-		flags |= 1 // sem flagWeighted
-	}
-	binary.LittleEndian.PutUint64(header[8:], flags)
-	binary.LittleEndian.PutUint64(header[16:], b.n)
-	binary.LittleEndian.PutUint64(header[24:], m)
-	if _, err := bw.Write(header); err != nil {
-		return 0, fmt.Errorf("extsort: write header: %w", err)
-	}
-	var tmp [8]byte
-	for _, off := range offsets {
-		binary.LittleEndian.PutUint64(tmp[:], off)
-		if _, err := bw.Write(tmp[:]); err != nil {
-			return 0, fmt.Errorf("extsort: write offsets: %w", err)
-		}
-	}
-
-	// Pass 2: stream edge records.
-	err = b.merge(func(e graph.Edge[uint32]) error {
-		binary.LittleEndian.PutUint32(tmp[:4], e.Dst)
-		if _, err := bw.Write(tmp[:4]); err != nil {
-			return err
-		}
-		if b.weighted {
-			binary.LittleEndian.PutUint32(tmp[:4], e.W)
-			if _, err := bw.Write(tmp[:4]); err != nil {
-				return err
-			}
-		}
-		return nil
+	err = sem.WriteStream(f, offsets, b.weighted, func(emit func(uint32, graph.Weight) error) error {
+		return b.merge(func(e graph.Edge[uint32]) error { return emit(e.Dst, e.W) })
 	})
 	if err != nil {
-		return 0, fmt.Errorf("extsort: write edges: %w", err)
+		return 0, fmt.Errorf("extsort: write: %w", err)
 	}
-	if err := bw.Flush(); err != nil {
-		return 0, fmt.Errorf("extsort: flush: %w", err)
-	}
-	return m, nil
+	return offsets[b.n], nil
 }
-
-// writerOnly hides the Seeker from bufio so buffered writes cannot bypass it.
-type writerOnly struct{ w io.Writer }
-
-func (w writerOnly) Write(p []byte) (int, error) { return w.w.Write(p) }

@@ -13,22 +13,6 @@ func Transpose[V Vertex](g *CSR[V]) (*CSR[V], error) {
 	return b.Build(false)
 }
 
-// TransposeCompressed returns the delta+varint compressed reverse of c, the
-// in-edge side of a Bidi pairing over compressed storage. The round trip
-// (decompress, transpose, recompress) runs once at mount time; traversal
-// then decodes reverse blocks exactly like forward ones.
-func TransposeCompressed[V Vertex](c *CompressedCSR[V]) (*CompressedCSR[V], error) {
-	raw, err := c.Decompress()
-	if err != nil {
-		return nil, err
-	}
-	t, err := Transpose(raw)
-	if err != nil {
-		return nil, err
-	}
-	return Compress(t)
-}
-
 // DegreeStats summarizes an out-degree distribution, the property that
 // drives the paper's load-balance discussion (§I-B: hub vertices).
 type DegreeStats struct {

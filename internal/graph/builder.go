@@ -50,9 +50,6 @@ func (b *Builder[V]) Symmetrize() {
 	}
 }
 
-// NumEdgesPending reports the number of edges added so far.
-func (b *Builder[V]) NumEdgesPending() int { return len(b.edges) }
-
 // Build sorts the accumulated edges, removes duplicate (src, dst) pairs when
 // dedup is set (keeping the smallest weight, so de-duplication never lengthens
 // a shortest path), and assembles the CSR. Build validates endpoints and

@@ -119,74 +119,3 @@ func DecodeAdjBlock[V Vertex](block []byte, v V, targets []V, weights []Weight) 
 	}
 	return off, nil
 }
-
-// NeighborCursor streams one vertex's compressed adjacency block without
-// materializing it: targets first (Next), then, for weighted blocks, the
-// parallel weight stream (NextWeight). The traversal kernel does not use the
-// cursor — it decodes whole blocks into per-worker scratch — but analysis
-// passes and tools that want one neighbor at a time iterate without a decode
-// buffer.
-type NeighborCursor[V Vertex] struct {
-	block []byte
-	off   int
-	v     uint64
-	prev  uint64
-	deg   int
-	i     int // targets yielded
-	w     int // weights yielded
-	err   error
-}
-
-// Cursor returns a NeighborCursor over one encoded block. deg is the
-// vertex's degree, recorded outside the block.
-func Cursor[V Vertex](block []byte, v V, deg int) NeighborCursor[V] {
-	return NeighborCursor[V]{block: block, v: uint64(v), deg: deg}
-}
-
-// Next yields the next neighbor; ok is false when the target stream is
-// exhausted or the block is corrupt (see Err).
-func (c *NeighborCursor[V]) Next() (t V, ok bool) {
-	if c.err != nil || c.i >= c.deg {
-		return 0, false
-	}
-	z, n := binary.Uvarint(c.block[c.off:])
-	if n <= 0 {
-		c.err = ErrCorruptBlock
-		return 0, false
-	}
-	c.off += n
-	if c.i == 0 {
-		c.prev = unzigzagGap(c.v, z)
-	} else {
-		c.prev += z
-	}
-	if c.prev > uint64(^V(0)) {
-		c.err = ErrCorruptBlock
-		return 0, false
-	}
-	c.i++
-	return V(c.prev), true
-}
-
-// NextWeight yields the next edge weight. Valid only after the target stream
-// is exhausted (weights are a trailing parallel stream); ok is false once
-// deg weights were yielded or on corruption.
-func (c *NeighborCursor[V]) NextWeight() (w Weight, ok bool) {
-	if c.err != nil || c.i < c.deg || c.w >= c.deg {
-		return 0, false
-	}
-	u, n := binary.Uvarint(c.block[c.off:])
-	if n <= 0 || u > uint64(^Weight(0)) {
-		c.err = ErrCorruptBlock
-		return 0, false
-	}
-	c.off += n
-	c.w++
-	return Weight(u), true
-}
-
-// Err reports the first corruption the cursor hit, if any.
-func (c *NeighborCursor[V]) Err() error { return c.err }
-
-// Consumed reports the block bytes the cursor has decoded so far.
-func (c *NeighborCursor[V]) Consumed() int { return c.off }

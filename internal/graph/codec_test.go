@@ -99,36 +99,6 @@ func TestDecodeAdjBlockOverflow(t *testing.T) {
 	}
 }
 
-func TestNeighborCursor(t *testing.T) {
-	v := uint32(50)
-	block, want, wantW := encodeList(t, v, []uint32{3, 49, 50, 51, 4096}, []Weight{9, 8, 7, 6, 5})
-	c := Cursor(block, v, len(want))
-	for i, w := range want {
-		got, ok := c.Next()
-		if !ok || got != w {
-			t.Fatalf("Next #%d = (%d,%v), want (%d,true)", i, got, ok, w)
-		}
-	}
-	if _, ok := c.Next(); ok {
-		t.Fatal("Next past degree succeeded")
-	}
-	for i, w := range wantW {
-		got, ok := c.NextWeight()
-		if !ok || got != w {
-			t.Fatalf("NextWeight #%d = (%d,%v), want (%d,true)", i, got, ok, w)
-		}
-	}
-	if _, ok := c.NextWeight(); ok {
-		t.Fatal("NextWeight past degree succeeded")
-	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("cursor error: %v", err)
-	}
-	if c.Consumed() != len(block) {
-		t.Fatalf("cursor consumed %d of %d bytes", c.Consumed(), len(block))
-	}
-}
-
 // FuzzAdjBlockRoundTrip drives the codec with arbitrary adjacency lists:
 // whatever AppendAdjBlock encodes, DecodeAdjBlock must reproduce exactly and
 // consume to the byte.
@@ -188,17 +158,6 @@ func FuzzDecodeAdjBlock(f *testing.F) {
 		n, err := DecodeAdjBlock(block, v, targets, weights)
 		if err == nil && n > len(block) {
 			t.Fatalf("consumed %d bytes of a %d-byte block", n, len(block))
-		}
-		c := Cursor(block, v, int(deg))
-		for {
-			if _, ok := c.Next(); !ok {
-				break
-			}
-		}
-		for {
-			if _, ok := c.NextWeight(); !ok {
-				break
-			}
 		}
 	})
 }

@@ -149,7 +149,7 @@ func (c *CompressedCSR[V]) Degrees() []uint32 { return c.degrees }
 func (c *CompressedCSR[V]) Blob() []byte { return c.blob }
 
 // Block returns the encoded adjacency block of v (zero-length for isolated
-// vertices), for cursor-based iteration: graph.Cursor(c.Block(v), v, c.Degree(v)).
+// vertices).
 func (c *CompressedCSR[V]) Block(v V) []byte {
 	return c.blob[c.offsets[v]:c.offsets[v+1]]
 }

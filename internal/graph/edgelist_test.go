@@ -37,7 +37,7 @@ func TestReadEdgeListWeighted(t *testing.T) {
 	if !g.Weighted() {
 		t.Fatal("weights not detected")
 	}
-	if w := g.EdgeWeight(0, 0); w != 5 {
+	if w := g.WeightsRaw()[0]; w != 5 {
 		t.Fatalf("weight = %d", w)
 	}
 }

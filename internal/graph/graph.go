@@ -132,15 +132,6 @@ func (g *CSR[V]) Neighbors(v V, _ *Scratch[V]) ([]V, []Weight, error) {
 	return g.targets[lo:hi], g.weights[lo:hi], nil
 }
 
-// EdgeWeight returns the weight of the i-th edge out of v (1 for unweighted
-// graphs, matching "BFS = SSSP with all edge weights equal to 1").
-func (g *CSR[V]) EdgeWeight(v V, i int) Weight {
-	if g.weights == nil {
-		return 1
-	}
-	return g.weights[g.offsets[v]+uint64(i)]
-}
-
 // Offsets exposes the vertex index array (length n+1). Intended for storage
 // back ends and tests; callers must not mutate it.
 func (g *CSR[V]) Offsets() []uint64 { return g.offsets }

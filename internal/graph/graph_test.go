@@ -70,7 +70,7 @@ func TestDedupKeepsMinWeight(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("m = %d, want 1", g.NumEdges())
 	}
-	if w := g.EdgeWeight(0, 0); w != 3 {
+	if w := g.WeightsRaw()[0]; w != 3 {
 		t.Fatalf("weight = %d, want min 3", w)
 	}
 }
@@ -122,8 +122,9 @@ func TestBuildRejectsOutOfRange(t *testing.T) {
 
 func TestEdgeWeightUnweightedIsOne(t *testing.T) {
 	g := mustBuild(t, 2, false, false, []Edge[uint32]{{Src: 0, Dst: 1, W: 42}})
-	if w := g.EdgeWeight(0, 0); w != 1 {
-		t.Fatalf("unweighted EdgeWeight = %d, want 1", w)
+	// No weight array at all: every reader takes nil weights as weight 1.
+	if _, ws, _ := g.Neighbors(0, nil); ws != nil {
+		t.Fatalf("unweighted build kept weights %v, want nil", ws)
 	}
 	if g.Weighted() {
 		t.Fatal("graph should be unweighted")
@@ -192,13 +193,13 @@ func TestNewCSRRawValidation(t *testing.T) {
 func TestBuilderSingleShot(t *testing.T) {
 	b := NewBuilder[uint32](2, false)
 	b.AddEdge(0, 1, 1)
-	if b.NumEdgesPending() != 1 {
-		t.Fatalf("pending = %d, want 1", b.NumEdgesPending())
+	if len(b.edges) != 1 {
+		t.Fatalf("pending = %d, want 1", len(b.edges))
 	}
 	if _, err := b.Build(false); err != nil {
 		t.Fatal(err)
 	}
-	if b.NumEdgesPending() != 0 {
+	if len(b.edges) != 0 {
 		t.Fatal("builder retained edges after Build")
 	}
 }

@@ -10,9 +10,9 @@ package graph
 //
 // Back ends expose the capability three ways:
 //
-//   - an in-memory CSR (raw or compressed) pairs with its Transpose /
-//     TransposeCompressed in a Bidi wrapper;
-//   - a symmetric graph is its own transpose: NewSymmetric serves in-edges
+//   - an in-memory CSR (raw or compressed) pairs with its Transpose (for a
+//     compressed one, recompressed) in a Bidi wrapper;
+//   - a symmetric graph is its own transpose: NewBidi(g, g) serves in-edges
 //     from the out-adjacency with zero extra storage;
 //   - the semi-external store carries an on-flash in-edge section (or a
 //     symmetric header flag) and implements these interfaces natively, as
@@ -67,7 +67,7 @@ func InEdges[V Vertex](g Adjacency[V]) (InAdjacency[V], bool) {
 
 // Bidi pairs a forward adjacency with its reverse, making any back end
 // direction-capable in memory: NewBidi(g, Transpose(g)) for a directed CSR,
-// NewSymmetric(g) for a symmetric one. Forward reads delegate to fwd
+// NewBidi(g, g) for a symmetric one. Forward reads delegate to fwd
 // (including pop-window batching when fwd supports it); in-edge reads
 // delegate to rev's forward adjacency. The two sides keep isolated
 // sub-scratches so a back end's per-worker decode state never crosses
@@ -91,20 +91,6 @@ func NewBidi[V Vertex](fwd, rev Adjacency[V]) (*Bidi[V], error) {
 	b.batch, _ = fwd.(BatchAdjacency[V])
 	return b, nil
 }
-
-// NewSymmetric declares g its own transpose: in-edges are served from the
-// out-adjacency. The caller asserts symmetry (e.g. Builder.Symmetrize
-// output); nothing is checked.
-func NewSymmetric[V Vertex](g Adjacency[V]) *Bidi[V] {
-	b, _ := NewBidi(g, g)
-	return b
-}
-
-// Forward exposes the out-adjacency side (stats inspection, device counters).
-func (b *Bidi[V]) Forward() Adjacency[V] { return b.fwd }
-
-// Reverse exposes the in-adjacency side.
-func (b *Bidi[V]) Reverse() Adjacency[V] { return b.rev }
 
 // bidiScratch keeps each direction's decode state isolated per worker.
 type bidiScratch[V Vertex] struct {

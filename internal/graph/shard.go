@@ -113,11 +113,6 @@ func NewSharded[V Vertex](members []Adjacency[V]) (*Sharded[V], error) {
 	return s, nil
 }
 
-// Members exposes the per-shard back ends, in shard order, for stats
-// inspection (device counters, prefetch stats). Callers must not mutate the
-// slice.
-func (s *Sharded[V]) Members() []Adjacency[V] { return s.members }
-
 // NumShards reports the partition width.
 func (s *Sharded[V]) NumShards() int { return len(s.members) }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/lockfree"
 	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
@@ -151,52 +150,6 @@ func AblationCache(o Options) (*Table, error) {
 		t.Add(fmt.Sprintf("1/%d", frac), Seconds(dur),
 			fmt.Sprintf("%d", io.Device.Reads), fmt.Sprintf("%.1f", 100*io.CacheHitRate()))
 		o.logf("ablation-cache: frac=1/%d done\n", frac)
-	}
-	return t, nil
-}
-
-// AblationEngine compares the paper's ownership-hashed engine against the
-// lock-free alternative (atomic CAS relaxation + work stealing), quantifying
-// the design choices of §III-A.
-func AblationEngine(o Options) (*Table, error) {
-	t := &Table{
-		Title: "Ablation: engine design (BFS, RMAT-A)",
-		Note:  "ownership = hash-routed queues, plain writes; lockfree = CAS labels + stealing",
-		Cols:  []string{"engine", "workers", "time(s)", "visits", "extra"},
-	}
-	scale := o.Scales[len(o.Scales)-1]
-	g, err := gen.RMAT[uint32](scale, o.Degree, gen.RMATA, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	src := pickSource(g)
-	adj := o.wrap(g)
-	for _, w := range []int{16, 512} {
-		var res *core.BFSResult[uint32]
-		dur, err := timeIt(func() error {
-			var err error
-			res, err = core.BFS[uint32](adj, src, core.Config{Workers: w})
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Add("ownership-heap", fmt.Sprintf("%d", w), Seconds(dur),
-			fmt.Sprintf("%d", res.Stats.Visits), "")
-
-		var lf *lockfree.Result
-		dur, err = timeIt(func() error {
-			var err error
-			lf, err = lockfree.BFS(adj, src, lockfree.Config{Workers: w})
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Add("lockfree-steal", fmt.Sprintf("%d", w), Seconds(dur),
-			fmt.Sprintf("%d", lf.Stats.Visits),
-			fmt.Sprintf("steals=%d casFail=%d", lf.Stats.Steals, lf.Stats.CASFail))
-		o.logf("ablation-engine: workers=%d done\n", w)
 	}
 	return t, nil
 }
@@ -448,7 +401,6 @@ func Ablations(o Options) ([]*Table, error) {
 	var tables []*Table
 	for _, fn := range []func(Options) (*Table, error){
 		AblationOversubscription, AblationHash, AblationSemiSort, AblationCache,
-		AblationEngine,
 		AblationStripe, AblationSSSP, AblationWriteAsymmetry, AblationDirection,
 	} {
 		tbl, err := fn(o)

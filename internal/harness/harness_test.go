@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,6 +60,22 @@ func cell(t *testing.T, tbl *Table, row int, col string) float64 {
 	return 0
 }
 
+// competitors asserts that tbl carries a timing column for every competitor
+// named and a parseable time in every row of it. Each comparator engine is
+// reached through exactly one table; this is what keeps it from losing that
+// reader unnoticed.
+func competitors(t *testing.T, tbl *Table, o Options, cols ...string) {
+	t.Helper()
+	for _, th := range o.Threads {
+		cols = append(cols, fmt.Sprintf("async%d(s)", th))
+	}
+	for _, col := range cols {
+		for i := range tbl.Rows {
+			cell(t, tbl, i, col)
+		}
+	}
+}
+
 func TestFigure1ShapeAndRows(t *testing.T) {
 	o := tiny()
 	tbl, err := Figure1(o)
@@ -87,6 +104,8 @@ func TestTable1Rows(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTable(t, tbl, 2*len(o.Scales)) // two RMAT variants per scale
+	// serial, level-synchronous, vertex-scan, BSP, and async per thread count.
+	competitors(t, tbl, o, "BGL(s)", "MTGL(s)", "SNAP(s)", "PBGL(s)")
 	// RMAT-A reaches most of the graph; RMAT-B less (paper Table I).
 	if cell(t, tbl, 0, "%vis") <= cell(t, tbl, 1, "%vis") {
 		t.Fatalf("expected %%vis(RMAT-A) > %%vis(RMAT-B): %v vs %v",
@@ -110,6 +129,8 @@ func TestTable3Rows(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTable(t, tbl, 2*len(o.Scales)+2) // RMAT rows + two web rows
+	// serial, label propagation, BSP, and async per thread count.
+	competitors(t, tbl, o, "BGL(s)", "MTGL(s)", "PBGL(s)")
 	// Every row reports at least one component.
 	for i := range tbl.Rows {
 		if cell(t, tbl, i, "#CCs") < 1 {
@@ -189,6 +210,9 @@ func TestFigure2AndAblations(t *testing.T) {
 	tables, err := Ablations(o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tables) != 8 {
+		t.Fatalf("%d ablation tables, want 8", len(tables))
 	}
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {

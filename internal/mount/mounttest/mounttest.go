@@ -10,8 +10,10 @@ package mounttest
 type BadFlag struct{ Args, Want string }
 
 // BadFlags is the table. The -prefetch row holds the binaries to rejecting a
-// selection the mount now makes itself.
+// selection the mount now makes itself, the -engine row to running the engine
+// under test and nothing else (the comparators are cmd/bench's exhibits).
 var BadFlags = []BadFlag{
 	{"-direction sideways", `-direction: core: unknown direction "sideways" (want topdown, bottomup, or hybrid)`},
 	{"-prefetch 16", "flag provided but not defined: -prefetch"},
+	{"-engine bsp", "flag provided but not defined: -engine"},
 }

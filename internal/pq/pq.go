@@ -148,14 +148,6 @@ func (h *Heap) PopBatch(dst []Item, k int) []Item {
 	return dst
 }
 
-// Peek returns the minimum item without removing it.
-func (h *Heap) Peek() (it Item, ok bool) {
-	if len(h.items) == 0 {
-		return Item{}, false
-	}
-	return h.items[0], true
-}
-
 func (h *Heap) siftDown(i int) {
 	n := len(h.items)
 	for {

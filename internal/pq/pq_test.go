@@ -15,9 +15,6 @@ func TestEmptyHeap(t *testing.T) {
 	if _, ok := h.Pop(); ok {
 		t.Fatal("Pop on empty heap returned ok")
 	}
-	if _, ok := h.Peek(); ok {
-		t.Fatal("Peek on empty heap returned ok")
-	}
 }
 
 func TestPushPopSingle(t *testing.T) {
@@ -26,11 +23,7 @@ func TestPushPopSingle(t *testing.T) {
 	if h.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", h.Len())
 	}
-	it, ok := h.Peek()
-	if !ok || it.Pri != 7 || it.V != 3 || it.Aux != 9 {
-		t.Fatalf("Peek = %+v ok=%v", it, ok)
-	}
-	it, ok = h.Pop()
+	it, ok := h.Pop()
 	if !ok || it.Pri != 7 || it.V != 3 || it.Aux != 9 {
 		t.Fatalf("Pop = %+v ok=%v", it, ok)
 	}

@@ -94,20 +94,6 @@ func TestCompressedLoadCSR(t *testing.T) {
 	sameAdjacency(t, g, got)
 }
 
-func TestLoadCompressedCSR(t *testing.T) {
-	g := buildGraph(t, 120, 900, true, 6)
-	back := writeCompressedToMem(t, g)
-	c, err := LoadCompressedCSR[uint32](fastDevice(back))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAdjacency(t, g, c)
-
-	if _, err := LoadCompressedCSR[uint32](fastDevice(writeToMem(t, g))); err == nil {
-		t.Fatal("LoadCompressedCSR accepted a v1 store")
-	}
-}
-
 // The v2 edge region must be meaningfully smaller than v1 on an RMAT graph —
 // the entire point of the format.
 func TestCompressedEdgeBytesShrink(t *testing.T) {

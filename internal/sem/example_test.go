@@ -65,6 +65,6 @@ func ExampleWrite() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(back.NumVertices(), back.NumEdges(), back.EdgeWeight(0, 0))
+	fmt.Println(back.NumVertices(), back.NumEdges(), back.WeightsRaw()[0])
 	// Output: 2 1 9
 }

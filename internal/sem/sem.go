@@ -37,15 +37,15 @@ import (
 	"repro/internal/graph"
 )
 
-// Magic identifies the graph file format ("ASG1": Async Semi-external Graph).
-const Magic = 0x31475341
+// magic identifies the graph file format ("ASG1": Async Semi-external Graph).
+const magic = 0x31475341
 
 // Format versions: v1 stores raw fixed-width edge records, v2 stores
 // delta+varint compressed adjacency blocks behind a block-extent index.
 // Open accepts both; Write emits v1, or v2 under WriteConfig.Compress.
 const (
-	Version           = 1
-	VersionCompressed = 2
+	version           = 1
+	versionCompressed = 2
 )
 
 // Header flags.
@@ -138,13 +138,13 @@ func vertexWidth[V graph.Vertex]() int {
 
 // writeHeader emits the 40-byte header and, when sm is non-nil, the 24-byte
 // shard map that follows it.
-func writeHeader(w io.Writer, version uint32, flags, n, m, blobBytes uint64, sm *shardMap) error {
+func writeHeader(w io.Writer, ver uint32, flags, n, m, blobBytes uint64, sm *shardMap) error {
 	if sm != nil {
 		flags |= flagSharded
 	}
 	header := make([]byte, headerSize)
-	binary.LittleEndian.PutUint32(header[0:], Magic)
-	binary.LittleEndian.PutUint32(header[4:], version)
+	binary.LittleEndian.PutUint32(header[0:], magic)
+	binary.LittleEndian.PutUint32(header[4:], ver)
 	binary.LittleEndian.PutUint64(header[8:], flags)
 	binary.LittleEndian.PutUint64(header[16:], n)
 	binary.LittleEndian.PutUint64(header[24:], m)
@@ -234,13 +234,7 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 			return err
 		}
 	}
-	var flags uint64
-	if sub.Weighted() {
-		flags |= flagWeighted
-	}
-	if vertexWidth[V]() == 8 {
-		flags |= flag64Bit
-	}
+	flags := recordFlags[V](sub.Weighted())
 	if in != nil {
 		flags |= flagInEdges
 	}
@@ -249,7 +243,7 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 	}
 	n, m := sub.NumVertices(), sub.NumEdges()
 	if !cfg.Compress {
-		if err := writeHeader(w, Version, flags, n, m, 0, sm); err != nil {
+		if err := writeHeader(w, version, flags, n, m, 0, sm); err != nil {
 			return err
 		}
 		if err := writeSection(w, "edge", sub.Offsets(), nil, nil, sub.Targets(), sub.WeightsRaw()); err != nil {
@@ -270,7 +264,7 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 			return err
 		}
 	}
-	if err := writeHeader(w, VersionCompressed, flags|flagCompressed, n, m, uint64(len(c.Blob())), sm); err != nil {
+	if err := writeHeader(w, versionCompressed, flags|flagCompressed, n, m, uint64(len(c.Blob())), sm); err != nil {
 		return err
 	}
 	if err := writeSection[V](w, "edge", c.BlockOffsets(), c.Degrees(), c.Blob(), nil, nil); err != nil {
@@ -282,52 +276,144 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 	return writeSection[V](w, "in-edge", inC.BlockOffsets(), inC.Degrees(), inC.Blob(), nil, nil)
 }
 
+// recordFlags is the header's description of a forward record: whether it
+// carries a weight, and the vertex id width.
+func recordFlags[V graph.Vertex](weighted bool) uint64 {
+	var flags uint64
+	if weighted {
+		flags |= flagWeighted
+	}
+	if vertexWidth[V]() == 8 {
+		flags |= flag64Bit
+	}
+	return flags
+}
+
+// WriteStream serializes a format v1 file whose edge records come from a
+// source too large to hold as a graph.CSR (the out-of-core build): offsets is
+// the (n+1)-entry record index, and records is called once with the function
+// that appends the next record, which it must call offsets[n] times in CSR
+// order. The bytes are those Write emits for the same graph.
+func WriteStream[V graph.Vertex](w io.Writer, offsets []uint64, weighted bool, records func(emit func(dst V, wt graph.Weight) error) error) error {
+	if len(offsets) == 0 {
+		return fmt.Errorf("sem: empty vertex index (want n+1 offsets)")
+	}
+	n, m := uint64(len(offsets)-1), offsets[len(offsets)-1]
+	if err := writeHeader(w, version, recordFlags[V](weighted), n, m, 0, nil); err != nil {
+		return err
+	}
+	sw := sectionWriter[V]{w: w, what: "edge", buf: make([]byte, 0, sectionBuf)}
+	if err := sw.index(offsets, nil); err != nil {
+		return err
+	}
+	// One record at a time through the array encoder: the k-way merge that
+	// produces each record costs far more than the call.
+	var t [1]V
+	var wt [1]graph.Weight
+	weights := wt[:]
+	if !weighted {
+		weights = nil
+	}
+	var emitted uint64
+	err := records(func(dst V, w graph.Weight) error {
+		emitted++
+		t[0], wt[0] = dst, w
+		return sw.records(t[:], weights)
+	})
+	if err != nil {
+		return err
+	}
+	if emitted != m {
+		return fmt.Errorf("sem: %d records streamed, the index counts %d", emitted, m)
+	}
+	return sw.flush()
+}
+
+// sectionBuf is the write granularity of a section's index and records.
+const sectionBuf = 1 << 16
+
+// sectionWriter is the one encoder of an adjacency section's index and v1
+// records, buffered: Write hands it whole arrays, WriteStream one record at a
+// time.
+type sectionWriter[V graph.Vertex] struct {
+	w    io.Writer
+	what string
+	buf  []byte
+}
+
+// flush hands what is buffered to w.
+func (s *sectionWriter[V]) flush() error {
+	if len(s.buf) == 0 {
+		return nil
+	}
+	_, err := s.w.Write(s.buf)
+	s.buf = s.buf[:0]
+	if err != nil {
+		return fmt.Errorf("sem: write %s section: %w", s.what, err)
+	}
+	return nil
+}
+
+// index emits the (n+1)-entry index and, for v2, the degree array.
+func (s *sectionWriter[V]) index(offsets []uint64, degrees []uint32) error {
+	for _, off := range offsets {
+		s.buf = binary.LittleEndian.AppendUint64(s.buf, off)
+		if len(s.buf) >= sectionBuf-16 {
+			if err := s.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	for _, deg := range degrees {
+		s.buf = binary.LittleEndian.AppendUint32(s.buf, deg)
+		if len(s.buf) >= sectionBuf-16 {
+			if err := s.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// records emits one v1 record per target: the neighbor id, then its weight
+// when weights is non-nil.
+func (s *sectionWriter[V]) records(targets []V, weights []graph.Weight) error {
+	wide := vertexWidth[V]() == 8
+	buf := s.buf
+	for i, t := range targets {
+		if wide {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
+		} else {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(t))
+		}
+		if weights != nil {
+			buf = binary.LittleEndian.AppendUint32(buf, weights[i])
+		}
+		if len(buf) >= sectionBuf-16 {
+			s.buf = buf
+			if err := s.flush(); err != nil {
+				return err
+			}
+			buf = s.buf
+		}
+	}
+	s.buf = buf
+	return nil
+}
+
 // writeSection emits one adjacency section: the (n+1)-entry index, then the
 // v2 degree array and block blob, or one v1 record per target (with its
 // weight when weights is non-nil). A file's edge region and in-edge section
 // are two calls.
 func writeSection[V graph.Vertex](w io.Writer, what string, offsets []uint64, degrees []uint32, blob []byte, targets []V, weights []graph.Weight) error {
-	buf := make([]byte, 0, 1<<16)
-	// flush hands buf to w once it is within one record of full, or at once
-	// when final.
-	flush := func(final bool) error {
-		if len(buf) == 0 || !final && len(buf) < 1<<16-16 {
-			return nil
-		}
-		_, err := w.Write(buf)
-		buf = buf[:0]
-		if err != nil {
-			return fmt.Errorf("sem: write %s section: %w", what, err)
-		}
-		return nil
+	sw := sectionWriter[V]{w: w, what: what, buf: make([]byte, 0, sectionBuf)}
+	if err := sw.index(offsets, degrees); err != nil {
+		return err
 	}
-	for _, off := range offsets {
-		buf = binary.LittleEndian.AppendUint64(buf, off)
-		if err := flush(false); err != nil {
-			return err
-		}
+	if err := sw.records(targets, weights); err != nil {
+		return err
 	}
-	for _, deg := range degrees {
-		buf = binary.LittleEndian.AppendUint32(buf, deg)
-		if err := flush(false); err != nil {
-			return err
-		}
-	}
-	vSize := vertexWidth[V]()
-	for i, t := range targets {
-		if vSize == 4 {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(t))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
-		}
-		if weights != nil {
-			buf = binary.LittleEndian.AppendUint32(buf, weights[i])
-		}
-		if err := flush(false); err != nil {
-			return err
-		}
-	}
-	if err := flush(true); err != nil {
+	if err := sw.flush(); err != nil {
 		return err
 	}
 	if len(blob) > 0 {
@@ -345,12 +431,12 @@ func Open[V graph.Vertex](store Store) (*Graph[V], error) {
 	if _, err := io.ReadFull(io.NewSectionReader(store, 0, headerSize), header); err != nil {
 		return nil, fmt.Errorf("sem: read header: %w", err)
 	}
-	if m := binary.LittleEndian.Uint32(header[0:]); m != Magic {
+	if m := binary.LittleEndian.Uint32(header[0:]); m != magic {
 		return nil, fmt.Errorf("sem: bad magic %#x", m)
 	}
-	version := binary.LittleEndian.Uint32(header[4:])
-	if version != Version && version != VersionCompressed {
-		return nil, fmt.Errorf("sem: unsupported version %d", version)
+	ver := binary.LittleEndian.Uint32(header[4:])
+	if ver != version && ver != versionCompressed {
+		return nil, fmt.Errorf("sem: unsupported version %d", ver)
 	}
 	flags := binary.LittleEndian.Uint64(header[8:])
 	n := binary.LittleEndian.Uint64(header[16:])
@@ -373,8 +459,8 @@ func Open[V graph.Vertex](store Store) (*Graph[V], error) {
 	if g.out.weighted {
 		g.out.recSize += 4
 	}
-	if g.out.compressed != (version == VersionCompressed) {
-		return nil, fmt.Errorf("sem: version %d contradicts compressed flag %v", version, g.out.compressed)
+	if g.out.compressed != (ver == versionCompressed) {
+		return nil, fmt.Errorf("sem: version %d contradicts compressed flag %v", ver, g.out.compressed)
 	}
 	if n >= 1<<56 || m >= 1<<56 || blobBytes >= 1<<56 {
 		return nil, fmt.Errorf("sem: implausible header (n=%d m=%d blob=%d)", n, m, blobBytes)
@@ -759,33 +845,4 @@ func (g *Graph[V]) loadCompressed() (*graph.CSR[V], error) {
 		}
 	}
 	return graph.NewCSRRaw(edgeOffsets, targets, weights)
-}
-
-// LoadCompressedCSR reads an entire v2 graph back into an in-memory
-// CompressedCSR: the index, degrees, and blob move to RAM but the edges stay
-// delta+varint encoded — the IM footprint win of the compressed format
-// without a decode pass. Fails on v1 stores (use LoadCSR).
-func LoadCompressedCSR[V graph.Vertex](store Store) (*graph.CompressedCSR[V], error) {
-	g, err := Open[V](store)
-	if err != nil {
-		return nil, err
-	}
-	if !g.out.compressed {
-		return nil, fmt.Errorf("sem: store holds a raw v1 graph, not compressed blocks")
-	}
-	blob := make([]byte, g.out.offsets[g.n])
-	for off := 0; off < len(blob); off += loadChunkBytes {
-		end := off + loadChunkBytes
-		if end > len(blob) {
-			end = len(blob)
-		}
-		if _, err := g.store.ReadAt(blob[off:end], g.out.base+int64(off)); err != nil {
-			return nil, fmt.Errorf("sem: load blob at %d: %w", off, err)
-		}
-	}
-	offsets := make([]uint64, len(g.out.offsets))
-	copy(offsets, g.out.offsets)
-	degrees := make([]uint32, len(g.out.degrees))
-	copy(degrees, g.out.degrees)
-	return graph.NewCompressedCSRRaw[V](offsets, degrees, blob, g.out.weighted)
 }
