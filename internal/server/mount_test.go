@@ -3,8 +3,12 @@ package server
 import (
 	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -77,5 +81,122 @@ func TestMountGraph(t *testing.T) {
 	}
 	if _, err := MountGraph(MountSpec{Name: "x", Path: plain, SEM: true, Profile: "Intel"}, MountOptions{Direction: core.DirectionHybrid}); !errors.Is(err, core.ErrNoInEdges) {
 		t.Errorf("hybrid over a SEM file without in-edges: err = %v, want ErrNoInEdges", err)
+	}
+}
+
+// TestMetricsGraphKeys pins the JSON the smoke jobs read: one server holding
+// an in-memory, a cached semi-external and a 3-shard cached semi-external
+// mount of one graph, all through MountGraph, renders exactly these keys per
+// graphs.<name> entry, and the sharded entry's summed device counters are the
+// sum of its per-shard ones.
+func TestMetricsGraphKeys(t *testing.T) {
+	g, err := gen.RMAT[uint32](8, 8, gen.RMATA, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(path string, cfg sem.WriteConfig) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := sem.Write(&buf, g, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain, sharded := filepath.Join(dir, "g.asg"), filepath.Join(dir, "s.asg")
+	write(plain, sem.WriteConfig{})
+	for k := 0; k < 3; k++ {
+		write(sem.ShardFileName(sharded, k), sem.WriteConfig{Shard: &sem.ShardConfig{Shard: k, Shards: 3}})
+	}
+
+	s := New(Config{CacheEntries: -1, Engine: core.Config{Workers: 8}})
+	for _, spec := range []MountSpec{
+		{Name: "im", Path: plain},
+		{Name: "sem", Path: plain, SEM: true, Profile: "FusionIO"},
+		{Name: "sharded", Path: sharded, SEM: true, Profile: "FusionIO", Shards: 3},
+	} {
+		mg, err := MountGraph(spec, MountOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddGraph(mg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, name := range []string{"im", "sem", "sharded"} {
+		for _, kernel := range []string{"bfs", "sssp"} {
+			if resp, body := postQuery(t, ts, queryRequest{Graph: name, Kernel: kernel, Source: 1}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: %d %s", name, kernel, resp.StatusCode, body)
+			}
+		}
+	}
+
+	graphs := fetchMetrics(t, ts)["graphs"].(map[string]any)
+	keys := func(v any) string {
+		var ks []string
+		for k := range v.(map[string]any) {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, " ")
+	}
+	for name, want := range map[string]string{
+		"im":      "storage",
+		"sem":     "block_cache device prefetch storage",
+		"sharded": "block_cache device prefetch shard_block_caches shard_devices shards storage",
+	} {
+		if got := keys(graphs[name]); got != want {
+			t.Errorf("graphs.%s keys = %q, want %q", name, got, want)
+		}
+	}
+	const deviceKeys = "bytes_read bytes_written max_read_bytes peak_reads reads writes"
+	const cacheKeys = "blocks_fetched evictions hits inflight_hw inflight_waits misses pinned_hw"
+	for _, name := range []string{"sem", "sharded"} {
+		gv := graphs[name].(map[string]any)
+		if got := keys(gv["device"]); got != deviceKeys {
+			t.Errorf("graphs.%s.device keys = %q, want %q", name, got, deviceKeys)
+		}
+		if got := keys(gv["block_cache"]); got != cacheKeys {
+			t.Errorf("graphs.%s.block_cache keys = %q, want %q", name, got, cacheKeys)
+		}
+		if hw := gv["block_cache"].(map[string]any)["pinned_hw"].(float64); hw <= 0 {
+			t.Errorf("graphs.%s.block_cache.pinned_hw = %v: the mount did not feed its cache", name, hw)
+		}
+	}
+	sh := graphs["sharded"].(map[string]any)
+	if got := sh["shards"].(float64); got != 3 {
+		t.Errorf("graphs.sharded.shards = %v, want 3", got)
+	}
+	perDev, perCache := sh["shard_devices"].([]any), sh["shard_block_caches"].([]any)
+	if len(perDev) != 3 || len(perCache) != 3 {
+		t.Fatalf("graphs.sharded: %d shard_devices, %d shard_block_caches, want 3 each", len(perDev), len(perCache))
+	}
+	for _, field := range []string{"reads", "bytes_read"} {
+		var sum float64
+		for _, d := range perDev {
+			if got := keys(d); got != deviceKeys {
+				t.Errorf("shard_devices entry keys = %q, want %q", got, deviceKeys)
+			}
+			sum += d.(map[string]any)[field].(float64)
+		}
+		if total := sh["device"].(map[string]any)[field].(float64); total == 0 || total != sum {
+			t.Errorf("graphs.sharded.device.%s = %v, its shard_devices sum to %v", field, total, sum)
+		}
+	}
+	for _, field := range []string{"hits", "misses"} {
+		var sum float64
+		for _, c := range perCache {
+			if got := keys(c); got != "hits misses" {
+				t.Errorf("shard_block_caches entry keys = %q, want hits and misses", got)
+			}
+			sum += c.(map[string]any)[field].(float64)
+		}
+		if total := sh["block_cache"].(map[string]any)[field].(float64); total != sum {
+			t.Errorf("graphs.sharded.block_cache.%s = %v, its shard_block_caches sum to %v", field, total, sum)
+		}
 	}
 }
