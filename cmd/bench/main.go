@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	o.SemiSort, o.Direction = f.SemiSort, f.Direction
+	o.Direction = f.Direction
 	o.Shards = *shards
 	if err := o.Options.Validate(); err != nil {
 		usage(err)

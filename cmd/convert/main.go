@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
@@ -31,41 +32,42 @@ func main() {
 		to         = flag.String("to", "asg", "output format: asg (binary) or edgelist (text)")
 		minVerts   = flag.Uint64("minverts", 0, "minimum vertex count for edge-list input")
 		symmetrize = flag.Bool("symmetrize", false, "add reverse edges (undirected output)")
-		compress   = flag.Bool("compress", false, "write asg output in the delta+varint compressed (v2) edge format")
-		shards     = flag.Int("shards", 1, "hash-partition asg output into N shard files (out.shard0..N-1)")
-		symmetric  = flag.Bool("symmetric", false, "write in-edge data for direction-optimized traversal: the symmetric flag with -symmetrize, else a transpose in-edge section")
 	)
+	writeFlags := mount.BindWrite(flag.CommandLine) // -compress -shards -symmetric, for -to asg
 	flag.Parse()
 	if *in == "" || *out == "" {
 		fmt.Fprintln(os.Stderr, "convert: -in and -out are required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "convert: -shards must be >= 1, got %d\n", *shards)
+	wopt, err := writeFlags()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "convert: %v\n", err)
 		os.Exit(2)
 	}
-	if err := run(*in, *out, *to, *minVerts, *symmetrize, *compress, *shards, *symmetric); err != nil {
+	// A symmetrized output already stores both directions of every edge.
+	wopt.Undirected = *symmetrize
+	if err := run(*in, *out, *to, *minVerts, wopt); err != nil {
 		fmt.Fprintf(os.Stderr, "convert: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, out, to string, minVerts uint64, symmetrize, compress bool, shards int, symmetric bool) error {
-	if compress && to != "asg" {
-		return fmt.Errorf("-compress only applies to -to asg output")
-	}
-	if shards > 1 && to != "asg" {
-		return fmt.Errorf("-shards only applies to -to asg output")
-	}
-	if symmetric && to != "asg" {
-		return fmt.Errorf("-symmetric only applies to -to asg output")
+func run(in, out, to string, minVerts uint64, wopt mount.WriteOptions) error {
+	switch to {
+	case "asg":
+	case "edgelist":
+		if wopt.Compress || wopt.Shards > 1 || wopt.InEdges {
+			return fmt.Errorf("-compress, -shards and -symmetric only apply to -to asg output")
+		}
+	default:
+		return fmt.Errorf("unknown -to %q (want asg or edgelist)", to)
 	}
 	g, err := load(in, minVerts)
 	if err != nil {
 		return err
 	}
-	if symmetrize {
+	if wopt.Undirected {
 		b := graph.NewBuilder[uint32](g.NumVertices(), g.Weighted())
 		g.ForEachEdge(func(u, v uint32, w graph.Weight) {
 			b.AddEdge(u, v, w)
@@ -76,62 +78,17 @@ func run(in, out, to string, minVerts uint64, symmetrize, compress bool, shards 
 		}
 	}
 
-	// A symmetrized output already stores both directions of every edge, so
-	// the symmetric flag serves in-edges for free; directed outputs pay for a
-	// transpose section instead.
-	wcfg := sem.WriteConfig{
-		Compress:  compress,
-		Symmetric: symmetric && symmetrize,
-		InEdges:   symmetric && !symmetrize,
+	if to == "asg" {
+		err = mount.WriteFiles(out, g, wopt)
+	} else {
+		err = mount.WriteFile(out, func(w io.Writer) error { return graph.WriteEdgeList(w, g) })
 	}
-	if shards > 1 {
-		for k := 0; k < shards; k++ {
-			cfg := wcfg
-			cfg.Shard = &sem.ShardConfig{Shard: k, Shards: shards}
-			if err := writeFile(sem.ShardFileName(out, k), func(w io.Writer) error {
-				return sem.Write(w, g, cfg)
-			}); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("wrote %s.shard0..%d: %d vertices, %d edges, weighted=%v\n",
-			out, shards-1, g.NumVertices(), g.NumEdges(), g.Weighted())
-		return nil
-	}
-	if err := writeFile(out, func(w io.Writer) error {
-		switch to {
-		case "asg":
-			return sem.Write(w, g, wcfg)
-		case "edgelist":
-			return graph.WriteEdgeList(w, g)
-		default:
-			return fmt.Errorf("unknown -to %q (want asg or edgelist)", to)
-		}
-	}); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d vertices, %d edges, weighted=%v\n",
-		out, g.NumVertices(), g.NumEdges(), g.Weighted())
-	return nil
-}
-
-// writeFile creates path and streams write's output through a buffered
-// writer, closing cleanly on every path.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := write(w); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
+	fmt.Printf("wrote %s: %d vertices, %d edges, weighted=%v\n",
+		wopt.Files(out), g.NumVertices(), g.NumEdges(), g.Weighted())
+	return nil
 }
 
 // load sniffs the input format: the binary header magic identifies .asg

@@ -12,10 +12,8 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"math/bits"
 	"math/rand/v2"
 	"os"
@@ -23,7 +21,7 @@ import (
 	"repro/internal/extsort"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/sem"
+	"repro/internal/mount"
 )
 
 func main() {
@@ -37,42 +35,36 @@ func main() {
 		out        = flag.String("out", "", "output file (required)")
 		outOfCore  = flag.Bool("outofcore", false, "build through the external-sort pipeline (bounded memory)")
 		budget     = flag.Int("budget", 1<<20, "in-memory edge budget for -outofcore")
-		compress   = flag.Bool("compress", false, "write the delta+varint compressed (v2) edge format")
-		shards     = flag.Int("shards", 1, "hash-partition the graph into N shard files (out.shard0..N-1)")
-		symmetric  = flag.Bool("symmetric", false, "write in-edge data for direction-optimized traversal: the symmetric flag with -undirected, else a transpose in-edge section")
 	)
+	writeFlags := mount.BindWrite(flag.CommandLine)
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "gengraph: -out is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "gengraph: -shards must be >= 1, got %d\n", *shards)
+	wopt, err := writeFlags()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gengraph: %v\n", err)
 		os.Exit(2)
 	}
-	if err := run(*typ, *scale, *degree, *undirected, *weights, *seed, *out, *outOfCore, *budget, *compress, *shards, *symmetric); err != nil {
+	// An -undirected build already stores every edge in both directions.
+	wopt.Undirected = *undirected
+	if err := run(*typ, *scale, *degree, *weights, *seed, *out, *outOfCore, *budget, wopt); err != nil {
 		fmt.Fprintf(os.Stderr, "gengraph: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(typ string, scale, degree int, undirected bool, weights string, seed uint64, out string, outOfCore bool, budget int, compress bool, shards int, symmetric bool) error {
+func run(typ string, scale, degree int, weights string, seed uint64, out string, outOfCore bool, budget int, wopt mount.WriteOptions) error {
+	undirected := wopt.Undirected
 	if outOfCore {
-		if compress {
-			// The external-sort builder streams fixed records straight to the
-			// file; block encoding needs the whole adjacency list of a vertex.
-			return fmt.Errorf("-compress does not combine with -outofcore; generate raw and convert -compress afterwards")
-		}
-		if shards > 1 {
-			// Hash partitioning permutes edges across files; the external-sort
-			// builder streams one sorted run and cannot scatter it.
-			return fmt.Errorf("-shards does not combine with -outofcore; generate raw and convert -shards afterwards")
-		}
-		if symmetric {
-			// The in-edge section needs the finished forward index (or the
-			// whole-graph transpose); the streaming writer has neither.
-			return fmt.Errorf("-symmetric does not combine with -outofcore; generate raw and convert -symmetric afterwards")
+		if wopt.Compress || wopt.Shards > 1 || wopt.InEdges {
+			// The external-sort builder streams one sorted run of fixed records
+			// straight to the file: block encoding needs a vertex's whole
+			// adjacency list, hash partitioning scatters edges across files,
+			// and the in-edge section needs the finished forward index.
+			return fmt.Errorf("-compress, -shards and -symmetric do not combine with -outofcore; generate raw and convert afterwards")
 		}
 		return runOutOfCore(typ, scale, degree, undirected, weights, seed, out, budget)
 	}
@@ -94,75 +86,11 @@ func run(typ string, scale, degree int, undirected bool, weights string, seed ui
 		return fmt.Errorf("unknown -weights %q (want uw or luw)", weights)
 	}
 
-	format := "raw"
-	if compress {
-		format = "compressed"
-	}
-	// An -undirected build already stores every edge in both directions, so
-	// the symmetric flag serves in-edges for free; directed graphs pay for a
-	// transpose section instead.
-	wcfg := sem.WriteConfig{
-		Compress:  compress,
-		Symmetric: symmetric && undirected,
-		InEdges:   symmetric && !undirected,
-	}
-	if symmetric {
-		if wcfg.Symmetric {
-			format += "+symmetric"
-		} else {
-			format += "+inedges"
-		}
-	}
-	if shards > 1 {
-		if err := writeShardFiles(out, g, wcfg, shards); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s.shard0..%d (%s): %d vertices, %d edges, weighted=%v, undirected=%v\n",
-			out, shards-1, format, g.NumVertices(), g.NumEdges(), g.Weighted(), undirected)
-		return nil
-	}
-	if err := writeFile(out, func(w io.Writer) error {
-		return sem.Write(w, g, wcfg)
-	}); err != nil {
+	if err := mount.WriteFiles(out, g, wopt); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%s): %d vertices, %d edges, weighted=%v, undirected=%v\n",
-		out, format, g.NumVertices(), g.NumEdges(), g.Weighted(), undirected)
-	return nil
-}
-
-// writeFile creates path and streams write's output through a buffered
-// writer, closing cleanly on every path.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := write(w); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeShardFiles hash-partitions g into `shards` files named
-// base.shard0..N-1, each a complete ASG file with a shard map (and, when the
-// write config asks, that shard's slice of the in-edge data).
-func writeShardFiles(base string, g *graph.CSR[uint32], wcfg sem.WriteConfig, shards int) error {
-	for k := 0; k < shards; k++ {
-		cfg := wcfg
-		cfg.Shard = &sem.ShardConfig{Shard: k, Shards: shards}
-		if err := writeFile(sem.ShardFileName(base, k), func(w io.Writer) error {
-			return sem.Write(w, g, cfg)
-		}); err != nil {
-			return err
-		}
-	}
+		wopt.Files(out), wopt.Format(), g.NumVertices(), g.NumEdges(), g.Weighted(), undirected)
 	return nil
 }
 

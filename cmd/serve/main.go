@@ -79,9 +79,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.QueryTimeout = *queryTimeout
-	workers := cfg.Engine.Workers
-	cfg.Engine = opt.Engine()
-	cfg.Engine.Workers = workers
 
 	s := server.New(cfg)
 	for _, spec := range specs {
@@ -99,8 +96,8 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		if g.Shards > 1 {
-			log.Printf("loaded %s (%s, %d shards) from %s.shard0..%d", spec.Name, g.Storage, g.Shards, spec.Path, g.Shards-1)
+		if n := g.Mount.Shards; n > 1 {
+			log.Printf("loaded %s (%s, %d shards) from %s.shard0..%d", spec.Name, g.Storage, n, spec.Path, n-1)
 		} else {
 			log.Printf("loaded %s (%s) from %s", spec.Name, g.Storage, spec.Path)
 		}

@@ -29,8 +29,8 @@ import (
 )
 
 // options is one parsed invocation: what to run, and the storage stack to
-// run it on (the -semisort -direction block shared with cmd/bench and
-// cmd/serve, plus this command's own -sem -nocache -profile -shards).
+// run it on (the -direction flag shared with cmd/bench and cmd/serve, plus
+// this command's own -sem -nocache -profile -shards).
 type options struct {
 	path, algo string
 	workers    int
@@ -38,6 +38,7 @@ type options struct {
 	srcSet     bool // -src was given; otherwise the max-degree vertex is the source
 	check      bool
 	profile    string
+	profileSet bool // -profile was given
 	mount      mount.Options
 }
 
@@ -77,7 +78,10 @@ func bind(fs *flag.FlagSet) func() (options, error) {
 	)
 	mountFlags := mount.Bind(fs)
 	return func() (options, error) {
-		fs.Visit(func(f *flag.Flag) { o.srcSet = o.srcSet || f.Name == "src" })
+		fs.Visit(func(f *flag.Flag) {
+			o.srcSet = o.srcSet || f.Name == "src"
+			o.profileSet = o.profileSet || f.Name == "profile"
+		})
 		var err error
 		if o.mount, err = mountFlags(); err != nil {
 			return o, err
@@ -90,8 +94,8 @@ func bind(fs *flag.FlagSet) func() (options, error) {
 // validate rejects bad flag combinations up front, before any file is
 // opened, so bad invocations fail in microseconds with one line on stderr:
 // unknown algorithm, missing graph or shard files, non-positive parallelism,
-// and direction policies the algorithm cannot honor. It resolves -profile
-// into o.mount.Profile.
+// device flags without a device, and direction policies the algorithm cannot
+// honor. It resolves -profile into o.mount.Profile.
 func validate(o *options) error {
 	if o.path == "" {
 		return fmt.Errorf("-graph is required (a file produced by gengraph)")
@@ -115,6 +119,10 @@ func validate(o *options) error {
 		if o.mount.Profile, err = ssd.ProfileByName(o.profile); err != nil {
 			return err
 		}
+	} else if o.mount.NoCache || o.profileSet {
+		// Accepting them would run in memory and say nothing about the device
+		// the user asked for.
+		return fmt.Errorf("-nocache and -profile describe the flash device of a -sem mount; without -sem the graph is decoded into memory")
 	}
 	if dir := o.mount.Direction; dir != core.DirectionTopDown && o.algo != "bfs" {
 		return fmt.Errorf("-direction %s requires -algo bfs (got -algo %s)", dir, o.algo)
@@ -128,24 +136,21 @@ func run(o options) error {
 		return err
 	}
 	defer m.Close()
-	adj, dir := m.Adj, o.mount.Direction
+	adj, dir, io := m.Adj, o.mount.Direction, m.IO()
 	switch {
 	case m.CSR != nil:
 		fmt.Printf("in-memory: %d vertices, %d edges, weighted=%v\n",
 			m.CSR.NumVertices(), m.CSR.NumEdges(), m.CSR.Weighted())
 	case m.Shards > 0:
-		router := adj.(*graph.Sharded[uint32])
-		edgeBytes := semEdgeBytes(m.Graphs)
 		fmt.Printf("semi-external sharded: %d shards, %d vertices, %d edges, %d edge bytes (%.2f B/edge) on %s\n",
-			router.NumShards(), router.NumVertices(), router.NumEdges(), edgeBytes, perEdge(edgeBytes, router.NumEdges()), o.mount.Profile.Name)
+			m.Shards, adj.NumVertices(), io.Edges, io.EdgeBytes, io.BytesPerEdge(), o.mount.Profile.Name)
 	default:
-		sg := m.Graphs[0]
 		format := "raw"
-		if sg.Compressed() {
+		if c, ok := adj.(interface{ Compressed() bool }); ok && c.Compressed() {
 			format = "compressed"
 		}
 		fmt.Printf("semi-external: %d vertices, %d edges, %d edge bytes (%s, %.2f B/edge) on %s\n",
-			sg.NumVertices(), sg.NumEdges(), sg.EdgeBytes(), format, perEdge(sg.EdgeBytes(), sg.NumEdges()), o.mount.Profile.Name)
+			adj.NumVertices(), io.Edges, io.EdgeBytes, format, io.BytesPerEdge(), o.mount.Profile.Name)
 	}
 
 	var src uint32
@@ -226,7 +231,7 @@ func run(o options) error {
 		}
 	}
 	if o.mount.SEM {
-		reportSemIO(m)
+		reportSemIO(m.IO(), m.Shards > 0)
 	}
 	return nil
 }
@@ -240,27 +245,8 @@ func chooseSource(o options, adj graph.Adjacency[uint32]) (src uint32, rule stri
 		}
 		return uint32(o.src), "-src", nil
 	}
-	for v := uint32(0); uint64(v) < adj.NumVertices(); v++ {
-		if adj.Degree(v) > adj.Degree(src) {
-			src = v
-		}
-	}
+	src = graph.MaxDegreeVertex(adj)
 	return src, fmt.Sprintf("max degree %d", adj.Degree(src)), nil
-}
-
-func semEdgeBytes(sgs []*sem.Graph[uint32]) int64 {
-	var total int64
-	for _, sg := range sgs {
-		total += sg.EdgeBytes()
-	}
-	return total
-}
-
-func perEdge(edgeBytes int64, edges uint64) float64 {
-	if edges == 0 {
-		return 0
-	}
-	return float64(edgeBytes) / float64(edges)
 }
 
 // reportSemIO prints the end-to-end I/O picture of a semi-external run:
@@ -268,57 +254,31 @@ func perEdge(edgeBytes int64, edges uint64) float64 {
 // the fan-out of pop-window spans across member devices is visible), block-
 // cache effectiveness, and — when the prefetch pipeline was on — its
 // span-coalescing counters.
-func reportSemIO(m *mount.Mounted) {
-	devs, caches, sgs, sharded := m.Devices, m.Caches, m.Graphs, m.Shards > 0
-	stats := make([]ssd.Stats, len(devs))
-	for i, d := range devs {
-		stats[i] = d.Stats()
-		if sharded {
+func reportSemIO(io mount.IO, sharded bool) {
+	if sharded {
+		for i, sh := range io.Shards {
+			st := sh.Device
 			fmt.Printf("shard%d device: reads=%d bytesRead=%d avgRead=%.0fB maxRead=%dB\n",
-				i, stats[i].Reads, stats[i].BytesRead, stats[i].AvgReadBytes(), stats[i].MaxReadBytes)
+				i, st.Reads, st.BytesRead, st.AvgReadBytes(), st.MaxReadBytes)
 		}
 	}
-	st := ssd.Sum(stats...)
+	st := io.Device
 	fmt.Printf("device: reads=%d writes=%d bytesRead=%d avgRead=%.0fB maxRead=%dB peakReads=%d\n",
 		st.Reads, st.Writes, st.BytesRead, st.AvgReadBytes(), st.MaxReadBytes, st.PeakReads)
-	var hits, misses uint64
-	var pinnedHW int64
-	haveCache := false
-	for _, c := range caches {
-		if c == nil {
-			continue
-		}
-		haveCache = true
-		h, m := c.Stats()
-		hits += h
-		misses += m
-		if hw := c.PinnedHW(); hw > pinnedHW {
-			pinnedHW = hw
-		}
-	}
-	if haveCache {
-		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = 100 * float64(hits) / float64(hits+misses)
-		}
+	if io.Cached {
 		// waits are the hits that found their block still under I/O; fetched
 		// blocks over misses is the mean span; inflightHW is memory held
 		// beyond the budget at the worst moment, in blocks (per shard device);
 		// pinnedHW is the most blocks holding queued visitors at once (per
 		// shard device): how much of the budget the settle counters defended.
-		io := m.CacheIO()
 		fmt.Printf("cache: hits=%d misses=%d hitRate=%.1f%% waits=%d fetched=%d evictions=%d inflightHW=%d pinnedHW=%d\n",
-			hits, misses, hitRate, io.Waits, io.Blocks, io.Evictions, io.InflightHW, pinnedHW)
+			io.CacheHits, io.CacheMisses, 100*io.CacheHitRate(), io.Cache.Waits, io.Cache.Blocks, io.Cache.Evictions, io.Cache.InflightHW, io.PinnedHW)
 	}
-	var ps sem.PrefetchStats
-	for _, sg := range sgs {
-		ps.Add(sg.PrefetchStats())
-	}
-	if ps.Windows > 0 {
+	if ps := io.Prefetch; ps.Windows > 0 {
 		fmt.Printf("prefetch: windows=%d vertices=%d spans=%d v/span=%.1f spanBytes=%d gapBytes=%d consumed=%.0f%% dedupSpans=%d dedupBytes=%d\n",
 			ps.Windows, ps.Vertices, ps.Spans, ps.VertsPerSpan(), ps.SpanBytes, ps.GapBytes, 100*ps.ConsumedFrac(), ps.DedupSpans, ps.DedupBytes)
 	}
-	if ps.ScanSpans > 0 {
+	if ps := io.Prefetch; ps.ScanSpans > 0 {
 		fmt.Printf("scan: spans=%d spanBytes=%d avgSpan=%.0fB\n",
 			ps.ScanSpans, ps.ScanBytes, float64(ps.ScanBytes)/float64(ps.ScanSpans))
 	}

@@ -41,6 +41,9 @@ func TestValidate(t *testing.T) {
 		{"negative workers", func(o *options) { o.workers = -1 }, false},
 		{"zero workers", func(o *options) { o.workers = 0 }, false},
 		{"unknown sem profile", func(o *options) { o.mount.SEM, o.profile = true, "FloppyDisk" }, false},
+		{"nocache without sem", func(o *options) { o.mount.NoCache = true }, false},
+		{"profile without sem", func(o *options) { o.profile, o.profileSet = "Intel", true }, false},
+		{"nocache and profile with sem", func(o *options) { o.mount.SEM, o.mount.NoCache, o.profile, o.profileSet = true, true, "Intel", true }, true},
 		{"negative shards", func(o *options) { o.mount.Shards = -1 }, false},
 		{"shard files present", func(o *options) { o.path, o.mount.Shards = sharded, 2 }, true},
 		{"shard files auto-detected", func(o *options) { o.path = sharded }, true},
@@ -64,15 +67,16 @@ func TestValidate(t *testing.T) {
 }
 
 // TestFlagLedger pins the command's flag set: the comparator engines are
-// reached through cmd/bench only, so a new flag here — or the return of
-// -engine, -ranks or -autosrc — is a conscious edit of this list.
+// reached through cmd/bench only and the sort key is the mount's constant, so
+// a new flag here — or the return of -engine, -ranks, -autosrc or -semisort —
+// is a conscious edit of this list.
 func TestFlagLedger(t *testing.T) {
 	fs := flag.NewFlagSet("traverse", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	bind(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	const want = "algo check direction graph nocache profile sem semisort shards src workers"
+	const want = "algo check direction graph nocache profile sem shards src workers"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("traverse registers %q, want exactly %q", got, want)
 	}
@@ -149,6 +153,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 	cases := append([]mounttest.BadFlag{
 		{Args: "-shards -1", Want: "traverse: -shards must be >= 0 (0 = auto-detect), got -1"},
 		{Args: "-algo pagerank", Want: `traverse: unknown -algo "pagerank" (want bfs, sssp, or cc)`},
+		{Args: "-nocache", Want: "traverse: -nocache and -profile describe the flash device of a -sem mount"},
+		{Args: "-profile Nope", Want: "traverse: -nocache and -profile describe the flash device of a -sem mount"},
 		{Args: "-ranks 4", Want: "flag provided but not defined: -ranks"},
 		{Args: "-autosrc=false", Want: "flag provided but not defined: -autosrc"},
 	}, mounttest.BadFlags...)

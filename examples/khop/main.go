@@ -54,12 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	src := uint32(0)
-	for v := uint32(0); uint64(v) < g.NumVertices(); v++ {
-		if g.Degree(v) > g.Degree(src) {
-			src = v
-		}
-	}
+	src := graph.MaxDegreeVertex[uint32](g)
 	fmt.Printf("graph: %d vertices, %d edges; source %d (degree %d)\n\n",
 		g.NumVertices(), g.NumEdges(), src, g.Degree(src))
 

@@ -37,12 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		src := uint32(0)
-		for v := uint32(0); uint64(v) < g.NumVertices(); v++ {
-			if g.Degree(v) > g.Degree(src) {
-				src = v
-			}
-		}
+		src := graph.MaxDegreeVertex[uint32](g)
 		fmt.Printf("\n== %s, source = person %d (degree %d) ==\n", scheme.name, src, g.Degree(src))
 
 		start := time.Now()

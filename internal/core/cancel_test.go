@@ -1,16 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pq"
+	"repro/internal/sem"
 )
 
 // slowAdjacency delays every adjacency read, standing in for a semi-external
@@ -212,5 +215,86 @@ func TestAbortMidWindowSettlesEveryVisitor(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// gatedStore serves a serialized graph from memory, counting reads; once
+// armed, the blockAt-th read announces itself on entered and waits for
+// release. No sleeps: the test decides what happens while a phase worker is
+// inside the device.
+type gatedStore struct {
+	data    []byte
+	reads   atomic.Int64
+	blockAt int64 // 0 = pass everything through
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gatedStore) ReadAt(p []byte, off int64) (int, error) {
+	if n := s.reads.Add(1); n == s.blockAt {
+		s.entered <- struct{}{}
+		<-s.release
+	}
+	return bytes.NewReader(s.data).ReadAt(p, off)
+}
+
+// TestDirectionCancelMidPhase cancels the level-synchronous driver while a
+// phase worker is blocked in a storage read, with more reads of the same
+// phase still to come: the driver must return the context's error without
+// issuing another read, as the asynchronous engine does within one visit.
+// (It used to look at the context between phases only, so a serving deadline
+// waited out a whole bottom-up scan of the device.)
+func TestDirectionCancelMidPhase(t *testing.T) {
+	// Bottom-up: ~700k in-edges are several 1 MiB scan spans for the one
+	// worker; the gate holds the first. Top-down: level 2 of a grid walked
+	// from its corner is {2, 9, 16}, one adjacency read each after the three
+	// of levels 0-1; the gate holds the second of them.
+	dense, err := gen.ErdosRenyi[uint32](4096, 700_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := gen.Grid[uint32](8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		g       *graph.CSR[uint32]
+		dir     Direction
+		blockAt int64
+	}{
+		{"bottom-up scan", dense, DirectionBottomUp, 1},
+		{"top-down phase", grid, DirectionHybrid, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := sem.Write(&buf, tc.g, sem.WriteConfig{InEdges: true}); err != nil {
+				t.Fatal(err)
+			}
+			store := &gatedStore{data: buf.Bytes(), entered: make(chan struct{}), release: make(chan struct{})}
+			sg, err := sem.Open[uint32](store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened := store.reads.Load()
+			store.blockAt = opened + tc.blockAt
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := BFS[uint32](sg, 0, Config{Workers: 1, Direction: tc.dir, Context: ctx})
+				done <- err
+			}()
+			<-store.entered
+			cancel()
+			close(store.release)
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if got := store.reads.Load() - opened; got != tc.blockAt {
+				t.Fatalf("%d reads after the mount, want %d: the phase kept reading after the cancellation", got, tc.blockAt)
+			}
+		})
 	}
 }

@@ -27,6 +27,7 @@ package core
 // BFS level does not depend on which direction discovered it.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -116,6 +117,25 @@ type dirDriver[V graph.Vertex] struct {
 	level  []graph.Dist
 	parent []V
 	n      uint64
+	ctx    context.Context // cfg.Context; nil when the traversal cannot be cancelled
+}
+
+// canceled is the phase workers' cancellation poll — once per top-down
+// window, once per bottom-up probe — so a deadline or a client disconnect
+// stops a phase within one storage read instead of waiting the phase out. A
+// non-blocking look at the Done channel: a live context costs no lock.
+//
+//lint:hotpath
+func (d *dirDriver[V]) canceled() error {
+	if d.ctx == nil {
+		return nil
+	}
+	select {
+	case <-d.ctx.Done():
+		return d.ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // unvisited is the bottom-up need predicate: consulted (atomically — other
@@ -151,17 +171,18 @@ func (w *dirWorker[V]) grow() {
 // device) each window of frontier vertices is announced to the batching back
 // end before its expansions run — the pop-window trick of the asynchronous
 // engine — so a slice's adjacency reads are in flight concurrently; behind
-// the cache only the phase's ioFanout width overlaps them.
+// the cache only the phase's ioFanout width overlaps them, and a window is
+// one vertex.
 //
 //lint:hotpath
 func (w *dirWorker[V]) topDown(d *dirDriver[V], frontier []V, nextLevel uint64) {
 	for len(frontier) > 0 {
-		win := frontier
-		if d.window > 1 && len(win) > d.window {
-			win = win[:d.window]
+		if w.err = d.canceled(); w.err != nil {
+			return
 		}
+		win := frontier[:min(len(frontier), max(d.window, 1))]
 		frontier = frontier[len(win):]
-		if d.batch != nil && d.window > 1 && len(win) > 1 {
+		if d.batch != nil && len(win) > 1 {
 			d.batch.NeighborsBatch(win, w.scratch)
 		}
 		for _, u := range win {
@@ -192,10 +213,15 @@ func (w *dirWorker[V]) topDown(d *dirDriver[V], frontier []V, nextLevel uint64) 
 // probe is the bottom-up relaxation for one unvisited vertex: scan its
 // in-neighbors for a member of the current frontier (level == curLevel) and
 // settle at the first hit. The store is exclusive — v lies in this worker's
-// id range — and atomic so concurrent unvisited() readers never tear.
+// id range — and atomic so concurrent unvisited() readers never tear. The
+// error is the traversal's cancellation, which makes a scanning back end stop
+// issuing spans.
 //
 //lint:hotpath
 func (w *dirWorker[V]) probe(d *dirDriver[V], v V, in []V, curLevel uint64) error {
+	if err := d.canceled(); err != nil {
+		return err
+	}
 	w.visits++
 	w.edges += uint64(len(in))
 	for _, u := range in {
@@ -294,7 +320,7 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 		Parent: make([]V, n),
 	}
 	initLabels(res.Level, res.Parent)
-	d := &dirDriver[V]{g: g, in: in, level: res.Level, parent: res.Parent, n: n, window: cfg.Prefetch}
+	d := &dirDriver[V]{g: g, in: in, level: res.Level, parent: res.Parent, n: n, window: cfg.Prefetch, ctx: cfg.Context}
 	d.scan, _ = g.(graph.InScanner[V])
 	d.batch, _ = g.(graph.BatchAdjacency[V])
 
@@ -324,10 +350,8 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 	useBU := cfg.Direction == DirectionBottomUp
 	var curLevel, prevNf uint64
 	for len(frontier) > 0 {
-		if ctx := cfg.Context; ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := d.canceled(); err != nil {
+			return nil, err
 		}
 		nf := uint64(len(frontier))
 		if nf > st.PeakFrontier {

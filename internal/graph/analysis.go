@@ -13,6 +13,19 @@ func Transpose[V Vertex](g *CSR[V]) (*CSR[V], error) {
 	return b.Build(false)
 }
 
+// MaxDegreeVertex returns the lowest-numbered vertex of the highest
+// out-degree: the deterministic stand-in for the paper's "start in the giant
+// component" that every tool and experiment uses as its default source.
+func MaxDegreeVertex[V Vertex](g Adjacency[V]) V {
+	var best V
+	for v := uint64(1); v < g.NumVertices(); v++ {
+		if g.Degree(V(v)) > g.Degree(best) {
+			best = V(v)
+		}
+	}
+	return best
+}
+
 // DegreeStats summarizes an out-degree distribution, the property that
 // drives the paper's load-balance discussion (§I-B: hub vertices).
 type DegreeStats struct {

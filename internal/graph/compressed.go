@@ -95,28 +95,6 @@ func (p *pairSort[V]) Swap(i, j int) {
 	p.w[i], p.w[j] = p.w[j], p.w[i]
 }
 
-// NewCompressedCSRRaw assembles a CompressedCSR from already-encoded
-// component arrays (the semi-external v2 loader's path). offsets must have
-// length n+1, start at 0, be non-decreasing, and end at len(blob); degrees
-// must have length n and sum to m.
-func NewCompressedCSRRaw[V Vertex](offsets []uint64, degrees []uint32, blob []byte, weighted bool) (*CompressedCSR[V], error) {
-	if len(offsets) == 0 || len(offsets) != len(degrees)+1 {
-		return nil, fmt.Errorf("graph: compressed index mismatch: %d offsets, %d degrees", len(offsets), len(degrees))
-	}
-	if offsets[0] != 0 || offsets[len(offsets)-1] != uint64(len(blob)) {
-		return nil, fmt.Errorf("graph: compressed offsets do not span blob (first=%d last=%d size=%d)",
-			offsets[0], offsets[len(offsets)-1], len(blob))
-	}
-	var m uint64
-	for i := 1; i < len(offsets); i++ {
-		if offsets[i] < offsets[i-1] {
-			return nil, fmt.Errorf("graph: compressed offsets decrease at %d", i)
-		}
-		m += uint64(degrees[i-1])
-	}
-	return &CompressedCSR[V]{offsets: offsets, degrees: degrees, blob: blob, weighted: weighted, m: m}, nil
-}
-
 // NumVertices implements Adjacency.
 func (c *CompressedCSR[V]) NumVertices() uint64 {
 	if len(c.offsets) == 0 {
@@ -183,35 +161,6 @@ func (c *CompressedCSR[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, e
 		return nil, nil, err
 	}
 	return targets, weights, nil
-}
-
-// Decompress rebuilds the raw CSR (round-trip verification, tools that need
-// aliasing adjacency slices).
-func (c *CompressedCSR[V]) Decompress() (*CSR[V], error) {
-	n := c.NumVertices()
-	offsets := make([]uint64, n+1)
-	for v := uint64(0); v < n; v++ {
-		offsets[v+1] = offsets[v] + uint64(c.degrees[v])
-	}
-	targets := make([]V, c.m)
-	var weights []Weight
-	if c.weighted {
-		weights = make([]Weight, c.m)
-	}
-	for v := uint64(0); v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		if lo == hi {
-			continue
-		}
-		var ws []Weight
-		if weights != nil {
-			ws = weights[lo:hi]
-		}
-		if _, err := DecodeAdjBlock(c.Block(V(v)), V(v), targets[lo:hi], ws); err != nil {
-			return nil, fmt.Errorf("graph: decompress vertex %d: %w", v, err)
-		}
-	}
-	return NewCSRRaw(offsets, targets, weights)
 }
 
 // CompressedCSR is a full Adjacency back end.

@@ -113,9 +113,6 @@ func NewSharded[V Vertex](members []Adjacency[V]) (*Sharded[V], error) {
 	return s, nil
 }
 
-// NumShards reports the partition width.
-func (s *Sharded[V]) NumShards() int { return len(s.members) }
-
 // NumVertices implements Adjacency.
 func (s *Sharded[V]) NumVertices() uint64 { return s.n }
 

@@ -148,8 +148,8 @@ func TestShardedRouterMatchesCSR(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSharded: %v", err)
 		}
-		if s.NumShards() != shards {
-			t.Fatalf("NumShards = %d, want %d", s.NumShards(), shards)
+		if len(s.members) != shards {
+			t.Fatalf("router holds %d members, want %d", len(s.members), shards)
 		}
 		if s.NumVertices() != g.NumVertices() || s.NumEdges() != g.NumEdges() {
 			t.Fatalf("shards=%d: n=%d m=%d, want n=%d m=%d",

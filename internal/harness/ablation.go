@@ -29,7 +29,7 @@ func AblationOversubscription(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := pickSource(g)
+	src := graph.MaxDegreeVertex[uint32](g)
 	adj := o.wrap(g)
 	for _, w := range []int{1, 4, 16, 64, 256, 512, 1024} {
 		var res *core.BFSResult[uint32]
@@ -89,16 +89,6 @@ func AblationHash(o Options) (*Table, error) {
 	return t, nil
 }
 
-// runSEMBFS times one BFS from src on a fresh mount of g (no repetitions: the
-// single-store ablations report the counters of exactly the run they timed).
-func runSEMBFS(o Options, g *graph.CSR[uint32], p ssd.Profile, src uint32) (time.Duration, SEMIO, error) {
-	o.SEMReps = 1
-	return timeSEM(o, g, p, func(adj graph.Adjacency[uint32], cfg core.Config) error {
-		_, err := core.BFS[uint32](adj, src, cfg)
-		return err
-	})
-}
-
 // AblationSemiSort measures the device-read savings of the secondary
 // vertex-id sort key on semi-external traversal (paper §IV-C: semi-sorting
 // "increases access locality to the storage devices").
@@ -112,11 +102,16 @@ func AblationSemiSort(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := pickSource(g)
+	src := graph.MaxDegreeVertex[uint32](g)
+	o.SEMReps = 1 // report the counters of exactly the run timed
 	for _, sorted := range []bool{true, false} {
-		opts := o
-		opts.SemiSort = sorted
-		dur, io, err := runSEMBFS(opts, g, ssd.FusionIO, src)
+		dur, io, err := timeSEM(o, g, ssd.FusionIO, func(adj graph.Adjacency[uint32], cfg core.Config) error {
+			// The key is the mount's constant (on, semi-externally); the
+			// exhibit forces it both ways.
+			cfg.SemiSort = sorted
+			_, err := core.BFS[uint32](adj, src, cfg)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -139,11 +134,14 @@ func AblationCache(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := pickSource(g)
+	src := graph.MaxDegreeVertex[uint32](g)
+	o.SEMReps = 1 // report the counters of exactly the run timed
 	for _, frac := range []int64{2, 4, 8, 16, 64} {
-		opts := o
-		opts.CacheFrac = frac
-		dur, io, err := runSEMBFS(opts, g, ssd.Intel, src)
+		o.CacheFrac = frac
+		dur, io, err := timeSEM(o, g, ssd.Intel, func(adj graph.Adjacency[uint32], cfg core.Config) error {
+			_, err := core.BFS[uint32](adj, src, cfg)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -168,8 +166,8 @@ func AblationStripe(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := pickSource(g)
-	backings, err := serialize(g, sem.WriteConfig{}, 1)
+	src := graph.MaxDegreeVertex[uint32](g)
+	backings, err := mount.WriteBackings(g, mount.WriteOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +179,7 @@ func AblationStripe(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := mount.Stores([]sem.Store{arr}, mount.Options{CacheFrac: o.CacheFrac, Readahead: o.Readahead, SemiSort: true})
+		m, err := mount.Stores([]sem.Store{arr}, mount.Options{CacheFrac: o.CacheFrac, Readahead: o.Readahead})
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +214,7 @@ func AblationSSSP(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := pickSource(g)
+	src := graph.MaxDegreeVertex[uint32](g)
 	adj := o.wrap(g)
 
 	dur, err := timeIt(func() error {
@@ -350,7 +348,7 @@ func AblationDirection(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		inputs = append(inputs, input{fmt.Sprintf("%s 2^%d", variant.Name, scale), g, pickSource(g), all})
+		inputs = append(inputs, input{fmt.Sprintf("%s 2^%d", variant.Name, scale), g, graph.MaxDegreeVertex[uint32](g), all})
 	}
 	chain, err := gen.Chain[uint32](1 << scale)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mount"
-	"repro/internal/sem"
 	"repro/internal/ssd"
 )
 
@@ -59,8 +58,7 @@ type Options struct {
 	Log          io.Writer // progress output; nil silences
 }
 
-// Defaults returns the laptop-scale configuration used by cmd/bench and the
-// repository benchmarks.
+// Defaults returns the laptop-scale configuration cmd/bench runs.
 func Defaults() Options {
 	return Options{
 		Scales:      []int{12, 13, 14},
@@ -75,7 +73,7 @@ func Defaults() Options {
 		Ranks:        16,
 		Seed:         42,
 		MemModel:     true,
-		Options:      mount.Options{SEM: true, CacheFrac: 2, CacheFloor: 64 << 10, Readahead: 8, SemiSort: true},
+		Options:      mount.Options{SEM: true, CacheFrac: 2, CacheFloor: 64 << 10, Readahead: 8},
 		SEMReps:      3,
 		WebScale:     13,
 		Fig1Threads:  []int{1, 2, 4, 8, 16, 32, 64, 128, 256},
@@ -85,25 +83,21 @@ func Defaults() Options {
 
 // edgeFormat names the on-flash edge layout the SEM tables mount.
 func (o *Options) edgeFormat() string {
-	format := "raw"
-	if o.Compressed {
-		format = "compressed"
-	}
-	if o.Direction != core.DirectionTopDown {
-		format += "+inedges"
-	}
+	format := o.writeOptions().Format()
 	if o.Shards > 1 {
 		format = fmt.Sprintf("%s x%d shards", format, o.Shards)
 	}
 	return format
 }
 
-// writeConfig is the serialization recipe for every SEM mount the harness
-// builds: compressed v2 blocks under Compressed, plus an on-flash in-edge
-// section whenever the direction policy may run bottom-up phases.
-func (o *Options) writeConfig() sem.WriteConfig {
-	return sem.WriteConfig{
+// writeOptions is the serialization recipe for every SEM mount the harness
+// builds: compressed v2 blocks under Compressed, o.Shards ways, plus an
+// on-flash in-edge section whenever the direction policy may run bottom-up
+// phases.
+func (o *Options) writeOptions() mount.WriteOptions {
+	return mount.WriteOptions{
 		Compress: o.Compressed,
+		Shards:   o.Shards,
 		InEdges:  o.Direction != core.DirectionTopDown,
 	}
 }
@@ -120,19 +114,6 @@ func (o *Options) wrap(g graph.Adjacency[uint32]) graph.Adjacency[uint32] {
 		return NewSlowAdj(g)
 	}
 	return g
-}
-
-// pickSource returns the highest-out-degree vertex, a deterministic stand-in
-// for the paper's "start in the giant component" source selection.
-func pickSource(g *graph.CSR[uint32]) uint32 {
-	src := uint32(0)
-	n := g.NumVertices()
-	for v := uint32(0); uint64(v) < n; v++ {
-		if g.Degree(v) > g.Degree(src) {
-			src = v
-		}
-	}
-	return src
 }
 
 var rmatVariants = []struct {
@@ -197,7 +178,7 @@ func Table1(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			src := pickSource(g)
+			src := graph.MaxDegreeVertex[uint32](g)
 			adj := o.wrap(g)
 
 			var levels, frac string
@@ -305,7 +286,7 @@ func Table2(o Options) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				src := pickSource(g)
+				src := graph.MaxDegreeVertex[uint32](g)
 				adj := o.wrap(g)
 
 				bglTime, err := timeIt(func() error {

@@ -1,8 +1,7 @@
 // Package harness drives the reproduction of the paper's evaluation: one
 // runner per table or figure (Figure 1, Tables I-V) plus the ablation sweeps
-// DESIGN.md calls out. Both cmd/bench and the repository-level Go benchmarks
-// delegate to this package so the printed rows come from a single
-// implementation.
+// DESIGN.md calls out. cmd/bench is its one front end, so the printed rows
+// come from a single implementation.
 package harness
 
 import (
@@ -70,15 +69,6 @@ func (t *Table) Render(w io.Writer) {
 // Seconds formats a duration as the paper's "time (s)" cells.
 func Seconds(d time.Duration) string {
 	return fmt.Sprintf("%.3f", d.Seconds())
-}
-
-// BytesPerEdge formats an edge-density cell: on-device edge bytes divided by
-// edge count (8.00 for raw weighted records, 1-4 for compressed blocks).
-func BytesPerEdge(edgeBytes int64, m uint64) string {
-	if m == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2f", float64(edgeBytes)/float64(m))
 }
 
 // Ratio formats a speedup/scaling cell.

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mount"
-	"repro/internal/sem"
 	"repro/internal/ssd"
 )
 
@@ -136,82 +134,12 @@ func Table3(o Options) (*Table, error) {
 	return t, nil
 }
 
-// SEMIO bundles the I/O-side observability of one semi-external run — device
-// traffic, cache effectiveness, and the prefetch pipeline's coalescing
-// counters — returned alongside core.Stats by the SEM harness paths. On a
-// sharded mount Device aggregates the members and PerShard keeps the
-// per-member snapshots (shard order), showing how pop-window spans fanned out
-// across the member devices.
-type SEMIO struct {
-	Device      ssd.Stats
-	PerShard    []ssd.Stats // nil when the mount is a single store
-	CacheHits   uint64
-	CacheMisses uint64
-	Prefetch    sem.PrefetchStats
-	EdgeBytes   int64  // on-flash edge bytes, summed across members
-	Edges       uint64 // logical edge count
-}
-
-// CacheHitRate reports block-cache hits over total block lookups (0 when the
-// run performed none).
-func (s SEMIO) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
-}
-
-// semIO snapshots a mount's observability counters into a SEMIO.
-func semIO(m *mount.Mounted) SEMIO {
-	var out SEMIO
-	stats := make([]ssd.Stats, len(m.Devices))
-	for i, d := range m.Devices {
-		stats[i] = d.Stats()
-	}
-	out.Device = ssd.Sum(stats...)
-	if len(stats) > 1 {
-		out.PerShard = stats
-	}
-	for _, c := range m.Caches {
-		hits, misses := c.Stats()
-		out.CacheHits += hits
-		out.CacheMisses += misses
-	}
-	for _, sg := range m.Graphs {
-		out.Prefetch.Add(sg.PrefetchStats())
-		out.EdgeBytes += sg.EdgeBytes()
-		out.Edges += sg.NumEdges()
-	}
-	return out
-}
-
-// serialize writes g in the SEM format cfg selects as one image when
-// shards <= 1 (byte-identical to the historical layout) or as that many
-// hash-partitioned images.
-func serialize(g *graph.CSR[uint32], cfg sem.WriteConfig, shards int) ([]ssd.Backing, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	backings := make([]ssd.Backing, shards)
-	for k := range backings {
-		if shards > 1 {
-			cfg.Shard = &sem.ShardConfig{Shard: k, Shards: shards}
-		}
-		var buf bytes.Buffer
-		if err := sem.Write(&buf, g, cfg); err != nil {
-			return nil, err
-		}
-		backings[k] = &ssd.MemBacking{Data: buf.Bytes()}
-	}
-	return backings, nil
-}
-
 // semMount serializes g per the options — raw v1 records or compressed v2
 // blocks, with an in-edge section for a non-top-down direction, o.Shards
 // ways — and mounts it on simulated devices of profile p for one measurement
 // (fresh devices and cold caches every call).
 func semMount(o Options, g *graph.CSR[uint32], p ssd.Profile) (*mount.Mounted, error) {
-	backings, err := serialize(g, o.writeConfig(), o.Shards)
+	backings, err := mount.WriteBackings(g, o.writeOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -220,29 +148,29 @@ func semMount(o Options, g *graph.CSR[uint32], p ssd.Profile) (*mount.Mounted, e
 }
 
 // timeSEM measures a semi-external run best-of-SEMReps, remounting fresh
-// devices and cold caches each repetition. The returned SEMIO belongs to the
-// fastest repetition.
-func timeSEM(o Options, g *graph.CSR[uint32], p ssd.Profile, run func(adj graph.Adjacency[uint32], cfg core.Config) error) (time.Duration, SEMIO, error) {
+// devices and cold caches each repetition. The returned I/O snapshot belongs
+// to the fastest repetition.
+func timeSEM(o Options, g *graph.CSR[uint32], p ssd.Profile, run func(adj graph.Adjacency[uint32], cfg core.Config) error) (time.Duration, mount.IO, error) {
 	reps := o.SEMReps
 	if reps < 1 {
 		reps = 1
 	}
 	var best time.Duration
-	var bestIO SEMIO
+	var bestIO mount.IO
 	have := false
 	for r := 0; r < reps; r++ {
 		mnt, err := semMount(o, g, p)
 		if err != nil {
-			return 0, SEMIO{}, err
+			return 0, mount.IO{}, err
 		}
 		dur, err := timeIt(func() error { return run(mnt.Adj, o.semConfig(mnt)) })
 		if err != nil {
-			return 0, SEMIO{}, err
+			return 0, mount.IO{}, err
 		}
 		if !have || dur < best {
 			have = true
 			best = dur
-			bestIO = semIO(mnt)
+			bestIO = mnt.IO()
 		}
 	}
 	return best, bestIO, nil
@@ -280,7 +208,7 @@ func Table4(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			src := pickSource(g)
+			src := graph.MaxDegreeVertex[uint32](g)
 			bglTime, err := timeIt(func() error {
 				_, err := baseline.SerialBFS(o.wrap(g), src)
 				return err
@@ -303,7 +231,7 @@ func Table4(o Options) (*Table, error) {
 					return nil, err
 				}
 				row[2] = fmt.Sprintf("%d", io.EdgeBytes)
-				row[3] = BytesPerEdge(io.EdgeBytes, io.Edges)
+				row[3] = fmt.Sprintf("%.2f", io.BytesPerEdge())
 				row = append(row, Seconds(dur), Ratio(bglTime, dur))
 				if p.Name == "FusionIO" {
 					devReads = io.Device.Reads
@@ -379,7 +307,7 @@ func Table5(o Options) (*Table, error) {
 				return nil, err
 			}
 			row[2] = fmt.Sprintf("%d", io.EdgeBytes)
-			row[3] = BytesPerEdge(io.EdgeBytes, io.Edges)
+			row[3] = fmt.Sprintf("%.2f", io.BytesPerEdge())
 			row = append(row, Seconds(dur), Ratio(bglTime, dur))
 		}
 		t.Add(row...)

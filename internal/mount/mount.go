@@ -9,6 +9,11 @@
 // pops windows and the prefetcher coalesces their reads), and the rule that
 // an in-memory mount transposes itself for a non-top-down direction each
 // exist once.
+//
+// Nothing outside this package takes a mount apart: callers traverse
+// Mounted.Adj under Mounted.Engine, read what the storage did from one
+// Mounted.IO snapshot (io.go), and produce the files a mount reads with the
+// one shard-set writer (write.go).
 package mount
 
 import (
@@ -55,8 +60,6 @@ type Options struct {
 	Readahead int
 	// Shards is the shard count Files demands of the path (0 = auto-detect).
 	Shards int
-	// SemiSort enables the engine's secondary vertex-id sort key.
-	SemiSort bool
 	// Direction is the BFS direction policy. A non-top-down in-memory mount
 	// pairs the CSR with its transpose; a semi-external one must have been
 	// written with in-edges.
@@ -78,13 +81,12 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Bind registers on fs the engine/mount flags cmd/traverse, cmd/bench and
-// cmd/serve share: -semisort -direction.
-// After fs.Parse, the returned function yields the Options they fill, or a
+// Bind registers on fs the engine/mount flag cmd/traverse, cmd/bench and
+// cmd/serve share: -direction.
+// After fs.Parse, the returned function yields the Options it fills, or a
 // usage error (the binaries exit 2 on it).
 func Bind(fs *flag.FlagSet) func() (Options, error) {
 	var o Options
-	fs.BoolVar(&o.SemiSort, "semisort", true, "secondary vertex-id sort key (SEM locality)")
 	dir := fs.String("direction", "", "BFS direction policy: topdown (default), bottomup, or hybrid; non-topdown needs in-edges (gengraph/convert -symmetric) on a semi-external graph")
 	return func() (Options, error) {
 		var err error
@@ -93,20 +95,6 @@ func Bind(fs *flag.FlagSet) func() (Options, error) {
 		}
 		return o, o.Validate()
 	}
-}
-
-// Engine is the engine configuration that matches a mount built from o: the
-// pop window is on exactly when the mount attaches a prefetcher to consume it.
-// Direction does not enter into it: the one thing a window gave the direction
-// driver behind the cache, the width of its top-down phases, is that driver's
-// own rule on any I/O-backed mount (core's ioFanout).
-// Callers add Workers; Mounted.Engine adds the direction thresholds.
-func (o Options) Engine() core.Config {
-	cfg := core.Config{SemiSort: o.SemiSort, Direction: o.Direction}
-	if o.NoCache {
-		cfg.Prefetch = rawWindow
-	}
-	return cfg
 }
 
 // Mounted is one assembled storage stack.
@@ -126,24 +114,15 @@ type Mounted struct {
 	// Shards is the width of the shard set behind Adj — a shard router, or in
 	// memory the merged CSR — and 0 for a plain file.
 	Shards int
-	// Engine is Options.Engine plus, for a non-top-down direction, the switch
-	// thresholds derived from the mounted graph's degree distribution.
+	// Engine is the engine configuration that matches the mount (see finish);
+	// callers add Workers.
 	Engine core.Config
 
 	files []*os.File
 }
 
-// CacheIO rolls the block caches' miss-path counters up across the shards.
-func (m *Mounted) CacheIO() sem.CacheIOStats {
-	var io sem.CacheIOStats
-	for _, c := range m.Caches {
-		io.Add(c.IOStats())
-	}
-	return io
-}
-
-// Close releases the files Files opened. A semi-external mount reads them
-// for as long as it is traversed.
+// Close releases the files Files left open: a semi-external mount reads them
+// for as long as it is traversed, an in-memory one holds none.
 func (m *Mounted) Close() error {
 	var first error
 	for _, f := range m.files {
@@ -164,9 +143,12 @@ func Files(path string, opt Options) (m *Mounted, err error) {
 	}
 	files := make([]*os.File, 0, len(paths))
 	defer func() {
-		if err != nil {
+		// An in-memory mount is fully decoded — a process serving many of
+		// them holds no descriptor for any — and a failed one reads nothing
+		// again; only a semi-external mount keeps its files.
+		if err != nil || m.CSR != nil {
 			for _, f := range files {
-				_ = f.Close() // read-only; the mount error is the one to report
+				_ = f.Close() // read-only; a mount error is the one to report
 			}
 		}
 	}()
@@ -184,7 +166,9 @@ func Files(path string, opt Options) (m *Mounted, err error) {
 	if m, err = assemble(backings, sharded, opt); err != nil {
 		return nil, err
 	}
-	m.files = files
+	if m.CSR == nil {
+		m.files = files
+	}
 	return m, nil
 }
 
@@ -317,17 +301,27 @@ func (o Options) readahead() int {
 	return o.Readahead
 }
 
-// finish derives the engine configuration once Adj stands.
+// finish derives the engine configuration once Adj stands. The secondary
+// vertex-id sort key is on exactly when the edges stay on a device: at the
+// queue lengths the proposal filter leaves it ties either way (EXPERIMENTS.md
+// "Semi-sort at 128 queues"), so it is the mount's constant, not a knob. The
+// pop window is on exactly when the mount attached a prefetcher to consume
+// it; a non-top-down direction gets the switch thresholds of the mounted
+// graph's own degree distribution instead of one-size-fits-all constants.
+// Direction does not enter into the window: the one thing a window gave the
+// direction driver behind the cache, the width of its top-down phases, is
+// that driver's own rule on any I/O-backed mount (core's ioFanout).
 func (m *Mounted) finish(opt Options) error {
-	m.Engine = opt.Engine()
+	m.Engine = core.Config{SemiSort: m.CSR == nil, Direction: opt.Direction}
+	if m.CSR == nil && opt.NoCache {
+		m.Engine.Prefetch = rawWindow
+	}
 	if opt.Direction == core.DirectionTopDown {
 		return nil
 	}
 	if _, ok := graph.InEdges[uint32](m.Adj); !ok {
 		return fmt.Errorf("%w: direction %s needs a graph written with in-edges (gengraph/convert -symmetric)", core.ErrNoInEdges, opt.Direction)
 	}
-	// Derive the switch thresholds from the mounted graph's degree shape
-	// instead of one-size-fits-all constants.
 	m.Engine.Alpha, m.Engine.Beta = graph.DegreesOf[uint32](m.Adj).DirectionThresholds()
 	return nil
 }

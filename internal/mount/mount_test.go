@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -33,13 +34,7 @@ func testGraph(t *testing.T) (*graph.CSR[uint32], uint32) {
 	if g, err = gen.UniformWeights(g, 7); err != nil {
 		t.Fatal(err)
 	}
-	src := uint32(0)
-	for v := uint32(0); uint64(v) < g.NumVertices(); v++ {
-		if g.Degree(v) > g.Degree(src) {
-			src = v
-		}
-	}
-	return g, src
+	return g, graph.MaxDegreeVertex[uint32](g)
 }
 
 // images serializes g as one plain image (shards <= 1) or a shard set.
@@ -88,8 +83,8 @@ func TestMountTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1, v2 := sem.WriteConfig{}, sem.WriteConfig{Compress: true}
-	sem1 := Options{SEM: true, Profile: fast, SemiSort: true}
-	raw := Options{SEM: true, Profile: fast, SemiSort: true, NoCache: true}
+	sem1 := Options{SEM: true, Profile: fast}
+	raw := Options{SEM: true, Profile: fast, NoCache: true}
 	with := func(o Options, f func(*Options)) Options { f(&o); return o }
 	none := func(*testing.T, *Mounted) {}
 	cases := []struct {
@@ -144,7 +139,7 @@ func TestMountTable(t *testing.T) {
 				_, mi := c.Stats()
 				misses += mi
 			}
-			if io := m.CacheIO(); io.Fetches != misses || io.Blocks < io.Fetches || io.InflightHW < 1 || io.InflightHW > 8*4*defaultReadahead {
+			if io := m.IO().Cache; io.Fetches != misses || io.Blocks < io.Fetches || io.InflightHW < 1 || io.InflightHW > 8*4*defaultReadahead {
 				t.Errorf("rolled-up cache I/O %+v with %d misses over the shards, 8 workers", io, misses)
 			}
 		}},
@@ -165,8 +160,8 @@ func TestMountTable(t *testing.T) {
 			}
 			cfg := m.Engine
 			cfg.Workers = 8
-			if cfg.SemiSort != tc.opt.SemiSort || cfg.Direction != tc.opt.Direction {
-				t.Errorf("engine config %+v does not carry the options' semisort/direction", cfg)
+			if cfg.SemiSort != tc.opt.SEM || cfg.Direction != tc.opt.Direction {
+				t.Errorf("engine config %+v: want the sort key exactly on a semi-external mount, and the options' direction", cfg)
 			}
 			// The top-down BFS is what feeds a cache (the level-synchronous
 			// driver of a non-top-down direction has no visitor queues), so
@@ -176,10 +171,7 @@ func TestMountTable(t *testing.T) {
 			if _, err := core.BFS[uint32](m.Adj, src, td); err != nil {
 				t.Fatal(err)
 			}
-			var ps sem.PrefetchStats
-			for _, sg := range m.Graphs {
-				ps.Add(sg.PrefetchStats())
-			}
+			ps := m.IO().Prefetch
 			switch {
 			case !tc.opt.SEM:
 				if cfg.Prefetch != 0 || m.Caches != nil {
@@ -254,12 +246,12 @@ func TestStoresOverRAID0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Stores([]sem.Store{arr}, Options{SemiSort: true})
+	m, err := Stores([]sem.Store{arr}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Devices != nil || len(m.Caches) != 1 {
-		t.Fatalf("devices=%d caches=%d, want the caller's devices left alone behind one cache", len(m.Devices), len(m.Caches))
+	if m.Devices != nil || len(m.Caches) != 1 || !m.Engine.SemiSort {
+		t.Fatalf("devices=%d caches=%d semisort=%v, want the caller's devices left alone behind one cache, under the semi-external engine config", len(m.Devices), len(m.Caches), m.Engine.SemiSort)
 	}
 	cfg := m.Engine
 	cfg.Workers = 8
@@ -315,6 +307,15 @@ func TestFiles(t *testing.T) {
 		if m.Shards != tc.shards {
 			t.Errorf("%s: shards = %d, want %d", tc.name, m.Shards, tc.shards)
 		}
+		// A semi-external mount reads its files for as long as it lives; a
+		// decoded one holds no descriptor.
+		open := 0
+		if tc.opt.SEM {
+			open = max(tc.shards, 1)
+		}
+		if len(m.files) != open {
+			t.Errorf("%s: mount holds %d open files, want %d", tc.name, len(m.files), open)
+		}
 		cfg := m.Engine
 		cfg.Workers = 8
 		got, err := core.BFS[uint32](m.Adj, src, cfg)
@@ -343,6 +344,92 @@ func TestFiles(t *testing.T) {
 	}
 }
 
+// TestWriteTable holds the one shard-set writer to the bytes sem.Write
+// produces when called by hand, image for image, on disk and in memory, for
+// every format it can select; and pins the flag block that selects them.
+func TestWriteTable(t *testing.T) {
+	g, _ := testGraph(t)
+	dir := t.TempDir()
+	for _, compress := range []bool{false, true} {
+		for _, in := range []struct {
+			name                string
+			inEdges, undirected bool
+			cfg                 sem.WriteConfig
+		}{
+			{"plain", false, false, sem.WriteConfig{}},
+			{"plain undirected", false, true, sem.WriteConfig{}},
+			{"in-edges", true, false, sem.WriteConfig{InEdges: true}},
+			{"symmetric", true, true, sem.WriteConfig{Symmetric: true}},
+		} {
+			for _, shards := range []int{1, 3} {
+				opt := WriteOptions{Compress: compress, Shards: shards, InEdges: in.inEdges, Undirected: in.undirected}
+				name := fmt.Sprintf("compress=%v %s x%d", compress, in.name, shards)
+				in.cfg.Compress = compress
+				want := images(t, g, in.cfg, shards)
+
+				backings, err := WriteBackings(g, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if len(backings) != len(want) {
+					t.Fatalf("%s: %d images in memory, want %d", name, len(backings), len(want))
+				}
+				for k, b := range backings {
+					if !bytes.Equal(b.(*ssd.MemBacking).Data, want[k]) {
+						t.Errorf("%s: in-memory image %d differs from sem.Write's", name, k)
+					}
+				}
+
+				base := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".asg")
+				if err := WriteFiles(base, g, opt); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for k := range want {
+					path := base
+					if shards > 1 {
+						path = sem.ShardFileName(base, k)
+					}
+					got, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !bytes.Equal(got, want[k]) {
+						t.Errorf("%s: file %s differs from sem.Write's", name, filepath.Base(path))
+					}
+				}
+			}
+		}
+	}
+	if got := (WriteOptions{Compress: true, InEdges: true}).Format(); got != "compressed+inedges" {
+		t.Errorf("format = %q", got)
+	}
+	if got := (WriteOptions{InEdges: true, Undirected: true, Shards: 3}).Files("g.asg"); got != "g.asg.shard0..2" {
+		t.Errorf("shard-set name = %q", got)
+	}
+	if err := WriteFiles(filepath.Join(dir, "missing", "g.asg"), g, WriteOptions{}); err == nil {
+		t.Error("a file in a missing directory was written")
+	}
+
+	// The flag block gengraph and convert share is exactly these three.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	get := BindWrite(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got := strings.Join(names, " "); got != "compress shards symmetric" {
+		t.Errorf("BindWrite registered %q, want exactly -compress -shards -symmetric", got)
+	}
+	if def, err := get(); err != nil || def != (WriteOptions{Shards: 1}) {
+		t.Errorf("defaults = %+v, %v", def, err)
+	}
+	if err := fs.Parse([]string{"-compress", "-symmetric", "-shards", "0"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := get(); err == nil || err.Error() != "-shards must be >= 1, got 0" || !got.Compress || !got.InEdges {
+		t.Errorf("-compress -symmetric -shards 0: %+v, err = %v", got, err)
+	}
+}
+
 func TestBind(t *testing.T) {
 	parse := func(args string) (Options, error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -359,28 +446,22 @@ func TestBind(t *testing.T) {
 	Bind(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got := strings.Join(names, " "); got != "direction semisort" {
-		t.Errorf("Bind registered %q, want exactly -direction and -semisort", got)
+	if got := strings.Join(names, " "); got != "direction" {
+		t.Errorf("Bind registered %q, want exactly -direction", got)
 	}
 	def, err := parse("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (Options{SemiSort: true}); def != want {
+	if want := (Options{}); def != want {
 		t.Errorf("defaults = %+v, want %+v", def, want)
 	}
-	got, err := parse("-semisort=false -direction hybrid")
+	got, err := parse("-direction hybrid")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := (Options{Direction: core.DirectionHybrid}); got != want {
 		t.Errorf("parsed = %+v, want %+v", got, want)
-	}
-	if cfg := got.Engine(); cfg.Prefetch != 0 || cfg.SemiSort || cfg.Direction != core.DirectionHybrid {
-		t.Errorf("engine config %+v does not mirror the options", cfg)
-	}
-	if cfg := (Options{NoCache: true}).Engine(); cfg.Prefetch != rawWindow {
-		t.Errorf("raw-device engine window = %d, want %d", cfg.Prefetch, rawWindow)
 	}
 	// The table the three binaries' re-exec tests run, checked in process.
 	for _, bad := range mounttest.BadFlags {
@@ -398,7 +479,7 @@ func TestBind(t *testing.T) {
 // TestOptionLedger pins the number of independently settable mount options, so
 // the next one is added on purpose.
 func TestOptionLedger(t *testing.T) {
-	if n := reflect.TypeOf(Options{}).NumField(); n != 9 {
-		t.Errorf("mount.Options has %d fields, the ledger says 9", n)
+	if n := reflect.TypeOf(Options{}).NumField(); n != 8 {
+		t.Errorf("mount.Options has %d fields, the ledger says 8", n)
 	}
 }

@@ -9,11 +9,13 @@ package mounttest
 // binary's own validation caught it, bare when the flag package did.
 type BadFlag struct{ Args, Want string }
 
-// BadFlags is the table. The -prefetch row holds the binaries to rejecting a
-// selection the mount now makes itself, the -engine row to running the engine
-// under test and nothing else (the comparators are cmd/bench's exhibits).
+// BadFlags is the table. The -prefetch and -semisort rows hold the binaries to
+// rejecting selections the mount now makes itself, the -engine row to running
+// the engine under test and nothing else (the comparators are cmd/bench's
+// exhibits).
 var BadFlags = []BadFlag{
 	{"-direction sideways", `-direction: core: unknown direction "sideways" (want topdown, bottomup, or hybrid)`},
 	{"-prefetch 16", "flag provided but not defined: -prefetch"},
+	{"-semisort=false", "flag provided but not defined: -semisort"},
 	{"-engine bsp", "flag provided but not defined: -engine"},
 }

@@ -1,0 +1,136 @@
+package mount
+
+import (
+	"bufio"
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+
+	"repro/internal/graph"
+	"repro/internal/sem"
+	"repro/internal/ssd"
+)
+
+// WriteOptions selects the on-flash form of the files a mount reads: the
+// write-side counterpart of Options.
+type WriteOptions struct {
+	// Compress writes delta+varint compressed (v2) adjacency blocks instead
+	// of raw fixed-size (v1) records.
+	Compress bool
+	// Shards hash-partitions the graph into that many images, base.shard0..
+	// on disk; 0 or 1 writes one plain image.
+	Shards int
+	// InEdges writes the in-edge data a non-top-down BFS direction needs.
+	// Undirected says the graph already stores every edge in both directions,
+	// so that data is the header's symmetric flag and costs nothing; a
+	// directed graph pays for a transpose in-edge section instead.
+	InEdges    bool
+	Undirected bool
+}
+
+// BindWrite registers on fs the writer flags cmd/gengraph and cmd/convert
+// share: -compress -shards -symmetric. After fs.Parse, the returned function
+// yields the WriteOptions they fill, or a usage error. Undirected is the
+// caller's to set, from whatever told it the graph is undirected.
+func BindWrite(fs *flag.FlagSet) func() (WriteOptions, error) {
+	var o WriteOptions
+	fs.BoolVar(&o.Compress, "compress", false, "write the delta+varint compressed (v2) edge format")
+	fs.IntVar(&o.Shards, "shards", 1, "hash-partition the graph into N shard files (out.shard0..N-1)")
+	fs.BoolVar(&o.InEdges, "symmetric", false, "write in-edge data for direction-optimized traversal: the symmetric flag on an undirected graph, else a transpose in-edge section")
+	return func() (WriteOptions, error) {
+		if o.Shards < 1 {
+			return o, fmt.Errorf("-shards must be >= 1, got %d", o.Shards)
+		}
+		return o, nil
+	}
+}
+
+// Format names the edge layout o selects, for banners and table notes.
+func (o WriteOptions) Format() string {
+	format := "raw"
+	if o.Compress {
+		format = "compressed"
+	}
+	switch {
+	case o.InEdges && o.Undirected:
+		format += "+symmetric"
+	case o.InEdges:
+		format += "+inedges"
+	}
+	return format
+}
+
+// Files names what WriteFiles(base, ...) writes, for messages: base itself, or
+// base.shard0..N-1.
+func (o WriteOptions) Files(base string) string {
+	if o.Shards > 1 {
+		return fmt.Sprintf("%s.shard0..%d", base, o.Shards-1)
+	}
+	return base
+}
+
+// images serializes g once per image of the set o selects, in shard order.
+func (o WriteOptions) images(g *graph.CSR[uint32], emit func(shard int, write func(io.Writer) error) error) error {
+	cfg := sem.WriteConfig{
+		Compress:  o.Compress,
+		Symmetric: o.InEdges && o.Undirected,
+		InEdges:   o.InEdges && !o.Undirected,
+	}
+	for k := 0; k < max(o.Shards, 1); k++ {
+		if o.Shards > 1 {
+			cfg.Shard = &sem.ShardConfig{Shard: k, Shards: o.Shards}
+		}
+		if err := emit(k, func(w io.Writer) error { return sem.Write(w, g, cfg) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteFiles writes g as the file base, or as the shard set base.shard0..N-1
+// that Files mounts when o.Shards > 1.
+func WriteFiles(base string, g *graph.CSR[uint32], o WriteOptions) error {
+	return o.images(g, func(shard int, write func(io.Writer) error) error {
+		path := base
+		if o.Shards > 1 {
+			path = sem.ShardFileName(base, shard)
+		}
+		return WriteFile(path, write)
+	})
+}
+
+// WriteBackings serializes g into memory: the backings Graph mounts, one per
+// shard.
+func WriteBackings(g *graph.CSR[uint32], o WriteOptions) ([]ssd.Backing, error) {
+	var backings []ssd.Backing
+	err := o.images(g, func(_ int, write func(io.Writer) error) error {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			return err
+		}
+		backings = append(backings, &ssd.MemBacking{Data: buf.Bytes()})
+		return nil
+	})
+	return backings, err
+}
+
+// WriteFile creates path and streams write's output into it through a
+// buffered writer, reporting the first of the write, flush and close errors.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, 1<<20)
+	if err := write(w); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		_ = f.Close() // likewise the flush error
+		return err
+	}
+	return f.Close()
+}

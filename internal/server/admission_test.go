@@ -365,24 +365,3 @@ func TestRateLimitPerTenant(t *testing.T) {
 		t.Fatalf("rate_limit.enabled = %v, want true", rl["enabled"])
 	}
 }
-
-// TestCacheKeyIncludesDirection pins the regression where identical queries
-// against servers with different BFS direction policies shared a cache slot:
-// parent trees differ between top-down and bottom-up/hybrid runs, so the
-// direction must be part of the key.
-func TestCacheKeyIncludesDirection(t *testing.T) {
-	st := buildStores(t, 6)
-	g := &Graph{Name: "g", Adj: st.im}
-	req := &queryRequest{Graph: "g", Kernel: "bfs", Source: 3}
-
-	td := New(Config{Engine: core.Config{Direction: core.DirectionTopDown}})
-	hy := New(Config{Engine: core.Config{Direction: core.DirectionHybrid}})
-	kTD := td.cacheKeyFor(req, g)
-	kHY := hy.cacheKeyFor(req, g)
-	if kTD == kHY {
-		t.Fatalf("cache keys collide across directions: %+v", kTD)
-	}
-	if kTD != td.cacheKeyFor(req, g) {
-		t.Fatal("cache key is not stable for identical queries")
-	}
-}

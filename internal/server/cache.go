@@ -21,17 +21,14 @@ import (
 // cacheKey identifies a cacheable traversal result. weighted distinguishes
 // the weights-mode: SSSP over a weighted store and over an unweighted one
 // (all weights 1) are different results even for the same graph name
-// elsewhere, and keying on it keeps the key self-describing. direction is
-// the engine's traversal direction policy: hybrid/bottom-up BFS produces
-// bit-identical levels to top-down, but parent trees are direction-specific
-// (a bottom-up phase picks a different valid parent), so a snapshot keyed
-// without direction could serve a stale tree across a -direction remount.
+// elsewhere, and keying on it keeps the key self-describing. The BFS
+// direction is not in the key: parent trees are direction-specific, but a
+// graph's direction is fixed when it is added, so its name already keys it.
 type cacheKey struct {
-	graph     string
-	kernel    string
-	source    uint64
-	weighted  bool
-	direction core.Direction
+	graph    string
+	kernel   string
+	source   uint64
+	weighted bool
 }
 
 // queryResult is the immutable vertex-state snapshot of one completed

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/sem"
+	"repro/internal/mount"
 	"repro/internal/ssd"
 )
 
@@ -161,7 +161,6 @@ func (s *Server) buildVars() *expvar.Map {
 	}))
 	m.Set("direction", expvar.Func(func() any {
 		return map[string]any{
-			"mode":            s.pool.Config().Direction.String(),
 			"topdown_phases":  s.tdPhases.Load(),
 			"bottomup_phases": s.buPhases.Load(),
 			"switches":        s.dirSwitches.Load(),
@@ -169,11 +168,19 @@ func (s *Server) buildVars() *expvar.Map {
 		}
 	}))
 	m.Set("engine_pool", expvar.Func(func() any {
-		reused, total := s.pool.Reuses()
+		// One pool per graph, summed.
+		var idle int
+		var reused, acquired uint64
+		s.mu.RLock()
+		for _, g := range s.graphs {
+			r, a := g.pool.Reuses()
+			idle, reused, acquired = idle+g.pool.Idle(), reused+r, acquired+a
+		}
+		s.mu.RUnlock()
 		return map[string]any{
-			"idle":     s.pool.Idle(),
+			"idle":     idle,
 			"reused":   reused,
-			"acquired": total,
+			"acquired": acquired,
 		}
 	}))
 	m.Set("graphs", expvar.Func(func() any {
@@ -182,71 +189,58 @@ func (s *Server) buildVars() *expvar.Map {
 		out := make(map[string]any, len(s.graphs))
 		for name, g := range s.graphs {
 			gv := map[string]any{"storage": g.Storage}
-			if g.Shards > 1 {
-				gv["shards"] = g.Shards
+			if g.shards() > 1 {
+				gv["shards"] = g.shards()
 			}
-			if len(g.Devices) > 0 {
-				stats := make([]ssd.Stats, len(g.Devices))
-				for i, d := range g.Devices {
-					stats[i] = d.Stats()
-				}
-				gv["device"] = deviceVars(ssd.Sum(stats...))
-				// Per-shard counters make the pop-window fan-out visible: a
-				// healthy sharded mount shows every member device reading.
-				if len(stats) > 1 {
-					perShard := make([]map[string]any, len(stats))
-					for i, st := range stats {
-						perShard[i] = deviceVars(st)
-					}
-					gv["shard_devices"] = perShard
-				}
-			}
-			if len(g.BlockCaches) > 0 {
-				var hits, misses uint64
-				var io sem.CacheIOStats
-				var pinnedHW int64
-				perShard := make([]map[string]any, 0, len(g.BlockCaches))
-				for _, c := range g.BlockCaches {
-					if c == nil {
-						continue
-					}
-					h, mi := c.Stats()
-					hits += h
-					misses += mi
-					io.Add(c.IOStats())
-					if hw := c.PinnedHW(); hw > pinnedHW {
-						pinnedHW = hw
-					}
-					perShard = append(perShard, map[string]any{"hits": h, "misses": mi})
-				}
-				// inflight_waits are the hits that found their block still
-				// under I/O; inflight_hw is blocks held beyond the budget;
-				// pinned_hw is the most blocks holding queued visitors at once.
-				gv["block_cache"] = map[string]any{"hits": hits, "misses": misses,
-					"inflight_waits": io.Waits, "blocks_fetched": io.Blocks,
-					"evictions": io.Evictions, "inflight_hw": io.InflightHW, "pinned_hw": pinnedHW}
-				if len(perShard) > 1 {
-					gv["shard_block_caches"] = perShard
-				}
-			}
-			if len(g.SEMGraphs) > 0 {
-				var ps sem.PrefetchStats
-				for _, sg := range g.SEMGraphs {
-					ps.Add(sg.PrefetchStats())
-				}
-				gv["prefetch"] = map[string]any{
-					"windows":     ps.Windows,
-					"spans":       ps.Spans,
-					"span_bytes":  ps.SpanBytes,
-					"dedup_spans": ps.DedupSpans,
-					"dedup_bytes": ps.DedupBytes,
-				}
+			if g.Mount != nil {
+				storageVars(gv, g.Mount.IO())
 			}
 			out[name] = gv
 		}
 		return out
 	}))
 	return m
+}
+
+// storageVars renders one mount's I/O snapshot into its graphs.<name> entry:
+// nothing for an in-memory mount, the prefetch block only on a mount that
+// windowed.
+func storageVars(gv map[string]any, io mount.IO) {
+	if len(io.Shards) == 0 {
+		return
+	}
+	gv["device"] = deviceVars(io.Device)
+	if io.Cached {
+		// inflight_waits are the hits that found their block still under I/O;
+		// inflight_hw is blocks held beyond the budget; pinned_hw is the most
+		// blocks holding queued visitors at once.
+		gv["block_cache"] = map[string]any{"hits": io.CacheHits, "misses": io.CacheMisses,
+			"inflight_waits": io.Cache.Waits, "blocks_fetched": io.Cache.Blocks,
+			"evictions": io.Cache.Evictions, "inflight_hw": io.Cache.InflightHW, "pinned_hw": io.PinnedHW}
+	}
+	if len(io.Shards) > 1 {
+		// Per-shard counters make the fan-out visible: a healthy sharded
+		// mount shows every member device reading.
+		devices := make([]map[string]any, len(io.Shards))
+		caches := make([]map[string]any, len(io.Shards))
+		for i, sh := range io.Shards {
+			devices[i] = deviceVars(sh.Device)
+			caches[i] = map[string]any{"hits": sh.CacheHits, "misses": sh.CacheMisses}
+		}
+		gv["shard_devices"] = devices
+		if io.Cached {
+			gv["shard_block_caches"] = caches
+		}
+	}
+	if ps := io.Prefetch; ps.Windows > 0 {
+		gv["prefetch"] = map[string]any{
+			"windows":     ps.Windows,
+			"spans":       ps.Spans,
+			"span_bytes":  ps.SpanBytes,
+			"dedup_spans": ps.DedupSpans,
+			"dedup_bytes": ps.DedupBytes,
+		}
+	}
 }
 
 // deviceVars renders one device-stats snapshot for /metrics.

@@ -93,8 +93,8 @@ type MountOptions = mount.Options
 
 // MountGraph opens one graph (a plain file or a complete shard set) as a
 // server.Graph: decoded fully into an in-memory CSR, or mounted
-// semi-externally with one block-cached simulated flash device per shard.
-// The files stay open for the life of the process.
+// semi-externally with one block-cached simulated flash device per shard,
+// whose files stay open for the life of the process.
 func MountGraph(spec MountSpec, opt MountOptions) (Graph, error) {
 	g := Graph{Name: spec.Name, RateLimit: spec.Limit, Storage: "im"}
 	opt.SEM, opt.Shards = spec.SEM, spec.Shards
@@ -109,7 +109,6 @@ func MountGraph(spec MountSpec, opt MountOptions) (Graph, error) {
 	if err != nil {
 		return g, fmt.Errorf("graph %q: %w", spec.Name, err)
 	}
-	g.Adj, g.Alpha, g.Beta = m.Adj, m.Engine.Alpha, m.Engine.Beta
-	g.Devices, g.BlockCaches, g.SEMGraphs, g.Shards = m.Devices, m.Caches, m.Graphs, m.Shards
+	g.Adj, g.Mount = m.Adj, m
 	return g, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -45,7 +46,7 @@ func TestMountGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Storage != "im" || im.Adj == nil || im.Shards != 0 || im.Devices != nil || im.SEMGraphs != nil {
+	if im.Storage != "im" || im.Adj == nil || im.Mount == nil || im.Mount.CSR == nil || im.shards() != 0 {
 		t.Errorf("in-memory mount: %+v", im)
 	}
 
@@ -54,23 +55,23 @@ func TestMountGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.Storage != "sem" || se.Shards != 4 || len(se.Devices) != 4 || len(se.BlockCaches) != 4 || len(se.SEMGraphs) != 4 || se.RateLimit != limit {
-		t.Errorf("sharded SEM mount: storage=%s shards=%d devices=%d caches=%d graphs=%d", se.Storage, se.Shards, len(se.Devices), len(se.BlockCaches), len(se.SEMGraphs))
+	if se.Storage != "sem" || se.shards() != 4 || se.Adj != se.Mount.Adj || len(se.Mount.IO().Shards) != 4 || se.RateLimit != limit {
+		t.Errorf("sharded SEM mount: storage=%s shards=%d io=%+v", se.Storage, se.shards(), se.Mount.IO())
 	}
-	if se.Devices[0].Profile().Name != "Intel" {
-		t.Errorf("spec profile not applied: %s", se.Devices[0].Profile().Name)
+	if se.Mount.Devices[0].Profile().Name != "Intel" {
+		t.Errorf("spec profile not applied: %s", se.Mount.Devices[0].Profile().Name)
 	}
 
 	hy, err := MountGraph(MountSpec{Name: "hy", Path: plain}, MountOptions{Direction: core.DirectionHybrid})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hy.Alpha <= 0 || hy.Beta <= 0 {
-		t.Errorf("hybrid mount carries no thresholds: alpha=%d beta=%d", hy.Alpha, hy.Beta)
-	}
-	s := New(Config{Engine: core.Config{Workers: 4, Direction: core.DirectionHybrid}})
+	s := New(Config{Engine: core.Config{Workers: 4}})
 	if err := s.AddGraph(hy); err != nil {
-		t.Errorf("AddGraph of a hybrid in-memory mount: %v", err)
+		t.Fatalf("AddGraph of a hybrid in-memory mount: %v", err)
+	}
+	if cfg := s.graph("hy").pool.Config(); cfg.Direction != core.DirectionHybrid || cfg.Alpha <= 0 || cfg.Alpha != hy.Mount.Engine.Alpha || cfg.Beta != hy.Mount.Engine.Beta || cfg.Workers != 4 {
+		t.Errorf("hybrid mount runs under %+v, want its own thresholds at the server's 4 workers", cfg)
 	}
 
 	if _, err := MountGraph(MountSpec{Name: "x", Path: plain, SEM: true, Profile: "FloppyDisk"}, MountOptions{}); err == nil {
@@ -84,11 +85,26 @@ func TestMountGraph(t *testing.T) {
 	}
 }
 
+// TestGraphLedger pins server.Graph's exported fields: what a served graph is
+// made of lives in Mount, so a new field here is a conscious edit.
+func TestGraphLedger(t *testing.T) {
+	var names []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Graph{})) {
+		if f.IsExported() {
+			names = append(names, f.Name)
+		}
+	}
+	if got := strings.Join(names, " "); got != "Name Adj Storage RateLimit Mount" {
+		t.Errorf("server.Graph exports %q, want exactly Name Adj Storage RateLimit Mount", got)
+	}
+}
+
 // TestMetricsGraphKeys pins the JSON the smoke jobs read: one server holding
 // an in-memory, a cached semi-external and a 3-shard cached semi-external
 // mount of one graph, all through MountGraph, renders exactly these keys per
-// graphs.<name> entry, and the sharded entry's summed device counters are the
-// sum of its per-shard ones.
+// graphs.<name> entry (no prefetch block: a cached mount never windows), and
+// the sharded entry's summed device counters are the sum of its per-shard
+// ones.
 func TestMetricsGraphKeys(t *testing.T) {
 	g, err := gen.RMAT[uint32](8, 8, gen.RMATA, 5)
 	if err != nil {
@@ -146,8 +162,8 @@ func TestMetricsGraphKeys(t *testing.T) {
 	}
 	for name, want := range map[string]string{
 		"im":      "storage",
-		"sem":     "block_cache device prefetch storage",
-		"sharded": "block_cache device prefetch shard_block_caches shard_devices shards storage",
+		"sem":     "block_cache device storage",
+		"sharded": "block_cache device shard_block_caches shard_devices shards storage",
 	} {
 		if got := keys(graphs[name]); got != want {
 			t.Errorf("graphs.%s keys = %q, want %q", name, got, want)

@@ -57,8 +57,7 @@ import (
 	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/sem"
-	"repro/internal/ssd"
+	"repro/internal/mount"
 )
 
 // Config tunes the service. Zero values select the documented defaults.
@@ -77,9 +76,11 @@ type Config struct {
 	// CacheEntries is the result-cache capacity in snapshots; 0 selects the
 	// default 64, negative disables caching.
 	CacheEntries int
-	// Engine configures the traversal engine shared by all queries
-	// (workers, semi-sort, batching, SEM prefetch window). Context is
-	// ignored — the server installs a per-query context.
+	// Engine configures the traversal engine of every graph added without a
+	// Mount. A mounted graph runs under its own Mount.Engine — the storage
+	// stack decides the sort key, pop window, direction and thresholds — and
+	// takes only Workers from here. Context is ignored: the server installs a
+	// per-query context.
 	Engine core.Config
 }
 
@@ -109,36 +110,36 @@ func (c *Config) normalize() {
 // concurrent readers — all back ends are: the in-memory CSR is immutable,
 // the semi-external store's reads share only the device, block cache, and
 // prefetcher, each of which is concurrency-safe, and the shard router keeps
-// all mutable state in per-worker scratches. Device/BlockCache (single
-// store) and Devices/BlockCaches (one entry per shard, in shard order) are
-// optional observability hooks surfaced under /metrics; AddGraph folds the
-// singular fields into the slices.
+// all mutable state in per-worker scratches.
 type Graph struct {
-	Name        string
-	Adj         graph.Adjacency[uint32]
-	Storage     string // "im" or "sem"; informational
-	Device      *ssd.Device
-	BlockCache  *sem.CachedStore
-	Devices     []*ssd.Device
-	BlockCaches []*sem.CachedStore
-	// SEMGraphs are the semi-external member graphs behind Adj (one per
-	// shard; nil for in-memory mounts). /metrics reads their prefetch
-	// counters — span dedup in particular — without reaching through Adj.
-	SEMGraphs []*sem.Graph[uint32]
-	// Shards is the mount's partition width (0 or 1 = unsharded). Filled
-	// from Adj when it is a shard router.
-	Shards int
-	// Alpha/Beta are this graph's hybrid direction-switch thresholds. When
-	// the server's engine direction is not top-down and either is zero,
-	// AddGraph derives both from the mounted graph's degree distribution.
-	Alpha, Beta int
+	Name    string
+	Adj     graph.Adjacency[uint32]
+	Storage string // "im" or "sem"; informational
 	// RateLimit overrides the server-wide per-tenant rate limit for queries
 	// against this graph; nil uses Config.RateLimit.
 	RateLimit *RateLimitConfig
+	// Mount is the storage stack behind Adj when internal/mount built it
+	// (MountGraph): its Engine is the configuration this graph's queries run
+	// under, its IO snapshot is the graph's /metrics entry. Nil for a bare
+	// adjacency, which runs under Config.Engine and reports its storage only.
+	Mount *mount.Mounted
 
 	// limiter is the materialized per-graph bucket scope (nil = use the
 	// server-wide limiter).
 	limiter *limiter
+	// pool runs this graph's queries, under Mount.Engine at the server's
+	// worker count, or under Config.Engine for a bare adjacency. It is the
+	// graph's own: a recycled resource set is only valid under the
+	// Workers/SemiSort pair it was built for, and that pair is per graph.
+	pool *core.EnginePool[uint32]
+}
+
+// shards is the width of the shard set behind a mounted graph, 0 otherwise.
+func (g *Graph) shards() int {
+	if g.Mount == nil {
+		return 0
+	}
+	return g.Mount.Shards
 }
 
 func (g *Graph) weighted() bool {
@@ -160,7 +161,6 @@ func (g *Graph) numEdges() uint64 {
 // http.Server. Safe for concurrent use.
 type Server struct {
 	cfg   Config
-	pool  *core.EnginePool[uint32]
 	admit *admission
 	cache *resultCache // nil when disabled
 	hist  *histogram
@@ -192,7 +192,6 @@ func New(cfg Config) *Server {
 	cfg.normalize()
 	s := &Server{
 		cfg:    cfg,
-		pool:   core.NewEnginePool[uint32](cfg.Engine),
 		admit:  newAdmission(cfg.Admit),
 		hist:   newHistogram(),
 		limit:  newLimiter(cfg.RateLimit),
@@ -223,30 +222,15 @@ func (s *Server) AddGraph(g Graph) error {
 	if g.Storage == "" {
 		g.Storage = "im"
 	}
-	if g.Device != nil && len(g.Devices) == 0 {
-		g.Devices = []*ssd.Device{g.Device}
-	}
-	if g.BlockCache != nil && len(g.BlockCaches) == 0 {
-		g.BlockCaches = []*sem.CachedStore{g.BlockCache}
-	}
-	if g.Shards == 0 {
-		if sh, ok := g.Adj.(interface{ NumShards() int }); ok {
-			g.Shards = sh.NumShards()
-		}
-	}
 	if g.RateLimit != nil {
 		g.limiter = newLimiter(*g.RateLimit)
 	}
-	if dir := s.pool.Config().Direction; dir != core.DirectionTopDown {
-		// Fail at load time, not on the first query: every served graph must
-		// carry in-edges when the engine direction needs them.
-		if _, ok := graph.InEdges[uint32](g.Adj); !ok {
-			return fmt.Errorf("server: graph %q: %w (direction %s needs a graph written with in-edges)", g.Name, core.ErrNoInEdges, dir)
-		}
-		if g.Alpha <= 0 || g.Beta <= 0 {
-			g.Alpha, g.Beta = graph.DegreesOf[uint32](g.Adj).DirectionThresholds()
-		}
+	engine := s.cfg.Engine
+	if g.Mount != nil {
+		engine = g.Mount.Engine
+		engine.Workers = s.cfg.Engine.Workers
 	}
+	g.pool = core.NewEnginePool[uint32](engine)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.graphs[g.Name]; dup {
@@ -370,7 +354,7 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 			Edges:    g.numEdges(),
 			Weighted: g.weighted(),
 			Storage:  g.Storage,
-			Shards:   g.Shards,
+			Shards:   g.shards(),
 		})
 	}
 	s.mu.RUnlock()
@@ -413,7 +397,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.queriesTotal.Add(1)
-	key := s.cacheKeyFor(&req, g)
+	// Every result-determining input of a validated request: the graph name
+	// stands for its storage and engine configuration, direction included.
+	key := cacheKey{graph: req.Graph, kernel: req.Kernel, source: req.Source, weighted: g.weighted()}
 	if s.cache != nil && !req.NoCache {
 		if res, ok := s.cache.get(key); ok {
 			s.render(w, &req, res, true)
@@ -494,52 +480,27 @@ func (s *Server) reject(w http.ResponseWriter, d admit.Decision, tenant string) 
 	writeError(w, RejectStatus(d), "server: tenant %q not admitted: %s", tenant, d)
 }
 
-// cacheKeyFor builds the result-cache key for one validated request. Every
-// result-determining input must appear here: graph name, kernel, source,
-// weights-mode, and the engine's traversal direction (parent trees are
-// direction-specific even when levels agree).
-func (s *Server) cacheKeyFor(req *queryRequest, g *Graph) cacheKey {
-	return cacheKey{
-		graph:     req.Graph,
-		kernel:    req.Kernel,
-		source:    req.Source,
-		weighted:  g.weighted(),
-		direction: s.pool.Config().Direction,
-	}
-}
-
-// runQuery executes one traversal on the engine pool and snapshots its
-// vertex state. CC component ids are widened into the shared label array
+// runQuery executes one traversal on the graph's engine pool and snapshots
+// its vertex state. CC component ids are widened into the shared label array
 // with the NoVertex sentinel mapped to InfDist, so "reached" means the same
 // thing for every kernel.
 func (s *Server) runQuery(ctx context.Context, g *Graph, kernel string, src uint32) (*queryResult, error) {
 	switch kernel {
 	case "bfs":
-		var r *core.BFSResult[uint32]
-		var err error
-		if cfg := s.pool.Config(); cfg.Direction != core.DirectionTopDown {
-			// The direction driver is level-synchronous and holds no engine
-			// resources, so it runs outside the pool, under this graph's own
-			// switch thresholds.
-			cfg.Context = ctx
-			cfg.Alpha, cfg.Beta = g.Alpha, g.Beta
-			r, err = core.BFS[uint32](g.Adj, src, cfg)
-		} else {
-			r, err = s.pool.BFS(ctx, g.Adj, src)
-		}
+		r, err := g.pool.BFS(ctx, g.Adj, src)
 		if err != nil {
 			return nil, err
 		}
 		s.noteDirection(r.Stats)
 		return &queryResult{labels: r.Level, parent: r.Parent, stats: r.Stats}, nil
 	case "sssp":
-		r, err := s.pool.SSSP(ctx, g.Adj, src)
+		r, err := g.pool.SSSP(ctx, g.Adj, src)
 		if err != nil {
 			return nil, err
 		}
 		return &queryResult{labels: r.Dist, parent: r.Parent, stats: r.Stats}, nil
 	case "cc":
-		r, err := s.pool.CC(ctx, g.Adj)
+		r, err := g.pool.CC(ctx, g.Adj)
 		if err != nil {
 			return nil, err
 		}

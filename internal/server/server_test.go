@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,22 +12,40 @@ import (
 	"time"
 
 	"repro/internal/admit"
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/sem"
+	"repro/internal/mount"
 	"repro/internal/ssd"
 )
 
 // testStores builds the fixture the suite shares: one weighted RMAT graph
-// served both in-memory and semi-externally (block-cached store on a fast
-// simulated device), plus a small undirected graph for CC.
+// served both in-memory and semi-externally (the default cached mount on a
+// fast simulated device), plus a small undirected graph for CC.
 type testStores struct {
 	im         *graph.CSR[uint32]
-	semGraph   *sem.Graph[uint32]
-	device     *ssd.Device
-	blockCache *sem.CachedStore
+	sem        Graph
 	undirected *graph.CSR[uint32]
+}
+
+// fastDevice is a device model with no latency worth waiting for.
+var fastDevice = ssd.Profile{Name: "test-fast", Channels: 64, ReadLatency: 20 * time.Microsecond}
+
+// semGraph serializes g (shards ways, with in-edge data when inEdges) and
+// mounts it semi-externally the way MountGraph does, minus the files.
+func semGraph(tb testing.TB, name string, g *graph.CSR[uint32], shards int, opt mount.Options, inEdges bool) Graph {
+	tb.Helper()
+	backings, err := mount.WriteBackings(g, mount.WriteOptions{Shards: shards, InEdges: inEdges})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opt.SEM, opt.Profile = true, fastDevice
+	m, err := mount.Graph(backings, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Graph{Name: name, Adj: m.Adj, Storage: "sem", Mount: m}
 }
 
 func buildStores(tb testing.TB, scale int) *testStores {
@@ -43,27 +62,9 @@ func buildStores(tb testing.TB, scale int) *testStores {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := sem.Write(&buf, weighted, sem.WriteConfig{}); err != nil {
-		tb.Fatal(err)
-	}
-	dev := ssd.New(
-		ssd.Profile{Name: "test-fast", Channels: 64, ReadLatency: 20 * time.Microsecond},
-		&ssd.MemBacking{Data: buf.Bytes()},
-	)
-	cache, err := sem.NewCachedStore(dev, 4096, 1<<20)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sg, err := sem.Open[uint32](cache)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	return &testStores{
 		im:         weighted,
-		semGraph:   sg,
-		device:     dev,
-		blockCache: cache,
+		sem:        semGraph(tb, "sem", weighted, 1, mount.Options{}, false),
 		undirected: undirected,
 	}
 }
@@ -73,7 +74,7 @@ func newTestServer(tb testing.TB, cfg Config, st *testStores) *httptest.Server {
 	s := New(cfg)
 	for _, g := range []Graph{
 		{Name: "im", Adj: st.im, Storage: "im"},
-		{Name: "sem", Adj: st.semGraph, Storage: "sem", Device: st.device, BlockCache: st.blockCache},
+		st.sem,
 		{Name: "undirected", Adj: st.undirected, Storage: "im"},
 	} {
 		if err := s.AddGraph(g); err != nil {
@@ -321,7 +322,7 @@ func TestConcurrentSSSPSharedSEM(t *testing.T) {
 	ts := newTestServer(t, Config{
 		Admit:        admit.Config{Slots: 32},
 		CacheEntries: -1, // disabled: every query must traverse the store
-		Engine:       core.Config{Workers: 8, Prefetch: 64},
+		Engine:       core.Config{Workers: 8},
 	}, st)
 
 	const queries = 32
@@ -495,56 +496,19 @@ func TestAddGraphValidation(t *testing.T) {
 	}
 }
 
-// buildShardedGraph writes st.im as a `shards`-way partition, each member on
-// its own block-cached simulated device, and assembles the server.Graph the
-// way cmd/serve does for a sharded mount.
-func buildShardedGraph(tb testing.TB, name string, g *graph.CSR[uint32], shards int) Graph {
-	tb.Helper()
-	devs := make([]*ssd.Device, shards)
-	caches := make([]*sem.CachedStore, shards)
-	sgs := make([]*sem.Graph[uint32], shards)
-	for k := 0; k < shards; k++ {
-		var buf bytes.Buffer
-		if err := sem.Write(&buf, g, sem.WriteConfig{Shard: &sem.ShardConfig{Shard: k, Shards: shards}}); err != nil {
-			tb.Fatal(err)
-		}
-		devs[k] = ssd.New(
-			ssd.Profile{Name: "test-fast", Channels: 64, ReadLatency: 20 * time.Microsecond},
-			&ssd.MemBacking{Data: buf.Bytes()},
-		)
-		cache, err := sem.NewCachedStore(devs[k], 4096, 1<<20)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		caches[k] = cache
-		if sgs[k], err = sem.Open[uint32](cache); err != nil {
-			tb.Fatal(err)
-		}
-		sgs[k].EnablePrefetch(sem.PrefetchConfig{})
-	}
-	mounted, err := sem.MountShards(sgs)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return Graph{
-		Name: name, Adj: mounted, Storage: "sem",
-		Devices: devs, BlockCaches: caches, Shards: shards,
-	}
-}
-
 // TestConcurrentQueriesShardedSEM serves a 3-shard SEM mount to many
 // concurrent readers: results must match the in-memory baseline, /v1/graphs
 // must advertise the shard count, and /metrics must show every member device
-// reading (the pop-window fan-out observed end to end).
+// reading (the hash partition's fan-out observed end to end).
 func TestConcurrentQueriesShardedSEM(t *testing.T) {
 	st := buildStores(t, 8)
 	const shards = 3
 	s := New(Config{
 		Admit:        admit.Config{Slots: 16},
 		CacheEntries: -1, // disabled: every query must traverse the stores
-		Engine:       core.Config{Workers: 8, Prefetch: 64},
+		Engine:       core.Config{Workers: 8},
 	})
-	if err := s.AddGraph(buildShardedGraph(t, "sharded", st.im, shards)); err != nil {
+	if err := s.AddGraph(semGraph(t, "sharded", st.im, shards, mount.Options{}, false)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -633,7 +597,7 @@ func TestConcurrentQueriesShardedSEM(t *testing.T) {
 	}
 	for k, sv := range perShard {
 		if reads := sv.(map[string]any)["reads"].(float64); reads == 0 {
-			t.Fatalf("shard %d device reads = 0; window fan-out never reached it", k)
+			t.Fatalf("shard %d device reads = 0; the fan-out never reached it", k)
 		}
 	}
 	if bc := gv["shard_block_caches"].([]any); len(bc) != shards {
@@ -648,85 +612,84 @@ func TestConcurrentQueriesShardedSEM(t *testing.T) {
 	}
 }
 
-// TestDirectionServing covers the hybrid serving path end to end: a server
-// whose engine direction is hybrid must reject direction-incapable graphs at
-// AddGraph, serve BFS through the phase driver with per-graph thresholds,
-// report the phase counters in the query stats, and accumulate them under
-// /metrics "direction".
+// TestDirectionServing covers the hybrid serving path end to end: one server
+// holds an in-memory and a semi-external hybrid mount of graphs with
+// different degree shapes, each answers BFS with the serial baseline's levels
+// under the thresholds its own mount derived, the phase counters reach the
+// query stats and /metrics "direction", and a store without in-edges is
+// refused when it is mounted.
 func TestDirectionServing(t *testing.T) {
 	st := buildStores(t, 8)
-	s := New(Config{Engine: core.Config{Workers: 4, Direction: core.DirectionHybrid}})
-
-	if err := s.AddGraph(Graph{Name: "plain", Adj: st.im, Storage: "im"}); err == nil {
-		t.Fatal("AddGraph accepted a direction-incapable graph under hybrid")
-	}
-
-	rev, err := graph.Transpose(st.im)
+	hybrid := mount.Options{Direction: core.DirectionHybrid}
+	imBackings, err := mount.WriteBackings(st.im, mount.WriteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bidi, err := graph.NewBidi[uint32](st.im, rev)
+	im, err := mount.Graph(imBackings, hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddGraph(Graph{Name: "im", Adj: bidi, Storage: "im"}); err != nil {
+	grid, err := gen.Grid[uint32](16, 16)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g := s.graph("im"); g.Alpha <= 0 || g.Beta <= 0 {
-		t.Fatalf("AddGraph left thresholds underived: alpha=%d beta=%d", g.Alpha, g.Beta)
+	graphs := map[string]*graph.CSR[uint32]{"im": st.im, "sem": grid}
+
+	s := New(Config{Engine: core.Config{Workers: 4}})
+	for _, g := range []Graph{
+		{Name: "im", Adj: im.Adj, Storage: "im", Mount: im},
+		semGraph(t, "sem", grid, 1, hybrid, true),
+	} {
+		if err := s.AddGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := mount.Graph(imBackings, mount.Options{SEM: true, Profile: fastDevice, Direction: core.DirectionHybrid}); !errors.Is(err, core.ErrNoInEdges) {
+		t.Fatalf("hybrid mount of a store without in-edges: err = %v, want ErrNoInEdges", err)
+	}
+
+	// Each graph's pool runs its own mount's configuration at the server's
+	// worker count, and the two degree shapes derive different thresholds —
+	// which one server-wide engine config could not express.
+	for name := range graphs {
+		g := s.graph(name)
+		got, want := g.pool.Config(), g.Mount.Engine
+		if got.Direction != core.DirectionHybrid || got.Workers != 4 || got.Alpha != want.Alpha || got.Beta != want.Beta || want.Alpha <= 0 || want.Beta <= 0 {
+			t.Errorf("%s runs under %+v, its mount derived %+v", name, got, want)
+		}
+	}
+	if a, b := s.graph("im").pool.Config(), s.graph("sem").pool.Config(); a.Alpha == b.Alpha && a.Beta == b.Beta {
+		t.Errorf("RMAT and grid got the same thresholds alpha=%d beta=%d", a.Alpha, a.Beta)
 	}
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, body := postQuery(t, ts, queryRequest{Graph: "im", Kernel: "bfs", Source: 0})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query: %d %s", resp.StatusCode, body)
-	}
-	qr := decodeQuery(t, body)
-	if qr.Stats.TopDownPhases+qr.Stats.BottomUpPhases == 0 {
-		t.Fatalf("hybrid query reported no phases: %+v", qr.Stats)
-	}
-	if qr.Stats.PeakFrontier == 0 {
-		t.Fatal("hybrid query reported zero peak frontier")
-	}
-
-	// The traversal must agree with the pure top-down kernel.
-	want, err := core.BFS[uint32](st.im, 0, core.Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sumBody := postQuery(t, ts, queryRequest{Graph: "im", Kernel: "bfs", Source: 0, NoCache: true})
-	sum := decodeQuery(t, sumBody).Summary
-	var reached uint64
-	for _, l := range want.Level {
-		if l != graph.InfDist {
-			reached++
+	for name, g := range graphs {
+		want, err := baseline.SerialBFS[uint32](g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := make([]uint64, g.NumVertices())
+		for v := range targets {
+			targets[v] = uint64(v)
+		}
+		resp, body := postQuery(t, ts, queryRequest{Graph: name, Kernel: "bfs", Source: 0, Targets: targets})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", name, resp.StatusCode, body)
+		}
+		qr := decodeQuery(t, body)
+		if qr.Stats.TopDownPhases+qr.Stats.BottomUpPhases == 0 || qr.Stats.PeakFrontier == 0 {
+			t.Errorf("%s: hybrid query reported no phases or no frontier: %+v", name, qr.Stats)
+		}
+		for _, tgt := range qr.Targets {
+			if wantReached := want[tgt.Vertex] != graph.InfDist; tgt.Reached != wantReached || (wantReached && tgt.Value != want[tgt.Vertex]) {
+				t.Fatalf("%s: vertex %d reached=%v level=%d, serial BFS says %d", name, tgt.Vertex, tgt.Reached, tgt.Value, want[tgt.Vertex])
+			}
 		}
 	}
-	if sum == nil || sum.Reached != reached {
-		t.Fatalf("hybrid summary reached=%v, top-down kernel reached %d", sum, reached)
-	}
 
-	var metrics struct {
-		Direction struct {
-			Mode     string `json:"mode"`
-			TopDown  uint64 `json:"topdown_phases"`
-			BottomUp uint64 `json:"bottomup_phases"`
-			Peak     uint64 `json:"peak_frontier"`
-		} `json:"direction"`
-	}
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	if err := json.NewDecoder(mresp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if metrics.Direction.Mode != "hybrid" {
-		t.Fatalf("metrics direction mode = %q, want hybrid", metrics.Direction.Mode)
-	}
-	if metrics.Direction.TopDown+metrics.Direction.BottomUp == 0 || metrics.Direction.Peak == 0 {
-		t.Fatalf("metrics direction counters empty: %+v", metrics.Direction)
+	dir := fetchMetrics(t, ts)["direction"].(map[string]any)
+	if dir["topdown_phases"].(float64)+dir["bottomup_phases"].(float64) == 0 || dir["peak_frontier"].(float64) == 0 {
+		t.Fatalf("metrics direction counters empty: %v", dir)
 	}
 }

@@ -39,15 +39,6 @@ type Profile struct {
 	BytesPerSec int64
 }
 
-// SaturatedReadIOPS is the model's peak random-read throughput for small
-// reads: Channels / ReadLatency.
-func (p Profile) SaturatedReadIOPS() float64 {
-	if p.ReadLatency <= 0 {
-		return 0
-	}
-	return float64(p.Channels) / p.ReadLatency.Seconds()
-}
-
 // The three configurations the paper tests (§IV-C), calibrated so the
 // saturated random-read IOPS match the reported ceilings: FusionIO ~200k,
 // Intel ~60k, Corsair ~30k. Single-thread IOPS (1/latency) are ordered the
@@ -118,15 +109,6 @@ func (s *Stats) Add(other Stats) {
 	if other.PeakReads > s.PeakReads {
 		s.PeakReads = other.PeakReads
 	}
-}
-
-// Sum rolls member snapshots up into one aggregate.
-func Sum(members ...Stats) Stats {
-	var total Stats
-	for _, m := range members {
-		total.Add(m)
-	}
-	return total
 }
 
 // AvgReadBytes reports mean bytes per read operation (0 when no reads ran).

@@ -103,30 +103,18 @@ func TestDeviceBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestProfileSaturatedIOPS(t *testing.T) {
-	// Paper ceilings divided by TimeScale (200k/60k/30k at 1:10).
-	if got := FusionIO.SaturatedReadIOPS(); got < 19000 || got > 21000 {
-		t.Fatalf("FusionIO saturated IOPS = %f, want ~200k/TimeScale", got)
-	}
-	if got := Intel.SaturatedReadIOPS(); got < 5500 || got > 6500 {
-		t.Fatalf("Intel saturated IOPS = %f, want ~60k/TimeScale", got)
-	}
-	if got := Corsair.SaturatedReadIOPS(); got < 2800 || got > 3200 {
-		t.Fatalf("Corsair saturated IOPS = %f, want ~30k/TimeScale", got)
-	}
-	if (Profile{}).SaturatedReadIOPS() != 0 {
-		t.Fatal("zero profile should have 0 IOPS")
-	}
-}
-
 func TestProfileOrdering(t *testing.T) {
 	// The paper's device ordering must hold in the model: FusionIO fastest.
-	if !(FusionIO.SaturatedReadIOPS() > Intel.SaturatedReadIOPS() &&
-		Intel.SaturatedReadIOPS() > Corsair.SaturatedReadIOPS()) {
-		t.Fatal("device IOPS ordering violated")
-	}
-	if !(FusionIO.ReadLatency < Intel.ReadLatency && Intel.ReadLatency < Corsair.ReadLatency) {
-		t.Fatal("device latency ordering violated")
+	// A device's modelled ceiling — where Figure 1's curve flattens — is its
+	// channels over its read latency, so ordering both factors orders it.
+	for i := 1; i < len(Profiles); i++ {
+		fast, slow := Profiles[i-1], Profiles[i]
+		if fast.Channels <= slow.Channels {
+			t.Fatalf("%s has %d channels, %s %d: device IOPS ordering violated", fast.Name, fast.Channels, slow.Name, slow.Channels)
+		}
+		if fast.ReadLatency >= slow.ReadLatency {
+			t.Fatalf("%s reads in %v, %s in %v: device latency ordering violated", fast.Name, fast.ReadLatency, slow.Name, slow.ReadLatency)
+		}
 	}
 	for _, p := range Profiles {
 		if p.WriteLatency <= p.ReadLatency {
@@ -162,8 +150,8 @@ func TestIOPSRisesWithThreadsThenSaturates(t *testing.T) {
 	}
 	// Saturation: 16 threads cannot exceed the 4-channel ceiling by much.
 	if sixteen > four*2 {
-		t.Fatalf("IOPS did not saturate: 4->%f, 16->%f (ceiling %f)",
-			four, sixteen, p.SaturatedReadIOPS())
+		t.Fatalf("IOPS did not saturate: 4->%f, 16->%f (4 channels at 1 ms: ceiling 4000)",
+			four, sixteen)
 	}
 }
 
