@@ -274,11 +274,12 @@ func reportSemIO(io mount.IO, sharded bool) {
 		fmt.Printf("cache: hits=%d misses=%d hitRate=%.1f%% waits=%d fetched=%d evictions=%d inflightHW=%d pinnedHW=%d\n",
 			io.CacheHits, io.CacheMisses, 100*io.CacheHitRate(), io.Cache.Waits, io.Cache.Blocks, io.Cache.Evictions, io.Cache.InflightHW, io.PinnedHW)
 	}
-	if ps := io.Prefetch; ps.Windows > 0 {
+	ps := io.Prefetch
+	if ps.Windows > 0 {
 		fmt.Printf("prefetch: windows=%d vertices=%d spans=%d v/span=%.1f spanBytes=%d gapBytes=%d consumed=%.0f%% dedupSpans=%d dedupBytes=%d\n",
 			ps.Windows, ps.Vertices, ps.Spans, ps.VertsPerSpan(), ps.SpanBytes, ps.GapBytes, 100*ps.ConsumedFrac(), ps.DedupSpans, ps.DedupBytes)
 	}
-	if ps := io.Prefetch; ps.ScanSpans > 0 {
+	if ps.ScanSpans > 0 {
 		fmt.Printf("scan: spans=%d spanBytes=%d avgSpan=%.0fB\n",
 			ps.ScanSpans, ps.ScanBytes, float64(ps.ScanBytes)/float64(ps.ScanSpans))
 	}

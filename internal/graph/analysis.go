@@ -18,9 +18,10 @@ func Transpose[V Vertex](g *CSR[V]) (*CSR[V], error) {
 // component" that every tool and experiment uses as its default source.
 func MaxDegreeVertex[V Vertex](g Adjacency[V]) V {
 	var best V
-	for v := uint64(1); v < g.NumVertices(); v++ {
-		if g.Degree(V(v)) > g.Degree(best) {
-			best = V(v)
+	bestDeg := -1
+	for v := uint64(0); v < g.NumVertices(); v++ {
+		if d := g.Degree(V(v)); d > bestDeg {
+			best, bestDeg = V(v), d
 		}
 	}
 	return best

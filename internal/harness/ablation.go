@@ -109,8 +109,7 @@ func AblationSemiSort(o Options) (*Table, error) {
 			// The key is the mount's constant (on, semi-externally); the
 			// exhibit forces it both ways.
 			cfg.SemiSort = sorted
-			_, err := core.BFS[uint32](adj, src, cfg)
-			return err
+			return semBFS(src)(adj, cfg)
 		})
 		if err != nil {
 			return nil, err
@@ -138,10 +137,7 @@ func AblationCache(o Options) (*Table, error) {
 	o.SEMReps = 1 // report the counters of exactly the run timed
 	for _, frac := range []int64{2, 4, 8, 16, 64} {
 		o.CacheFrac = frac
-		dur, io, err := timeSEM(o, g, ssd.Intel, func(adj graph.Adjacency[uint32], cfg core.Config) error {
-			_, err := core.BFS[uint32](adj, src, cfg)
-			return err
-		})
+		dur, io, err := timeSEM(o, g, ssd.Intel, semBFS(src))
 		if err != nil {
 			return nil, err
 		}

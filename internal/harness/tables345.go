@@ -176,6 +176,14 @@ func timeSEM(o Options, g *graph.CSR[uint32], p ssd.Profile, run func(adj graph.
 	return best, bestIO, nil
 }
 
+// semBFS is the run timeSEM times for a BFS from src.
+func semBFS(src uint32) func(graph.Adjacency[uint32], core.Config) error {
+	return func(adj graph.Adjacency[uint32], cfg core.Config) error {
+		_, err := core.BFS[uint32](adj, src, cfg)
+		return err
+	}
+}
+
 // semConfig is the engine configuration for a run on m: the one the mount
 // derived (pop window, direction and its thresholds) at SEMThreads workers.
 func (o *Options) semConfig(m *mount.Mounted) core.Config {
@@ -223,10 +231,7 @@ func Table4(o Options) (*Table, error) {
 			}
 			var devReads uint64
 			for _, p := range ssd.Profiles {
-				dur, io, err := timeSEM(o, g, p, func(adj graph.Adjacency[uint32], cfg core.Config) error {
-					_, err := core.BFS[uint32](adj, src, cfg)
-					return err
-				})
+				dur, io, err := timeSEM(o, g, p, semBFS(src))
 				if err != nil {
 					return nil, err
 				}

@@ -71,49 +71,50 @@ func (o WriteOptions) Files(base string) string {
 	return base
 }
 
-// images serializes g once per image of the set o selects, in shard order.
-func (o WriteOptions) images(g *graph.CSR[uint32], emit func(shard int, write func(io.Writer) error) error) error {
-	cfg := sem.WriteConfig{
-		Compress:  o.Compress,
-		Symmetric: o.InEdges && o.Undirected,
-		InEdges:   o.InEdges && !o.Undirected,
-	}
-	for k := 0; k < max(o.Shards, 1); k++ {
-		if o.Shards > 1 {
-			cfg.Shard = &sem.ShardConfig{Shard: k, Shards: o.Shards}
+// configs is the sem.WriteConfig of each image of the set o selects, in shard
+// order: the one place the shard loop and the symmetric-vs-in-edge rule live.
+func (o WriteOptions) configs() []sem.WriteConfig {
+	cfgs := make([]sem.WriteConfig, max(o.Shards, 1))
+	for k := range cfgs {
+		cfgs[k] = sem.WriteConfig{
+			Compress:  o.Compress,
+			Symmetric: o.InEdges && o.Undirected,
+			InEdges:   o.InEdges && !o.Undirected,
 		}
-		if err := emit(k, func(w io.Writer) error { return sem.Write(w, g, cfg) }); err != nil {
+		if o.Shards > 1 {
+			cfgs[k].Shard = &sem.ShardConfig{Shard: k, Shards: o.Shards}
+		}
+	}
+	return cfgs
+}
+
+// WriteFiles writes g as the file base, or as the shard set base.shard0..N-1
+// that Files mounts when o.Shards > 1.
+func WriteFiles(base string, g *graph.CSR[uint32], o WriteOptions) error {
+	for k, cfg := range o.configs() {
+		path := base
+		if cfg.Shard != nil {
+			path = sem.ShardFileName(base, k)
+		}
+		if err := WriteFile(path, func(w io.Writer) error { return sem.Write(w, g, cfg) }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// WriteFiles writes g as the file base, or as the shard set base.shard0..N-1
-// that Files mounts when o.Shards > 1.
-func WriteFiles(base string, g *graph.CSR[uint32], o WriteOptions) error {
-	return o.images(g, func(shard int, write func(io.Writer) error) error {
-		path := base
-		if o.Shards > 1 {
-			path = sem.ShardFileName(base, shard)
-		}
-		return WriteFile(path, write)
-	})
-}
-
 // WriteBackings serializes g into memory: the backings Graph mounts, one per
 // shard.
 func WriteBackings(g *graph.CSR[uint32], o WriteOptions) ([]ssd.Backing, error) {
 	var backings []ssd.Backing
-	err := o.images(g, func(_ int, write func(io.Writer) error) error {
+	for _, cfg := range o.configs() {
 		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			return err
+		if err := sem.Write(&buf, g, cfg); err != nil {
+			return nil, err
 		}
 		backings = append(backings, &ssd.MemBacking{Data: buf.Bytes()})
-		return nil
-	})
-	return backings, err
+	}
+	return backings, nil
 }
 
 // WriteFile creates path and streams write's output into it through a

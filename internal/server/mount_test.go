@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -14,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/mount"
 	"repro/internal/sem"
 )
 
@@ -24,22 +23,13 @@ func TestMountGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	write := func(path string, cfg sem.WriteConfig) {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := sem.Write(&buf, g, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	dir := t.TempDir()
-	plain := filepath.Join(dir, "g.asg")
-	write(plain, sem.WriteConfig{})
-	sharded := filepath.Join(dir, "s.asg")
-	for k := 0; k < 4; k++ {
-		write(sem.ShardFileName(sharded, k), sem.WriteConfig{Shard: &sem.ShardConfig{Shard: k, Shards: 4}})
+	plain, sharded := filepath.Join(dir, "g.asg"), filepath.Join(dir, "s.asg")
+	if err := mount.WriteFiles(plain, g, mount.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mount.WriteFiles(sharded, g, mount.WriteOptions{Shards: 4}); err != nil {
+		t.Fatal(err)
 	}
 
 	im, err := MountGraph(MountSpec{Name: "im", Path: plain}, MountOptions{})
@@ -111,20 +101,12 @@ func TestMetricsGraphKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	write := func(path string, cfg sem.WriteConfig) {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := sem.Write(&buf, g, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	plain, sharded := filepath.Join(dir, "g.asg"), filepath.Join(dir, "s.asg")
-	write(plain, sem.WriteConfig{})
-	for k := 0; k < 3; k++ {
-		write(sem.ShardFileName(sharded, k), sem.WriteConfig{Shard: &sem.ShardConfig{Shard: k, Shards: 3}})
+	if err := mount.WriteFiles(plain, g, mount.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mount.WriteFiles(sharded, g, mount.WriteOptions{Shards: 3}); err != nil {
+		t.Fatal(err)
 	}
 
 	s := New(Config{CacheEntries: -1, Engine: core.Config{Workers: 8}})
