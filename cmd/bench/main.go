@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/mount"
 )
 
 func main() {
@@ -34,17 +33,9 @@ func main() {
 		shards    = flag.Int("shards", 0, "mount SEM tables as an N-way hash partition, one device per shard (0 or 1 = one store)")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
 	)
-	mountFlags := mount.Bind(flag.CommandLine)
 	flag.Parse()
 
-	// The shared flag block steers the SEM tables' mounts; budget, readahead
-	// and the device profiles stay the harness's.
 	o := harness.Defaults()
-	f, err := mountFlags()
-	if err != nil {
-		usage(err)
-	}
-	o.Direction = f.Direction
 	o.Shards = *shards
 	if err := o.Options.Validate(); err != nil {
 		usage(err)

@@ -45,15 +45,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "convert: %v\n", err)
 		os.Exit(2)
 	}
-	// A symmetrized output already stores both directions of every edge.
-	wopt.Undirected = *symmetrize
-	if err := run(*in, *out, *to, *minVerts, wopt); err != nil {
+	if err := run(*in, *out, *to, *minVerts, *symmetrize, wopt); err != nil {
 		fmt.Fprintf(os.Stderr, "convert: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, out, to string, minVerts uint64, wopt mount.WriteOptions) error {
+func run(in, out, to string, minVerts uint64, symmetrize bool, wopt mount.WriteOptions) error {
 	switch to {
 	case "asg":
 	case "edgelist":
@@ -67,7 +65,7 @@ func run(in, out, to string, minVerts uint64, wopt mount.WriteOptions) error {
 	if err != nil {
 		return err
 	}
-	if wopt.Undirected {
+	if symmetrize {
 		b := graph.NewBuilder[uint32](g.NumVertices(), g.Weighted())
 		g.ForEachEdge(func(u, v uint32, w graph.Weight) {
 			b.AddEdge(u, v, w)

@@ -48,16 +48,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gengraph: %v\n", err)
 		os.Exit(2)
 	}
-	// An -undirected build already stores every edge in both directions.
-	wopt.Undirected = *undirected
-	if err := run(*typ, *scale, *degree, *weights, *seed, *out, *outOfCore, *budget, wopt); err != nil {
+	if err := run(*typ, *scale, *degree, *undirected, *weights, *seed, *out, *outOfCore, *budget, wopt); err != nil {
 		fmt.Fprintf(os.Stderr, "gengraph: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(typ string, scale, degree int, weights string, seed uint64, out string, outOfCore bool, budget int, wopt mount.WriteOptions) error {
-	undirected := wopt.Undirected
+func run(typ string, scale, degree int, undirected bool, weights string, seed uint64, out string, outOfCore bool, budget int, wopt mount.WriteOptions) error {
 	if outOfCore {
 		if wopt.Compress || wopt.Shards > 1 || wopt.InEdges {
 			// The external-sort builder streams one sorted run of fixed records
@@ -89,8 +86,10 @@ func run(typ string, scale, degree int, weights string, seed uint64, out string,
 	if err := mount.WriteFiles(out, g, wopt); err != nil {
 		return err
 	}
+	// undirected is the graph's own answer (web graphs are, asked or not; a
+	// chain or grid is not, asked or not): its file serves in-edges as is.
 	fmt.Printf("wrote %s (%s): %d vertices, %d edges, weighted=%v, undirected=%v\n",
-		wopt.Files(out), wopt.Format(), g.NumVertices(), g.NumEdges(), g.Weighted(), undirected)
+		wopt.Files(out), wopt.Format(g.Symmetric()), g.NumVertices(), g.NumEdges(), g.Weighted(), g.Symmetric())
 	return nil
 }
 
@@ -125,13 +124,16 @@ func runOutOfCore(typ string, scale, degree int, undirected bool, weights string
 			want = total - done
 		}
 		for _, e := range gen.RMATEdges[uint32](scale, want, params, seed+done) {
-			if err := b.Add(e.Src, e.Dst, wgen()); err != nil {
-				return err
+			w := wgen()
+			if !undirected {
+				err = b.Add(e.Src, e.Dst, w)
+			} else if e.Src == e.Dst {
+				err = b.AddUndirected(e.Src, e.Dst, w, w)
+			} else {
+				err = b.AddUndirected(e.Src, e.Dst, w, wgen())
 			}
-			if undirected && e.Src != e.Dst {
-				if err := b.Add(e.Dst, e.Src, wgen()); err != nil {
-					return err
-				}
+			if err != nil {
+				return err
 			}
 		}
 	}

@@ -40,8 +40,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/server"
 )
@@ -52,7 +50,6 @@ func main() {
 		listen       = flag.String("listen", ":8080", "address to serve HTTP on")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query traversal deadline")
 	)
-	mountFlags := mount.Bind(flag.CommandLine)
 	servingPolicy := server.BindFlags(flag.CommandLine)
 	flag.Func("graph", "graph to serve, as name=path[,sem[,profile]][,shards=N][,limit=R[:B]] (repeatable, required)", func(arg string) error {
 		s, err := server.ParseMountSpec(arg)
@@ -68,11 +65,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opt, err := mountFlags()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		os.Exit(2)
-	}
 	cfg, err := servingPolicy()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
@@ -82,16 +74,15 @@ func main() {
 
 	s := server.New(cfg)
 	for _, spec := range specs {
-		g, err := server.MountGraph(spec, opt)
+		g, err := server.MountGraph(spec, server.MountOptions{})
 		if err == nil {
 			err = s.AddGraph(g)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			if errors.Is(err, sem.ErrShardSpec) || errors.Is(err, core.ErrNoInEdges) {
-				// The files contradict the requested mount or cannot honor
-				// the requested direction: a usage error caught at startup,
-				// not per query.
+			if errors.Is(err, sem.ErrShardSpec) {
+				// The files contradict the requested mount: a usage error
+				// caught at startup, not per query.
 				os.Exit(2)
 			}
 			os.Exit(1)

@@ -1,8 +1,12 @@
 // Command traverse runs the asynchronous traversal engine over a graph file
 // produced by cmd/gengraph, either in-memory or semi-externally through a
-// simulated flash device. The comparator engines (serial, level-synchronous,
-// BSP) are the paper's exhibits and run from cmd/bench; here -check compares
-// the engine's answer against the serial one.
+// simulated flash device. BFS chooses its driver from the graph — the
+// direction-switching phases where the file can answer "who points at v?"
+// (an undirected graph, or one written -symmetric), the asynchronous kernel
+// otherwise — and the `bfs:` line says which ran and why. The comparator
+// engines (serial, level-synchronous, BSP) are the paper's exhibits and run
+// from cmd/bench; here -check compares the engine's answer against the
+// serial one.
 //
 // Examples:
 //
@@ -29,8 +33,7 @@ import (
 )
 
 // options is one parsed invocation: what to run, and the storage stack to
-// run it on (the -direction flag shared with cmd/bench and cmd/serve, plus
-// this command's own -sem -nocache -profile -shards).
+// run it on (-sem -nocache -profile -shards).
 type options struct {
 	path, algo string
 	workers    int
@@ -52,9 +55,9 @@ func main() {
 	}
 	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "traverse: %v\n", err)
-		if errors.Is(err, sem.ErrShardSpec) || errors.Is(err, core.ErrNoInEdges) {
-			// The files contradict the requested mount or capability: a usage
-			// error, not a runtime failure.
+		if errors.Is(err, sem.ErrShardSpec) {
+			// The files contradict the requested mount: a usage error, not a
+			// runtime failure.
 			os.Exit(2)
 		}
 		os.Exit(1)
@@ -76,16 +79,11 @@ func bind(fs *flag.FlagSet) func() (options, error) {
 		nocache = fs.Bool("nocache", false, "raw device: mount the flash device without the block cache; the mount pops 16-visitor windows and coalesces their reads")
 		shards  = fs.Int("shards", 0, "mount graph.shard0..N-1 as one sharded graph (0 = auto-detect from the files present)")
 	)
-	mountFlags := mount.Bind(fs)
 	return func() (options, error) {
 		fs.Visit(func(f *flag.Flag) {
 			o.srcSet = o.srcSet || f.Name == "src"
 			o.profileSet = o.profileSet || f.Name == "profile"
 		})
-		var err error
-		if o.mount, err = mountFlags(); err != nil {
-			return o, err
-		}
 		o.mount.SEM, o.mount.NoCache, o.mount.Shards = *semMode, *nocache, *shards
 		return o, validate(&o)
 	}
@@ -94,8 +92,8 @@ func bind(fs *flag.FlagSet) func() (options, error) {
 // validate rejects bad flag combinations up front, before any file is
 // opened, so bad invocations fail in microseconds with one line on stderr:
 // unknown algorithm, missing graph or shard files, non-positive parallelism,
-// device flags without a device, and direction policies the algorithm cannot
-// honor. It resolves -profile into o.mount.Profile.
+// and device flags without a device. It resolves -profile into
+// o.mount.Profile.
 func validate(o *options) error {
 	if o.path == "" {
 		return fmt.Errorf("-graph is required (a file produced by gengraph)")
@@ -124,9 +122,6 @@ func validate(o *options) error {
 		// the user asked for.
 		return fmt.Errorf("-nocache and -profile describe the flash device of a -sem mount; without -sem the graph is decoded into memory")
 	}
-	if dir := o.mount.Direction; dir != core.DirectionTopDown && o.algo != "bfs" {
-		return fmt.Errorf("-direction %s requires -algo bfs (got -algo %s)", dir, o.algo)
-	}
 	return nil
 }
 
@@ -136,7 +131,7 @@ func run(o options) error {
 		return err
 	}
 	defer m.Close()
-	adj, dir, io := m.Adj, o.mount.Direction, m.IO()
+	adj, io := m.Adj, m.IO()
 	switch {
 	case m.CSR != nil:
 		fmt.Printf("in-memory: %d vertices, %d edges, weighted=%v\n",
@@ -164,8 +159,19 @@ func run(o options) error {
 
 	cfg := m.Engine
 	cfg.Workers = o.workers
-	if dir != core.DirectionTopDown {
-		fmt.Printf("direction: %s (alpha=%d beta=%d)\n", dir, cfg.Alpha, cfg.Beta)
+	if o.algo == "bfs" {
+		// What BFS chooses its driver from, and the choice.
+		store, edges := "im", io.Edges
+		switch {
+		case m.CSR != nil:
+			edges = m.CSR.NumEdges()
+		case o.mount.NoCache:
+			store = "raw"
+		default:
+			store = "cached"
+		}
+		fmt.Printf("bfs: driver=%s (in-edges=%s, edges/vertex=%.1f, store=%s)\n",
+			core.BFSDriver(adj, cfg), graph.InEdgeSource(adj), float64(edges)/float64(adj.NumVertices()), store)
 	}
 	start := time.Now()
 	switch o.algo {
@@ -176,9 +182,9 @@ func run(o options) error {
 		}
 		report(start, res.Stats.String())
 		fmt.Printf("levels=%d visited=%.1f%%\n", res.NumLevels(), 100*res.FracVisited())
-		if dir != core.DirectionTopDown {
-			fmt.Printf("direction: topdown=%d bottomup=%d switches=%d peakFrontier=%d\n",
-				res.Stats.TopDownPhases, res.Stats.BottomUpPhases, res.Stats.DirectionSwitches, res.Stats.PeakFrontier)
+		if res.Stats.TopDownPhases+res.Stats.BottomUpPhases > 0 {
+			fmt.Printf("direction: alpha=%d beta=%d topdown=%d bottomup=%d switches=%d peakFrontier=%d\n",
+				cfg.Alpha, cfg.Beta, res.Stats.TopDownPhases, res.Stats.BottomUpPhases, res.Stats.DirectionSwitches, res.Stats.PeakFrontier)
 		}
 		if o.check {
 			want, err := baseline.SerialBFS(adj, src)

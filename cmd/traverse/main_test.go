@@ -10,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mount"
 	"repro/internal/mount/mounttest"
 	"repro/internal/sem"
 )
@@ -49,9 +49,6 @@ func TestValidate(t *testing.T) {
 		{"shard files auto-detected", func(o *options) { o.path = sharded }, true},
 		{"shard count exceeds files", func(o *options) { o.path, o.mount.Shards = sharded, 3 }, false},
 		{"shards of a plain file", func(o *options) { o.mount.Shards = 2 }, false},
-		{"hybrid bfs", func(o *options) { o.mount.Direction = core.DirectionHybrid }, true},
-		{"bottomup bfs", func(o *options) { o.mount.Direction = core.DirectionBottomUp }, true},
-		{"hybrid needs bfs", func(o *options) { o.algo, o.mount.Direction = "cc", core.DirectionHybrid }, false},
 	}
 	for _, tc := range cases {
 		o := options{path: g, algo: "bfs", workers: 8}
@@ -67,16 +64,17 @@ func TestValidate(t *testing.T) {
 }
 
 // TestFlagLedger pins the command's flag set: the comparator engines are
-// reached through cmd/bench only and the sort key is the mount's constant, so
-// a new flag here — or the return of -engine, -ranks, -autosrc or -semisort —
-// is a conscious edit of this list.
+// reached through cmd/bench only, the sort key is the mount's constant and
+// BFS chooses its own driver, so a new flag here — or the return of -engine,
+// -ranks, -autosrc, -semisort or -direction — is a conscious edit of this
+// list.
 func TestFlagLedger(t *testing.T) {
 	fs := flag.NewFlagSet("traverse", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	bind(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	const want = "algo check direction graph nocache profile sem shards src workers"
+	const want = "algo check graph nocache profile sem shards src workers"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("traverse registers %q, want exactly %q", got, want)
 	}
@@ -116,6 +114,51 @@ func TestSourceRule(t *testing.T) {
 	}
 	if out, err := traverse("-graph " + path + " -src 4"); exitCode(err) != 1 || !strings.Contains(out, "-src 4 out of range for 4 vertices") {
 		t.Errorf("traverse -src 4: %v, want exit status 1 and an out-of-range message\n%s", err, out)
+	}
+}
+
+// TestSaysWhichBFSRan: with no flag to read, the `bfs:` line names the driver
+// BFS chose and the facts it chose from, on every store; the phase counters
+// follow whenever the driver ran.
+func TestSaysWhichBFSRan(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, symmetrize bool) string {
+		// A 16-clique (15 edges a vertex: dense enough for the driver on a
+		// device), or the directed half of it.
+		b := graph.NewBuilder[uint32](16, false)
+		for u := uint32(0); u < 16; u++ {
+			for v := u + 1; v < 16; v++ {
+				b.AddEdge(u, v, 1)
+			}
+		}
+		if symmetrize {
+			b.Symmetrize()
+		}
+		g, err := b.Build(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := mount.WriteFiles(path, g, mount.WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	und, directed := write("und.asg", true), write("dir.asg", false)
+	for _, store := range []struct{ flags, name string }{{"", "im"}, {"-sem", "cached"}, {"-sem -nocache", "raw"}} {
+		out, err := traverse("-graph " + und + " -workers 4 -check " + store.flags)
+		want := "bfs: driver=direction-switching (in-edges=symmetric, edges/vertex=15.0, store=" + store.name + ")"
+		if err != nil || !strings.Contains(out, want) || !strings.Contains(out, "direction: alpha=") || !strings.Contains(out, "check: levels match") {
+			t.Errorf("undirected %s: %v, want %q, a direction: line and a passing check\n%s", store.name, err, want, out)
+		}
+		out, err = traverse("-graph " + directed + " -workers 4 -check " + store.flags)
+		want = "bfs: driver=asynchronous (in-edges=none, edges/vertex=7.5, store=" + store.name + ")"
+		if err != nil || !strings.Contains(out, want) || strings.Contains(out, "direction: alpha=") || !strings.Contains(out, "check: levels match") {
+			t.Errorf("directed %s: %v, want %q, no direction: line and a passing check\n%s", store.name, err, want, out)
+		}
+	}
+	if out, err := traverse("-graph " + und + " -algo sssp"); err != nil || strings.Contains(out, "bfs:") {
+		t.Errorf("sssp printed a bfs: line: %v\n%s", err, out)
 	}
 }
 

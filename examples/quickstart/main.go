@@ -26,17 +26,20 @@ func main() {
 	}
 	for _, e := range edges {
 		b.AddEdge(e.u, e.v, e.w)
-		b.AddEdge(e.v, e.u, e.w) // make it undirected
 	}
+	// Make it undirected. A graph built this way knows it is its own
+	// transpose, which lets BFS switch direction on it.
+	b.Symmetrize()
 	g, err := b.Build(true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("graph: %d vertices, %d directed edges\n\n", g.NumVertices(), g.NumEdges())
 
-	// Breadth First Search: hop counts from vertex 0. The asynchronous
-	// engine runs visitors over per-worker prioritized queues; Config{}
-	// picks sensible defaults (4x GOMAXPROCS workers).
+	// Breadth First Search: hop counts from vertex 0. Config{} picks sensible
+	// defaults (4x GOMAXPROCS workers) and lets BFS choose its driver: level
+	// phases that switch direction on this undirected graph, the asynchronous
+	// engine's per-worker prioritized queues on a directed one.
 	bfs, err := core.BFS[uint32](g, 0, core.Config{})
 	if err != nil {
 		log.Fatal(err)

@@ -243,7 +243,10 @@ func (s *gatedStore) ReadAt(p []byte, off int64) (int, error) {
 // phase still to come: the driver must return the context's error without
 // issuing another read, as the asynchronous engine does within one visit.
 // (It used to look at the context between phases only, so a serving deadline
-// waited out a whole bottom-up scan of the device.)
+// waited out a whole bottom-up scan of the device.) The third case is the
+// path serve takes: no direction forced, an EnginePool, a graph on which BFS
+// chooses the driver — which must honour the query's context the same way
+// and take nothing from the pool.
 func TestDirectionCancelMidPhase(t *testing.T) {
 	// Bottom-up: ~700k in-edges are several 1 MiB scan spans for the one
 	// worker; the gate holds the first. Top-down: level 2 of a grid walked
@@ -257,14 +260,25 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := NewEnginePool[uint32](Config{Workers: 1})
+	forced := func(dir Direction) func(context.Context, graph.Adjacency[uint32]) error {
+		return func(ctx context.Context, g graph.Adjacency[uint32]) error {
+			_, err := BFS[uint32](g, 0, Config{Workers: 1, Direction: dir, Context: ctx})
+			return err
+		}
+	}
 	for _, tc := range []struct {
 		name    string
 		g       *graph.CSR[uint32]
-		dir     Direction
+		run     func(context.Context, graph.Adjacency[uint32]) error
 		blockAt int64
 	}{
-		{"bottom-up scan", dense, DirectionBottomUp, 1},
-		{"top-down phase", grid, DirectionHybrid, 5},
+		{"bottom-up scan", dense, forced(DirectionBottomUp), 1},
+		{"top-down phase", grid, forced(DirectionHybrid), 5},
+		{"chosen, pooled", dense, func(ctx context.Context, g graph.Adjacency[uint32]) error {
+			_, err := pool.BFS(ctx, g, 0)
+			return err
+		}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -282,10 +296,7 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			done := make(chan error, 1)
-			go func() {
-				_, err := BFS[uint32](sg, 0, Config{Workers: 1, Direction: tc.dir, Context: ctx})
-				done <- err
-			}()
+			go func() { done <- tc.run(ctx, sg) }()
 			<-store.entered
 			cancel()
 			close(store.release)
@@ -296,5 +307,8 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 				t.Fatalf("%d reads after the mount, want %d: the phase kept reading after the cancellation", got, tc.blockAt)
 			}
 		})
+	}
+	if _, acquired := pool.Reuses(); acquired != 0 || pool.Idle() != 0 {
+		t.Fatalf("a BFS on the driver acquired %d resource sets from its pool and left %d idle, want none", acquired, pool.Idle())
 	}
 }

@@ -1,21 +1,23 @@
 package core
 
-// This file is the direction-optimizing BFS driver. The paper's asynchronous
-// engine wins by removing barriers, but the densest frontier phases of
-// scale-free graphs — where most edge traffic lives — are won by a different
-// trick (Beamer-style direction switching, PAPERS.md): when the frontier's
+// This file is the direction-switching BFS driver, and the rule by which BFS
+// chooses between it and the asynchronous kernel (drives). The paper's engine
+// wins by removing barriers, and on SSSP, CC and sparse high-diameter BFS
+// behind a cache it does; but the densest frontier phases of scale-free
+// graphs — where most edge traffic lives — are won by a different trick
+// (Beamer-style direction switching, PAPERS.md): when the frontier's
 // out-edges outnumber the unexplored region's, stop pushing and instead let
 // every unvisited vertex scan its in-edges for a settled parent, breaking out
 // of the scan at the first hit. A hub vertex with a million in-edges is then
-// settled by one probe instead of receiving a million pushes.
+// settled by one probe instead of receiving a million pushes: 3-11x behind a
+// cache and 16-41x on the raw device on the scale-free rows of EXPERIMENTS.md
+// "BFS chooses its driver".
 //
 // The driver is deliberately NOT the asynchronous engine: bottom-up scanning
 // is only correct when "settled parent" is well-defined, which requires
-// level-synchronous phases. DirectionTopDown (the default) therefore routes
-// BFS through the unchanged asynchronous kernel, and the hybrid driver here
-// runs its own barrier-per-level loop — the direction dimension of the
-// experiments measures exactly this trade (async ownership vs phase-switched
-// direction) per graph family.
+// level-synchronous phases. So BFS has two implementations and picks one per
+// traversal; code that must measure one side forces it (DirectionTopDown,
+// DirectionHybrid).
 //
 // Phase correctness: top-down phases settle vertices with a CAS on the level
 // word (Inf -> level+1); the CAS winner alone writes the parent and appends
@@ -36,19 +38,23 @@ import (
 	"repro/internal/graph"
 )
 
-// Direction selects the BFS traversal direction policy.
+// Direction selects which of the two BFS implementations runs, and the
+// driver's phase policy.
 type Direction int
 
 const (
-	// DirectionTopDown expands frontier vertices' out-edges — the classical
-	// push direction, run on the asynchronous engine. The default.
-	DirectionTopDown Direction = iota
-	// DirectionBottomUp forces every phase to scan unvisited vertices'
-	// in-edges for a settled parent. An ablation extreme: profitable only for
-	// dense phases, pathological on long-diameter graphs.
+	// DirectionAuto, the zero value, chooses per traversal (see drives): the
+	// hybrid driver below where the graph allows, else the asynchronous kernel.
+	DirectionAuto Direction = iota
+	// DirectionTopDown forces the asynchronous kernel — the classical push
+	// direction, the paper's engine. The harness's paper exhibits set it.
+	DirectionTopDown
+	// DirectionBottomUp forces the driver and every phase of it to scan
+	// unvisited vertices' in-edges for a settled parent. An ablation extreme:
+	// profitable only for dense phases, pathological on long-diameter graphs.
 	DirectionBottomUp
-	// DirectionHybrid switches per phase on the α/β frontier heuristics:
-	// bottom-up while the frontier is dense, top-down otherwise.
+	// DirectionHybrid forces the driver, switching per phase on the α/β
+	// frontier heuristics: bottom-up while the frontier is dense.
 	DirectionHybrid
 )
 
@@ -62,33 +68,63 @@ const (
 
 func (d Direction) String() string {
 	switch d {
+	case DirectionTopDown:
+		return "topdown"
 	case DirectionBottomUp:
 		return "bottomup"
 	case DirectionHybrid:
 		return "hybrid"
 	default:
-		return "topdown"
+		return "auto"
 	}
 }
 
-// ParseDirection parses the CLI spelling of a direction policy.
-func ParseDirection(s string) (Direction, error) {
-	switch s {
-	case "topdown", "":
-		return DirectionTopDown, nil
-	case "bottomup":
-		return DirectionBottomUp, nil
-	case "hybrid":
-		return DirectionHybrid, nil
+// cachedDensity is the edges-per-vertex bound below which DirectionAuto keeps
+// a graph behind a block cache on the asynchronous kernel. A sparse graph's
+// levels are many and narrow, and each level's barrier waits out its slowest
+// miss while the kernel's queues keep every channel busy: the 128x128 grid (4
+// edges a vertex, 253 levels) is 0.017 s asynchronous against 0.22 s on the
+// driver. RMAT (26-31) and the web graph (12) have few, wide levels and are
+// 3-11x faster on the driver; the bound sits between. Without a cache the
+// driver's contiguous frontiers coalesce better (that grid: 0.32 against
+// 0.72 s; a chain ties), and in memory there is no read to wait for: the
+// driver wins or ties every row (EXPERIMENTS.md "BFS chooses its driver").
+const cachedDensity = 8
+
+// drives reports whether BFS on g under cfg runs the driver in this file. The
+// forced directions answer for themselves; DirectionAuto asks, in O(1): can g
+// serve in-edges (graph.InEdges), and if its adjacency sits behind a cache —
+// on a device (graph.BatchAdjacency) whose mount set no pop window
+// (cfg.Prefetch) — is it at least cachedDensity edges a vertex.
+func drives[V graph.Vertex](cfg Config, g graph.Adjacency[V]) bool {
+	switch cfg.Direction {
+	case DirectionTopDown:
+		return false
+	case DirectionBottomUp, DirectionHybrid:
+		return true
 	}
-	return DirectionTopDown, fmt.Errorf("core: unknown direction %q (want topdown, bottomup, or hybrid)", s)
+	if _, ok := graph.InEdges(g); !ok {
+		return false
+	}
+	if _, onDevice := g.(graph.BatchAdjacency[V]); !onDevice || cfg.Prefetch > 1 {
+		return true
+	}
+	ne, ok := g.(interface{ NumEdges() uint64 })
+	return ok && ne.NumEdges() >= cachedDensity*g.NumVertices()
 }
 
-// ErrNoInEdges reports a bottom-up or hybrid traversal requested against a
-// back end without reverse-adjacency capability (graph.InEdges): an
-// in-memory graph not wrapped in a Bidi pairing, or a semi-external store
-// written without an in-edge section or symmetric flag. Front ends map it to
-// usage errors.
+// BFSDriver names the implementation BFS runs on g under cfg, for the front
+// ends that say which ran (traverse's bfs: line, /v1/graphs).
+func BFSDriver[V graph.Vertex](g graph.Adjacency[V], cfg Config) string {
+	if drives(cfg, g) {
+		return "direction-switching"
+	}
+	return "asynchronous"
+}
+
+// ErrNoInEdges reports a forced bottom-up or hybrid traversal against a back
+// end without reverse-adjacency capability (graph.InEdges). DirectionAuto
+// never returns it: without the capability it runs the asynchronous kernel.
 var ErrNoInEdges = errors.New("backend has no in-edge capability")
 
 // serialPhaseEdges is the work estimate below which a phase runs inline in
@@ -154,6 +190,7 @@ type dirWorker[V graph.Vertex] struct {
 	mf      uint64 // out-degree sum of next (frontier edges of the next phase)
 	visits  uint64 // vertices expanded (TD) or probed with in-lists (BU)
 	edges   uint64 // edges examined
+	total   uint64 // visits over all phases so far (Stats.WorkerVisits)
 	err     error
 }
 
@@ -240,25 +277,14 @@ func (w *dirWorker[V]) probe(d *dirDriver[V], v V, in []V, curLevel uint64) erro
 	return nil
 }
 
-// buVisitor adapts probe to the InScanner visit signature for one phase.
-type buVisitor[V graph.Vertex] struct {
-	d        *dirDriver[V]
-	w        *dirWorker[V]
-	curLevel uint64
-}
-
-func (b *buVisitor[V]) visit(v V, in []V) error {
-	return b.w.probe(b.d, v, in, b.curLevel)
-}
-
 // bottomUp scans this worker's vertex-id range for unvisited vertices with a
 // settled in-neighbor. Back ends with bulk scanning (the semi-external store,
 // the shard router) stream the range in storage order — the SEM sequential-
 // scan phase; others fall back to per-vertex in-neighbor reads.
 func (w *dirWorker[V]) bottomUp(d *dirDriver[V], lo, hi V, curLevel uint64) {
-	b := &buVisitor[V]{d: d, w: w, curLevel: curLevel}
+	visit := func(v V, in []V) error { return w.probe(d, v, in, curLevel) }
 	if d.scan != nil {
-		if err := d.scan.ScanInEdges(lo, hi, d.unvisited, b.visit, w.scratch); err != nil {
+		if err := d.scan.ScanInEdges(lo, hi, d.unvisited, visit, w.scratch); err != nil {
 			w.err = err
 		}
 		return
@@ -275,10 +301,48 @@ func (w *dirWorker[V]) bottomUp(d *dirDriver[V], lo, hi V, curLevel uint64) {
 		if len(in) == 0 {
 			continue
 		}
-		if err := b.visit(v, in); err != nil {
+		if err := visit(v, in); err != nil {
 			w.err = err
 			return
 		}
+	}
+}
+
+// phase runs one level on ws and is its barrier: a bottom-up phase cuts the
+// vertex-id space, a top-down one the frontier, into one contiguous chunk per
+// worker; a single worker runs inline in the driver goroutine.
+func (d *dirDriver[V]) phase(ws []*dirWorker[V], frontier []V, useBU bool, curLevel uint64) {
+	total := uint64(len(frontier))
+	if useBU {
+		total = d.n
+	}
+	if len(ws) == 1 {
+		ws[0].run(d, frontier, useBU, 0, total, curLevel)
+		return
+	}
+	chunk := (total + uint64(len(ws)) - 1) / uint64(len(ws))
+	var wg sync.WaitGroup
+	for i, w := range ws {
+		lo := uint64(i) * chunk
+		if lo >= total {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.run(d, frontier, useBU, lo, min(lo+chunk, total), curLevel)
+		}()
+	}
+	wg.Wait()
+}
+
+// run is one worker's share [lo, hi) of a phase: vertex ids bottom-up,
+// frontier positions top-down.
+func (w *dirWorker[V]) run(d *dirDriver[V], frontier []V, useBU bool, lo, hi, curLevel uint64) {
+	if useBU {
+		w.bottomUp(d, V(lo), V(hi), curLevel)
+	} else {
+		w.topDown(d, frontier[lo:hi], curLevel+1)
 	}
 }
 
@@ -286,24 +350,17 @@ func (w *dirWorker[V]) bottomUp(d *dirDriver[V], lo, hi V, curLevel uint64) {
 // configured worker count: small phases run inline (see serialPhaseEdges),
 // large ones use the full width — for SEM mounts the oversubscription hides
 // device latency exactly as in the asynchronous engine.
-func phaseWorkers(max int, work uint64) int {
+func phaseWorkers(workers int, work uint64) int {
 	if work <= serialPhaseEdges {
 		return 1
 	}
-	w := int(work / serialPhaseEdges)
-	if w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(int(work/serialPhaseEdges), workers)
 }
 
-// hybridBFS is the level-synchronous direction-optimizing BFS driver, the
-// BFS path for DirectionBottomUp and DirectionHybrid. cfg.Direction selects
-// the policy; Alpha/Beta tune the hybrid switch points. The resulting levels
-// are bit-identical to the asynchronous kernel's (BFS levels are unique);
+// hybridBFS is the level-synchronous direction-switching BFS driver.
+// DirectionBottomUp forces every phase bottom-up; any other direction switches
+// per phase, Alpha/Beta tuning the switch points. The resulting levels are
+// bit-identical to the asynchronous kernel's (BFS levels are unique);
 // parents are structurally valid tree edges, as everywhere else.
 func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSResult[V], error) {
 	cfg.normalize()
@@ -349,6 +406,7 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 	st := Stats{Workers: cfg.Workers}
 	useBU := cfg.Direction == DirectionBottomUp
 	var curLevel, prevNf uint64
+	widest := 1 // the most phase workers any phase has used
 	for len(frontier) > 0 {
 		if err := d.canceled(); err != nil {
 			return nil, err
@@ -357,7 +415,7 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 		if nf > st.PeakFrontier {
 			st.PeakFrontier = nf
 		}
-		if cfg.Direction == DirectionHybrid {
+		if cfg.Direction != DirectionBottomUp {
 			// Beamer's heuristics: go bottom-up when a growing frontier's edges
 			// outnumber 1/α of the unexplored edges (pushes would mostly hit
 			// settled vertices), return top-down when the frontier thins below
@@ -389,61 +447,12 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 				// On an I/O-backed store the phase is latency-bound, not
 				// CPU-bound: fan out so the frontier's reads overlap, as the
 				// asynchronous kernel's do across its oversubscribed workers.
-				if byIO := (len(frontier) + ioFanout - 1) / ioFanout; byIO > width {
-					width = byIO
-					if width > cfg.Workers {
-						width = cfg.Workers
-					}
-				}
+				width = max(width, min((len(frontier)+ioFanout-1)/ioFanout, cfg.Workers))
 			}
 		}
 
-		if width == 1 {
-			w := workers[0]
-			if useBU {
-				w.bottomUp(d, 0, V(n), curLevel)
-			} else {
-				w.topDown(d, frontier, curLevel+1)
-			}
-		} else {
-			var wg sync.WaitGroup
-			if useBU {
-				chunk := (n + uint64(width) - 1) / uint64(width)
-				for i := 0; i < width; i++ {
-					lo := uint64(i) * chunk
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					if lo >= hi {
-						continue
-					}
-					wg.Add(1)
-					go func(w *dirWorker[V], lo, hi uint64) {
-						defer wg.Done()
-						w.bottomUp(d, V(lo), V(hi), curLevel)
-					}(workers[i], lo, hi)
-				}
-			} else {
-				chunk := (len(frontier) + width - 1) / width
-				for i := 0; i < width; i++ {
-					lo := i * chunk
-					hi := lo + chunk
-					if hi > len(frontier) {
-						hi = len(frontier)
-					}
-					if lo >= hi {
-						continue
-					}
-					wg.Add(1)
-					go func(w *dirWorker[V], part []V) {
-						defer wg.Done()
-						w.topDown(d, part, curLevel+1)
-					}(workers[i], frontier[lo:hi])
-				}
-			}
-			wg.Wait()
-		}
+		widest = max(widest, width)
+		d.phase(workers[:width], frontier, useBU, curLevel)
 
 		// Fold the phase: gather per-worker next-frontiers and counters, then
 		// reset worker state for the next level.
@@ -457,12 +466,17 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 			mf += w.mf
 			st.Visits += w.visits
 			st.Pushes += w.edges
+			w.total += w.visits
 			w.next = w.next[:0]
 			w.mf, w.visits, w.edges = 0, 0, 0
 		}
 		mu -= mf
 		prevNf = nf
 		curLevel++
+	}
+	st.WorkerVisits = make([]uint64, widest)
+	for i := range st.WorkerVisits {
+		st.WorkerVisits[i] = workers[i].total
 	}
 	res.Stats = st
 	return res, nil

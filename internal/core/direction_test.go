@@ -90,8 +90,9 @@ func bidiCompressed(t testing.TB, g *graph.CSR[uint32]) *graph.Bidi[uint32] {
 }
 
 // TestDirectionEquivalence is the direction-dimension property test: BFS
-// levels must be bit-identical across topdown (the asynchronous kernel),
-// forced bottomup, and hybrid, on every direction-capable back end — IM
+// levels must be bit-identical across the driver BFS chooses for itself,
+// topdown (the asynchronous kernel, forced), forced bottomup, and hybrid, on
+// every direction-capable back end — IM
 // raw/compressed Bidi pairings, symmetric IM, SEM v1/v2 with in-edge
 // sections, SEM symmetric, and a sharded SEM mount — against the serial
 // baseline. Parents are checked structurally (a parent must sit exactly one
@@ -151,7 +152,7 @@ func TestDirectionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, dir := range []Direction{DirectionTopDown, DirectionBottomUp, DirectionHybrid} {
+			for _, dir := range []Direction{DirectionAuto, DirectionTopDown, DirectionBottomUp, DirectionHybrid} {
 				for _, workers := range []int{1, 6} {
 					res, err := BFS[uint32](w.g, src, Config{Workers: workers, Direction: dir})
 					if err != nil {
@@ -172,10 +173,10 @@ func TestDirectionEquivalence(t *testing.T) {
 								dir, workers, v, p, res.Level[p], lvl)
 						}
 					}
-					if dir != DirectionTopDown {
-						if got := res.Stats.TopDownPhases + res.Stats.BottomUpPhases; got == 0 {
-							t.Fatalf("%s: no phases recorded in stats", dir)
-						}
+					// Phases are recorded exactly when the driver ran: always
+					// or never when forced, per the rule when chosen.
+					if got, want := res.Stats.TopDownPhases+res.Stats.BottomUpPhases, drives(Config{Direction: dir}, w.g); (got > 0) != want {
+						t.Fatalf("%s: %d phases recorded in stats, drives=%v", dir, got, want)
 					}
 				}
 			}
@@ -275,26 +276,5 @@ func TestDirectionRequiresInEdges(t *testing.T) {
 	sg := semMirrorCfg(t, g, sem.WriteConfig{})
 	if _, err := BFS[uint32](sg, 0, Config{Workers: 4, Direction: DirectionHybrid}); err == nil || !errors.Is(err, ErrNoInEdges) {
 		t.Fatalf("sem store without in-edges: got %v, want ErrNoInEdges", err)
-	}
-}
-
-// TestParseDirection covers the CLI spellings and the rejection path.
-func TestParseDirection(t *testing.T) {
-	for s, want := range map[string]Direction{
-		"":         DirectionTopDown,
-		"topdown":  DirectionTopDown,
-		"bottomup": DirectionBottomUp,
-		"hybrid":   DirectionHybrid,
-	} {
-		got, err := ParseDirection(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseDirection(%q) = %v, %v; want %v", s, got, err, want)
-		}
-		if s != "" && got.String() != s {
-			t.Fatalf("Direction(%v).String() = %q, want %q", got, got.String(), s)
-		}
-	}
-	if _, err := ParseDirection("sideways"); err == nil {
-		t.Fatal("ParseDirection accepted garbage")
 	}
 }

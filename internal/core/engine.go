@@ -62,15 +62,15 @@ type Config struct {
 	// exclusive vertex ownership is untouched — every popped visitor still
 	// belongs to the popping worker.
 	Prefetch int
-	// Direction selects the BFS traversal direction policy (see direction.go):
-	// DirectionTopDown (the default) runs the pure asynchronous
-	// label-correcting kernel unchanged; DirectionHybrid switches per phase
-	// between top-down expansion and bottom-up in-edge scanning on the α/β
-	// frontier heuristics; DirectionBottomUp forces every phase bottom-up (the
-	// ablation extreme). Non-top-down directions require a back end with
-	// reverse-adjacency capability (graph.InEdges) and apply to BFS only —
-	// SSSP and CC ignore the knob, as label-correcting with weights has no
-	// bottom-up formulation here.
+	// Direction selects the BFS implementation (see direction.go). The zero
+	// value, DirectionAuto, lets BFS choose from the graph it is handed: the
+	// level-synchronous driver that switches per phase between top-down
+	// expansion and bottom-up in-edge scanning where the back end serves
+	// in-edges (graph.InEdges) and is not sparse behind a cache, the
+	// asynchronous kernel otherwise. DirectionTopDown forces the kernel;
+	// DirectionHybrid and DirectionBottomUp force the driver and fail with
+	// ErrNoInEdges without the capability. BFS only — SSSP and CC ignore it,
+	// as label-correcting with weights has no bottom-up formulation here.
 	Direction Direction
 	// Alpha is the top-down→bottom-up switch threshold: a hybrid traversal
 	// goes bottom-up when the frontier's out-edge count exceeds 1/Alpha of
@@ -101,8 +101,8 @@ func (c *Config) normalize() {
 	if c.Prefetch < 0 {
 		c.Prefetch = 0
 	}
-	if c.Direction < DirectionTopDown || c.Direction > DirectionHybrid {
-		c.Direction = DirectionTopDown
+	if c.Direction < DirectionAuto || c.Direction > DirectionHybrid {
+		c.Direction = DirectionAuto
 	}
 	if c.Alpha <= 0 {
 		c.Alpha = DefaultAlpha
@@ -141,11 +141,12 @@ type Stats struct {
 	// scale-free graphs push it toward the frontier size).
 	PeakOutstanding int64
 	// WorkerVisits is the per-worker visit count, for load-balance analysis
-	// (§III-A: the near-uniform hash should spread hub vertices evenly).
+	// (§III-A: the near-uniform hash should spread hub vertices evenly); for
+	// the direction driver, per phase worker that ran.
 	WorkerVisits []uint64
 
-	// Direction-controller counters (see direction.go); all zero for
-	// traversals run by the asynchronous engine itself (the top-down default).
+	// Direction-driver counters (see direction.go); all zero for traversals
+	// run by the asynchronous engine itself.
 	TopDownPhases     int    // level-synchronous phases expanded top-down
 	BottomUpPhases    int    // phases executed as bottom-up in-edge scans
 	DirectionSwitches int    // direction changes between consecutive phases

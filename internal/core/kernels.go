@@ -242,18 +242,22 @@ func initLabels[V graph.Vertex](labels []graph.Dist, parent []V) {
 	}
 }
 
-// BFS computes a breadth-first search by running the relaxation kernel with
-// every edge weight treated as 1 (§III-B: "BFS = SSSP with all edge weights
-// equal to 1"), so the same code path serves weighted graph storage.
+// BFS computes a breadth-first search. On a graph that can serve in-edges
+// and is not sparse behind a cache it runs the level-synchronous
+// direction-switching driver (direction.go); otherwise, or when
+// cfg.Direction forces it, the relaxation kernel with every edge weight
+// treated as 1 (§III-B: "BFS = SSSP with all edge weights equal to 1"), so
+// the same code path serves weighted graph storage. Levels are identical
+// either way.
 func BFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSResult[V], error) {
 	return bfsKernel(g, src, cfg, nil)
 }
 
 func bfsKernel[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config, pool *EnginePool[V]) (*BFSResult[V], error) {
 	cfg.normalize()
-	if cfg.Direction != DirectionTopDown {
-		// Bottom-up and hybrid BFS run the level-synchronous direction driver,
-		// which needs no engine resources (the pool, if any, stays untouched).
+	if drives(cfg, g) {
+		// The level-synchronous driver needs no engine resources (the pool, if
+		// any, stays untouched).
 		return hybridBFS(g, src, cfg)
 	}
 	n := g.NumVertices()

@@ -33,6 +33,10 @@ type Builder struct {
 	buf    []graph.Edge[uint32]
 	spills []*os.File
 	closed bool
+	// directed and undirected record which of Add and AddUndirected fed the
+	// builder: fed through AddUndirected alone it holds its own transpose,
+	// and WriteTo sets the file's symmetric flag.
+	directed, undirected bool
 }
 
 // NewBuilder creates an out-of-core builder for a graph with n vertices.
@@ -48,6 +52,21 @@ func NewBuilder(n uint64, weighted bool, memBudgetEdges int, tmpDir string) *Bui
 // Add appends one directed edge, spilling a sorted run if the memory budget
 // is reached.
 func (b *Builder) Add(src, dst uint32, w graph.Weight) error {
+	b.directed = true
+	return b.add(src, dst, w)
+}
+
+// AddUndirected appends u->v with weight w and, unless u == v, v->u with
+// weight wRev.
+func (b *Builder) AddUndirected(u, v uint32, w, wRev graph.Weight) error {
+	b.undirected = true
+	if err := b.add(u, v, w); err != nil || u == v {
+		return err
+	}
+	return b.add(v, u, wRev)
+}
+
+func (b *Builder) add(src, dst uint32, w graph.Weight) error {
 	if b.closed {
 		return fmt.Errorf("extsort: builder already finished")
 	}
@@ -243,7 +262,7 @@ func (b *Builder) WriteTo(f io.WriteSeeker) (edges uint64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("extsort: seek: %w", err)
 	}
-	err = sem.WriteStream(f, offsets, b.weighted, func(emit func(uint32, graph.Weight) error) error {
+	err = sem.WriteStream(f, offsets, b.weighted, b.undirected && !b.directed, func(emit func(uint32, graph.Weight) error) error {
 		return b.merge(func(e graph.Edge[uint32]) error { return emit(e.Dst, e.W) })
 	})
 	if err != nil {

@@ -191,3 +191,54 @@ func TestQuickOutOfCoreEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOutOfCoreUndirectedIsFlagged: a builder fed through AddUndirected alone
+// writes the file sem.Write gives the same edges built through Symmetrize —
+// header flag included, so the out-of-core route serves in-edges like the
+// in-memory one — and one directed Add anywhere withdraws the flag.
+func TestOutOfCoreUndirectedIsFlagged(t *testing.T) {
+	edges := randEdges(120, 3000, 30, 4)
+	gb := graph.NewBuilder[uint32](120, true)
+	gb.AddEdges(edges)
+	gb.Symmetrize()
+	g, err := gb.Build(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := sem.Write(&want, g, sem.WriteConfig{Symmetric: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, stray := range []bool{false, true} {
+		eb := NewBuilder(120, true, 1024, t.TempDir())
+		for _, e := range edges {
+			if err := eb.AddUndirected(e.Src, e.Dst, e.W, e.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if stray {
+			if err := eb.Add(edges[0].Src, edges[0].Dst, edges[0].W); err != nil { // a duplicate: same edges, fed directed
+				t.Fatal(err)
+			}
+		}
+		f, err := os.Create(filepath.Join(t.TempDir(), "out.asg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := eb.WriteTo(f); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg, err := sem.Open[uint32](bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, want.Bytes()) == stray || sg.HasInEdges() == stray {
+			t.Errorf("directed Add=%v: file equals the symmetrized in-memory build: %v, serves in-edges: %v", stray, bytes.Equal(got, want.Bytes()), sg.HasInEdges())
+		}
+	}
+}

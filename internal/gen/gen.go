@@ -125,17 +125,14 @@ func LogUniformWeights[V graph.Vertex](g *graph.CSR[V], seed uint64) (*graph.CSR
 	})
 }
 
+// reweight keeps g's structure, and with it the symmetric mark of an
+// undirected build.
 func reweight[V graph.Vertex](g *graph.CSR[V], next func() graph.Weight) (*graph.CSR[V], error) {
-	targets := g.Targets()
-	weights := make([]graph.Weight, len(targets))
+	weights := make([]graph.Weight, g.NumEdges())
 	for i := range weights {
 		weights[i] = next()
 	}
-	offsets := make([]uint64, len(g.Offsets()))
-	copy(offsets, g.Offsets())
-	tcopy := make([]V, len(targets))
-	copy(tcopy, targets)
-	return graph.NewCSRRaw(offsets, tcopy, weights)
+	return g.WithWeights(weights)
 }
 
 // Chain builds the paper's Figure 2 worst case: a directed path

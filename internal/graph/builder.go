@@ -19,6 +19,9 @@ type Builder[V Vertex] struct {
 	n        uint64
 	weighted bool
 	edges    []Edge[V]
+	// symmetrized holds from Symmetrize until the next edge is added: the
+	// edge multiset is then its own transpose, and Build marks the CSR.
+	symmetrized bool
 }
 
 // NewBuilder creates a builder for a graph with n vertices. If weighted is
@@ -30,16 +33,20 @@ func NewBuilder[V Vertex](n uint64, weighted bool) *Builder[V] {
 // AddEdge appends a directed edge u->v with weight w.
 func (b *Builder[V]) AddEdge(u, v V, w Weight) {
 	b.edges = append(b.edges, Edge[V]{Src: u, Dst: v, W: w})
+	b.symmetrized = false
 }
 
 // AddEdges appends a batch of directed edges.
 func (b *Builder[V]) AddEdges(edges []Edge[V]) {
 	b.edges = append(b.edges, edges...)
+	b.symmetrized = false
 }
 
 // Symmetrize adds the reverse of every edge currently in the builder,
 // converting a directed edge list into an undirected one. This is the paper's
 // "undirected versions of these graphs ... created by adding reverse edges".
+// A Build that follows with no edge added in between yields a CSR marked
+// symmetric (see CSR.Symmetric): it serves its own reverse adjacency.
 func (b *Builder[V]) Symmetrize() {
 	orig := len(b.edges)
 	for i := 0; i < orig; i++ {
@@ -48,6 +55,7 @@ func (b *Builder[V]) Symmetrize() {
 			b.edges = append(b.edges, Edge[V]{Src: e.Dst, Dst: e.Src, W: e.W})
 		}
 	}
+	b.symmetrized = true
 }
 
 // Build sorts the accumulated edges, removes duplicate (src, dst) pairs when
@@ -83,8 +91,9 @@ func (b *Builder[V]) Build(dedup bool) (*CSR[V], error) {
 	}
 
 	g := &CSR[V]{
-		offsets: make([]uint64, b.n+1),
-		targets: make([]V, len(edges)),
+		offsets:   make([]uint64, b.n+1),
+		targets:   make([]V, len(edges)),
+		symmetric: b.symmetrized,
 	}
 	if b.weighted {
 		g.weights = make([]Weight, len(edges))
@@ -134,4 +143,15 @@ func NewCSRRaw[V Vertex](offsets []uint64, targets []V, weights []Weight) (*CSR[
 		return nil, fmt.Errorf("graph: weights length %d != targets length %d", len(weights), len(targets))
 	}
 	return &CSR[V]{offsets: offsets, targets: targets, weights: weights}, nil
+}
+
+// NewLoadedCSR is NewCSRRaw for a loader: symmetric marks the graph as its
+// own transpose on the word of a file header that carries the flag — as
+// trusted as the rest of a format without checksums, and not re-checked.
+func NewLoadedCSR[V Vertex](symmetric bool, offsets []uint64, targets []V, weights []Weight) (*CSR[V], error) {
+	g, err := NewCSRRaw(offsets, targets, weights)
+	if err == nil {
+		g.symmetric = symmetric
+	}
+	return g, err
 }

@@ -23,6 +23,9 @@ type CompressedCSR[V Vertex] struct {
 	blob     []byte   // concatenated encoded blocks
 	weighted bool
 	m        uint64
+	// symmetric is the source CSR's mark (see CSR.Symmetric), kept through
+	// Compress: the blocks are then their own reverse adjacency.
+	symmetric bool
 }
 
 // Compress encodes g. Vertices whose adjacency lists are not already sorted
@@ -31,10 +34,11 @@ type CompressedCSR[V Vertex] struct {
 func Compress[V Vertex](g *CSR[V]) (*CompressedCSR[V], error) {
 	n := g.NumVertices()
 	c := &CompressedCSR[V]{
-		offsets:  make([]uint64, n+1),
-		degrees:  make([]uint32, n),
-		weighted: g.Weighted(),
-		m:        g.NumEdges(),
+		offsets:   make([]uint64, n+1),
+		degrees:   make([]uint32, n),
+		weighted:  g.Weighted(),
+		m:         g.NumEdges(),
+		symmetric: g.symmetric,
 	}
 	// Pre-size the blob at one byte per edge — the dense-gap floor; growth
 	// beyond it is a single amortized append chain.
@@ -163,5 +167,15 @@ func (c *CompressedCSR[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, e
 	return targets, weights, nil
 }
 
-// CompressedCSR is a full Adjacency back end.
-var _ Adjacency[uint32] = (*CompressedCSR[uint32])(nil)
+// Symmetric, HasInEdges, InDegree and InNeighbors mirror CSR's: a compressed
+// symmetric graph decodes v's own block to answer "who points at v?".
+func (c *CompressedCSR[V]) Symmetric() bool  { return c.symmetric }
+func (c *CompressedCSR[V]) HasInEdges() bool { return c.symmetric }
+func (c *CompressedCSR[V]) InDegree(v V) int { return c.Degree(v) }
+func (c *CompressedCSR[V]) InNeighbors(v V, scratch *Scratch[V]) ([]V, error) {
+	in, _, err := c.Neighbors(v, scratch)
+	return in, err
+}
+
+// CompressedCSR is a full Adjacency back end, and a reverse one when marked.
+var _ InAdjacency[uint32] = (*CompressedCSR[uint32])(nil)

@@ -9,6 +9,8 @@
 // weight array for weighted graphs.
 package graph
 
+import "fmt"
+
 // Vertex constrains the vertex identifier type. The paper notes its
 // implementation "can be configured to use 32 or 64-bit integers"; the same
 // configurability is expressed here with a type parameter.
@@ -101,6 +103,12 @@ type CSR[V Vertex] struct {
 	offsets []uint64 // len n+1; edge span of v is [offsets[v], offsets[v+1])
 	targets []V
 	weights []Weight // nil for unweighted graphs
+	// symmetric marks a graph whose adjacency is its own transpose, so it
+	// answers "who points at v?" from its own lists (InAdjacency below). Only
+	// construction sets it: Builder.Build straight after Symmetrize, a copy
+	// that keeps the structure (WithWeights, Compress), and a loader whose
+	// file header says so (NewLoadedCSR).
+	symmetric bool
 }
 
 // NumVertices reports the number of vertices in the graph.
@@ -130,6 +138,31 @@ func (g *CSR[V]) Neighbors(v V, _ *Scratch[V]) ([]V, []Weight, error) {
 		return g.targets[lo:hi], nil, nil
 	}
 	return g.targets[lo:hi], g.weights[lo:hi], nil
+}
+
+// Symmetric reports the mark: every edge is stored in both directions.
+func (g *CSR[V]) Symmetric() bool { return g.symmetric }
+
+// HasInEdges is the dynamic side of the InAdjacency capability (see InEdges):
+// a CSR serves reverse adjacency exactly when it is marked symmetric.
+func (g *CSR[V]) HasInEdges() bool { return g.symmetric }
+
+// InDegree implements InAdjacency for a symmetric graph.
+func (g *CSR[V]) InDegree(v V) int { return g.Degree(v) }
+
+// InNeighbors implements InAdjacency for a symmetric graph: the sources of
+// v's in-edges are the targets of its out-edges.
+func (g *CSR[V]) InNeighbors(v V, _ *Scratch[V]) ([]V, error) {
+	return g.targets[g.offsets[v]:g.offsets[v+1]], nil
+}
+
+// WithWeights returns g's structure under a new weight array (nil for none),
+// sharing the immutable index and targets and keeping the symmetric mark.
+func (g *CSR[V]) WithWeights(weights []Weight) (*CSR[V], error) {
+	if weights != nil && len(weights) != len(g.targets) {
+		return nil, fmt.Errorf("graph: weights length %d != targets length %d", len(weights), len(g.targets))
+	}
+	return &CSR[V]{offsets: g.offsets, targets: g.targets, weights: weights, symmetric: g.symmetric}, nil
 }
 
 // Offsets exposes the vertex index array (length n+1). Intended for storage

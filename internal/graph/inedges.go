@@ -8,13 +8,15 @@ package graph
 // scans its in-edges for a settled parent — which requires every back end
 // that wants the optimization to answer "who points at v?".
 //
-// Back ends expose the capability three ways:
+// Capability follows the data, three ways:
 //
-//   - an in-memory CSR (raw or compressed) pairs with its Transpose (for a
-//     compressed one, recompressed) in a Bidi wrapper;
-//   - a symmetric graph is its own transpose: NewBidi(g, g) serves in-edges
-//     from the out-adjacency with zero extra storage;
-//   - the semi-external store carries an on-flash in-edge section (or a
+//   - a symmetric graph is its own transpose: a CSR (raw or compressed) that
+//     left a Builder through Symmetrize, or was loaded from a file whose
+//     header says so, carries a mark and serves in-edges from its own lists,
+//     with no wrapper and no extra storage (CSR.Symmetric);
+//   - a directed in-memory CSR pairs with its Transpose in a Bidi wrapper
+//     (what an in-memory mount does for a file with an in-edge section);
+//   - the semi-external store carries an on-flash in-edge section (or the
 //     symmetric header flag) and implements these interfaces natively, as
 //     does the shard router when every member does.
 
@@ -51,9 +53,9 @@ type InScanner[V Vertex] interface {
 
 // InEdges reports whether g can serve reverse adjacency, resolving both the
 // static interface and the dynamic capability: back ends whose in-edge
-// support depends on the mounted data (a sem store without an in-edge
-// section, a shard router with incapable members) implement HasInEdges to
-// decline at runtime.
+// support depends on the data (a CSR without the symmetric mark, a sem store
+// without an in-edge section, a shard router with incapable members)
+// implement HasInEdges to decline at runtime.
 func InEdges[V Vertex](g Adjacency[V]) (InAdjacency[V], bool) {
 	ia, ok := g.(InAdjacency[V])
 	if !ok {
@@ -65,21 +67,32 @@ func InEdges[V Vertex](g Adjacency[V]) (InAdjacency[V], bool) {
 	return ia, true
 }
 
-// Bidi pairs a forward adjacency with its reverse, making any back end
-// direction-capable in memory: NewBidi(g, Transpose(g)) for a directed CSR,
-// NewBidi(g, g) for a symmetric one. Forward reads delegate to fwd
-// (including pop-window batching when fwd supports it); in-edge reads
-// delegate to rev's forward adjacency. The two sides keep isolated
-// sub-scratches so a back end's per-worker decode state never crosses
-// directions.
-type Bidi[V Vertex] struct {
-	fwd   Adjacency[V]
-	rev   Adjacency[V]
-	batch BatchAdjacency[V] // fwd's batching side, nil when absent
+// InEdgeSource names where g's reverse adjacency comes from, for the lines
+// that say which BFS ran and why: "symmetric" (the graph is its own
+// transpose: a marked CSR, a flagged file), "section" (a stored transpose: an
+// on-flash in-edge section, or its in-memory Bidi pairing), or "none".
+func InEdgeSource[V Vertex](g Adjacency[V]) string {
+	if _, ok := InEdges(g); !ok {
+		return "none"
+	}
+	if s, ok := g.(interface{ Symmetric() bool }); ok && s.Symmetric() {
+		return "symmetric"
+	}
+	return "section"
 }
 
-// NewBidi builds the pairing. rev must be the transpose of fwd (or fwd
-// itself for symmetric graphs); only the vertex counts are validated here.
+// Bidi pairs an in-memory forward adjacency with its reverse, making a
+// directed graph direction-capable: NewBidi(g, Transpose(g)). Forward reads
+// delegate to fwd; in-edge reads delegate to rev's forward adjacency, both
+// through the caller's scratch (a list is valid until the next call with it,
+// whichever side that call reads).
+type Bidi[V Vertex] struct {
+	fwd Adjacency[V]
+	rev Adjacency[V]
+}
+
+// NewBidi builds the pairing. rev must be the transpose of fwd; only the
+// vertex counts are validated here.
 func NewBidi[V Vertex](fwd, rev Adjacency[V]) (*Bidi[V], error) {
 	if fwd == nil || rev == nil {
 		return nil, fmt.Errorf("graph: bidi needs both a forward and a reverse adjacency")
@@ -87,26 +100,7 @@ func NewBidi[V Vertex](fwd, rev Adjacency[V]) (*Bidi[V], error) {
 	if fn, rn := fwd.NumVertices(), rev.NumVertices(); fn != rn {
 		return nil, fmt.Errorf("graph: bidi forward has %d vertices, reverse has %d", fn, rn)
 	}
-	b := &Bidi[V]{fwd: fwd, rev: rev}
-	b.batch, _ = fwd.(BatchAdjacency[V])
-	return b, nil
-}
-
-// bidiScratch keeps each direction's decode state isolated per worker.
-type bidiScratch[V Vertex] struct {
-	out, in *Scratch[V]
-}
-
-func (b *Bidi[V]) state(scratch *Scratch[V]) *bidiScratch[V] {
-	bs, ok := scratch.Prefetch.(*bidiScratch[V])
-	if !ok {
-		bs = &bidiScratch[V]{out: &Scratch[V]{}, in: &Scratch[V]{}}
-		if b.rev == b.fwd {
-			bs.in = bs.out // symmetric: one decode state serves both directions
-		}
-		scratch.Prefetch = bs
-	}
-	return bs
+	return &Bidi[V]{fwd: fwd, rev: rev}, nil
 }
 
 // NumVertices implements Adjacency.
@@ -133,24 +127,11 @@ func (b *Bidi[V]) Weighted() bool {
 //lint:hotpath
 func (b *Bidi[V]) Degree(v V) int { return b.fwd.Degree(v) }
 
-// Neighbors implements Adjacency, delegating to the forward side with its
-// own sub-scratch.
+// Neighbors implements Adjacency, delegating to the forward side.
 //
 //lint:hotpath
 func (b *Bidi[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, error) {
-	if scratch == nil {
-		scratch = &Scratch[V]{}
-	}
-	return b.fwd.Neighbors(v, b.state(scratch).out)
-}
-
-// NeighborsBatch implements BatchAdjacency when the forward side does;
-// otherwise it is a no-op, matching the in-memory back ends.
-func (b *Bidi[V]) NeighborsBatch(vs []V, scratch *Scratch[V]) {
-	if b.batch == nil || scratch == nil {
-		return
-	}
-	b.batch.NeighborsBatch(vs, b.state(scratch).out)
+	return b.fwd.Neighbors(v, scratch)
 }
 
 // InDegree implements InAdjacency.
@@ -162,14 +143,11 @@ func (b *Bidi[V]) InDegree(v V) int { return b.rev.Degree(v) }
 //
 //lint:hotpath
 func (b *Bidi[V]) InNeighbors(v V, scratch *Scratch[V]) ([]V, error) {
-	if scratch == nil {
-		scratch = &Scratch[V]{}
-	}
-	targets, _, err := b.rev.Neighbors(v, b.state(scratch).in)
+	targets, _, err := b.rev.Neighbors(v, scratch)
 	return targets, err
 }
 
 var (
-	_ InAdjacency[uint32]    = (*Bidi[uint32])(nil)
-	_ BatchAdjacency[uint32] = (*Bidi[uint32])(nil)
+	_ InAdjacency[uint32] = (*Bidi[uint32])(nil)
+	_ InAdjacency[uint32] = (*CSR[uint32])(nil)
 )

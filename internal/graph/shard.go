@@ -262,6 +262,17 @@ func (s *Sharded[V]) HasInEdges() bool {
 	return true
 }
 
+// Symmetric reports whether every member says its graph is its own transpose
+// (a symmetric shard set routes in-reads to the owner's out-lists).
+func (s *Sharded[V]) Symmetric() bool {
+	for _, m := range s.members {
+		if sym, ok := m.(interface{ Symmetric() bool }); !ok || !sym.Symmetric() {
+			return false
+		}
+	}
+	return true
+}
+
 // InDegree implements InAdjacency by asking v's owning shard.
 //
 //lint:hotpath

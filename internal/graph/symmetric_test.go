@@ -91,3 +91,89 @@ func TestSymmetrizedBuildsAreTheirOwnTranspose(t *testing.T) {
 		}
 	}
 }
+
+// TestSymmetricMark: only construction sets the mark. Build sets it straight
+// after Symmetrize and not once an edge has been added since; WithWeights and
+// Compress keep it; anything that rearranges edges (Transpose, ExtractShard,
+// raw arrays) starts unmarked. A marked graph is an InAdjacency that answers
+// with its own lists, which are its transpose's.
+func TestSymmetricMark(t *testing.T) {
+	edges := []graph.Edge[uint32]{{Src: 0, Dst: 1, W: 3}, {Src: 1, Dst: 2, W: 4}, {Src: 3, Dst: 1, W: 5}, {Src: 2, Dst: 2, W: 6}}
+	build := func(after func(b *graph.Builder[uint32])) *graph.CSR[uint32] {
+		b := graph.NewBuilder[uint32](5, true)
+		b.AddEdges(edges)
+		b.Symmetrize()
+		after(b)
+		g, err := b.Build(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := build(func(*graph.Builder[uint32]) {})
+	if !g.Symmetric() {
+		t.Fatal("Build straight after Symmetrize left the graph unmarked")
+	}
+	for name, later := range map[string]func(b *graph.Builder[uint32]){
+		"AddEdge":  func(b *graph.Builder[uint32]) { b.AddEdge(4, 0, 1) },
+		"AddEdges": func(b *graph.Builder[uint32]) { b.AddEdges(edges[:1]) },
+	} {
+		if build(later).Symmetric() {
+			t.Errorf("%s after Symmetrize kept the mark", name)
+		}
+	}
+	if !build(func(b *graph.Builder[uint32]) { b.AddEdge(4, 0, 1); b.Symmetrize() }).Symmetric() {
+		t.Error("a second Symmetrize after AddEdge did not restore the mark")
+	}
+	directed, err := graph.FromEdges[uint32](5, true, true, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := graph.Transpose(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := graph.ExtractShard(g, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := graph.NewCSRRaw(g.Offsets(), g.Targets(), g.WeightsRaw())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, u := range map[string]*graph.CSR[uint32]{"FromEdges": directed, "Transpose": tr, "ExtractShard": shard, "NewCSRRaw": raw} {
+		if _, ok := graph.InEdges[uint32](u); ok || u.Symmetric() || graph.InEdgeSource[uint32](u) != "none" {
+			t.Errorf("%s output is marked symmetric or serves in-edges", name)
+		}
+	}
+	unweighted, err := g.WithWeights(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := graph.Compress(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WithWeights(make([]graph.Weight, 1)); err == nil {
+		t.Error("WithWeights accepted a weight array of the wrong length")
+	}
+	for name, adj := range map[string]graph.Adjacency[uint32]{"Build": g, "WithWeights": unweighted, "Compress": c} {
+		in, ok := graph.InEdges(adj)
+		if !ok || graph.InEdgeSource(adj) != "symmetric" {
+			t.Errorf("%s: capable=%v source=%q, want a symmetric in-edge source", name, ok, graph.InEdgeSource(adj))
+			continue
+		}
+		for v := uint32(0); v < 5; v++ {
+			got, err := in.InNeighbors(v, &graph.Scratch[uint32]{})
+			want, _, _ := tr.Neighbors(v, nil)
+			if err != nil || len(got) != len(want) || in.InDegree(v) != len(want) {
+				t.Fatalf("%s: InNeighbors(%d) = %v, %v; the transpose says %v", name, v, got, err, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: InNeighbors(%d) = %v, the transpose says %v", name, v, got, want)
+				}
+			}
+		}
+	}
+}

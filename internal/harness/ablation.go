@@ -35,7 +35,7 @@ func AblationOversubscription(o Options) (*Table, error) {
 		var res *core.BFSResult[uint32]
 		dur, err := timeIt(func() error {
 			var err error
-			res, err = core.BFS[uint32](adj, src, core.Config{Workers: w})
+			res, err = core.BFS[uint32](adj, src, core.Config{Workers: w, Direction: core.DirectionTopDown})
 			return err
 		})
 		if err != nil {
@@ -321,8 +321,8 @@ func AblationWriteAsymmetry(o Options) (*Table, error) {
 // α threshold and must stay top-down (the hybrid guard rows). Forced
 // bottom-up is omitted on the high-diameter rows — scanning every unvisited
 // vertex per phase is quadratic there, which is exactly why the controller
-// exists. Non-top-down mounts carry the on-flash in-edge section; top-down
-// rows mount the historical layout.
+// exists. Every row mounts the same files, in-edge section included, and
+// forces its side in code: this is the one exhibit that runs the driver.
 func AblationDirection(o Options) (*Table, error) {
 	t := &Table{
 		Title: "Ablation: traversal direction (SEM BFS, FusionIO)",
@@ -361,13 +361,12 @@ func AblationDirection(o Options) (*Table, error) {
 	// The scan-phase double buffering (and its ScanSpans/ScanBytes counters)
 	// lives in the prefetcher, which a mount attaches on the raw device — the
 	// direction comparison should not also toggle I/O overlap.
-	o.NoCache = true
+	o.NoCache, o.inEdges = true, true
 	for _, in := range inputs {
 		for _, dir := range in.dirs {
-			opts := o
-			opts.Direction = dir
 			var stats core.Stats
-			dur, io, err := timeSEM(opts, in.g, ssd.FusionIO, func(adj graph.Adjacency[uint32], cfg core.Config) error {
+			dur, io, err := timeSEM(o, in.g, ssd.FusionIO, func(adj graph.Adjacency[uint32], cfg core.Config) error {
+				cfg.Direction = dir
 				res, err := core.BFS[uint32](adj, in.src, cfg)
 				if err == nil {
 					stats = res.Stats
@@ -425,7 +424,7 @@ func Figure2(o Options) (*Table, error) {
 		var res *core.BFSResult[uint32]
 		dur, err := timeIt(func() error {
 			var err error
-			res, err = core.BFS[uint32](adj, 0, core.Config{Workers: w})
+			res, err = core.BFS[uint32](adj, 0, core.Config{Workers: w, Direction: core.DirectionTopDown})
 			return err
 		})
 		if err != nil {

@@ -38,8 +38,7 @@ type Options struct {
 	// most of the 9-36 GB graph files and ~12%% of the 136 GB one), Readahead
 	// the OS readahead over the semi-sorted access stream. Shards > 1
 	// hash-partitions each mount across that many member stores, each with
-	// its own simulated device, block cache and prefetcher. A non-top-down
-	// Direction makes every mount carry an on-flash in-edge section.
+	// its own simulated device, block cache and prefetcher.
 	mount.Options
 	// WebScale is the log2 size of the web-like stand-in graphs used by the
 	// CC tables (paper: it-2004 .. ClueWeb09).
@@ -56,6 +55,11 @@ type Options struct {
 	Fig1Threads  []int
 	Fig1Duration time.Duration
 	Log          io.Writer // progress output; nil silences
+
+	// inEdges makes every mount carry an on-flash in-edge section: the
+	// direction ablation's, whose directed inputs have no other way to answer
+	// "who points at v?".
+	inEdges bool
 }
 
 // Defaults returns the laptop-scale configuration cmd/bench runs.
@@ -83,7 +87,7 @@ func Defaults() Options {
 
 // edgeFormat names the on-flash edge layout the SEM tables mount.
 func (o *Options) edgeFormat() string {
-	format := o.writeOptions().Format()
+	format := o.writeOptions().Format(false)
 	if o.Shards > 1 {
 		format = fmt.Sprintf("%s x%d shards", format, o.Shards)
 	}
@@ -92,14 +96,9 @@ func (o *Options) edgeFormat() string {
 
 // writeOptions is the serialization recipe for every SEM mount the harness
 // builds: compressed v2 blocks under Compressed, o.Shards ways, plus an
-// on-flash in-edge section whenever the direction policy may run bottom-up
-// phases.
+// on-flash in-edge section for the direction ablation.
 func (o *Options) writeOptions() mount.WriteOptions {
-	return mount.WriteOptions{
-		Compress: o.Compressed,
-		Shards:   o.Shards,
-		InEdges:  o.Direction != core.DirectionTopDown,
-	}
+	return mount.WriteOptions{Compress: o.Compressed, Shards: o.Shards, InEdges: o.inEdges}
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -187,7 +186,7 @@ func Table1(o Options) (*Table, error) {
 				var res *core.BFSResult[uint32]
 				dur, err := timeIt(func() error {
 					var err error
-					res, err = core.BFS[uint32](adj, src, core.Config{Workers: th})
+					res, err = core.BFS[uint32](adj, src, core.Config{Workers: th, Direction: core.DirectionTopDown})
 					return err
 				})
 				if err != nil {

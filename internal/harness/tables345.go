@@ -135,8 +135,7 @@ func Table3(o Options) (*Table, error) {
 }
 
 // semMount serializes g per the options — raw v1 records or compressed v2
-// blocks, with an in-edge section for a non-top-down direction, o.Shards
-// ways — and mounts it on simulated devices of profile p for one measurement
+// blocks, o.Shards ways — and mounts it on simulated devices of profile p for one measurement
 // (fresh devices and cold caches every call).
 func semMount(o Options, g *graph.CSR[uint32], p ssd.Profile) (*mount.Mounted, error) {
 	backings, err := mount.WriteBackings(g, o.writeOptions())
@@ -185,10 +184,14 @@ func semBFS(src uint32) func(graph.Adjacency[uint32], core.Config) error {
 }
 
 // semConfig is the engine configuration for a run on m: the one the mount
-// derived (pop window, direction and its thresholds) at SEMThreads workers.
+// derived (sort key, pop window, switch thresholds) at SEMThreads workers,
+// with BFS forced onto the asynchronous kernel — Tables IV and the ablations
+// are the paper's exhibits and measure the paper's engine. (SSSP and CC never
+// take the driver; the direction ablation forces each side itself.)
 func (o *Options) semConfig(m *mount.Mounted) core.Config {
 	cfg := m.Engine
 	cfg.Workers = o.SEMThreads
+	cfg.Direction = core.DirectionTopDown
 	return cfg
 }
 

@@ -7,8 +7,11 @@
 // read path from whether a cache is mounted (behind the cache the traversal's
 // state steers replacement and nothing windows; on the raw device the engine
 // pops windows and the prefetcher coalesces their reads), and the rule that
-// an in-memory mount transposes itself for a non-top-down direction each
-// exist once.
+// an in-memory mount pairs a directed graph with its transpose exactly when
+// its file carries an in-edge section each exist once. Which BFS driver runs
+// is not the mount's to say: core.BFS chooses from the adjacency it is handed
+// (capability follows the data), the mount only derives the switch thresholds
+// a capable graph's driver uses.
 //
 // Nothing outside this package takes a mount apart: callers traverse
 // Mounted.Adj under Mounted.Engine, read what the storage did from one
@@ -17,7 +20,6 @@
 package mount
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -60,20 +62,12 @@ type Options struct {
 	Readahead int
 	// Shards is the shard count Files demands of the path (0 = auto-detect).
 	Shards int
-	// Direction is the BFS direction policy. A non-top-down in-memory mount
-	// pairs the CSR with its transpose; a semi-external one must have been
-	// written with in-edges.
-	Direction core.Direction
 }
 
-// Validate rejects values no mount can honor. The messages name the flags
-// Bind registers, since that is where bad values come from.
+// Validate rejects values no mount can honor.
 func (o Options) Validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("-shards must be >= 0 (0 = auto-detect), got %d", o.Shards)
-	}
-	if o.Direction < core.DirectionTopDown || o.Direction > core.DirectionHybrid {
-		return fmt.Errorf("unknown direction %d", o.Direction)
 	}
 	if o.CacheFrac < 0 || o.CacheFloor < 0 || o.Readahead < 0 {
 		return fmt.Errorf("cache budget divisor %d, floor %d and readahead %d must be >= 0", o.CacheFrac, o.CacheFloor, o.Readahead)
@@ -81,27 +75,11 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Bind registers on fs the engine/mount flag cmd/traverse, cmd/bench and
-// cmd/serve share: -direction.
-// After fs.Parse, the returned function yields the Options it fills, or a
-// usage error (the binaries exit 2 on it).
-func Bind(fs *flag.FlagSet) func() (Options, error) {
-	var o Options
-	dir := fs.String("direction", "", "BFS direction policy: topdown (default), bottomup, or hybrid; non-topdown needs in-edges (gengraph/convert -symmetric) on a semi-external graph")
-	return func() (Options, error) {
-		var err error
-		if o.Direction, err = core.ParseDirection(*dir); err != nil {
-			return o, fmt.Errorf("-direction: %v", err)
-		}
-		return o, o.Validate()
-	}
-}
-
 // Mounted is one assembled storage stack.
 type Mounted struct {
 	// Adj is what traversals run against: the CSR (paired with its transpose
-	// for a non-top-down direction), one semi-external graph, or the shard
-	// router over several.
+	// when the file carried an in-edge section), one semi-external graph, or
+	// the shard router over several.
 	Adj graph.Adjacency[uint32]
 	// CSR is the decoded graph of an in-memory mount, nil otherwise.
 	CSR *graph.CSR[uint32]
@@ -215,10 +193,11 @@ func assemble(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, erro
 		return nil, err
 	}
 	m.Adj = m.CSR
-	if opt.Direction != core.DirectionTopDown {
-		// An in-memory mount can always serve reverse adjacency: pair the CSR
-		// with its transpose (an on-flash in-edge section only matters when
-		// the edges stay on the device).
+	if !m.CSR.Symmetric() && inSections(backings) {
+		// The writer paid for a transpose section so that BFS could switch
+		// direction on this directed graph; decoded into memory, the same
+		// capability is the CSR paired with its transpose. (A symmetric graph
+		// arrives marked and serves its own in-edges.)
 		rev, err := graph.Transpose(m.CSR)
 		if err != nil {
 			return nil, err
@@ -227,7 +206,20 @@ func assemble(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, erro
 			return nil, err
 		}
 	}
-	return m, m.finish(opt)
+	m.finish(opt)
+	return m, nil
+}
+
+// inSections reports whether every image carries reverse adjacency: the
+// in-edge sections of a directed graph's files (the loader that just decoded
+// them has already vouched for their headers).
+func inSections(backings []ssd.Backing) bool {
+	for _, b := range backings {
+		if g, err := sem.Open[uint32](b); err != nil || !g.HasInEdges() {
+			return false
+		}
+	}
+	return true
 }
 
 // Stores mounts semi-externally over devices the caller built — a RAID-0
@@ -280,7 +272,8 @@ func semStack(stores []sem.Store, sharded bool, opt Options) (*Mounted, error) {
 		}
 		m.Adj, m.Shards = router, len(stores)
 	}
-	return m, m.finish(opt)
+	m.finish(opt)
+	return m, nil
 }
 
 func (o Options) cacheBudget(size int64) int64 {
@@ -306,22 +299,16 @@ func (o Options) readahead() int {
 // queue lengths the proposal filter leaves it ties either way (EXPERIMENTS.md
 // "Semi-sort at 128 queues"), so it is the mount's constant, not a knob. The
 // pop window is on exactly when the mount attached a prefetcher to consume
-// it; a non-top-down direction gets the switch thresholds of the mounted
-// graph's own degree distribution instead of one-size-fits-all constants.
-// Direction does not enter into the window: the one thing a window gave the
-// direction driver behind the cache, the width of its top-down phases, is
-// that driver's own rule on any I/O-backed mount (core's ioFanout).
-func (m *Mounted) finish(opt Options) error {
-	m.Engine = core.Config{SemiSort: m.CSR == nil, Direction: opt.Direction}
+// it. Direction is left at its zero value — core.BFS chooses its driver from
+// Adj — and a graph that can answer "who points at v?" gets the switch
+// thresholds of its own degree distribution instead of one-size-fits-all
+// constants, for whenever the driver runs.
+func (m *Mounted) finish(opt Options) {
+	m.Engine = core.Config{SemiSort: m.CSR == nil}
 	if m.CSR == nil && opt.NoCache {
 		m.Engine.Prefetch = rawWindow
 	}
-	if opt.Direction == core.DirectionTopDown {
-		return nil
+	if _, ok := graph.InEdges[uint32](m.Adj); ok {
+		m.Engine.Alpha, m.Engine.Beta = graph.DegreesOf[uint32](m.Adj).DirectionThresholds()
 	}
-	if _, ok := graph.InEdges[uint32](m.Adj); !ok {
-		return fmt.Errorf("%w: direction %s needs a graph written with in-edges (gengraph/convert -symmetric)", core.ErrNoInEdges, opt.Direction)
-	}
-	m.Engine.Alpha, m.Engine.Beta = graph.DegreesOf[uint32](m.Adj).DirectionThresholds()
-	return nil
 }

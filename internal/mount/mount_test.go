@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/mount/mounttest"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
@@ -99,9 +98,9 @@ func TestMountTable(t *testing.T) {
 				t.Errorf("in-memory mount: CSR=%v graphs=%d shards=%d", m.CSR != nil, len(m.Graphs), m.Shards)
 			}
 		}},
-		{"IM hybrid", v1, 1, Options{Direction: core.DirectionHybrid}, func(t *testing.T, m *Mounted) {
+		{"IM from a file with an in-edge section", sem.WriteConfig{InEdges: true}, 1, Options{}, func(t *testing.T, m *Mounted) {
 			if _, ok := m.Adj.(*graph.Bidi[uint32]); !ok {
-				t.Errorf("non-top-down in-memory mount is %T, want the CSR paired with its transpose", m.Adj)
+				t.Errorf("in-memory mount of a file with in-edges is %T, want the CSR paired with its transpose", m.Adj)
 			}
 			if m.Engine.Alpha <= 0 || m.Engine.Beta <= 0 {
 				t.Errorf("thresholds not derived: alpha=%d beta=%d", m.Engine.Alpha, m.Engine.Beta)
@@ -123,8 +122,7 @@ func TestMountTable(t *testing.T) {
 		{"SEM nocache window 16", v1, 1, raw, none},
 		{"compressed cached", v2, 1, sem1, none},
 		{"compressed nocache", v2, 1, raw, none},
-		{"compressed + in-edges hybrid", sem.WriteConfig{Compress: true, InEdges: true}, 1,
-			with(sem1, func(o *Options) { o.Direction = core.DirectionHybrid }),
+		{"compressed + in-edges", sem.WriteConfig{Compress: true, InEdges: true}, 1, sem1,
 			func(t *testing.T, m *Mounted) {
 				if !m.Graphs[0].Compressed() || !m.Graphs[0].HasInEdges() || m.Engine.Alpha <= 0 {
 					t.Errorf("compressed=%v inEdges=%v alpha=%d", m.Graphs[0].Compressed(), m.Graphs[0].HasInEdges(), m.Engine.Alpha)
@@ -160,12 +158,15 @@ func TestMountTable(t *testing.T) {
 			}
 			cfg := m.Engine
 			cfg.Workers = 8
-			if cfg.SemiSort != tc.opt.SEM || cfg.Direction != tc.opt.Direction {
-				t.Errorf("engine config %+v: want the sort key exactly on a semi-external mount, and the options' direction", cfg)
+			if cfg.SemiSort != tc.opt.SEM || cfg.Direction != core.DirectionAuto {
+				t.Errorf("engine config %+v: want the sort key exactly on a semi-external mount, and the driver left to BFS", cfg)
 			}
-			// The top-down BFS is what feeds a cache (the level-synchronous
-			// driver of a non-top-down direction has no visitor queues), so
-			// the derived-behaviour checks below read its counters.
+			if _, capable := graph.InEdges[uint32](m.Adj); capable != tc.write.InEdges || capable != (cfg.Alpha > 0) {
+				t.Errorf("in-edge capable=%v alpha=%d, the file was written with InEdges=%v", capable, cfg.Alpha, tc.write.InEdges)
+			}
+			// The asynchronous kernel is what feeds a cache (the
+			// level-synchronous driver has no visitor queues), so the
+			// derived-behaviour checks below read its counters.
 			td := cfg
 			td.Direction = core.DirectionTopDown
 			if _, err := core.BFS[uint32](m.Adj, src, td); err != nil {
@@ -270,8 +271,7 @@ func TestStoresOverRAID0(t *testing.T) {
 }
 
 // TestFiles covers the path half: plain files, auto-detected and pinned shard
-// sets, a pinned width the files contradict, and a direction the file cannot
-// serve.
+// sets, and a pinned width the files contradict.
 func TestFiles(t *testing.T) {
 	g, src := testGraph(t)
 	want, err := baseline.SerialBFS[uint32](g, src)
@@ -336,9 +336,6 @@ func TestFiles(t *testing.T) {
 			t.Errorf("2 of 4 shards (sem=%v): err = %v, want ErrShardSpec", opt.SEM, err)
 		}
 	}
-	if _, err := Files(plain, Options{SEM: true, Profile: fast, Direction: core.DirectionHybrid}); !errors.Is(err, core.ErrNoInEdges) {
-		t.Errorf("hybrid over a file without in-edges: err = %v, want ErrNoInEdges", err)
-	}
 	if _, err := Files(filepath.Join(dir, "missing.asg"), Options{}); err == nil {
 		t.Error("a missing file mounted")
 	}
@@ -349,20 +346,31 @@ func TestFiles(t *testing.T) {
 // every format it can select; and pins the flag block that selects them.
 func TestWriteTable(t *testing.T) {
 	g, _ := testGraph(t)
+	// The same graph made undirected: the CSR knows, and its files carry the
+	// symmetric flag whether or not an in-edge section was asked for.
+	ub := graph.NewBuilder[uint32](g.NumVertices(), true)
+	g.ForEachEdge(ub.AddEdge)
+	ub.Symmetrize()
+	ug, err := ub.Build(true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	for _, compress := range []bool{false, true} {
 		for _, in := range []struct {
-			name                string
-			inEdges, undirected bool
-			cfg                 sem.WriteConfig
+			name    string
+			g       *graph.CSR[uint32]
+			inEdges bool
+			cfg     sem.WriteConfig
 		}{
-			{"plain", false, false, sem.WriteConfig{}},
-			{"plain undirected", false, true, sem.WriteConfig{}},
-			{"in-edges", true, false, sem.WriteConfig{InEdges: true}},
-			{"symmetric", true, true, sem.WriteConfig{Symmetric: true}},
+			{"plain", g, false, sem.WriteConfig{}},
+			{"undirected", ug, false, sem.WriteConfig{Symmetric: true}},
+			{"in-edges", g, true, sem.WriteConfig{InEdges: true}},
+			{"undirected, in-edges asked for", ug, true, sem.WriteConfig{Symmetric: true}},
 		} {
+			g := in.g
 			for _, shards := range []int{1, 3} {
-				opt := WriteOptions{Compress: compress, Shards: shards, InEdges: in.inEdges, Undirected: in.undirected}
+				opt := WriteOptions{Compress: compress, Shards: shards, InEdges: in.inEdges}
 				name := fmt.Sprintf("compress=%v %s x%d", compress, in.name, shards)
 				in.cfg.Compress = compress
 				want := images(t, g, in.cfg, shards)
@@ -400,10 +408,13 @@ func TestWriteTable(t *testing.T) {
 			}
 		}
 	}
-	if got := (WriteOptions{Compress: true, InEdges: true}).Format(); got != "compressed+inedges" {
+	if got := (WriteOptions{Compress: true, InEdges: true}).Format(false); got != "compressed+inedges" {
 		t.Errorf("format = %q", got)
 	}
-	if got := (WriteOptions{InEdges: true, Undirected: true, Shards: 3}).Files("g.asg"); got != "g.asg.shard0..2" {
+	if got := (WriteOptions{InEdges: true}).Format(true); got != "raw+symmetric" {
+		t.Errorf("format of a symmetric graph = %q", got)
+	}
+	if got := (WriteOptions{InEdges: true, Shards: 3}).Files("g.asg"); got != "g.asg.shard0..2" {
 		t.Errorf("shard-set name = %q", got)
 	}
 	if err := WriteFiles(filepath.Join(dir, "missing", "g.asg"), g, WriteOptions{}); err == nil {
@@ -430,56 +441,10 @@ func TestWriteTable(t *testing.T) {
 	}
 }
 
-func TestBind(t *testing.T) {
-	parse := func(args string) (Options, error) {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		get := Bind(fs)
-		if err := fs.Parse(strings.Fields(args)); err != nil {
-			return Options{}, err
-		}
-		return get()
-	}
-	// The flag block is exactly this: a new knob is a conscious edit here and
-	// in TestOptionLedger.
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	Bind(fs)
-	var names []string
-	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got := strings.Join(names, " "); got != "direction" {
-		t.Errorf("Bind registered %q, want exactly -direction", got)
-	}
-	def, err := parse("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (Options{}); def != want {
-		t.Errorf("defaults = %+v, want %+v", def, want)
-	}
-	got, err := parse("-direction hybrid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (Options{Direction: core.DirectionHybrid}); got != want {
-		t.Errorf("parsed = %+v, want %+v", got, want)
-	}
-	// The table the three binaries' re-exec tests run, checked in process.
-	for _, bad := range mounttest.BadFlags {
-		if _, err := parse(bad.Args); err == nil || err.Error() != bad.Want {
-			t.Errorf("%s: err = %v, want %q", bad.Args, err, bad.Want)
-		}
-	}
-	for _, o := range []Options{{Shards: -1}, {CacheFrac: -2}, {Readahead: -1}, {Direction: 9}} {
-		if o.Validate() == nil {
-			t.Errorf("%+v validated", o)
-		}
-	}
-}
-
 // TestOptionLedger pins the number of independently settable mount options, so
 // the next one is added on purpose.
 func TestOptionLedger(t *testing.T) {
-	if n := reflect.TypeOf(Options{}).NumField(); n != 8 {
-		t.Errorf("mount.Options has %d fields, the ledger says 8", n)
+	if n := reflect.TypeOf(Options{}).NumField(); n != 7 {
+		t.Errorf("mount.Options has %d fields, the ledger says 7", n)
 	}
 }

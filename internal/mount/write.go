@@ -22,23 +22,21 @@ type WriteOptions struct {
 	// Shards hash-partitions the graph into that many images, base.shard0..
 	// on disk; 0 or 1 writes one plain image.
 	Shards int
-	// InEdges writes the in-edge data a non-top-down BFS direction needs.
-	// Undirected says the graph already stores every edge in both directions,
-	// so that data is the header's symmetric flag and costs nothing; a
-	// directed graph pays for a transpose in-edge section instead.
-	InEdges    bool
-	Undirected bool
+	// InEdges appends a transpose in-edge section to a directed graph, the
+	// data the direction-switching BFS driver needs. A graph marked symmetric
+	// (graph.CSR.Symmetric) needs none and gets none: its file carries the
+	// header's symmetric flag either way, which costs nothing.
+	InEdges bool
 }
 
 // BindWrite registers on fs the writer flags cmd/gengraph and cmd/convert
 // share: -compress -shards -symmetric. After fs.Parse, the returned function
-// yields the WriteOptions they fill, or a usage error. Undirected is the
-// caller's to set, from whatever told it the graph is undirected.
+// yields the WriteOptions they fill, or a usage error.
 func BindWrite(fs *flag.FlagSet) func() (WriteOptions, error) {
 	var o WriteOptions
 	fs.BoolVar(&o.Compress, "compress", false, "write the delta+varint compressed (v2) edge format")
 	fs.IntVar(&o.Shards, "shards", 1, "hash-partition the graph into N shard files (out.shard0..N-1)")
-	fs.BoolVar(&o.InEdges, "symmetric", false, "write in-edge data for direction-optimized traversal: the symmetric flag on an undirected graph, else a transpose in-edge section")
+	fs.BoolVar(&o.InEdges, "symmetric", false, "append a transpose in-edge section to a directed graph, so BFS can switch direction on it (an undirected graph is its own transpose and needs none)")
 	return func() (WriteOptions, error) {
 		if o.Shards < 1 {
 			return o, fmt.Errorf("-shards must be >= 1, got %d", o.Shards)
@@ -48,13 +46,15 @@ func BindWrite(fs *flag.FlagSet) func() (WriteOptions, error) {
 }
 
 // Format names the edge layout o selects, for banners and table notes.
-func (o WriteOptions) Format() string {
+// symmetric is the graph's own mark: such a graph carries the header flag and
+// never a section.
+func (o WriteOptions) Format(symmetric bool) string {
 	format := "raw"
 	if o.Compress {
 		format = "compressed"
 	}
 	switch {
-	case o.InEdges && o.Undirected:
+	case symmetric:
 		format += "+symmetric"
 	case o.InEdges:
 		format += "+inedges"
@@ -71,16 +71,13 @@ func (o WriteOptions) Files(base string) string {
 	return base
 }
 
-// configs is the sem.WriteConfig of each image of the set o selects, in shard
-// order: the one place the shard loop and the symmetric-vs-in-edge rule live.
-func (o WriteOptions) configs() []sem.WriteConfig {
+// configs is the sem.WriteConfig of each image of g the set o selects, in
+// shard order: the one place the shard loop and the symmetric-vs-in-edge rule
+// live.
+func (o WriteOptions) configs(g *graph.CSR[uint32]) []sem.WriteConfig {
 	cfgs := make([]sem.WriteConfig, max(o.Shards, 1))
 	for k := range cfgs {
-		cfgs[k] = sem.WriteConfig{
-			Compress:  o.Compress,
-			Symmetric: o.InEdges && o.Undirected,
-			InEdges:   o.InEdges && !o.Undirected,
-		}
+		cfgs[k] = sem.WriteConfig{Compress: o.Compress, InEdges: o.InEdges && !g.Symmetric()}
 		if o.Shards > 1 {
 			cfgs[k].Shard = &sem.ShardConfig{Shard: k, Shards: o.Shards}
 		}
@@ -91,7 +88,7 @@ func (o WriteOptions) configs() []sem.WriteConfig {
 // WriteFiles writes g as the file base, or as the shard set base.shard0..N-1
 // that Files mounts when o.Shards > 1.
 func WriteFiles(base string, g *graph.CSR[uint32], o WriteOptions) error {
-	for k, cfg := range o.configs() {
+	for k, cfg := range o.configs(g) {
 		path := base
 		if cfg.Shard != nil {
 			path = sem.ShardFileName(base, k)
@@ -107,7 +104,7 @@ func WriteFiles(base string, g *graph.CSR[uint32], o WriteOptions) error {
 // shard.
 func WriteBackings(g *graph.CSR[uint32], o WriteOptions) ([]ssd.Backing, error) {
 	var backings []ssd.Backing
-	for _, cfg := range o.configs() {
+	for _, cfg := range o.configs(g) {
 		var buf bytes.Buffer
 		if err := sem.Write(&buf, g, cfg); err != nil {
 			return nil, err

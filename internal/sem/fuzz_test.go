@@ -48,14 +48,24 @@ func FuzzOpen(f *testing.F) {
 	// Seed the reverse path — in-edge sections in both formats, a symmetric
 	// file, and a shard-map file (whose in-edge section is exempt from the
 	// edge-count equality) — so the in-edge index sees mutations too.
-	for _, cfg := range []WriteConfig{
-		{InEdges: true},
-		{Compress: true, InEdges: true},
-		{Symmetric: true},
-		{InEdges: true, Shard: &ShardConfig{Shard: 1, Shards: 2}},
+	b = graph.NewBuilder[uint32](20, true)
+	g.ForEachEdge(b.AddEdge)
+	b.Symmetrize()
+	ug, err := b.Build(false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct {
+		g   *graph.CSR[uint32]
+		cfg WriteConfig
+	}{
+		{g, WriteConfig{InEdges: true}},
+		{g, WriteConfig{Compress: true, InEdges: true}},
+		{ug, WriteConfig{Symmetric: true}},
+		{g, WriteConfig{InEdges: true, Shard: &ShardConfig{Shard: 1, Shards: 2}}},
 	} {
 		var buf bytes.Buffer
-		if err := Write(&buf, g, cfg); err != nil {
+		if err := Write(&buf, seed.g, seed.cfg); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())

@@ -413,7 +413,9 @@ func TestAbortedTraversalUnpinsStatePolicy(t *testing.T) {
 		// Past the first few windows, and not a multiple of the window, so the
 		// failure lands inside one.
 		adj.left.Store(int64(37 + 61*(i%40)))
-		_, err = core.BFS[uint32](adj, uint32(1+i%7), core.Config{Workers: 128, SemiSort: true, Prefetch: 16 * (i % 2)})
+		// The abort drain is the asynchronous engine's: force it (this
+		// undirected graph would otherwise take the phase driver).
+		_, err = core.BFS[uint32](adj, uint32(1+i%7), core.Config{Workers: 128, SemiSort: true, Prefetch: 16 * (i % 2), Direction: core.DirectionTopDown})
 		if !errors.Is(err, errInjected) {
 			t.Fatalf("abort %d: err = %v, want the injected failure", i, err)
 		}

@@ -65,10 +65,10 @@ const (
 	// the only consumer is the bottom-up BFS step, which needs edge sources, not
 	// costs.
 	flagInEdges = 1 << 4
-	// flagSymmetric asserts the out-adjacency is its own transpose (the writer
-	// symmetrized the graph), so in-edge reads are served from the edge region
-	// itself and no in-edge section exists. Mutually exclusive with
-	// flagInEdges.
+	// flagSymmetric says the out-adjacency is its own transpose — the writer
+	// was handed a CSR marked symmetric (graph.CSR.Symmetric) — so in-edge
+	// reads are served from the edge region itself and no in-edge section
+	// exists. Mutually exclusive with flagInEdges.
 	flagSymmetric = 1 << 5
 )
 
@@ -170,9 +170,10 @@ type WriteConfig struct {
 	// the transpose of the logical graph, enabling bottom-up traversal
 	// phases. Mutually exclusive with Symmetric.
 	InEdges bool
-	// Symmetric marks the out-adjacency as its own transpose (flagSymmetric):
-	// direction-capable with zero extra storage. The caller asserts symmetry
-	// (e.g. Builder.Symmetrize output); nothing is verified.
+	// Symmetric demands the zero-storage reverse capability (flagSymmetric):
+	// Write fails unless g is marked symmetric (Builder.Symmetrize output, or
+	// a load of a flagged file). The flag itself needs no asking for — a
+	// marked graph is written with it whenever InEdges is not set.
 	Symmetric bool
 	// Shard, when non-nil, extracts and writes that shard of g with a shard
 	// map. The in-edge section of shard k holds the in-adjacency of k's owned
@@ -201,6 +202,9 @@ func (c *WriteConfig) Validate() error {
 func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
+	}
+	if cfg.Symmetric && !g.Symmetric() {
+		return fmt.Errorf("sem: Symmetric asked for a graph that is not marked symmetric (build it through Builder.Symmetrize)")
 	}
 	var sm *shardMap
 	sub := g
@@ -238,7 +242,7 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 	if in != nil {
 		flags |= flagInEdges
 	}
-	if cfg.Symmetric {
+	if g.Symmetric() && in == nil {
 		flags |= flagSymmetric
 	}
 	n, m := sub.NumVertices(), sub.NumEdges()
@@ -293,13 +297,19 @@ func recordFlags[V graph.Vertex](weighted bool) uint64 {
 // source too large to hold as a graph.CSR (the out-of-core build): offsets is
 // the (n+1)-entry record index, and records is called once with the function
 // that appends the next record, which it must call offsets[n] times in CSR
-// order. The bytes are those Write emits for the same graph.
-func WriteStream[V graph.Vertex](w io.Writer, offsets []uint64, weighted bool, records func(emit func(dst V, wt graph.Weight) error) error) error {
+// order. symmetric says the stream is its own transpose (the source added
+// every edge in both directions) and sets the header flag a marked CSR gets.
+// The bytes are those Write emits for the same graph.
+func WriteStream[V graph.Vertex](w io.Writer, offsets []uint64, weighted, symmetric bool, records func(emit func(dst V, wt graph.Weight) error) error) error {
 	if len(offsets) == 0 {
 		return fmt.Errorf("sem: empty vertex index (want n+1 offsets)")
 	}
 	n, m := uint64(len(offsets)-1), offsets[len(offsets)-1]
-	if err := writeHeader(w, version, recordFlags[V](weighted), n, m, 0, nil); err != nil {
+	flags := recordFlags[V](weighted)
+	if symmetric {
+		flags |= flagSymmetric
+	}
+	if err := writeHeader(w, version, flags, n, m, 0, nil); err != nil {
 		return err
 	}
 	sw := sectionWriter[V]{w: w, what: "edge", buf: make([]byte, 0, sectionBuf)}
@@ -752,7 +762,9 @@ func (g *Graph[V]) neighbors(s *section[V], v V, scratch *graph.Scratch[V]) ([]V
 // loadChunkBytes is the sequential read granularity of LoadCSR.
 const loadChunkBytes = 1 << 20
 
-// LoadCSR reads an entire semi-external graph back into an in-memory CSR.
+// LoadCSR reads an entire semi-external graph back into an in-memory CSR,
+// marked symmetric when the file's header says it is its own transpose (one
+// shard of a symmetric graph is not: LoadShardedCSR marks the merged graph).
 // Used for round-trip verification and by tools that want IM processing of a
 // stored graph. The edge region is streamed in large sequential chunks — one
 // bandwidth-bound read per ~1 MiB instead of one latency-charged random read
@@ -795,7 +807,7 @@ func LoadCSR[V graph.Vertex](store Store) (*graph.CSR[V], error) {
 	}
 	offsets := make([]uint64, len(g.out.offsets))
 	copy(offsets, g.out.offsets)
-	return graph.NewCSRRaw(offsets, targets, weights)
+	return graph.NewLoadedCSR(g.symmetric && !g.Sharded(), offsets, targets, weights)
 }
 
 // loadCompressed streams a v2 blob back into an in-memory CSR: vertices are
@@ -844,5 +856,5 @@ func (g *Graph[V]) loadCompressed() (*graph.CSR[V], error) {
 			}
 		}
 	}
-	return graph.NewCSRRaw(edgeOffsets, targets, weights)
+	return graph.NewLoadedCSR(g.symmetric && !g.Sharded(), edgeOffsets, targets, weights)
 }

@@ -223,15 +223,14 @@ func LoadShardedCSR[V graph.Vertex](stores []Store) (*graph.CSR[V], error) {
 		return nil, err
 	}
 	subs := make([]*graph.CSR[V], len(stores))
+	symmetric := true // the merged graph is, when every member's header says so
 	for i, st := range stores {
 		sub, err := LoadCSR[V](st)
 		if err != nil {
 			return nil, fmt.Errorf("sem: load shard %d: %w", i, err)
 		}
 		subs[i] = sub
-	}
-	if len(subs) == 1 {
-		return subs[0], nil
+		symmetric = symmetric && gs[i].symmetric
 	}
 	n := subs[0].NumVertices()
 	offsets := make([]uint64, n+1)
@@ -257,5 +256,5 @@ func LoadShardedCSR[V graph.Vertex](stores []Store) (*graph.CSR[V], error) {
 			copy(weights[lo:hi], sub.WeightsRaw()[slo:shi])
 		}
 	}
-	return graph.NewCSRRaw(offsets, targets, weights)
+	return graph.NewLoadedCSR(symmetric, offsets, targets, weights)
 }

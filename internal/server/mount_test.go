@@ -52,16 +52,22 @@ func TestMountGraph(t *testing.T) {
 		t.Errorf("spec profile not applied: %s", se.Mount.Devices[0].Profile().Name)
 	}
 
-	hy, err := MountGraph(MountSpec{Name: "hy", Path: plain}, MountOptions{Direction: core.DirectionHybrid})
+	// A file that can answer "who points at v?" mounts as a capable graph,
+	// whose pool runs under the thresholds its mount derived.
+	capable := filepath.Join(dir, "c.asg")
+	if err := mount.WriteFiles(capable, g, mount.WriteOptions{InEdges: true}); err != nil {
+		t.Fatal(err)
+	}
+	hy, err := MountGraph(MountSpec{Name: "hy", Path: capable}, MountOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{Engine: core.Config{Workers: 4}})
 	if err := s.AddGraph(hy); err != nil {
-		t.Fatalf("AddGraph of a hybrid in-memory mount: %v", err)
+		t.Fatalf("AddGraph of a capable in-memory mount: %v", err)
 	}
-	if cfg := s.graph("hy").pool.Config(); cfg.Direction != core.DirectionHybrid || cfg.Alpha <= 0 || cfg.Alpha != hy.Mount.Engine.Alpha || cfg.Beta != hy.Mount.Engine.Beta || cfg.Workers != 4 {
-		t.Errorf("hybrid mount runs under %+v, want its own thresholds at the server's 4 workers", cfg)
+	if cfg := s.graph("hy").pool.Config(); cfg.Direction != core.DirectionAuto || cfg.Alpha <= 0 || cfg.Alpha != hy.Mount.Engine.Alpha || cfg.Beta != hy.Mount.Engine.Beta || cfg.Workers != 4 {
+		t.Errorf("capable mount runs under %+v, want its own thresholds at the server's 4 workers", cfg)
 	}
 
 	if _, err := MountGraph(MountSpec{Name: "x", Path: plain, SEM: true, Profile: "FloppyDisk"}, MountOptions{}); err == nil {
@@ -70,9 +76,7 @@ func TestMountGraph(t *testing.T) {
 	if _, err := MountGraph(MountSpec{Name: "x", Path: sharded, Shards: 3}, MountOptions{}); !errors.Is(err, sem.ErrShardSpec) {
 		t.Errorf("3 of 4 shards: err = %v, want ErrShardSpec", err)
 	}
-	if _, err := MountGraph(MountSpec{Name: "x", Path: plain, SEM: true, Profile: "Intel"}, MountOptions{Direction: core.DirectionHybrid}); !errors.Is(err, core.ErrNoInEdges) {
-		t.Errorf("hybrid over a SEM file without in-edges: err = %v, want ErrNoInEdges", err)
-	}
+
 }
 
 // TestGraphLedger pins server.Graph's exported fields: what a served graph is

@@ -176,8 +176,8 @@ type Server struct {
 	queriesDeadline    atomic.Uint64
 	queriesRateLimited atomic.Uint64
 
-	// Direction-controller counters, accumulated across every BFS that ran
-	// the phase driver (all zero under pure top-down).
+	// Direction-driver counters, accumulated across every BFS that ran the
+	// phase driver (any graph that can serve in-edges; zero otherwise).
 	tdPhases     atomic.Uint64
 	buPhases     atomic.Uint64
 	dirSwitches  atomic.Uint64
@@ -285,8 +285,8 @@ type queryStats struct {
 	MaxQueue        int    `json:"max_queue"`
 	PeakOutstanding int64  `json:"peak_outstanding"`
 	Workers         int    `json:"workers"`
-	// Direction-controller counters; present only when the BFS ran the
-	// phase driver (a non-top-down engine direction).
+	// Direction-driver counters; present only when the BFS ran the phase
+	// driver (its graph can serve in-edges).
 	TopDownPhases     int    `json:"topdown_phases,omitempty"`
 	BottomUpPhases    int    `json:"bottomup_phases,omitempty"`
 	DirectionSwitches int    `json:"direction_switches,omitempty"`
@@ -344,6 +344,11 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		Weighted bool   `json:"weighted"`
 		Storage  string `json:"storage"`
 		Shards   int    `json:"shards,omitempty"`
+		// InEdges is where the graph's reverse adjacency comes from
+		// ("symmetric", "section" or "none") and BFSDriver the implementation
+		// a BFS query on it runs, which core chooses from that and the storage.
+		InEdges   string `json:"in_edges"`
+		BFSDriver string `json:"bfs_driver"`
 	}
 	s.mu.RLock()
 	infos := make([]graphInfo, 0, len(s.graphs))
@@ -355,6 +360,9 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 			Weighted: g.weighted(),
 			Storage:  g.Storage,
 			Shards:   g.shards(),
+
+			InEdges:   graph.InEdgeSource(g.Adj),
+			BFSDriver: core.BFSDriver(g.Adj, g.pool.Config()),
 		})
 	}
 	s.mu.RUnlock()

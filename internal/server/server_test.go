@@ -3,10 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -620,12 +620,15 @@ func TestConcurrentQueriesShardedSEM(t *testing.T) {
 // refused when it is mounted.
 func TestDirectionServing(t *testing.T) {
 	st := buildStores(t, 8)
-	hybrid := mount.Options{Direction: core.DirectionHybrid}
-	imBackings, err := mount.WriteBackings(st.im, mount.WriteOptions{})
+	// A directed graph written with an in-edge section and decoded into
+	// memory, an undirected one left on a device, and a sparse directed one
+	// (2 edges a vertex) on a device: the first two take the driver, the third
+	// has the capability and keeps the asynchronous kernel.
+	imBackings, err := mount.WriteBackings(st.im, mount.WriteOptions{InEdges: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, err := mount.Graph(imBackings, hybrid)
+	im, err := mount.Graph(imBackings, mount.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,32 +636,30 @@ func TestDirectionServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := map[string]*graph.CSR[uint32]{"im": st.im, "sem": grid}
+	graphs := map[string]*graph.CSR[uint32]{"im": st.im, "sem": st.undirected, "grid": grid}
 
 	s := New(Config{Engine: core.Config{Workers: 4}})
 	for _, g := range []Graph{
 		{Name: "im", Adj: im.Adj, Storage: "im", Mount: im},
-		semGraph(t, "sem", grid, 1, hybrid, true),
+		semGraph(t, "sem", st.undirected, 1, mount.Options{}, false),
+		semGraph(t, "grid", grid, 1, mount.Options{}, true),
 	} {
 		if err := s.AddGraph(g); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := mount.Graph(imBackings, mount.Options{SEM: true, Profile: fastDevice, Direction: core.DirectionHybrid}); !errors.Is(err, core.ErrNoInEdges) {
-		t.Fatalf("hybrid mount of a store without in-edges: err = %v, want ErrNoInEdges", err)
-	}
 
 	// Each graph's pool runs its own mount's configuration at the server's
-	// worker count, and the two degree shapes derive different thresholds —
+	// worker count, and the degree shapes derive different thresholds —
 	// which one server-wide engine config could not express.
 	for name := range graphs {
 		g := s.graph(name)
 		got, want := g.pool.Config(), g.Mount.Engine
-		if got.Direction != core.DirectionHybrid || got.Workers != 4 || got.Alpha != want.Alpha || got.Beta != want.Beta || want.Alpha <= 0 || want.Beta <= 0 {
+		if got.Direction != core.DirectionAuto || got.Workers != 4 || got.Alpha != want.Alpha || got.Beta != want.Beta || want.Alpha <= 0 || want.Beta <= 0 {
 			t.Errorf("%s runs under %+v, its mount derived %+v", name, got, want)
 		}
 	}
-	if a, b := s.graph("im").pool.Config(), s.graph("sem").pool.Config(); a.Alpha == b.Alpha && a.Beta == b.Beta {
+	if a, b := s.graph("im").pool.Config(), s.graph("grid").pool.Config(); a.Alpha == b.Alpha && a.Beta == b.Beta {
 		t.Errorf("RMAT and grid got the same thresholds alpha=%d beta=%d", a.Alpha, a.Beta)
 	}
 
@@ -678,8 +679,8 @@ func TestDirectionServing(t *testing.T) {
 			t.Fatalf("%s: %d %s", name, resp.StatusCode, body)
 		}
 		qr := decodeQuery(t, body)
-		if qr.Stats.TopDownPhases+qr.Stats.BottomUpPhases == 0 || qr.Stats.PeakFrontier == 0 {
-			t.Errorf("%s: hybrid query reported no phases or no frontier: %+v", name, qr.Stats)
+		if phases := qr.Stats.TopDownPhases + qr.Stats.BottomUpPhases; (phases > 0) != (name != "grid") || (qr.Stats.PeakFrontier > 0) != (name != "grid") {
+			t.Errorf("%s: phases=%d peak frontier=%d; want the driver on im and sem, the asynchronous kernel on grid", name, phases, qr.Stats.PeakFrontier)
 		}
 		for _, tgt := range qr.Targets {
 			if wantReached := want[tgt.Vertex] != graph.InfDist; tgt.Reached != wantReached || (wantReached && tgt.Value != want[tgt.Vertex]) {
@@ -691,5 +692,34 @@ func TestDirectionServing(t *testing.T) {
 	dir := fetchMetrics(t, ts)["direction"].(map[string]any)
 	if dir["topdown_phases"].(float64)+dir["bottomup_phases"].(float64) == 0 || dir["peak_frontier"].(float64) == 0 {
 		t.Fatalf("metrics direction counters empty: %v", dir)
+	}
+	// The three BFS queries took nothing from any engine pool but grid's.
+	if pool := fetchMetrics(t, ts)["engine_pool"].(map[string]any); pool["acquired"].(float64) != 1 {
+		t.Errorf("engine_pool = %v, want one acquisition (the grid's asynchronous BFS)", pool)
+	}
+
+	// /v1/graphs says where each graph's in-edges come from and which BFS runs.
+	resp, err := http.Get(ts.URL + "/v1/graphs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var inv struct {
+		Graphs []struct {
+			Name      string
+			InEdges   string `json:"in_edges"`
+			BFSDriver string `json:"bfs_driver"`
+		}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&inv); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, g := range inv.Graphs {
+		got[g.Name] = g.InEdges + " " + g.BFSDriver
+	}
+	want := map[string]string{"im": "section direction-switching", "sem": "symmetric direction-switching", "grid": "section asynchronous"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/v1/graphs in_edges and bfs_driver = %v, want %v", got, want)
 	}
 }
