@@ -381,10 +381,10 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 	d.scan, _ = g.(graph.InScanner[V])
 	d.batch, _ = g.(graph.BatchAdjacency[V])
 
-	workers := make([]*dirWorker[V], cfg.Workers)
-	for i := range workers {
-		workers[i] = &dirWorker[V]{scratch: &graph.Scratch[V]{}}
-	}
+	// Phase workers exist up to the widest phase run so far, not cfg.Workers
+	// up front: most traversals' phases mostly run inline, and the fold below
+	// walks the phase's workers once a level.
+	var workers []*dirWorker[V]
 
 	// mu tracks the out-edge count of the unexplored region for the α
 	// heuristic; mf is the current frontier's out-edge count.
@@ -406,7 +406,6 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 	st := Stats{Workers: cfg.Workers}
 	useBU := cfg.Direction == DirectionBottomUp
 	var curLevel, prevNf uint64
-	widest := 1 // the most phase workers any phase has used
 	for len(frontier) > 0 {
 		if err := d.canceled(); err != nil {
 			return nil, err
@@ -451,14 +450,16 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 			}
 		}
 
-		widest = max(widest, width)
+		for len(workers) < width {
+			workers = append(workers, &dirWorker[V]{scratch: &graph.Scratch[V]{}})
+		}
 		d.phase(workers[:width], frontier, useBU, curLevel)
 
 		// Fold the phase: gather per-worker next-frontiers and counters, then
 		// reset worker state for the next level.
 		frontier = frontier[:0]
 		mf = 0
-		for _, w := range workers {
+		for _, w := range workers[:width] {
 			if w.err != nil {
 				return nil, w.err
 			}
@@ -474,9 +475,9 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 		prevNf = nf
 		curLevel++
 	}
-	st.WorkerVisits = make([]uint64, widest)
-	for i := range st.WorkerVisits {
-		st.WorkerVisits[i] = workers[i].total
+	st.WorkerVisits = make([]uint64, len(workers))
+	for i, w := range workers {
+		st.WorkerVisits[i] = w.total
 	}
 	res.Stats = st
 	return res, nil
