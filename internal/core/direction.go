@@ -154,6 +154,21 @@ type dirDriver[V graph.Vertex] struct {
 	parent []V
 	n      uint64
 	ctx    context.Context // cfg.Context; nil when the traversal cannot be cancelled
+	// front is the current frontier as a bitmap, rebuilt before each
+	// bottom-up phase and read-only during it: a probe tests one bit of n/8
+	// bytes per in-edge instead of loading an 8-byte level word from 8n.
+	front []uint64
+}
+
+// markFrontier rebuilds front from the frontier list.
+func (d *dirDriver[V]) markFrontier(frontier []V) {
+	if d.front == nil {
+		d.front = make([]uint64, (d.n+63)/64)
+	}
+	clear(d.front)
+	for _, v := range frontier {
+		d.front[v>>6] |= 1 << (v & 63)
+	}
 }
 
 // canceled is the phase workers' cancellation poll — once per top-down
@@ -248,8 +263,8 @@ func (w *dirWorker[V]) topDown(d *dirDriver[V], frontier []V, nextLevel uint64) 
 }
 
 // probe is the bottom-up relaxation for one unvisited vertex: scan its
-// in-neighbors for a member of the current frontier (level == curLevel) and
-// settle at the first hit. The store is exclusive — v lies in this worker's
+// in-neighbors for a member of the current frontier (a set bit of d.front)
+// and settle at the first hit. The store is exclusive — v lies in this worker's
 // id range — and atomic so concurrent unvisited() readers never tear. The
 // error is the traversal's cancellation, which makes a scanning back end stop
 // issuing spans.
@@ -262,7 +277,7 @@ func (w *dirWorker[V]) probe(d *dirDriver[V], v V, in []V, curLevel uint64) erro
 	w.visits++
 	w.edges += uint64(len(in))
 	for _, u := range in {
-		if atomic.LoadUint64(&d.level[u]) != curLevel {
+		if d.front[u>>6]>>(u&63)&1 == 0 {
 			continue
 		}
 		atomic.StoreUint64(&d.level[v], curLevel+1)
@@ -450,6 +465,9 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 			}
 		}
 
+		if useBU {
+			d.markFrontier(frontier)
+		}
 		for len(workers) < width {
 			workers = append(workers, &dirWorker[V]{scratch: &graph.Scratch[V]{}})
 		}
