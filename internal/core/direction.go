@@ -473,14 +473,24 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 		}
 		d.phase(workers[:width], frontier, useBU, curLevel)
 
-		// Fold the phase: gather per-worker next-frontiers and counters, then
-		// reset worker state for the next level.
-		frontier = frontier[:0]
+		// Fold the phase: merge the per-worker next-frontiers into one
+		// contiguous frontier, sized first from their summed lengths — grown by
+		// append it is reallocated and copied a dozen times on its way to a
+		// scale-free graph's peak — gather the counters, and reset worker
+		// state for the next level.
 		mf = 0
+		total := 0
 		for _, w := range workers[:width] {
 			if w.err != nil {
 				return nil, w.err
 			}
+			total += len(w.next)
+		}
+		if cap(frontier) < total {
+			frontier = make([]V, 0, total)
+		}
+		frontier = frontier[:0]
+		for _, w := range workers[:width] {
 			frontier = append(frontier, w.next...)
 			mf += w.mf
 			st.Visits += w.visits
