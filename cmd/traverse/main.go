@@ -1,12 +1,9 @@
 // Command traverse runs the asynchronous traversal engine over a graph file
 // produced by cmd/gengraph, either in-memory or semi-externally through a
-// simulated flash device. BFS chooses its driver from the graph — the
-// direction-switching phases where the file can answer "who points at v?"
-// (an undirected graph, or one written -symmetric), the asynchronous kernel
-// otherwise — and the `bfs:` line says which ran and why. The comparator
-// engines (serial, level-synchronous, BSP) are the paper's exhibits and run
-// from cmd/bench; here -check compares the engine's answer against the
-// serial one.
+// simulated flash device. BFS chooses its driver from the graph (its `bfs:`
+// line says which ran and why). The comparator engines (serial,
+// level-synchronous, BSP) are the paper's exhibits and run from cmd/bench;
+// here -check compares the engine's answer against the serial one.
 //
 // Examples:
 //

@@ -67,16 +67,10 @@ const (
 )
 
 func (d Direction) String() string {
-	switch d {
-	case DirectionTopDown:
-		return "topdown"
-	case DirectionBottomUp:
-		return "bottomup"
-	case DirectionHybrid:
-		return "hybrid"
-	default:
-		return "auto"
+	if d < DirectionAuto || d > DirectionHybrid {
+		d = DirectionAuto
 	}
+	return [...]string{"auto", "topdown", "bottomup", "hybrid"}[d]
 }
 
 // cachedDensity is the edges-per-vertex bound below which DirectionAuto keeps

@@ -19,8 +19,8 @@ type Builder[V Vertex] struct {
 	n        uint64
 	weighted bool
 	edges    []Edge[V]
-	// symmetrized holds from Symmetrize until the next edge is added: the
-	// edge multiset is then its own transpose, and Build marks the CSR.
+	// symmetrized holds from Symmetrize until an edge is added: Build then
+	// marks the CSR as its own transpose.
 	symmetrized bool
 }
 
@@ -145,9 +145,8 @@ func NewCSRRaw[V Vertex](offsets []uint64, targets []V, weights []Weight) (*CSR[
 	return &CSR[V]{offsets: offsets, targets: targets, weights: weights}, nil
 }
 
-// NewLoadedCSR is NewCSRRaw for a loader: symmetric marks the graph as its
-// own transpose on the word of a file header that carries the flag — as
-// trusted as the rest of a format without checksums, and not re-checked.
+// NewLoadedCSR is NewCSRRaw for a loader: symmetric marks the graph on the
+// word of a file header, as trusted as the rest of a format without checksums.
 func NewLoadedCSR[V Vertex](symmetric bool, offsets []uint64, targets []V, weights []Weight) (*CSR[V], error) {
 	g, err := NewCSRRaw(offsets, targets, weights)
 	if err == nil {

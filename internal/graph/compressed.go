@@ -18,14 +18,12 @@ import (
 // decodes into the caller's scratch, so traversal over a compressed graph
 // allocates nothing per edge.
 type CompressedCSR[V Vertex] struct {
-	offsets  []uint64 // n+1 byte offsets into blob; block of v is blob[offsets[v]:offsets[v+1]]
-	degrees  []uint32 // out-degree of each vertex (block length alone cannot recover it)
-	blob     []byte   // concatenated encoded blocks
-	weighted bool
-	m        uint64
-	// symmetric is the source CSR's mark (see CSR.Symmetric), kept through
-	// Compress: the blocks are then their own reverse adjacency.
-	symmetric bool
+	offsets   []uint64 // n+1 byte offsets into blob; block of v is blob[offsets[v]:offsets[v+1]]
+	degrees   []uint32 // out-degree of each vertex (block length alone cannot recover it)
+	blob      []byte   // concatenated encoded blocks
+	weighted  bool
+	m         uint64
+	symmetric bool // the source CSR's mark (see CSR.Symmetric)
 }
 
 // Compress encodes g. Vertices whose adjacency lists are not already sorted

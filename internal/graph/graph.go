@@ -103,11 +103,10 @@ type CSR[V Vertex] struct {
 	offsets []uint64 // len n+1; edge span of v is [offsets[v], offsets[v+1])
 	targets []V
 	weights []Weight // nil for unweighted graphs
-	// symmetric marks a graph whose adjacency is its own transpose, so it
-	// answers "who points at v?" from its own lists (InAdjacency below). Only
-	// construction sets it: Builder.Build straight after Symmetrize, a copy
-	// that keeps the structure (WithWeights, Compress), and a loader whose
-	// file header says so (NewLoadedCSR).
+	// symmetric marks a graph that is its own transpose and so serves its own
+	// in-edges (InAdjacency below). Only construction sets it: Build straight
+	// after Symmetrize, a copy that keeps the structure (WithWeights,
+	// Compress), a loader whose file header says so (NewLoadedCSR).
 	symmetric bool
 }
 
@@ -143,15 +142,13 @@ func (g *CSR[V]) Neighbors(v V, _ *Scratch[V]) ([]V, []Weight, error) {
 // Symmetric reports the mark: every edge is stored in both directions.
 func (g *CSR[V]) Symmetric() bool { return g.symmetric }
 
-// HasInEdges is the dynamic side of the InAdjacency capability (see InEdges):
-// a CSR serves reverse adjacency exactly when it is marked symmetric.
+// HasInEdges gates the InAdjacency capability on the mark (see InEdges).
 func (g *CSR[V]) HasInEdges() bool { return g.symmetric }
 
 // InDegree implements InAdjacency for a symmetric graph.
 func (g *CSR[V]) InDegree(v V) int { return g.Degree(v) }
 
-// InNeighbors implements InAdjacency for a symmetric graph: the sources of
-// v's in-edges are the targets of its out-edges.
+// InNeighbors implements InAdjacency for a symmetric graph: v's out-list.
 func (g *CSR[V]) InNeighbors(v V, _ *Scratch[V]) ([]V, error) {
 	return g.targets[g.offsets[v]:g.offsets[v+1]], nil
 }

@@ -81,57 +81,34 @@ func InEdgeSource[V Vertex](g Adjacency[V]) string {
 	return "section"
 }
 
-// Bidi pairs an in-memory forward adjacency with its reverse, making a
-// directed graph direction-capable: NewBidi(g, Transpose(g)). Forward reads
-// delegate to fwd; in-edge reads delegate to rev's forward adjacency, both
-// through the caller's scratch (a list is valid until the next call with it,
-// whichever side that call reads).
+// Bidi pairs an in-memory graph with its reverse, making a directed graph
+// direction-capable: NewBidi(g, Transpose(g)). Forward reads are the embedded
+// graph's own; in-edge reads delegate to rev's forward adjacency, through the
+// caller's scratch (a list is valid until the next call with it, whichever
+// side that call reads).
 type Bidi[V Vertex] struct {
-	fwd Adjacency[V]
+	InMemory[V]
 	rev Adjacency[V]
+}
+
+// InMemory is what Bidi needs of its forward side beyond Adjacency, and what
+// both in-memory back ends (CSR, CompressedCSR) provide.
+type InMemory[V Vertex] interface {
+	Adjacency[V]
+	NumEdges() uint64
+	Weighted() bool
 }
 
 // NewBidi builds the pairing. rev must be the transpose of fwd; only the
 // vertex counts are validated here.
-func NewBidi[V Vertex](fwd, rev Adjacency[V]) (*Bidi[V], error) {
+func NewBidi[V Vertex](fwd InMemory[V], rev Adjacency[V]) (*Bidi[V], error) {
 	if fwd == nil || rev == nil {
 		return nil, fmt.Errorf("graph: bidi needs both a forward and a reverse adjacency")
 	}
 	if fn, rn := fwd.NumVertices(), rev.NumVertices(); fn != rn {
 		return nil, fmt.Errorf("graph: bidi forward has %d vertices, reverse has %d", fn, rn)
 	}
-	return &Bidi[V]{fwd: fwd, rev: rev}, nil
-}
-
-// NumVertices implements Adjacency.
-func (b *Bidi[V]) NumVertices() uint64 { return b.fwd.NumVertices() }
-
-// NumEdges reports the forward edge count when fwd exposes one.
-func (b *Bidi[V]) NumEdges() uint64 {
-	if ne, ok := b.fwd.(interface{ NumEdges() uint64 }); ok {
-		return ne.NumEdges()
-	}
-	return 0
-}
-
-// Weighted reports whether the forward side carries edge weights.
-func (b *Bidi[V]) Weighted() bool {
-	if w, ok := b.fwd.(interface{ Weighted() bool }); ok {
-		return w.Weighted()
-	}
-	return false
-}
-
-// Degree implements Adjacency.
-//
-//lint:hotpath
-func (b *Bidi[V]) Degree(v V) int { return b.fwd.Degree(v) }
-
-// Neighbors implements Adjacency, delegating to the forward side.
-//
-//lint:hotpath
-func (b *Bidi[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, error) {
-	return b.fwd.Neighbors(v, scratch)
+	return &Bidi[V]{InMemory: fwd, rev: rev}, nil
 }
 
 // InDegree implements InAdjacency.

@@ -195,9 +195,8 @@ func assemble(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, erro
 	m.Adj = m.CSR
 	if !m.CSR.Symmetric() && inSections(backings) {
 		// The writer paid for a transpose section so that BFS could switch
-		// direction on this directed graph; decoded into memory, the same
-		// capability is the CSR paired with its transpose. (A symmetric graph
-		// arrives marked and serves its own in-edges.)
+		// direction on this directed graph; in memory that capability is the
+		// CSR paired with its transpose.
 		rev, err := graph.Transpose(m.CSR)
 		if err != nil {
 			return nil, err
@@ -210,9 +209,8 @@ func assemble(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, erro
 	return m, nil
 }
 
-// inSections reports whether every image carries reverse adjacency: the
-// in-edge sections of a directed graph's files (the loader that just decoded
-// them has already vouched for their headers).
+// inSections reports whether every image of a directed graph (whose headers
+// the loader has just vouched for) carries an in-edge section.
 func inSections(backings []ssd.Backing) bool {
 	for _, b := range backings {
 		if g, err := sem.Open[uint32](b); err != nil || !g.HasInEdges() {

@@ -170,10 +170,9 @@ type WriteConfig struct {
 	// the transpose of the logical graph, enabling bottom-up traversal
 	// phases. Mutually exclusive with Symmetric.
 	InEdges bool
-	// Symmetric demands the zero-storage reverse capability (flagSymmetric):
-	// Write fails unless g is marked symmetric (Builder.Symmetrize output, or
-	// a load of a flagged file). The flag itself needs no asking for — a
-	// marked graph is written with it whenever InEdges is not set.
+	// Symmetric demands flagSymmetric: Write fails unless g is marked
+	// symmetric. The flag itself needs no asking for — a marked graph is
+	// written with it whenever InEdges is not set.
 	Symmetric bool
 	// Shard, when non-nil, extracts and writes that shard of g with a shard
 	// map. The in-edge section of shard k holds the in-adjacency of k's owned
@@ -238,12 +237,9 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 			return err
 		}
 	}
-	flags := recordFlags[V](sub.Weighted())
+	flags := recordFlags[V](sub.Weighted(), g.Symmetric() && in == nil)
 	if in != nil {
 		flags |= flagInEdges
-	}
-	if g.Symmetric() && in == nil {
-		flags |= flagSymmetric
 	}
 	n, m := sub.NumVertices(), sub.NumEdges()
 	if !cfg.Compress {
@@ -280,12 +276,16 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 	return writeSection[V](w, "in-edge", inC.BlockOffsets(), inC.Degrees(), inC.Blob(), nil, nil)
 }
 
-// recordFlags is the header's description of a forward record: whether it
-// carries a weight, and the vertex id width.
-func recordFlags[V graph.Vertex](weighted bool) uint64 {
+// recordFlags is the header's description of the edge region: whether a
+// record carries a weight, the vertex id width, and whether the region is its
+// own transpose.
+func recordFlags[V graph.Vertex](weighted, symmetric bool) uint64 {
 	var flags uint64
 	if weighted {
 		flags |= flagWeighted
+	}
+	if symmetric {
+		flags |= flagSymmetric
 	}
 	if vertexWidth[V]() == 8 {
 		flags |= flag64Bit
@@ -305,11 +305,7 @@ func WriteStream[V graph.Vertex](w io.Writer, offsets []uint64, weighted, symmet
 		return fmt.Errorf("sem: empty vertex index (want n+1 offsets)")
 	}
 	n, m := uint64(len(offsets)-1), offsets[len(offsets)-1]
-	flags := recordFlags[V](weighted)
-	if symmetric {
-		flags |= flagSymmetric
-	}
-	if err := writeHeader(w, version, flags, n, m, 0, nil); err != nil {
+	if err := writeHeader(w, version, recordFlags[V](weighted, symmetric), n, m, 0, nil); err != nil {
 		return err
 	}
 	sw := sectionWriter[V]{w: w, what: "edge", buf: make([]byte, 0, sectionBuf)}

@@ -344,9 +344,8 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		Weighted bool   `json:"weighted"`
 		Storage  string `json:"storage"`
 		Shards   int    `json:"shards,omitempty"`
-		// InEdges is where the graph's reverse adjacency comes from
-		// ("symmetric", "section" or "none") and BFSDriver the implementation
-		// a BFS query on it runs, which core chooses from that and the storage.
+		// Where the graph's reverse adjacency comes from, and the BFS
+		// implementation core chooses from that and the storage.
 		InEdges   string `json:"in_edges"`
 		BFSDriver string `json:"bfs_driver"`
 	}
