@@ -124,6 +124,8 @@ func runOutOfCore(typ string, scale, degree int, undirected bool, weights string
 			want = total - done
 		}
 		for _, e := range gen.RMATEdges[uint32](scale, want, params, seed+done) {
+			// A self-loop draws one weight, any other undirected edge two: the
+			// stream these files have always been generated from.
 			w := wgen()
 			if !undirected {
 				err = b.Add(e.Src, e.Dst, w)

@@ -98,7 +98,7 @@ func TestMountTable(t *testing.T) {
 				t.Errorf("in-memory mount: CSR=%v graphs=%d shards=%d", m.CSR != nil, len(m.Graphs), m.Shards)
 			}
 		}},
-		{"IM from a file with an in-edge section", sem.WriteConfig{InEdges: true}, 1, Options{}, func(t *testing.T, m *Mounted) {
+		{"IM hybrid", sem.WriteConfig{InEdges: true}, 1, Options{}, func(t *testing.T, m *Mounted) {
 			if _, ok := m.Adj.(*graph.Bidi[uint32]); !ok {
 				t.Errorf("in-memory mount of a file with in-edges is %T, want the CSR paired with its transpose", m.Adj)
 			}
@@ -122,7 +122,7 @@ func TestMountTable(t *testing.T) {
 		{"SEM nocache window 16", v1, 1, raw, none},
 		{"compressed cached", v2, 1, sem1, none},
 		{"compressed nocache", v2, 1, raw, none},
-		{"compressed + in-edges", sem.WriteConfig{Compress: true, InEdges: true}, 1, sem1,
+		{"compressed + in-edges hybrid", sem.WriteConfig{Compress: true, InEdges: true}, 1, sem1,
 			func(t *testing.T, m *Mounted) {
 				if !m.Graphs[0].Compressed() || !m.Graphs[0].HasInEdges() || m.Engine.Alpha <= 0 {
 					t.Errorf("compressed=%v inEdges=%v alpha=%d", m.Graphs[0].Compressed(), m.Graphs[0].HasInEdges(), m.Engine.Alpha)
