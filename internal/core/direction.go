@@ -100,7 +100,7 @@ func drives[V graph.Vertex](cfg Config, g graph.Adjacency[V]) bool {
 	if _, ok := graph.InEdges(g); !ok {
 		return false
 	}
-	if _, onDevice := g.(graph.BatchAdjacency[V]); !onDevice || cfg.Prefetch > 1 {
+	if _, dev := onDevice(g); !dev || cfg.Prefetch > 1 {
 		return true
 	}
 	ne, ok := g.(interface{ NumEdges() uint64 })

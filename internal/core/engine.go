@@ -15,8 +15,9 @@
 // The implementation is layered into three files:
 //
 //   - mailbox.go — the delivery layer: lock-protected per-worker queues and
-//     per-worker outboxes that batch pushes per destination owner, amortizing
-//     the destination queue's lock over batchSize items;
+//     per-worker outboxes that batch pushes per destination owner, delivered
+//     when a bucket fills, before the worker blocks on its own queue, and —
+//     on a device-backed graph — after every visit;
 //   - terminate.go — the termination layer: the Terminator outstanding-work
 //     counter with init token and CAS-max peak tracking;
 //   - kernels.go — the algorithm layer: the single label-relaxation kernel
@@ -191,8 +192,9 @@ type Ctx[V graph.Vertex] struct {
 
 // Push queues a visitor for vertex v with the given priority and payload.
 // The visitor is buffered in the worker's outbox and delivered when the
-// destination bucket reaches batchSize items or the worker runs out of local
-// work.
+// destination bucket reaches batchSize items, when the worker runs out of
+// local work, or — on an engine told to DeliverEveryVisit, as the kernels tell
+// it for a graph on a device — when the pushing visit returns.
 //
 //lint:hotpath
 func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
@@ -276,6 +278,12 @@ type Engine[V graph.Vertex] struct {
 	// accounting, so once Wait returns the two notification streams balance
 	// per vertex.
 	settle graph.Settler
+
+	// everyVisit, when set (DeliverEveryVisit), is the third delivery trigger:
+	// a worker delivers its whole outbox after every visit, so it never starts
+	// one — never blocks in a storage read — holding a visitor another worker
+	// could be running.
+	everyVisit bool
 }
 
 // New creates an engine that will execute visit for every queued visitor.
@@ -314,6 +322,14 @@ func (e *Engine[V]) SetPrefetch(fn func(window []pq.Item, scratch *graph.Scratch
 // Push. The sink is called from every worker concurrently; it must be atomic
 // and cheap.
 func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }
+
+// DeliverEveryVisit makes every worker deliver its outbox after each visit
+// instead of only when a bucket fills or its own queue runs dry. The kernels
+// set it when the graph lives on a device: a worker there spends its life
+// blocked in adjacency reads with a queue that is not empty, and a visitor
+// held across a ~1 ms read is one its owner idles without, or visits a worse
+// label (and pays a read) in place of. Must be called before Start.
+func (e *Engine[V]) DeliverEveryVisit() { e.everyVisit = true }
 
 // Start launches the worker goroutines. It must be called exactly once,
 // before Wait.
@@ -497,6 +513,9 @@ func (e *Engine[V]) worker(id int) {
 					invariant.Failf("owner rule: visitor for vertex %d (owner %d) popped by worker %d", it.V, o, id)
 				}
 			}
+			if e.everyVisit {
+				ctx.out.assertEmpty(id, "at a pop")
+			}
 		}
 		if len(window) > 1 && !e.aborted.Load() {
 			e.prefetch(window, ctx.Scratch)
@@ -517,6 +536,9 @@ func (e *Engine[V]) worker(id int) {
 			if e.term.Finish() {
 				e.finish()
 			}
+			if e.everyVisit {
+				ctx.out.flush()
+			}
 		}
 	}
 }
@@ -531,7 +553,11 @@ func (e *Engine[V]) worker(id int) {
 // still counts (it saw a Start at every queueing site and a Finish for every
 // popped visitor), which `-tags invariants` asserts — on completed traversals
 // too, where that count is zero and every other build skips the walk
-// (Workers queues and Workers x Workers outbox buckets).
+// (Workers queues and Workers x Workers outbox buckets). An outbox holds
+// something only where delivery waits for a bucket to fill or the queue to run
+// dry: a worker told to DeliverEveryVisit flushes after the visit an abort cut
+// short too (into queues this drain then empties), so it exits holding nothing,
+// which the same tag asserts.
 func (e *Engine[V]) drainAborted() {
 	if !invariant.Enabled && (e.settle == nil || !e.aborted.Load()) {
 		return
@@ -550,7 +576,10 @@ func (e *Engine[V]) drainAborted() {
 			settle(it)
 		}
 	}
-	for _, out := range e.res.outs {
+	for id, out := range e.res.outs {
+		if invariant.Enabled && e.everyVisit {
+			out.assertEmpty(id, "after its worker exited")
+		}
 		for owner, buf := range out.bufs {
 			for _, it := range buf {
 				settle(it)

@@ -54,6 +54,9 @@ func ccSeededBeforeStart(t *testing.T, g *graph.CSR[uint32], prefetch int) golde
 	e := New[uint32](Config{Workers: 1, Prefetch: prefetch}, k.visit)
 	var run goldenRun
 	if prefetch > 1 {
+		// What runKernel wires for a graph on a device: the window hook and
+		// delivery after every visit.
+		e.DeliverEveryVisit()
 		e.SetPrefetch(func(window []pq.Item, _ *graph.Scratch[uint32]) {
 			run.windows++
 			run.announced += len(window)
@@ -86,16 +89,26 @@ func ccSeededBeforeStart(t *testing.T, g *graph.CSR[uint32], prefetch int) golde
 //	sssp-window  4783 4782 2960 128  606
 //	cc           3680 3080 2168   0    0
 //	cc-window    3710 3110 2280 233 3709
+//
+// The -window rows run a graph.BatchAdjacency graph, which the kernels take
+// for a graph on a device and deliver after every visit; their counters were
+// re-recorded once when that trigger landed (PR 24). With delivery on the size
+// and drain triggers alone they read {visits, pushes, pruned, maxQueue,
+// windows, announced}:
+//
+//	bfs-window    600  599 4170 368 38  597
+//	sssp-window  1125 1124 3978 656 70  647
+//	cc-window    1307  707 2578 968 83 1305
 func TestSingleWorkerGolden(t *testing.T) {
 	dg := randomDigraph(t, 600, 4800, true, 41)
 	ug := randomUndirected(t, 600, 1500, 43)
 	want := map[string]goldenRun{
 		"bfs":         {600, 599, 4170, 375, 0x9b3a73cd36111e6, 0, 0},
-		"bfs-window":  {600, 599, 4170, 368, 0x9b3a73cd36111e6, 38, 597},
+		"bfs-window":  {600, 599, 4170, 375, 0x9b3a73cd36111e6, 38, 599},
 		"sssp":        {1111, 1110, 3942, 654, 0xa039ef19f5f055a5, 0, 0},
-		"sssp-window": {1125, 1124, 3978, 656, 0xa039ef19f5f055a5, 70, 647},
+		"sssp-window": {1113, 1112, 3660, 672, 0xa039ef19f5f055a5, 65, 608},
 		"cc":          {1301, 701, 2553, 966, 0xda43a2686a5590c5, 0, 0},
-		"cc-window":   {1307, 707, 2578, 968, 0xda43a2686a5590c5, 83, 1305},
+		"cc-window":   {1305, 705, 2411, 975, 0xda43a2686a5590c5, 82, 1305},
 	}
 	got := map[string]goldenRun{}
 	for _, window := range []bool{false, true} {

@@ -156,6 +156,16 @@ func (k *kernelState[V]) assertQuiescent() {
 	}
 }
 
+// onDevice reports whether g's adjacency lives on a storage device — the back
+// ends that take pop-window announcements — and returns that side of it. It is
+// the one signal behind both things a traversal decides from where the graph
+// lives: which BFS driver runs (drives) and when a worker delivers its outbox
+// (runKernel).
+func onDevice[V graph.Vertex](g graph.Adjacency[V]) (graph.BatchAdjacency[V], bool) {
+	ba, ok := g.(graph.BatchAdjacency[V])
+	return ba, ok
+}
+
 // runKernel executes the shared label-relaxation traversal. labels must be
 // length NumVertices and initialized to graph.InfDist ("initialized to
 // infinity"). parent, when non-nil, records the proposing vertex of each
@@ -192,8 +202,9 @@ func runKernel[V graph.Vertex](
 			e.SetSettle(sink)
 		}
 	}
-	if cfg.Prefetch > 1 {
-		if ba, ok := g.(graph.BatchAdjacency[V]); ok {
+	if ba, ok := onDevice(g); ok {
+		e.DeliverEveryVisit()
+		if cfg.Prefetch > 1 {
 			e.SetPrefetch(func(window []pq.Item, scratch *graph.Scratch[V]) {
 				vs := make([]V, 0, len(window))
 				for _, it := range window {

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"repro/internal/invariant"
 	"repro/internal/pq"
 )
 
@@ -15,18 +16,23 @@ import (
 // mailbox layer attacks the same cost directly: a visitor's pushes are
 // buffered in its worker's outbox, bucketed by destination owner, and
 // delivered in batches, so the destination's lock and condvar signal are
-// amortized over batchSize items instead of paid per push. Batching is
-// drain-triggered as well as size-triggered: a worker flushes every outbox
-// buffer before it blocks on its own empty mailbox, which bounds delivery
-// latency and makes starvation (and outbox-induced deadlock) impossible —
-// a blocked worker never holds undelivered visitors, and the termination
-// counter includes buffered visitors, so the traversal cannot be declared
-// finished while any outbox is non-empty.
+// amortized over a batch instead of paid per push. Three triggers deliver:
+// a bucket reaching batchSize (size); a worker about to block on its own
+// empty mailbox, which flushes everything and makes starvation and
+// outbox-induced deadlock impossible (drain); and, on a device-backed
+// traversal, the end of every visit (Engine.DeliverEveryVisit) — there a
+// worker blocks in storage reads with a mailbox that is not empty, and the
+// first two triggers left it holding, for milliseconds, the visitors other
+// workers were idle for. The termination counter includes buffered visitors,
+// so the traversal cannot be declared finished while any outbox is non-empty.
 
-// batchSize is the outbox flush threshold: a destination's bucket is
-// delivered when it holds this many visitors. Batched delivery beat
-// lock-per-push at every point of the EXPERIMENTS.md sweep, with the curve
-// flat between 16 and 256.
+// batchSize is the size trigger: a destination's bucket is delivered when it
+// holds this many visitors. Since the proposal filter a bucket fills only
+// inside one visit — a hub's fan-out landing on one owner — so the constant
+// bounds an outbox rather than pacing delivery; the drain and visit triggers
+// do that. 64 comes from a push-throughput sweep at 1-4 workers (flat between
+// 16 and 256) that predates the filter and never timed a device; no pair since
+// has asked for another value.
 const batchSize = 64
 
 // workQueue is one worker's mailbox: a priority queue guarded by a mutex and
@@ -127,8 +133,8 @@ func (o *outbox) add(owner int, it pq.Item) {
 	o.bufs[owner] = buf
 }
 
-// flush delivers every buffered visitor (the drain trigger). Must be called
-// before the producer blocks or exits.
+// flush delivers every buffered visitor (the drain and visit triggers). Must
+// be called before the producer blocks or exits.
 //
 //lint:hotpath
 func (o *outbox) flush() {
@@ -136,6 +142,18 @@ func (o *outbox) flush() {
 		if len(buf) > 0 {
 			o.queues[owner].pushBatch(buf)
 			o.bufs[owner] = buf[:0]
+		}
+	}
+}
+
+// assertEmpty fails (under `-tags invariants`, its only callers) when this
+// outbox, worker id's own, holds a visitor at a point where a device-backed
+// traversal must have delivered everything: at a pop, whose visits may block
+// in storage reads, and once the worker has exited.
+func (o *outbox) assertEmpty(id int, when string) {
+	for owner, buf := range o.bufs {
+		if len(buf) != 0 {
+			invariant.Failf("delivery rule: worker %d holds %d undelivered visitors for worker %d %s", id, len(buf), owner, when)
 		}
 	}
 }
