@@ -112,6 +112,11 @@ func (q *workQueue) finish() {
 type outbox struct {
 	queues []*workQueue
 	bufs   [][]pq.Item
+	// touched lists the owners whose bucket went non-empty since the last
+	// flush (one delivered by the size trigger in between may appear twice),
+	// so a flush costs the buckets used, not the worker count: a device-backed
+	// traversal flushes after every visit, at up to 512 workers.
+	touched []int32
 }
 
 func newOutbox(queues []*workQueue) *outbox {
@@ -125,6 +130,9 @@ func newOutbox(queues []*workQueue) *outbox {
 //lint:hotpath
 func (o *outbox) add(owner int, it pq.Item) {
 	buf := append(o.bufs[owner], it)
+	if len(buf) == 1 {
+		o.touched = append(o.touched, int32(owner))
+	}
 	if len(buf) >= batchSize {
 		o.queues[owner].pushBatch(buf)
 		o.bufs[owner] = buf[:0]
@@ -138,12 +146,13 @@ func (o *outbox) add(owner int, it pq.Item) {
 //
 //lint:hotpath
 func (o *outbox) flush() {
-	for owner, buf := range o.bufs {
-		if len(buf) > 0 {
+	for _, owner := range o.touched {
+		if buf := o.bufs[owner]; len(buf) > 0 {
 			o.queues[owner].pushBatch(buf)
 			o.bufs[owner] = buf[:0]
 		}
 	}
+	o.touched = o.touched[:0]
 }
 
 // assertEmpty fails (under `-tags invariants`, its only callers) when this
@@ -166,4 +175,5 @@ func (o *outbox) reset() {
 	for owner := range o.bufs {
 		o.bufs[owner] = o.bufs[owner][:0]
 	}
+	o.touched = o.touched[:0]
 }
