@@ -206,7 +206,7 @@ func runKernel[V graph.Vertex](
 		e.DeliverEveryVisit()
 		if cfg.Prefetch > 1 {
 			e.SetPrefetch(func(window []pq.Item, scratch *graph.Scratch[V]) {
-				vs := make([]V, 0, len(window))
+				vs := scratch.Window[:0]
 				for _, it := range window {
 					v := V(it.V)
 					// A stale visitor will be dropped at visit time; skip its
@@ -216,6 +216,7 @@ func runKernel[V graph.Vertex](
 						vs = append(vs, v)
 					}
 				}
+				scratch.Window = vs
 				if len(vs) > 0 {
 					ba.NeighborsBatch(vs, scratch)
 				}

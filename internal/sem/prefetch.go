@@ -24,8 +24,9 @@ package sem
 // never wrong labels.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -375,7 +376,7 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 	if len(exts) == 0 {
 		return
 	}
-	sort.Slice(exts, func(i, j int) bool { return exts[i].off < exts[j].off })
+	slices.SortFunc(exts, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
 	p.windows.Add(1)
 	p.vertices.Add(uint64(len(exts)))
 
