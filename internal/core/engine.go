@@ -15,9 +15,8 @@
 // The implementation is layered into three files:
 //
 //   - mailbox.go — the delivery layer: lock-protected per-worker queues and
-//     per-worker outboxes that batch pushes per destination owner, delivered
-//     when a bucket fills, before the worker blocks on its own queue, and —
-//     on a device-backed graph — after every visit;
+//     per-worker outboxes that batch pushes per destination owner (delivered
+//     when a bucket fills, the queue runs dry or, on a device, a visit ends);
 //   - terminate.go — the termination layer: the Terminator outstanding-work
 //     counter with init token and CAS-max peak tracking;
 //   - kernels.go — the algorithm layer: the single label-relaxation kernel
@@ -192,9 +191,8 @@ type Ctx[V graph.Vertex] struct {
 
 // Push queues a visitor for vertex v with the given priority and payload.
 // The visitor is buffered in the worker's outbox and delivered when the
-// destination bucket reaches batchSize items, when the worker runs out of
-// local work, or — on an engine told to DeliverEveryVisit, as the kernels tell
-// it for a graph on a device — when the pushing visit returns.
+// destination bucket reaches batchSize items, the worker runs out of local
+// work, or — under DeliverEveryVisit — the pushing visit returns.
 //
 //lint:hotpath
 func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
@@ -278,11 +276,7 @@ type Engine[V graph.Vertex] struct {
 	// accounting, so once Wait returns the two notification streams balance
 	// per vertex.
 	settle graph.Settler
-
-	// everyVisit, when set (DeliverEveryVisit), is the third delivery trigger:
-	// a worker delivers its whole outbox after every visit, so it never starts
-	// one — never blocks in a storage read — holding a visitor another worker
-	// could be running.
+	// everyVisit: workers flush their outbox after every visit (DeliverEveryVisit).
 	everyVisit bool
 }
 
@@ -323,12 +317,10 @@ func (e *Engine[V]) SetPrefetch(fn func(window []pq.Item, scratch *graph.Scratch
 // and cheap.
 func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }
 
-// DeliverEveryVisit makes every worker deliver its outbox after each visit
-// instead of only when a bucket fills or its own queue runs dry. The kernels
-// set it when the graph lives on a device: a worker there spends its life
-// blocked in adjacency reads with a queue that is not empty, and a visitor
-// held across a ~1 ms read is one its owner idles without, or visits a worse
-// label (and pays a read) in place of. Must be called before Start.
+// DeliverEveryVisit makes every worker deliver its outbox after each visit, so
+// it never blocks in a storage read holding a visitor another worker could be
+// running: there its queue is not empty and no bucket is full. The kernels set
+// it when the graph lives on a device. Must be called before Start.
 func (e *Engine[V]) DeliverEveryVisit() { e.everyVisit = true }
 
 // Start launches the worker goroutines. It must be called exactly once,
@@ -513,8 +505,10 @@ func (e *Engine[V]) worker(id int) {
 					invariant.Failf("owner rule: visitor for vertex %d (owner %d) popped by worker %d", it.V, o, id)
 				}
 			}
-			if e.everyVisit {
-				ctx.out.assertEmpty(id, "at a pop")
+			for owner, buf := range ctx.out.bufs {
+				if e.everyVisit && len(buf) != 0 {
+					invariant.Failf("delivery rule: worker %d popped holding %d undelivered visitors for worker %d", id, len(buf), owner)
+				}
 			}
 		}
 		if len(window) > 1 && !e.aborted.Load() {
@@ -553,11 +547,9 @@ func (e *Engine[V]) worker(id int) {
 // still counts (it saw a Start at every queueing site and a Finish for every
 // popped visitor), which `-tags invariants` asserts — on completed traversals
 // too, where that count is zero and every other build skips the walk
-// (Workers queues and Workers x Workers outbox buckets). An outbox holds
-// something only where delivery waits for a bucket to fill or the queue to run
-// dry: a worker told to DeliverEveryVisit flushes after the visit an abort cut
-// short too (into queues this drain then empties), so it exits holding nothing,
-// which the same tag asserts.
+// (Workers queues and Workers x Workers outbox buckets). Under
+// DeliverEveryVisit a worker flushes after the visit an abort cut short too
+// (into queues this drain empties), so its outbox is already empty here.
 func (e *Engine[V]) drainAborted() {
 	if !invariant.Enabled && (e.settle == nil || !e.aborted.Load()) {
 		return
@@ -576,10 +568,7 @@ func (e *Engine[V]) drainAborted() {
 			settle(it)
 		}
 	}
-	for id, out := range e.res.outs {
-		if invariant.Enabled && e.everyVisit {
-			out.assertEmpty(id, "after its worker exited")
-		}
+	for _, out := range e.res.outs {
 		for owner, buf := range out.bufs {
 			for _, it := range buf {
 				settle(it)

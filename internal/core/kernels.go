@@ -156,11 +156,8 @@ func (k *kernelState[V]) assertQuiescent() {
 	}
 }
 
-// onDevice reports whether g's adjacency lives on a storage device — the back
-// ends that take pop-window announcements — and returns that side of it. It is
-// the one signal behind both things a traversal decides from where the graph
-// lives: which BFS driver runs (drives) and when a worker delivers its outbox
-// (runKernel).
+// onDevice reports whether g's adjacency lives on a storage device: the one
+// signal behind which BFS driver runs (drives) and when workers deliver (runKernel).
 func onDevice[V graph.Vertex](g graph.Adjacency[V]) (graph.BatchAdjacency[V], bool) {
 	ba, ok := g.(graph.BatchAdjacency[V])
 	return ba, ok

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/invariant"
 	"repro/internal/pq"
 )
 
@@ -16,23 +15,18 @@ import (
 // mailbox layer attacks the same cost directly: a visitor's pushes are
 // buffered in its worker's outbox, bucketed by destination owner, and
 // delivered in batches, so the destination's lock and condvar signal are
-// amortized over a batch instead of paid per push. Three triggers deliver:
-// a bucket reaching batchSize (size); a worker about to block on its own
-// empty mailbox, which flushes everything and makes starvation and
-// outbox-induced deadlock impossible (drain); and, on a device-backed
-// traversal, the end of every visit (Engine.DeliverEveryVisit) — there a
-// worker blocks in storage reads with a mailbox that is not empty, and the
-// first two triggers left it holding, for milliseconds, the visitors other
-// workers were idle for. The termination counter includes buffered visitors,
-// so the traversal cannot be declared finished while any outbox is non-empty.
+// amortized over a batch instead of paid per push. Three triggers deliver: a
+// bucket reaching batchSize (size); a worker about to block on its own empty
+// mailbox, which makes starvation and outbox-induced deadlock impossible
+// (drain); and, on a device-backed traversal, the end of every visit
+// (Engine.DeliverEveryVisit) — a worker blocked in a storage read has a
+// mailbox that is not empty. The termination counter includes buffered
+// visitors, so a traversal cannot end while any outbox is non-empty.
 
-// batchSize is the size trigger: a destination's bucket is delivered when it
-// holds this many visitors. Since the proposal filter a bucket fills only
-// inside one visit — a hub's fan-out landing on one owner — so the constant
-// bounds an outbox rather than pacing delivery; the drain and visit triggers
-// do that. 64 comes from a push-throughput sweep at 1-4 workers (flat between
-// 16 and 256) that predates the filter and never timed a device; no pair since
-// has asked for another value.
+// batchSize is the size trigger: a bucket is delivered when it holds this many
+// visitors. Since the proposal filter that happens only inside one visit (a
+// hub's fan-out), so it bounds an outbox; the other triggers pace delivery.
+// 64 is from a push-throughput sweep at 1-4 workers that never timed a device.
 const batchSize = 64
 
 // workQueue is one worker's mailbox: a priority queue guarded by a mutex and
@@ -110,13 +104,9 @@ func (q *workQueue) finish() {
 // goroutine (a worker, or one ParallelInit goroutine) and needs no locking of
 // its own.
 type outbox struct {
-	queues []*workQueue
-	bufs   [][]pq.Item
-	// touched lists the owners whose bucket went non-empty since the last
-	// flush (one delivered by the size trigger in between may appear twice),
-	// so a flush costs the buckets used, not the worker count: a device-backed
-	// traversal flushes after every visit, at up to 512 workers.
-	touched []int32
+	queues  []*workQueue
+	bufs    [][]pq.Item
+	touched []int32 // owners gone non-empty since the last flush: all it walks
 }
 
 func newOutbox(queues []*workQueue) *outbox {
@@ -153,18 +143,6 @@ func (o *outbox) flush() {
 		}
 	}
 	o.touched = o.touched[:0]
-}
-
-// assertEmpty fails (under `-tags invariants`, its only callers) when this
-// outbox, worker id's own, holds a visitor at a point where a device-backed
-// traversal must have delivered everything: at a pop, whose visits may block
-// in storage reads, and once the worker has exited.
-func (o *outbox) assertEmpty(id int, when string) {
-	for owner, buf := range o.bufs {
-		if len(buf) != 0 {
-			invariant.Failf("delivery rule: worker %d holds %d undelivered visitors for worker %d %s", id, len(buf), owner, when)
-		}
-	}
 }
 
 // reset discards buffered visitors without delivering them, keeping the

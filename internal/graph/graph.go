@@ -43,8 +43,7 @@ type Scratch[V Vertex] struct {
 	Targets []V
 	Weights []Weight
 	Block   []byte
-	// Window is the engine's buffer for the vertices of one pop window, the
-	// argument of NeighborsBatch; a back end reads it during that call only.
+	// Window is the engine's buffer for one pop window's NeighborsBatch argument.
 	Window []V
 	// Prefetch is an opaque per-worker prefetch session owned by storage
 	// back ends that implement BatchAdjacency. The engine only carries it
