@@ -163,8 +163,16 @@ func (s *balanceSettler) VertexSettled(v uint64) {
 // (internal/sem's TestAbortedTraversalUnpinsStatePolicy is the 128-worker
 // loop); the settle accounting must balance exactly: the rest of the window
 // is skipped but settled, Wait drains queue and outbox, and every goroutine
-// exits.
+// exits. Under DeliverEveryVisit the outbox is no hiding place — the worker
+// flushes after the visit the abort lands in too — and the same accounting
+// must balance with everything in the queue.
 func TestAbortMidWindowSettlesEveryVisitor(t *testing.T) {
+	for name, everyVisit := range map[string]bool{"size and drain triggers": false, "delivery after every visit": true} {
+		t.Run(name, func(t *testing.T) { abortMidWindowSettlesEveryVisitor(t, everyVisit) })
+	}
+}
+
+func abortMidWindowSettlesEveryVisitor(t *testing.T, everyVisit bool) {
 	before := runtime.NumGoroutine()
 	sentinel := errors.New("abort mid-window")
 	settle := &balanceSettler{open: make(map[uint64]int)}
@@ -182,6 +190,9 @@ func TestAbortMidWindowSettlesEveryVisitor(t *testing.T) {
 		return nil
 	})
 	e.SetSettle(settle)
+	if everyVisit {
+		e.DeliverEveryVisit()
+	}
 	e.SetPrefetch(func(window []pq.Item, _ *graph.Scratch[uint32]) {
 		// Arm on the first full window once the outbox has flushed at least
 		// once, so all three hiding places hold visitors at abort time.

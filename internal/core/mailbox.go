@@ -106,11 +106,12 @@ func (q *workQueue) finish() {
 type outbox struct {
 	queues  []*workQueue
 	bufs    [][]pq.Item
-	touched []int32 // owners gone non-empty since the last flush: all it walks
+	touched []int32 // owners pushed to since the last flush: all it walks
+	listed  []bool  // listed[owner]: owner is in touched
 }
 
 func newOutbox(queues []*workQueue) *outbox {
-	return &outbox{queues: queues, bufs: make([][]pq.Item, len(queues))}
+	return &outbox{queues: queues, bufs: make([][]pq.Item, len(queues)), listed: make([]bool, len(queues))}
 }
 
 // add buffers a visitor for the given owner, flushing that owner's bucket if
@@ -119,10 +120,11 @@ func newOutbox(queues []*workQueue) *outbox {
 //
 //lint:hotpath
 func (o *outbox) add(owner int, it pq.Item) {
-	buf := append(o.bufs[owner], it)
-	if len(buf) == 1 {
+	if !o.listed[owner] {
+		o.listed[owner] = true
 		o.touched = append(o.touched, int32(owner))
 	}
+	buf := append(o.bufs[owner], it)
 	if len(buf) >= batchSize {
 		o.queues[owner].pushBatch(buf)
 		o.bufs[owner] = buf[:0]
@@ -137,6 +139,7 @@ func (o *outbox) add(owner int, it pq.Item) {
 //lint:hotpath
 func (o *outbox) flush() {
 	for _, owner := range o.touched {
+		o.listed[owner] = false
 		if buf := o.bufs[owner]; len(buf) > 0 {
 			o.queues[owner].pushBatch(buf)
 			o.bufs[owner] = buf[:0]
@@ -151,7 +154,7 @@ func (o *outbox) flush() {
 // which must not leak into the next run.
 func (o *outbox) reset() {
 	for owner := range o.bufs {
-		o.bufs[owner] = o.bufs[owner][:0]
+		o.bufs[owner], o.listed[owner] = o.bufs[owner][:0], false
 	}
 	o.touched = o.touched[:0]
 }
