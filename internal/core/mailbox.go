@@ -106,8 +106,8 @@ func (q *workQueue) finish() {
 type outbox struct {
 	queues  []*workQueue
 	bufs    [][]pq.Item
-	touched []int32 // owners pushed to since the last flush: all it walks
-	listed  []bool  // listed[owner]: owner is in touched
+	touched []int32 // owners pushed to since the last flush, the only buckets it walks
+	listed  []bool  // listed[owner]: owner is already in touched
 }
 
 func newOutbox(queues []*workQueue) *outbox {
