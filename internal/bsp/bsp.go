@@ -66,9 +66,6 @@ func NewCluster[V graph.Vertex](g graph.Adjacency[V], ranks int) (*Cluster[V], e
 	return &Cluster[V]{g: g, ranks: ranks}, nil
 }
 
-// Ranks reports the number of simulated compute nodes.
-func (c *Cluster[V]) Ranks() int { return c.ranks }
-
 func (c *Cluster[V]) owner(v V) int { return int(uint64(v) % uint64(c.ranks)) }
 
 // exchange runs one superstep: every rank consumes its inbox and produces

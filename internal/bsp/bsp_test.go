@@ -19,8 +19,8 @@ func TestClusterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Ranks() != 4 {
-		t.Fatalf("ranks = %d", c.Ranks())
+	if c.ranks != 4 {
+		t.Fatalf("ranks = %d", c.ranks)
 	}
 	if _, _, err := c.BFS(9); err == nil {
 		t.Fatal("out-of-range source accepted")

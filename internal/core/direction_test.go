@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/gen"
@@ -26,6 +28,42 @@ func semMirrorCfg(t testing.TB, g *graph.CSR[uint32], cfg sem.WriteConfig) *sem.
 		t.Fatal(err)
 	}
 	return sg
+}
+
+// rawMirror serializes g per cfg and mounts it the way a raw-device mount
+// does: the pop window's prefetcher over a zero-budget block table — the one
+// Open puts under a raw store, built here so that the test can read it back.
+func rawMirror(t testing.TB, g *graph.CSR[uint32], cfg sem.WriteConfig) (*sem.Graph[uint32], *sem.CachedStore) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sem.Write(&buf, g, cfg); err != nil {
+		t.Fatal(err)
+	}
+	table, err := sem.NewCachedStore(bytes.NewReader(buf.Bytes()), 4096, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := sem.Open[uint32](table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg.EnablePrefetch(sem.PrefetchConfig{MaxGap: sem.DefaultPrefetchGap})
+	return sg, table
+}
+
+// assertQuiescent lets the reads a traversal left in flight land, then fails
+// if any table still has a block under I/O: a raw-device mount's table ends
+// every traversal holding nothing.
+func assertQuiescent(t testing.TB, tables []*sem.CachedStore) {
+	t.Helper()
+	for _, c := range tables {
+		for deadline := time.Now().Add(20 * time.Second); c.IOStats().Inflight != 0 && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if n := c.IOStats().Inflight; n != 0 {
+			t.Errorf("%d blocks left under I/O", n)
+		}
+	}
 }
 
 // semShardedMirror writes g as a shard set per cfg (plus the shard field) and
@@ -97,11 +135,36 @@ func bidiCompressed(t testing.TB, g *graph.CSR[uint32]) *graph.Bidi[uint32] {
 // sections, SEM symmetric, and a sharded SEM mount — against the serial
 // baseline. Parents are checked structurally (a parent must sit exactly one
 // level above its child), the same contract the async kernel's tests use.
+// The SEM rows are raw-device mounts, windowed, and their block tables must
+// be at rest after every row.
 func TestDirectionEquivalence(t *testing.T) {
 	type workload struct {
-		name string
-		g    graph.Adjacency[uint32]
-		base *graph.CSR[uint32] // logical graph for the serial baseline
+		name   string
+		g      graph.Adjacency[uint32]
+		base   *graph.CSR[uint32] // logical graph for the serial baseline
+		tables []*sem.CachedStore // a SEM row's block tables, one per shard
+	}
+	raw := func(name string, g *graph.CSR[uint32], shards int, cfg sem.WriteConfig) workload {
+		w := workload{name: name, base: g}
+		if shards == 0 {
+			sg, table := rawMirror(t, g, cfg)
+			w.g, w.tables = sg, []*sem.CachedStore{table}
+			return w
+		}
+		gs := make([]*sem.Graph[uint32], shards)
+		for k := range gs {
+			c := cfg
+			c.Shard = &sem.ShardConfig{Shard: k, Shards: shards}
+			var table *sem.CachedStore
+			gs[k], table = rawMirror(t, g, c)
+			w.tables = append(w.tables, table)
+		}
+		mount, err := sem.MountShards(gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.g = mount
+		return w
 	}
 	var workloads []workload
 	for seed := uint64(1); seed <= 2; seed++ {
@@ -110,12 +173,12 @@ func TestDirectionEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		workloads = append(workloads,
-			workload{fmt.Sprintf("rmat-%d-im-raw", seed), bidiIM(t, rm), rm},
-			workload{fmt.Sprintf("rmat-%d-im-compressed", seed), bidiCompressed(t, rm), rm},
-			workload{fmt.Sprintf("rmat-%d-sem-v1", seed), semMirrorCfg(t, rm, sem.WriteConfig{InEdges: true}), rm},
-			workload{fmt.Sprintf("rmat-%d-sem-v2", seed), semMirrorCfg(t, rm, sem.WriteConfig{Compress: true, InEdges: true}), rm},
-			workload{fmt.Sprintf("rmat-%d-sem-sharded-v1", seed), semShardedMirror(t, rm, 3, sem.WriteConfig{InEdges: true}), rm},
-			workload{fmt.Sprintf("rmat-%d-sem-sharded-v2", seed), semShardedMirror(t, rm, 3, sem.WriteConfig{Compress: true, InEdges: true}), rm},
+			workload{name: fmt.Sprintf("rmat-%d-im-raw", seed), g: bidiIM(t, rm), base: rm},
+			workload{name: fmt.Sprintf("rmat-%d-im-compressed", seed), g: bidiCompressed(t, rm), base: rm},
+			raw(fmt.Sprintf("rmat-%d-sem-v1", seed), rm, 0, sem.WriteConfig{InEdges: true}),
+			raw(fmt.Sprintf("rmat-%d-sem-v2", seed), rm, 0, sem.WriteConfig{Compress: true, InEdges: true}),
+			raw(fmt.Sprintf("rmat-%d-sem-sharded-v1", seed), rm, 3, sem.WriteConfig{InEdges: true}),
+			raw(fmt.Sprintf("rmat-%d-sem-sharded-v2", seed), rm, 3, sem.WriteConfig{Compress: true, InEdges: true}),
 		)
 	}
 	ug := randomUndirected(t, 400, 1200, 7)
@@ -125,12 +188,12 @@ func TestDirectionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	workloads = append(workloads,
-		workload{"undirected-im-symmetric", sym, ug},
-		workload{"undirected-sem-symmetric-v1", semMirrorCfg(t, ug, sem.WriteConfig{Symmetric: true}), ug},
-		workload{"undirected-sem-symmetric-v2", semMirrorCfg(t, ug, sem.WriteConfig{Compress: true, Symmetric: true}), ug},
+		workload{name: "undirected-im-symmetric", g: sym, base: ug},
+		raw("undirected-sem-symmetric-v1", ug, 0, sem.WriteConfig{Symmetric: true}),
+		raw("undirected-sem-symmetric-v2", ug, 0, sem.WriteConfig{Compress: true, Symmetric: true}),
 		// Sharded symmetric members hold complete out-lists of their owned
 		// vertices, which double as complete in-lists on a symmetric graph.
-		workload{"undirected-sem-sharded-symmetric", semShardedMirror(t, ug, 3, sem.WriteConfig{Symmetric: true}), ug},
+		raw("undirected-sem-sharded-symmetric", ug, 3, sem.WriteConfig{Symmetric: true}),
 	)
 	// A long chain keeps every frontier at one vertex: the serial-inline
 	// phase path, and the hybrid policy must never leave top-down.
@@ -143,7 +206,7 @@ func TestDirectionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workloads = append(workloads, workload{"chain-im", bidiIM(t, chain), chain})
+	workloads = append(workloads, workload{name: "chain-im", g: bidiIM(t, chain), base: chain})
 
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
@@ -154,7 +217,11 @@ func TestDirectionEquivalence(t *testing.T) {
 			}
 			for _, dir := range []Direction{DirectionAuto, DirectionTopDown, DirectionBottomUp, DirectionHybrid} {
 				for _, workers := range []int{1, 6} {
-					res, err := BFS[uint32](w.g, src, Config{Workers: workers, Direction: dir})
+					cfg := Config{Workers: workers, Direction: dir}
+					if w.tables != nil {
+						cfg.Prefetch = 16 // what a raw-device mount sets
+					}
+					res, err := BFS[uint32](w.g, src, cfg)
 					if err != nil {
 						t.Fatalf("%s workers=%d: %v", dir, workers, err)
 					}
@@ -175,11 +242,12 @@ func TestDirectionEquivalence(t *testing.T) {
 					}
 					// Phases are recorded exactly when the driver ran: always
 					// or never when forced, per the rule when chosen.
-					if got, want := res.Stats.TopDownPhases+res.Stats.BottomUpPhases, drives(Config{Direction: dir}, w.g); (got > 0) != want {
+					if got, want := res.Stats.TopDownPhases+res.Stats.BottomUpPhases, drives(cfg, w.g); (got > 0) != want {
 						t.Fatalf("%s: %d phases recorded in stats, drives=%v", dir, got, want)
 					}
 				}
 			}
+			assertQuiescent(t, w.tables)
 		})
 	}
 }

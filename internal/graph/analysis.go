@@ -40,9 +40,6 @@ type DegreeStats struct {
 	NumEdges uint64
 }
 
-// Degrees computes the out-degree distribution summary of g.
-func Degrees[V Vertex](g *CSR[V]) DegreeStats { return DegreesOf[V](g) }
-
 // DegreesOf computes the out-degree distribution summary of any adjacency
 // back end from its RAM-resident degree information — no edge I/O. Mount
 // paths use it to derive the direction controller's default thresholds from

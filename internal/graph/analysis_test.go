@@ -69,7 +69,7 @@ func TestQuickTransposeInvolution(t *testing.T) {
 
 func TestDegreesEmptyGraph(t *testing.T) {
 	g := mustBuild[uint32](t, 0, false, false, nil)
-	st := Degrees(g)
+	st := DegreesOf[uint32](g)
 	if st.NumVerts != 0 || st.NumEdges != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -81,7 +81,7 @@ func TestDegreesStarGraph(t *testing.T) {
 		edges = append(edges, Edge[uint32]{Src: 0, Dst: i})
 	}
 	g := mustBuild(t, 100, false, false, edges)
-	st := Degrees(g)
+	st := DegreesOf[uint32](g)
 	if st.Max != 99 || st.Min != 0 || st.Median != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -102,7 +102,7 @@ func TestDegreesUniformGraph(t *testing.T) {
 		edges = append(edges, Edge[uint32]{Src: i, Dst: (i + 1) % 50})
 	}
 	g := mustBuild(t, 50, false, false, edges)
-	st := Degrees(g)
+	st := DegreesOf[uint32](g)
 	if st.Min != 1 || st.Max != 1 || st.P99 != 1 || st.Isolated != 0 {
 		t.Fatalf("stats = %+v", st)
 	}

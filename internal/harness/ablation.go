@@ -359,7 +359,7 @@ func AblationDirection(o Options) (*Table, error) {
 	inputs = append(inputs, input{fmt.Sprintf("grid %dx%d", side, side), grid, 0, guard})
 
 	// The scan-phase double buffering (and its ScanSpans/ScanBytes counters)
-	// lives in the prefetcher, which a mount attaches on the raw device — the
+	// comes with the windows a mount enables on the raw device — the
 	// direction comparison should not also toggle I/O overlap.
 	o.NoCache, o.inEdges = true, true
 	for _, in := range inputs {

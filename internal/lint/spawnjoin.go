@@ -8,7 +8,7 @@ package lint
 //   - a (transitive) call to sync.WaitGroup.Done — covers `defer wg.Done()`
 //     literals and the worker -> retire -> wg.Done chain behind
 //     Engine.Wait/Terminator retirement;
-//   - a builtin close() of any channel — the prefetcher's span.ready and the
+//   - a builtin close() of any channel — a block fetch's ready channel and the
 //     watcher's done-channel handshake;
 //   - a receive from a Done()-method channel — the context-watcher idiom:
 //     the goroutine is bounded by its context's lifetime;

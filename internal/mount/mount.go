@@ -1,12 +1,13 @@
 // Package mount assembles the storage stack under a traversal — one simulated
 // flash device per shard, the semi-external graph and the shard router, with
-// the block cache or the prefetcher between them, or an in-memory CSR — and
-// derives the engine configuration that matches it. cmd/traverse, cmd/serve,
-// cmd/bench, the harness and the examples all mount through here, so the
-// default recipe (4 KiB blocks, half the file, readahead 8), the choice of
-// read path from whether a cache is mounted (behind the cache the traversal's
-// state steers replacement and nothing windows; on the raw device the engine
-// pops windows and the prefetcher coalesces their reads), and the rule that
+// the block cache between them or the graph's own zero-budget block table, or
+// an in-memory CSR — and derives the engine configuration that matches it.
+// cmd/traverse, cmd/serve, cmd/bench, the harness and the examples all mount
+// through here, so the default recipe (4 KiB blocks, half the file, readahead
+// 8), the choice of read path from whether a cache is mounted (behind the
+// cache the traversal's state steers replacement and nothing windows; on the
+// raw device the engine pops windows and their ranges become block requests
+// that share reads in flight), and the rule that
 // an in-memory mount pairs a directed graph with its transpose exactly when
 // its file carries an in-edge section each exist once. Which BFS driver runs
 // is not the mount's to say: core.BFS chooses from the adjacency it is handed
@@ -51,7 +52,8 @@ type Options struct {
 	Profile ssd.Profile
 	// NoCache mounts the raw device without the block cache: every adjacency
 	// read is a device operation, so the engine pops rawWindow visitors at
-	// once and a prefetcher coalesces their reads.
+	// once and their ranges become block requests on a table that keeps no
+	// block.
 	NoCache bool
 	// CacheFrac sets the block-cache budget to the store's bytes / CacheFrac
 	// (0 = 2, half the file), never below CacheFloor bytes.
@@ -233,9 +235,9 @@ func Stores(stores []sem.Store, opt Options) (*Mounted, error) {
 	return semStack(stores, len(stores) > 1, opt)
 }
 
-// semStack is the semi-external half: the cache fed by the graph it serves or
-// the prefetcher on the raw device, and the shard router, over one store per
-// shard.
+// semStack is the semi-external half, over one store per shard: the cache fed
+// by the graph it serves, or the raw device under the zero-budget table
+// sem.Open puts there with windows enabled; then the shard router.
 func semStack(stores []sem.Store, sharded bool, opt Options) (*Mounted, error) {
 	m := &Mounted{Graphs: make([]*sem.Graph[uint32], len(stores))}
 	if !opt.NoCache {
@@ -296,10 +298,10 @@ func (o Options) readahead() int {
 // vertex-id sort key is on exactly when the edges stay on a device: at the
 // queue lengths the proposal filter leaves it ties either way (EXPERIMENTS.md
 // "Semi-sort at 128 queues"), so it is the mount's constant, not a knob. The
-// pop window is on exactly when the mount attached a prefetcher to consume
-// it. Direction is left at its zero value — core.BFS chooses its driver from
-// Adj — and a graph that can answer "who points at v?" gets the switch
-// thresholds of its own degree distribution instead of one-size-fits-all
+// pop window is on exactly when the mount enabled windows on the graph to
+// consume it. Direction is left at its zero value — core.BFS chooses its
+// driver from Adj — and a graph that can answer "who points at v?" gets the
+// switch thresholds of its own degree distribution instead of one-size-fits-all
 // constants, for whenever the driver runs.
 func (m *Mounted) finish(opt Options) {
 	m.Engine = core.Config{SemiSort: m.CSR == nil}

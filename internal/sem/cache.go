@@ -2,6 +2,7 @@ package sem
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,14 +18,19 @@ import (
 // measurable: device reads happen in aligned blocks, recently used blocks are
 // kept under a byte budget, and hit/miss counters expose the locality the
 // semi-sort buys.
+//
+// It is also the one in-flight table of every sem.Graph (see Open), and fetch
+// the only place any graph reads a device. A zero-budget table keeps no block:
+// it holds one only while it is under I/O, so that its readers share the read.
 type CachedStore struct {
 	inner     Store
 	blockSize int64
 	size      int64 // backing size, for tail-block clamping
 	maxBlock  int64 // number of device blocks
 	readahead int   // blocks fetched per miss (>= 1)
-	capBlocks int64 // total block budget across shards
+	capBlocks int64 // total block budget across shards; 0 keeps nothing
 	shards    []cacheShard
+	io        chan struct{} // bounds the asynchronous fetches (request)
 
 	// pending counts the queued visitors per block. Eviction and span
 	// shaping read it; only a graph mounted with EnableStateCache writes it,
@@ -62,9 +68,11 @@ type cacheShard struct {
 }
 
 type cacheEntry struct {
-	id    int64
-	data  []byte        // the block's own backing, cap <= blockSize
-	ready chan struct{} // closed once data/err are set
+	id int64
+	// data is the block's bytes; on a zero-budget table its capacity runs on
+	// to the end of the fetch, so an extent crossing blocks reads uncopied.
+	data  []byte
+	ready chan struct{} // closed once data/err are set; one per fetch
 	err   error
 }
 
@@ -84,47 +92,48 @@ func NewCachedStore(inner Store, blockSize int, capacityBytes int64) (*CachedSto
 // operation's latency is charged regardless of span; the extra bytes pay only
 // the device's bandwidth term, matching sequential-transfer behaviour.
 // capacityBytes bounds the filled blocks; blocks under I/O are extra, at most
-// concurrent misses x 4*readahead of them (see IOStats.InflightHW).
+// concurrent misses x 4*readahead of them (see IOStats.InflightHW). A budget
+// of zero keeps no block at all.
 func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead int) (*CachedStore, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("sem: block size must be positive, got %d", blockSize)
-	}
-	if readahead < 1 {
-		readahead = 1
 	}
 	szr, ok := inner.(Sizer)
 	if !ok {
 		return nil, fmt.Errorf("sem: cached store requires a store with a known size")
 	}
+	return newCachedStore(inner, int64(blockSize), capacityBytes, szr.Size(), readahead), nil
+}
+
+// newCachedStore builds a table over the first size bytes of inner.
+func newCachedStore(inner Store, blockSize, capacityBytes, size int64, readahead int) *CachedStore {
 	// Shard the lock only as far as the budget supports: a shard needs a
 	// meaningful victim set (>= minShardBlocks) for any replacement order —
 	// recency or score — to express a preference. Splitting a small budget 16
 	// ways leaves one block per shard, and every install evicts the only
 	// other resident whatever the policy says. Large budgets keep the full
-	// shard count for lock spreading.
+	// shard count for lock spreading, and so does a zero budget, which has no
+	// victims to choose among.
 	const maxShards, minShardBlocks = 16, 32
-	totalBlocks := capacityBytes / int64(blockSize)
-	numShards := int(totalBlocks / minShardBlocks)
-	if numShards > maxShards {
-		numShards = maxShards
-	}
-	if numShards < 1 {
-		numShards = 1
-	}
-	perShard := int(totalBlocks) / numShards
-	if perShard < 1 {
-		perShard = 1
+	totalBlocks := capacityBytes / blockSize
+	numShards := int(min(max(totalBlocks/minShardBlocks, 1), maxShards))
+	perShard := max(int(totalBlocks)/numShards, 1)
+	if capacityBytes <= 0 {
+		numShards, perShard = maxShards, 0
 	}
 	c := &CachedStore{
 		inner:     inner,
-		blockSize: int64(blockSize),
-		size:      szr.Size(),
-		readahead: readahead,
+		blockSize: blockSize,
+		size:      size,
+		maxBlock:  (size + blockSize - 1) / blockSize,
+		readahead: max(readahead, 1),
 		capBlocks: int64(perShard) * int64(numShards),
 		shards:    make([]cacheShard, numShards),
+		io:        make(chan struct{}, prefetchIOWorkers),
 	}
-	c.maxBlock = (c.size + c.blockSize - 1) / c.blockSize
-	c.pending.count = make([]atomic.Int32, c.maxBlock)
+	if c.capBlocks > 0 { // nothing steers a table that keeps nothing
+		c.pending.count = make([]atomic.Int32, c.maxBlock)
+	}
 	c.resident = make([]atomic.Uint64, (c.maxBlock+63)/64)
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
@@ -134,7 +143,7 @@ func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead
 			inflight: make(map[int64]*cacheEntry),
 		}
 	}
-	return c, nil
+	return c
 }
 
 // queued records a visitor queued for a vertex on block id. A block gaining
@@ -205,7 +214,8 @@ type CacheIOStats struct {
 	Evictions uint64
 	// InflightHW is the high-water mark of blocks under I/O at once: memory
 	// held beyond the budget, bounded by concurrent misses x the widest span.
-	InflightHW int64
+	// Inflight is the count now: zero at rest, once every read has landed.
+	InflightHW, Inflight int64
 }
 
 // Add accumulates other into s for a shard mount's roll-up: counters sum,
@@ -216,12 +226,13 @@ func (s *CacheIOStats) Add(other CacheIOStats) {
 	s.Waits += other.Waits
 	s.Evictions += other.Evictions
 	s.InflightHW = max(s.InflightHW, other.InflightHW)
+	s.Inflight += other.Inflight
 }
 
 // IOStats reports the miss-path counters.
 func (c *CachedStore) IOStats() CacheIOStats {
 	return CacheIOStats{Fetches: c.misses.Load(), Blocks: c.fetched.Load(), Waits: c.waits.Load(),
-		Evictions: c.evictions.Load(), InflightHW: c.flyingHW.Load()}
+		Evictions: c.evictions.Load(), InflightHW: c.flyingHW.Load(), Inflight: c.flying.Load()}
 }
 
 // Size implements Sizer.
@@ -284,117 +295,121 @@ func (c *CachedStore) evictLocked(sh *cacheShard, keep *list.Element) {
 	}
 }
 
-// block returns the cached contents of block id, fetching from the device on
-// a miss. Concurrent misses on the same block share one device read
-// (singleflight): with hundreds of visitors sweeping the same id range, the
-// first requester fetches and the rest wait on the in-flight entry — without
-// this, a cold block would be read once per waiting visitor.
-func (c *CachedStore) block(id int64) ([]byte, error) {
-	sh := c.shard(id)
-	for {
+// claim appends to held the entry of every block in [lo, hi): a cached
+// block's (a hit), that of a block another fetch has under I/O (a wait: the
+// reader shares that read — else a cold block would be read once per reader),
+// or a new one reserving the block, also returned in owned for the caller to
+// hand to fetch. The new entries share one ready channel.
+func (c *CachedStore) claim(held []*cacheEntry, lo, hi int64) (_, owned []*cacheEntry) {
+	var ready chan struct{}
+	var hits, waits uint64
+	for id := lo; id < hi; id++ {
+		sh := c.shard(id)
 		sh.mu.Lock()
-		if el, ok := sh.blocks[id]; ok {
+		e := sh.inflight[id]
+		if el, cached := sh.blocks[id]; cached {
 			sh.lru.MoveToFront(el)
-			data := el.Value.(*cacheEntry).data
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			return data, nil
-		}
-		entry := sh.inflight[id]
-		sh.mu.Unlock()
-		if entry != nil {
-			c.waits.Add(1)
-			<-entry.ready
-			if entry.err != nil {
-				return nil, entry.err
+			e = el.Value.(*cacheEntry)
+			hits++
+		} else if e != nil {
+			waits++
+		} else {
+			if ready == nil {
+				ready = make(chan struct{})
 			}
-			c.hits.Add(1)
-			return entry.data, nil
+			e = c.reserveLocked(sh, id, ready)
+			owned = append(owned, e)
 		}
-		if id < 0 || id >= c.maxBlock {
-			return nil, fmt.Errorf("sem: cache read beyond device end (block %d)", id)
+		sh.mu.Unlock()
+		held = append(held, e)
+	}
+	c.hits.Add(hits + waits)
+	c.waits.Add(waits)
+	return held, owned
+}
+
+// reserveLocked takes absent block id into the shard's in-flight table.
+// Caller holds sh.mu.
+func (c *CachedStore) reserveLocked(sh *cacheShard, id int64, ready chan struct{}) *cacheEntry {
+	e := &cacheEntry{id: id, ready: ready}
+	sh.inflight[id] = e
+	c.setResident(id)
+	for n := c.flying.Add(1); ; {
+		hw := c.flyingHW.Load()
+		if n <= hw || c.flyingHW.CompareAndSwap(hw, n) {
+			return e
 		}
-		if entry = c.fetch(id, id+1); entry != nil {
-			return entry.data, entry.err
-		}
-		// Another reader reserved or filled id since the lookup: look again.
 	}
 }
 
-// fetch is the only place the cache reads the device. It wants blocks
-// [lo, hi), shapes them into a span, reserves the span's absent blocks in the
-// in-flight tables, reads the span in one device operation, then fills or
-// fails every block it reserved and only then charges the filled ones to
-// their shards. It returns lo's entry, completed, or nil without reading when
-// lo is already cached or in flight under another fetch.
-func (c *CachedStore) fetch(lo, hi int64) *cacheEntry {
-	// Each miss fetches up to `readahead` consecutive blocks.
-	hi = min(max(hi, lo+int64(c.readahead)), c.maxBlock)
-	// Span shaping: the readahead window extends through the contiguous run of
-	// blocks with pending visitors. Those blocks are guaranteed future reads —
-	// the settle counters say queued work targets them — so fetching them now
-	// converts their upcoming miss operations into hits for only the
-	// bandwidth term of this one operation. The extension is capped at 4x the
-	// readahead and at half of the cache's block budget: an uncapped span can
-	// fill the entire cache from one miss and flush exactly the residency it
-	// is trying to build (measured as a ~10-20% read regression when the span
-	// reaches the whole budget). Blocks past the pending run are never
-	// fetched beyond the readahead window, so a cold start, a settled region
-	// or an unfed cache reads exactly the readahead span.
+// ahead extends a fetch past the blocks it owns. Each miss fetches up to
+// `readahead` consecutive blocks; span shaping then extends the window through
+// the contiguous run of blocks with pending visitors. Those blocks are
+// guaranteed future reads — the settle counters say queued work targets them
+// — so fetching them now converts their upcoming miss operations into hits for
+// only the bandwidth term of this one operation. The extension is capped at 4x
+// the readahead and at half of the cache's block budget: an uncapped span can
+// fill the entire cache from one miss and flush exactly the residency it is
+// trying to build (measured as a ~10-20% read regression when the span reaches
+// the whole budget). Blocks past the pending run are never fetched beyond the
+// readahead window, so a cold start, a settled region, an unfed cache or a
+// zero-budget table reads exactly what was asked. A block already cached or
+// under I/O stays its holder's.
+func (c *CachedStore) ahead(owned []*cacheEntry) []*cacheEntry {
+	lo := owned[0].id
+	hi := min(lo+int64(c.readahead), c.maxBlock)
 	limit := min(lo+min(4*int64(c.readahead), c.capBlocks/2), c.maxBlock)
 	for hi < limit && c.pending.score(hi) > 0 {
 		hi++
 	}
-
-	// Reserve every absent block of the span; a block already cached or in
-	// flight stays its holder's.
-	owned := make([]*cacheEntry, 0, hi-lo)
-	for id := lo; id < hi; id++ {
+	for id := owned[len(owned)-1].id + 1; id < hi; id++ {
 		sh := c.shard(id)
 		sh.mu.Lock()
-		_, cached := sh.blocks[id]
-		_, flying := sh.inflight[id]
-		if !cached && !flying {
-			entry := &cacheEntry{id: id, ready: make(chan struct{})}
-			sh.inflight[id] = entry
-			c.setResident(id)
-			owned = append(owned, entry)
+		if _, cached := sh.blocks[id]; !cached && sh.inflight[id] == nil {
+			owned = append(owned, c.reserveLocked(sh, id, owned[0].ready))
 		}
 		sh.mu.Unlock()
-		if len(owned) == 0 {
-			return nil
-		}
 	}
-	c.misses.Add(1)
-	c.fetched.Add(uint64(len(owned)))
-	for n := c.flying.Add(int64(len(owned))); ; {
-		hw := c.flyingHW.Load()
-		if n <= hw || c.flyingHW.CompareAndSwap(hw, n) {
-			break
-		}
-	}
+	return owned
+}
 
-	// One device operation covers lo through the last reserved block; extra
-	// blocks pay only the bandwidth term, as with OS readahead.
-	off := lo * c.blockSize
-	span := make([]byte, min((owned[len(owned)-1].id+1)*c.blockSize, c.size)-off)
-	_, err := c.inner.ReadAt(span, off)
+// fetch is the only place a table reads its device. Handed reserved blocks it
+// reads from the first to the last in one operation, fills or fails each,
+// installs the filled ones under the budget (a zero budget installs nothing)
+// and closes their ready channel. Handed none, it reads buf at off for a
+// reader that shares it with nobody: a zero-budget table's synchronous read.
+func (c *CachedStore) fetch(buf []byte, off int64, owned []*cacheEntry) error {
+	c.misses.Add(1)
+	if len(owned) == 0 {
+		_, err := c.inner.ReadAt(buf, off)
+		return err
+	}
+	c.fetched.Add(uint64(len(owned)))
+	// One device operation covers the span; extra blocks pay only the
+	// bandwidth term, as with OS readahead.
+	lo := owned[0].id
+	off = lo * c.blockSize
+	buf = make([]byte, min((owned[len(owned)-1].id+1)*c.blockSize, c.size)-off)
+	_, err := c.inner.ReadAt(buf, off)
 	for _, entry := range owned {
 		entry.err = err
-		if err == nil && int64(len(span)) <= c.blockSize {
-			entry.data = span
-		} else if err == nil {
-			// Not a sub-slice of the span, which would keep all of it alive
-			// for as long as any one of its blocks stays cached: each block
-			// gets a backing of its own, so evicting span-mates frees bytes.
-			from := span[(entry.id-lo)*c.blockSize:]
-			entry.data = make([]byte, min(int64(len(from)), c.blockSize))
-			copy(entry.data, from)
+		if err == nil {
+			from := buf[(entry.id-lo)*c.blockSize:]
+			n := min(int64(len(from)), c.blockSize)
+			if c.capBlocks == 0 || len(owned) == 1 {
+				entry.data = from[:n]
+			} else {
+				// Not a sub-slice of the span, which would keep all of it alive
+				// for as long as any one of its blocks stays cached: each block
+				// gets a backing of its own, so evicting span-mates frees bytes.
+				entry.data = make([]byte, n)
+				copy(entry.data, from)
+			}
 		}
 		sh := c.shard(entry.id)
 		sh.mu.Lock()
 		delete(sh.inflight, entry.id)
-		if err != nil {
+		if err != nil || c.capBlocks == 0 {
 			c.clearResident(entry.id) // gone from the table: a later read refetches
 		} else {
 			el := sh.lru.PushFront(entry)
@@ -405,30 +420,117 @@ func (c *CachedStore) fetch(lo, hi int64) *cacheEntry {
 			}
 		}
 		sh.mu.Unlock()
-		close(entry.ready)
 	}
 	c.flying.Add(-int64(len(owned)))
-	return owned[0]
+	close(owned[0].ready)
+	return err
 }
 
-// ReadAt implements Store, assembling the request from cached blocks.
-func (c *CachedStore) ReadAt(p []byte, off int64) (int, error) {
+// request is the asynchronous claim: it appends the entries of blocks
+// [lo, hi) to held and hands the blocks it reserved to one fetch on the I/O
+// pool. It reports the bytes that fetch reads, from off; n is 0 when every
+// block was cached or under another reader's fetch already.
+func (c *CachedStore) request(held []*cacheEntry, lo, hi int64) (_ []*cacheEntry, off, n int64) {
+	held, owned := c.claim(held, lo, hi)
+	if len(owned) == 0 {
+		return held, 0, 0
+	}
+	owned = c.ahead(owned)
+	off = owned[0].id * c.blockSize
+	n = min((owned[len(owned)-1].id+1)*c.blockSize, c.size) - off
+	go c.submit(owned)
+	return held, off, n
+}
+
+// submit runs one fetch on the table's I/O pool, which bounds its concurrent
+// asynchronous reads at prefetchIOWorkers.
+func (c *CachedStore) submit(owned []*cacheEntry) {
+	c.io <- struct{}{}
+	_ = c.fetch(nil, 0, owned) // every reader finds the error on its entries
+	<-c.io
+}
+
+// read returns the n bytes at off. A reader of a zero-budget table with no
+// reads in flight to share (share false: a graph that never windows) reads
+// them into *buf in one operation. Otherwise it claims the blocks under them
+// — on a cache block by block, a miss fetched with its readahead before the
+// next block is looked up; on a zero-budget table all at once — fetches the
+// ones it reserved, here, and gathers.
+func (c *CachedStore) read(off int64, n int, buf *[]byte, share bool) ([]byte, error) {
 	if off < 0 {
-		return 0, fmt.Errorf("sem: negative read offset %d", off)
+		return nil, fmt.Errorf("sem: negative read offset %d", off)
 	}
-	read := 0
-	for read < len(p) {
-		pos := off + int64(read)
-		id := pos / c.blockSize
-		data, err := c.block(id)
-		if err != nil {
-			return read, err
+	if c.capBlocks == 0 && !share {
+		if cap(*buf) < n {
+			*buf = make([]byte, n)
 		}
-		inBlock := pos - id*c.blockSize
-		if inBlock >= int64(len(data)) {
-			return read, fmt.Errorf("sem: read past end of device at offset %d", pos)
-		}
-		read += copy(p[read:], data[inBlock:])
+		b := (*buf)[:n]
+		return b, c.fetch(b, off, nil)
 	}
-	return read, nil
+	if n == 0 {
+		return nil, nil
+	}
+	lo, hi := off/c.blockSize, (off+int64(n)-1)/c.blockSize+1
+	if hi > c.maxBlock {
+		return nil, fmt.Errorf("sem: cache read beyond device end (block %d)", hi-1)
+	}
+	step := int64(1)
+	if c.capBlocks == 0 {
+		step = hi - lo
+	}
+	var local [4]*cacheEntry
+	held := local[:0]
+	for id := lo; id < hi; id += step {
+		var owned []*cacheEntry
+		if held, owned = c.claim(held, id, id+step); len(owned) > 0 {
+			_ = c.fetch(nil, 0, c.ahead(owned)) // gather finds the error on the entry
+		}
+	}
+	return gather(held, c.blockSize, off, n, buf)
+}
+
+var errPastEnd = errors.New("sem: read past end of device")
+
+// gather returns the n bytes at off from held — the entries of off's block and
+// the blocks after it — once their fetches complete: aliasing the first
+// block's data when they lie within its capacity, else copied into *buf.
+//
+//lint:hotpath
+func gather(held []*cacheEntry, blockSize, off int64, n int, buf *[]byte) ([]byte, error) {
+	first := held[0]
+	<-first.ready
+	if first.err != nil {
+		return nil, first.err
+	}
+	in := off - first.id*blockSize
+	if end := in + int64(n); end <= int64(cap(first.data)) {
+		return first.data[in:end], nil
+	}
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	out, got := (*buf)[:n], 0
+	for _, e := range held {
+		<-e.ready
+		if e.err != nil {
+			return nil, e.err
+		}
+		pos := off + int64(got) - e.id*blockSize
+		if pos >= int64(len(e.data)) {
+			break
+		}
+		if got += copy(out[got:], e.data[pos:]); got == n {
+			return out, nil
+		}
+	}
+	return nil, errPastEnd
+}
+
+// ReadAt implements Store, assembling the request from the table's blocks.
+func (c *CachedStore) ReadAt(p []byte, off int64) (int, error) {
+	b, err := c.read(off, len(p), &p, true)
+	if err != nil {
+		return 0, err
+	}
+	return copy(p, b), nil
 }

@@ -17,7 +17,8 @@ import (
 type gatedStore struct {
 	data     []byte
 	gateFrom int64
-	fail     atomic.Bool // reads return an error once released
+	fail     atomic.Bool  // reads return an error once released
+	bad      atomic.Int64 // a block every read of which fails (-1: none)
 
 	mu      sync.Mutex
 	gate    chan struct{}
@@ -28,13 +29,22 @@ type gatedStore struct {
 const gatedBlock = 64
 
 func newGatedStore(blocks int, gateFrom int64) *gatedStore {
-	return &gatedStore{
-		data:     seqBacking(blocks * gatedBlock).Data,
+	return gatedOver(seqBacking(blocks*gatedBlock).Data, gateFrom)
+}
+
+// gatedOver gates reads of data at or past gateFrom.
+func gatedOver(data []byte, gateFrom int64) *gatedStore {
+	g := &gatedStore{
+		data:     data,
 		gateFrom: gateFrom,
 		gate:     make(chan struct{}),
-		reads:    make([]int, blocks),
+		reads:    make([]int, (len(data)+gatedBlock-1)/gatedBlock),
 	}
+	g.bad.Store(-1)
+	return g
 }
+
+var errBadBlock = errors.New("bad block")
 
 func (g *gatedStore) Size() int64 { return int64(len(g.data)) }
 
@@ -51,6 +61,9 @@ func (g *gatedStore) ReadAt(p []byte, off int64) (int, error) {
 	}
 	if g.fail.Load() {
 		return 0, errors.New("device failure")
+	}
+	if b := g.bad.Load(); b >= 0 && b*gatedBlock < off+int64(len(p)) && off < (b+1)*gatedBlock {
+		return 0, errBadBlock
 	}
 	return copy(p, g.data[off:]), nil
 }
@@ -80,14 +93,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// assertQuiescent checks a store no reader is inside: nothing under I/O, every
-// shard within its budget, every cached block backed by bytes of its own, and
-// the residency bitset naming exactly the cached blocks.
+// assertQuiescent checks a table no reader is inside: nothing under I/O, every
+// shard within its budget (a zero-budget table holds no block at all), every
+// cached block backed by bytes of its own, and the residency bitset naming
+// exactly the cached blocks. An asynchronous read may outlive the traversal
+// that issued it, so it first waits for the in-flight count to drain.
 func assertQuiescent(t testing.TB, store Store) {
 	t.Helper()
 	c, ok := store.(*CachedStore)
 	if !ok {
 		t.Fatalf("assertQuiescent: %T is not a *CachedStore", store)
+	}
+	for deadline := time.Now().Add(20 * time.Second); c.flying.Load() != 0 && time.Now().Before(deadline); {
+		runtime.Gosched()
 	}
 	if n := c.flying.Load(); n != 0 {
 		t.Errorf("%d blocks still counted under I/O", n)

@@ -65,23 +65,17 @@ func (g *Graph[V]) InNeighbors(v V, scratch *graph.Scratch[V]) ([]V, error) {
 	return in, err
 }
 
-// scanSpan is one sequential bottom-up read: the extents of exts[i:j] merged
-// into a single device request. ready is non-nil when the read was issued
-// asynchronously on the prefetcher's I/O pool.
-type scanSpan struct {
-	sp   span
-	i, j int
-}
-
 // ScanInEdges implements graph.InScanner: walk [lo, hi) in storage order,
 // coalesce the in-edge extents of needed vertices into sequential spans
 // (bridging gaps up to the prefetcher's MaxGap, or DefaultPrefetchGap when
 // prefetch is disabled, capped at scanSpanBytes per read), and visit each
-// vertex from the span buffers. With a prefetcher attached the spans are
-// double-buffered: span k+1 reads on the bounded I/O pool while span k
-// decodes, so the device and the CPU overlap exactly as in the pop-window
-// path — but with megabyte streams instead of per-vertex records. Scan reads
-// are tallied in PrefetchStats.ScanSpans/ScanBytes.
+// vertex from its span's bytes. With a prefetcher attached the spans are
+// double-buffered: span k+1 is an asynchronous block request on the table —
+// the pop window's call — while span k decodes, so the device and the CPU
+// overlap with megabyte streams instead of per-vertex records, and blocks
+// another reader has under I/O are shared; scan reads are tallied in
+// PrefetchStats.ScanSpans/ScanBytes. Without one each span is read through the
+// table when its turn comes.
 func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in []V) error, scratch *graph.Scratch[V]) error {
 	if g.in == nil {
 		return errNoInSection
@@ -120,66 +114,59 @@ func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in [
 	}
 
 	// Merge into sequential spans, each capped at scanSpanBytes.
-	spans := make([]scanSpan, 0, 16)
+	type span struct {
+		i, j int
+		end  int64
+		held []*cacheEntry // its blocks, once requested
+	}
+	spans := make([]span, 0, 16)
 	for i := 0; i < len(exts); {
-		j, end, _ := coalesce(exts, i, maxGap, scanSpanBytes)
-		spans = append(spans, scanSpan{sp: span{off: exts[i].off, buf: make([]byte, end-exts[i].off)}, i: i, j: j})
+		j, end := coalesce(exts, i, maxGap, scanSpanBytes)
+		spans = append(spans, span{i: i, j: j, end: end})
 		i = j
 	}
-
-	// Double-buffered execution: keep the next span's read in flight on the
-	// prefetcher's I/O pool while the current one decodes. Without a
-	// prefetcher each span reads synchronously — still sequential, still
-	// coalesced, just not overlapped.
-	p := g.prefetch
-	issue := func(s *scanSpan) {
-		if p != nil {
+	c, p := g.table, g.prefetch
+	request := func(s *span) {
+		var n int64
+		s.held, _, n = c.request(nil, exts[s.i].off/c.blockSize, (s.end-1)/c.blockSize+1)
+		if n > 0 {
 			p.scanSpans.Add(1)
-			p.scanBytes.Add(uint64(len(s.sp.buf)))
-			s.sp.ready = make(chan struct{})
-			go p.read(g.store, &s.sp)
+			p.scanBytes.Add(uint64(n))
 		}
 	}
-	issue(&spans[0])
+	if p != nil {
+		request(&spans[0])
+	}
+	var buf []byte
 	for k := range spans {
 		s := &spans[k]
-		if k+1 < len(spans) {
-			issue(&spans[k+1])
+		if p != nil && k+1 < len(spans) {
+			request(&spans[k+1])
 		}
-		if s.sp.ready != nil {
-			<-s.sp.ready
-			if s.sp.err != nil {
-				return fmt.Errorf("sem: scan in-edges at %d: %w", s.sp.off, s.sp.err)
-			}
-		} else if _, err := g.store.ReadAt(s.sp.buf, s.sp.off); err != nil {
-			return fmt.Errorf("sem: scan in-edges at %d: %w", s.sp.off, err)
+		off, n := exts[s.i].off, int(s.end-exts[s.i].off)
+		var b []byte
+		var err error
+		if s.held != nil {
+			b, err = gather(s.held, c.blockSize, off, n, &buf)
+			s.held = nil // the bytes go with the span
+		} else {
+			b, err = c.read(off, n, &buf, false)
 		}
-		if err := g.visitScanSpan(s, exts, visit, scratch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// visitScanSpan decodes and visits every vertex of one completed scan span.
-// This is the bottom-up inner loop: no per-edge allocation — the decode
-// target buffer is cap-guarded in scratch and the block slices alias the span
-// buffer.
-//
-//lint:hotpath
-func (g *Graph[V]) visitScanSpan(s *scanSpan, exts []extent, visit func(v V, in []V) error, scratch *graph.Scratch[V]) error {
-	for k := s.i; k < s.j; k++ {
-		e := &exts[k]
-		v := V(e.v)
-		block := s.sp.buf[e.off-s.sp.off : e.off-s.sp.off+int64(e.n)]
-		// A symmetric scan reads the edge region, whose records may carry
-		// weights; they decode into scratch and are dropped here.
-		in, _, err := g.in.decode(block, v, scratch)
 		if err != nil {
-			return err
+			return fmt.Errorf("sem: scan in-edges at %d: %w", off, err)
 		}
-		if err := visit(v, in); err != nil {
-			return err
+		// The decode target buffer is cap-guarded in scratch and the blocks
+		// alias the span's bytes: no per-edge allocation. A symmetric scan
+		// reads the edge region, whose records may carry weights; they decode
+		// into scratch and are dropped here.
+		for _, e := range exts[s.i:s.j] {
+			in, _, err := g.in.decode(b[e.off-off:e.off-off+int64(e.n)], V(e.v), scratch)
+			if err != nil {
+				return err
+			}
+			if err := visit(V(e.v), in); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -199,7 +199,9 @@ func statePair(t testing.TB, g *graph.CSR[uint32], compressed bool) (lru, state 
 
 // TestPolicyEquivalence is the feed's contract: it changes device traffic,
 // never results. BFS, SSSP, and CC results on a fed mount must equal the unfed
-// (exact LRU) mount's and the in-memory baseline's, raw and compressed.
+// (exact LRU) mount's and the in-memory baseline's, raw and compressed — and
+// so must the raw-device mount's, whose zero-budget table is left holding no
+// block and nothing in flight.
 func TestPolicyEquivalence(t *testing.T) {
 	base, err := gen.RMATUndirected[uint32](9, 8, gen.RMATB, 17)
 	if err != nil {
@@ -214,6 +216,15 @@ func TestPolicyEquivalence(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		lru, state := statePair(t, weighted, compressed)
 		name := map[bool]string{false: "raw", true: "compressed"}[compressed]
+		var buf bytes.Buffer
+		if err := Write(&buf, weighted, WriteConfig{Compress: compressed}); err != nil {
+			t.Fatal(err)
+		}
+		device, err := Open[uint32](fastDevice(&ssd.MemBacking{Data: buf.Bytes()}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		device.EnablePrefetch(PrefetchConfig{MaxGap: DefaultPrefetchGap})
 
 		imBFS, err := core.BFS[uint32](weighted, src, cfg)
 		if err != nil {
@@ -227,10 +238,14 @@ func TestPolicyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		devBFS, err := core.BFS[uint32](device, src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range imBFS.Level {
-			if lruBFS.Level[v] != imBFS.Level[v] || stBFS.Level[v] != imBFS.Level[v] {
-				t.Fatalf("%s BFS level[%d]: im=%d lru=%d state=%d",
-					name, v, imBFS.Level[v], lruBFS.Level[v], stBFS.Level[v])
+			if lruBFS.Level[v] != imBFS.Level[v] || stBFS.Level[v] != imBFS.Level[v] || devBFS.Level[v] != imBFS.Level[v] {
+				t.Fatalf("%s BFS level[%d]: im=%d lru=%d state=%d device=%d",
+					name, v, imBFS.Level[v], lruBFS.Level[v], stBFS.Level[v], devBFS.Level[v])
 			}
 		}
 
@@ -242,9 +257,13 @@ func TestPolicyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		devSSSP, err := core.SSSP[uint32](device, src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range imSSSP.Dist {
-			if stSSSP.Dist[v] != imSSSP.Dist[v] {
-				t.Fatalf("%s SSSP dist[%d]: im=%d state=%d", name, v, imSSSP.Dist[v], stSSSP.Dist[v])
+			if stSSSP.Dist[v] != imSSSP.Dist[v] || devSSSP.Dist[v] != imSSSP.Dist[v] {
+				t.Fatalf("%s SSSP dist[%d]: im=%d state=%d device=%d", name, v, imSSSP.Dist[v], stSSSP.Dist[v], devSSSP.Dist[v])
 			}
 		}
 
@@ -256,13 +275,21 @@ func TestPolicyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		devCC, err := core.CC[uint32](device, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range imCC.ID {
-			if stCC.ID[v] != imCC.ID[v] {
-				t.Fatalf("%s CC id[%d]: im=%d state=%d", name, v, imCC.ID[v], stCC.ID[v])
+			if stCC.ID[v] != imCC.ID[v] || devCC.ID[v] != imCC.ID[v] {
+				t.Fatalf("%s CC id[%d]: im=%d state=%d device=%d", name, v, imCC.ID[v], stCC.ID[v], devCC.ID[v])
 			}
 		}
 		assertQuiescent(t, lru.store)
 		assertQuiescent(t, state.store)
+		assertQuiescent(t, device.table)
+		if device.PrefetchStats().Spans == 0 {
+			t.Fatalf("%s: the raw-device mount issued no window reads", name)
+		}
 	}
 }
 
@@ -313,7 +340,7 @@ func TestPolicyEquivalenceSharded(t *testing.T) {
 }
 
 // TestConcurrentStateTraversals exercises the whole state-aware path — settle
-// hooks, span dedup table, residency bitset, score-driven eviction — from
+// hooks, the block table's shared reads, residency bitset, score-driven eviction — from
 // many concurrent traversals over one shared mount. Run under -race in CI.
 func TestConcurrentStateTraversals(t *testing.T) {
 	g, err := gen.RMAT[uint32](9, 8, gen.RMATA, 31)

@@ -83,7 +83,11 @@ type Store interface {
 // Graph is a semi-external CSR: offsets in memory, edges on the store.
 // It implements graph.Adjacency.
 type Graph[V graph.Vertex] struct {
+	// store is what Open was handed; the open and load paths read it
+	// directly. Every adjacency read goes through table, the store itself
+	// when it is a CachedStore and a zero-budget table over it otherwise.
 	store Store
+	table *CachedStore
 	n, m  uint64
 
 	// out is the forward edge region. in is the reverse adjacency: the in-edge
@@ -100,9 +104,9 @@ type Graph[V graph.Vertex] struct {
 	shards     int
 	totalEdges uint64
 
-	// prefetch, when non-nil, services NeighborsBatch windows with coalesced
-	// asynchronous span reads (see prefetch.go). Nil means NeighborsBatch is
-	// a no-op and every Neighbors call reads synchronously.
+	// prefetch, when non-nil, turns NeighborsBatch windows into asynchronous
+	// block requests on the table (see prefetch.go). Nil means NeighborsBatch
+	// is a no-op and every Neighbors call reads synchronously.
 	prefetch *Prefetcher
 
 	// cache, set by EnableStateCache when the store is a CachedStore,
@@ -524,6 +528,15 @@ func Open[V graph.Vertex](store Store) (*Graph[V], error) {
 		}
 		g.in = in
 	}
+	// A zero-budget table keeps nothing; it is where readers of one block
+	// share its read, and its fetch is where the graph meets the device.
+	if g.table, _ = store.(*CachedStore); g.table == nil {
+		end := g.out.base + g.out.bytes()
+		if g.in != nil {
+			end = max(end, g.in.base+g.in.bytes())
+		}
+		g.table = newCachedStore(store, rawBlock, 0, end, 1)
+	}
 	return g, nil
 }
 
@@ -718,38 +731,35 @@ func (s *section[V]) decode(block []byte, v V, scratch *graph.Scratch[V]) ([]V, 
 	return targets, weights, nil
 }
 
-// Neighbors implements graph.Adjacency with one positional read per call —
-// the semi-external random access the experiments measure. When the worker's
-// scratch carries a prefetch session holding an in-flight read for v (see
-// NeighborsBatch), the call waits for that read instead of issuing its own,
-// and decodes straight out of the coalesced span buffer. The decoded slices
-// live in scratch and are valid until the next call.
+// Neighbors implements graph.Adjacency with one read through the table per
+// call — the semi-external random access the experiments measure. When the
+// worker's scratch carries a prefetch session holding v's window entries (see
+// NeighborsBatch), the call waits for their reads instead of issuing its own
+// and decodes straight out of the fetched bytes. The decoded slices live in
+// scratch and are valid until the next call.
 func (g *Graph[V]) Neighbors(v V, scratch *graph.Scratch[V]) ([]V, []graph.Weight, error) {
 	return g.neighbors(&g.out, v, scratch)
 }
 
 // neighbors is the one read-extent-and-decode routine behind Neighbors and
-// InNeighbors. Pop-window spans cover edge-region extents, so only reads of
+// InNeighbors. Pop-window ranges cover edge-region extents, so only reads of
 // that section (a symmetric file's in-reads included) consult the prefetch
 // session.
 func (g *Graph[V]) neighbors(s *section[V], v V, scratch *graph.Scratch[V]) ([]V, []graph.Weight, error) {
 	if s.degree(v) == 0 {
 		return nil, nil, nil
 	}
+	var block []byte
+	var err error
+	taken := false
 	if sess, ok := scratch.Prefetch.(*prefetchSession); ok && s == &g.out {
-		if block, err, prefetched := sess.take(uint64(v)); prefetched {
-			if err != nil {
-				return nil, nil, fmt.Errorf("sem: read adjacency of %d: %w", v, err)
-			}
-			return s.decode(block, v, scratch)
-		}
+		block, err, taken = sess.take(uint64(v), g.table.blockSize, &scratch.Block)
 	}
-	off, need := s.extent(v)
-	if cap(scratch.Block) < need {
-		scratch.Block = make([]byte, need)
+	if !taken {
+		off, n := s.extent(v)
+		block, err = g.table.read(off, n, &scratch.Block, g.prefetch != nil)
 	}
-	block := scratch.Block[:need]
-	if _, err := g.store.ReadAt(block, off); err != nil {
+	if err != nil {
 		return nil, nil, fmt.Errorf("sem: read adjacency of %d: %w", v, err)
 	}
 	return s.decode(block, v, scratch)

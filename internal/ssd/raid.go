@@ -50,9 +50,6 @@ func NewRAID0Array(perCard Profile, cards int, chunk int64, backing Backing) (*R
 	return NewRAID0(devices, chunk)
 }
 
-// Members returns the member devices (for stats inspection).
-func (r *RAID0) Members() []*Device { return r.devices }
-
 // Size implements the Sizer the semi-external cache requires.
 func (r *RAID0) Size() int64 { return r.devices[0].Size() }
 

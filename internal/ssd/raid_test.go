@@ -115,8 +115,8 @@ func TestRAID0StatsAggregation(t *testing.T) {
 	if st.Reads != 2 || st.BytesRead != 128 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(r.Members()) != 2 {
-		t.Fatalf("members = %d", len(r.Members()))
+	if len(r.devices) != 2 {
+		t.Fatalf("members = %d", len(r.devices))
 	}
 }
 
