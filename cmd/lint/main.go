@@ -1,84 +1,23 @@
 // Command lint runs the project's static analyzers (internal/lint) over the
-// given package patterns and prints diagnostics as
+// given package patterns (default ./...) and prints diagnostics as
 //
 //	file:line: analyzer: message
 //
-// or, with -json, as a JSON array of {file, line, analyzer, message}
-// objects. With -baseline FILE, findings already present in FILE (matched by
-// file, analyzer, and message — line numbers are ignored, so unrelated edits
-// do not resurrect suppressed findings) are filtered out, letting CI gate on
-// new findings only; regenerate the baseline by redirecting the default
-// text output to the file.
-//
-// Exit status: 0 when clean, 1 when any (new) diagnostic fired, 2 on load
-// errors (parse or type-check failure). CI runs `go run ./cmd/lint ./...`
-// and treats any non-zero status as a gate failure.
+// Exit status: 0 when clean, 1 when any diagnostic fired, 2 on load errors
+// (parse or type-check failure). CI runs `go run ./cmd/lint ./...` and treats
+// any non-zero status as a gate failure.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/lint"
 )
 
-// baselineKey identifies a finding across line-number drift: unrelated edits
-// above a finding move it without changing what it says.
-func baselineKey(file, analyzer, message string) string {
-	return file + "\x00" + analyzer + "\x00" + message
-}
-
-// loadBaseline parses a baseline file of `file:line: analyzer: message`
-// lines (the tool's own text output format; blank lines and # comments are
-// skipped).
-func loadBaseline(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	known := make(map[string]bool)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		// file:line: analyzer: message
-		parts := strings.SplitN(line, ": ", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("baseline line %q is not file:line: analyzer: message", line)
-		}
-		file := parts[0]
-		if i := strings.LastIndex(file, ":"); i >= 0 {
-			file = file[:i] // strip the line number
-		}
-		known[baselineKey(file, parts[1], parts[2])] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return known, nil
-}
-
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of text lines")
-	baselinePath := flag.String("baseline", "", "suppress findings present in this baseline file; exit 1 only on new ones")
-	flag.Parse()
-	patterns := flag.Args()
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -87,53 +26,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lint:", err)
 		os.Exit(2)
 	}
-	var known map[string]bool
-	if *baselinePath != "" {
-		known, err = loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lint: baseline:", err)
-			os.Exit(2)
-		}
-	}
 	cwd, err := os.Getwd()
 	if err != nil {
 		cwd = ""
 	}
-	emitted := 0
-	var out []jsonDiag
-	for _, d := range lint.RunAll(pkgs, lint.Analyzers()) {
+	diags := lint.RunAll(pkgs, lint.Analyzers())
+	for _, d := range diags {
 		if cwd != "" {
 			if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil {
 				d.Pos.Filename = rel
 			}
 		}
-		if known[baselineKey(d.Pos.Filename, d.Analyzer, d.Message)] {
-			continue
-		}
-		emitted++
-		if *jsonOut {
-			out = append(out, jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-			continue
-		}
 		fmt.Println(d.String())
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if out == nil {
-			out = []jsonDiag{} // an empty run is [], not null
-		}
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "lint: encode:", err)
-			os.Exit(2)
-		}
-	}
-	if emitted > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

@@ -89,72 +89,16 @@ func AblationHash(o Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationSemiSort measures the device-read savings of the secondary
-// vertex-id sort key on semi-external traversal (paper §IV-C: semi-sorting
-// "increases access locality to the storage devices").
-func AblationSemiSort(o Options) (*Table, error) {
-	t := &Table{
-		Title: "Ablation: SEM semi-sort locality (async BFS, RMAT-A, FusionIO)",
-		Cols:  []string{"semiSort", "time(s)", "devReads", "cacheHit%"},
-	}
-	scale := o.SEMScales[len(o.SEMScales)-1]
-	g, err := gen.RMAT[uint32](scale, o.Degree, gen.RMATA, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	src := graph.MaxDegreeVertex[uint32](g)
-	o.SEMReps = 1 // report the counters of exactly the run timed
-	for _, sorted := range []bool{true, false} {
-		dur, io, err := timeSEM(o, g, ssd.FusionIO, func(adj graph.Adjacency[uint32], cfg core.Config) error {
-			// The key is the mount's constant (on, semi-externally); the
-			// exhibit forces it both ways.
-			cfg.SemiSort = sorted
-			return semBFS(src)(adj, cfg)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Add(fmt.Sprintf("%v", sorted), Seconds(dur),
-			fmt.Sprintf("%d", io.Device.Reads), fmt.Sprintf("%.1f", 100*io.CacheHitRate()))
-		o.logf("ablation-semisort: sorted=%v done\n", sorted)
-	}
-	return t, nil
-}
-
-// AblationCache sweeps the semi-external block-cache budget, exposing how
-// the paper's implicit OS-page-cache capacity governs SEM performance.
-func AblationCache(o Options) (*Table, error) {
-	t := &Table{
-		Title: "Ablation: SEM cache budget (async BFS, RMAT-A, Intel)",
-		Cols:  []string{"cacheFrac", "time(s)", "devReads", "cacheHit%"},
-	}
-	scale := o.SEMScales[len(o.SEMScales)-1]
-	g, err := gen.RMAT[uint32](scale, o.Degree, gen.RMATA, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	src := graph.MaxDegreeVertex[uint32](g)
-	o.SEMReps = 1 // report the counters of exactly the run timed
-	for _, frac := range []int64{2, 4, 8, 16, 64} {
-		o.CacheFrac = frac
-		dur, io, err := timeSEM(o, g, ssd.Intel, semBFS(src))
-		if err != nil {
-			return nil, err
-		}
-		t.Add(fmt.Sprintf("1/%d", frac), Seconds(dur),
-			fmt.Sprintf("%d", io.Device.Reads), fmt.Sprintf("%.1f", 100*io.CacheHitRate()))
-		o.logf("ablation-cache: frac=1/%d done\n", frac)
-	}
-	return t, nil
-}
-
 // AblationStripe sweeps RAID-0 stripe width at fixed aggregate parallelism:
 // the paper's configurations are all 4-member software RAID 0 arrays, and
 // striping is what lets commodity SATA SSDs reach array-level IOPS.
 func AblationStripe(o Options) (*Table, error) {
+	// The array is one store, so o.Shards applies to neither the write nor
+	// the mount.
+	wo := mount.WriteOptions{Compress: o.Compressed}
 	t := &Table{
 		Title: "Ablation: RAID-0 stripe width (SEM BFS, RMAT-A, FusionIO-class array)",
-		Note:  "per-card channels = aggregate/cards; 64 KiB chunks (paper: 4-card software RAID 0)",
+		Note:  "per-card channels = aggregate/cards; 64 KiB chunks (paper: 4-card software RAID 0), edge format=" + wo.Format(false),
 		Cols:  []string{"cards", "time(s)", "devReads"},
 	}
 	scale := o.SEMScales[len(o.SEMScales)-1]
@@ -163,7 +107,7 @@ func AblationStripe(o Options) (*Table, error) {
 		return nil, err
 	}
 	src := graph.MaxDegreeVertex[uint32](g)
-	backings, err := mount.WriteBackings(g, mount.WriteOptions{})
+	backings, err := mount.WriteBackings(g, wo)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +119,7 @@ func AblationStripe(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := mount.Stores([]sem.Store{arr}, mount.Options{CacheFrac: o.CacheFrac, Readahead: o.Readahead})
+		m, err := mount.Stores([]sem.Store{arr}, o.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -393,8 +337,8 @@ func AblationDirection(o Options) (*Table, error) {
 func Ablations(o Options) ([]*Table, error) {
 	var tables []*Table
 	for _, fn := range []func(Options) (*Table, error){
-		AblationOversubscription, AblationHash, AblationSemiSort, AblationCache,
-		AblationStripe, AblationSSSP, AblationWriteAsymmetry, AblationDirection,
+		AblationOversubscription, AblationHash, AblationStripe,
+		AblationSSSP, AblationWriteAsymmetry, AblationDirection,
 	} {
 		tbl, err := fn(o)
 		if err != nil {

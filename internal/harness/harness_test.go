@@ -211,13 +211,29 @@ func TestFigure2AndAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 8 {
-		t.Fatalf("%d ablation tables, want 8", len(tables))
+	if len(tables) != 6 {
+		t.Fatalf("%d ablation tables, want 6", len(tables))
 	}
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s: empty", tbl.Title)
 		}
+	}
+}
+
+// TestAblationStripeMountsTheEdgeFormat pins that the stripe table writes
+// and mounts what -compress asks for, and names that format in its note the
+// way Table IV does.
+func TestAblationStripeMountsTheEdgeFormat(t *testing.T) {
+	o := tiny()
+	o.Compressed = true
+	tbl, err := AblationStripe(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTable(t, tbl, 3)
+	if !strings.Contains(tbl.Note, "edge format=compressed") {
+		t.Fatalf("note %q does not name the compressed edge format", tbl.Note)
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 )
 
 // This file is the whole-program layer under the interprocedural analyzers
-// (lockorder, spawnjoin, blockwhilelocked): a CHA-style static call graph over
-// go/types, one node per declared function or function literal, with
-// per-function concurrency facts (lock acquisitions, blocking operations,
-// goroutine spawns, join signals) attached by the walker in locksummary.go
-// and transitive summaries computed by fixpoint here.
+// (lockorder, blockwhilelocked): a CHA-style static call graph over go/types,
+// one node per declared function or function literal, with per-function
+// concurrency facts (lock acquisitions, blocking operations) attached by the
+// walker in locksummary.go and transitive summaries computed by fixpoint here.
 //
 // Identity is string-keyed, not pointer-keyed: the parallel loader gives each
 // package its own importer, so a dependency's *types.Func objects are not
-// shared across packages. funcKey and lock/channel classes canonicalize to
+// shared across packages. funcKey and lock classes canonicalize to
 // "pkgpath.Type.name" strings, which unify across type-checker universes.
 //
 // Resolution policy (the precision/coverage trade each analyzer leans on):
@@ -31,8 +30,8 @@ import (
 //   - calls through func-typed variables and fields: unresolved (no edge);
 //     a function literal passed as a call argument is conservatively assumed
 //     to be invoked by the callee (covers sync.Once.Do, sort.Slice);
-//   - `go` statements: spawn sites, never call edges — a goroutine's blocking
-//     and locking happen on another stack.
+//   - `go` statements: never call edges — a goroutine's blocking and locking
+//     happen on another stack.
 
 // program is the whole-program view RunAll hands to Analyzer.RunProgram.
 type program struct {
@@ -45,21 +44,9 @@ type program struct {
 	// with that shape, the class-hierarchy approximation for dynamic calls.
 	cha map[string][]string
 
-	// chanBuf records, per channel class, whether every make() observed for
-	// it is unbuffered. Classes with no observed make stay absent (unknown).
-	chanBuf map[string]bufState
-
 	// directives holds //lint:<name> suppression comments as "file:line:name".
 	directives map[string]bool
 }
-
-type bufState int
-
-const (
-	bufUnknown bufState = iota
-	bufUnbuffered
-	bufBuffered
-)
 
 // acqSite is one mutex Lock/RLock call.
 type acqSite struct {
@@ -93,18 +80,6 @@ type dynCall struct {
 	held []string
 }
 
-// spawnSite is one `go` statement.
-type spawnSite struct {
-	callee string // "" when the spawned callee cannot be resolved statically
-	pos    token.Pos
-}
-
-// sendSig is one channel send, a completion signal for spawnjoin.
-type sendSig struct {
-	class string
-	pos   token.Pos
-}
-
 // blockReason explains why a function may block, for interprocedural
 // diagnostics ("call to F may block (channel receive at file.go:12)").
 type blockReason struct {
@@ -124,22 +99,10 @@ type funcNode struct {
 	blocks   []blockSite
 	calls    []callEdge
 	dyncalls []dynCall
-	spawns   []spawnSite
-
-	// Own join signals (spawnjoin's evidence set).
-	wgDone    bool
-	chanClose bool
-	ctxDone   bool
-	sends     []sendSig
-	recvs     map[string]bool // channel classes this function receives from
 
 	// Transitive summaries (computed by computeSummaries).
 	mayAcquire map[string]token.Pos
 	mayBlock   *blockReason
-	joinsWG    bool
-	joinsClose bool
-	joinsCtx   bool
-	joinSends  []sendSig
 }
 
 // shortName compresses "repro/internal/core.workQueue.mu" to
@@ -194,7 +157,6 @@ func buildProgram(pkgs []*Package) *program {
 		pkgs:       pkgs,
 		nodes:      make(map[string]*funcNode),
 		cha:        make(map[string][]string),
-		chanBuf:    make(map[string]bufState),
 		directives: make(map[string]bool),
 	}
 	if len(pkgs) > 0 {
@@ -202,7 +164,6 @@ func buildProgram(pkgs []*Package) *program {
 	}
 	for _, p := range pkgs {
 		prog.collectDirectives(p)
-		prog.collectChanMakes(p)
 	}
 	for _, p := range pkgs {
 		for _, file := range p.Files {
@@ -221,7 +182,6 @@ func buildProgram(pkgs []*Package) *program {
 					display: shortName(key),
 					pkg:     p,
 					pos:     fn.Pos(),
-					recvs:   make(map[string]bool),
 				}
 				prog.nodes[key] = node
 				if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
@@ -297,78 +257,7 @@ func (prog *program) suppressed(name string, pos token.Pos) bool {
 		prog.directives[pp.Filename+":"+strconv.Itoa(pp.Line-1)+":"+name]
 }
 
-// collectChanMakes scans a package for make(chan ...) expressions whose
-// destination resolves to a class (a struct field, package variable, or local
-// variable) and records whether the channel is provably unbuffered.
-func (prog *program) collectChanMakes(p *Package) {
-	record := func(target ast.Expr, mk *ast.CallExpr) {
-		class := chanClass(p, target)
-		if class == "" {
-			return
-		}
-		state := bufUnbuffered
-		if len(mk.Args) >= 2 {
-			state = bufBuffered
-			if tv, ok := p.Info.Types[mk.Args[1]]; ok && tv.Value != nil && tv.Value.String() == "0" {
-				state = bufUnbuffered
-			}
-		}
-		if prev, ok := prog.chanBuf[class]; ok && prev != state {
-			prog.chanBuf[class] = bufBuffered // mixed: stay lenient
-			return
-		}
-		prog.chanBuf[class] = state
-	}
-	asChanMake := func(e ast.Expr) *ast.CallExpr {
-		call, ok := e.(*ast.CallExpr)
-		if !ok || !isBuiltin(p, call, "make") || len(call.Args) == 0 {
-			return nil
-		}
-		if t := p.Info.TypeOf(call.Args[0]); t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				return call
-			}
-		}
-		return nil
-	}
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch node := n.(type) {
-			case *ast.AssignStmt:
-				if len(node.Lhs) == len(node.Rhs) {
-					for i, rhs := range node.Rhs {
-						if mk := asChanMake(rhs); mk != nil {
-							record(node.Lhs[i], mk)
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				if len(node.Names) == len(node.Values) {
-					for i, rhs := range node.Values {
-						if mk := asChanMake(rhs); mk != nil {
-							record(node.Names[i], mk)
-						}
-					}
-				}
-			case *ast.CompositeLit:
-				for _, el := range node.Elts {
-					kv, ok := el.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					if mk := asChanMake(kv.Value); mk != nil {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							record(key, mk)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// classOf canonicalizes the lock or channel expression e to a cross-package
+// classOf canonicalizes the lock expression e to a cross-package
 // identity: "pkgpath.Type.field" for struct fields, "pkgpath.name" for
 // package variables, "pkgpath.name@file:line" (the declaration site) for
 // locals, so the same local referenced from a closure resolves identically.
@@ -417,31 +306,15 @@ func classOf(p *Package, e ast.Expr) string {
 	return ""
 }
 
-// chanClass is classOf restricted to channel-typed expressions.
-func chanClass(p *Package, e ast.Expr) string {
-	t := p.Info.TypeOf(e)
-	if t == nil {
-		return ""
-	}
-	if _, ok := t.Underlying().(*types.Chan); !ok {
-		return ""
-	}
-	return classOf(p, e)
-}
-
 // computeSummaries runs the interprocedural fixpoints: may-acquire lock sets
-// (through static and CHA-resolved dynamic calls), may-block reasons (static
-// calls only — CHA would drown blockwhilelocked in false positives), and
-// join-signal closures for spawnjoin (static calls only; a spawned goroutine
-// does not join its spawner's spawner).
+// (through static and CHA-resolved dynamic calls) and may-block reasons
+// (static calls only — CHA would drown blockwhilelocked in false positives).
 func (prog *program) computeSummaries() {
 	for _, n := range prog.order {
 		n.mayAcquire = make(map[string]token.Pos)
 		for _, a := range n.acquires {
 			addWitness(n.mayAcquire, a.class, a.pos)
 		}
-		n.joinsWG, n.joinsClose, n.joinsCtx = n.wgDone, n.chanClose, n.ctxDone
-		n.joinSends = append([]sendSig(nil), n.sends...)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -455,9 +328,6 @@ func (prog *program) computeSummaries() {
 					if addWitness(n.mayAcquire, class, pos) {
 						changed = true
 					}
-				}
-				if mergeJoins(n, callee) {
-					changed = true
 				}
 				if n.mayBlock == nil && callee.mayBlock != nil {
 					n.mayBlock = &blockReason{what: callee.mayBlock.what, pos: callee.mayBlock.pos, via: callee.display}
@@ -501,34 +371,6 @@ func addWitness(m map[string]token.Pos, class string, pos token.Pos) bool {
 	}
 	m[class] = pos
 	return true
-}
-
-// mergeJoins folds callee's join signals into n, reporting any change.
-func mergeJoins(n, callee *funcNode) bool {
-	changed := false
-	if callee.joinsWG && !n.joinsWG {
-		n.joinsWG, changed = true, true
-	}
-	if callee.joinsClose && !n.joinsClose {
-		n.joinsClose, changed = true, true
-	}
-	if callee.joinsCtx && !n.joinsCtx {
-		n.joinsCtx, changed = true, true
-	}
-	for _, s := range callee.joinSends {
-		found := false
-		for _, own := range n.joinSends {
-			if own.class == s.class {
-				found = true
-				break
-			}
-		}
-		if !found {
-			n.joinSends = append(n.joinSends, s)
-			changed = true
-		}
-	}
-	return changed
 }
 
 // posLabel renders a position as "file.go:line" for inclusion in messages

@@ -226,3 +226,17 @@ func checkDeferClosedWriter(p *Package, body *ast.BlockStmt) []Diagnostic {
 	})
 	return diags
 }
+
+// walkShallow walks the subtree rooted at n, invoking fn on every node but
+// not descending into nested function literals.
+func walkShallow(n ast.Node, fn func(ast.Node)) {
+	ast.Inspect(n, func(node ast.Node) bool {
+		if _, ok := node.(*ast.FuncLit); ok && node != n {
+			return false
+		}
+		if node != nil {
+			fn(node)
+		}
+		return true
+	})
+}

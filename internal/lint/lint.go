@@ -1,16 +1,11 @@
 // Package lint is the repository's project-specific static-analysis suite:
 // stdlib-only (go/ast, go/parser, go/types, go/token) analyzers that machine-
-// check the conventions the engine's asynchronous ownership/termination
-// protocol depends on — properties `go vet` and the race detector cannot
-// see, because a protocol breach through correctly-ordered atomics is not a
-// data race.
+// check conventions `go vet`, the race detector and the `-tags invariants`
+// build cannot see: a lock-order cycle or a blocking call under a lock that
+// no test schedule happens to fire, and code shapes no runtime check reaches.
 //
 // The analyzers (run by cmd/lint, enforced in CI):
 //
-//   - atomic-mix: a struct field accessed both through sync/atomic and with
-//     plain loads/stores anywhere in its package;
-//   - locked-section: a sync.Mutex/RWMutex Lock without a deferred or
-//     same-block Unlock covering every return path;
 //   - hotpath: no fmt calls, time.Now, map allocation, or closure creation
 //     inside functions annotated `//lint:hotpath`;
 //   - droppederr: ignored error results from Read/ReadAt/Write/WriteAt/
@@ -20,14 +15,11 @@
 //     be referenced by that package's validate/normalize function.
 //
 // On top of the per-package checks sits a whole-program layer (callgraph.go):
-// a CHA-style static call graph with per-function may-acquire/may-block/
-// join-signal summaries, feeding three interprocedural analyzers:
+// a CHA-style static call graph with per-function may-acquire/may-block
+// summaries, feeding two interprocedural analyzers:
 //
 //   - lockorder: cycles in the global mutex-acquisition-order graph
 //     (AB/BA deadlock risk), `//lint:lockorder` documents a hierarchy;
-//   - spawnjoin: every `go` statement needs a reachable join signal
-//     (WaitGroup.Done, close, context watcher, or a safe channel send),
-//     `//lint:spawnjoin` documents a deliberately detached goroutine;
 //   - blockwhilelocked: no blocking operation while a sync.Mutex/RWMutex is
 //     statically held, `//lint:blockwhilelocked` documents an exception.
 package lint
@@ -64,8 +56,7 @@ type Analyzer struct {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AtomicMix, LockedSection, Hotpath, DroppedErr, ConfigCheck,
-		LockOrder, SpawnJoin, BlockWhileLocked,
+		Hotpath, DroppedErr, ConfigCheck, LockOrder, BlockWhileLocked,
 	}
 }
 

@@ -72,21 +72,6 @@ func expectExactly(t *testing.T, a *Analyzer, want map[string]string) {
 	}
 }
 
-func TestAtomicMix(t *testing.T) {
-	expectExactly(t, AtomicMix, map[string]string{
-		"atomic.go:26": "field mixed is accessed with a plain load/store",
-		"atomic.go:27": "field boxed is accessed with a plain load/store",
-	})
-}
-
-func TestLockedSection(t *testing.T) {
-	expectExactly(t, LockedSection, map[string]string{
-		"locks.go:14": "no matching r.mu.Unlock()",
-		"locks.go:23": "return inside r.mu critical section",
-		"locks.go:50": "no matching r.rw.RUnlock()",
-	})
-}
-
 func TestHotpath(t *testing.T) {
 	expectExactly(t, Hotpath, map[string]string{
 		"hot.go:10": "call to fmt.Sprintf",
@@ -116,13 +101,6 @@ func TestLockOrder(t *testing.T) {
 		"lockorder.go:16": "lock-order cycle: fixture.orderA.mu -> fixture.orderB.mu",
 		// The same cycle closed through callees' may-acquire summaries.
 		"lockorder.go:45": "via fixture.lockDAlone",
-	})
-}
-
-func TestSpawnJoin(t *testing.T) {
-	expectExactly(t, SpawnJoin, map[string]string{
-		"spawnjoin.go:13": "goroutine has no reachable join",
-		"spawnjoin.go:23": "send on unbuffered channel",
 	})
 }
 
