@@ -492,20 +492,3 @@ func TestQuickBFSEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCCWithIdentityHash(t *testing.T) {
-	g := randomUndirected(t, 300, 500, 5)
-	want, err := baseline.SerialCC(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := CC[uint32](g, Config{Workers: 8, Hash: IdentityHash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if res.ID[v] != want[v] {
-			t.Fatalf("id[%d] = %d, want %d", v, res.ID[v], want[v])
-		}
-	}
-}

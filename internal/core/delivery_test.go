@@ -40,8 +40,9 @@ func (s *offsetGate) ReadAt(p []byte, off int64) (int, error) {
 
 // TestBlockedWorkerHoldsNoVisitors pins the delivery rule on a device-backed
 // graph: a worker never blocks in a storage read while its outbox holds a
-// visitor. Two workers under the identity hash (A owns the even vertices, B
-// the odd ones) run SSSP from 0 over
+// visitor. Two workers (A owns the even vertices, B the odd ones: the
+// ownership hash's multiplier is odd, so it keeps an id's low bit) run SSSP
+// from 0 over
 //
 //	0 -1-> 2 -1-> 1 -1-> 3        0 -2-> 4 -1-> 6
 //
@@ -62,6 +63,12 @@ func TestBlockedWorkerHoldsNoVisitors(t *testing.T) {
 }
 
 func blockedWorkerHoldsNoVisitors(t *testing.T, window int) {
+	split := New[uint32](Config{Workers: 2}, nil)
+	for v := uint64(0); v < 8; v++ {
+		if split.owner(v) != int(v%2) {
+			t.Fatalf("vertex %d is owned by worker %d; the layout below needs %d", v, split.owner(v), v%2)
+		}
+	}
 	b := graph.NewBuilder[uint32](8, true)
 	b.AddEdge(0, 2, 1)
 	b.AddEdge(0, 4, 2)
@@ -97,7 +104,7 @@ func blockedWorkerHoldsNoVisitors(t *testing.T, window int) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		res, err := SSSP[uint32](sg, 0, Config{Workers: 2, Hash: IdentityHash, Prefetch: window})
+		res, err := SSSP[uint32](sg, 0, Config{Workers: 2, Prefetch: window})
 		done <- result{res, err}
 	}()
 	<-store.entered // A is inside the device, reading vertex 4

@@ -46,10 +46,6 @@ type Config struct {
 	// SemiSort enables the secondary vertex-id sort key inside each queue,
 	// the paper's semi-external locality optimization (§IV-C).
 	SemiSort bool
-	// Hash maps a vertex id to a queue-selection value. Defaults to a
-	// Fibonacci multiplicative hash. An identity hash is provided for the
-	// hash-quality ablation.
-	Hash func(uint64) uint64
 	// Prefetch is the pop-window size of the semi-external I/O pipeline: a
 	// worker pops up to Prefetch visitors from its queue in one batch and
 	// announces their vertices to the storage back end (via
@@ -95,9 +91,6 @@ func (c *Config) normalize() {
 	if c.Workers <= 0 {
 		c.Workers = 4 * runtime.GOMAXPROCS(0)
 	}
-	if c.Hash == nil {
-		c.Hash = FibHash
-	}
 	if c.Prefetch < 0 {
 		c.Prefetch = 0
 	}
@@ -111,14 +104,6 @@ func (c *Config) normalize() {
 		c.Beta = DefaultBeta
 	}
 }
-
-// FibHash is the default queue-selection hash: Fibonacci multiplicative
-// hashing, near-uniform for sequential vertex ids.
-func FibHash(v uint64) uint64 { return v * 0x9E3779B97F4A7C15 }
-
-// IdentityHash assigns queues by raw vertex id (modulo queue count). Used by
-// the hash-quality ablation; poor for clustered ids.
-func IdentityHash(v uint64) uint64 { return v }
 
 // Stats summarizes a completed traversal.
 type Stats struct {
@@ -343,10 +328,11 @@ func (e *Engine[V]) Start() {
 	}
 }
 
-// owner maps a vertex id to the index of its owning worker (and queue): the
+// owner maps a vertex id to the index of its owning worker (and queue) by
+// Fibonacci multiplicative hashing, near-uniform for sequential ids: the
 // single routing rule behind the engine's exclusive-ownership discipline.
 func (e *Engine[V]) owner(v uint64) int {
-	return int(e.cfg.Hash(v) % uint64(len(e.queues)))
+	return int(v * 0x9E3779B97F4A7C15 % uint64(len(e.queues)))
 }
 
 // Push queues a visitor for v. Safe for concurrent use. External pushes are

@@ -24,10 +24,10 @@ func TestInvariantsDisabled(t *testing.T) {
 // the traversal completes normally.
 func TestOwnerRuleViolationSilent(t *testing.T) {
 	visit := func(ctx *Ctx[uint32], it pq.Item) error {
-		ctx.AssertOwned(uint32(it.V + 1)) // not owned; must be a no-op
+		ctx.AssertOwned(notOwned(ctx, it)) // not owned; must be a no-op
 		return nil
 	}
-	e := New[uint32](Config{Workers: 2, Hash: IdentityHash}, visit)
+	e := New[uint32](Config{Workers: 2}, visit)
 	e.Start()
 	e.Push(0, 0, 0)
 	if _, err := e.Wait(); err != nil {

@@ -58,12 +58,11 @@ func TestOwnerRuleViolationPanics(t *testing.T) {
 				err = errors.New("owner rule violated")
 			}
 		}()
-		// With IdentityHash and two workers, vertex it.V+1 always hashes to
-		// the other worker: this write claim is always a violation.
-		ctx.AssertOwned(uint32(it.V + 1))
+		// Claiming a vertex the other worker owns is always a violation.
+		ctx.AssertOwned(notOwned(ctx, it))
 		return nil
 	}
-	e := New[uint32](Config{Workers: 2, Hash: IdentityHash}, visit)
+	e := New[uint32](Config{Workers: 2}, visit)
 	e.Start()
 	e.Push(0, 0, 0)
 	if _, err := e.Wait(); err == nil {
@@ -119,16 +118,16 @@ func TestPoolResetRestoresPristine(t *testing.T) {
 }
 
 // TestLostProposalPanics leaves the state a sender would that won the claim
-// on best[t] and then skipped the push: the traversal completes, but t's
-// filter word is lower than any label it was ever given.
+// on labels[t] and then skipped the push: the traversal completes, but t's
+// word holds a claim no visit ever applied.
 func TestLostProposalPanics(t *testing.T) {
 	g := randomDigraph(t, 8, 16, false, 1)
 	labels := make([]uint64, g.NumVertices())
 	initLabels[uint32](labels, nil)
 	src := uint32(0)
-	k := newKernelState[uint32](g, labels, nil, bfsStep, &src, nil)
-	labels[src] = 0
+	k := newKernelState[uint32](g, labels, nil, bfsStep, &src)
+	k.applied[src] = 0
 	k.assertQuiescent() // the seed was applied, nothing else was claimed
-	k.best[3] = 1
+	labels[3] = 1
 	expectInvariantPanic(t, "proposal filter", k.assertQuiescent)
 }

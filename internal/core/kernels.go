@@ -19,24 +19,24 @@ import (
 //
 // The shared visitor body (label-correcting, §III-B) is "claim, then push":
 //
-//	if it.Pri >= label[v]: return            // stale visitor, drop
-//	label[v] = it.Pri                        // relax vertex information
+//	if it.Pri > label[v]: return              // overtaken in flight, drop
 //	for each neighbor t of v:
-//	    p = step(it.Pri, weight)             // propose a better label
-//	    if p >= best[t]: continue            // already beaten: never queued
-//	    if CAS-min(best[t], p): push(p, t)   // claim, then push
+//	    p = step(it.Pri, weight)              // propose a better label
+//	    if p >= label[t]: continue            // already beaten: never queued
+//	    if CAS-min(label[t], p): push(p, t)   // claim, then push
 //
-// best is one filter word per vertex, the lowest priority any sender has
-// queued for it so far. A proposal is dropped only when an equal-or-better
+// The label is the vertex's one word: the lowest priority any sender has
+// claimed for it so far. A proposal is dropped only when an equal-or-better
 // one for the same vertex has already been claimed — and a claimed proposal
 // is a seed or is pushed by the sender that won the claim, so it is
 // registered with the Terminator before the traversal can end, will be
-// visited, and will relax t at least as far. Final labels are therefore the
-// ones the unfiltered kernel computes, and whichever proposal wins a tie is
-// still a tree edge. The paper lets the owner decide everything (§III-B:
-// push per edge, drop on arrival); the filter departs from that by exactly
-// this one shared word, while vertex state — labels, parents — stays written
-// by the owner alone (§III-A).
+// visited, and will relax t at least as far. Each claimed value is pushed
+// exactly once, so the visitor that holds the final value is the one that
+// writes the parent. Final labels are therefore the ones the unfiltered
+// kernel computes, and whichever proposal wins a tie is still a tree edge.
+// The paper lets the owner decide everything (§III-B: push per edge, drop on
+// arrival); here the label word is shared, like the direction driver's
+// levels, while parents stay written by the owner alone (§III-A).
 //
 // Correctness does not depend on visit order: every relaxation is monotone,
 // so any interleaving (including mailbox-delayed delivery) converges to the
@@ -51,58 +51,61 @@ func ssspStep(pri uint64, w graph.Weight) uint64 { return pri + uint64(w) }
 func ccStep(pri uint64, _ graph.Weight) uint64   { return pri }
 
 // kernelState is the per-traversal state of the shared relaxation kernel:
-// the label (and optional parent) arrays, the proposal filter, and the
-// relaxation arithmetic. Its visit method is the engine's VisitFunc — a named
-// method rather than a closure so the per-visit path allocates nothing and
-// carries the hotpath annotation.
+// the label (and optional parent) arrays and the relaxation arithmetic. Its
+// visit method is the engine's VisitFunc — a named method rather than a
+// closure so the per-visit path allocates nothing and carries the hotpath
+// annotation.
 type kernelState[V graph.Vertex] struct {
-	g      graph.Adjacency[V]
+	g graph.Adjacency[V]
+	// labels[t] is the lowest priority claimed for t so far: a seed's, or a
+	// proposal's whose sender then pushed it. Any worker lowers it, with
+	// sync/atomic only. The seeding in newKernelState and every read after
+	// Wait are plain: they are ordered before Start and after Wait.
 	labels []graph.Dist
 	parent []V
 	step   stepFunc
-	// best[t] is the lowest priority claimed for t so far: a seed's, or a
-	// proposal's whose sender then pushed it. Any worker lowers it, with
-	// sync/atomic only; best[t] <= labels[t] at all times, with equality once
-	// the traversal has completed. The fill in newKernelState and the read in
-	// assertQuiescent are plain: they are ordered before Start and after Wait.
-	best []uint64
+	// applied[v], built only under `-tags invariants`, is the priority of v's
+	// last visit, written by v's owner; assertQuiescent compares it with the
+	// label.
+	applied []graph.Dist
 }
 
 // newKernelState builds the kernel state of one traversal and claims its
-// seeds in best: priority 0 for the single source *src (BFS, SSSP), or, with
-// src nil, every vertex's own id (CC) — so a proposal that cannot beat a seed
-// is pruned like any other. The caller queues the matching seed visitors.
-// buf is recycled storage for best and may be nil or too short.
-func newKernelState[V graph.Vertex](g graph.Adjacency[V], labels []graph.Dist, parent []V, step stepFunc, src *V, buf []uint64) *kernelState[V] {
-	n := len(labels)
-	if cap(buf) < n {
-		buf = make([]uint64, n)
-	}
-	best := buf[:n]
+// seeds in labels: priority 0 for the single source *src (BFS, SSSP; the rest
+// hold InfDist on entry), or, with src nil, every vertex's own id (CC) — so a
+// proposal that cannot beat a seed is pruned like any other. The caller
+// queues the matching seed visitors.
+func newKernelState[V graph.Vertex](g graph.Adjacency[V], labels []graph.Dist, parent []V, step stepFunc, src *V) *kernelState[V] {
 	if src != nil {
-		initLabels[V](best, nil)
-		best[*src] = 0
+		labels[*src] = 0
 	} else {
-		for i := range best {
-			best[i] = uint64(i)
+		for i := range labels {
+			labels[i] = uint64(i)
 		}
 	}
-	return &kernelState[V]{g: g, labels: labels, parent: parent, step: step, best: best}
+	k := &kernelState[V]{g: g, labels: labels, parent: parent, step: step}
+	if invariant.Enabled {
+		k.applied = make([]graph.Dist, len(labels))
+		initLabels[V](k.applied, nil)
+	}
+	return k
 }
 
 // visit is the shared visitor body (label-correcting, §III-B). The owner
-// rule makes the labels/parent writes race-free: vertex v is only ever
-// visited by its hash-designated owning worker, which AssertOwned checks
-// under `-tags invariants`.
+// rule makes the parent writes race-free: vertex v is only ever visited by
+// its hash-designated owning worker, which AssertOwned checks under
+// `-tags invariants`.
 //
 //lint:hotpath
 func (k *kernelState[V]) visit(ctx *Ctx[V], it pq.Item) error {
 	v := V(it.V)
-	if it.Pri >= k.labels[v] {
-		return nil // stale visitor: current label is already as good
+	if it.Pri > atomic.LoadUint64(&k.labels[v]) {
+		return nil // overtaken in flight: a better proposal is already claimed
 	}
 	ctx.AssertOwned(v)
-	k.labels[v] = it.Pri // relax vertex information
+	if invariant.Enabled {
+		k.applied[v] = it.Pri
+	}
 	var aux uint64
 	if k.parent != nil {
 		k.parent[v] = V(it.Aux)
@@ -125,13 +128,13 @@ func (k *kernelState[V]) visit(ctx *Ctx[V], it pq.Item) error {
 }
 
 // propose queues a visitor for t at priority pri unless an equal-or-better
-// one was already claimed: it lowers best[t] to pri, and only the sender
+// one was already claimed: it lowers labels[t] to pri, and only the sender
 // whose compare-and-swap lands pushes. A pruned proposal touches neither the
 // Terminator, the settle sink nor the outbox.
 //
 //lint:hotpath
 func (k *kernelState[V]) propose(ctx *Ctx[V], pri uint64, t V, aux uint64) {
-	b := &k.best[t]
+	b := &k.labels[t]
 	for {
 		cur := atomic.LoadUint64(b)
 		if pri >= cur {
@@ -146,12 +149,12 @@ func (k *kernelState[V]) propose(ctx *Ctx[V], pri uint64, t V, aux uint64) {
 }
 
 // assertQuiescent checks a completed traversal under `-tags invariants`:
-// every claimed proposal was delivered and applied, so the filter word of
-// every vertex equals its final label.
+// every claimed proposal was delivered and applied, so every vertex's label
+// is the priority its last visit applied.
 func (k *kernelState[V]) assertQuiescent() {
-	for v, b := range k.best {
-		if b != k.labels[v] {
-			invariant.Failf("proposal filter: vertex %d finished with label %d but best claimed proposal %d", v, k.labels[v], b)
+	for v, a := range k.applied {
+		if a != k.labels[v] {
+			invariant.Failf("proposal filter: vertex %d finished with claimed label %d but its last visit applied %d", v, k.labels[v], a)
 		}
 	}
 }
@@ -164,10 +167,11 @@ func onDevice[V graph.Vertex](g graph.Adjacency[V]) (graph.BatchAdjacency[V], bo
 }
 
 // runKernel executes the shared label-relaxation traversal. labels must be
-// length NumVertices and initialized to graph.InfDist ("initialized to
-// infinity"). parent, when non-nil, records the proposing vertex of each
-// accepted label (tree edges for BFS/SSSP); pass nil for algorithms without
-// parent tracking (CC). The traversal is seeded from *src at priority 0 with
+// length NumVertices and, with a single source, initialized to graph.InfDist
+// ("initialized to infinity"); CC's seeds overwrite every entry. parent,
+// when non-nil, records the proposing vertex of each accepted label (tree
+// edges for BFS/SSSP); pass nil for algorithms without parent tracking
+// (CC). The traversal is seeded from *src at priority 0 with
 // itself as parent, or, when src is nil, from every vertex at priority = its
 // own id. A non-nil pool lends the engine resources and takes them back.
 func runKernel[V graph.Vertex](
@@ -186,8 +190,7 @@ func runKernel[V graph.Vertex](
 	} else {
 		res = newEngineRes[V](cfg)
 	}
-	k := newKernelState(g, labels, parent, step, src, res.best)
-	res.best = k.best // recycled with the rest of the set
+	k := newKernelState(g, labels, parent, step, src)
 	e := newEngine(cfg, k.visit, res)
 	// A storage back end that caches blocks opts in through an optional
 	// capability: a SettleProvider's sink receives the visitor lifecycle,
@@ -206,10 +209,9 @@ func runKernel[V graph.Vertex](
 				vs := scratch.Window[:0]
 				for _, it := range window {
 					v := V(it.V)
-					// A stale visitor will be dropped at visit time; skip its
-					// I/O too. Reading labels here is race-free: every vertex
-					// in the window is owned by the calling worker.
-					if it.Pri < labels[v] {
+					// An overtaken visitor will be dropped at visit time; skip
+					// its I/O too.
+					if it.Pri <= atomic.LoadUint64(&labels[v]) {
 						vs = append(vs, v)
 					}
 				}
@@ -328,7 +330,6 @@ func CC[V graph.Vertex](g graph.Adjacency[V], cfg Config) (*CCResult[V], error) 
 func ccKernel[V graph.Vertex](g graph.Adjacency[V], cfg Config, pool *EnginePool[V]) (*CCResult[V], error) {
 	n := g.NumVertices()
 	labels := make([]graph.Dist, n)
-	initLabels[V](labels, nil) // the paper's "initialized to infinity"
 	// A nil source seeds every vertex with its own id as component id.
 	st, err := runKernel(g, cfg, pool, labels, nil, ccStep, nil)
 	if err != nil {

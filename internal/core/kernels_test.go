@@ -260,3 +260,55 @@ func TestPrunedAccounting(t *testing.T) {
 		t.Errorf("Stats.String() = %q, want it to carry %q", st.String(), want)
 	}
 }
+
+// readCounter counts adjacency reads per vertex. With one worker the counts
+// have a single writer.
+type readCounter struct {
+	*graph.CSR[uint32]
+	reads []int
+}
+
+func (c *readCounter) Neighbors(v uint32, s *graph.Scratch[uint32]) ([]uint32, []graph.Weight, error) {
+	c.reads[v]++
+	return c.CSR.Neighbors(v, s)
+}
+
+// TestOvertakenVisitorIsDropped pins what a visit does with a visitor whose
+// claim was beaten while it was in flight. A one-worker SSSP from 0 over
+//
+//	0 -10-> 1 -1-> 3        0 -1-> 2 -1-> 1
+//
+// queues 1 at 10 and 2 at 1. Visiting 2 claims 1 at 2, and that visitor sits
+// in the outbox while the queued one at 10 pops. The one at 10 arrives above
+// vertex 1's word, so it is dropped: 1's adjacency is read once, and no
+// proposal for 3 at 11 is ever pushed.
+func TestOvertakenVisitorIsDropped(t *testing.T) {
+	b := graph.NewBuilder[uint32](4, true)
+	b.AddEdge(0, 1, 10)
+	b.AddEdge(0, 2, 1)
+	b.AddEdge(2, 1, 1)
+	b.AddEdge(1, 3, 1)
+	g, err := b.Build(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := &readCounter{CSR: g, reads: make([]int, 4)}
+	res, err := SSSP[uint32](adj, 0, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adj.reads[1] != 1 {
+		t.Errorf("vertex 1's adjacency read %d times, want once", adj.reads[1])
+	}
+	if res.Stats.Pushes != 4 {
+		t.Errorf("pushes = %d, want 4 (1@10, 2@1, 1@2, 3@3)", res.Stats.Pushes)
+	}
+	for v, want := range []graph.Dist{0, 2, 1, 3} {
+		if res.Dist[v] != want {
+			t.Errorf("dist[%d] = %d, want %d", v, res.Dist[v], want)
+		}
+	}
+	if res.Parent[1] != 2 || res.Parent[3] != 1 {
+		t.Errorf("parents %v, want 1 under 2 and 3 under 1", res.Parent)
+	}
+}

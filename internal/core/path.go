@@ -7,8 +7,8 @@ import (
 )
 
 // pathTo reconstructs the tree path from the source to v by walking parents.
-// The returned slice starts at the source and ends at v. steps guards against
-// corrupted parent arrays.
+// The returned slice starts at the source and ends at v. steps and the range
+// check on each parent guard against corrupted parent arrays.
 func pathTo[V graph.Vertex](parent []V, reached func(V) bool, v V) ([]V, error) {
 	if uint64(v) >= uint64(len(parent)) {
 		return nil, fmt.Errorf("core: vertex %d out of range", v)
@@ -26,6 +26,9 @@ func pathTo[V graph.Vertex](parent []V, reached func(V) bool, v V) ([]V, error) 
 		p := parent[cur]
 		if p == cur {
 			break // the source parents itself
+		}
+		if uint64(p) >= uint64(len(parent)) {
+			return nil, fmt.Errorf("core: parent chain from %d leaves the graph at %d's parent %d", v, cur, p)
 		}
 		cur = p
 	}

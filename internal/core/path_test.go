@@ -76,4 +76,12 @@ func TestPathToDetectsCorruptParents(t *testing.T) {
 	if _, err := res.PathTo(1); err == nil {
 		t.Fatal("parent cycle not detected")
 	}
+	// A reached vertex whose parent is no vertex at all.
+	res = &BFSResult[uint32]{
+		Level:  []graph.Dist{0, 1},
+		Parent: []uint32{0, graph.NoVertex[uint32]()},
+	}
+	if _, err := res.PathTo(1); err == nil {
+		t.Fatal("out-of-range parent not detected")
+	}
 }

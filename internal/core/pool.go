@@ -34,8 +34,8 @@ type workerStats struct {
 }
 
 // engineRes is the recyclable per-worker state of one engine run: the
-// visitor queues (mailboxes), the batching outboxes, the adjacency scratch
-// buffers, and the storage of the kernel's proposal filter. A resource set is
+// visitor queues (mailboxes), the batching outboxes and the adjacency scratch
+// buffers. Nothing in it is sized by the vertex count. A resource set is
 // built for one normalized Config and may only be reused under the same
 // Workers and SemiSort settings.
 type engineRes[V graph.Vertex] struct {
@@ -43,10 +43,6 @@ type engineRes[V graph.Vertex] struct {
 	scratch []*graph.Scratch[V]
 	stats   []workerStats
 	outs    []*outbox
-	// best parks the relaxation kernel's per-vertex proposal array between
-	// traversals (see kernelState.best). Only its storage is recycled: every
-	// traversal resizes and refills it, so reset leaves it alone.
-	best []uint64
 
 	// pooled marks a set currently sitting on the free list. Only consulted
 	// under `-tags invariants`, where releasing a set twice — which would let

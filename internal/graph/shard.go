@@ -5,7 +5,7 @@ import "fmt"
 // This file is the graph-layer shard router: one logical graph hash-partitioned
 // across N member stores, each member owning the adjacency of the vertices the
 // shard hash assigns to it. It lifts the engine's ownership-hash idea
-// (core.FibHash routes a vertex to its owning worker) to the storage layer —
+// (a Fibonacci hash routes a vertex to its owning worker) to the storage layer —
 // the same multiplicative hash routes a vertex to its owning store — so a
 // graph that outgrows one flash device composes several, FlashGraph-style.
 // Each member keeps its own device, block cache, and prefetcher; the router
@@ -13,7 +13,7 @@ import "fmt"
 // per shard.
 
 // shardHashMul is the Fibonacci multiplicative constant, the same mixing
-// multiplier the engine's FibHash uses for worker ownership. It is part of the
+// multiplier the engine's owner routing uses for workers. It is part of the
 // on-disk shard contract: shard files record which hash partitioned them
 // (sem's shard-map header), and changing this constant would orphan every
 // sharded graph already written.

@@ -49,46 +49,6 @@ func AblationOversubscription(o Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationHash compares the default near-uniform Fibonacci queue-selection
-// hash against an identity hash (paper §III-A: "a near-uniform hash function
-// may improve load balance amongst the visitor queues as high-cost vertices
-// will be uniformly distributed").
-func AblationHash(o Options) (*Table, error) {
-	t := &Table{
-		Title: "Ablation: queue-selection hash (async CC, RMAT-B)",
-		Cols:  []string{"hash", "workers", "time(s)", "visits"},
-	}
-	scale := o.Scales[len(o.Scales)-1]
-	g, err := gen.RMATUndirected[uint32](scale, o.Degree, gen.RMATB, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	adj := o.wrap(g)
-	hashes := []struct {
-		Name string
-		Fn   func(uint64) uint64
-	}{
-		{"fibonacci", core.FibHash},
-		{"identity", core.IdentityHash},
-	}
-	for _, h := range hashes {
-		for _, w := range []int{16, 512} {
-			var res *core.CCResult[uint32]
-			dur, err := timeIt(func() error {
-				var err error
-				res, err = core.CC[uint32](adj, core.Config{Workers: w, Hash: h.Fn})
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.Add(h.Name, fmt.Sprintf("%d", w), Seconds(dur), fmt.Sprintf("%d", res.Stats.Visits))
-			o.logf("ablation-hash: %s workers=%d done\n", h.Name, w)
-		}
-	}
-	return t, nil
-}
-
 // AblationStripe sweeps RAID-0 stripe width at fixed aggregate parallelism:
 // the paper's configurations are all 4-member software RAID 0 arrays, and
 // striping is what lets commodity SATA SSDs reach array-level IOPS.
@@ -337,7 +297,7 @@ func AblationDirection(o Options) (*Table, error) {
 func Ablations(o Options) ([]*Table, error) {
 	var tables []*Table
 	for _, fn := range []func(Options) (*Table, error){
-		AblationOversubscription, AblationHash, AblationStripe,
+		AblationOversubscription, AblationStripe,
 		AblationSSSP, AblationWriteAsymmetry, AblationDirection,
 	} {
 		tbl, err := fn(o)

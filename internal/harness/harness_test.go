@@ -211,8 +211,8 @@ func TestFigure2AndAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 6 {
-		t.Fatalf("%d ablation tables, want 6", len(tables))
+	if len(tables) != 5 {
+		t.Fatalf("%d ablation tables, want 5", len(tables))
 	}
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {
