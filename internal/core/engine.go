@@ -296,8 +296,8 @@ func (e *Engine[V]) SetPrefetch(fn func(window []pq.Item, scratch *graph.Scratch
 }
 
 // SetSettle registers a traversal-state sink (see graph.Settler): the engine
-// notifies it of every visitor queued and settled, the feed behind
-// state-aware SEM cache eviction. Must be called before Start and before any
+// notifies it of every visitor queued and settled, the feed behind the SEM
+// cache's pending-run spans. Must be called before Start and before any
 // Push. The sink is called from every worker concurrently; it must be atomic
 // and cheap.
 func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }

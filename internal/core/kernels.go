@@ -194,8 +194,8 @@ func runKernel[V graph.Vertex](
 	e := newEngine(cfg, k.visit, res)
 	// A storage back end that caches blocks opts in through an optional
 	// capability: a SettleProvider's sink receives the visitor lifecycle,
-	// feeding the per-block settle counters behind the cache's eviction
-	// scoring and span shaping. The sink is nil when nothing consumes the
+	// feeding the per-block settle counters behind the cache's span
+	// shaping. The sink is nil when nothing consumes the
 	// feed, so in-memory and raw-device mounts wire nothing.
 	if sp, ok := g.(graph.SettleProvider); ok {
 		if sink := sp.SettleSink(); sink != nil {

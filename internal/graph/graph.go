@@ -82,8 +82,8 @@ type BatchAdjacency[V Vertex] interface {
 // notifications from the engine: VertexQueued fires when a visitor for v
 // enters the engine (push), VertexSettled when that visitor leaves it
 // (visited, dropped stale, or drained after an abort). The semi-external back
-// end feeds these into its block cache's replacement order — a block whose
-// vertices all settled is evicted early, one with queued work is pinned.
+// end feeds these into its block cache, where a miss extends its read through
+// the following blocks that hold queued work.
 // Calls arrive concurrently from every worker; implementations must be atomic
 // and cheap. The engine guarantees queued/settled arrive pairwise per visitor
 // by the time Wait returns, on completed and aborted traversals alike.

@@ -33,10 +33,11 @@ type Options struct {
 	// rather than at on-chip-cache speed.
 	MemModel bool
 	// Options is the storage stack of every semi-external mount, handed to
-	// internal/mount with Profile filled in per measurement. CacheFrac models
-	// the paper's RAM-vs-graph ratio (with 16 GB of RAM the page cache covered
-	// most of the 9-36 GB graph files and ~12%% of the 136 GB one), Readahead
-	// the OS readahead over the semi-sorted access stream. Shards > 1
+	// internal/mount with Profile filled in per measurement. The mount's
+	// half-file cache models the paper's RAM-vs-graph ratio (with 16 GB of
+	// RAM the page cache covered most of the 9-36 GB graph files and ~12%% of
+	// the 136 GB one), its readahead the OS readahead over the semi-sorted
+	// access stream; CacheFloor keeps a toy-scale budget meaningful. Shards > 1
 	// hash-partitions each mount across that many member stores, each with
 	// its own simulated device, block cache and prefetcher.
 	mount.Options
@@ -77,7 +78,7 @@ func Defaults() Options {
 		Ranks:        16,
 		Seed:         42,
 		MemModel:     true,
-		Options:      mount.Options{SEM: true, CacheFrac: 2, CacheFloor: 64 << 10, Readahead: 8},
+		Options:      mount.Options{SEM: true, CacheFloor: 64 << 10},
 		SEMReps:      3,
 		WebScale:     13,
 		Fig1Threads:  []int{1, 2, 4, 8, 16, 32, 64, 128, 256},

@@ -20,8 +20,8 @@ type IO struct {
 	// after it are zero without one. CacheHits and CacheMisses count block
 	// lookups, Cache the miss path (waits on blocks under I/O, blocks
 	// fetched, evictions, blocks held beyond the budget), and PinnedHW is the
-	// most blocks holding queued visitors at once on any one shard — how much
-	// of the budget the traversal's settle feed defended.
+	// most blocks holding queued visitors at once on any one shard: nonzero
+	// exactly when the traversal fed the cache its state.
 	Cached                 bool
 	CacheHits, CacheMisses uint64
 	Cache                  sem.CacheIOStats

@@ -5,7 +5,7 @@
 // cmd/traverse, cmd/serve, cmd/bench, the harness and the examples all mount
 // through here, so the default recipe (4 KiB blocks, half the file, readahead
 // 8), the choice of read path from whether a cache is mounted (behind the
-// cache the traversal's state steers replacement and nothing windows; on the
+// cache the traversal's state widens each miss and nothing windows; on the
 // raw device the engine pops windows and their ranges become block requests
 // that share reads in flight), and the rule that
 // an in-memory mount pairs a directed graph with its transpose exactly when
@@ -30,12 +30,14 @@ import (
 	"repro/internal/ssd"
 )
 
-// The block-cache recipe every mount shares unless Options overrides the
-// budget or the readahead, and the pop window of a mount without the cache.
+// The block-cache recipe every mount shares — 4 KiB blocks, a budget of the
+// store's bytes / cacheFrac (never below Options.CacheFloor), readahead blocks
+// per miss in one device operation — and the pop window of a mount without
+// the cache.
 const (
-	blockSize        = 4096
-	defaultCacheFrac = 2
-	defaultReadahead = 8
+	blockSize = 4096
+	cacheFrac = 2
+	readahead = 8
 	// rawWindow visitors are popped at once on a raw-device mount, their
 	// reads coalesced across sem.DefaultPrefetchGap: 1.5-3.7x faster than
 	// one read per visit there, 1.3-2.2x slower behind the cache
@@ -55,13 +57,9 @@ type Options struct {
 	// once and their ranges become block requests on a table that keeps no
 	// block.
 	NoCache bool
-	// CacheFrac sets the block-cache budget to the store's bytes / CacheFrac
-	// (0 = 2, half the file), never below CacheFloor bytes.
-	CacheFrac  int64
+	// CacheFloor is the smallest block-cache budget in bytes; the budget is
+	// otherwise half the store.
 	CacheFloor int64
-	// Readahead is the number of consecutive blocks one cache miss fetches
-	// in a single device operation (0 = 8; 1 disables readahead).
-	Readahead int
 	// Shards is the shard count Files demands of the path (0 = auto-detect).
 	Shards int
 }
@@ -71,8 +69,8 @@ func (o Options) Validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("-shards must be >= 0 (0 = auto-detect), got %d", o.Shards)
 	}
-	if o.CacheFrac < 0 || o.CacheFloor < 0 || o.Readahead < 0 {
-		return fmt.Errorf("cache budget divisor %d, floor %d and readahead %d must be >= 0", o.CacheFrac, o.CacheFloor, o.Readahead)
+	if o.CacheFloor < 0 {
+		return fmt.Errorf("cache floor %d must be >= 0", o.CacheFloor)
 	}
 	return nil
 }
@@ -250,7 +248,7 @@ func semStack(stores []sem.Store, sharded bool, opt Options) (*Mounted, error) {
 			if !ok {
 				return nil, fmt.Errorf("mount: shard %d: the block cache needs a store with a known size", i)
 			}
-			if m.Caches[i], err = sem.NewCachedStoreRA(store, blockSize, opt.cacheBudget(szr.Size()), opt.readahead()); err != nil {
+			if m.Caches[i], err = sem.NewCachedStoreRA(store, blockSize, opt.cacheBudget(szr.Size()), readahead); err != nil {
 				return nil, err
 			}
 			store = m.Caches[i]
@@ -277,21 +275,7 @@ func semStack(stores []sem.Store, sharded bool, opt Options) (*Mounted, error) {
 }
 
 func (o Options) cacheBudget(size int64) int64 {
-	frac := o.CacheFrac
-	if frac == 0 {
-		frac = defaultCacheFrac
-	}
-	if budget := size / frac; budget > o.CacheFloor {
-		return budget
-	}
-	return o.CacheFloor
-}
-
-func (o Options) readahead() int {
-	if o.Readahead == 0 {
-		return defaultReadahead
-	}
-	return o.Readahead
+	return max(size/cacheFrac, o.CacheFloor)
 }
 
 // finish derives the engine configuration once Adj stands. The secondary

@@ -84,7 +84,6 @@ func TestMountTable(t *testing.T) {
 	v1, v2 := sem.WriteConfig{}, sem.WriteConfig{Compress: true}
 	sem1 := Options{SEM: true, Profile: fast}
 	raw := Options{SEM: true, Profile: fast, NoCache: true}
-	with := func(o Options, f func(*Options)) Options { f(&o); return o }
 	none := func(*testing.T, *Mounted) {}
 	cases := []struct {
 		name   string
@@ -137,7 +136,7 @@ func TestMountTable(t *testing.T) {
 				_, mi := c.Stats()
 				misses += mi
 			}
-			if io := m.IO().Cache; io.Fetches != misses || io.Blocks < io.Fetches || io.InflightHW < 1 || io.InflightHW > 8*4*defaultReadahead {
+			if io := m.IO().Cache; io.Fetches != misses || io.Blocks < io.Fetches || io.InflightHW < 1 || io.InflightHW > 8*4*readahead {
 				t.Errorf("rolled-up cache I/O %+v with %d misses over the shards, 8 workers", io, misses)
 			}
 		}},
@@ -148,7 +147,6 @@ func TestMountTable(t *testing.T) {
 		}},
 		{"compressed 4 shards", v2, 4, sem1, none},
 		{"compressed 4 shards nocache", v2, 4, raw, none},
-		{"state policy", v1, 1, with(sem1, func(o *Options) { o.CacheFrac = 8 }), none},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,8 +211,8 @@ func TestMountTable(t *testing.T) {
 	}
 }
 
-// TestCacheRecipe pins the budget arithmetic: half the store and readahead 8
-// by default, the divisor and the floor when set.
+// TestCacheRecipe pins the budget arithmetic: half the store, never below the
+// floor when one is set.
 func TestCacheRecipe(t *testing.T) {
 	for _, tc := range []struct {
 		opt  Options
@@ -222,16 +220,12 @@ func TestCacheRecipe(t *testing.T) {
 		want int64
 	}{
 		{Options{}, 1 << 20, 1 << 19},
-		{Options{CacheFrac: 32}, 1 << 20, 1 << 15},
-		{Options{CacheFrac: 2, CacheFloor: 64 << 10}, 100 << 10, 64 << 10},
-		{Options{CacheFrac: 2, CacheFloor: 64 << 10}, 1 << 20, 1 << 19},
+		{Options{CacheFloor: 64 << 10}, 100 << 10, 64 << 10},
+		{Options{CacheFloor: 64 << 10}, 1 << 20, 1 << 19},
 	} {
 		if got := tc.opt.cacheBudget(tc.size); got != tc.want {
 			t.Errorf("%+v over %d bytes: budget %d, want %d", tc.opt, tc.size, got, tc.want)
 		}
-	}
-	if (Options{}).readahead() != 8 || (Options{Readahead: 1}).readahead() != 1 {
-		t.Error("readahead default is not 8, or an explicit 1 is not honored")
 	}
 }
 
@@ -444,7 +438,7 @@ func TestWriteTable(t *testing.T) {
 // TestOptionLedger pins the number of independently settable mount options, so
 // the next one is added on purpose.
 func TestOptionLedger(t *testing.T) {
-	if n := reflect.TypeOf(Options{}).NumField(); n != 7 {
-		t.Errorf("mount.Options has %d fields, the ledger says 7", n)
+	if n := reflect.TypeOf(Options{}).NumField(); n != 5 {
+		t.Errorf("mount.Options has %d fields, the ledger says 5", n)
 	}
 }

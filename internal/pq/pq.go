@@ -30,7 +30,7 @@ type Heap struct {
 // contiguous on storage, and any ordering layered above it fragments the
 // coalesced spans the prefetcher forms. Window membership must stay purely
 // priority + id ordered; cache affinity is applied on the cache side instead
-// (recency promotion of queued blocks, pending-run span extension).
+// (pending-run span extension).
 
 // New returns an empty heap. When semiSort is true, ties on Pri are broken by
 // ascending V.

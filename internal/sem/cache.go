@@ -32,17 +32,11 @@ type CachedStore struct {
 	shards    []cacheShard
 	io        chan struct{} // bounds the asynchronous fetches (request)
 
-	// pending counts the queued visitors per block. Eviction and span
-	// shaping read it; only a graph mounted with EnableStateCache writes it,
-	// and while it is all zero the cache is exact LRU with the plain
-	// readahead span.
+	// pending counts the queued visitors per block. Only span shaping reads
+	// it (ahead); only a graph mounted with EnableStateCache writes it, and
+	// while it is all zero every miss fetches the plain readahead span.
+	// Eviction is recency order whatever it holds.
 	pending pendingBlocks
-
-	// resident is a bitset over block ids: a set bit means the block is
-	// cached (on a shard's lru) or being fetched (in a shard's in-flight
-	// table). It gives the recency-touch path a residency answer without
-	// taking a shard lock.
-	resident []atomic.Uint64
 
 	hits   atomic.Uint64
 	misses atomic.Uint64 // one per fetch: every miss is one device operation
@@ -108,12 +102,11 @@ func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead
 // newCachedStore builds a table over the first size bytes of inner.
 func newCachedStore(inner Store, blockSize, capacityBytes, size int64, readahead int) *CachedStore {
 	// Shard the lock only as far as the budget supports: a shard needs a
-	// meaningful victim set (>= minShardBlocks) for any replacement order —
-	// recency or score — to express a preference. Splitting a small budget 16
-	// ways leaves one block per shard, and every install evicts the only
-	// other resident whatever the policy says. Large budgets keep the full
-	// shard count for lock spreading, and so does a zero budget, which has no
-	// victims to choose among.
+	// meaningful victim set (>= minShardBlocks) for recency to express a
+	// preference. Splitting a small budget 16 ways leaves one block per
+	// shard, and every install evicts the only other resident whatever its
+	// recency. Large budgets keep the full shard count for lock spreading,
+	// and so does a zero budget, which has no victims to choose among.
 	const maxShards, minShardBlocks = 16, 32
 	totalBlocks := capacityBytes / blockSize
 	numShards := int(min(max(totalBlocks/minShardBlocks, 1), maxShards))
@@ -134,7 +127,6 @@ func newCachedStore(inner Store, blockSize, capacityBytes, size int64, readahead
 	if c.capBlocks > 0 { // nothing steers a table that keeps nothing
 		c.pending.count = make([]atomic.Int32, c.maxBlock)
 	}
-	c.resident = make([]atomic.Uint64, (c.maxBlock+63)/64)
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
 			capacity: perShard,
@@ -146,57 +138,9 @@ func newCachedStore(inner Store, blockSize, capacityBytes, size int64, readahead
 	return c
 }
 
-// queued records a visitor queued for a vertex on block id. A block gaining
-// its first pending visitor has its recency refreshed: the engine just queued
-// a vertex whose adjacency lives there, so the block will be read shortly.
-// Recency alone would leave it wherever its *last* read put it — often the
-// tail, evicted in the push-to-pop gap and then re-read from the device
-// moments later.
-//
-//lint:hotpath
-func (c *CachedStore) queued(id int64) {
-	if c.pending.queued(id) {
-		c.touch(id)
-	}
-}
-
-// touch refreshes block id's recency if it is cached (a block still in
-// flight has no recency yet and enters the lru at its front). The residency
-// bitset pre-filters non-resident blocks, so the common cold-block case costs
-// one atomic load and no lock.
-//
-//lint:hotpath
-func (c *CachedStore) touch(id int64) {
-	if id < 0 || id >= c.maxBlock {
-		return
-	}
-	if c.resident[id>>6].Load()&(1<<(uint(id)&63)) == 0 {
-		return
-	}
-	sh := c.shard(id)
-	sh.mu.Lock()
-	if el, ok := sh.blocks[id]; ok {
-		sh.lru.MoveToFront(el)
-	}
-	sh.mu.Unlock()
-}
-
 // PinnedHW reports the high-water mark of blocks holding queued visitors at
 // once (0 on a cache nobody feeds).
 func (c *CachedStore) PinnedHW() int64 { return c.pending.pinnedHW.Load() }
-
-// setResident / clearResident maintain the residency bitset.
-func (c *CachedStore) setResident(id int64) {
-	if id >= 0 && id < c.maxBlock {
-		c.resident[id>>6].Or(1 << (uint(id) & 63))
-	}
-}
-
-func (c *CachedStore) clearResident(id int64) {
-	if id >= 0 && id < c.maxBlock {
-		c.resident[id>>6].And(^uint64(1 << (uint(id) & 63)))
-	}
-}
 
 // Stats reports cache hits and misses (block granularity). A read that waited
 // on a block another reader was fetching counts as a hit; IOStats splits those
@@ -242,53 +186,17 @@ func (c *CachedStore) shard(id int64) *cacheShard {
 	return &c.shards[uint64(id)%uint64(len(c.shards))]
 }
 
-// dropLocked evicts one filled block: off the shard's list and map, out of the
-// residency bitset. Caller holds sh.mu.
-func (c *CachedStore) dropLocked(sh *cacheShard, el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	sh.lru.Remove(el)
-	delete(sh.blocks, ent.id)
-	c.clearResident(ent.id)
-	c.evictions.Add(1)
-}
-
-// evictSampleSlack bounds how far past the overflow count eviction looks for
-// settled blocks before it starts evicting pinned ones. It caps the lock-hold
-// time at O(overflow + slack), and it also bounds how far the order may
-// deviate from recency: on power-law graphs a hub block's counter dips to
-// zero between label corrections, and a wide sample evicts exactly those
-// about-to-be-re-queued blocks. A few positions of slack keep the
-// settled-first preference without surrendering the recency signal.
-const evictSampleSlack = 4
-
-// evictLocked brings the shard back under capacity, walking the filled blocks
-// back to front — the in-flight table is not on the list, so a block under I/O
-// is never picked (keep, the block just filled, is never evicted either). It
-// samples the tail, evicting settled blocks (score 0) oldest-first; on a cache
-// nobody feeds every block is settled, which makes this exact LRU. When the
-// shard is still over capacity with everything sampled pinned it falls back
-// to recency order — capacity is a hard budget, pending-work counts carry no
-// recency signal, and when the frontier spans several times the cache nearly
-// every block scores positive and score differences are noise. Caller holds
-// sh.mu.
+// evictLocked brings the shard back under capacity, dropping filled blocks
+// least recently used first. Only the filled blocks are on the list — a block
+// under I/O is never picked — and keep, the block just filled, is skipped.
+// Caller holds sh.mu.
 func (c *CachedStore) evictLocked(sh *cacheShard, keep *list.Element) {
-	over := sh.lru.Len() - sh.capacity
-	sample := over + evictSampleSlack
-	for el := sh.lru.Back(); el != nil && over > 0 && sample > 0; {
+	for el, over := sh.lru.Back(), sh.lru.Len()-sh.capacity; el != nil && over > 0; {
 		prev := el.Prev()
 		if el != keep {
-			sample--
-			if c.pending.score(el.Value.(*cacheEntry).id) == 0 {
-				c.dropLocked(sh, el)
-				over--
-			}
-		}
-		el = prev
-	}
-	for el := sh.lru.Back(); el != nil && over > 0; {
-		prev := el.Prev()
-		if el != keep {
-			c.dropLocked(sh, el)
+			sh.lru.Remove(el)
+			delete(sh.blocks, el.Value.(*cacheEntry).id)
+			c.evictions.Add(1)
 			over--
 		}
 		el = prev
@@ -333,7 +241,6 @@ func (c *CachedStore) claim(held []*cacheEntry, lo, hi int64) (_, owned []*cache
 func (c *CachedStore) reserveLocked(sh *cacheShard, id int64, ready chan struct{}) *cacheEntry {
 	e := &cacheEntry{id: id, ready: ready}
 	sh.inflight[id] = e
-	c.setResident(id)
 	for n := c.flying.Add(1); ; {
 		hw := c.flyingHW.Load()
 		if n <= hw || c.flyingHW.CompareAndSwap(hw, n) {
@@ -359,7 +266,7 @@ func (c *CachedStore) ahead(owned []*cacheEntry) []*cacheEntry {
 	lo := owned[0].id
 	hi := min(lo+int64(c.readahead), c.maxBlock)
 	limit := min(lo+min(4*int64(c.readahead), c.capBlocks/2), c.maxBlock)
-	for hi < limit && c.pending.score(hi) > 0 {
+	for hi < limit && c.pending.has(hi) {
 		hi++
 	}
 	for id := owned[len(owned)-1].id + 1; id < hi; id++ {
@@ -409,9 +316,7 @@ func (c *CachedStore) fetch(buf []byte, off int64, owned []*cacheEntry) error {
 		sh := c.shard(entry.id)
 		sh.mu.Lock()
 		delete(sh.inflight, entry.id)
-		if err != nil || c.capBlocks == 0 {
-			c.clearResident(entry.id) // gone from the table: a later read refetches
-		} else {
+		if err == nil && c.capBlocks > 0 { // else gone from the table: a later read refetches
 			el := sh.lru.PushFront(entry)
 			sh.blocks[entry.id] = el
 			c.evictLocked(sh, el)

@@ -94,10 +94,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // assertQuiescent checks a table no reader is inside: nothing under I/O, every
-// shard within its budget (a zero-budget table holds no block at all), every
-// cached block backed by bytes of its own, and the residency bitset naming
-// exactly the cached blocks. An asynchronous read may outlive the traversal
-// that issued it, so it first waits for the in-flight count to drain.
+// shard within its budget (a zero-budget table holds no block at all), and
+// every cached block backed by bytes of its own. An asynchronous read may
+// outlive the traversal that issued it, so it first waits for the in-flight
+// count to drain.
 func assertQuiescent(t testing.TB, store Store) {
 	t.Helper()
 	c, ok := store.(*CachedStore)
@@ -110,7 +110,6 @@ func assertQuiescent(t testing.TB, store Store) {
 	if n := c.flying.Load(); n != 0 {
 		t.Errorf("%d blocks still counted under I/O", n)
 	}
-	cached := make(map[int64]bool)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -122,40 +121,41 @@ func assertQuiescent(t testing.TB, store Store) {
 		}
 		for el := sh.lru.Front(); el != nil; el = el.Next() {
 			e := el.Value.(*cacheEntry)
-			cached[e.id] = true
 			if int64(cap(e.data)) > c.blockSize {
 				t.Errorf("block %d keeps %d bytes alive, block size %d", e.id, cap(e.data), c.blockSize)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	for id := int64(0); id < c.maxBlock; id++ {
-		if got := c.residentRange(id*c.blockSize, 1); got != cached[id] {
-			t.Errorf("block %d: residency bit %v, cached %v", id, got, cached[id])
-		}
-	}
 }
 
 // residentRange reports whether every block covering [off, off+n) is cached or
-// already being fetched, by the residency bitset.
+// already being fetched.
 func (c *CachedStore) residentRange(off int64, n int) bool {
 	for b := off / c.blockSize; b <= (off+int64(n)-1)/c.blockSize; b++ {
-		if b < 0 || b >= c.maxBlock || c.resident[b>>6].Load()&(1<<(uint(b)&63)) == 0 {
+		if b < 0 || b >= c.maxBlock {
+			return false
+		}
+		sh := c.shard(b)
+		sh.mu.Lock()
+		_, cached := sh.blocks[b]
+		flying := sh.inflight[b] != nil
+		sh.mu.Unlock()
+		if !cached && !flying {
 			return false
 		}
 	}
 	return true
 }
 
-// inflightPolicies runs a test on an unfed cache (exact LRU) and with every
-// block pinned, where eviction goes through the sample's fall-back-to-recency
-// branch.
+// inflightPolicies runs a test on an unfed cache and with every block pinned,
+// where each miss's span runs on through the pending blocks after it.
 func inflightPolicies(t *testing.T, test func(t *testing.T, pinAll func(*CachedStore))) {
 	t.Run("lru", func(t *testing.T) { test(t, func(*CachedStore) {}) })
 	t.Run("state-all-pinned", func(t *testing.T) {
 		test(t, func(c *CachedStore) {
 			for b := int64(0); b < c.maxBlock; b++ {
-				c.queued(b)
+				c.pending.queued(b)
 			}
 		})
 	})

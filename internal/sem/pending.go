@@ -1,23 +1,20 @@
 package sem
 
-// This file holds the block cache's view of traversal state. Recency alone is
-// blind to the algorithm: a block whose vertices are all settled is as likely
-// to be kept as a block the traversal is about to revisit. ACGraph-style async
-// out-of-core engines win by scoring block residency by the state of the
-// vertices on each block; CachedStore does the same with a per-block
-// pending-visitor counter fed by the engine's settle hook (core.Engine.SetSettle
-// -> Graph.VertexQueued/VertexSettled). A cache nobody feeds has all-zero
-// counters, and zero is exactly "recency decides".
+// This file holds the block cache's view of traversal state: a per-block
+// pending-visitor counter fed by the engine's settle hook
+// (core.Engine.SetSettle -> Graph.VertexQueued/VertexSettled). Eviction does
+// not read it — recency alone decides what leaves the cache, as in the OS page
+// cache of the paper's runs — but a miss does: it widens its span through the
+// run of blocks the traversal has queued work on (CachedStore.ahead). A cache
+// nobody feeds has all-zero counters and reads plain readahead spans.
 
 import "sync/atomic"
 
 // pendingBlocks is one pending-visitor counter per device block, incremented
 // when a visitor targeting the block is queued and decremented when it settles
 // (visited or dropped stale). Blocks with a positive count hold work the
-// traversal will read soon, so eviction skips them while any same-shard
-// settled block exists. All counters are atomics; queued/settled arrive
-// concurrently from every engine worker while score is read under cache shard
-// locks.
+// traversal will read soon. All counters are atomics; queued/settled arrive
+// concurrently from every engine worker while has is read by misses.
 type pendingBlocks struct {
 	count []atomic.Int32
 
@@ -28,31 +25,23 @@ type pendingBlocks struct {
 	pinnedHW atomic.Int64
 }
 
-// score reports block's retention priority, its pending-visitor count: 0 means
-// evict freely, recency decides. Consulted under the cache's shard lock.
-func (p *pendingBlocks) score(block int64) int64 {
-	if block < 0 || block >= int64(len(p.count)) {
-		return 0
-	}
-	if n := p.count[block].Load(); n > 0 {
-		return int64(n)
-	}
-	return 0
+// has reports whether block holds queued work.
+func (p *pendingBlocks) has(block int64) bool {
+	return block >= 0 && block < int64(len(p.count)) && p.count[block].Load() > 0
 }
 
-// queued records one visitor queued for a vertex on the given block and
-// reports whether the block just went from settled to holding queued work.
+// queued records one visitor queued for a vertex on the given block.
 //
 //lint:hotpath
-func (p *pendingBlocks) queued(block int64) bool {
+func (p *pendingBlocks) queued(block int64) {
 	if block < 0 || block >= int64(len(p.count)) || p.count[block].Add(1) != 1 {
-		return false
+		return
 	}
 	n := p.pinned.Add(1)
 	for {
 		hw := p.pinnedHW.Load()
 		if n <= hw || p.pinnedHW.CompareAndSwap(hw, n) {
-			return true
+			return
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package sem
 
 // Tests for the cache's traversal-state counters: the counters themselves,
-// their effect on eviction, and — the contract a fed mount keeps — bit-identical
+// their lack of effect on eviction, and — the contract a fed mount keeps — bit-identical
 // traversal results whether or not the cache is fed, across kernels, formats,
 // and sharding. The concurrency tests run under -race in CI alongside the
 // existing sem concurrency suite.
@@ -22,14 +22,14 @@ import (
 
 func TestStatePolicyCounters(t *testing.T) {
 	p := &pendingBlocks{count: make([]atomic.Int32, 4)}
-	if p.score(2) != 0 || p.pinned.Load() != 0 {
+	if p.has(2) || p.pinned.Load() != 0 {
 		t.Fatal("fresh policy not zeroed")
 	}
 	p.queued(2)
 	p.queued(2)
 	p.queued(3)
-	if p.score(2) != 2 || p.score(3) != 1 {
-		t.Fatalf("scores = %d,%d; want 2,1", p.score(2), p.score(3))
+	if p.count[2].Load() != 2 || p.count[3].Load() != 1 || !p.has(2) || !p.has(3) {
+		t.Fatalf("counts = %d,%d; want 2,1", p.count[2].Load(), p.count[3].Load())
 	}
 	if p.pinned.Load() != 2 || p.pinnedHW.Load() != 2 {
 		t.Fatalf("pinned=%d hw=%d; want 2,2", p.pinned.Load(), p.pinnedHW.Load())
@@ -37,7 +37,7 @@ func TestStatePolicyCounters(t *testing.T) {
 	p.settled(2)
 	p.settled(2)
 	p.settled(3)
-	if p.score(2) != 0 || p.score(3) != 0 || p.pinned.Load() != 0 {
+	if p.has(2) || p.has(3) || p.pinned.Load() != 0 {
 		t.Fatal("settle did not drain counters")
 	}
 	if p.pinnedHW.Load() != 2 {
@@ -47,26 +47,26 @@ func TestStatePolicyCounters(t *testing.T) {
 	// queued; the counter must not go negative and poison the next run.
 	p.settled(1)
 	p.settled(1)
-	if p.score(1) != 0 {
-		t.Fatalf("over-settle produced score %d", p.score(1))
+	if n := p.count[1].Load(); n != 0 {
+		t.Fatalf("over-settle left count %d", n)
 	}
 	p.queued(1)
-	if p.score(1) != 1 {
-		t.Fatalf("counter poisoned after over-settle: %d", p.score(1))
+	if n := p.count[1].Load(); n != 1 {
+		t.Fatalf("counter poisoned after over-settle: %d", n)
 	}
 	// Out-of-range blocks are ignored, not a panic: shard maps can route a
 	// vertex of another shard through a member's settle sink.
 	p.queued(-1)
 	p.queued(99)
 	p.settled(99)
-	if p.score(99) != 0 {
-		t.Fatal("out-of-range score")
+	if p.has(-1) || p.has(99) {
+		t.Fatal("out-of-range block holds work")
 	}
 }
 
 // TestStatePolicyRace hammers one policy from many goroutines mixing queue,
-// settle, and score traffic — the exact shape of engine workers feeding settle
-// hooks while cache shards read scores during eviction.
+// settle, and pending-test traffic — the exact shape of engine workers feeding
+// settle hooks while misses read the counters to shape their spans.
 func TestStatePolicyRace(t *testing.T) {
 	p := &pendingBlocks{count: make([]atomic.Int32, 32)}
 	var wg sync.WaitGroup
@@ -77,15 +77,15 @@ func TestStatePolicyRace(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				b := int64((w*31 + i) % 32)
 				p.queued(b)
-				p.score((b + 7) % 32)
+				p.has((b + 7) % 32)
 				p.settled(b)
 			}
 		}(w)
 	}
 	wg.Wait()
 	for b := int64(0); b < 32; b++ {
-		if p.score(b) != 0 {
-			t.Fatalf("block %d ended with score %d, want 0", b, p.score(b))
+		if n := p.count[b].Load(); n != 0 {
+			t.Fatalf("block %d ended with count %d, want 0", b, n)
 		}
 	}
 	if p.pinned.Load() != 0 {
@@ -96,76 +96,29 @@ func TestStatePolicyRace(t *testing.T) {
 	}
 }
 
-// TestStateEvictionPrefersSettled checks the eviction contract directly: with the cache over capacity, blocks whose settle counters are
-// positive survive while settled blocks at equal recency are evicted.
-func TestStateEvictionPrefersSettled(t *testing.T) {
+// TestEvictionIgnoresPending checks that queued work does not keep a block:
+// the pending counters widen a miss, they do not steer eviction, so a block
+// with a queued visitor leaves in recency order like any other.
+func TestEvictionIgnoresPending(t *testing.T) {
 	back := &ssd.MemBacking{Data: make([]byte, 64*512)}
 	// One shard, 8-block budget, no readahead: eviction decisions are exact.
 	cache, err := NewCachedStore(fastDevice(back), 512, 8*512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := &cache.pending
+	cache.pending.queued(0)
 	buf := make([]byte, 512)
-	readBlock := func(id int64) {
-		t.Helper()
+	for id := int64(0); id < 12; id++ {
 		if _, err := cache.ReadAt(buf, id*512); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Pin block 0 (oldest), then stream enough blocks through to force
-	// evictions. LRU order alone would evict block 0 first.
-	sp.queued(0)
-	readBlock(0)
-	for id := int64(1); id < 12; id++ {
-		readBlock(id)
-	}
-	if !cache.residentRange(0, 512) {
-		t.Fatal("pinned block 0 was evicted")
-	}
-	if cache.residentRange(1*512, 512) {
-		t.Fatal("settled block 1 survived eviction pressure that should have taken it")
-	}
-	sp.settled(0)
-	for id := int64(12); id < 24; id++ {
-		readBlock(id)
 	}
 	if cache.residentRange(0, 512) {
-		t.Fatal("block 0 still resident after settling under continued pressure")
+		t.Fatal("pinned block 0 survived")
 	}
-}
-
-func TestCachedStoreTouchAndResidentRange(t *testing.T) {
-	back := &ssd.MemBacking{Data: make([]byte, 64*512)}
-	cache, err := NewCachedStore(fastDevice(back), 512, 4*512)
-	if err != nil {
-		t.Fatal(err)
+	if !cache.residentRange(4*512, 8*512) {
+		t.Fatal("blocks 4-11, the 8 most recent, are not all cached")
 	}
-	buf := make([]byte, 512)
-	for id := int64(0); id < 4; id++ {
-		if _, err := cache.ReadAt(buf, id*512); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !cache.residentRange(0, 4*512) {
-		t.Fatal("freshly read range not resident")
-	}
-	if cache.residentRange(0, 5*512) {
-		t.Fatal("range including an unread block reported resident")
-	}
-	// touch must refresh recency: re-touching block 0 right before an
-	// eviction-forcing read should sacrifice block 1 instead.
-	cache.touch(0)
-	if _, err := cache.ReadAt(buf, 4*512); err != nil {
-		t.Fatal(err)
-	}
-	if !cache.residentRange(0, 512) {
-		t.Fatal("touched block evicted")
-	}
-	if cache.residentRange(1*512, 512) {
-		t.Fatal("untouched LRU block survived")
-	}
-	cache.touch(999999) // out of range: must be a no-op, not a panic
 }
 
 // statePair mounts g twice on fast devices — once unfed, once feeding its
@@ -340,7 +293,7 @@ func TestPolicyEquivalenceSharded(t *testing.T) {
 }
 
 // TestConcurrentStateTraversals exercises the whole state-aware path — settle
-// hooks, the block table's shared reads, residency bitset, score-driven eviction — from
+// hooks, the block table's shared reads, pending-run spans, eviction — from
 // many concurrent traversals over one shared mount. Run under -race in CI.
 func TestConcurrentStateTraversals(t *testing.T) {
 	g, err := gen.RMAT[uint32](9, 8, gen.RMATA, 31)

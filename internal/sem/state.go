@@ -10,8 +10,8 @@ package sem
 import "repro/internal/graph"
 
 // EnableStateCache makes the graph feed its block cache the traversal's state:
-// from now on it is a graph.Settler, and the cache evicts settled blocks
-// before blocks with queued visitors. It reports false (and changes nothing)
+// from now on it is a graph.Settler, and a miss extends its span through the
+// blocks with queued visitors. It reports false (and changes nothing)
 // when the graph does not read through a CachedStore directly — a raw-device
 // mount has no cache to steer. Call once, before the first traversal.
 func (g *Graph[V]) EnableStateCache() bool {
@@ -52,7 +52,7 @@ func (g *Graph[V]) SettleSink() graph.Settler {
 //lint:hotpath
 func (g *Graph[V]) VertexQueued(v uint64) {
 	if b, ok := g.blockOf(V(v)); ok {
-		g.cache.queued(b)
+		g.cache.pending.queued(b)
 	}
 }
 

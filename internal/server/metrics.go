@@ -2,6 +2,7 @@ package server
 
 import (
 	"expvar"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -51,17 +52,14 @@ func (h *histogram) observe(d time.Duration) {
 }
 
 // quantile estimates the q-quantile (0 < q <= 1) as the upper bound of the
-// bucket where the cumulative count crosses q*n. Zero when nothing was
-// observed; the overflow bucket reports the largest bound.
+// bucket holding the nearest-rank observation, the ⌈q·n⌉-th smallest. Zero
+// when nothing was observed; the overflow bucket reports the largest bound.
 func (h *histogram) quantile(q float64) time.Duration {
 	total := h.n.Load()
 	if total == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(total))
-	if rank == 0 {
-		rank = 1
-	}
+	rank := max(uint64(math.Ceil(q*float64(total))), 1)
 	var cum uint64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
@@ -213,7 +211,7 @@ func storageVars(gv map[string]any, io mount.IO) {
 	if io.Cached {
 		// inflight_waits are the hits that found their block still under I/O;
 		// inflight_hw is blocks held beyond the budget; pinned_hw is the most
-		// blocks holding queued visitors at once.
+		// blocks holding queued visitors at once (0: the cache is not fed).
 		gv["block_cache"] = map[string]any{"hits": io.CacheHits, "misses": io.CacheMisses,
 			"inflight_waits": io.Cache.Waits, "blocks_fetched": io.Cache.Blocks,
 			"evictions": io.Cache.Evictions, "inflight_hw": io.Cache.InflightHW, "pinned_hw": io.PinnedHW}
