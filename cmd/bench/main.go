@@ -30,7 +30,7 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "workload seed (default 42)")
 		memModel  = flag.Bool("memmodel", true, "apply the DRAM-latency model to in-memory runs")
 		compress  = flag.Bool("compress", false, "mount SEM tables on the delta+varint compressed (v2) edge format")
-		shards    = flag.Int("shards", 0, "mount SEM tables as an N-way hash partition, one device per shard (0 or 1 = one store)")
+		shards    = flag.Int("shards", 0, "mount SEM tables as an N-way partition, one device per shard (0 or 1 = one store)")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
 	)
 	flag.Parse()

@@ -59,7 +59,7 @@ func run(typ string, scale, degree int, undirected bool, weights string, seed ui
 		if wopt.Compress || wopt.Shards > 1 || wopt.InEdges {
 			// The external-sort builder streams one sorted run of fixed records
 			// straight to the file: block encoding needs a vertex's whole
-			// adjacency list, hash partitioning scatters edges across files,
+			// adjacency list, partitioning scatters edges across files,
 			// and the in-edge section needs the finished forward index.
 			return fmt.Errorf("-compress, -shards and -symmetric do not combine with -outofcore; generate raw and convert afterwards")
 		}

@@ -1,7 +1,10 @@
 // Package graph provides the in-memory graph substrate for the traversal
 // engine: a compressed sparse row (CSR) representation generic over 32- or
 // 64-bit vertex identifiers, plus the Adjacency interface shared by the
-// in-memory and semi-external storage back ends.
+// in-memory and semi-external storage back ends, and the shard router
+// (shard.go) that spreads one graph over N of them: the one way this repo
+// puts a graph on several devices, each member holding the rows, and only the
+// index entries, of the vertices it owns.
 //
 // The CSR layout mirrors the storage the paper uses for both its In-Memory
 // (Boost CSR) and Semi-External (file-backed CSR) implementations: a vertex

@@ -2,39 +2,37 @@ package graph
 
 import "fmt"
 
-// This file is the graph-layer shard router: one logical graph hash-partitioned
-// across N member stores, each member owning the adjacency of the vertices the
-// shard hash assigns to it. It lifts the engine's ownership-hash idea
-// (a Fibonacci hash routes a vertex to its owning worker) to the storage layer —
-// the same multiplicative hash routes a vertex to its owning store — so a
-// graph that outgrows one flash device composes several, FlashGraph-style.
-// Each member keeps its own device, block cache, and prefetcher; the router
-// only decides which member answers for which vertex and fans pop-windows out
-// per shard.
-
-// shardHashMul is the Fibonacci multiplicative constant, the same mixing
-// multiplier the engine's owner routing uses for workers. It is part of the
-// on-disk shard contract: shard files record which hash partitioned them
-// (sem's shard-map header), and changing this constant would orphan every
-// sharded graph already written.
-const shardHashMul = 0x9E3779B97F4A7C15
+// This file is the graph-layer shard router: one logical graph partitioned
+// across N member stores by vertex id modulo N, so a graph that outgrows one
+// flash device composes several, FlashGraph-style. Member k owns the vertices
+// v = k, k+N, k+2N, ... and holds their adjacency, and only theirs, under
+// local ids u = v / N: its index covers its own vertices, so N members hold
+// one index between them, not N. Edge targets stay global ids. Each member
+// keeps its own device, block cache, and prefetcher; the router decides which
+// member answers for which vertex, translates the id, and fans pop-windows
+// out per shard.
+//
+// The modulo partition is part of the on-disk shard contract (sem's shard
+// map records it as partition id 2); changing it would orphan every shard set
+// already written.
 
 // ShardOf maps a vertex id to its owning shard in a `shards`-way partition.
-// The assignment is baked into shard files at write time, so this function is
-// versioned by the shard-map header's hash id and must never change for
-// hash id 1.
 func ShardOf(v uint64, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	return int((v * shardHashMul) % uint64(shards))
+	return int(v % uint64(shards))
+}
+
+// ShardSize is the number of vertices shard `shard` of a `shards`-way
+// partition of n vertices owns.
+func ShardSize(n uint64, shard, shards int) uint64 {
+	return (n + uint64(shards-1-shard)) / uint64(shards)
 }
 
 // ExtractShard returns the sub-CSR holding exactly the adjacency owned by
-// `shard` in a `shards`-way partition of g: the full vertex-id space is
-// preserved and non-owned vertices simply have degree 0, so per-shard offsets
-// index the same ids as the logical graph and no id translation ever happens
-// on the traversal path.
+// `shard` in a `shards`-way partition of g: row u is global vertex
+// u*shards+shard, and targets keep their global ids.
 func ExtractShard[V Vertex](g *CSR[V], shard, shards int) (*CSR[V], error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("graph: shard count must be >= 1, got %d", shards)
@@ -42,36 +40,32 @@ func ExtractShard[V Vertex](g *CSR[V], shard, shards int) (*CSR[V], error) {
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("graph: shard %d out of range for %d shards", shard, shards)
 	}
-	n := g.NumVertices()
-	offsets := make([]uint64, n+1)
+	owned := ShardSize(g.NumVertices(), shard, shards)
+	offsets := make([]uint64, owned+1)
 	var m uint64
-	for v := uint64(0); v < n; v++ {
-		if ShardOf(v, shards) == shard {
-			m += uint64(g.Degree(V(v)))
-		}
-		offsets[v+1] = m
+	for u := uint64(0); u < owned; u++ {
+		v := u*uint64(shards) + uint64(shard)
+		m += g.offsets[v+1] - g.offsets[v]
+		offsets[u+1] = m
 	}
-	targets := make([]V, m)
+	targets := make([]V, 0, m)
 	var weights []Weight
 	if g.Weighted() {
-		weights = make([]Weight, m)
+		weights = make([]Weight, 0, m)
 	}
-	for v := uint64(0); v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		if lo == hi {
-			continue
-		}
-		glo, ghi := g.offsets[v], g.offsets[v+1]
-		copy(targets[lo:hi], g.targets[glo:ghi])
+	for u := uint64(0); u < owned; u++ {
+		v := u*uint64(shards) + uint64(shard)
+		lo, hi := g.offsets[v], g.offsets[v+1]
+		targets = append(targets, g.targets[lo:hi]...)
 		if weights != nil {
-			copy(weights[lo:hi], g.weights[glo:ghi])
+			weights = append(weights, g.weights[lo:hi]...)
 		}
 	}
 	return NewCSRRaw(offsets, targets, weights)
 }
 
 // Sharded composes N member adjacencies into one logical graph: vertex v's
-// neighbors come from member ShardOf(v, N). It implements Adjacency and
+// neighbors are row v/N of member v%N. It implements Adjacency and
 // BatchAdjacency, so the one traversal kernel runs over a sharded mount
 // unchanged; NeighborsBatch partitions a worker's pop-window by owning shard
 // and hands each member its group, so every shard's prefetcher coalesces and
@@ -88,29 +82,36 @@ type Sharded[V Vertex] struct {
 	n     uint64
 }
 
-// NewSharded builds the router over members, which must all present the same
-// vertex-id space. Member k must hold the adjacency of exactly the vertices
-// with ShardOf(v, len(members)) == k (zero degree elsewhere); sem.MountShards
-// validates that contract from the shard-map headers before calling this.
+// NewSharded builds the router over members, member k holding the rows of
+// exactly the vertices with ShardOf(v, len(members)) == k, in id order (what
+// ExtractShard returns); the logical vertex count is the members' sum.
+// sem.MountShards validates the rest of that contract from the shard-map
+// headers before calling this.
 func NewSharded[V Vertex](members []Adjacency[V]) (*Sharded[V], error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("graph: sharded mount needs at least one member")
 	}
-	s := &Sharded[V]{
-		members: members,
-		batch:   make([]BatchAdjacency[V], len(members)),
-		n:       members[0].NumVertices(),
-	}
+	s := &Sharded[V]{members: members, batch: make([]BatchAdjacency[V], len(members))}
 	for i, m := range members {
 		if m == nil {
 			return nil, fmt.Errorf("graph: sharded member %d is nil", i)
 		}
-		if nv := m.NumVertices(); nv != s.n {
-			return nil, fmt.Errorf("graph: sharded member %d has %d vertices, member 0 has %d", i, nv, s.n)
-		}
+		s.n += m.NumVertices()
 		s.batch[i], _ = m.(BatchAdjacency[V])
 	}
+	for i, m := range members {
+		if nv, want := m.NumVertices(), ShardSize(s.n, i, len(members)); nv != want {
+			return nil, fmt.Errorf("graph: sharded member %d has %d vertices, a %d-vertex partition gives it %d", i, nv, s.n, want)
+		}
+	}
 	return s, nil
+}
+
+// owner returns v's member and its row there.
+//
+//lint:hotpath
+func (s *Sharded[V]) owner(v V) (int, V) {
+	return ShardOf(uint64(v), len(s.members)), V(uint64(v) / uint64(len(s.members)))
 }
 
 // NumVertices implements Adjacency.
@@ -136,12 +137,12 @@ func (s *Sharded[V]) Weighted() bool {
 	return false
 }
 
-// Degree implements Adjacency by asking v's owning shard; every other member
-// reports 0 for v by construction.
+// Degree implements Adjacency by asking v's owning shard.
 //
 //lint:hotpath
 func (s *Sharded[V]) Degree(v V) int {
-	return s.members[ShardOf(uint64(v), len(s.members))].Degree(v)
+	k, u := s.owner(v)
+	return s.members[k].Degree(u)
 }
 
 // shardScratch is the router's per-worker state, stored in Scratch.Prefetch:
@@ -181,8 +182,8 @@ func (s *Sharded[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, error) 
 	if scratch == nil {
 		scratch = &Scratch[V]{}
 	}
-	k := ShardOf(uint64(v), len(s.members))
-	return s.members[k].Neighbors(v, s.state(scratch).subs[k])
+	k, u := s.owner(v)
+	return s.members[k].Neighbors(u, s.state(scratch).subs[k])
 }
 
 // NeighborsBatch implements BatchAdjacency: group the pop-window by owning
@@ -198,8 +199,8 @@ func (s *Sharded[V]) NeighborsBatch(vs []V, scratch *Scratch[V]) {
 		ss.groups[i] = ss.groups[i][:0]
 	}
 	for _, v := range vs {
-		k := ShardOf(uint64(v), len(s.members))
-		ss.groups[k] = append(ss.groups[k], v)
+		k, u := s.owner(v)
+		ss.groups[k] = append(ss.groups[k], u)
 	}
 	for k, b := range s.batch {
 		if b != nil && len(ss.groups[k]) > 0 {
@@ -209,8 +210,9 @@ func (s *Sharded[V]) NeighborsBatch(vs []V, scratch *Scratch[V]) {
 }
 
 // shardSettler routes settle notifications to each vertex's owning member's
-// sink; members without an active state policy have a nil slot and their
-// vertices' events are dropped (nothing would consume them).
+// sink, under the member's row id; members without an active state policy
+// have a nil slot and their vertices' events are dropped (nothing would
+// consume them).
 type shardSettler struct {
 	sinks []Settler
 }
@@ -218,20 +220,20 @@ type shardSettler struct {
 //lint:hotpath
 func (s *shardSettler) VertexQueued(v uint64) {
 	if sink := s.sinks[ShardOf(v, len(s.sinks))]; sink != nil {
-		sink.VertexQueued(v)
+		sink.VertexQueued(v / uint64(len(s.sinks)))
 	}
 }
 
 //lint:hotpath
 func (s *shardSettler) VertexSettled(v uint64) {
 	if sink := s.sinks[ShardOf(v, len(s.sinks))]; sink != nil {
-		sink.VertexSettled(v)
+		sink.VertexSettled(v / uint64(len(s.sinks)))
 	}
 }
 
 // SettleSink implements SettleProvider by composing the members' sinks into
-// one ShardOf router. Nil — no engine notification overhead — unless at
-// least one member is actively consuming settle events.
+// one shardSettler. Nil — no engine notification overhead — unless at least
+// one member is actively consuming settle events.
 func (s *Sharded[V]) SettleSink() Settler {
 	sinks := make([]Settler, len(s.members))
 	any := false
@@ -250,9 +252,9 @@ func (s *Sharded[V]) SettleSink() Settler {
 
 // HasInEdges reports whether every member can serve reverse adjacency, the
 // router's dynamic side of the InAdjacency capability: shard writers store a
-// vertex's in-edges on its owning member (the transpose is hash-partitioned
-// by destination, same as the forward adjacency by source), so the partition
-// is direction-capable only when every file carries its in-edge section.
+// vertex's in-edges on its owning member (the transpose is partitioned by
+// destination, same as the forward adjacency by source), so the partition is
+// direction-capable only when every file carries its in-edge section.
 func (s *Sharded[V]) HasInEdges() bool {
 	for _, m := range s.members {
 		if _, ok := InEdges(m); !ok {
@@ -277,8 +279,8 @@ func (s *Sharded[V]) Symmetric() bool {
 //
 //lint:hotpath
 func (s *Sharded[V]) InDegree(v V) int {
-	k := ShardOf(uint64(v), len(s.members))
-	return s.members[k].(InAdjacency[V]).InDegree(v)
+	k, u := s.owner(v)
+	return s.members[k].(InAdjacency[V]).InDegree(u)
 }
 
 // InNeighbors implements InAdjacency: route to v's owning member with that
@@ -289,38 +291,45 @@ func (s *Sharded[V]) InNeighbors(v V, scratch *Scratch[V]) ([]V, error) {
 	if scratch == nil {
 		scratch = &Scratch[V]{}
 	}
-	k := ShardOf(uint64(v), len(s.members))
-	return s.members[k].(InAdjacency[V]).InNeighbors(v, s.state(scratch).subs[k])
+	k, u := s.owner(v)
+	return s.members[k].(InAdjacency[V]).InNeighbors(u, s.state(scratch).subs[k])
 }
 
-// ScanInEdges implements InScanner by handing the range to every member:
-// each member holds the in-adjacency of exactly its owned vertices (zero
-// in-degree elsewhere), so the per-member scans partition the range's
-// in-edges and each stays sequential within its own store. Members without
-// bulk scan support fall back to per-vertex InNeighbors over their owned
-// ids.
+// ScanInEdges implements InScanner by handing every member the rows of its
+// own vertices in [lo, hi) — one contiguous row range each, so each scan
+// stays sequential within its store — translating ids both ways. Members
+// without bulk scan support fall back to per-row InNeighbors.
 func (s *Sharded[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in []V) error, scratch *Scratch[V]) error {
 	if scratch == nil {
 		scratch = &Scratch[V]{}
 	}
 	ss := s.state(scratch)
+	n := uint64(len(s.members))
 	for k, m := range s.members {
+		// Global vertex of member k's row u, and the rows of [lo, hi).
+		global := func(u V) V { return V(uint64(u)*n + uint64(k)) }
+		ulo := V((uint64(lo) + n - 1 - uint64(k)) / n)
+		uhi := V((uint64(hi) + n - 1 - uint64(k)) / n)
 		if sc, ok := m.(InScanner[V]); ok {
-			if err := sc.ScanInEdges(lo, hi, need, visit, ss.subs[k]); err != nil {
+			err := sc.ScanInEdges(ulo, uhi,
+				func(u V) bool { return need(global(u)) },
+				func(u V, in []V) error { return visit(global(u), in) },
+				ss.subs[k])
+			if err != nil {
 				return err
 			}
 			continue
 		}
 		ia := m.(InAdjacency[V])
-		for v := lo; v < hi; v++ {
-			if ShardOf(uint64(v), len(s.members)) != k || !need(v) || ia.InDegree(v) == 0 {
+		for u := ulo; u < uhi; u++ {
+			if !need(global(u)) || ia.InDegree(u) == 0 {
 				continue
 			}
-			in, err := ia.InNeighbors(v, ss.subs[k])
+			in, err := ia.InNeighbors(u, ss.subs[k])
 			if err != nil {
 				return err
 			}
-			if err := visit(v, in); err != nil {
+			if err := visit(global(u), in); err != nil {
 				return err
 			}
 		}

@@ -49,8 +49,8 @@ func TestShardOf(t *testing.T) {
 }
 
 func TestShardOfIsStable(t *testing.T) {
-	// The assignment is baked into shard files (shard-map hash id 1); these
-	// pinned values guard against accidental hash changes orphaning them.
+	// The assignment is baked into shard files (shard-map partition id 2);
+	// these pinned values guard against a change orphaning them.
 	want := map[uint64]int{0: 0, 1: 1, 2: 2, 3: 3, 100: 0, 12345: 1}
 	for v, k := range want {
 		if got := ShardOf(v, 4); got != k {
@@ -73,48 +73,42 @@ func TestExtractShardErrors(t *testing.T) {
 }
 
 func TestExtractShardPartitionsAdjacency(t *testing.T) {
-	g := shardTestGraph(t, 200, 1200, 7)
+	g := shardTestGraph(t, 201, 1200, 7)
 	for _, shards := range []int{1, 2, 4} {
-		subs := make([]*CSR[uint32], shards)
-		var total uint64
-		for k := range subs {
+		var total, rows uint64
+		for k := 0; k < shards; k++ {
 			sub, err := ExtractShard(g, k, shards)
 			if err != nil {
 				t.Fatalf("ExtractShard(%d, %d): %v", k, shards, err)
 			}
-			if sub.NumVertices() != g.NumVertices() {
-				t.Fatalf("shard %d/%d: n = %d, want %d", k, shards, sub.NumVertices(), g.NumVertices())
+			// Row u of shard k is vertex u*shards+k: the shard indexes its own
+			// vertices and nothing else.
+			if want := ShardSize(g.NumVertices(), k, shards); sub.NumVertices() != want {
+				t.Fatalf("shard %d/%d: %d rows, want %d", k, shards, sub.NumVertices(), want)
 			}
-			subs[k] = sub
+			rows += sub.NumVertices()
 			total += sub.NumEdges()
-		}
-		if total != g.NumEdges() {
-			t.Fatalf("shards=%d: member edges sum to %d, want %d", shards, total, g.NumEdges())
-		}
-		for v := uint64(0); v < g.NumVertices(); v++ {
-			owner := ShardOf(v, shards)
-			wantTs, wantWs, _ := g.Neighbors(uint32(v), nil)
-			for k, sub := range subs {
-				ts, ws, err := sub.Neighbors(uint32(v), nil)
-				if err != nil {
-					t.Fatalf("shard %d Neighbors(%d): %v", k, v, err)
+			for u := uint64(0); u < sub.NumVertices(); u++ {
+				v := u*uint64(shards) + uint64(k)
+				if ShardOf(v, shards) != k {
+					t.Fatalf("shard %d/%d: row %d is vertex %d, owned by shard %d", k, shards, u, v, ShardOf(v, shards))
 				}
-				if k != owner {
-					if len(ts) != 0 {
-						t.Fatalf("shard %d holds %d edges of vertex %d owned by shard %d", k, len(ts), v, owner)
-					}
-					continue
-				}
+				wantTs, wantWs, _ := g.Neighbors(uint32(v), nil)
+				ts, ws, _ := sub.Neighbors(uint32(u), nil)
 				if len(ts) != len(wantTs) {
-					t.Fatalf("owner shard %d: degree(%d) = %d, want %d", k, v, len(ts), len(wantTs))
+					t.Fatalf("shard %d/%d: degree of row %d = %d, want %d", k, shards, u, len(ts), len(wantTs))
 				}
 				for i := range ts {
 					if ts[i] != wantTs[i] || ws[i] != wantWs[i] {
-						t.Fatalf("owner shard %d: edge %d of vertex %d = (%d, %v), want (%d, %v)",
-							k, i, v, ts[i], ws[i], wantTs[i], wantWs[i])
+						t.Fatalf("shard %d/%d: edge %d of vertex %d = (%d, %v), want (%d, %v)",
+							k, shards, i, v, ts[i], ws[i], wantTs[i], wantWs[i])
 					}
 				}
 			}
+		}
+		if rows != g.NumVertices() || total != g.NumEdges() {
+			t.Fatalf("shards=%d: members hold %d rows and %d edges, want %d and %d",
+				shards, rows, total, g.NumVertices(), g.NumEdges())
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/mount"
 	"repro/internal/sem"
 	"repro/internal/ssd"
 )
@@ -45,53 +44,6 @@ func AblationOversubscription(o Options) (*Table, error) {
 			fmt.Sprintf("%d", res.Stats.Visits), fmt.Sprintf("%d", res.Stats.Pushes),
 			fmt.Sprintf("%d", res.Stats.MaxQueue))
 		o.logf("ablation-oversub: workers=%d done\n", w)
-	}
-	return t, nil
-}
-
-// AblationStripe sweeps RAID-0 stripe width at fixed aggregate parallelism:
-// the paper's configurations are all 4-member software RAID 0 arrays, and
-// striping is what lets commodity SATA SSDs reach array-level IOPS.
-func AblationStripe(o Options) (*Table, error) {
-	// The array is one store, so o.Shards applies to neither the write nor
-	// the mount.
-	wo := mount.WriteOptions{Compress: o.Compressed}
-	t := &Table{
-		Title: "Ablation: RAID-0 stripe width (SEM BFS, RMAT-A, FusionIO-class array)",
-		Note:  "per-card channels = aggregate/cards; 64 KiB chunks (paper: 4-card software RAID 0), edge format=" + wo.Format(false),
-		Cols:  []string{"cards", "time(s)", "devReads"},
-	}
-	scale := o.SEMScales[len(o.SEMScales)-1]
-	g, err := gen.RMAT[uint32](scale, o.Degree, gen.RMATA, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	src := graph.MaxDegreeVertex[uint32](g)
-	backings, err := mount.WriteBackings(g, wo)
-	if err != nil {
-		return nil, err
-	}
-	for _, cards := range []int{1, 2, 4} {
-		// Fixed per-card hardware: stripe width multiplies available
-		// parallelism, as adding cards to the array did for the authors.
-		card := ssd.CardProfile(ssd.FusionIO, 4)
-		arr, err := ssd.NewRAID0Array(card, cards, 64*1024, backings[0])
-		if err != nil {
-			return nil, err
-		}
-		m, err := mount.Stores([]sem.Store{arr}, o.Options)
-		if err != nil {
-			return nil, err
-		}
-		dur, err := timeIt(func() error {
-			_, err := core.BFS[uint32](m.Adj, src, o.semConfig(m))
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Add(fmt.Sprintf("%d", cards), Seconds(dur), fmt.Sprintf("%d", arr.Stats().Reads))
-		o.logf("ablation-stripe: cards=%d done\n", cards)
 	}
 	return t, nil
 }
@@ -164,7 +116,7 @@ func log2(v uint64) int {
 func AblationWriteAsymmetry(o Options) (*Table, error) {
 	t := &Table{
 		Title: "Ablation: flash write/read asymmetry (graph build vs load, RMAT-A)",
-		Note:  "writes charge WriteLatency (2.5-3x ReadLatency per §II-D); 64 KiB transfers",
+		Note:  "writes charge WriteLatency (2.5-3x ReadLatency per §II-D); 64 KiB transfers; write/read is the modelled service time, the (s) columns wall clock",
 		Cols:  []string{"device", "write(s)", "read(s)", "write/read"},
 	}
 	scale := o.SEMScales[0]
@@ -211,7 +163,8 @@ func AblationWriteAsymmetry(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(p.Name, Seconds(writeTime), Seconds(readTime), Ratio(writeTime, readTime))
+		st := dev.Stats()
+		t.Add(p.Name, Seconds(writeTime), Seconds(readTime), Ratio(st.WriteTime, st.ReadTime))
 		o.logf("ablation-write: %s done\n", p.Name)
 	}
 	return t, nil
@@ -297,8 +250,7 @@ func AblationDirection(o Options) (*Table, error) {
 func Ablations(o Options) ([]*Table, error) {
 	var tables []*Table
 	for _, fn := range []func(Options) (*Table, error){
-		AblationOversubscription, AblationStripe,
-		AblationSSSP, AblationWriteAsymmetry, AblationDirection,
+		AblationOversubscription, AblationSSSP, AblationWriteAsymmetry, AblationDirection,
 	} {
 		tbl, err := fn(o)
 		if err != nil {

@@ -38,8 +38,8 @@ type Options struct {
 	// RAM the page cache covered most of the 9-36 GB graph files and ~12%% of
 	// the 136 GB one), its readahead the OS readahead over the semi-sorted
 	// access stream; CacheFloor keeps a toy-scale budget meaningful. Shards > 1
-	// hash-partitions each mount across that many member stores, each with
-	// its own simulated device, block cache and prefetcher.
+	// partitions each mount across that many member stores, each with its
+	// own simulated device, block cache and prefetcher.
 	mount.Options
 	// WebScale is the log2 size of the web-like stand-in graphs used by the
 	// CC tables (paper: it-2004 .. ClueWeb09).

@@ -211,29 +211,13 @@ func TestFigure2AndAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 5 {
-		t.Fatalf("%d ablation tables, want 5", len(tables))
+	if len(tables) != 4 {
+		t.Fatalf("%d ablation tables, want 4", len(tables))
 	}
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s: empty", tbl.Title)
 		}
-	}
-}
-
-// TestAblationStripeMountsTheEdgeFormat pins that the stripe table writes
-// and mounts what -compress asks for, and names that format in its note the
-// way Table IV does.
-func TestAblationStripeMountsTheEdgeFormat(t *testing.T) {
-	o := tiny()
-	o.Compressed = true
-	tbl, err := AblationStripe(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTable(t, tbl, 3)
-	if !strings.Contains(tbl.Note, "edge format=compressed") {
-		t.Fatalf("note %q does not name the compressed edge format", tbl.Note)
 	}
 }
 
@@ -327,9 +311,12 @@ func TestAblationWriteAsymmetryShape(t *testing.T) {
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
+	// The ratio is the device model's, not the host's, however busy the
+	// machine is: the profiles' 2.5-3x latency ratios, pulled toward 1 by the
+	// bandwidth term both directions pay (2.4-2.8 on full 64 KiB transfers).
 	for i := range tbl.Rows {
-		if cell(t, tbl, i, "write/read") < 1.5 {
-			t.Fatalf("row %d: writes not dearer than reads: %v", i, tbl.Rows[i])
+		if r := cell(t, tbl, i, "write/read"); r < 2.3 || r > 3 {
+			t.Fatalf("row %d: modelled write/read %.2f outside [2.3, 3]: %v", i, r, tbl.Rows[i])
 		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 // tables and the examples render, each in its own format. An in-memory mount
 // reports the zero IO.
 type IO struct {
-	// Device sums the shard devices' counters. It stays zero when the caller
-	// built the devices (Stores).
+	// Device sums the shard devices' counters.
 	Device ssd.Stats
 	// Shards holds each member store's own counters in shard order: one
 	// entry for a plain semi-external file, none in memory.

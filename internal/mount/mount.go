@@ -1,7 +1,9 @@
 // Package mount assembles the storage stack under a traversal — one simulated
-// flash device per shard, the semi-external graph and the shard router, with
-// the block cache between them or the graph's own zero-budget block table, or
-// an in-memory CSR — and derives the engine configuration that matches it.
+// flash device per shard file (N devices are N shard files, each indexing only
+// the vertices it owns: EXPERIMENTS.md "N devices: a stripe against shards"),
+// the semi-external graph and the shard router, with the block cache between
+// them or the graph's own zero-budget block table, or an in-memory CSR — and
+// derives the engine configuration that matches it.
 // cmd/traverse, cmd/serve, cmd/bench, the harness and the examples all mount
 // through here, so the default recipe (4 KiB blocks, half the file, readahead
 // 8), the choice of read path from whether a cache is mounted (behind the
@@ -84,8 +86,7 @@ type Mounted struct {
 	// CSR is the decoded graph of an in-memory mount, nil otherwise.
 	CSR *graph.CSR[uint32]
 	// Devices, Caches and Graphs are the per-shard layers of a SEM mount, in
-	// shard order. Devices is nil when the caller built the stores (Stores);
-	// Caches is nil under NoCache.
+	// shard order. Caches is nil under NoCache.
 	Devices []*ssd.Device
 	Caches  []*sem.CachedStore
 	Graphs  []*sem.Graph[uint32]
@@ -164,18 +165,7 @@ func assemble(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, erro
 		return nil, fmt.Errorf("mount: no backing to mount")
 	}
 	if opt.SEM {
-		devs := make([]*ssd.Device, len(backings))
-		stores := make([]sem.Store, len(backings))
-		for i, b := range backings {
-			devs[i] = ssd.New(opt.Profile, b)
-			stores[i] = devs[i]
-		}
-		m, err := semStack(stores, sharded, opt)
-		if err != nil {
-			return nil, err
-		}
-		m.Devices = devs
-		return m, nil
+		return semStack(backings, sharded, opt)
 	}
 	m := &Mounted{}
 	var err error
@@ -220,35 +210,20 @@ func inSections(backings []ssd.Backing) bool {
 	return true
 }
 
-// Stores mounts semi-externally over devices the caller built — a RAID-0
-// array, say — one per shard. Each store must report its size (sem.Sizer)
-// unless opt.NoCache. opt.SEM and opt.Profile are not consulted.
-func Stores(stores []sem.Store, opt Options) (*Mounted, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("mount: no store to mount")
-	}
-	return semStack(stores, len(stores) > 1, opt)
-}
-
-// semStack is the semi-external half, over one store per shard: the cache fed
-// by the graph it serves, or the raw device under the zero-budget table
-// sem.Open puts there with windows enabled; then the shard router.
-func semStack(stores []sem.Store, sharded bool, opt Options) (*Mounted, error) {
-	m := &Mounted{Graphs: make([]*sem.Graph[uint32], len(stores))}
+// semStack is the semi-external half, one simulated device per backing: the
+// cache fed by the graph it serves, or the raw device under the zero-budget
+// table sem.Open puts there with windows enabled; then the shard router.
+func semStack(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, error) {
+	m := &Mounted{Devices: make([]*ssd.Device, len(backings)), Graphs: make([]*sem.Graph[uint32], len(backings))}
 	if !opt.NoCache {
-		m.Caches = make([]*sem.CachedStore, len(stores))
+		m.Caches = make([]*sem.CachedStore, len(backings))
 	}
-	for i, store := range stores {
+	for i, b := range backings {
+		m.Devices[i] = ssd.New(opt.Profile, b)
+		var store sem.Store = m.Devices[i]
 		var err error
 		if !opt.NoCache {
-			szr, ok := store.(sem.Sizer)
-			if !ok {
-				return nil, fmt.Errorf("mount: shard %d: the block cache needs a store with a known size", i)
-			}
-			if m.Caches[i], err = sem.NewCachedStoreRA(store, blockSize, opt.cacheBudget(szr.Size()), readahead); err != nil {
+			if m.Caches[i], err = sem.NewCachedStoreRA(store, blockSize, opt.cacheBudget(b.Size()), readahead); err != nil {
 				return nil, err
 			}
 			store = m.Caches[i]
@@ -268,7 +243,7 @@ func semStack(stores []sem.Store, sharded bool, opt Options) (*Mounted, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Adj, m.Shards = router, len(stores)
+		m.Adj, m.Shards = router, len(backings)
 	}
 	m.finish(opt)
 	return m, nil

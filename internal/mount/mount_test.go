@@ -229,41 +229,6 @@ func TestCacheRecipe(t *testing.T) {
 	}
 }
 
-// TestStoresOverRAID0 mounts over a caller-built stripe set, the one stack
-// Graph cannot build itself.
-func TestStoresOverRAID0(t *testing.T) {
-	g, src := testGraph(t)
-	want, err := baseline.SerialBFS[uint32](g, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := ssd.NewRAID0Array(fast, 2, 64<<10, memBackings(images(t, g, sem.WriteConfig{}, 1))[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Stores([]sem.Store{arr}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Devices != nil || len(m.Caches) != 1 || !m.Engine.SemiSort {
-		t.Fatalf("devices=%d caches=%d semisort=%v, want the caller's devices left alone behind one cache, under the semi-external engine config", len(m.Devices), len(m.Caches), m.Engine.SemiSort)
-	}
-	cfg := m.Engine
-	cfg.Workers = 8
-	got, err := core.BFS[uint32](m.Adj, src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if got.Level[v] != want[v] {
-			t.Fatalf("level[%d] = %d, want %d", v, got.Level[v], want[v])
-		}
-	}
-	if _, err := Stores([]sem.Store{bytes.NewReader(nil)}, Options{}); err == nil {
-		t.Error("a store of unknown size was accepted behind the block cache")
-	}
-}
-
 // TestFiles covers the path half: plain files, auto-detected and pinned shard
 // sets, and a pinned width the files contradict.
 func TestFiles(t *testing.T) {

@@ -19,8 +19,9 @@ type WriteOptions struct {
 	// Compress writes delta+varint compressed (v2) adjacency blocks instead
 	// of raw fixed-size (v1) records.
 	Compress bool
-	// Shards hash-partitions the graph into that many images, base.shard0..
-	// on disk; 0 or 1 writes one plain image.
+	// Shards partitions the graph into that many images, base.shard0.. on
+	// disk, each indexing only the vertices it owns; 0 or 1 writes one plain
+	// image.
 	Shards int
 	// InEdges appends a transpose in-edge section to a directed graph, the
 	// data the direction-switching BFS driver needs. A graph marked symmetric
@@ -35,7 +36,7 @@ type WriteOptions struct {
 func BindWrite(fs *flag.FlagSet) func() (WriteOptions, error) {
 	var o WriteOptions
 	fs.BoolVar(&o.Compress, "compress", false, "write the delta+varint compressed (v2) edge format")
-	fs.IntVar(&o.Shards, "shards", 1, "hash-partition the graph into N shard files (out.shard0..N-1)")
+	fs.IntVar(&o.Shards, "shards", 1, "partition the graph into N shard files (out.shard0..N-1), vertex v in shard v mod N")
 	fs.BoolVar(&o.InEdges, "symmetric", false, "append a transpose in-edge section to a directed graph, so BFS can switch direction on it (an undirected graph is its own transpose and needs none)")
 	return func() (WriteOptions, error) {
 		if o.Shards < 1 {

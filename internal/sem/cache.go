@@ -114,6 +114,10 @@ func newCachedStore(inner Store, blockSize, capacityBytes, size int64, readahead
 	if capacityBytes <= 0 {
 		numShards, perShard = maxShards, 0
 	}
+	pool := prefetchIOWorkers
+	if ch, ok := inner.(interface{ Channels() int }); ok {
+		pool = max(pool, ch.Channels())
+	}
 	c := &CachedStore{
 		inner:     inner,
 		blockSize: blockSize,
@@ -122,7 +126,7 @@ func newCachedStore(inner Store, blockSize, capacityBytes, size int64, readahead
 		readahead: max(readahead, 1),
 		capBlocks: int64(perShard) * int64(numShards),
 		shards:    make([]cacheShard, numShards),
-		io:        make(chan struct{}, prefetchIOWorkers),
+		io:        make(chan struct{}, pool),
 	}
 	if c.capBlocks > 0 { // nothing steers a table that keeps nothing
 		c.pending.count = make([]atomic.Int32, c.maxBlock)
@@ -348,7 +352,7 @@ func (c *CachedStore) request(held []*cacheEntry, lo, hi int64) (_ []*cacheEntry
 }
 
 // submit runs one fetch on the table's I/O pool, which bounds its concurrent
-// asynchronous reads at prefetchIOWorkers.
+// asynchronous reads at max(prefetchIOWorkers, the device's channels).
 func (c *CachedStore) submit(owned []*cacheEntry) {
 	c.io <- struct{}{}
 	_ = c.fetch(nil, 0, owned) // every reader finds the error on its entries

@@ -449,3 +449,30 @@ func TestSEM64BitTraversal(t *testing.T) {
 		t.Fatalf("level[99] = %d", res.Level[99])
 	}
 }
+
+// TestIOPoolFollowsTheDevice: a table's asynchronous fetch pool is as wide as
+// its device's channel count and never narrower than prefetchIOWorkers, for a
+// block cache and for the zero-budget table Open puts under a raw device.
+func TestIOPoolFollowsTheDevice(t *testing.T) {
+	backing := &ssd.MemBacking{Data: make([]byte, 1<<16)}
+	wide := ssd.FusionIO
+	wide.Channels = 80
+	for _, tc := range []struct {
+		name  string
+		store Store
+		want  int
+	}{
+		{"one FusionIO device", ssd.New(ssd.FusionIO, backing), 32},
+		{"an 80-channel device", ssd.New(wide, backing), 80},
+		{"a store that reports no channels", backing, prefetchIOWorkers},
+	} {
+		cache, err := NewCachedStoreRA(tc.store, 4096, 1<<15, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := newCachedStore(tc.store, rawBlock, 0, backing.Size(), 1)
+		if cache.io == nil || cap(cache.io) != tc.want || cap(raw.io) != tc.want {
+			t.Errorf("%s: cache pool %d, raw table pool %d, want %d", tc.name, cap(cache.io), cap(raw.io), tc.want)
+		}
+	}
+}

@@ -44,11 +44,13 @@ import (
 // slowest profile) against the whole latency term they save (3 ms there).
 const DefaultPrefetchGap = 32 << 10
 
-// prefetchIOWorkers bounds a table's concurrent asynchronous fetches — window
-// ranges and scan spans. It sits above every simulated profile's channel
-// count (20 at most), so the bound never throttles the device below its own
-// parallelism; it exists to keep the goroutine and buffer fan-out finite when
-// hundreds of traversal workers window simultaneously.
+// prefetchIOWorkers is the smallest bound on a table's concurrent
+// asynchronous fetches — window ranges and scan spans. A table over a store
+// that reports its channel count (ssd.Device) widens the pool to it, so the
+// bound never throttles a device below its own parallelism; the paper's three
+// profiles have 9-20 channels and keep 32. It exists to keep the goroutine
+// and buffer fan-out finite when hundreds of traversal workers window
+// simultaneously.
 const prefetchIOWorkers = 32
 
 // rawBlock is the block of the zero-budget table Open puts under a raw store:

@@ -53,10 +53,10 @@ const (
 	flagWeighted   = 1 << 0
 	flag64Bit      = 1 << 1
 	flagCompressed = 1 << 2
-	// flagSharded marks a file holding one shard of a hash-partitioned graph;
-	// a 24-byte shard map (see sharded.go) follows the header before the
-	// vertex index. Files without the flag are byte-identical to pre-shard
-	// writers' output.
+	// flagSharded marks a file holding one shard of a partitioned graph: a
+	// 24-byte shard map (see sharded.go) follows the header, and the index
+	// that follows it has a row for each vertex the shard owns. Files without
+	// the flag are byte-identical to pre-shard writers' output.
 	flagSharded = 1 << 3
 	// flagInEdges marks a file carrying a second adjacency section after the
 	// edge region: the transpose, the storage behind bottom-up traversal
@@ -70,6 +70,9 @@ const (
 	// reads are served from the edge region itself and no in-edge section
 	// exists. Mutually exclusive with flagInEdges.
 	flagSymmetric = 1 << 5
+	// knownFlags is every bit a reader understands; Open rejects the rest,
+	// since a bit it skipped could move what follows the header.
+	knownFlags = flagWeighted | flag64Bit | flagCompressed | flagSharded | flagInEdges | flagSymmetric
 )
 
 const headerSize = 40
@@ -99,7 +102,7 @@ type Graph[V graph.Vertex] struct {
 
 	// Shard-map fields (zero values for plain files): this file holds shard
 	// `shard` of a `shards`-way partition whose logical graph has totalEdges
-	// edges; m counts only this shard's records.
+	// edges; n counts only this shard's rows and m only its records.
 	shard      int
 	shards     int
 	totalEdges uint64
@@ -179,9 +182,9 @@ type WriteConfig struct {
 	// written with it whenever InEdges is not set.
 	Symmetric bool
 	// Shard, when non-nil, extracts and writes that shard of g with a shard
-	// map. The in-edge section of shard k holds the in-adjacency of k's owned
-	// vertices (the transpose hash-partitions by destination, exactly as the
-	// forward adjacency does by source).
+	// map: a row per vertex it owns. The in-edge section of shard k holds the
+	// in-adjacency of those same rows (the transpose partitions by
+	// destination, exactly as the forward adjacency does by source).
 	Shard *ShardConfig
 }
 
@@ -222,7 +225,7 @@ func Write[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg WriteConfig) error 
 			shard:      uint32(sc.Shard),
 			shards:     uint32(sc.Shards),
 			totalEdges: g.NumEdges(),
-			hashID:     shardHashFib,
+			hashID:     shardByModulo,
 		}
 	}
 	var in *graph.CSR[V]
@@ -449,6 +452,9 @@ func Open[V graph.Vertex](store Store) (*Graph[V], error) {
 		return nil, fmt.Errorf("sem: unsupported version %d", ver)
 	}
 	flags := binary.LittleEndian.Uint64(header[8:])
+	if unknown := flags &^ knownFlags; unknown != 0 {
+		return nil, fmt.Errorf("sem: unsupported header flags %#x", unknown)
+	}
 	n := binary.LittleEndian.Uint64(header[16:])
 	m := binary.LittleEndian.Uint64(header[24:])
 	blobBytes := binary.LittleEndian.Uint64(header[32:])
@@ -624,7 +630,7 @@ func (g *Graph[V]) Weighted() bool { return g.out.weighted }
 func (g *Graph[V]) Compressed() bool { return g.out.compressed }
 
 // Sharded reports whether the file carries a shard map: it holds one shard of
-// a hash-partitioned logical graph rather than the whole graph.
+// a partitioned logical graph rather than the whole graph.
 func (g *Graph[V]) Sharded() bool { return g.shards > 0 }
 
 // Shard reports this file's shard index within its partition (0 when the file

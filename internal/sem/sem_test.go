@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"sync/atomic"
@@ -352,5 +353,38 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenRejectsUnknownFlags: a header bit the reader does not know could
+// move what follows the header, so Open refuses the file rather than reading
+// whatever sits there as the index. Bit 3 is known — it announces a shard map
+// — and on a plain image it makes Open read the index's first bytes as one,
+// which no valid map matches.
+func TestOpenRejectsUnknownFlags(t *testing.T) {
+	g := buildGraph(t, 40, 200, true, 3)
+	for _, compressed := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := Write(&buf, g, WriteConfig{Compress: compressed}); err != nil {
+			t.Fatal(err)
+		}
+		withFlag := func(bit uint64) error {
+			raw := bytes.Clone(buf.Bytes())
+			binary.LittleEndian.PutUint64(raw[8:], binary.LittleEndian.Uint64(raw[8:])|bit)
+			_, err := Open[uint32](bytes.NewReader(raw))
+			return err
+		}
+		for _, bit := range []uint64{1 << 6, 1 << 40} {
+			want := fmt.Sprintf("sem: unsupported header flags %#x", bit)
+			if err := withFlag(bit); err == nil || err.Error() != want {
+				t.Errorf("compressed=%v, bit %#x: err = %v, want %q", compressed, bit, err, want)
+			}
+		}
+		if err := withFlag(flagSharded); !errors.Is(err, ErrShardSpec) {
+			t.Errorf("compressed=%v, shard bit on a plain image: err = %v, want ErrShardSpec", compressed, err)
+		}
+		if err := withFlag(0); err != nil {
+			t.Errorf("compressed=%v: the untouched image failed to open: %v", compressed, err)
+		}
 	}
 }

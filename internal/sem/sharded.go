@@ -10,13 +10,12 @@ import (
 )
 
 // This file is the storage side of the shard router: one logical graph
-// hash-partitioned over N stores, each written as a complete ASG file over
-// the full vertex-id space (non-owned vertices have degree 0) plus a shard
-// map recording its place in the partition. Keeping the full id space in
-// every shard means per-shard offsets index logical vertex ids directly — no
-// id translation on the traversal path — at the cost of (n+1-n/N) index
-// entries of RAM per extra shard, which is the paper's RAM-resident vertex
-// information and cheap by construction.
+// partitioned over N stores by vertex id modulo N (graph.ShardOf), each
+// written as an ASG file of its own vertices plus a shard map recording its
+// place in the partition. Shard k's header counts the vertices it owns and its
+// index has a row for each of them — row u is logical vertex u*N+k — so the
+// members' indexes add up to one graph's, whatever N is. Edge targets are
+// logical ids.
 //
 // Shard map layout (shardMapSize bytes, little-endian, after the header):
 //
@@ -24,7 +23,7 @@ import (
 //	[4:8]   shards     uint32 -- partition width
 //	[8:16]  totalEdges uint64 -- edge count of the LOGICAL graph (header m
 //	                             counts only this shard's records)
-//	[16:20] hashID     uint32 -- partitioning hash (1 = Fibonacci)
+//	[16:20] hashID     uint32 -- partitioning rule (2 = modulo, owned rows)
 //	[20:24] reserved   uint32
 //
 // The v1/v2 distinction is orthogonal: a shard map can precede either body,
@@ -34,10 +33,11 @@ import (
 // shardMapSize is the byte length of the shard map block.
 const shardMapSize = 24
 
-// shardHashFib identifies the Fibonacci multiplicative hash (graph.ShardOf)
-// in the shard map's hash field. New hash ids may be added; readers reject
-// ids they do not implement rather than silently mis-routing vertices.
-const shardHashFib = 1
+// shardByModulo identifies the partition rule in the shard map's hash field:
+// vertex v lives in shard v mod N as row v / N. Readers reject ids they do
+// not implement rather than silently mis-routing vertices — among them 1,
+// the hash partition whose members each indexed the whole id space.
+const shardByModulo = 2
 
 // ErrShardSpec marks shard-spec inconsistencies: a file list that does not
 // assemble into one coherent partition (wrong count, wrong order, mixed
@@ -75,13 +75,13 @@ func parseShardMap(raw []byte) (shardMap, error) {
 	if sm.shard >= sm.shards {
 		return sm, fmt.Errorf("sem: %w: shard %d out of range for %d shards", ErrShardSpec, sm.shard, sm.shards)
 	}
-	if sm.hashID != shardHashFib {
-		return sm, fmt.Errorf("sem: %w: unknown shard hash id %d (have %d)", ErrShardSpec, sm.hashID, shardHashFib)
+	if sm.hashID != shardByModulo {
+		return sm, fmt.Errorf("sem: %w: unknown shard partition id %d (have %d)", ErrShardSpec, sm.hashID, shardByModulo)
 	}
 	return sm, nil
 }
 
-// ShardConfig selects one shard of a hash partition for the shard writers.
+// ShardConfig selects one shard of a partition for the shard writers.
 type ShardConfig struct {
 	// Shard is the index of the shard to write, in [0, Shards).
 	Shard int
@@ -146,10 +146,11 @@ func ShardPaths(path string, shards int) (paths []string, sharded bool, err erro
 }
 
 // validateShardSet checks that gs assembles into one coherent partition:
-// every member sharded, in shard order, agreeing on width, vertex count,
-// weightedness, and the logical edge total, with per-shard record counts
-// summing to that total. As a convenience a single plain (unsharded) file
-// passes — it is exactly the 1-way partition. All failures wrap ErrShardSpec.
+// every member sharded, in shard order, agreeing on width, weightedness, and
+// the logical edge total, each owning the rows the modulo rule gives it out of
+// their summed vertex count, with per-shard record counts summing to that
+// total. As a convenience a single plain (unsharded) file passes — it is
+// exactly the 1-way partition. All failures wrap ErrShardSpec.
 func validateShardSet[V graph.Vertex](gs []*Graph[V]) error {
 	if len(gs) == 0 {
 		return fmt.Errorf("sem: %w: no shard files", ErrShardSpec)
@@ -157,7 +158,10 @@ func validateShardSet[V graph.Vertex](gs []*Graph[V]) error {
 	if len(gs) == 1 && !gs[0].Sharded() {
 		return nil
 	}
-	var sum uint64
+	var n, sum uint64
+	for _, g := range gs {
+		n += g.NumVertices()
+	}
 	for i, g := range gs {
 		if !g.Sharded() {
 			return fmt.Errorf("sem: %w: file %d of %d carries no shard map", ErrShardSpec, i, len(gs))
@@ -170,9 +174,9 @@ func validateShardSet[V graph.Vertex](gs []*Graph[V]) error {
 			return fmt.Errorf("sem: %w: file %d holds shard %d (files must be listed in shard order)",
 				ErrShardSpec, i, g.Shard())
 		}
-		if g.NumVertices() != gs[0].NumVertices() {
-			return fmt.Errorf("sem: %w: shard %d has %d vertices, shard 0 has %d",
-				ErrShardSpec, i, g.NumVertices(), gs[0].NumVertices())
+		if want := graph.ShardSize(n, i, len(gs)); g.NumVertices() != want {
+			return fmt.Errorf("sem: %w: shard %d owns %d vertices, a %d-vertex partition gives it %d",
+				ErrShardSpec, i, g.NumVertices(), n, want)
 		}
 		if g.Weighted() != gs[0].Weighted() {
 			return fmt.Errorf("sem: %w: shard %d weighted=%v, shard 0 weighted=%v",
@@ -232,11 +236,15 @@ func LoadShardedCSR[V graph.Vertex](stores []Store) (*graph.CSR[V], error) {
 		subs[i] = sub
 		symmetric = symmetric && gs[i].symmetric
 	}
-	n := subs[0].NumVertices()
+	shards := uint64(len(subs))
+	var n uint64
+	for _, sub := range subs {
+		n += sub.NumVertices()
+	}
 	offsets := make([]uint64, n+1)
 	var m uint64
 	for v := uint64(0); v < n; v++ {
-		m += uint64(subs[graph.ShardOf(v, len(subs))].Degree(V(v)))
+		m += uint64(subs[graph.ShardOf(v, len(subs))].Degree(V(v / shards)))
 		offsets[v+1] = m
 	}
 	targets := make([]V, m)
@@ -249,8 +257,8 @@ func LoadShardedCSR[V graph.Vertex](stores []Store) (*graph.CSR[V], error) {
 		if lo == hi {
 			continue
 		}
-		sub := subs[graph.ShardOf(v, len(subs))]
-		slo, shi := sub.Offsets()[v], sub.Offsets()[v+1]
+		sub, u := subs[graph.ShardOf(v, len(subs))], v/shards
+		slo, shi := sub.Offsets()[u], sub.Offsets()[u+1]
 		copy(targets[lo:hi], sub.Targets()[slo:shi])
 		if weights != nil {
 			copy(weights[lo:hi], sub.WeightsRaw()[slo:shi])

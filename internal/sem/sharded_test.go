@@ -103,6 +103,31 @@ func TestShardMapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardIndexesOnlyOwnedRows pins the partition's memory contract: the
+// members of an N-way shard set index the n vertices once between them — a
+// row each, plus one closing offset per member — whatever N is.
+func TestShardIndexesOnlyOwnedRows(t *testing.T) {
+	const n = 201
+	g := buildGraph(t, n, 1500, true, 61)
+	for _, compressed := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 4} {
+			var offsets, degrees int
+			for _, sg := range openShardSet(t, g, shards, compressed) {
+				offsets += len(sg.out.offsets)
+				degrees += len(sg.out.degrees)
+			}
+			wantDegrees := 0
+			if compressed {
+				wantDegrees = n
+			}
+			if offsets != n+shards || degrees != wantDegrees {
+				t.Errorf("compressed=%v shards=%d: members hold %d offsets and %d degrees, want %d and %d",
+					compressed, shards, offsets, degrees, n+shards, wantDegrees)
+			}
+		}
+	}
+}
+
 func TestMountShardsEquivalence(t *testing.T) {
 	g := buildGraph(t, 200, 1500, true, 33)
 	for _, compressed := range []bool{false, true} {
@@ -248,6 +273,7 @@ func TestOpenRejectsCorruptShardMap(t *testing.T) {
 		{"zero shard count", func(raw []byte) { binary.LittleEndian.PutUint32(raw[44:], 0) }},
 		{"shard out of range", func(raw []byte) { binary.LittleEndian.PutUint32(raw[40:], 7) }},
 		{"unknown hash id", func(raw []byte) { binary.LittleEndian.PutUint32(raw[56:], 42) }},
+		{"the full-index hash partition", func(raw []byte) { binary.LittleEndian.PutUint32(raw[56:], 1) }},
 		{"total below shard edges", func(raw []byte) { binary.LittleEndian.PutUint64(raw[48:], 0) }},
 	}
 	for _, c := range cases {

@@ -499,7 +499,7 @@ func TestAddGraphValidation(t *testing.T) {
 // TestConcurrentQueriesShardedSEM serves a 3-shard SEM mount to many
 // concurrent readers: results must match the in-memory baseline, /v1/graphs
 // must advertise the shard count, and /metrics must show every member device
-// reading (the hash partition's fan-out observed end to end).
+// reading (the partition's fan-out observed end to end).
 func TestConcurrentQueriesShardedSEM(t *testing.T) {
 	st := buildStores(t, 8)
 	const shards = 3

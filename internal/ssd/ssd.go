@@ -94,15 +94,22 @@ type Stats struct {
 	// dedup shows up here: workers that share one in-flight span instead of
 	// issuing duplicate reads lower the peak at equal traversal concurrency.
 	PeakReads uint64
+	// ReadTime and WriteTime sum the service time the model charged the
+	// operations: latency plus the bandwidth term, without slot queueing or
+	// sleep overshoot, so they compare devices independently of the host.
+	ReadTime, WriteTime time.Duration
 }
 
-// Add accumulates other into s: counters sum, MaxReadBytes takes the larger.
-// This is the member roll-up RAID stripes and shard mounts report through.
+// Add accumulates other into s: counters and times sum, MaxReadBytes and
+// PeakReads take the larger. This is the roll-up a shard mount reports
+// through.
 func (s *Stats) Add(other Stats) {
 	s.Reads += other.Reads
 	s.Writes += other.Writes
 	s.BytesRead += other.BytesRead
 	s.BytesWritten += other.BytesWritten
+	s.ReadTime += other.ReadTime
+	s.WriteTime += other.WriteTime
 	if other.MaxReadBytes > s.MaxReadBytes {
 		s.MaxReadBytes = other.MaxReadBytes
 	}
@@ -136,6 +143,8 @@ type Device struct {
 	maxReadBytes atomic.Uint64
 	inflight     atomic.Int64
 	peakReads    atomic.Uint64
+	readNs       atomic.Int64
+	writeNs      atomic.Int64
 }
 
 // Backing is the byte store behind a Device: a RAM buffer in tests and
@@ -194,6 +203,9 @@ func New(p Profile, backing Backing) *Device {
 // Profile returns the device's configuration.
 func (d *Device) Profile() Profile { return d.profile }
 
+// Channels reports how many operations the device services at once.
+func (d *Device) Channels() int { return d.profile.Channels }
+
 // Stats returns a snapshot of traffic counters.
 func (d *Device) Stats() Stats {
 	return Stats{
@@ -203,6 +215,8 @@ func (d *Device) Stats() Stats {
 		BytesWritten: d.bytesWritten.Load(),
 		MaxReadBytes: d.maxReadBytes.Load(),
 		PeakReads:    d.peakReads.Load(),
+		ReadTime:     time.Duration(d.readNs.Load()),
+		WriteTime:    time.Duration(d.writeNs.Load()),
 	}
 }
 
@@ -233,9 +247,11 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 			break
 		}
 	}
-	d.occupy(d.serviceTime(d.profile.ReadLatency, len(p)))
+	dur := d.serviceTime(d.profile.ReadLatency, len(p))
+	d.occupy(dur)
 	d.inflight.Add(-1)
 	d.reads.Add(1)
+	d.readNs.Add(int64(dur))
 	d.bytesRead.Add(uint64(len(p)))
 	for n := uint64(len(p)); ; {
 		cur := d.maxReadBytes.Load()
@@ -249,8 +265,10 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 // WriteAt writes len(p) bytes at off, charging one (more expensive) write
 // operation. Implements io.WriterAt.
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
-	d.occupy(d.serviceTime(d.profile.WriteLatency, len(p)))
+	dur := d.serviceTime(d.profile.WriteLatency, len(p))
+	d.occupy(dur)
 	d.writes.Add(1)
+	d.writeNs.Add(int64(dur))
 	d.bytesWritten.Add(uint64(len(p)))
 	return d.backing.WriteAt(p, off)
 }

@@ -180,3 +180,38 @@ func TestBandwidthTermIncreasesLargeReadCost(t *testing.T) {
 		t.Fatalf("large read took %v, want >= ~500ms of bandwidth charge", elapsed)
 	}
 }
+
+// TestStatsChargeModelledTime: a device sums the service time its model
+// charged each operation — latency plus the bandwidth term, no queueing — and
+// Add sums those across devices the way it sums counters.
+func TestStatsChargeModelledTime(t *testing.T) {
+	p := fastProfile(3)
+	p.BytesPerSec = 1 << 20
+	d := New(p, &MemBacking{Data: make([]byte, 4096)})
+	if d.Channels() != 3 {
+		t.Fatalf("Channels() = %d, want 3", d.Channels())
+	}
+	buf := make([]byte, 1024)
+	for range 2 {
+		if _, err := d.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.WriteAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	transfer := time.Duration(1024 * int64(time.Second) / p.BytesPerSec)
+	st := d.Stats()
+	if want := 2 * (p.ReadLatency + transfer); st.ReadTime != want {
+		t.Errorf("ReadTime = %v, want %v", st.ReadTime, want)
+	}
+	if want := p.WriteLatency + transfer; st.WriteTime != want {
+		t.Errorf("WriteTime = %v, want %v", st.WriteTime, want)
+	}
+	sum := st
+	sum.Add(Stats{Reads: 1, ReadTime: time.Millisecond, WriteTime: time.Second, MaxReadBytes: 1, PeakReads: 9})
+	if sum.Reads != 3 || sum.ReadTime != st.ReadTime+time.Millisecond || sum.WriteTime != st.WriteTime+time.Second ||
+		sum.MaxReadBytes != 1024 || sum.PeakReads != 9 {
+		t.Errorf("Add: %+v", sum)
+	}
+}
