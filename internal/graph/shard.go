@@ -41,17 +41,11 @@ func ExtractShard[V Vertex](g *CSR[V], shard, shards int) (*CSR[V], error) {
 		return nil, fmt.Errorf("graph: shard %d out of range for %d shards", shard, shards)
 	}
 	owned := ShardSize(g.NumVertices(), shard, shards)
-	offsets := make([]uint64, owned+1)
-	var m uint64
-	for u := uint64(0); u < owned; u++ {
-		v := u*uint64(shards) + uint64(shard)
-		m += g.offsets[v+1] - g.offsets[v]
-		offsets[u+1] = m
-	}
-	targets := make([]V, 0, m)
+	offsets := make([]uint64, 1, owned+1)
+	targets := []V{}
 	var weights []Weight
 	if g.Weighted() {
-		weights = make([]Weight, 0, m)
+		weights = []Weight{} // weighted even when the shard holds no edge
 	}
 	for u := uint64(0); u < owned; u++ {
 		v := u*uint64(shards) + uint64(shard)
@@ -60,6 +54,7 @@ func ExtractShard[V Vertex](g *CSR[V], shard, shards int) (*CSR[V], error) {
 		if weights != nil {
 			weights = append(weights, g.weights[lo:hi]...)
 		}
+		offsets = append(offsets, uint64(len(targets)))
 	}
 	return NewCSRRaw(offsets, targets, weights)
 }
