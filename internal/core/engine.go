@@ -16,7 +16,8 @@
 //
 //   - mailbox.go — the delivery layer: lock-protected per-worker queues and
 //     per-worker outboxes that batch pushes per destination owner (delivered
-//     when a bucket fills, the queue runs dry or, on a device, a visit ends);
+//     when a bucket fills, the queue runs dry, on a device a visit ends, or in
+//     memory a visitor beats what its owner is visiting);
 //   - terminate.go — the termination layer: the Terminator outstanding-work
 //     counter with init token and CAS-max peak tracking;
 //   - kernels.go — the algorithm layer: the single label-relaxation kernel
@@ -177,7 +178,8 @@ type Ctx[V graph.Vertex] struct {
 // Push queues a visitor for vertex v with the given priority and payload.
 // The visitor is buffered in the worker's outbox and delivered when the
 // destination bucket reaches batchSize items, the worker runs out of local
-// work, or — under DeliverEveryVisit — the pushing visit returns.
+// work, the visitor beats the priority the destination is visiting at, or —
+// under DeliverEveryVisit — the pushing visit returns.
 //
 //lint:hotpath
 func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
@@ -469,6 +471,9 @@ func (e *Engine[V]) worker(id int) {
 		width = e.cfg.Prefetch
 		window = make([]pq.Item, 0, width)
 	}
+	// In memory the worker publishes what it is visiting for the senders'
+	// urgent trigger (mailbox.go); on a device every visit ends in a flush.
+	publish := !e.everyVisit
 	// The abort check at the loop top is the engine's cancellation point: an
 	// aborted worker exits without draining its queue (Wait settles what is
 	// left), so a deadline fires in at most one visit's time regardless of
@@ -479,11 +484,17 @@ func (e *Engine[V]) worker(id int) {
 			// Drain trigger: deliver every buffered visitor before blocking,
 			// so a waiting worker never holds undelivered work.
 			ctx.out.flush()
+			if publish {
+				q.visiting.Store(0)
+			}
 			it, ok := q.pop()
 			if !ok {
 				return
 			}
 			window = append(window, it)
+		}
+		if publish {
+			q.visiting.Store(window[0].Pri)
 		}
 		if invariant.Enabled {
 			for _, it := range window {
@@ -495,6 +506,9 @@ func (e *Engine[V]) worker(id int) {
 				if e.everyVisit && len(buf) != 0 {
 					invariant.Failf("delivery rule: worker %d popped holding %d undelivered visitors for worker %d", id, len(buf), owner)
 				}
+			}
+			if p := q.visiting.Load(); e.everyVisit && p != 0 {
+				invariant.Failf("delivery rule: worker %d published priority %d on a traversal that delivers after every visit", id, p)
 			}
 		}
 		if len(window) > 1 && !e.aborted.Load() {

@@ -106,11 +106,22 @@ func TestPoolDirtyQueuePanics(t *testing.T) {
 	})
 }
 
+func TestPoolPublishedPriorityPanics(t *testing.T) {
+	cfg := Config{Workers: 2}
+	cfg.normalize()
+	r := newEngineRes[uint32](cfg)
+	r.queues[1].visiting.Store(3)
+	expectInvariantPanic(t, "publishes priority 3", func() {
+		r.assertPristine()
+	})
+}
+
 func TestPoolResetRestoresPristine(t *testing.T) {
 	cfg := Config{Workers: 2}
 	cfg.normalize()
 	r := newEngineRes[uint32](cfg)
 	r.queues[0].push(pq.Item{Pri: 1, V: 7})
+	r.queues[0].visiting.Store(1)
 	r.queues[1].finish()
 	// reset itself runs assertPristine under the tag; surviving it proves a
 	// dirty, closed queue set is fully restored.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pq"
 )
@@ -15,18 +16,33 @@ import (
 // mailbox layer attacks the same cost directly: a visitor's pushes are
 // buffered in its worker's outbox, bucketed by destination owner, and
 // delivered in batches, so the destination's lock and condvar signal are
-// amortized over a batch instead of paid per push. Three triggers deliver: a
-// bucket reaching batchSize (size); a worker about to block on its own empty
-// mailbox, which makes starvation and outbox-induced deadlock impossible
-// (drain); and, on a device-backed traversal, the end of every visit
-// (Engine.DeliverEveryVisit) — a worker blocked in a storage read has a
-// mailbox that is not empty. The termination counter includes buffered
-// visitors, so a traversal cannot end while any outbox is non-empty.
+// amortized over a batch instead of paid per push. Four triggers deliver a
+// bucket:
+//
+//  1. size: it holds batchSize visitors;
+//  2. drain: its worker is about to block on its own empty mailbox, which
+//     makes starvation and outbox-induced deadlock impossible;
+//  3. visit: on a device-backed traversal (Engine.DeliverEveryVisit), the
+//     end of every visit — a worker blocked in a storage read has a mailbox
+//     that is not empty;
+//  4. urgent: in memory, the visitor just added beats the priority its
+//     destination's owner is visiting at (workQueue.visiting). The paper's
+//     SSSP is a hybrid of Bellman-Ford and Dijkstra because each queue pops
+//     its locally shortest path first (§III-B); a winning proposal held
+//     back in an outbox breaks that order, and the owner meanwhile visits
+//     worse labels it later corrects. The rule needs no constant: it fires
+//     only where a destination is behind the visitor.
+//
+// The termination counter includes buffered visitors, so a traversal cannot
+// end while any outbox is non-empty.
 
 // batchSize is the size trigger: a bucket is delivered when it holds this many
-// visitors. Since the proposal filter that happens only inside one visit (a
-// hub's fan-out), so it bounds an outbox; the other triggers pace delivery.
-// 64 is from a push-throughput sweep at 1-4 workers that never timed a device.
+// visitors. In memory with few workers on a large graph buckets fill across
+// visits, and what the urgent trigger leaves buffered goes out this way; with
+// hundreds of workers the drain trigger empties buckets first, and on a
+// device the visit trigger does, so there it only bounds a hub's fan-out
+// inside one visit. 64 is from a push-throughput sweep at 1-4 workers that
+// never timed a device.
 const batchSize = 64
 
 // workQueue is one worker's mailbox: a priority queue guarded by a mutex and
@@ -37,6 +53,17 @@ type workQueue struct {
 	cond sync.Cond
 	heap *pq.Heap
 	done bool
+
+	// visiting is the priority the owner is visiting at, published for the
+	// urgent trigger: stored by the owner after each pop, 0 just before it
+	// blocks (a sleeping owner is fed by the senders' drain trigger, not
+	// woken for one visitor), read by every sender on every add. It stays 0
+	// on a device-backed traversal, where every visit ends in a flush. The
+	// pads give it a cache line of its own: on the mutex's line each read
+	// would miss whenever a sender had just locked the queue.
+	_        [64]byte
+	visiting atomic.Uint64
+	_        [56]byte
 }
 
 // push delivers a single visitor under its own lock acquisition: the path of
@@ -114,9 +141,10 @@ func newOutbox(queues []*workQueue) *outbox {
 	return &outbox{queues: queues, bufs: make([][]pq.Item, len(queues)), listed: make([]bool, len(queues))}
 }
 
-// add buffers a visitor for the given owner, flushing that owner's bucket if
-// it reached the batch size. The caller must already have registered the
-// visitor with the Terminator.
+// add buffers a visitor for the given owner and delivers that owner's bucket
+// when it reached the batch size or the visitor beats what the owner is
+// visiting (the size and urgent triggers). The caller must already have
+// registered the visitor with the Terminator.
 //
 //lint:hotpath
 func (o *outbox) add(owner int, it pq.Item) {
@@ -124,9 +152,10 @@ func (o *outbox) add(owner int, it pq.Item) {
 		o.listed[owner] = true
 		o.touched = append(o.touched, int32(owner))
 	}
+	q := o.queues[owner]
 	buf := append(o.bufs[owner], it)
-	if len(buf) >= batchSize {
-		o.queues[owner].pushBatch(buf)
+	if len(buf) >= batchSize || it.Pri < q.visiting.Load() {
+		q.pushBatch(buf)
 		o.bufs[owner] = buf[:0]
 		return
 	}

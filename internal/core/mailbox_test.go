@@ -39,6 +39,51 @@ func TestOutboxSizeTrigger(t *testing.T) {
 	}
 }
 
+// TestOutboxUrgentDelivery pins the urgent trigger without running a worker:
+// a visitor below the priority its destination publishes is delivered at
+// once, together with what its bucket held; one at or above it waits for the
+// size trigger, and a published 0 (an owner about to block, or any owner of a
+// device-backed traversal) holds back everything.
+func TestOutboxUrgentDelivery(t *testing.T) {
+	queues := make([]*workQueue, 2)
+	for i := range queues {
+		queues[i] = &workQueue{heap: pq.New(false)}
+		queues[i].cond.L = &queues[i].mu
+	}
+	out := newOutbox(queues)
+	queues[0].visiting.Store(10)
+
+	out.add(0, pq.Item{Pri: 10})
+	if got := queues[0].heap.Len(); got != 0 {
+		t.Fatalf("a visitor at the published priority was delivered (%d queued)", got)
+	}
+	out.add(0, pq.Item{Pri: 9})
+	if got := queues[0].heap.Len(); got != 2 {
+		t.Fatalf("queue holds %d items after a visitor beat the published priority, want the whole bucket of 2", got)
+	}
+	for i := 1; i < batchSize; i++ {
+		out.add(0, pq.Item{Pri: uint64(10 + i)})
+	}
+	if got := queues[0].heap.Len(); got != 2 {
+		t.Fatalf("visitors at or above the published priority were delivered before the batch size (%d queued)", got)
+	}
+	out.add(0, pq.Item{Pri: 10})
+	if got := queues[0].heap.Len(); got != 2+batchSize {
+		t.Fatalf("queue holds %d items after the size trigger, want %d", got, 2+batchSize)
+	}
+
+	for i := 1; i < batchSize; i++ {
+		out.add(1, pq.Item{Pri: 0})
+	}
+	if got := queues[1].heap.Len(); got != 0 {
+		t.Fatalf("a published 0 let %d visitors through before the batch size", got)
+	}
+	out.add(1, pq.Item{Pri: 0})
+	if got := queues[1].heap.Len(); got != batchSize {
+		t.Fatalf("queue holds %d items after the size trigger, want %d", got, batchSize)
+	}
+}
+
 func TestWorkQueuePushBatchOrdersItems(t *testing.T) {
 	q := &workQueue{heap: pq.New(false)}
 	q.cond.L = &q.mu

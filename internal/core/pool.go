@@ -73,9 +73,10 @@ func newEngineRes[V graph.Vertex](cfg Config) *engineRes[V] {
 
 // reset returns the resource set to its pristine state: outbox buffers are
 // discarded first (an aborted worker can exit holding undelivered visitors),
-// then the queues are emptied and reopened. Scratch keeps its decode buffers
-// — reusing them is the point — but drops any storage-backend prefetch
-// session, which is tied to the graph of the previous run.
+// then the queues are emptied and reopened, and their published priority is
+// zeroed (an aborted worker exits without storing 0). Scratch keeps its
+// decode buffers — reusing them is the point — but drops any storage-backend
+// prefetch session, which is tied to the graph of the previous run.
 func (r *engineRes[V]) reset() {
 	for _, o := range r.outs {
 		o.reset()
@@ -85,6 +86,7 @@ func (r *engineRes[V]) reset() {
 		q.heap.Reset()
 		q.done = false
 		q.mu.Unlock()
+		q.visiting.Store(0)
 	}
 	for _, s := range r.scratch {
 		s.Prefetch = nil
@@ -98,11 +100,11 @@ func (r *engineRes[V]) reset() {
 }
 
 // assertPristine panics unless the resource set is in its post-reset state:
-// every queue empty and reopened, every outbox buffer empty. A dirty set
-// re-entering the pool would leak visitors from one traversal into the next
-// — a cross-query correctness breach that manifests as wrong labels long
-// after the offending query finished. Called from reset under
-// `-tags invariants`; exercised directly by tests.
+// every queue empty, reopened and publishing priority 0, every outbox buffer
+// empty. A dirty set re-entering the pool would leak visitors from one
+// traversal into the next — a cross-query correctness breach that manifests
+// as wrong labels long after the offending query finished. Called from reset
+// under `-tags invariants`; exercised directly by tests.
 func (r *engineRes[V]) assertPristine() {
 	for i, q := range r.queues {
 		q.mu.Lock()
@@ -113,6 +115,9 @@ func (r *engineRes[V]) assertPristine() {
 		}
 		if done {
 			invariant.Failf("engine pool: recycled queue %d still marked done after reset", i)
+		}
+		if p := q.visiting.Load(); p != 0 {
+			invariant.Failf("engine pool: recycled queue %d still publishes priority %d after reset", i, p)
 		}
 	}
 	for i, o := range r.outs {
