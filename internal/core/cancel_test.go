@@ -249,6 +249,8 @@ func (s *gatedStore) ReadAt(p []byte, off int64) (int, error) {
 	return bytes.NewReader(s.data).ReadAt(p, off)
 }
 
+func (s *gatedStore) Size() int64 { return int64(len(s.data)) }
+
 // TestDirectionCancelMidPhase cancels the level-synchronous driver while a
 // phase worker is blocked in a storage read, with more reads of the same
 // phase still to come: the driver must return the context's error without
@@ -257,12 +259,16 @@ func (s *gatedStore) ReadAt(p []byte, off int64) (int, error) {
 // waited out a whole bottom-up scan of the device.) The third case is the
 // path serve takes: no direction forced, an EnginePool, a graph on which BFS
 // chooses the driver — which must honour the query's context the same way
-// and take nothing from the pool.
+// and take nothing from the pool. The last case reads behind a block cache,
+// where the driver announces windows: once the context is cancelled, no
+// further window is announced.
 func TestDirectionCancelMidPhase(t *testing.T) {
 	// Bottom-up: ~700k in-edges are several 1 MiB scan spans for the one
 	// worker; the gate holds the first. Top-down: level 2 of a grid walked
 	// from its corner is {2, 9, 16}, one adjacency read each after the three
-	// of levels 0-1; the gate holds the second of them.
+	// of levels 0-1; the gate holds the second of them. Behind a cache of
+	// 8-byte blocks with no readahead each of levels 0-2 is one read — level
+	// 0's miss, then one window a level — and the gate holds level 2's.
 	dense, err := gen.ErdosRenyi[uint32](4096, 700_000, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -283,13 +289,15 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 		g       *graph.CSR[uint32]
 		run     func(context.Context, graph.Adjacency[uint32]) error
 		blockAt int64
+		cached  bool
 	}{
-		{"bottom-up scan", dense, forced(DirectionBottomUp), 1},
-		{"top-down phase", grid, forced(DirectionHybrid), 5},
+		{"bottom-up scan", dense, forced(DirectionBottomUp), 1, false},
+		{"top-down phase", grid, forced(DirectionHybrid), 5, false},
 		{"chosen, pooled", dense, func(ctx context.Context, g graph.Adjacency[uint32]) error {
 			_, err := pool.BFS(ctx, g, 0)
 			return err
-		}, 1},
+		}, 1, false},
+		{"top-down behind the cache", grid, forced(DirectionHybrid), 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -297,7 +305,13 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 				t.Fatal(err)
 			}
 			store := &gatedStore{data: buf.Bytes(), entered: make(chan struct{}), release: make(chan struct{})}
-			sg, err := sem.Open[uint32](store)
+			var under sem.Store = store
+			if tc.cached {
+				if under, err = sem.NewCachedStore(store, 8, store.Size()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sg, err := sem.Open[uint32](under)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,6 +323,7 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 			done := make(chan error, 1)
 			go func() { done <- tc.run(ctx, sg) }()
 			<-store.entered
+			windows := sg.PrefetchStats().Windows
 			cancel()
 			close(store.release)
 			if err := <-done; !errors.Is(err, context.Canceled) {
@@ -316,6 +331,12 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 			}
 			if got := store.reads.Load() - opened; got != tc.blockAt {
 				t.Fatalf("%d reads after the mount, want %d: the phase kept reading after the cancellation", got, tc.blockAt)
+			}
+			if tc.cached && windows == 0 {
+				t.Fatal("the gated read was no window's: nothing announced before the cancellation")
+			}
+			if got := sg.PrefetchStats().Windows; got != windows {
+				t.Fatalf("%d windows announced after the cancellation", got-windows)
 			}
 		})
 	}

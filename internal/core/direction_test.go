@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -344,5 +345,132 @@ func TestDirectionRequiresInEdges(t *testing.T) {
 	sg := semMirrorCfg(t, g, sem.WriteConfig{})
 	if _, err := BFS[uint32](sg, 0, Config{Workers: 4, Direction: DirectionHybrid}); err == nil || !errors.Is(err, ErrNoInEdges) {
 		t.Fatalf("sem store without in-edges: got %v, want ErrNoInEdges", err)
+	}
+}
+
+// overlapStore serves a serialized graph from memory and records the most
+// reads inside it at once. Once armed, a read waits until a second one is
+// inside too, or until expired closes: that timer is the verdict of a run
+// whose reads are serial, never a synchronisation.
+type overlapStore struct {
+	data            []byte
+	armed           atomic.Bool
+	inside, peak    atomic.Int64
+	once            sync.Once
+	paired, expired chan struct{}
+}
+
+func newOverlapStore(data []byte) *overlapStore {
+	return &overlapStore{data: data, paired: make(chan struct{}), expired: make(chan struct{})}
+}
+
+func (s *overlapStore) Size() int64 { return int64(len(s.data)) }
+
+func (s *overlapStore) ReadAt(p []byte, off int64) (int, error) {
+	n := s.inside.Add(1)
+	defer s.inside.Add(-1)
+	for peak := s.peak.Load(); n > peak && !s.peak.CompareAndSwap(peak, n); peak = s.peak.Load() {
+	}
+	if n >= 2 {
+		s.once.Do(func() { close(s.paired) })
+	}
+	if s.armed.Load() {
+		select {
+		case <-s.paired:
+		case <-s.expired:
+		}
+	}
+	return bytes.NewReader(s.data).ReadAt(p, off)
+}
+
+// TestDriverReadsOverlapBehindCache pins that a phase worker of the
+// direction-switching driver has its reads in the device together behind a
+// block cache (the mount's recipe: 4 KiB blocks, readahead 8), one worker
+// and no pop window configured:
+//
+//   - top-down: the source's four children sit 48 KB apart on the device,
+//     more than a readahead span and the window's coalescing gap, so their
+//     misses are separate reads, and the window announcing them puts them in
+//     the device at once;
+//   - bottom-up: the two unvisited vertices' in-lists are two scan spans 40
+//     KB apart, and the scan requests the second while it decodes the first.
+//
+// Reading one miss at a time, each phase reaches one read in flight.
+func TestDriverReadsOverlapBehindCache(t *testing.T) {
+	// Top-down: source 8 -> {0, 2, 4, 6} -> 9; each odd vertex below 8 holds
+	// 12 000 out-edges (48 KB) to vertices nobody reaches.
+	const heavy = 12_000
+	td := graph.NewBuilder[uint32](10+heavy, false)
+	for _, v := range []uint32{0, 2, 4, 6} {
+		td.AddEdge(8, v, 1)
+		td.AddEdge(v, 9, 1)
+		for k := uint32(0); k < heavy; k++ {
+			td.AddEdge(v+1, 10+k, 1)
+		}
+	}
+	// Bottom-up: source 1 -> {0, 2}; 20 000 vertices point at 0 and 10 000
+	// at 1, so 0's in-list (80 KB) is a span of its own and 1's, settled,
+	// is the gap to 2's.
+	bu := graph.NewBuilder[uint32](3+30_000, false)
+	bu.AddEdge(1, 0, 1)
+	bu.AddEdge(1, 2, 1)
+	for k := uint32(0); k < 30_000; k++ {
+		bu.AddEdge(3+k, k/20_000, 1)
+	}
+	for _, tc := range []struct {
+		name string
+		b    *graph.Builder[uint32]
+		src  uint32
+		dir  Direction
+	}{
+		{"top-down", td, 8, DirectionHybrid},
+		{"bottom-up", bu, 1, DirectionBottomUp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := tc.b.Build(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := sem.Write(&buf, g, sem.WriteConfig{InEdges: true}); err != nil {
+				t.Fatal(err)
+			}
+			store := newOverlapStore(buf.Bytes())
+			cache, err := sem.NewCachedStoreRA(store, 4096, store.Size(), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sg, err := sem.Open[uint32](cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The source's own list is read alone; warm it before arming.
+			if _, _, err := sg.Neighbors(tc.src, &graph.Scratch[uint32]{}); err != nil {
+				t.Fatal(err)
+			}
+			store.peak.Store(0)
+			store.armed.Store(true)
+			timer := time.AfterFunc(5*time.Second, func() { close(store.expired) })
+			defer timer.Stop()
+			res, err := BFS[uint32](sg, tc.src, Config{Workers: 1, Direction: tc.dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := baseline.SerialBFS[uint32](g, tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range want {
+				if res.Level[v] != want[v] {
+					t.Fatalf("level[%d] = %d, want %d", v, res.Level[v], want[v])
+				}
+			}
+			if tc.dir == DirectionHybrid && res.Stats.BottomUpPhases != 0 {
+				t.Fatalf("stats %+v: want a top-down-only run", res.Stats)
+			}
+			if peak := store.peak.Load(); peak < 2 {
+				t.Fatalf("at most %d device read in flight at once: the phase read its misses one at a time", peak)
+			}
+		})
 	}
 }

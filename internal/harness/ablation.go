@@ -215,9 +215,9 @@ func AblationDirection(o Options) (*Table, error) {
 	}
 	inputs = append(inputs, input{fmt.Sprintf("grid %dx%d", side, side), grid, 0, guard})
 
-	// The scan-phase double buffering (and its ScanSpans/ScanBytes counters)
-	// comes with the windows a mount enables on the raw device — the
-	// direction comparison should not also toggle I/O overlap.
+	// On the raw device both sides announce windows — the kernel its pop
+	// window, the driver its frontier slices and scan spans — so the
+	// direction comparison does not also toggle I/O overlap.
 	o.NoCache, o.inEdges = true, true
 	for _, in := range inputs {
 		for _, dir := range in.dirs {

@@ -25,8 +25,10 @@ type IO struct {
 	CacheHits, CacheMisses uint64
 	Cache                  sem.CacheIOStats
 	PinnedHW               int64
-	// Prefetch is the raw-device pipeline's span-coalescing and in-edge scan
-	// counters; zero on a mount that never windowed.
+	// Prefetch is the window pipeline's span-coalescing and in-edge scan
+	// counters: the asynchronous kernel's windows on the raw device, the BFS
+	// driver's on every semi-external mount. Zero on a mount that never
+	// windowed or scanned.
 	Prefetch sem.PrefetchStats
 	// EdgeBytes is the on-flash size of the edge data and Edges the logical
 	// edge count, both summed across the shards.

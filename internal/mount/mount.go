@@ -7,9 +7,11 @@
 // cmd/traverse, cmd/serve, cmd/bench, the harness and the examples all mount
 // through here, so the default recipe (4 KiB blocks, half the file, readahead
 // 8), the choice of read path from whether a cache is mounted (behind the
-// cache the traversal's state widens each miss and nothing windows; on the
-// raw device the engine pops windows and their ranges become block requests
-// that share reads in flight), and the rule that
+// cache the traversal's state widens each miss and the asynchronous kernel
+// pops one visitor at a time; on the raw device it pops windows; either way
+// the BFS driver announces its frontier in windows and its scans double-
+// buffer, and every range becomes a block request that shares reads in
+// flight), and the rule that
 // an in-memory mount pairs a directed graph with its transpose exactly when
 // its file carries an in-edge section each exist once. Which BFS driver runs
 // is not the mount's to say: core.BFS chooses from the adjacency it is handed
@@ -257,11 +259,12 @@ func (o Options) cacheBudget(size int64) int64 {
 // vertex-id sort key is on exactly when the edges stay on a device: at the
 // queue lengths the proposal filter leaves it ties either way (EXPERIMENTS.md
 // "Semi-sort at 128 queues"), so it is the mount's constant, not a knob. The
-// pop window is on exactly when the mount enabled windows on the graph to
-// consume it. Direction is left at its zero value — core.BFS chooses its
-// driver from Adj — and a graph that can answer "who points at v?" gets the
-// switch thresholds of its own degree distribution instead of one-size-fits-all
-// constants, for whenever the driver runs.
+// asynchronous kernel's pop window is on exactly on the raw device; the graph
+// serves windows on every semi-external mount, for the BFS driver. Direction
+// is left at its zero value — core.BFS chooses its driver from Adj — and a
+// graph that can answer "who points at v?" gets the switch thresholds of its
+// own degree distribution instead of one-size-fits-all constants, for
+// whenever the driver runs.
 func (m *Mounted) finish(opt Options) {
 	m.Engine = core.Config{SemiSort: m.CSR == nil}
 	if m.CSR == nil && opt.NoCache {

@@ -69,8 +69,8 @@ func memBackings(imgs [][]byte) []ssd.Backing {
 // returned engine configuration match the serial baselines, that the layers
 // the options ask for are the layers present, and that the read path is the
 // one the mount derives from them: behind the cache the traversal feeds the
-// replacement order and nothing windows, on the raw device the engine pops
-// 16-visitor windows and the prefetcher consumes them.
+// cache its state and the asynchronous kernel pops no window, on the raw
+// device it pops 16-visitor windows and the prefetcher consumes them.
 func TestMountTable(t *testing.T) {
 	g, src := testGraph(t)
 	wantLevel, err := baseline.SerialBFS[uint32](g, src)

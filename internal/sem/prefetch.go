@@ -1,12 +1,16 @@
 package sem
 
-// This file is the semi-external asynchronous I/O pipeline. The engine's
-// SemiSort key already arranges for each worker to pop runs of id-adjacent
-// vertices (§IV-C); their adjacency extents therefore sit near each other in
-// the on-device edge region. A worker announces its next pop-window of
-// vertices through NeighborsBatch; the window's extents merge into ranges
-// while each next one starts within MaxGap bytes of the running end, and every
-// range becomes one asynchronous [lo, hi) block request on the graph's table
+// This file is the semi-external asynchronous I/O pipeline. Two callers
+// announce windows through NeighborsBatch: the asynchronous engine its next
+// pop-window on a raw-device mount, and the BFS driver each ioFanout slice of
+// a top-down phase's frontier on every mount. The graph serves them once a
+// prefetcher is attached: Open attaches one over a CachedStore, a table that
+// keeps blocks, and a raw mount calls EnablePrefetch. The engine's SemiSort
+// key arranges for each worker to pop runs of id-adjacent vertices (§IV-C);
+// their adjacency extents therefore sit near each other in the on-device edge
+// region. A window's extents merge into ranges while each next one starts
+// within MaxGap bytes of the running end, and every range becomes one
+// asynchronous [lo, hi) block request on the graph's table
 // (cache.go). A block the table already holds — under another reader's fetch,
 // or cached — is shared; the rest are read in one device operation on the
 // table's bounded I/O pool while the worker starts visiting. On ssd.Device a
@@ -16,9 +20,10 @@ package sem
 // vertex overlaps the reads of the rest.
 //
 // Ownership and correctness: a window is popped from one worker's queue, so
-// every vertex in it is owned by that worker (the engine's hash routing), and
-// the session holding the window's block entries lives in that worker's
-// scratch — no other worker ever touches it. A fetch publishes to its readers
+// every vertex in it is owned by that worker (the engine's hash routing), or
+// it is one driver worker's slice of a frontier; the session holding the
+// window's block entries lives in that worker's scratch — no other worker
+// ever touches it. A fetch publishes to its readers
 // only through its ready channel (close happens-after the bytes and the error
 // are written). Visiting in pop-window order rather than strict one-at-a-time
 // heap order is safe for the label-correcting kernels because every
@@ -34,7 +39,7 @@ import (
 	"repro/internal/graph"
 )
 
-// DefaultPrefetchGap is the coalescing gap of every raw-device mount and of
+// DefaultPrefetchGap is the coalescing gap of every window pipeline and of
 // the bottom-up scan. It is sized to bridge the ownership stride:
 // with W workers each owning a pseudorandom 1/W of the frontier, consecutive
 // extents in one worker's semi-sorted window sit ~W x degree x recordSize
@@ -244,8 +249,9 @@ func (s *prefetchSession) take(v uint64, blockSize int64, buf *[]byte) (block []
 // EnablePrefetch makes the graph service NeighborsBatch windows: each window's
 // extents merge into ranges that become asynchronous block requests on the
 // graph's table, and its in-edge scans double-buffer through the same call.
-// Without it NeighborsBatch is a no-op and every read is synchronous. Call
-// once, before the traversal starts.
+// Without it NeighborsBatch is a no-op and every read is synchronous. Open
+// calls it over a CachedStore; a graph over a raw store needs the call, once,
+// before the traversal starts.
 func (g *Graph[V]) EnablePrefetch(cfg PrefetchConfig) {
 	cfg.normalize()
 	g.prefetch = &Prefetcher{cfg: cfg}

@@ -535,13 +535,18 @@ func Open[V graph.Vertex](store Store) (*Graph[V], error) {
 		g.in = in
 	}
 	// A zero-budget table keeps nothing; it is where readers of one block
-	// share its read, and its fetch is where the graph meets the device.
+	// share its read, and its fetch is where the graph meets the device. A
+	// table the caller built, such as the mount's cache, serves windows and
+	// scan spans as the raw mount's does: a level-synchronous phase knows its
+	// read set, and announcing it puts the misses in the device together.
 	if g.table, _ = store.(*CachedStore); g.table == nil {
 		end := g.out.base + g.out.bytes()
 		if g.in != nil {
 			end = max(end, g.in.base+g.in.bytes())
 		}
 		g.table = newCachedStore(store, rawBlock, 0, end, 1)
+	} else {
+		g.EnablePrefetch(PrefetchConfig{MaxGap: DefaultPrefetchGap})
 	}
 	return g, nil
 }
