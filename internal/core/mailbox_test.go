@@ -173,3 +173,30 @@ func TestVisitorErrorFirstWins(t *testing.T) {
 		t.Fatalf("Wait err = %v, want the first error %v", err, errFirst)
 	}
 }
+
+// TestPushNoAllocs pins Ctx.Push at zero heap allocations once the outbox
+// buckets and the destination heaps have grown to their working size: a
+// visitor's way from the pushing visit through a bucket, a full-bucket
+// delivery and the owner's heap only moves items. Ctx.Push runs once per
+// relaxed edge, so an allocation here is one per edge of every traversal.
+func TestPushNoAllocs(t *testing.T) {
+	e := New[uint32](Config{Workers: 4}, nil)
+	ctx := &Ctx[uint32]{engine: e, Worker: 0, Scratch: e.res.scratch[0], out: e.res.outs[0], stats: &e.res.stats[0]}
+	var popped []pq.Item
+	round := func() {
+		for v := uint32(0); v < 4*batchSize; v++ {
+			ctx.Push(uint64(v), v, 0)
+		}
+		ctx.out.flush()
+		for _, q := range e.queues {
+			popped = q.tryPopBatch(popped[:0], 4*batchSize)
+			for range popped {
+				e.term.Finish()
+			}
+		}
+	}
+	round() // warm: grows the buckets, the heaps and the pop buffer
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("%d pushes through the outbox allocate %.1f times, want 0", 4*batchSize, allocs)
+	}
+}

@@ -93,3 +93,22 @@ func (c *PolicyConfig) Validate() error {
 	}
 	return nil
 }
+
+// EngineConfig is core.Config with the lint audit's winning seed: normalize
+// lost the Alpha default. A caller that leaves Alpha zero gets a BFS driver
+// that never switches bottom-up; every answer is still right, so no test
+// fails. Alpha: violation.
+type EngineConfig struct {
+	Workers int
+	Alpha   int
+	Beta    int
+}
+
+func (c *EngineConfig) normalize() {
+	if c.Workers <= 0 {
+		c.Workers = 8
+	}
+	if c.Beta <= 0 {
+		c.Beta = 24
+	}
+}

@@ -51,3 +51,16 @@ func explicitClose(s *sink, p []byte) error {
 	}
 	return s.Close()
 }
+
+// closeDroppedAfterFlush is mount.WriteFile with the lint audit's winning
+// seed: the write and flush errors are checked, then the close — which
+// reports the file's last write failure — is dropped. No test injects a
+// failing close, so only the analyzer sees it. Violation.
+func closeDroppedAfterFlush(s *sink, p []byte) error {
+	if _, err := s.Write(p); err != nil {
+		_ = s.Close() // the write error is the one to report
+		return err
+	}
+	s.Close()
+	return nil
+}

@@ -198,3 +198,32 @@ func TestQuickSemiSortLexOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHeapSteadyStateNoAllocs pins the queue's per-visitor cost at zero heap
+// allocations: once the backing array has grown to the working size, Push,
+// Pop, PushBatch and PopBatch only move items. An allocation here is paid on
+// every visitor of every traversal.
+func TestHeapSteadyStateNoAllocs(t *testing.T) {
+	for _, semiSort := range []bool{false, true} {
+		h := New(semiSort)
+		batch := make([]Item, 64)
+		for i := range batch {
+			batch[i] = Item{Pri: uint64(i * 7 % 13), V: uint64(i)}
+		}
+		dst := make([]Item, 0, len(batch))
+		cycle := func() {
+			for _, it := range batch {
+				h.Push(it)
+			}
+			for range batch {
+				h.Pop()
+			}
+			h.PushBatch(batch)
+			dst = h.PopBatch(dst[:0], len(batch))
+		}
+		cycle() // warm: grows the backing array to the working size
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Fatalf("semiSort=%v: push/pop of %d items allocates %.1f times, want 0", semiSort, len(batch), allocs)
+		}
+	}
+}

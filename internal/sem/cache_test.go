@@ -476,3 +476,30 @@ func TestIOPoolFollowsTheDevice(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedHitNoAllocs pins a cache hit at zero heap allocations: a read
+// inside one cached block aliases the block, and a read across two copies
+// into the caller's warm buffer. Every adjacency read of a cached mount that
+// the cache serves takes this path.
+func TestCachedHitNoAllocs(t *testing.T) {
+	c, err := NewCachedStore(seqBacking(4096), 64, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	read := func() {
+		for _, r := range [][2]int{{70, 40}, {100, 60}} { // one block; two blocks
+			if _, err := c.read(int64(r[0]), r[1], &buf, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read() // warm: fetches the blocks and grows buf
+	hits, misses := c.Stats()
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("cached reads allocate %.1f times, want 0", allocs)
+	}
+	if h, m := c.Stats(); m != misses || h <= hits {
+		t.Fatalf("the measured reads were not all hits: misses %d -> %d", misses, m)
+	}
+}

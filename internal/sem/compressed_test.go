@@ -314,3 +314,32 @@ func TestCompressedPrefetchConsumesSpans(t *testing.T) {
 		t.Fatalf("consumed %d of %d window vertices", ps.Consumed, len(window))
 	}
 }
+
+// TestNeighborsDecodeNoAllocs pins Graph.Neighbors at zero heap allocations
+// in both edge formats once the worker's scratch has grown: the read lands in
+// scratch.Block and the v1 records or v2 varints decode into scratch's target
+// and weight buffers.
+func TestNeighborsDecodeNoAllocs(t *testing.T) {
+	g := buildGraph(t, 200, 2000, true, 3)
+	for _, tc := range []struct {
+		name string
+		back *ssd.MemBacking
+	}{{"v1", writeToMem(t, g)}, {"v2", writeCompressedToMem(t, g)}} {
+		sg, err := Open[uint32](tc.back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := &graph.Scratch[uint32]{}
+		decode := func() {
+			for v := uint32(0); v < 200; v++ {
+				if _, _, err := sg.Neighbors(v, scratch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		decode() // warm: grows the scratch buffers to the largest adjacency
+		if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
+			t.Fatalf("%s: decoding 200 adjacencies allocates %.1f times, want 0", tc.name, allocs)
+		}
+	}
+}
