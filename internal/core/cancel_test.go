@@ -69,6 +69,39 @@ func TestContextCancelMidTraversal(t *testing.T) {
 	}
 }
 
+// TestWaitJoinsContextWatcher pins Wait's join on the Config.Context watcher:
+// when Wait returns, the watcher has exited, whether the context was
+// cancelled mid-run (the watcher is inside Abort) or the traversal completed
+// (the watcher is leaving on the stop channel). A watcher still running
+// holds the engine's queues, which a pooled caller recycles after Wait.
+func TestWaitJoinsContextWatcher(t *testing.T) {
+	visit := func(ctx *Ctx[uint32], it pq.Item) error {
+		if it.Pri < 64 {
+			ctx.Push(it.Pri+1, uint32(it.V+1), 0)
+		}
+		return nil
+	}
+	for run := 0; run < 200; run++ {
+		cctx, cancel := context.WithCancel(context.Background())
+		e := New[uint32](Config{Workers: 2, Context: cctx}, visit)
+		e.Start()
+		e.Push(0, 0, 0)
+		if run%2 == 0 {
+			cancel()
+		}
+		_, err := e.Wait()
+		cancel()
+		if err != nil && (run%2 == 1 || !errors.Is(err, context.Canceled)) {
+			t.Fatalf("run %d: err = %v", run, err)
+		}
+		select {
+		case <-e.watcherDone:
+		default:
+			t.Fatalf("run %d: Wait returned before the context watcher exited", run)
+		}
+	}
+}
+
 // TestAbortStopsSelfSustainingTraversal aborts an engine whose visitors push
 // forever; without Abort the traversal never terminates.
 func TestAbortStopsSelfSustainingTraversal(t *testing.T) {

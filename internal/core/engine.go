@@ -28,6 +28,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -41,8 +42,13 @@ import (
 type Config struct {
 	// Workers is the number of worker goroutines, each owning one visitor
 	// queue. The paper oversubscribes (512 threads on 16 cores) to reduce
-	// queue lock contention; values far above GOMAXPROCS are expected and
-	// cheap with goroutines. Defaults to 4 x GOMAXPROCS.
+	// queue lock contention; values far above GOMAXPROCS are expected. A
+	// goroutine is cheap to hold but not to leave waiting: a worker handed
+	// a better visitor than the running one's sits runnable until a
+	// processor frees up, while the running one visits labels it later
+	// corrects. In memory a worker that delivered such work yields its
+	// processor (mailbox.go), which bounds that cost. Defaults to 4 x
+	// GOMAXPROCS.
 	Workers int
 	// SemiSort enables the secondary vertex-id sort key inside each queue,
 	// the paper's semi-external locality optimization (§IV-C).
@@ -482,8 +488,10 @@ func (e *Engine[V]) worker(id int) {
 		window = q.tryPopBatch(window[:0], width)
 		if len(window) == 0 {
 			// Drain trigger: deliver every buffered visitor before blocking,
-			// so a waiting worker never holds undelivered work.
+			// so a waiting worker never holds undelivered work. A worker
+			// about to block yields anyway, so the record starts afresh.
 			ctx.out.flush()
+			ctx.out.delivered = math.MaxUint64
 			if publish {
 				q.visiting.Store(0)
 			}
@@ -493,6 +501,11 @@ func (e *Engine[V]) worker(id int) {
 			}
 			window = append(window, it)
 		}
+		// Step aside (mailbox.go): this worker handed another queue better
+		// work than its own next visitor, so that queue's owner should have
+		// the processor first.
+		stepAside := publish && ctx.out.delivered < window[0].Pri
+		ctx.out.delivered = math.MaxUint64
 		if publish {
 			q.visiting.Store(window[0].Pri)
 		}
@@ -510,6 +523,12 @@ func (e *Engine[V]) worker(id int) {
 			if p := q.visiting.Load(); e.everyVisit && p != 0 {
 				invariant.Failf("delivery rule: worker %d published priority %d on a traversal that delivers after every visit", id, p)
 			}
+			if e.everyVisit && stepAside {
+				invariant.Failf("delivery rule: worker %d stepped aside on a traversal that delivers after every visit", id)
+			}
+		}
+		if stepAside {
+			runtime.Gosched()
 		}
 		if len(window) > 1 && !e.aborted.Load() {
 			e.prefetch(window, ctx.Scratch)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -32,6 +33,16 @@ import (
 //     back in an outbox breaks that order, and the owner meanwhile visits
 //     worse labels it later corrects. The rule needs no constant: it fires
 //     only where a destination is behind the visitor.
+//
+// Delivering better work than its own does not hand the processor over:
+// Go's scheduler knows nothing of priorities, and the woken owner waits,
+// runnable, until its sender blocks or is preempted. So each outbox records
+// the lowest priority it delivered (size, urgent or drain trigger; buffered
+// visitors do not count, nobody can run them yet), and a worker whose next
+// visitor is worse than that record steps aside (runtime.Gosched, engine.go)
+// before visiting. The owner it woke sits in the processor's next-run slot
+// and runs at once. In memory only: on a device every visit ends in a flush
+// and a storage read, which hand the processor over anyway.
 //
 // The termination counter includes buffered visitors, so a traversal cannot
 // end while any outbox is non-empty.
@@ -135,10 +146,13 @@ type outbox struct {
 	bufs    [][]pq.Item
 	touched []int32 // owners pushed to since the last flush, the only buckets it walks
 	listed  []bool  // listed[owner]: owner is already in touched
+	// delivered is the lowest priority handed to a queue since the worker
+	// last cleared it (math.MaxUint64: nothing), for the step-aside rule.
+	delivered uint64
 }
 
 func newOutbox(queues []*workQueue) *outbox {
-	return &outbox{queues: queues, bufs: make([][]pq.Item, len(queues)), listed: make([]bool, len(queues))}
+	return &outbox{queues: queues, bufs: make([][]pq.Item, len(queues)), listed: make([]bool, len(queues)), delivered: math.MaxUint64}
 }
 
 // add buffers a visitor for the given owner and delivers that owner's bucket
@@ -152,14 +166,24 @@ func (o *outbox) add(owner int, it pq.Item) {
 		o.listed[owner] = true
 		o.touched = append(o.touched, int32(owner))
 	}
-	q := o.queues[owner]
 	buf := append(o.bufs[owner], it)
-	if len(buf) >= batchSize || it.Pri < q.visiting.Load() {
-		q.pushBatch(buf)
-		o.bufs[owner] = buf[:0]
+	if len(buf) >= batchSize || it.Pri < o.queues[owner].visiting.Load() {
+		o.deliver(owner, buf)
 		return
 	}
 	o.bufs[owner] = buf
+}
+
+// deliver hands a non-empty bucket to its owner's queue and lowers the
+// delivered record to the bucket's best visitor.
+//
+//lint:hotpath
+func (o *outbox) deliver(owner int, buf []pq.Item) {
+	for _, it := range buf {
+		o.delivered = min(o.delivered, it.Pri)
+	}
+	o.queues[owner].pushBatch(buf)
+	o.bufs[owner] = buf[:0]
 }
 
 // flush delivers every buffered visitor (the drain and visit triggers). Must
@@ -170,8 +194,7 @@ func (o *outbox) flush() {
 	for _, owner := range o.touched {
 		o.listed[owner] = false
 		if buf := o.bufs[owner]; len(buf) > 0 {
-			o.queues[owner].pushBatch(buf)
-			o.bufs[owner] = buf[:0]
+			o.deliver(int(owner), buf)
 		}
 	}
 	o.touched = o.touched[:0]
@@ -185,5 +208,5 @@ func (o *outbox) reset() {
 	for owner := range o.bufs {
 		o.bufs[owner], o.listed[owner] = o.bufs[owner][:0], false
 	}
-	o.touched = o.touched[:0]
+	o.touched, o.delivered = o.touched[:0], math.MaxUint64
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -81,6 +82,66 @@ func TestOutboxUrgentDelivery(t *testing.T) {
 	out.add(1, pq.Item{Pri: 0})
 	if got := queues[1].heap.Len(); got != batchSize {
 		t.Fatalf("queue holds %d items after the size trigger, want %d", got, batchSize)
+	}
+}
+
+// TestOutboxRecordsLowestDelivered pins the record behind the step-aside
+// rule without running a worker: each trigger that hands a bucket to a queue
+// (size, urgent, flush) lowers it to the bucket's best visitor, a visitor
+// still buffered does not, and a cleared record starts afresh.
+func TestOutboxRecordsLowestDelivered(t *testing.T) {
+	queues := make([]*workQueue, 3)
+	for i := range queues {
+		queues[i] = &workQueue{heap: pq.New(false)}
+		queues[i].cond.L = &queues[i].mu
+	}
+	out := newOutbox(queues)
+	if out.delivered != math.MaxUint64 {
+		t.Fatalf("a new outbox records %d, want nothing delivered", out.delivered)
+	}
+
+	out.add(0, pq.Item{Pri: 3})
+	for i := 1; i < batchSize-1; i++ {
+		out.add(0, pq.Item{Pri: uint64(100 + i)})
+	}
+	out.add(1, pq.Item{Pri: 1})
+	if out.delivered != math.MaxUint64 {
+		t.Fatalf("buffered visitors lowered the record to %d", out.delivered)
+	}
+	out.add(0, pq.Item{Pri: 500}) // size trigger
+	if got := queues[0].heap.Len(); got != batchSize {
+		t.Fatalf("queue holds %d items after the size trigger, want %d", got, batchSize)
+	}
+	if out.delivered != 3 {
+		t.Fatalf("record %d after the size trigger, want the bucket's best, 3", out.delivered)
+	}
+
+	out.delivered = math.MaxUint64
+	queues[2].visiting.Store(50)
+	out.add(2, pq.Item{Pri: 60})
+	out.add(2, pq.Item{Pri: 40}) // urgent trigger
+	if got := queues[2].heap.Len(); got != 2 {
+		t.Fatalf("queue holds %d items after the urgent trigger, want 2", got)
+	}
+	if out.delivered != 40 {
+		t.Fatalf("record %d after the urgent trigger, want 40", out.delivered)
+	}
+
+	out.flush() // delivers owner 1's bucket, still holding 1
+	if out.delivered != 1 {
+		t.Fatalf("record %d after flush, want 1", out.delivered)
+	}
+	out.delivered = math.MaxUint64
+	out.flush()
+	if out.delivered != math.MaxUint64 {
+		t.Fatalf("a flush of empty buckets recorded %d", out.delivered)
+	}
+
+	out.add(1, pq.Item{Pri: 0})
+	out.flush()
+	out.reset()
+	if out.delivered != math.MaxUint64 {
+		t.Fatalf("reset left the record at %d", out.delivered)
 	}
 }
 
