@@ -474,3 +474,22 @@ func TestDriverReadsOverlapBehindCache(t *testing.T) {
 		})
 	}
 }
+
+// TestBFSDefaultThresholdsSwitchBottomUp pins the zero Config's switch
+// thresholds: a library caller that leaves Alpha and Beta zero gets the
+// defaults from normalize, so a BFS on a scale-free undirected graph goes
+// bottom-up for its wide middle levels. Without the Alpha default the driver
+// never leaves top-down, and every level is still right.
+func TestBFSDefaultThresholdsSwitchBottomUp(t *testing.T) {
+	g, err := gen.RMATUndirected[uint32](12, 16, gen.RMATA, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := BFS[uint32](g, 0, Config{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.BottomUpPhases == 0 {
+		t.Fatalf("no bottom-up phase (%d top-down): the default switch thresholds are not in force", res.Stats.TopDownPhases)
+	}
+}

@@ -1,23 +1,29 @@
 // Package core implements the paper's primary contribution: a multithreaded
 // asynchronous visitor-queue engine for graph traversal (§III).
 //
-// The engine runs N workers; each worker owns one prioritized visitor queue.
-// A visitor destined for vertex v is pushed to the queue selected by a hash
-// of v, so a vertex is only ever visited by its owning worker. That ownership
-// discipline provides the paper's "exclusive access to a vertex when
-// executing, removing the need for additional vertex-level locking", and a
-// near-uniform hash spreads high-cost hub vertices across queues for load
-// balance. There are no barriers between traversal steps: workers run
-// label-correcting visitors fully asynchronously and the traversal completes
-// when every queued visitor has finished (termination is detected with an
-// atomic outstanding-work counter).
+// The engine keeps Workers prioritized visitor queues. A visitor destined for
+// vertex v is pushed to the queue selected by a hash of v, and a queue is
+// popped only by the runner goroutine holding it, so a vertex is only ever
+// visited by one runner at a time. That ownership discipline provides the
+// paper's "exclusive access to a vertex when executing, removing the need for
+// additional vertex-level locking", and a near-uniform hash spreads high-cost
+// hub vertices across queues for load balance. The paper makes one thread
+// both the owner of a queue and the unit of scheduling; here a fixed set of
+// runners serves the queues (Engine.run): in memory at most GOMAXPROCS of
+// them, each holding one queue at a time and moving to the queue with the
+// best head, so §III-B's "Dijkstra within a queue" order does not depend on
+// a scheduler that knows nothing of priorities. There are no barriers
+// between traversal steps: runners run label-correcting visitors fully
+// asynchronously and the traversal completes when every queued visitor has
+// finished (termination is detected with an atomic outstanding-work
+// counter).
 //
 // The implementation is layered into three files:
 //
-//   - mailbox.go — the delivery layer: lock-protected per-worker queues and
-//     per-worker outboxes that batch pushes per destination owner (delivered
-//     when a bucket fills, the queue runs dry, on a device a visit ends, or in
-//     memory a visitor beats what its owner is visiting);
+//   - mailbox.go — the delivery layer: lock-protected ownership queues,
+//     per-runner outboxes that batch pushes per destination queue (delivered
+//     when a bucket fills, its runner is about to park, or on a device a
+//     visit ends), and the park/wake rule of the runners;
 //   - terminate.go — the termination layer: the Terminator outstanding-work
 //     counter with init token and CAS-max peak tracking;
 //   - kernels.go — the algorithm layer: the single label-relaxation kernel
@@ -28,7 +34,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,30 +46,25 @@ import (
 
 // Config controls an Engine run.
 type Config struct {
-	// Workers is the number of worker goroutines, each owning one visitor
-	// queue. The paper oversubscribes (512 threads on 16 cores) to reduce
-	// queue lock contention; values far above GOMAXPROCS are expected. A
-	// goroutine is cheap to hold but not to leave waiting: a worker handed
-	// a better visitor than the running one's sits runnable until a
-	// processor frees up, while the running one visits labels it later
-	// corrects. In memory a worker that delivered such work yields its
-	// processor (mailbox.go), which bounds that cost. Defaults to 4 x
-	// GOMAXPROCS.
+	// Workers is the number of ownership queues, the paper's thread count.
+	// The paper oversubscribes (512 threads on 16 cores) to reduce queue
+	// lock contention; values far above GOMAXPROCS are expected. It is not
+	// the number of goroutines: in memory min(Workers, GOMAXPROCS) runners
+	// serve the queues, each holding one at a time; on a device Workers
+	// runners run, runner i holding queue i, so each queue keeps a storage
+	// read in flight of its own. Defaults to 4 x GOMAXPROCS.
 	Workers int
 	// SemiSort enables the secondary vertex-id sort key inside each queue,
 	// the paper's semi-external locality optimization (§IV-C).
 	SemiSort bool
 	// Prefetch is the pop-window size of the semi-external I/O pipeline: a
-	// worker pops up to Prefetch visitors from its queue in one batch and
-	// announces their vertices to the storage back end (via
+	// device runner pops up to Prefetch visitors from its queue in one batch
+	// and announces their vertices to the storage back end (via
 	// graph.BatchAdjacency) so adjacency reads are in flight before the
-	// visits run. 0 and 1 disable the window, preserving one-pop-per-visit
-	// behavior exactly; back ends that do not implement BatchAdjacency (the
-	// in-memory CSR) are unaffected at any setting. Window-order visiting is
-	// safe for the label-correcting kernels because every relaxation is
-	// monotone (reordering costs at most extra label corrections), and
-	// exclusive vertex ownership is untouched — every popped visitor still
-	// belongs to the popping worker.
+	// visits run. 0 and 1 pop one visitor a visit; an in-memory graph
+	// ignores it (its runners pop a fixed batch). Window-order visiting is
+	// safe: every relaxation is monotone, and every popped visitor belongs
+	// to the queue the popping runner holds.
 	Prefetch int
 	// Direction selects the BFS implementation (see direction.go). The zero
 	// value, DirectionAuto, lets BFS choose from the graph it is handed: the
@@ -85,16 +86,13 @@ type Config struct {
 	// 0 selects DefaultBeta.
 	Beta int
 	// Context, when non-nil, cancels the traversal: the moment the context is
-	// done the engine aborts with ctx.Err(), workers stop popping, blocked
-	// workers are woken, and Wait returns the cancellation error. A serving
-	// layer uses this to enforce per-query deadlines and to stop all workers
-	// promptly when a client disconnects. Nil (the default) disables
-	// cancellation; batch runs behave exactly as before.
+	// done the engine aborts with ctx.Err(), runners stop popping, parked
+	// runners are woken, and Wait returns the cancellation error (a serving
+	// layer's per-query deadline or client disconnect). Nil disables it.
 	Context context.Context
 }
 
 func (c *Config) normalize() {
-	_ = c.SemiSort // free toggle: both values are valid with every other setting
 	if c.Workers <= 0 {
 		c.Workers = 4 * runtime.GOMAXPROCS(0)
 	}
@@ -132,7 +130,7 @@ type Stats struct {
 	// path parallelism (§III-B1 — the chain of Figure 2 pins this near 1,
 	// scale-free graphs push it toward the frontier size).
 	PeakOutstanding int64
-	// WorkerVisits is the per-worker visit count, for load-balance analysis
+	// WorkerVisits is the per-queue visit count, for load-balance analysis
 	// (§III-A: the near-uniform hash should spread hub vertices evenly); for
 	// the direction driver, per phase worker that ran.
 	WorkerVisits []uint64
@@ -167,25 +165,25 @@ func (s Stats) String() string {
 		s.Visits, s.Pushes, s.Pruned, s.MaxQueue, s.PeakOutstanding, s.Workers)
 }
 
-// Ctx is the per-worker context handed to every visitor invocation. It
-// carries the worker's scratch buffers (for semi-external adjacency reads)
+// Ctx is the per-runner context handed to every visitor invocation. It
+// carries the runner's scratch buffers (for semi-external adjacency reads)
 // and the push interface used to queue adjacent visitors.
 type Ctx[V graph.Vertex] struct {
-	engine  *Engine[V]
+	engine *Engine[V]
+	// Worker is the queue the runner holds while the visitor runs: the
+	// owner of every vertex it visits, in [0, Config.Workers).
 	Worker  int
 	Scratch *graph.Scratch[V]
 	out     *outbox
-	// stats points at this worker's padded counter cell in the resource set
-	// (engineRes.stats); the cell, not the Ctx, is what retire folds into the
-	// engine totals.
+	// stats is this runner's padded counter cell (engineRes.stats), which
+	// retire folds into the engine totals.
 	stats *workerStats
 }
 
 // Push queues a visitor for vertex v with the given priority and payload.
-// The visitor is buffered in the worker's outbox and delivered when the
-// destination bucket reaches batchSize items, the worker runs out of local
-// work, the visitor beats the priority the destination is visiting at, or —
-// under DeliverEveryVisit — the pushing visit returns.
+// The visitor is buffered in the runner's outbox and delivered when the
+// destination bucket reaches batchSize items, the runner finds no queue to
+// hold, or — under DeliverEveryVisit — the pushing visit returns.
 //
 //lint:hotpath
 func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
@@ -199,14 +197,14 @@ func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
 }
 
 // AssertOwned asserts the engine's owner rule — per-vertex state may only be
-// written by the vertex's hash-designated owning worker — at a state-write
+// written while the vertex's hash-designated queue is held — at a state-write
 // site. In normal builds it compiles to nothing; under `-tags invariants` a
-// violation panics with both worker ids. The traversal kernels call it before
+// violation panics with both queue ids. The traversal kernels call it before
 // every label/parent write; custom visitors should do the same.
 func (c *Ctx[V]) AssertOwned(v V) {
 	if invariant.Enabled {
 		if o := c.engine.owner(uint64(v)); o != c.Worker {
-			invariant.Failf("owner rule: worker %d writing state of vertex %d owned by worker %d", c.Worker, v, o)
+			invariant.Failf("owner rule: queue %d writing state of vertex %d owned by queue %d", c.Worker, v, o)
 		}
 	}
 }
@@ -225,53 +223,52 @@ type Engine[V graph.Vertex] struct {
 	queues []*workQueue
 	wg     sync.WaitGroup
 
-	// res holds the recyclable per-worker state (queues, outboxes, scratch);
-	// a pooled traversal's caller hands it back to its EnginePool after Wait.
+	// res holds the recyclable queue and runner state (queues, outboxes,
+	// scratch); a pooled traversal's caller hands it back to its EnginePool
+	// after Wait.
 	res *engineRes[V]
-	// stop is closed by Wait once the workers have exited; it retires the
+	// stop is closed by Wait once the runners have exited; it retires the
 	// Config.Context watcher goroutine so cancellation support never leaks.
 	stop chan struct{}
 	// watcherDone, non-nil iff Start launched a Config.Context watcher, is
-	// closed when that watcher exits. Wait joins on it before returning, so a
-	// pooled caller cannot release the resource set under it: a watcher caught
-	// mid-Abort still holds e.queues, and recycling the queues under it would
-	// let its finish() mark a *different* traversal's queues done.
+	// closed when that watcher exits. Wait joins on it, so a watcher caught
+	// mid-Abort cannot wake the parkers of a recycled set's next traversal.
 	watcherDone chan struct{}
 
 	// term detects termination: it counts queued-but-unfinished visitors
 	// (including visitors still buffered in outboxes) plus one init token
 	// held until Wait is called, so the count cannot reach zero while the
 	// caller is still issuing initial pushes.
-	term       *Terminator
-	aborted    atomic.Bool
-	finishOnce sync.Once
-	errOnce    sync.Once
-	err        error
+	term    *Terminator
+	aborted atomic.Bool
+	done    atomic.Bool
+	errOnce sync.Once
+	err     error
 
 	visits atomic.Uint64
 	pushes atomic.Uint64
 	pruned atomic.Uint64
 
-	// workerVisits[i] is written only by worker i and read after wg.Wait.
-	workerVisits []uint64
-
-	// prefetch, when set (SetPrefetch), receives each worker's pop-window
+	// prefetch, when set (SetPrefetch), receives each runner's pop-window
 	// before the window's visitors execute, so a storage back end can start
-	// adjacency I/O early. Widens the worker loop's pop window to cfg.Prefetch
-	// when that exceeds 1.
+	// adjacency I/O early. Widens the runner loop's pop window to
+	// cfg.Prefetch when that exceeds 1.
 	prefetch func(window []pq.Item, scratch *graph.Scratch[V])
 
 	// settle, when set (SetSettle), receives the visitor lifecycle: a
-	// VertexQueued at every push site (Ctx.Push, Engine.Push, ParallelInit)
-	// and a VertexSettled for every visitor that leaves the engine — visited,
-	// dropped stale by the kernel, or drained by Wait after an abort. The
-	// pairing rides the exact same sites as the Terminator's Start/Finish
-	// accounting, so once Wait returns the two notification streams balance
-	// per vertex.
+	// VertexQueued at every push site and a VertexSettled for every visitor
+	// that leaves the engine — visited, dropped stale, or drained by Wait
+	// after an abort — at the Terminator's Start/Finish sites, so once Wait
+	// returns the two streams balance per vertex.
 	settle graph.Settler
-	// everyVisit: workers flush their outbox after every visit (DeliverEveryVisit).
-	everyVisit bool
+	// device: the graph lives on a storage device (DeliverEveryVisit).
+	device bool
 }
+
+// popBatch is how many visitors an in-memory runner pops before it chooses
+// again, the winner of a sweep (EXPERIMENTS.md "Runners"): width 1 pays a
+// choice per visit, width 64 visits labels later arrivals would correct.
+const popBatch = 8
 
 // New creates an engine that will execute visit for every queued visitor.
 func New[V graph.Vertex](cfg Config, visit VisitFunc[V]) *Engine[V] {
@@ -282,23 +279,20 @@ func New[V graph.Vertex](cfg Config, visit VisitFunc[V]) *Engine[V] {
 // newEngine wires an engine onto a (fresh or recycled) resource set. cfg must
 // already be normalized and must match the configuration res was built with.
 func newEngine[V graph.Vertex](cfg Config, visit VisitFunc[V], res *engineRes[V]) *Engine[V] {
-	e := &Engine[V]{
-		cfg:   cfg,
-		visit: visit,
-		term:  NewTerminator(),
-		res:   res,
-		stop:  make(chan struct{}),
+	return &Engine[V]{
+		cfg:    cfg,
+		visit:  visit,
+		term:   NewTerminator(),
+		res:    res,
+		queues: res.queues,
+		stop:   make(chan struct{}),
 	}
-	e.workerVisits = make([]uint64, cfg.Workers)
-	e.queues = res.queues
-	return e
 }
 
-// SetPrefetch registers the pop-window hook: fn is called with each batch of
-// popped visitors (all owned by the calling worker) and that worker's scratch
-// before any of the batch executes. Must be called before Start. The hook
-// only fires when Config.Prefetch > 1 and a batch holds more than one
-// visitor.
+// SetPrefetch registers the pop-window hook: fn gets each batch of more than
+// one popped visitor (all from the queue the runner holds) and the runner's
+// scratch before any of it executes, when Config.Prefetch > 1. Must be called
+// before Start.
 func (e *Engine[V]) SetPrefetch(fn func(window []pq.Item, scratch *graph.Scratch[V])) {
 	e.prefetch = fn
 }
@@ -306,19 +300,31 @@ func (e *Engine[V]) SetPrefetch(fn func(window []pq.Item, scratch *graph.Scratch
 // SetSettle registers a traversal-state sink (see graph.Settler): the engine
 // notifies it of every visitor queued and settled, the feed behind the SEM
 // cache's pending-run spans. Must be called before Start and before any
-// Push. The sink is called from every worker concurrently; it must be atomic
+// Push. The sink is called from every runner concurrently; it must be atomic
 // and cheap.
 func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }
 
-// DeliverEveryVisit makes every worker deliver its outbox after each visit, so
-// it never blocks in a storage read holding a visitor another worker could be
-// running: there its queue is not empty and no bucket is full. The kernels set
-// it when the graph lives on a device. Must be called before Start.
-func (e *Engine[V]) DeliverEveryVisit() { e.everyVisit = true }
+// DeliverEveryVisit tells the engine its graph lives on a device: every
+// runner delivers its outbox after each visit, so it never blocks in a
+// storage read holding a visitor another runner could be running, and runner
+// i holds queue i throughout, so each queue keeps a read in flight of its
+// own. The kernels set it. Must be called before Start.
+func (e *Engine[V]) DeliverEveryVisit() { e.device = true }
 
-// Start launches the worker goroutines. It must be called exactly once,
-// before Wait.
+// Start launches the runner goroutines: one per queue on a device, otherwise
+// min(Workers, GOMAXPROCS). It must be called exactly once, before Wait.
 func (e *Engine[V]) Start() {
+	n := len(e.queues)
+	if !e.device {
+		n = min(n, runtime.GOMAXPROCS(0))
+	}
+	e.res.grow(n)
+	for i, q := range e.queues {
+		q.home = e.res.parkers[i%n]
+		if e.device {
+			q.claim.Store(int32(i + 1))
+		}
+	}
 	if ctx := e.cfg.Context; ctx != nil {
 		e.watcherDone = make(chan struct{})
 		go func() {
@@ -330,28 +336,29 @@ func (e *Engine[V]) Start() {
 			}
 		}()
 	}
-	e.wg.Add(len(e.queues))
-	for i := range e.queues {
-		go e.worker(i)
+	e.wg.Add(n)
+	for i := 0; i < n; i++ {
+		go e.run(i)
 	}
 }
 
-// owner maps a vertex id to the index of its owning worker (and queue) by
-// Fibonacci multiplicative hashing, near-uniform for sequential ids: the
-// single routing rule behind the engine's exclusive-ownership discipline.
+// owner maps a vertex id to the index of its owning queue by Fibonacci
+// multiplicative hashing, near-uniform for sequential ids: the single routing
+// rule behind the engine's exclusive-ownership discipline.
 func (e *Engine[V]) owner(v uint64) int {
 	return int(v * 0x9E3779B97F4A7C15 % uint64(len(e.queues)))
 }
 
-// Push queues a visitor for v. Safe for concurrent use. External pushes are
-// delivered directly (lock-per-push); pushes from inside visitors go through
-// the worker's batching outbox instead (see Ctx.Push).
+// Push queues a visitor for v. Safe for concurrent use once Start has
+// returned. External pushes are delivered directly (lock-per-push); pushes
+// from inside visitors go through the runner's batching outbox instead (see
+// Ctx.Push).
 func (e *Engine[V]) Push(pri uint64, v V, aux uint64) {
 	e.term.Start()
 	if e.settle != nil {
 		e.settle.VertexQueued(uint64(v))
 	}
-	e.queues[e.owner(uint64(v))].push(pq.Item{Pri: pri, V: uint64(v), Aux: aux})
+	e.queues[e.owner(uint64(v))].pushBatch([]pq.Item{{Pri: pri, V: uint64(v), Aux: aux}})
 }
 
 // ParallelInit pushes n initial visitors concurrently, the paper's
@@ -412,26 +419,25 @@ func (e *Engine[V]) Wait() (Stats, error) {
 		Pruned:          e.pruned.Load(),
 		Workers:         len(e.queues),
 		PeakOutstanding: e.term.Peak(),
-		WorkerVisits:    e.workerVisits,
+		WorkerVisits:    make([]uint64, len(e.queues)),
 	}
-	for _, q := range e.queues {
-		if m := q.heap.MaxLen(); m > st.MaxQueue {
-			st.MaxQueue = m
-		}
+	for i, q := range e.queues {
+		st.WorkerVisits[i] = q.visits
+		st.MaxQueue = max(st.MaxQueue, q.heap.MaxLen())
 	}
 	return st, e.err
 }
 
+// finish ends the traversal: runners leave at their next park; parked ones are woken.
 func (e *Engine[V]) finish() {
-	e.finishOnce.Do(func() {
-		for _, q := range e.queues {
-			q.finish()
-		}
-	})
+	e.done.Store(true)
+	for _, p := range e.res.parkers {
+		p.wake()
+	}
 }
 
 // fail records the first visitor error, marks the traversal aborted so no
-// further visitors execute, and wakes every blocked worker so the engine
+// further visitors execute, and wakes every parked runner so the engine
 // winds down promptly even with work still queued.
 func (e *Engine[V]) fail(err error) {
 	e.errOnce.Do(func() { e.err = err })
@@ -439,98 +445,76 @@ func (e *Engine[V]) fail(err error) {
 	e.finish()
 }
 
-// Abort cancels the traversal from outside a visitor: workers observe the
-// abort flag in their pop loops and exit without draining remaining work,
-// blocked workers are woken, and Wait returns err (unless a visitor error was
-// recorded first). Safe for concurrent use; the first cause wins. Used by
-// Config.Context cancellation and by serving layers tearing down a query
-// whose client went away.
+// Abort cancels the traversal from outside a visitor: runners exit at their
+// next abort check without draining remaining work, parked runners are
+// woken, and Wait returns err (unless a visitor error was recorded first).
+// Safe for concurrent use once Start has returned; the first cause wins.
 func (e *Engine[V]) Abort(err error) {
 	e.fail(err)
 }
 
-// retire folds a finished worker's local counters into the engine totals.
-// Deferred (as a bound method call, not a closure) by the worker loops.
+// retire folds a finished runner's counters into the engine totals and lets
+// go of a device runner's queue. Deferred as a bound method, not a closure.
 func (e *Engine[V]) retire(ctx *Ctx[V], id int) {
 	e.visits.Add(ctx.stats.visits)
 	e.pushes.Add(ctx.stats.pushes)
 	e.pruned.Add(ctx.stats.pruned)
-	e.workerVisits[id] = ctx.stats.visits
+	if e.device {
+		e.queues[id].claim.Store(0)
+	}
 	e.wg.Done()
 }
 
-// worker is the engine's one loop (§III): pop from the owned queue, visit,
-// push to the hash-selected owner. It pops a window of visitors under one
-// lock acquisition — Config.Prefetch wide when a pop-window hook is
-// registered, otherwise one — announces a multi-visitor window to the storage
-// back end so adjacency I/O starts immediately, then executes the visits in
-// window order while the reads are in flight. Every popped visitor came off
-// this worker's queue, so exclusive vertex ownership holds at any width.
+// run is the engine's one loop (§III): hold a queue, pop a batch, visit,
+// push to the hash-selected owners, let go and choose again. An in-memory
+// runner pops popBatch visitors; a device runner pops one, or a
+// Config.Prefetch-wide window when a pop-window hook is registered, which it
+// announces to the storage back end before visiting in window order. Every
+// popped visitor came off the queue the runner holds, so exclusive vertex
+// ownership holds at any width.
 //
 //lint:hotpath
-func (e *Engine[V]) worker(id int) {
+func (e *Engine[V]) run(id int) {
 	ctx := &Ctx[V]{engine: e, Worker: id, Scratch: e.res.scratch[id], out: e.res.outs[id], stats: &e.res.stats[id]}
 	defer e.retire(ctx, id)
-	q := e.queues[id]
-	width, window := 1, ctx.stats.pop[:0]
+	width, window := popBatch, ctx.stats.pop[:0]
+	if e.device {
+		width = 1
+	}
 	if e.prefetch != nil && e.cfg.Prefetch > 1 {
 		width = e.cfg.Prefetch
 		window = make([]pq.Item, 0, width)
 	}
-	// In memory the worker publishes what it is visiting for the senders'
-	// urgent trigger (mailbox.go); on a device every visit ends in a flush.
-	publish := !e.everyVisit
 	// The abort check at the loop top is the engine's cancellation point: an
-	// aborted worker exits without draining its queue (Wait settles what is
-	// left), so a deadline fires in at most one visit's time regardless of
-	// how much work is still queued.
+	// aborted runner exits without draining (Wait settles what is left), so a
+	// deadline fires within one batch's time however much work is queued.
 	for !e.aborted.Load() {
-		window = q.tryPopBatch(window[:0], width)
-		if len(window) == 0 {
-			// Drain trigger: deliver every buffered visitor before blocking,
-			// so a waiting worker never holds undelivered work. A worker
-			// about to block yields anyway, so the record starts afresh.
-			ctx.out.flush()
-			ctx.out.delivered = math.MaxUint64
-			if publish {
-				q.visiting.Store(0)
-			}
-			it, ok := q.pop()
-			if !ok {
+		held := e.claim(id, ctx.Worker)
+		if held < 0 {
+			if held = e.park(id, ctx.Worker); held < 0 {
 				return
 			}
-			window = append(window, it)
 		}
-		// Step aside (mailbox.go): this worker handed another queue better
-		// work than its own next visitor, so that queue's owner should have
-		// the processor first.
-		stepAside := publish && ctx.out.delivered < window[0].Pri
-		ctx.out.delivered = math.MaxUint64
-		if publish {
-			q.visiting.Store(window[0].Pri)
-		}
+		ctx.Worker = held
+		q := e.queues[held]
+		window = q.tryPopBatch(window[:0], width)
 		if invariant.Enabled {
+			if c := q.claim.Load(); c != int32(id+1) {
+				invariant.Failf("owner rule: runner %d popped queue %d, which runner %d holds", id, held, c-1)
+			}
 			for _, it := range window {
-				if o := e.owner(it.V); o != id {
-					invariant.Failf("owner rule: visitor for vertex %d (owner %d) popped by worker %d", it.V, o, id)
+				if o := e.owner(it.V); o != held {
+					invariant.Failf("owner rule: visitor for vertex %d (queue %d) popped from queue %d", it.V, o, held)
 				}
 			}
-			for owner, buf := range ctx.out.bufs {
-				if e.everyVisit && len(buf) != 0 {
-					invariant.Failf("delivery rule: worker %d popped holding %d undelivered visitors for worker %d", id, len(buf), owner)
-				}
+			if e.device && held != id {
+				invariant.Failf("delivery rule: runner %d held queue %d on a traversal that pins runner i to queue i", id, held)
 			}
-			if p := q.visiting.Load(); e.everyVisit && p != 0 {
-				invariant.Failf("delivery rule: worker %d published priority %d on a traversal that delivers after every visit", id, p)
-			}
-			if e.everyVisit && stepAside {
-				invariant.Failf("delivery rule: worker %d stepped aside on a traversal that delivers after every visit", id)
+			if e.device && len(ctx.out.touched) != 0 {
+				invariant.Failf("delivery rule: runner %d popped holding undelivered visitors for %d queues", id, len(ctx.out.touched))
 			}
 		}
-		if stepAside {
-			runtime.Gosched()
-		}
-		if len(window) > 1 && !e.aborted.Load() {
+		if len(window) > 1 && e.prefetch != nil && !e.aborted.Load() {
 			e.prefetch(window, ctx.Scratch)
 		}
 		// An abort landing mid-window skips the remaining visits but still
@@ -539,6 +523,7 @@ func (e *Engine[V]) worker(id int) {
 		for _, it := range window {
 			if !e.aborted.Load() {
 				ctx.stats.visits++
+				q.visits++
 				if err := e.visit(ctx, it); err != nil {
 					e.fail(err)
 				}
@@ -549,26 +534,94 @@ func (e *Engine[V]) worker(id int) {
 			if e.term.Finish() {
 				e.finish()
 			}
-			if e.everyVisit {
+			if e.device {
 				ctx.out.flush()
 			}
+		}
+		if !e.device {
+			q.claim.Store(0)
 		}
 	}
 }
 
+// claim returns the queue runner id now holds, or -1. A device runner holds
+// its own. An in-memory runner takes the best head of the queue it left and
+// two random ones (MultiQueues' "two choices", Rihani, Sanders, Dementiev,
+// SPAA 2015), failing those the best of every queue.
+//
+//lint:hotpath
+func (e *Engine[V]) claim(id, last int) int {
+	if e.device {
+		if e.queues[id].head.Load() == 0 {
+			return -1
+		}
+		return id
+	}
+	best, head := e.better(last, -1, 0)
+	best, head = e.better(rand.IntN(len(e.queues)), best, head)
+	if best, _ = e.better(rand.IntN(len(e.queues)), best, head); best < 0 {
+		best = e.scan()
+	}
+	for best >= 0 {
+		if e.queues[best].claim.CompareAndSwap(0, int32(id+1)) {
+			return best
+		}
+		best = e.scan()
+	}
+	return -1
+}
+
+// better returns q and its head if q is free, non-empty and ahead of best.
+//
+//lint:hotpath
+func (e *Engine[V]) better(q, best int, head uint64) (int, uint64) {
+	wq := e.queues[q]
+	if h := wq.head.Load(); h != 0 && (best < 0 || h < head) && wq.claim.Load() == 0 {
+		return q, h
+	}
+	return best, head
+}
+
+// scan returns the free queue with the best head, or -1 if there is none.
+//
+//lint:hotpath
+func (e *Engine[V]) scan() int {
+	best, head := -1, uint64(0)
+	for q := range e.queues {
+		best, head = e.better(q, best, head)
+	}
+	return best
+}
+
+// park is the drain trigger and the park rule (mailbox.go): runner id, with
+// no queue to hold, delivers its outbox, marks itself sleeping, tries once
+// more to claim and waits for a wake-up only if that fails. It returns the
+// queue it then holds, or -1 once the traversal is over.
+//
+//lint:hotpath
+func (e *Engine[V]) park(id, last int) int {
+	e.res.outs[id].flush()
+	p := e.res.parkers[id]
+	for {
+		p.sleeping.Store(true)
+		if held := e.claim(id, last); held >= 0 || e.done.Load() {
+			if !p.sleeping.CompareAndSwap(true, false) {
+				<-p.ch // a waker saw the runner asleep first and owes it a token
+			}
+			return held
+		}
+		<-p.ch
+	}
+}
+
 // drainAborted settles every visitor an aborted traversal left queued — all
-// queues, all worker outboxes — so a storage back end's settle counters return
-// to where the traversal found them on a mount that outlives the query. Wait
-// runs it once the workers have exited, when nothing can deliver into a queue
-// any more: a drain each worker ran on its own way out missed what a
-// still-running neighbour flushed into its queue afterwards, and counters fed
-// in pairs never recover such a miss. What is drained is what the Terminator
-// still counts (it saw a Start at every queueing site and a Finish for every
-// popped visitor), which `-tags invariants` asserts — on completed traversals
-// too, where that count is zero and every other build skips the walk
-// (Workers queues and Workers x Workers outbox buckets). Under
-// DeliverEveryVisit a worker flushes after the visit an abort cut short too
-// (into queues this drain empties), so its outbox is already empty here.
+// queues, all runner outboxes — so a storage back end's settle counters
+// return to where the traversal found them on a mount that outlives the
+// query. Wait runs it once the runners have exited, when nothing can deliver
+// into a queue any more. What is drained is what the Terminator still counts
+// (a Start at every queueing site, a Finish for every popped visitor), which
+// `-tags invariants` asserts — on completed traversals too, where that count
+// is zero and every other build skips the walk.
 func (e *Engine[V]) drainAborted() {
 	if !invariant.Enabled && (e.settle == nil || !e.aborted.Load()) {
 		return
@@ -581,9 +634,7 @@ func (e *Engine[V]) drainAborted() {
 		}
 	}
 	for _, q := range e.queues {
-		// Every queue is marked done by now, so pop returns false on empty
-		// instead of blocking.
-		for it, ok := q.pop(); ok; it, ok = q.pop() {
+		for it, ok := q.heap.Pop(); ok; it, ok = q.heap.Pop() {
 			settle(it)
 		}
 	}

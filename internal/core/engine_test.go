@@ -1,10 +1,16 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pq"
 )
@@ -316,5 +322,103 @@ func TestHashSpreadsLoadAcrossWorkers(t *testing.T) {
 	}
 	if imb := res.Stats.Imbalance(); imb > 1.5 {
 		t.Fatalf("imbalance = %f, want near-uniform spread", imb)
+	}
+}
+
+// engineGoroutines counts, from a stack dump of every goroutine, the
+// engine's runner goroutines and those Start launched in all (the runners
+// and the Config.Context watcher).
+func engineGoroutines() (runners, started int) {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, "created by repro/internal/core.(*Engine[...]).Start") {
+			continue
+		}
+		started++
+		// A runner not yet scheduled sits in the go statement's wrapper.
+		if strings.Contains(g, "core.(*Engine[...]).run(") || strings.Contains(g, "core.(*Engine[...]).Start.gowrap") {
+			runners++
+		}
+	}
+	return runners, started
+}
+
+// TestRunnersPerTraversal pins how many goroutines serve the queues, counted
+// from inside a visitor while the traversal runs: in memory at most
+// GOMAXPROCS runners, however many queues, plus the context watcher; on a
+// device one runner per queue.
+func TestRunnersPerTraversal(t *testing.T) {
+	for _, device := range []bool{false, true} {
+		workers, want := 512, min(512, runtime.GOMAXPROCS(0))
+		if device {
+			workers, want = 64, 64
+		}
+		// An earlier engine's runners may still be returning from Wait's join.
+		for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+			if _, left := engineGoroutines(); left == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("goroutines of an earlier engine are still running")
+			}
+		}
+		var runners, started int
+		var once sync.Once
+		visit := func(ctx *Ctx[uint32], it pq.Item) error {
+			once.Do(func() { runners, started = engineGoroutines() })
+			if it.Pri < 32 {
+				ctx.Push(it.Pri+1, uint32(it.V+1), 0)
+			}
+			return nil
+		}
+		e := New[uint32](Config{Workers: workers, Context: context.Background()}, visit)
+		if device {
+			e.DeliverEveryVisit()
+		}
+		e.Start()
+		e.Push(0, 0, 0)
+		st, err := e.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Workers != workers || len(st.WorkerVisits) != workers {
+			t.Fatalf("device=%v: stats report %d workers and %d per-queue counts, want %d", device, st.Workers, len(st.WorkerVisits), workers)
+		}
+		if runners != want || started > want+1 {
+			t.Fatalf("device=%v, %d queues: %d runner goroutines and %d started by the engine, want %d runners plus the context watcher",
+				device, workers, runners, started, want)
+		}
+	}
+}
+
+// TestChainWakesParkedRunners is the lost-wakeup guard. Figure 2's chain
+// keeps one visitor outstanding at a time, so at 512 queues nearly every push
+// lands on a queue no runner holds while the other runners are parked or
+// about to park; one wake-up lost there ends the traversal in a hang, not in
+// wrong levels. CI runs it 50 times under -race.
+func TestChainWakesParkedRunners(t *testing.T) {
+	g, err := gen.Chain[uint32](2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := BFS[uint32](g, 0, Config{Workers: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, l := range res.Level {
+		if l != graph.Dist(v) {
+			t.Fatalf("level[%d] = %d, want %d", v, l, v)
+		}
+	}
+	if res.Stats.PeakOutstanding > 4 {
+		t.Fatalf("chain peak = %d: the chain has no path parallelism", res.Stats.PeakOutstanding)
 	}
 }

@@ -73,10 +73,10 @@ func ccSeededBeforeStart(t *testing.T, g *graph.CSR[uint32], prefetch int) golde
 	return run
 }
 
-// TestSingleWorkerGolden pins the worker loop's pop order: a one-worker run
+// TestSingleWorkerGolden pins the runner loop's pop order: a one-queue run
 // is deterministic, so its visit, push, prune and queue high-water counters
 // and its labels are a fingerprint of the exact pop/visit/deliver sequence,
-// with the loop at width 1 and at a 16-wide pop window.
+// with the loop at its in-memory batch and at a 16-wide pop window.
 //
 // The label digests are the ones recorded before the claim-at-push filter
 // (kernelState.propose); the counters were re-recorded with it. Without the
@@ -107,15 +107,24 @@ func ccSeededBeforeStart(t *testing.T, g *graph.CSR[uint32], prefetch int) golde
 //	sssp         1111 1110 3942 654  0   0
 //	sssp-window  1113 1112 3660 672 65 608
 //	cc           1301  701 2553 966  0   0
+//
+// The bfs, sssp and cc counters were re-recorded once more when in-memory
+// runners began popping popBatch visitors at a time: a bucket the size
+// trigger delivers mid-batch waits for the batch to end. With one visitor a
+// pop they read {visits, pushes, pruned, maxQueue}:
+//
+//	bfs           600  599 4170 375
+//	sssp         1102 1101 3718 654
+//	cc           1298  698 2411 966
 func TestSingleWorkerGolden(t *testing.T) {
 	dg := randomDigraph(t, 600, 4800, true, 41)
 	ug := randomUndirected(t, 600, 1500, 43)
 	want := map[string]goldenRun{
-		"bfs":         {600, 599, 4170, 375, 0x9b3a73cd36111e6, 0, 0},
+		"bfs":         {600, 599, 4170, 376, 0x9b3a73cd36111e6, 0, 0},
 		"bfs-window":  {600, 599, 4170, 375, 0x9b3a73cd36111e6, 38, 599},
-		"sssp":        {1102, 1101, 3718, 654, 0xa039ef19f5f055a5, 0, 0},
+		"sssp":        {1116, 1115, 3728, 664, 0xa039ef19f5f055a5, 0, 0},
 		"sssp-window": {1110, 1109, 3660, 667, 0xa039ef19f5f055a5, 66, 600},
-		"cc":          {1298, 698, 2411, 966, 0xda43a2686a5590c5, 0, 0},
+		"cc":          {1305, 705, 2417, 976, 0xda43a2686a5590c5, 0, 0},
 		"cc-window":   {1305, 705, 2411, 975, 0xda43a2686a5590c5, 82, 1305},
 	}
 	got := map[string]goldenRun{}

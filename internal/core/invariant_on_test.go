@@ -100,18 +100,21 @@ func TestPoolDirtyQueuePanics(t *testing.T) {
 	cfg := Config{Workers: 2}
 	cfg.normalize()
 	r := newEngineRes[uint32](cfg)
-	r.queues[0].push(pq.Item{Pri: 1, V: 7})
+	r.queues[0].pushBatch([]pq.Item{{Pri: 1, V: 7}})
 	expectInvariantPanic(t, "still holds", func() {
 		r.assertPristine()
 	})
 }
 
-func TestPoolPublishedPriorityPanics(t *testing.T) {
+// TestPoolClaimedQueuePanics leaves a queue held, as a runner that exited
+// without letting go of it would: the next traversal's runners could never
+// claim it.
+func TestPoolClaimedQueuePanics(t *testing.T) {
 	cfg := Config{Workers: 2}
 	cfg.normalize()
 	r := newEngineRes[uint32](cfg)
-	r.queues[1].visiting.Store(3)
-	expectInvariantPanic(t, "publishes priority 3", func() {
+	r.queues[1].claim.Store(3)
+	expectInvariantPanic(t, "still claimed by runner 2", func() {
 		r.assertPristine()
 	})
 }
@@ -120,11 +123,10 @@ func TestPoolResetRestoresPristine(t *testing.T) {
 	cfg := Config{Workers: 2}
 	cfg.normalize()
 	r := newEngineRes[uint32](cfg)
-	r.queues[0].push(pq.Item{Pri: 1, V: 7})
-	r.queues[0].visiting.Store(1)
-	r.queues[1].finish()
+	r.queues[0].pushBatch([]pq.Item{{Pri: 1, V: 7}})
+	r.outs[0].add(1, pq.Item{Pri: 2, V: 8})
 	// reset itself runs assertPristine under the tag; surviving it proves a
-	// dirty, closed queue set is fully restored.
+	// dirty queue set is fully restored.
 	r.reset()
 }
 

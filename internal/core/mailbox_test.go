@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -13,7 +12,6 @@ func TestOutboxSizeTrigger(t *testing.T) {
 	queues := make([]*workQueue, 2)
 	for i := range queues {
 		queues[i] = &workQueue{heap: pq.New(false)}
-		queues[i].cond.L = &queues[i].mu
 	}
 	out := newOutbox(queues)
 	for i := 1; i < batchSize; i++ {
@@ -40,114 +38,8 @@ func TestOutboxSizeTrigger(t *testing.T) {
 	}
 }
 
-// TestOutboxUrgentDelivery pins the urgent trigger without running a worker:
-// a visitor below the priority its destination publishes is delivered at
-// once, together with what its bucket held; one at or above it waits for the
-// size trigger, and a published 0 (an owner about to block, or any owner of a
-// device-backed traversal) holds back everything.
-func TestOutboxUrgentDelivery(t *testing.T) {
-	queues := make([]*workQueue, 2)
-	for i := range queues {
-		queues[i] = &workQueue{heap: pq.New(false)}
-		queues[i].cond.L = &queues[i].mu
-	}
-	out := newOutbox(queues)
-	queues[0].visiting.Store(10)
-
-	out.add(0, pq.Item{Pri: 10})
-	if got := queues[0].heap.Len(); got != 0 {
-		t.Fatalf("a visitor at the published priority was delivered (%d queued)", got)
-	}
-	out.add(0, pq.Item{Pri: 9})
-	if got := queues[0].heap.Len(); got != 2 {
-		t.Fatalf("queue holds %d items after a visitor beat the published priority, want the whole bucket of 2", got)
-	}
-	for i := 1; i < batchSize; i++ {
-		out.add(0, pq.Item{Pri: uint64(10 + i)})
-	}
-	if got := queues[0].heap.Len(); got != 2 {
-		t.Fatalf("visitors at or above the published priority were delivered before the batch size (%d queued)", got)
-	}
-	out.add(0, pq.Item{Pri: 10})
-	if got := queues[0].heap.Len(); got != 2+batchSize {
-		t.Fatalf("queue holds %d items after the size trigger, want %d", got, 2+batchSize)
-	}
-
-	for i := 1; i < batchSize; i++ {
-		out.add(1, pq.Item{Pri: 0})
-	}
-	if got := queues[1].heap.Len(); got != 0 {
-		t.Fatalf("a published 0 let %d visitors through before the batch size", got)
-	}
-	out.add(1, pq.Item{Pri: 0})
-	if got := queues[1].heap.Len(); got != batchSize {
-		t.Fatalf("queue holds %d items after the size trigger, want %d", got, batchSize)
-	}
-}
-
-// TestOutboxRecordsLowestDelivered pins the record behind the step-aside
-// rule without running a worker: each trigger that hands a bucket to a queue
-// (size, urgent, flush) lowers it to the bucket's best visitor, a visitor
-// still buffered does not, and a cleared record starts afresh.
-func TestOutboxRecordsLowestDelivered(t *testing.T) {
-	queues := make([]*workQueue, 3)
-	for i := range queues {
-		queues[i] = &workQueue{heap: pq.New(false)}
-		queues[i].cond.L = &queues[i].mu
-	}
-	out := newOutbox(queues)
-	if out.delivered != math.MaxUint64 {
-		t.Fatalf("a new outbox records %d, want nothing delivered", out.delivered)
-	}
-
-	out.add(0, pq.Item{Pri: 3})
-	for i := 1; i < batchSize-1; i++ {
-		out.add(0, pq.Item{Pri: uint64(100 + i)})
-	}
-	out.add(1, pq.Item{Pri: 1})
-	if out.delivered != math.MaxUint64 {
-		t.Fatalf("buffered visitors lowered the record to %d", out.delivered)
-	}
-	out.add(0, pq.Item{Pri: 500}) // size trigger
-	if got := queues[0].heap.Len(); got != batchSize {
-		t.Fatalf("queue holds %d items after the size trigger, want %d", got, batchSize)
-	}
-	if out.delivered != 3 {
-		t.Fatalf("record %d after the size trigger, want the bucket's best, 3", out.delivered)
-	}
-
-	out.delivered = math.MaxUint64
-	queues[2].visiting.Store(50)
-	out.add(2, pq.Item{Pri: 60})
-	out.add(2, pq.Item{Pri: 40}) // urgent trigger
-	if got := queues[2].heap.Len(); got != 2 {
-		t.Fatalf("queue holds %d items after the urgent trigger, want 2", got)
-	}
-	if out.delivered != 40 {
-		t.Fatalf("record %d after the urgent trigger, want 40", out.delivered)
-	}
-
-	out.flush() // delivers owner 1's bucket, still holding 1
-	if out.delivered != 1 {
-		t.Fatalf("record %d after flush, want 1", out.delivered)
-	}
-	out.delivered = math.MaxUint64
-	out.flush()
-	if out.delivered != math.MaxUint64 {
-		t.Fatalf("a flush of empty buckets recorded %d", out.delivered)
-	}
-
-	out.add(1, pq.Item{Pri: 0})
-	out.flush()
-	out.reset()
-	if out.delivered != math.MaxUint64 {
-		t.Fatalf("reset left the record at %d", out.delivered)
-	}
-}
-
 func TestWorkQueuePushBatchOrdersItems(t *testing.T) {
 	q := &workQueue{heap: pq.New(false)}
-	q.cond.L = &q.mu
 	q.pushBatch([]pq.Item{{Pri: 5}, {Pri: 1}, {Pri: 3}})
 	q.pushBatch(nil) // no-op
 	var got []uint64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,38 +12,37 @@ import (
 )
 
 // This file is the engine's reuse layer, built for long-lived serving
-// processes (internal/server): a single traversal allocates per-worker
-// visitor queues, mailbox outboxes, and adjacency scratch, which for the
-// repository defaults (hundreds of workers, KiB-scale scratch blocks) is the
+// processes (internal/server): a single traversal allocates visitor queues
+// and per-runner mailbox outboxes and adjacency scratch, which for the
+// repository defaults (hundreds of queues, KiB-scale scratch blocks) is the
 // dominant steady-state allocation of a query. EnginePool recycles those
 // resources across traversals so a query service reaches a zero-allocation
 // steady state on everything except the result arrays themselves.
 
-// workerStats is one worker's hot, written-on-every-visit state: the
-// visit/push/prune counters and the one-visitor pop window. The cells live in
-// one contiguous array (engineRes.stats), so without padding adjacent workers'
-// cells would share cache lines and every write would ping-pong the line
-// between cores; the pad gives each worker a 64-byte line of its own. The pop
-// window sits here for the same reason: as a 24-byte heap object of its own
-// it lands next to another worker's, and every pop becomes a shared write.
+// workerStats is one runner's hot, written-on-every-visit state: the
+// visit/push/prune counters and the pop window. The cells live in one
+// contiguous array (engineRes.stats); the pad rounds each to whole 64-byte
+// lines, so no write ping-pongs a line another runner's cell shares.
 type workerStats struct {
 	visits uint64
 	pushes uint64
 	pruned uint64
-	pop    [1]pq.Item
-	_      [16]byte
+	pop    [popBatch]pq.Item
+	_      [40]byte
 }
 
-// engineRes is the recyclable per-worker state of one engine run: the
-// visitor queues (mailboxes), the batching outboxes and the adjacency scratch
-// buffers. Nothing in it is sized by the vertex count. A resource set is
-// built for one normalized Config and may only be reused under the same
-// Workers and SemiSort settings.
+// engineRes is the recyclable state of one engine run: the visitor queues
+// (mailboxes) and, per runner, a batching outbox, adjacency scratch, a
+// counter cell and a parker. Nothing in it is sized by the vertex count. A
+// resource set is built for one normalized Config and may only be reused
+// under the same Workers and SemiSort settings; its runner state grows to
+// the most runners a traversal on it started.
 type engineRes[V graph.Vertex] struct {
 	queues  []*workQueue
 	scratch []*graph.Scratch[V]
 	stats   []workerStats
 	outs    []*outbox
+	parkers []*parker
 
 	// pooled marks a set currently sitting on the free list. Only consulted
 	// under `-tags invariants`, where releasing a set twice — which would let
@@ -53,30 +53,30 @@ type engineRes[V graph.Vertex] struct {
 }
 
 func newEngineRes[V graph.Vertex](cfg Config) *engineRes[V] {
-	r := &engineRes[V]{
-		queues:  make([]*workQueue, cfg.Workers),
-		scratch: make([]*graph.Scratch[V], cfg.Workers),
-		stats:   make([]workerStats, cfg.Workers),
-		outs:    make([]*outbox, cfg.Workers),
-	}
+	r := &engineRes[V]{queues: make([]*workQueue, cfg.Workers)}
 	for i := range r.queues {
-		q := &workQueue{heap: pq.New(cfg.SemiSort)}
-		q.cond.L = &q.mu
-		r.queues[i] = q
-		r.scratch[i] = &graph.Scratch[V]{}
+		r.queues[i] = &workQueue{heap: pq.New(cfg.SemiSort)}
 	}
-	for i := range r.outs {
-		r.outs[i] = newOutbox(r.queues)
-	}
+	r.grow(min(cfg.Workers, runtime.GOMAXPROCS(0)))
 	return r
 }
 
+// grow readies the per-runner state of n runners.
+func (r *engineRes[V]) grow(n int) {
+	for len(r.outs) < n {
+		r.outs = append(r.outs, newOutbox(r.queues))
+		r.scratch = append(r.scratch, &graph.Scratch[V]{})
+		r.parkers = append(r.parkers, &parker{ch: make(chan struct{}, 1)})
+	}
+	if len(r.stats) < n {
+		r.stats = make([]workerStats, n)
+	}
+}
+
 // reset returns the resource set to its pristine state: outbox buffers are
-// discarded first (an aborted worker can exit holding undelivered visitors),
-// then the queues are emptied and reopened, and their published priority is
-// zeroed (an aborted worker exits without storing 0). Scratch keeps its
-// decode buffers — reusing them is the point — but drops any storage-backend
-// prefetch session, which is tied to the graph of the previous run.
+// discarded (an aborted runner can exit holding undelivered visitors), the
+// queues emptied and their counts zeroed. Scratch keeps its decode buffers
+// but drops any prefetch session, which is tied to the previous run's graph.
 func (r *engineRes[V]) reset() {
 	for _, o := range r.outs {
 		o.reset()
@@ -84,9 +84,9 @@ func (r *engineRes[V]) reset() {
 	for _, q := range r.queues {
 		q.mu.Lock()
 		q.heap.Reset()
-		q.done = false
+		q.publish()
 		q.mu.Unlock()
-		q.visiting.Store(0)
+		q.visits = 0
 	}
 	for _, s := range r.scratch {
 		s.Prefetch = nil
@@ -100,24 +100,20 @@ func (r *engineRes[V]) reset() {
 }
 
 // assertPristine panics unless the resource set is in its post-reset state:
-// every queue empty, reopened and publishing priority 0, every outbox buffer
-// empty. A dirty set re-entering the pool would leak visitors from one
-// traversal into the next — a cross-query correctness breach that manifests
-// as wrong labels long after the offending query finished. Called from reset
-// under `-tags invariants`; exercised directly by tests.
+// every queue empty and held by no runner, every outbox buffer empty. A dirty
+// set re-entering the pool would leak visitors, or a queue no runner can
+// claim, into the next traversal. Called from reset under `-tags
+// invariants`; exercised directly by tests.
 func (r *engineRes[V]) assertPristine() {
 	for i, q := range r.queues {
 		q.mu.Lock()
-		n, done := q.heap.Len(), q.done
+		n := q.heap.Len()
 		q.mu.Unlock()
 		if n != 0 {
 			invariant.Failf("engine pool: recycled queue %d still holds %d visitors after reset", i, n)
 		}
-		if done {
-			invariant.Failf("engine pool: recycled queue %d still marked done after reset", i)
-		}
-		if p := q.visiting.Load(); p != 0 {
-			invariant.Failf("engine pool: recycled queue %d still publishes priority %d after reset", i, p)
+		if c := q.claim.Load(); c != 0 {
+			invariant.Failf("engine pool: recycled queue %d still claimed by runner %d after reset", i, c-1)
 		}
 	}
 	for i, o := range r.outs {

@@ -115,41 +115,6 @@ func TestEnginePoolRecyclesAfterAbort(t *testing.T) {
 	}
 }
 
-// TestEnginePoolZeroesPublishedPriority pins the urgent trigger's part of the
-// reset contract: a recycled set's queues publish priority 0, including those
-// of workers an abort stopped before they stored 0. A stale word would let the
-// next traversal's senders deliver single visitors to an owner that is idle.
-func TestEnginePoolZeroesPublishedPriority(t *testing.T) {
-	_, _, weighted := poolTestGraphs(t)
-	p := NewEnginePool[uint32](Config{Workers: 8})
-	want, err := p.SSSP(context.Background(), weighted, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := p.acquire()
-	r.assertPristine()
-	for i, q := range r.queues {
-		q.visiting.Store(uint64(i + 1)) // as workers stopped mid-visit leave them
-	}
-	p.release(r)
-	r = p.acquire()
-	r.assertPristine()
-	p.release(r)
-
-	got, err := p.SSSP(context.Background(), weighted, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want.Dist {
-		if got.Dist[v] != want.Dist[v] {
-			t.Fatalf("dist[%d] = %d after recycle, want %d", v, got.Dist[v], want.Dist[v])
-		}
-	}
-	if reused, total := p.Reuses(); reused != 3 || total != 4 {
-		t.Fatalf("reuses = %d/%d, want 3 of 4 served from the free list", reused, total)
-	}
-}
-
 // TestEnginePoolConcurrent exercises many simultaneous traversals on one
 // pool, each with its own resource set (run with -race in CI).
 func TestEnginePoolConcurrent(t *testing.T) {

@@ -14,8 +14,6 @@
 //   - droppederr: ignored error results from Read/ReadAt/Write/WriteAt/
 //     Close/Flush/Sync/Encode/WriteString calls, and `defer Close()` on a
 //     write path whose write errors are otherwise handled;
-//   - configcheck: every exported field of an exported ...Config struct must
-//     be referenced by that package's validate/normalize function;
 //   - blockwhilelocked: no blocking operation while a sync.Mutex/RWMutex is
 //     held in the same function, `//lint:blockwhilelocked` documents an
 //     exception.
@@ -50,7 +48,7 @@ type Analyzer struct {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Hotpath, DroppedErr, ConfigCheck, BlockWhileLocked,
+		Hotpath, DroppedErr, BlockWhileLocked,
 	}
 }
 

@@ -106,16 +106,6 @@ func TestBlockWhileLocked(t *testing.T) {
 	})
 }
 
-func TestConfigCheck(t *testing.T) {
-	expectExactly(t, ConfigCheck, map[string]string{
-		"config.go:15":  "Config.Depth is never referenced",
-		"config.go:28":  "OrphanConfig has no validate/normalize function",
-		"config.go:60":  "ShardConfig.Replicas is never referenced",
-		"config.go:79":  "PolicyConfig.Trace is never referenced",
-		"config.go:103": "EngineConfig.Alpha is never referenced",
-	})
-}
-
 // TestDiagnosticFormat pins the contract the CI gate and editors rely on:
 // one diagnostic per line, formatted file:line: analyzer: message.
 func TestDiagnosticFormat(t *testing.T) {

@@ -189,7 +189,6 @@ func (c *Config) Validate() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	_ = c.NoCache // passthrough knob: any bool is valid
 	return nil
 }
 

@@ -45,6 +45,15 @@ func (h *Heap) Len() int { return len(h.items) }
 // report queue memory pressure.
 func (h *Heap) MaxLen() int { return h.maxLen }
 
+// Min returns the minimum item without removing it; ok is false when the
+// heap is empty.
+func (h *Heap) Min() (it Item, ok bool) {
+	if len(h.items) == 0 {
+		return Item{}, false
+	}
+	return h.items[0], true
+}
+
 // Reset empties the heap and clears the high-water mark, keeping the backing
 // array for reuse across traversals.
 func (h *Heap) Reset() {

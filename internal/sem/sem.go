@@ -192,7 +192,6 @@ type WriteConfig struct {
 // capabilities are exclusive (a symmetric graph already serves in-edges from
 // its edge region), and a shard request must name a member inside its range.
 func (c *WriteConfig) Validate() error {
-	_ = c.Compress // free toggle: v1 and v2 both support every capability below
 	if c.InEdges && c.Symmetric {
 		return fmt.Errorf("sem: InEdges and Symmetric are mutually exclusive (a symmetric graph already serves in-edges from its edge region)")
 	}
