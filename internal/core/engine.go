@@ -223,9 +223,8 @@ type Engine[V graph.Vertex] struct {
 	queues []*workQueue
 	wg     sync.WaitGroup
 
-	// res holds the recyclable queue and runner state (queues, outboxes,
-	// scratch); a pooled traversal's caller hands it back to its EnginePool
-	// after Wait.
+	// res holds the recyclable queue and runner state; a pooled traversal's
+	// caller hands it back to its EnginePool after Wait.
 	res *engineRes[V]
 	// stop is closed by Wait once the runners have exited; it retires the
 	// Config.Context watcher goroutine so cancellation support never leaks.
@@ -306,9 +305,8 @@ func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }
 
 // DeliverEveryVisit tells the engine its graph lives on a device: every
 // runner delivers its outbox after each visit, so it never blocks in a
-// storage read holding a visitor another runner could be running, and runner
-// i holds queue i throughout, so each queue keeps a read in flight of its
-// own. The kernels set it. Must be called before Start.
+// storage read holding a visitor another could run, and runner i holds queue
+// i throughout, so each queue keeps a read in flight. Must precede Start.
 func (e *Engine[V]) DeliverEveryVisit() { e.device = true }
 
 // Start launches the runner goroutines: one per queue on a device, otherwise
@@ -326,6 +324,11 @@ func (e *Engine[V]) Start() {
 		}
 	}
 	if ctx := e.cfg.Context; ctx != nil {
+		// A runner with work never yields, so while runners hold every
+		// processor the watcher waits for preemption: abort a dead one here.
+		if err := ctx.Err(); err != nil {
+			e.Abort(err)
+		}
 		e.watcherDone = make(chan struct{})
 		go func() {
 			defer close(e.watcherDone)
@@ -428,7 +431,7 @@ func (e *Engine[V]) Wait() (Stats, error) {
 	return st, e.err
 }
 
-// finish ends the traversal: runners leave at their next park; parked ones are woken.
+// finish ends the traversal: parked runners are woken to leave.
 func (e *Engine[V]) finish() {
 	e.done.Store(true)
 	for _, p := range e.res.parkers {
@@ -468,10 +471,9 @@ func (e *Engine[V]) retire(ctx *Ctx[V], id int) {
 // run is the engine's one loop (§III): hold a queue, pop a batch, visit,
 // push to the hash-selected owners, let go and choose again. An in-memory
 // runner pops popBatch visitors; a device runner pops one, or a
-// Config.Prefetch-wide window when a pop-window hook is registered, which it
-// announces to the storage back end before visiting in window order. Every
-// popped visitor came off the queue the runner holds, so exclusive vertex
-// ownership holds at any width.
+// Config.Prefetch-wide window it announces to the storage back end (the
+// pop-window hook) before visiting. Every popped visitor came off the queue
+// the runner holds, so exclusive vertex ownership holds at any width.
 //
 //lint:hotpath
 func (e *Engine[V]) run(id int) {
@@ -485,9 +487,8 @@ func (e *Engine[V]) run(id int) {
 		width = e.cfg.Prefetch
 		window = make([]pq.Item, 0, width)
 	}
-	// The abort check at the loop top is the engine's cancellation point: an
-	// aborted runner exits without draining (Wait settles what is left), so a
-	// deadline fires within one batch's time however much work is queued.
+	// The abort check at the loop top is the cancellation point: an aborted
+	// runner exits without draining (Wait settles what is left).
 	for !e.aborted.Load() {
 		held := e.claim(id, ctx.Worker)
 		if held < 0 {

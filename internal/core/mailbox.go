@@ -39,9 +39,8 @@ const batchSize = 64
 type workQueue struct {
 	mu   sync.Mutex
 	heap *pq.Heap
-	// head is the priority of the best queued visitor plus one (saturating),
-	// 0 when the queue is empty: published under mu at every push and pop,
-	// read without it by runners choosing a queue.
+	// head is the best queued priority + 1 (saturating), 0 when empty:
+	// published under mu at every push and pop, read by runners choosing.
 	head atomic.Uint64
 	// claim is the id + 1 of the runner holding the queue, 0 when none does.
 	claim atomic.Int32
@@ -97,8 +96,8 @@ type parker struct {
 	ch       chan struct{} // capacity 1: the one token a wake owes
 }
 
-// wake hands a sleeping runner its token. The CAS makes exactly one waker
-// owe it; nil (a queue of an engine not yet started) wakes nobody.
+// wake hands a sleeping runner its token; the CAS makes one waker owe it. A
+// nil parker (an engine not yet started) wakes nobody.
 //
 //lint:hotpath
 func (p *parker) wake() {
