@@ -11,26 +11,27 @@ import (
 	"repro/internal/sem"
 )
 
-// offsetGate serves a serialized graph from memory and remembers the offset
-// of the last read. Once armed, a read at blockOff announces itself on entered
-// and waits for release, and the first read at watchOff closes seen: the test
-// decides what must have happened while a worker is inside the device.
-type offsetGate struct {
-	data                   []byte
-	last                   atomic.Int64
-	armed                  atomic.Bool
-	once                   sync.Once
-	blockOff, watchOff     int64
-	entered, release, seen chan struct{}
+// holdGate serves a serialized graph from memory and remembers the range of
+// the last read. Once armed, the first read that covers any byte of the held
+// range announces itself on entered and waits for release. A range, not an
+// offset: a parked visitor's read is a whole-block request, a windowed one
+// reads its extent exactly.
+type holdGate struct {
+	data             []byte
+	lastOff, lastLen atomic.Int64
+	armed            atomic.Bool
+	hold             [2]int64 // [off, end) of the held bytes
+	once             sync.Once
+	entered, release chan struct{}
 }
 
-func (s *offsetGate) ReadAt(p []byte, off int64) (int, error) {
-	s.last.Store(off)
-	if s.armed.Load() {
-		switch off {
-		case s.watchOff:
-			s.once.Do(func() { close(s.seen) })
-		case s.blockOff:
+func (s *holdGate) ReadAt(p []byte, off int64) (int, error) {
+	s.lastOff.Store(off)
+	s.lastLen.Store(int64(len(p)))
+	if s.armed.Load() && off < s.hold[1] && s.hold[0] < off+int64(len(p)) {
+		held := false
+		s.once.Do(func() { held = true })
+		if held {
 			s.entered <- struct{}{}
 			<-s.release
 		}
@@ -38,24 +39,95 @@ func (s *offsetGate) ReadAt(p []byte, off int64) (int, error) {
 	return bytes.NewReader(s.data).ReadAt(p, off)
 }
 
+// watchedGraph is a semi-external graph that closes seen when a visit decodes
+// the adjacency of vertex watch: its read has landed and its visitor runs.
+// Embedding keeps the graph's device capability.
+type watchedGraph struct {
+	*sem.Graph[uint32]
+	watch uint32
+	once  sync.Once
+	seen  chan struct{}
+}
+
+func (w *watchedGraph) Neighbors(v uint32, s *graph.Scratch[uint32]) ([]uint32, []graph.Weight, error) {
+	if v == w.watch {
+		w.once.Do(func() { close(w.seen) })
+	}
+	return w.Graph.Neighbors(v, s)
+}
+
+// gatedSEM writes g, opens it over a holdGate without a prefetcher, so that
+// reads outside a parked visitor's are exact extents, and arms the gate on
+// the adjacency bytes of vertex hold: the store itself says where they are.
+// It reports whether hold's first byte sits in the same 4 KiB block as
+// watch's.
+func gatedSEM(t *testing.T, g *graph.CSR[uint32], hold, watch uint32) (*watchedGraph, *holdGate, bool) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sem.Write(&buf, g, sem.WriteConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	store := &holdGate{data: buf.Bytes(), entered: make(chan struct{}), release: make(chan struct{})}
+	sg, err := sem.Open[uint32](store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extent := func(v uint32) [2]int64 {
+		if _, _, err := sg.Neighbors(v, &graph.Scratch[uint32]{}); err != nil {
+			t.Fatal(err)
+		}
+		off := store.lastOff.Load()
+		return [2]int64{off, off + store.lastLen.Load()}
+	}
+	w := extent(watch)
+	store.hold = extent(hold)
+	store.armed.Store(true)
+	return &watchedGraph{Graph: sg, watch: watch, seen: make(chan struct{})}, store, w[0]/4096 == store.hold[0]/4096
+}
+
+// awaitSeen waits for the gate to hold a read, then gives the traversal 5 s
+// to visit the watched vertex, and releases the gate either way. The timer is
+// the verdict of a run that would otherwise never end, not a
+// synchronisation.
+func awaitSeen(g *watchedGraph, store *holdGate) bool {
+	<-store.entered
+	defer close(store.release)
+	select {
+	case <-g.seen:
+		return true
+	case <-time.After(5 * time.Second):
+		return false
+	}
+}
+
+// padEdges gives u n parallel edges to t: a long adjacency the kernel prunes
+// to one proposal, which puts vertices written after u in later 4 KiB blocks.
+func padEdges(b *graph.Builder[uint32], u, t uint32, w graph.Weight, n int) {
+	for i := 0; i < n; i++ {
+		b.AddEdge(u, t, w)
+	}
+}
+
 // TestBlockedWorkerHoldsNoVisitors pins the delivery rule on a device-backed
-// graph: a worker never blocks in a storage read while its outbox holds a
-// visitor. Two workers (A owns the even vertices, B the odd ones: the
+// graph: a runner never waits in a storage read while its outbox holds a
+// visitor. Two queues (A owns the even vertices, B the odd ones: the
 // ownership hash's multiplier is odd, so it keeps an id's low bit) run SSSP
 // from 0 over
 //
-//	0 -1-> 2 -1-> 1 -1-> 3        0 -2-> 4 -1-> 6
+//	0 -1-> 2 -1-> 1 -1-> 3        0 -2-> 4 -1-> 6        3 -1-> 1 (x600)
 //
 // A visits 0 (2 and 4 land in its own queue), then 2, whose only proposal is
 // for B's vertex 1, then 4, whose adjacency read the gate holds. A's queue
 // was never empty between the last two visits and B's bucket holds one
 // visitor, so neither the drain nor the size trigger delivered it: B can only
-// read vertex 1's adjacency while A is still inside the device if A delivered
-// its outbox before visiting 4. A cached mount pops one visitor at a time; a
-// raw-device mount pops 2 and 4 in one 16-wide window, and the rule holds
-// inside it too: delivery follows the visit, not the window. No sleeps: the
-// timer below is the verdict of a run that would otherwise never end (A waits
-// for the test, the test for B, B for A's outbox), not a synchronisation.
+// visit vertex 1 while A's read of 4 is inside the device if A delivered its
+// outbox before visiting 4. 3's parallel back edges (all
+// pruned) put 4's adjacency in another 4 KiB block than 0's, 1's and 2's:
+// without a pop window A parks 4 on a block request, and a read of 1 that
+// joined that block would wait with it. The verdict is the visit of 1, not a
+// read of its block: parked reads run on the table's I/O pool in any order. With a 16-wide pop window A pops 2
+// and 4 in one window on one runner per queue, and the rule holds inside it
+// too: delivery follows the visit, not the window.
 func TestBlockedWorkerHoldsNoVisitors(t *testing.T) {
 	for name, window := range map[string]int{"one visitor a pop": 0, "16-wide pop window": 16} {
 		t.Run(name, func(t *testing.T) { blockedWorkerHoldsNoVisitors(t, window) })
@@ -75,28 +147,15 @@ func blockedWorkerHoldsNoVisitors(t *testing.T, window int) {
 	b.AddEdge(2, 1, 1)
 	b.AddEdge(1, 3, 1)
 	b.AddEdge(4, 6, 1)
+	padEdges(b, 3, 1, 1, 600)
 	g, err := b.Build(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := sem.Write(&buf, g, sem.WriteConfig{}); err != nil {
-		t.Fatal(err)
+	sg, store, shared := gatedSEM(t, g, 4, 1)
+	if shared {
+		t.Fatal("vertices 1 and 4 share a 4 KiB block: 1's parked read would wait on 4's")
 	}
-	store := &offsetGate{data: buf.Bytes(), entered: make(chan struct{}), release: make(chan struct{}), seen: make(chan struct{})}
-	sg, err := sem.Open[uint32](store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Where the two adjacency lists live is the store's business: ask it.
-	offsetOf := func(v uint32) int64 {
-		if _, _, err := sg.Neighbors(v, &graph.Scratch[uint32]{}); err != nil {
-			t.Fatal(err)
-		}
-		return store.last.Load()
-	}
-	store.watchOff, store.blockOff = offsetOf(1), offsetOf(4)
-	store.armed.Store(true)
 
 	type result struct {
 		res *SSSPResult[uint32]
@@ -107,22 +166,65 @@ func blockedWorkerHoldsNoVisitors(t *testing.T, window int) {
 		res, err := SSSP[uint32](sg, 0, Config{Workers: 2, Prefetch: window})
 		done <- result{res, err}
 	}()
-	<-store.entered // A is inside the device, reading vertex 4
-	delivered := true
-	select {
-	case <-store.seen: // B read vertex 1 meanwhile
-	case <-time.After(5 * time.Second):
-		delivered = false
-	}
-	close(store.release)
+	delivered := awaitSeen(sg, store)
 	r := <-done
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
 	if !delivered {
-		t.Fatal("worker A blocked in its read of vertex 4 while the visitor it pushed for vertex 1 sat in its outbox: B never ran it")
+		t.Fatal("A's read of vertex 4 was in the device while the visitor it pushed for vertex 1 sat in its outbox: B never ran it")
 	}
 	for v, want := range []graph.Dist{0, 2, 1, 3, 2, graph.InfDist, 3, graph.InfDist} {
+		if r.res.Dist[v] != want {
+			t.Errorf("dist[%d] = %d, want %d", v, r.res.Dist[v], want)
+		}
+	}
+}
+
+// TestMissDoesNotBlockItsRunner pins the parked read: one queue, one runner,
+// SSSP from 0 over
+//
+//	0 -1-> 3 -1-> 0        0 -2-> 1 -1-> 0        2 -1-> 0 (x600)
+//
+// The runner visits 0 and pops 3, whose adjacency — in another 4 KiB block
+// than 0's and 1's, behind unreached 2's parallel edges — the gate holds. A
+// runner that waits in the read of a miss never reads anything else until
+// the gate releases; one that parks 3 on its block pops 1 and visits it
+// while 3's read is still in the device. No sleeps: the timer is the verdict
+// of a run that would otherwise never end.
+func TestMissDoesNotBlockItsRunner(t *testing.T) {
+	b := graph.NewBuilder[uint32](4, true)
+	b.AddEdge(0, 3, 1)
+	b.AddEdge(0, 1, 2)
+	b.AddEdge(3, 0, 1)
+	b.AddEdge(1, 0, 1)
+	padEdges(b, 2, 0, 1, 600)
+	g, err := b.Build(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, store, shared := gatedSEM(t, g, 3, 1)
+	if shared {
+		t.Fatal("vertices 1 and 3 share a 4 KiB block: 1's parked read would wait on 3's")
+	}
+	type result struct {
+		res *SSSPResult[uint32]
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := SSSP[uint32](sg, 0, Config{Workers: 1})
+		done <- result{res, err}
+	}()
+	parked := awaitSeen(sg, store)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if !parked {
+		t.Fatal("the runner waited in the read of vertex 3 and read nothing else: a miss blocked its runner")
+	}
+	for v, want := range []graph.Dist{0, 2, graph.InfDist, 1} {
 		if r.res.Dist[v] != want {
 			t.Errorf("dist[%d] = %d, want %d", v, r.res.Dist[v], want)
 		}

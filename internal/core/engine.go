@@ -8,22 +8,27 @@
 // paper's "exclusive access to a vertex when executing, removing the need for
 // additional vertex-level locking", and a near-uniform hash spreads high-cost
 // hub vertices across queues for load balance. The paper makes one thread
-// both the owner of a queue and the unit of scheduling; here a fixed set of
-// runners serves the queues (Engine.run): in memory at most GOMAXPROCS of
-// them, each holding one queue at a time and moving to the queue with the
-// best head, so §III-B's "Dijkstra within a queue" order does not depend on
-// a scheduler that knows nothing of priorities. There are no barriers
-// between traversal steps: runners run label-correcting visitors fully
-// asynchronously and the traversal completes when every queued visitor has
-// finished (termination is detected with an atomic outstanding-work
-// counter).
+// both the owner of a queue and the unit of scheduling, and oversubscribes
+// threads so that enough synchronous flash reads are in flight; here at most
+// GOMAXPROCS runners serve the queues (Engine.run). In memory each holds one
+// queue at a time and moves to the queue with the best head, so §III-B's
+// "Dijkstra within a queue" order does not depend on a scheduler that knows
+// nothing of priorities. On a device each owns a fixed share of the queues
+// and never waits in a read while it has other work: a visitor whose
+// adjacency is not resident is parked on its read and runs once the read has
+// landed (Engine.runParked), so the reads in flight are not bounded by the
+// goroutine count. There are no barriers between traversal steps: runners
+// run label-correcting visitors fully asynchronously and the traversal
+// completes when every queued or parked visitor has finished (termination is
+// detected with an atomic outstanding-work counter).
 //
 // The implementation is layered into three files:
 //
 //   - mailbox.go — the delivery layer: lock-protected ownership queues,
 //     per-runner outboxes that batch pushes per destination queue (delivered
 //     when a bucket fills, its runner is about to park, or on a device a
-//     visit ends), and the park/wake rule of the runners;
+//     visit ends), the park/wake rule of the runners, and the visitors a
+//     device runner parked on their reads;
 //   - terminate.go — the termination layer: the Terminator outstanding-work
 //     counter with init token and CAS-max peak tracking;
 //   - kernels.go — the algorithm layer: the single label-relaxation kernel
@@ -48,11 +53,14 @@ import (
 type Config struct {
 	// Workers is the number of ownership queues, the paper's thread count.
 	// The paper oversubscribes (512 threads on 16 cores) to reduce queue
-	// lock contention; values far above GOMAXPROCS are expected. It is not
-	// the number of goroutines: in memory min(Workers, GOMAXPROCS) runners
-	// serve the queues, each holding one at a time; on a device Workers
-	// runners run, runner i holding queue i, so each queue keeps a storage
-	// read in flight of its own. Defaults to 4 x GOMAXPROCS.
+	// lock contention and to keep flash reads in flight; values far above
+	// GOMAXPROCS are expected. It is not the number of goroutines: R =
+	// min(Workers, GOMAXPROCS) runners serve the queues. In memory a runner
+	// holds one queue at a time; on a device runner r owns the queues
+	// q ≡ r (mod R) for the whole traversal and parks a visitor on its read
+	// instead of waiting in it. Only a device traversal with a pop window
+	// (Prefetch > 1) runs Workers runners, runner i holding queue i, each
+	// reading its window synchronously. Defaults to 4 x GOMAXPROCS.
 	Workers int
 	// SemiSort enables the secondary vertex-id sort key inside each queue,
 	// the paper's semi-external locality optimization (§IV-C).
@@ -61,10 +69,12 @@ type Config struct {
 	// device runner pops up to Prefetch visitors from its queue in one batch
 	// and announces their vertices to the storage back end (via
 	// graph.BatchAdjacency) so adjacency reads are in flight before the
-	// visits run. 0 and 1 pop one visitor a visit; an in-memory graph
-	// ignores it (its runners pop a fixed batch). Window-order visiting is
-	// safe: every relaxation is monotone, and every popped visitor belongs
-	// to the queue the popping runner holds.
+	// visits run. 0 and 1 open no window: a device runner pops one visitor at
+	// a time and parks it on its read (graph.BatchAdjacency.Request) when its
+	// adjacency is not resident. An in-memory graph ignores it (its runners
+	// pop a fixed batch). Window-order visiting is safe: every relaxation is
+	// monotone, and every popped visitor belongs to the queue the popping
+	// runner holds.
 	Prefetch int
 	// Direction selects the BFS implementation (see direction.go). The zero
 	// value, DirectionAuto, lets BFS choose from the graph it is handed: the
@@ -87,8 +97,9 @@ type Config struct {
 	Beta int
 	// Context, when non-nil, cancels the traversal: the moment the context is
 	// done the engine aborts with ctx.Err(), runners stop popping, parked
-	// runners are woken, and Wait returns the cancellation error (a serving
-	// layer's per-query deadline or client disconnect). Nil disables it.
+	// runners are woken (also those waiting on a read), and Wait returns the
+	// cancellation error (a serving layer's per-query deadline or client
+	// disconnect). Nil disables it.
 	Context context.Context
 }
 
@@ -222,12 +233,15 @@ type Engine[V graph.Vertex] struct {
 	visit  VisitFunc[V]
 	queues []*workQueue
 	wg     sync.WaitGroup
+	// wakers counts the goroutines watching parked reads (watch).
+	wakers sync.WaitGroup
 
 	// res holds the recyclable queue and runner state; a pooled traversal's
 	// caller hands it back to its EnginePool after Wait.
 	res *engineRes[V]
 	// stop is closed by Wait once the runners have exited; it retires the
-	// Config.Context watcher goroutine so cancellation support never leaks.
+	// Config.Context watcher goroutine and the parked reads' wakers, so
+	// neither leaks.
 	stop chan struct{}
 	// watcherDone, non-nil iff Start launched a Config.Context watcher, is
 	// closed when that watcher exits. Wait joins on it, so a watcher caught
@@ -250,9 +264,12 @@ type Engine[V graph.Vertex] struct {
 
 	// prefetch, when set (SetPrefetch), receives each runner's pop-window
 	// before the window's visitors execute, so a storage back end can start
-	// adjacency I/O early. Widens the runner loop's pop window to
-	// cfg.Prefetch when that exceeds 1.
+	// adjacency I/O early. Only a windowed traversal calls it.
 	prefetch func(window []pq.Item, scratch *graph.Scratch[V])
+	// request, when set (SetRequest), starts a popped visitor's adjacency
+	// read on a windowless device traversal; a visitor it returns a wait
+	// channel for is parked on it.
+	request func(it pq.Item, scratch *graph.Scratch[V]) (wait <-chan struct{}, full bool)
 
 	// settle, when set (SetSettle), receives the visitor lifecycle: a
 	// VertexQueued at every push site and a VertexSettled for every visitor
@@ -262,6 +279,11 @@ type Engine[V graph.Vertex] struct {
 	settle graph.Settler
 	// device: the graph lives on a storage device (DeliverEveryVisit).
 	device bool
+	// runners is R, the number of runner goroutines Start launched.
+	runners int
+	// leftParked is how many parked visitors Wait's drain found: none
+	// unless the traversal was aborted.
+	leftParked int
 }
 
 // popBatch is how many visitors an in-memory runner pops before it chooses
@@ -296,6 +318,16 @@ func (e *Engine[V]) SetPrefetch(fn func(window []pq.Item, scratch *graph.Scratch
 	e.prefetch = fn
 }
 
+// SetRequest registers the read hook of a windowless device traversal: fn
+// gets each popped visitor and the runner's scratch before the visit and
+// starts its adjacency read (see graph.BatchAdjacency.Request). A non-nil
+// wait parks the visitor, with whatever fn left in scratch.Read, until wait
+// is closed; full tells the runner to run what has landed before it pops
+// again. Without it every visitor runs at once. Must be called before Start.
+func (e *Engine[V]) SetRequest(fn func(it pq.Item, scratch *graph.Scratch[V]) (wait <-chan struct{}, full bool)) {
+	e.request = fn
+}
+
 // SetSettle registers a traversal-state sink (see graph.Settler): the engine
 // notifies it of every visitor queued and settled, the feed behind the SEM
 // cache's pending-run spans. Must be called before Start and before any
@@ -305,22 +337,30 @@ func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }
 
 // DeliverEveryVisit tells the engine its graph lives on a device: every
 // runner delivers its outbox after each visit, so it never blocks in a
-// storage read holding a visitor another could run, and runner i holds queue
-// i throughout, so each queue keeps a read in flight. Must precede Start.
+// storage read holding a visitor another could run, and runner r owns the
+// queues q ≡ r (mod R) throughout. Without a pop window a visitor whose read
+// has not landed is parked (SetRequest); with one, R is Workers and each
+// queue keeps a window's reads in flight of its own. Must precede Start.
 func (e *Engine[V]) DeliverEveryVisit() { e.device = true }
 
-// Start launches the runner goroutines: one per queue on a device, otherwise
-// min(Workers, GOMAXPROCS). It must be called exactly once, before Wait.
+// windowed reports a device traversal with a pop window: one runner per
+// queue, each reading its window synchronously.
+func (e *Engine[V]) windowed() bool { return e.device && e.cfg.Prefetch > 1 }
+
+// Start launches the runner goroutines: one per queue on a windowed device
+// traversal, otherwise min(Workers, GOMAXPROCS). It must be called exactly
+// once, before Wait.
 func (e *Engine[V]) Start() {
 	n := len(e.queues)
-	if !e.device {
+	if !e.windowed() {
 		n = min(n, runtime.GOMAXPROCS(0))
 	}
+	e.runners = n
 	e.res.grow(n)
 	for i, q := range e.queues {
 		q.home = e.res.parkers[i%n]
 		if e.device {
-			q.claim.Store(int32(i + 1))
+			q.claim.Store(int32(i%n + 1))
 		}
 	}
 	if ctx := e.cfg.Context; ctx != nil {
@@ -413,6 +453,7 @@ func (e *Engine[V]) Wait() (Stats, error) {
 	e.wg.Wait()
 	e.drainAborted()
 	close(e.stop)
+	e.wakers.Wait()
 	if e.watcherDone != nil {
 		<-e.watcherDone
 	}
@@ -457,33 +498,37 @@ func (e *Engine[V]) Abort(err error) {
 }
 
 // retire folds a finished runner's counters into the engine totals and lets
-// go of a device runner's queue. Deferred as a bound method, not a closure.
+// go of a device runner's queues. Deferred as a bound method, not a closure.
 func (e *Engine[V]) retire(ctx *Ctx[V], id int) {
 	e.visits.Add(ctx.stats.visits)
 	e.pushes.Add(ctx.stats.pushes)
 	e.pruned.Add(ctx.stats.pruned)
 	if e.device {
-		e.queues[id].claim.Store(0)
+		for q := id; q < len(e.queues); q += e.runners {
+			e.queues[q].claim.Store(0)
+		}
 	}
 	e.wg.Done()
 }
 
 // run is the engine's one loop (§III): hold a queue, pop a batch, visit,
 // push to the hash-selected owners, let go and choose again. An in-memory
-// runner pops popBatch visitors; a device runner pops one, or a
-// Config.Prefetch-wide window it announces to the storage back end (the
-// pop-window hook) before visiting. Every popped visitor came off the queue
-// the runner holds, so exclusive vertex ownership holds at any width.
+// runner pops popBatch visitors; a windowed device runner a Config.Prefetch-
+// wide window it announces to the storage back end (the pop-window hook)
+// before visiting. A windowless device runner runs runParked instead. Every
+// popped visitor came off a queue the runner holds, so exclusive vertex
+// ownership holds at any width.
 //
 //lint:hotpath
 func (e *Engine[V]) run(id int) {
 	ctx := &Ctx[V]{engine: e, Worker: id, Scratch: e.res.scratch[id], out: e.res.outs[id], stats: &e.res.stats[id]}
 	defer e.retire(ctx, id)
-	width, window := popBatch, ctx.stats.pop[:0]
-	if e.device {
-		width = 1
+	if e.device && !e.windowed() {
+		e.runParked(ctx, id)
+		return
 	}
-	if e.prefetch != nil && e.cfg.Prefetch > 1 {
+	width, window := popBatch, ctx.stats.pop[:0]
+	if e.windowed() {
 		width = e.cfg.Prefetch
 		window = make([]pq.Item, 0, width)
 	}
@@ -492,29 +537,12 @@ func (e *Engine[V]) run(id int) {
 	for !e.aborted.Load() {
 		held := e.claim(id, ctx.Worker)
 		if held < 0 {
-			if held = e.park(id, ctx.Worker); held < 0 {
+			if held = e.park(id, ctx.Worker, true); held < 0 {
 				return
 			}
 		}
-		ctx.Worker = held
 		q := e.queues[held]
 		window = q.tryPopBatch(window[:0], width)
-		if invariant.Enabled {
-			if c := q.claim.Load(); c != int32(id+1) {
-				invariant.Failf("owner rule: runner %d popped queue %d, which runner %d holds", id, held, c-1)
-			}
-			for _, it := range window {
-				if o := e.owner(it.V); o != held {
-					invariant.Failf("owner rule: visitor for vertex %d (queue %d) popped from queue %d", it.V, o, held)
-				}
-			}
-			if e.device && held != id {
-				invariant.Failf("delivery rule: runner %d held queue %d on a traversal that pins runner i to queue i", id, held)
-			}
-			if e.device && len(ctx.out.touched) != 0 {
-				invariant.Failf("delivery rule: runner %d popped holding undelivered visitors for %d queues", id, len(ctx.out.touched))
-			}
-		}
 		if len(window) > 1 && e.prefetch != nil && !e.aborted.Load() {
 			e.prefetch(window, ctx.Scratch)
 		}
@@ -522,22 +550,7 @@ func (e *Engine[V]) run(id int) {
 		// settles and finishes every popped visitor: they left the queue, so
 		// Wait's drain will not see them.
 		for _, it := range window {
-			if !e.aborted.Load() {
-				ctx.stats.visits++
-				q.visits++
-				if err := e.visit(ctx, it); err != nil {
-					e.fail(err)
-				}
-			}
-			if e.settle != nil {
-				e.settle.VertexSettled(it.V)
-			}
-			if e.term.Finish() {
-				e.finish()
-			}
-			if e.device {
-				ctx.out.flush()
-			}
+			e.runVisitor(ctx, id, held, it)
 		}
 		if !e.device {
 			q.claim.Store(0)
@@ -545,18 +558,127 @@ func (e *Engine[V]) run(id int) {
 	}
 }
 
-// claim returns the queue runner id now holds, or -1. A device runner holds
-// its own. An in-memory runner takes the best head of the queue it left and
-// two random ones (MultiQueues' "two choices", Rihani, Sanders, Dementiev,
-// SPAA 2015), failing those the best of every queue.
+// runParked is the loop of a windowless device traversal. Runner id owns the
+// queues id, id+R, ... for the whole traversal and pops the lowest head among
+// them (claim), one visitor at a time, whose read the request hook starts. A
+// visitor whose adjacency is not resident is parked on its read — the
+// Terminator still counts it — and the runner pops its next. Parked visitors whose reads
+// have landed run first, a fetch's visitors together, and the runner blocks
+// only when it has nothing else to run. While the back end reports its
+// asynchronous reads full, a runner with parked visitors of its own pops no
+// more: what is parked is bounded by the table, not by a runner count.
+//
+//lint:hotpath
+func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
+	ps := &e.res.parked[id]
+	full := false
+	for !e.aborted.Load() {
+		if i := ps.landed(); i >= 0 {
+			for _, pv := range ps.groups[i].visitors {
+				ctx.Scratch.Read = pv.read
+				e.runVisitor(ctx, id, e.owner(pv.it.V), pv.it)
+			}
+			ps.remove(i)
+			full = false
+			continue
+		}
+		popping, held := !full || len(ps.groups) == 0, -1
+		if popping {
+			held = e.claim(id, ctx.Worker)
+		}
+		if held < 0 {
+			if held = e.park(id, ctx.Worker, popping); held < 0 {
+				if e.done.Load() {
+					return
+				}
+				continue // a read landed
+			}
+		}
+		window := e.queues[held].tryPopBatch(ctx.stats.pop[:0], 1)
+		if len(window) == 0 {
+			continue
+		}
+		it := window[0]
+		if e.request != nil && !e.aborted.Load() {
+			var wait <-chan struct{}
+			if wait, full = e.request(it, ctx.Scratch); wait != nil {
+				ps.add(wait, parkedVisitor{it: it, read: ctx.Scratch.Read})
+				ctx.Scratch.Read = nil
+				continue
+			}
+		}
+		e.runVisitor(ctx, id, held, it)
+	}
+}
+
+// runVisitor runs one popped visitor of queue held — unless the traversal was
+// aborted, which skips the visit — and then settles and finishes it and, on a
+// device, delivers the runner's outbox (the visit trigger).
+//
+//lint:hotpath
+func (e *Engine[V]) runVisitor(ctx *Ctx[V], id, held int, it pq.Item) {
+	if invariant.Enabled {
+		e.assertHeld(ctx, id, held, it)
+	}
+	ctx.Worker = held
+	if !e.aborted.Load() {
+		ctx.stats.visits++
+		e.queues[held].visits++
+		if err := e.visit(ctx, it); err != nil {
+			e.fail(err)
+		}
+	}
+	if e.settle != nil {
+		e.settle.VertexSettled(it.V)
+	}
+	if e.term.Finish() {
+		e.finish()
+	}
+	if e.device {
+		ctx.out.flush()
+	}
+}
+
+// assertHeld checks, under `-tags invariants`, the owner rule at a visit:
+// runner id holds queue held, the visitor is held's, on a device held is one
+// of the queues the runner owns (q ≡ id mod R), and the runner holds no
+// undelivered visitor.
+func (e *Engine[V]) assertHeld(ctx *Ctx[V], id, held int, it pq.Item) {
+	if c := e.queues[held].claim.Load(); c != int32(id+1) {
+		invariant.Failf("owner rule: runner %d popped queue %d, which runner %d holds", id, held, c-1)
+	}
+	if o := e.owner(it.V); o != held {
+		invariant.Failf("owner rule: visitor for vertex %d (queue %d) popped from queue %d", it.V, o, held)
+	}
+	if e.device && held%e.runners != id {
+		invariant.Failf("delivery rule: runner %d ran a visitor of queue %d, which runner %d owns", id, held, held%e.runners)
+	}
+	if e.device && len(ctx.out.touched) != 0 {
+		invariant.Failf("delivery rule: runner %d visits holding undelivered visitors for %d queues", id, len(ctx.out.touched))
+	}
+}
+
+// claim returns the queue runner id now holds, or -1. A device runner takes
+// the best head among the queues it owns, ties going to the lower vertex:
+// the semi-sort key (§IV-C) across its queues as within each, so visitors of
+// one label are read in storage order, not one queue's hash stride at a
+// time. An in-memory runner takes the best head of the queue it left and two
+// random ones (MultiQueues' "two choices", Rihani, Sanders, Dementiev, SPAA
+// 2015), failing those the best of every queue.
 //
 //lint:hotpath
 func (e *Engine[V]) claim(id, last int) int {
 	if e.device {
-		if e.queues[id].head.Load() == 0 {
-			return -1
+		best, head, vertex := -1, uint64(0), uint64(0)
+		for q := id; q < len(e.queues); q += e.runners {
+			wq := e.queues[q]
+			if h := wq.head.Load(); h != 0 && (best < 0 || h <= head) {
+				if v := wq.headV.Load(); best < 0 || h < head || v < vertex {
+					best, head, vertex = q, h, v
+				}
+			}
 		}
-		return id
+		return best
 	}
 	best, head := e.better(last, -1, 0)
 	best, head = e.better(rand.IntN(len(e.queues)), best, head)
@@ -595,59 +717,101 @@ func (e *Engine[V]) scan() int {
 }
 
 // park is the drain trigger and the park rule (mailbox.go): runner id, with
-// no queue to hold, delivers its outbox, marks itself sleeping, tries once
-// more to claim and waits for a wake-up only if that fails. It returns the
-// queue it then holds, or -1 once the traversal is over.
+// nothing to run, delivers its outbox, marks itself sleeping, tries once more
+// to claim (if popping) or to find a landed read among its parked visitors,
+// and waits for a wake-up only if that fails; the landing of a parked read
+// wakes it too (watch). It returns the queue it then holds, or -1 once a
+// read has landed or the traversal is over.
 //
 //lint:hotpath
-func (e *Engine[V]) park(id, last int) int {
+func (e *Engine[V]) park(id, last int, popping bool) int {
 	e.res.outs[id].flush()
-	p := e.res.parkers[id]
+	p, ps := e.res.parkers[id], &e.res.parked[id]
 	for {
 		p.sleeping.Store(true)
-		if held := e.claim(id, last); held >= 0 || e.done.Load() {
+		held := -1
+		if popping {
+			held = e.claim(id, last)
+		}
+		if held >= 0 || e.done.Load() || ps.landed() >= 0 {
 			if !p.sleeping.CompareAndSwap(true, false) {
 				<-p.ch // a waker saw the runner asleep first and owes it a token
 			}
 			return held
 		}
+		e.watch(ps, p)
 		<-p.ch
 	}
 }
 
-// drainAborted settles every visitor an aborted traversal left queued — all
-// queues, all runner outboxes — so a storage back end's settle counters
-// return to where the traversal found them on a mount that outlives the
-// query. Wait runs it once the runners have exited, when nothing can deliver
-// into a queue any more. What is drained is what the Terminator still counts
-// (a Start at every queueing site, a Finish for every popped visitor), which
+// watch has the landing of every parked read wake runner p: each group not
+// yet watched gets a goroutine that waits on its read, or on the end of the
+// traversal, which Wait joins. Only a runner about to sleep watches, so a
+// read that lands while its runner is busy costs no goroutine.
+func (e *Engine[V]) watch(ps *parkedSet, p *parker) {
+	for i := range ps.groups {
+		if g := &ps.groups[i]; !g.watched {
+			g.watched = true
+			e.wakers.Add(1)
+			go e.wakeOn(g.wait, p)
+		}
+	}
+}
+
+// wakeOn wakes p once wait is closed, unless the traversal ends first.
+func (e *Engine[V]) wakeOn(wait <-chan struct{}, p *parker) {
+	defer e.wakers.Done()
+	select {
+	case <-wait:
+		p.wake()
+	case <-e.stop:
+	}
+}
+
+// drainAborted settles and finishes every visitor an aborted traversal left
+// queued or parked — all queues, all runner outboxes, every visitor a runner
+// parked on a read — so a storage back end's settle counters return to where
+// the traversal found them on a mount that outlives the query, the
+// Terminator reaches zero, and no parked visitor holds a read's bytes. Wait
+// runs it once the runners have exited, when nothing can deliver into a
+// queue any more. What is drained is what the Terminator still counts (a
+// Start at every queueing site, a Finish for every visitor run), which
 // `-tags invariants` asserts — on completed traversals too, where that count
 // is zero and every other build skips the walk.
 func (e *Engine[V]) drainAborted() {
-	if !invariant.Enabled && (e.settle == nil || !e.aborted.Load()) {
+	if !invariant.Enabled && !e.aborted.Load() {
 		return
 	}
-	var drained int64
-	settle := func(it pq.Item) {
-		drained++
+	drop := func(it pq.Item) {
 		if e.settle != nil {
 			e.settle.VertexSettled(it.V)
 		}
+		e.term.Finish()
 	}
 	for _, q := range e.queues {
 		for it, ok := q.heap.Pop(); ok; it, ok = q.heap.Pop() {
-			settle(it)
+			drop(it)
 		}
 	}
 	for _, out := range e.res.outs {
 		for owner, buf := range out.bufs {
 			for _, it := range buf {
-				settle(it)
+				drop(it)
 			}
 			out.bufs[owner] = buf[:0]
 		}
 	}
-	if invariant.Enabled && drained != e.term.Outstanding() {
-		invariant.Failf("settle feed: drained %d visitors after Wait, the terminator counts %d queued and unsettled", drained, e.term.Outstanding())
+	for i := range e.res.parked {
+		ps := &e.res.parked[i]
+		for _, g := range ps.groups {
+			for _, pv := range g.visitors {
+				drop(pv.it)
+			}
+			e.leftParked += len(g.visitors)
+		}
+		ps.reset()
+	}
+	if invariant.Enabled && e.term.Outstanding() != 0 {
+		invariant.Failf("settle feed: the terminator counts %d visitors queued or parked after Wait's drain", e.term.Outstanding())
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pq"
+	"repro/internal/sem"
 )
 
 var workerSweep = []int{1, 2, 4, 16, 64}
@@ -351,25 +353,57 @@ func engineGoroutines() (runners, started int) {
 	return runners, started
 }
 
+// countingStore serves a serialized graph from memory and counts the
+// engine's goroutines at its first read once armed.
+type countingStore struct {
+	data             []byte
+	armed            atomic.Bool
+	once             sync.Once
+	runners, started atomic.Int64
+}
+
+func (s *countingStore) ReadAt(p []byte, off int64) (int, error) {
+	if !s.armed.Load() {
+		return bytes.NewReader(s.data).ReadAt(p, off)
+	}
+	s.once.Do(func() {
+		r, st := engineGoroutines()
+		s.runners.Store(int64(r))
+		s.started.Store(int64(st))
+	})
+	return bytes.NewReader(s.data).ReadAt(p, off)
+}
+
 // TestRunnersPerTraversal pins how many goroutines serve the queues, counted
-// from inside a visitor while the traversal runs: in memory at most
-// GOMAXPROCS runners, however many queues, plus the context watcher; on a
-// device one runner per queue.
+// while the traversal runs: in memory (from inside a visitor) and on a device
+// without a pop window (at the first adjacency read) at most GOMAXPROCS
+// runners, however many queues, plus the context watcher; on a device with a
+// pop window one runner per queue.
 func TestRunnersPerTraversal(t *testing.T) {
-	for _, device := range []bool{false, true} {
-		workers, want := 512, min(512, runtime.GOMAXPROCS(0))
-		if device {
-			workers, want = 64, 64
-		}
+	settle := func(t *testing.T) {
 		// An earlier engine's runners may still be returning from Wait's join.
 		for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
 			if _, left := engineGoroutines(); left == 0 {
-				break
+				return
 			}
 			if time.Now().After(deadline) {
 				t.Fatal("goroutines of an earlier engine are still running")
 			}
 		}
+	}
+	check := func(t *testing.T, st Stats, workers, want, runners, started int) {
+		t.Helper()
+		if st.Workers != workers || len(st.WorkerVisits) != workers {
+			t.Fatalf("stats report %d workers and %d per-queue counts, want %d", st.Workers, len(st.WorkerVisits), workers)
+		}
+		if runners != want || started > want+1 {
+			t.Fatalf("%d queues: %d runner goroutines and %d started by the engine, want %d runners plus the context watcher",
+				workers, runners, started, want)
+		}
+	}
+	t.Run("in memory", func(t *testing.T) {
+		settle(t)
+		workers, want := 512, min(512, runtime.GOMAXPROCS(0))
 		var runners, started int
 		var once sync.Once
 		visit := func(ctx *Ctx[uint32], it pq.Item) error {
@@ -380,22 +414,39 @@ func TestRunnersPerTraversal(t *testing.T) {
 			return nil
 		}
 		e := New[uint32](Config{Workers: workers, Context: context.Background()}, visit)
-		if device {
-			e.DeliverEveryVisit()
-		}
 		e.Start()
 		e.Push(0, 0, 0)
 		st, err := e.Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Workers != workers || len(st.WorkerVisits) != workers {
-			t.Fatalf("device=%v: stats report %d workers and %d per-queue counts, want %d", device, st.Workers, len(st.WorkerVisits), workers)
-		}
-		if runners != want || started > want+1 {
-			t.Fatalf("device=%v, %d queues: %d runner goroutines and %d started by the engine, want %d runners plus the context watcher",
-				device, workers, runners, started, want)
-		}
+		check(t, st, workers, want, runners, started)
+	})
+	g := randomDigraph(t, 300, 2400, true, 23)
+	var buf bytes.Buffer
+	if err := sem.Write(&buf, g, sem.WriteConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	for name, window := range map[string]int{"device without a pop window": 0, "device with a pop window": 16} {
+		t.Run(name, func(t *testing.T) {
+			settle(t)
+			workers, want := 64, min(64, runtime.GOMAXPROCS(0))
+			if window > 1 {
+				want = workers
+			}
+			store := &countingStore{data: buf.Bytes()}
+			sg, err := sem.Open[uint32](store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store.armed.Store(true)
+			pool := NewEnginePool[uint32](Config{Workers: workers, Prefetch: window})
+			res, err := pool.SSSP(context.Background(), sg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, res.Stats, workers, want, int(store.runners.Load()), int(store.started.Load()))
+		})
 	}
 }
 

@@ -21,6 +21,11 @@ func (w *windowAdj) NeighborsBatch(vs []uint32, _ *graph.Scratch[uint32]) {
 	w.announced += len(vs)
 }
 
+// Request never runs: a windowed traversal starts no single reads.
+func (w *windowAdj) Request(uint32, *graph.Scratch[uint32]) (<-chan struct{}, bool) {
+	return nil, false
+}
+
 func labelDigest(labels []graph.Dist) uint64 {
 	h := fnv.New64a()
 	var b [8]byte

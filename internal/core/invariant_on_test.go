@@ -132,7 +132,8 @@ func TestPoolResetRestoresPristine(t *testing.T) {
 
 // TestLostProposalPanics leaves the state a sender would that won the claim
 // on labels[t] and then skipped the push: the traversal completes, but t's
-// word holds a claim no visit ever applied.
+// word holds a claim no visit ever applied. A completed traversal that left
+// visitors parked on reads fails the same check.
 func TestLostProposalPanics(t *testing.T) {
 	g := randomDigraph(t, 8, 16, false, 1)
 	labels := make([]uint64, g.NumVertices())
@@ -140,7 +141,8 @@ func TestLostProposalPanics(t *testing.T) {
 	src := uint32(0)
 	k := newKernelState[uint32](g, labels, nil, bfsStep, &src)
 	k.applied[src] = 0
-	k.assertQuiescent() // the seed was applied, nothing else was claimed
+	k.assertQuiescent(0) // the seed was applied, nothing else was claimed
+	expectInvariantPanic(t, "left 2 visitors parked", func() { k.assertQuiescent(2) })
 	labels[3] = 1
-	expectInvariantPanic(t, "proposal filter", k.assertQuiescent)
+	expectInvariantPanic(t, "proposal filter", func() { k.assertQuiescent(0) })
 }

@@ -149,9 +149,13 @@ func (k *kernelState[V]) propose(ctx *Ctx[V], pri uint64, t V, aux uint64) {
 }
 
 // assertQuiescent checks a completed traversal under `-tags invariants`:
-// every claimed proposal was delivered and applied, so every vertex's label
-// is the priority its last visit applied.
-func (k *kernelState[V]) assertQuiescent() {
+// no visitor was left parked on a read (parked, what Wait's drain found),
+// and every claimed proposal was delivered and applied, so every vertex's
+// label is the priority its last visit applied.
+func (k *kernelState[V]) assertQuiescent(parked int) {
+	if parked != 0 {
+		invariant.Failf("quiescence: a completed traversal left %d visitors parked on reads", parked)
+	}
 	for v, a := range k.applied {
 		if a != k.labels[v] {
 			invariant.Failf("proposal filter: vertex %d finished with claimed label %d but its last visit applied %d", v, k.labels[v], a)
@@ -191,37 +195,7 @@ func runKernel[V graph.Vertex](
 		res = newEngineRes[V](cfg)
 	}
 	k := newKernelState(g, labels, parent, step, src)
-	e := newEngine(cfg, k.visit, res)
-	// A storage back end that caches blocks opts in through an optional
-	// capability: a SettleProvider's sink receives the visitor lifecycle,
-	// feeding the per-block settle counters behind the cache's span
-	// shaping. The sink is nil when nothing consumes the
-	// feed, so in-memory and raw-device mounts wire nothing.
-	if sp, ok := g.(graph.SettleProvider); ok {
-		if sink := sp.SettleSink(); sink != nil {
-			e.SetSettle(sink)
-		}
-	}
-	if ba, ok := onDevice(g); ok {
-		e.DeliverEveryVisit()
-		if cfg.Prefetch > 1 {
-			e.SetPrefetch(func(window []pq.Item, scratch *graph.Scratch[V]) {
-				vs := scratch.Window[:0]
-				for _, it := range window {
-					v := V(it.V)
-					// An overtaken visitor will be dropped at visit time; skip
-					// its I/O too.
-					if it.Pri <= atomic.LoadUint64(&labels[v]) {
-						vs = append(vs, v)
-					}
-				}
-				scratch.Window = vs
-				if len(vs) > 0 {
-					ba.NeighborsBatch(vs, scratch)
-				}
-			})
-		}
-	}
+	e := k.engine(cfg, res)
 	e.Start()
 	if src != nil {
 		e.Push(0, *src, uint64(*src))
@@ -232,12 +206,56 @@ func runKernel[V graph.Vertex](
 	}
 	st, err := e.Wait()
 	if invariant.Enabled && err == nil {
-		k.assertQuiescent()
+		k.assertQuiescent(e.leftParked)
 	}
 	if pool != nil {
 		pool.release(res)
 	}
 	return st, err
+}
+
+// engine wires an engine for the kernel onto res: the settle sink of a back
+// end that wants the visitor lifecycle and, on a device, delivery after every
+// visit and the read hook of the pop window or of a parked visitor.
+func (k *kernelState[V]) engine(cfg Config, res *engineRes[V]) *Engine[V] {
+	e := newEngine(cfg, k.visit, res)
+	// A storage back end that caches blocks opts in through an optional
+	// capability: a SettleProvider's sink receives the visitor lifecycle,
+	// feeding the per-block settle counters behind the cache's span
+	// shaping. The sink is nil when nothing consumes the
+	// feed, so in-memory and raw-device mounts wire nothing.
+	if sp, ok := k.g.(graph.SettleProvider); ok {
+		if sink := sp.SettleSink(); sink != nil {
+			e.SetSettle(sink)
+		}
+	}
+	// An overtaken visitor will be dropped at visit time; the device hooks
+	// skip its I/O too.
+	if ba, ok := onDevice(k.g); ok {
+		e.DeliverEveryVisit()
+		if cfg.Prefetch > 1 {
+			e.SetPrefetch(func(window []pq.Item, scratch *graph.Scratch[V]) {
+				vs := scratch.Window[:0]
+				for _, it := range window {
+					if v := V(it.V); it.Pri <= atomic.LoadUint64(&k.labels[v]) {
+						vs = append(vs, v)
+					}
+				}
+				scratch.Window = vs
+				if len(vs) > 0 {
+					ba.NeighborsBatch(vs, scratch)
+				}
+			})
+		} else {
+			e.SetRequest(func(it pq.Item, scratch *graph.Scratch[V]) (<-chan struct{}, bool) {
+				if it.Pri > atomic.LoadUint64(&k.labels[it.V]) {
+					return nil, false
+				}
+				return ba.Request(V(it.V), scratch)
+			})
+		}
+	}
+	return e
 }
 
 // initLabels fills labels with InfDist and parent (if non-nil) with NoVertex.

@@ -9,7 +9,8 @@ import (
 
 // This file is the engine's mailbox layer: the lock-protected ownership
 // queues (mailboxes), the per-runner outboxes that batch pushes destined for
-// other queues, and the park/wake rule of the runners that serve the queues.
+// other queues, the park/wake rule of the runners that serve the queues, and
+// the visitors a device runner parked on their reads.
 //
 // The paper hides queue-lock contention by oversubscribing threads (512 on 16
 // cores, §IV-A) so that any one queue's lock is rarely fought over. The
@@ -22,7 +23,8 @@ import (
 //  2. drain: its runner found no queue to hold and is about to park, which
 //     makes starvation and outbox-induced deadlock impossible;
 //  3. visit: on a device-backed traversal (Engine.DeliverEveryVisit), the
-//     end of every visit — a runner blocked in a storage read holds a queue
+//     end of every visit — the next visitor a runner pops may be parked on a
+//     read, and a windowed runner waits in its reads while it holds a queue
 //     that is not empty.
 //
 // The termination counter includes buffered visitors, so a traversal cannot
@@ -41,7 +43,9 @@ type workQueue struct {
 	heap *pq.Heap
 	// head is the best queued priority + 1 (saturating), 0 when empty:
 	// published under mu at every push and pop, read by runners choosing.
-	head atomic.Uint64
+	// headV is that visitor's vertex, the semi-sort key a device runner
+	// breaks ties between its queues with.
+	head, headV atomic.Uint64
 	// claim is the id + 1 of the runner holding the queue, 0 when none does.
 	claim atomic.Int32
 	// visits counts the visitors run from this queue; only its holder writes.
@@ -50,11 +54,13 @@ type workQueue struct {
 	home *parker
 }
 
-// publish stores the heap's best priority in head. Must hold q.mu.
+// publish stores the heap's best priority in head and its vertex in headV.
+// Must hold q.mu.
 func (q *workQueue) publish() {
 	var h uint64
 	if it, ok := q.heap.Min(); ok {
 		h = min(it.Pri, ^uint64(0)-1) + 1
+		q.headV.Store(it.V)
 	}
 	q.head.Store(h)
 }
@@ -161,4 +167,82 @@ func (o *outbox) reset() {
 		o.bufs[owner], o.listed[owner] = o.bufs[owner][:0], false
 	}
 	o.touched = o.touched[:0]
+}
+
+// parkedVisitor is a popped visitor waiting on its adjacency read, and the
+// read the back end left in the scratch, handed back before the visit.
+type parkedVisitor struct {
+	it   pq.Item
+	read any
+}
+
+// fetchGroup is the visitors one runner parked on one fetch. watched marks a
+// group whose landing wakes the runner (Engine.watch).
+type fetchGroup struct {
+	wait     <-chan struct{}
+	visitors []parkedVisitor
+	watched  bool
+}
+
+// parkedSet is one device runner's parked visitors, grouped by the fetch
+// they wait on, oldest group first. Only its runner touches it while the
+// traversal runs. Groups past len keep their visitor buffers for reuse.
+type parkedSet struct {
+	groups []fetchGroup
+}
+
+// add parks pv on wait, in the group of the visitors already waiting on it.
+//
+//lint:hotpath
+func (s *parkedSet) add(wait <-chan struct{}, pv parkedVisitor) {
+	i := 0
+	for i < len(s.groups) && s.groups[i].wait != wait {
+		i++
+	}
+	if i == len(s.groups) { // the first visitor parked on this fetch
+		if i == cap(s.groups) {
+			s.groups = append(s.groups, fetchGroup{})
+		} else {
+			s.groups = s.groups[:i+1]
+		}
+		g := &s.groups[i]
+		g.wait, g.visitors, g.watched = wait, g.visitors[:0], false
+	}
+	s.groups[i].visitors = append(s.groups[i].visitors, pv)
+}
+
+// landed returns the oldest group whose read has landed, or -1.
+//
+//lint:hotpath
+func (s *parkedSet) landed() int {
+	for i := range s.groups {
+		select {
+		case <-s.groups[i].wait:
+			return i
+		default:
+		}
+	}
+	return -1
+}
+
+// remove drops group i, whose visitors have run, keeping the order of the
+// rest and its buffer for the next group.
+//
+//lint:hotpath
+func (s *parkedSet) remove(i int) {
+	g := s.groups[i]
+	clear(g.visitors) // the reads' bytes go with their visitors
+	copy(s.groups[i:], s.groups[i+1:])
+	last := len(s.groups) - 1
+	s.groups[last] = fetchGroup{visitors: g.visitors[:0]}
+	s.groups = s.groups[:last]
+}
+
+// reset drops every group without running it.
+func (s *parkedSet) reset() {
+	for i := range s.groups {
+		clear(s.groups[i].visitors)
+		s.groups[i].visitors = s.groups[i].visitors[:0]
+	}
+	s.groups = s.groups[:0]
 }

@@ -43,6 +43,7 @@ type engineRes[V graph.Vertex] struct {
 	stats   []workerStats
 	outs    []*outbox
 	parkers []*parker
+	parked  []parkedSet
 
 	// pooled marks a set currently sitting on the free list. Only consulted
 	// under `-tags invariants`, where releasing a set twice — which would let
@@ -67,6 +68,7 @@ func (r *engineRes[V]) grow(n int) {
 		r.outs = append(r.outs, newOutbox(r.queues))
 		r.scratch = append(r.scratch, &graph.Scratch[V]{})
 		r.parkers = append(r.parkers, &parker{ch: make(chan struct{}, 1)})
+		r.parked = append(r.parked, parkedSet{})
 	}
 	if len(r.stats) < n {
 		r.stats = make([]workerStats, n)
@@ -75,8 +77,9 @@ func (r *engineRes[V]) grow(n int) {
 
 // reset returns the resource set to its pristine state: outbox buffers are
 // discarded (an aborted runner can exit holding undelivered visitors), the
-// queues emptied and their counts zeroed. Scratch keeps its decode buffers
-// but drops any prefetch session, which is tied to the previous run's graph.
+// queues emptied and their counts zeroed, parked visitors dropped. Scratch
+// keeps its decode buffers but drops any prefetch session and started read,
+// which are tied to the previous run's graph.
 func (r *engineRes[V]) reset() {
 	for _, o := range r.outs {
 		o.reset()
@@ -89,7 +92,10 @@ func (r *engineRes[V]) reset() {
 		q.visits = 0
 	}
 	for _, s := range r.scratch {
-		s.Prefetch = nil
+		s.Prefetch, s.Read = nil, nil
+	}
+	for i := range r.parked {
+		r.parked[i].reset()
 	}
 	for i := range r.stats {
 		r.stats[i] = workerStats{} // counters belong to the finished traversal
@@ -100,10 +106,10 @@ func (r *engineRes[V]) reset() {
 }
 
 // assertPristine panics unless the resource set is in its post-reset state:
-// every queue empty and held by no runner, every outbox buffer empty. A dirty
-// set re-entering the pool would leak visitors, or a queue no runner can
-// claim, into the next traversal. Called from reset under `-tags
-// invariants`; exercised directly by tests.
+// every queue empty and held by no runner, every outbox buffer empty, no
+// visitor parked. A dirty set re-entering the pool would leak visitors, or a
+// queue no runner can claim, into the next traversal. Called from reset
+// under `-tags invariants`; exercised directly by tests.
 func (r *engineRes[V]) assertPristine() {
 	for i, q := range r.queues {
 		q.mu.Lock()
@@ -121,6 +127,11 @@ func (r *engineRes[V]) assertPristine() {
 			if len(buf) != 0 {
 				invariant.Failf("engine pool: recycled outbox %d still buffers %d visitors for owner %d after reset", i, len(buf), owner)
 			}
+		}
+	}
+	for i := range r.parked {
+		if n := len(r.parked[i].groups); n != 0 {
+			invariant.Failf("engine pool: recycled runner %d still has visitors parked on %d reads after reset", i, n)
 		}
 	}
 }

@@ -48,6 +48,12 @@ type Scratch[V Vertex] struct {
 	Block   []byte
 	// Window is the engine's buffer for one pop window's NeighborsBatch argument.
 	Window []V
+	// Read is the adjacency read BatchAdjacency.Request started for the next
+	// Neighbors call on this scratch: Request leaves it here, an engine that
+	// parks the visitor takes it along and puts it back before the visit, and
+	// Neighbors decodes from it instead of reading again. Opaque to all but
+	// the back end that set it.
+	Read any
 	// Prefetch is an opaque per-worker prefetch session owned by storage
 	// back ends that implement BatchAdjacency. The engine only carries it
 	// alongside the worker's other scratch state; the back end allocates and
@@ -68,17 +74,27 @@ type Adjacency[V Vertex] interface {
 	Neighbors(v V, scratch *Scratch[V]) (targets []V, weights []Weight, err error)
 }
 
-// BatchAdjacency is implemented by storage back ends that can service a
-// window of upcoming adjacency reads asynchronously. NeighborsBatch announces
-// the vertices the calling worker will visit next; the back end may begin I/O
-// immediately and hand each completed read to the subsequent Neighbors call
-// for that vertex on the same scratch, without copying. Reads still
-// unconsumed when the next NeighborsBatch arrives on the scratch are
-// abandoned. In-memory back ends, for which adjacency access is free, have no
-// reason to implement this.
+// BatchAdjacency is implemented by storage back ends that can service
+// adjacency reads asynchronously: the "on a device" capability. In-memory
+// back ends, for which adjacency access is free, have no reason to implement
+// it.
+//
+// NeighborsBatch announces a window of vertices the calling worker will visit
+// next; the back end may begin I/O immediately and hand each completed read
+// to the subsequent Neighbors call for that vertex on the same scratch,
+// without copying. Reads still unconsumed when the next NeighborsBatch
+// arrives on the scratch are abandoned.
+//
+// Request starts the read of one vertex's adjacency and leaves it in
+// scratch.Read for the Neighbors call of that vertex. wait is nil when the
+// bytes are already resident; otherwise it is closed once the read has landed,
+// and visitors whose reads share one fetch get the same channel. full reports
+// that the back end has as many asynchronous reads outstanding as it wants:
+// a caller should run what has landed before it requests more.
 type BatchAdjacency[V Vertex] interface {
 	Adjacency[V]
 	NeighborsBatch(vs []V, scratch *Scratch[V])
+	Request(v V, scratch *Scratch[V]) (wait <-chan struct{}, full bool)
 }
 
 // Settler is implemented by storage back ends that want traversal-state

@@ -64,7 +64,8 @@ func ExtractShard[V Vertex](g *CSR[V], shard, shards int) (*CSR[V], error) {
 // BatchAdjacency, so the one traversal kernel runs over a sharded mount
 // unchanged; NeighborsBatch partitions a worker's pop-window by owning shard
 // and hands each member its group, so every shard's prefetcher coalesces and
-// issues spans against its own device concurrently.
+// issues spans against its own device concurrently, and Request hands one
+// vertex's read to its member.
 //
 // Sharded itself is stateless beyond the member list — all per-worker state
 // (per-shard sub-scratches, window groups) lives in the caller's Scratch — so
@@ -178,7 +179,26 @@ func (s *Sharded[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, error) 
 		scratch = &Scratch[V]{}
 	}
 	k, u := s.owner(v)
-	return s.members[k].Neighbors(u, s.state(scratch).subs[k])
+	sub := s.state(scratch).subs[k]
+	if scratch.Read != nil { // the read Request moved up for this visit
+		sub.Read, scratch.Read = scratch.Read, nil
+	}
+	return s.members[k].Neighbors(u, sub)
+}
+
+// Request implements BatchAdjacency: v's owning member starts the read on its
+// sub-scratch, and the read moves up to scratch.Read, where the engine finds
+// it, until Neighbors hands it back. A member that cannot batch reads
+// synchronously at the visit.
+func (s *Sharded[V]) Request(v V, scratch *Scratch[V]) (<-chan struct{}, bool) {
+	k, u := s.owner(v)
+	if scratch == nil || s.batch[k] == nil {
+		return nil, false
+	}
+	sub := s.state(scratch).subs[k]
+	wait, full := s.batch[k].Request(u, sub)
+	scratch.Read, sub.Read = sub.Read, nil
+	return wait, full
 }
 
 // NeighborsBatch implements BatchAdjacency: group the pop-window by owning

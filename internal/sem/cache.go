@@ -31,6 +31,9 @@ type CachedStore struct {
 	capBlocks int64 // total block budget across shards; 0 keeps nothing
 	shards    []cacheShard
 	io        chan struct{} // bounds the asynchronous fetches (request)
+	// async counts the asynchronous fetches requested and not yet done:
+	// those on the I/O pool and those queued for a slot on it.
+	async atomic.Int64
 
 	// pending counts the queued visitors per block. Only span shaping reads
 	// it (ahead); only a graph mounted with EnableStateCache writes it, and
@@ -347,6 +350,7 @@ func (c *CachedStore) request(held []*cacheEntry, lo, hi int64) (_ []*cacheEntry
 	owned = c.ahead(owned)
 	off = owned[0].id * c.blockSize
 	n = min((owned[len(owned)-1].id+1)*c.blockSize, c.size) - off
+	c.async.Add(1)
 	go c.submit(owned)
 	return held, off, n
 }
@@ -357,6 +361,17 @@ func (c *CachedStore) submit(owned []*cacheEntry) {
 	c.io <- struct{}{}
 	_ = c.fetch(nil, 0, owned) // every reader finds the error on its entries
 	<-c.io
+	c.async.Add(-1)
+}
+
+// full reports that the asynchronous fetches outstanding have reached twice
+// the I/O pool — a pool's worth on the device and as many queued behind it,
+// so a slot that frees is taken at once — or that the blocks under I/O have
+// reached the cache's budget, past which what lands evicts what landed
+// before its readers came. A reader that can wait on what it has in flight
+// should request no more (graph.BatchAdjacency.Request).
+func (c *CachedStore) full() bool {
+	return c.async.Load() >= 2*int64(cap(c.io)) || (c.capBlocks > 0 && c.flying.Load() >= c.capBlocks)
 }
 
 // read returns the n bytes at off. A reader of a zero-budget table with no

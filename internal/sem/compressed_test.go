@@ -178,7 +178,11 @@ func TestCompressedSEMSSSPMatchesRaw(t *testing.T) {
 }
 
 // A compressed traversal must read fewer device bytes than the raw format on
-// the same workload — checked end to end through ssd.Stats.
+// the same workload — checked end to end through ssd.Stats. The traversal
+// reads each adjacency extent exactly: the graph is handed to the engine as a
+// plain graph.Adjacency, because on a device the engine parks visitors on
+// whole 4 KiB block reads of the table, whose bytes depend on which reads
+// overlap in time rather than on the format.
 func TestCompressedReadsFewerDeviceBytes(t *testing.T) {
 	g, err := gen.RMAT[uint32](10, 8, gen.RMATB, 42)
 	if err != nil {
@@ -193,7 +197,7 @@ func TestCompressedReadsFewerDeviceBytes(t *testing.T) {
 		// Snapshot after open: the criterion is about traversal reads, and at
 		// unit-test scales the index read would otherwise dominate.
 		opened := dev.Stats().BytesRead
-		if _, err := core.BFS[uint32](sg, 0, core.Config{Workers: 8, SemiSort: true}); err != nil {
+		if _, err := core.BFS[uint32](struct{ graph.Adjacency[uint32] }{sg}, 0, core.Config{Workers: 8, SemiSort: true}); err != nil {
 			t.Fatal(err)
 		}
 		return dev.Stats().BytesRead - opened
@@ -340,6 +344,62 @@ func TestNeighborsDecodeNoAllocs(t *testing.T) {
 		decode() // warm: grows the scratch buffers to the largest adjacency
 		if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
 			t.Fatalf("%s: decoding 200 adjacencies allocates %.1f times, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestRequestResidentNoAllocs pins the parked path's common case at zero heap
+// allocations: once every block is cached, Request reports nothing to wait
+// for and the Neighbors call that follows decodes from the entries Request
+// held, in both edge formats, with no further read of the table.
+func TestRequestResidentNoAllocs(t *testing.T) {
+	g := buildGraph(t, 200, 2000, true, 3)
+	for _, tc := range []struct {
+		name string
+		back *ssd.MemBacking
+	}{{"v1", writeToMem(t, g)}, {"v2", writeCompressedToMem(t, g)}} {
+		cache, err := NewCachedStore(fastDevice(tc.back), 512, int64(len(tc.back.Data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg, err := Open[uint32](cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := &graph.Scratch[uint32]{}
+		visit := func() {
+			for v := uint32(0); v < 200; v++ {
+				if wait, _ := sg.Request(v, scratch); wait != nil {
+					<-wait
+				}
+				if _, _, err := sg.Neighbors(v, scratch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		visit() // warm: fills the cache and grows the scratch buffers
+		_, misses := cache.Stats()
+		if allocs := testing.AllocsPerRun(20, visit); allocs != 0 {
+			t.Fatalf("%s: requesting and decoding 200 resident adjacencies allocates %.1f times, want 0", tc.name, allocs)
+		}
+		// The table counts a hit per block claimed: decoding adds none.
+		claims := func(fn func(v uint32)) uint64 {
+			h, _ := cache.Stats()
+			for v := uint32(0); v < 200; v++ {
+				fn(v)
+			}
+			after, _ := cache.Stats()
+			return after - h
+		}
+		requests := claims(func(v uint32) { sg.Request(v, scratch) })
+		visits := claims(func(v uint32) {
+			sg.Request(v, scratch)
+			if _, _, err := sg.Neighbors(v, scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if _, m := cache.Stats(); m != misses || visits != requests {
+			t.Fatalf("%s: %d misses after warming, %d claims with decoding against %d without", tc.name, m-misses, visits, requests)
 		}
 	}
 }

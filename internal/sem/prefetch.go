@@ -5,7 +5,12 @@ package sem
 // pop-window on a raw-device mount, and the BFS driver each ioFanout slice of
 // a top-down phase's frontier on every mount. The graph serves them once a
 // prefetcher is attached: Open attaches one over a CachedStore, a table that
-// keeps blocks, and a raw mount calls EnablePrefetch. The engine's SemiSort
+// keeps blocks, and a raw mount calls EnablePrefetch. The engine without a
+// pop window — every cached mount — asks for one vertex at a time through
+// Request instead: the blocks under its extent are requested from the table
+// the same way, a visitor whose blocks are not all resident is parked on the
+// fetch until it lands while its runner runs other work, and Neighbors then
+// decodes from the entries Request held. The engine's SemiSort
 // key arranges for each worker to pop runs of id-adjacent vertices (§IV-C);
 // their adjacency extents therefore sit near each other in the on-device edge
 // region. A window's extents merge into ranges while each next one starts
@@ -312,6 +317,54 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 		i = j
 	}
 	sess.exts, sess.held = exts, held
+}
+
+// heldRead is one vertex's read started by Request: the entries of the
+// blocks under its extent, held so that their bytes outlive the cache's
+// eviction and the zero-budget table's forgetting until Neighbors decodes
+// them. live is cleared when Neighbors has; a runner's next Request reuses
+// the struct it finds in the scratch.
+type heldRead struct {
+	table *CachedStore
+	v     uint64
+	off   int64
+	n     int
+	held  []*cacheEntry
+	live  bool
+}
+
+// Request implements graph.BatchAdjacency: it requests the blocks under v's
+// adjacency extent from the table — a resident block is held at once, an
+// absent one joins a fetch in flight or starts one on the I/O pool, with the
+// miss's readahead — and leaves the held entries in scratch.Read, where the
+// Neighbors call for v finds them without a second claim. wait is the ready
+// channel of a fetch the entries are still under (the first such), nil when
+// every byte is resident; full reports the table at its bound on
+// asynchronous reads (CachedStore.full). A resident extent allocates nothing.
+func (g *Graph[V]) Request(v V, scratch *graph.Scratch[V]) (wait <-chan struct{}, full bool) {
+	c := g.table
+	off, n := g.out.extent(v)
+	lo, hi := off/c.blockSize, (off+int64(n)-1)/c.blockSize+1
+	if n > 0 && hi <= c.maxBlock { // else Neighbors reads, and reports, it
+		r, _ := scratch.Read.(*heldRead)
+		if r == nil {
+			r = &heldRead{}
+		}
+		clear(r.held)
+		r.held, _, _ = c.request(r.held[:0], lo, hi)
+		r.table, r.v, r.off, r.n, r.live = c, uint64(v), off, n, true
+		for _, e := range r.held {
+			select {
+			case <-e.ready:
+				continue
+			default:
+				wait = e.ready
+			}
+			break
+		}
+		scratch.Read = r
+	}
+	return wait, c.full()
 }
 
 // The semi-external graph is the repository's only BatchAdjacency back end.

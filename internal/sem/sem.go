@@ -743,10 +743,11 @@ func (s *section[V]) decode(block []byte, v V, scratch *graph.Scratch[V]) ([]V, 
 
 // Neighbors implements graph.Adjacency with one read through the table per
 // call — the semi-external random access the experiments measure. When the
-// worker's scratch carries a prefetch session holding v's window entries (see
-// NeighborsBatch), the call waits for their reads instead of issuing its own
-// and decodes straight out of the fetched bytes. The decoded slices live in
-// scratch and are valid until the next call.
+// worker's scratch carries the read Request started for v, or a prefetch
+// session holding v's window entries (see NeighborsBatch), the call waits for
+// those reads instead of issuing its own and decodes straight out of the
+// fetched bytes. The decoded slices live in scratch and are valid until the
+// next call.
 func (g *Graph[V]) Neighbors(v V, scratch *graph.Scratch[V]) ([]V, []graph.Weight, error) {
 	return g.neighbors(&g.out, v, scratch)
 }
@@ -762,7 +763,10 @@ func (g *Graph[V]) neighbors(s *section[V], v V, scratch *graph.Scratch[V]) ([]V
 	var block []byte
 	var err error
 	taken := false
-	if sess, ok := scratch.Prefetch.(*prefetchSession); ok && s == &g.out {
+	if r, ok := scratch.Read.(*heldRead); ok && r.live && r.v == uint64(v) && r.table == g.table && s == &g.out {
+		r.live, taken = false, true
+		block, err = gather(r.held, g.table.blockSize, r.off, r.n, &scratch.Block)
+	} else if sess, ok := scratch.Prefetch.(*prefetchSession); ok && s == &g.out {
 		block, err, taken = sess.take(uint64(v), g.table.blockSize, &scratch.Block)
 	}
 	if !taken {

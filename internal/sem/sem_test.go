@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"sync/atomic"
@@ -205,16 +206,40 @@ func (e *erroringStore) ReadAt(p []byte, off int64) (int, error) {
 	return e.inner.ReadAt(p, off)
 }
 
+// TestTraversalSurfacesDeviceFailure fails the device halfway through a
+// traversal's reads. How many reads a traversal makes depends on its read
+// shape — one per visit when a visit reads its extent, a few when parked
+// visitors share 4 KiB blocks — and, when they share, on which reads are in
+// flight together, so healthy runs count them first and the fewest counts.
 func TestTraversalSurfacesDeviceFailure(t *testing.T) {
 	g := buildGraph(t, 200, 2000, false, 6)
 	back := writeToMem(t, g)
-	store := &erroringStore{inner: fastDevice(back), after: 20}
-	sg, err := Open[uint32](store)
-	if err != nil {
-		t.Fatal(err)
+	// bfs fails the device after its first `after` traversal reads and
+	// reports how many the traversal made.
+	bfs := func(after int64) (reads int64, err error) {
+		store := &erroringStore{inner: fastDevice(back), after: math.MaxInt64}
+		sg, err := Open[uint32](store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened := store.count.Load()
+		store.after = opened + after
+		_, err = core.BFS[uint32](sg, 0, core.Config{Workers: 4})
+		return store.count.Load() - opened, err
 	}
-	if _, err := core.BFS[uint32](sg, 0, core.Config{Workers: 4}); err == nil {
-		t.Fatal("BFS over failing device did not return an error")
+	healthy := int64(math.MaxInt64)
+	for range 5 {
+		reads, err := bfs(math.MaxInt64 / 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		healthy = min(healthy, reads)
+	}
+	if healthy < 2 {
+		t.Fatalf("a healthy BFS read the device %d times: nothing to fail halfway", healthy)
+	}
+	if _, err := bfs(healthy / 2); err == nil {
+		t.Fatalf("BFS over a device failing after %d of its %d reads did not return an error", healthy/2, healthy)
 	}
 }
 
