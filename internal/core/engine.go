@@ -358,7 +358,7 @@ func (e *Engine[V]) Start() {
 	e.runners = n
 	e.res.grow(n)
 	for i, q := range e.queues {
-		q.home = e.res.parkers[i%n]
+		q.home, q.tieV = e.res.parkers[i%n], e.device
 		if e.device {
 			q.claim.Store(int32(i%n + 1))
 		}
@@ -562,11 +562,12 @@ func (e *Engine[V]) run(id int) {
 // queues id, id+R, ... for the whole traversal and pops the lowest head among
 // them (claim), one visitor at a time, whose read the request hook starts. A
 // visitor whose adjacency is not resident is parked on its read — the
-// Terminator still counts it — and the runner pops its next. Parked visitors whose reads
-// have landed run first, a fetch's visitors together, and the runner blocks
-// only when it has nothing else to run. While the back end reports its
-// asynchronous reads full, a runner with parked visitors of its own pops no
-// more: what is parked is bounded by the table, not by a runner count.
+// Terminator still counts it — and the runner pops its next. Parked visitors
+// whose reads have landed run first, a fetch's visitors together (one still
+// under another fetch parks again), and the runner blocks only when it has
+// nothing else to run. While the back end reports its asynchronous reads
+// full, a runner with parked visitors of its own pops no more: what is
+// parked is bounded by the table, not by a runner count.
 //
 //lint:hotpath
 func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
@@ -574,8 +575,17 @@ func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
 	full := false
 	for !e.aborted.Load() {
 		if i := ps.landed(); i >= 0 {
+			// A visitor whose extent is under another fetch too parks again
+			// on it: the hook re-checks the read the visitor carries.
 			for _, pv := range ps.groups[i].visitors {
 				ctx.Scratch.Read = pv.read
+				if e.request != nil && !e.aborted.Load() {
+					if wait, _ := e.request(pv.it, ctx.Scratch); wait != nil {
+						ps.add(wait, parkedVisitor{it: pv.it, read: ctx.Scratch.Read})
+						ctx.Scratch.Read = nil
+						continue
+					}
+				}
 				e.runVisitor(ctx, id, e.owner(pv.it.V), pv.it)
 			}
 			ps.remove(i)
@@ -777,9 +787,11 @@ func (e *Engine[V]) wakeOn(wait <-chan struct{}, p *parker) {
 // queue any more. What is drained is what the Terminator still counts (a
 // Start at every queueing site, a Finish for every visitor run), which
 // `-tags invariants` asserts — on completed traversals too, where that count
-// is zero and every other build skips the walk.
+// is zero. Every other build walks only an aborted traversal with a settle
+// sink: without one nothing reads the counts, and the resource set's reset,
+// or the collector, drops what is left.
 func (e *Engine[V]) drainAborted() {
-	if !invariant.Enabled && !e.aborted.Load() {
+	if !invariant.Enabled && (e.settle == nil || !e.aborted.Load()) {
 		return
 	}
 	drop := func(it pq.Item) {

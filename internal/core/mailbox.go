@@ -44,8 +44,10 @@ type workQueue struct {
 	// head is the best queued priority + 1 (saturating), 0 when empty:
 	// published under mu at every push and pop, read by runners choosing.
 	// headV is that visitor's vertex, the semi-sort key a device runner
-	// breaks ties between its queues with.
+	// breaks ties between its queues with; only a device traversal, which
+	// sets tieV at Start, publishes it.
 	head, headV atomic.Uint64
+	tieV        bool
 	// claim is the id + 1 of the runner holding the queue, 0 when none does.
 	claim atomic.Int32
 	// visits counts the visitors run from this queue; only its holder writes.
@@ -54,13 +56,15 @@ type workQueue struct {
 	home *parker
 }
 
-// publish stores the heap's best priority in head and its vertex in headV.
-// Must hold q.mu.
+// publish stores the heap's best priority in head and, under tieV, its
+// vertex in headV. Must hold q.mu.
 func (q *workQueue) publish() {
 	var h uint64
 	if it, ok := q.heap.Min(); ok {
 		h = min(it.Pri, ^uint64(0)-1) + 1
-		q.headV.Store(it.V)
+		if q.tieV {
+			q.headV.Store(it.V)
+		}
 	}
 	q.head.Store(h)
 }

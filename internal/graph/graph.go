@@ -87,8 +87,11 @@ type Adjacency[V Vertex] interface {
 //
 // Request starts the read of one vertex's adjacency and leaves it in
 // scratch.Read for the Neighbors call of that vertex. wait is nil when the
-// bytes are already resident; otherwise it is closed once the read has landed,
-// and visitors whose reads share one fetch get the same channel. full reports
+// bytes are already resident; otherwise it is closed once a fetch the read
+// is under has landed, and visitors whose reads share one fetch get the same
+// channel. Called again for the vertex while scratch.Read still holds its
+// read, Request starts nothing and reports the next fetch that read is still
+// under, nil once all have landed: one extent may span several. full reports
 // that the back end has as many asynchronous reads outstanding as it wants:
 // a caller should run what has landed before it requests more.
 type BatchAdjacency[V Vertex] interface {

@@ -188,7 +188,8 @@ func (s *Sharded[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, error) 
 
 // Request implements BatchAdjacency: v's owning member starts the read on its
 // sub-scratch, and the read moves up to scratch.Read, where the engine finds
-// it, until Neighbors hands it back. A member that cannot batch reads
+// it, until Neighbors hands it back; a read still up there goes down first,
+// so the member can re-check it. A member that cannot batch reads
 // synchronously at the visit.
 func (s *Sharded[V]) Request(v V, scratch *Scratch[V]) (<-chan struct{}, bool) {
 	k, u := s.owner(v)
@@ -196,6 +197,9 @@ func (s *Sharded[V]) Request(v V, scratch *Scratch[V]) (<-chan struct{}, bool) {
 		return nil, false
 	}
 	sub := s.state(scratch).subs[k]
+	if scratch.Read != nil {
+		sub.Read = scratch.Read
+	}
 	wait, full := s.batch[k].Request(u, sub)
 	scratch.Read, sub.Read = sub.Read, nil
 	return wait, full

@@ -30,9 +30,10 @@ type CachedStore struct {
 	readahead int   // blocks fetched per miss (>= 1)
 	capBlocks int64 // total block budget across shards; 0 keeps nothing
 	shards    []cacheShard
-	io        chan struct{} // bounds the asynchronous fetches (request)
+	io        chan struct{} // bounds the asynchronous block fetches (request)
 	// async counts the asynchronous fetches requested and not yet done:
-	// those on the I/O pool and those queued for a slot on it.
+	// those on the I/O pool, those queued for a slot on it, and the exact
+	// reads (requestExact).
 	async atomic.Int64
 
 	// pending counts the queued visitors per block. Only span shaping reads
@@ -361,6 +362,30 @@ func (c *CachedStore) submit(owned []*cacheEntry) {
 	c.io <- struct{}{}
 	_ = c.fetch(nil, 0, owned) // every reader finds the error on its entries
 	<-c.io
+	c.async.Add(-1)
+}
+
+// requestExact is the asynchronous form of the read a zero-budget table gives
+// a reader that shares with nobody (read with share false): one fetch of
+// exactly the n bytes at off. The entry it returns is in no table; once its
+// ready channel is closed, data holds the bytes or err says why there are
+// none. The fetch takes no slot of the I/O pool: the store below may share
+// reads of its own (a cache the graph cannot see), and a slot held while
+// waiting on another reader's read is no device parallelism — on such a
+// store a parked SSSP ran 1.5x slower on the pool (EXPERIMENTS.md "A miss
+// parks its visitor"). async still counts it, so a reader that heeds full
+// keeps these finite too.
+func (c *CachedStore) requestExact(off int64, n int) *cacheEntry {
+	e := &cacheEntry{id: -1, data: make([]byte, n), ready: make(chan struct{})}
+	c.async.Add(1)
+	go c.submitExact(e, off)
+	return e
+}
+
+// submitExact runs requestExact's fetch.
+func (c *CachedStore) submitExact(e *cacheEntry, off int64) {
+	e.err = c.fetch(e.data, off, nil)
+	close(e.ready)
 	c.async.Add(-1)
 }
 

@@ -178,11 +178,9 @@ func TestCompressedSEMSSSPMatchesRaw(t *testing.T) {
 }
 
 // A compressed traversal must read fewer device bytes than the raw format on
-// the same workload — checked end to end through ssd.Stats. The traversal
-// reads each adjacency extent exactly: the graph is handed to the engine as a
-// plain graph.Adjacency, because on a device the engine parks visitors on
-// whole 4 KiB block reads of the table, whose bytes depend on which reads
-// overlap in time rather than on the format.
+// the same workload — checked end to end through ssd.Stats. The graphs keep
+// no cache and never window, so every adjacency read, parked or not, is its
+// exact extent.
 func TestCompressedReadsFewerDeviceBytes(t *testing.T) {
 	g, err := gen.RMAT[uint32](10, 8, gen.RMATB, 42)
 	if err != nil {
@@ -197,7 +195,7 @@ func TestCompressedReadsFewerDeviceBytes(t *testing.T) {
 		// Snapshot after open: the criterion is about traversal reads, and at
 		// unit-test scales the index read would otherwise dominate.
 		opened := dev.Stats().BytesRead
-		if _, err := core.BFS[uint32](struct{ graph.Adjacency[uint32] }{sg}, 0, core.Config{Workers: 8, SemiSort: true}); err != nil {
+		if _, err := core.BFS[uint32](sg, 0, core.Config{Workers: 8, SemiSort: true}); err != nil {
 			t.Fatal(err)
 		}
 		return dev.Stats().BytesRead - opened

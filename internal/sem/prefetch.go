@@ -8,9 +8,12 @@ package sem
 // keeps blocks, and a raw mount calls EnablePrefetch. The engine without a
 // pop window — every cached mount — asks for one vertex at a time through
 // Request instead: the blocks under its extent are requested from the table
-// the same way, a visitor whose blocks are not all resident is parked on the
-// fetch until it lands while its runner runs other work, and Neighbors then
-// decodes from the entries Request held. The engine's SemiSort
+// the same way, a visitor whose blocks are not all resident is parked on a
+// fetch they are under until it lands — and on the next, if its extent spans
+// blocks of several fetches — while its runner runs other work, and
+// Neighbors then decodes from the entries Request held. A graph that never
+// windows over a zero-budget table reads the extent alone, as its
+// synchronous reads do, in a fetch of its own. The engine's SemiSort
 // key arranges for each worker to pop runs of id-adjacent vertices (§IV-C);
 // their adjacency extents therefore sit near each other in the on-device edge
 // region. A window's extents merge into ranges while each next one starts
@@ -322,46 +325,78 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 // heldRead is one vertex's read started by Request: the entries of the
 // blocks under its extent, held so that their bytes outlive the cache's
 // eviction and the zero-budget table's forgetting until Neighbors decodes
-// them. live is cleared when Neighbors has; a runner's next Request reuses
-// the struct it finds in the scratch.
+// them — or, for an exact read (requestExact), the one entry holding just
+// the extent. live is cleared when Neighbors has; a runner's next Request
+// reuses the struct it finds in the scratch.
 type heldRead struct {
 	table *CachedStore
 	v     uint64
 	off   int64
 	n     int
 	held  []*cacheEntry
+	exact bool
 	live  bool
+}
+
+// pending returns the ready channel of the first fetch the read is still
+// under, nil once every byte has landed.
+//
+//lint:hotpath
+func (r *heldRead) pending() <-chan struct{} {
+	for _, e := range r.held {
+		select {
+		case <-e.ready:
+		default:
+			return e.ready
+		}
+	}
+	return nil
+}
+
+// bytes returns the extent once the fetches under it have landed.
+func (r *heldRead) bytes(buf *[]byte) ([]byte, error) {
+	if r.exact {
+		e := r.held[0]
+		<-e.ready
+		return e.data, e.err
+	}
+	return gather(r.held, r.table.blockSize, r.off, r.n, buf)
 }
 
 // Request implements graph.BatchAdjacency: it requests the blocks under v's
 // adjacency extent from the table — a resident block is held at once, an
 // absent one joins a fetch in flight or starts one on the I/O pool, with the
 // miss's readahead — and leaves the held entries in scratch.Read, where the
-// Neighbors call for v finds them without a second claim. wait is the ready
-// channel of a fetch the entries are still under (the first such), nil when
-// every byte is resident; full reports the table at its bound on
-// asynchronous reads (CachedStore.full). A resident extent allocates nothing.
+// Neighbors call for v finds them without a second claim. A graph that never
+// windows over a zero-budget table requests the extent alone instead, as
+// its synchronous read would (CachedStore.read). wait is the ready channel
+// of the first fetch the read is still under, nil when every byte is
+// resident. Called again for v while scratch.Read holds v's live read, it
+// claims nothing and reports the next fetch that read is still under: an
+// extent's blocks may be under several fetches. full reports the table at
+// its bound on asynchronous reads (CachedStore.full). A resident extent
+// allocates nothing.
 func (g *Graph[V]) Request(v V, scratch *graph.Scratch[V]) (wait <-chan struct{}, full bool) {
 	c := g.table
+	r, _ := scratch.Read.(*heldRead)
+	if r != nil && r.live && r.v == uint64(v) && r.table == c {
+		return r.pending(), c.full()
+	}
 	off, n := g.out.extent(v)
 	lo, hi := off/c.blockSize, (off+int64(n)-1)/c.blockSize+1
 	if n > 0 && hi <= c.maxBlock { // else Neighbors reads, and reports, it
-		r, _ := scratch.Read.(*heldRead)
 		if r == nil {
 			r = &heldRead{}
 		}
 		clear(r.held)
-		r.held, _, _ = c.request(r.held[:0], lo, hi)
-		r.table, r.v, r.off, r.n, r.live = c, uint64(v), off, n, true
-		for _, e := range r.held {
-			select {
-			case <-e.ready:
-				continue
-			default:
-				wait = e.ready
-			}
-			break
+		r.exact = c.capBlocks == 0 && g.prefetch == nil
+		if r.exact {
+			r.held = append(r.held[:0], c.requestExact(off, n))
+		} else {
+			r.held, _, _ = c.request(r.held[:0], lo, hi)
 		}
+		r.table, r.v, r.off, r.n, r.live = c, uint64(v), off, n, true
+		wait = r.pending()
 		scratch.Read = r
 	}
 	return wait, c.full()

@@ -765,7 +765,7 @@ func (g *Graph[V]) neighbors(s *section[V], v V, scratch *graph.Scratch[V]) ([]V
 	taken := false
 	if r, ok := scratch.Read.(*heldRead); ok && r.live && r.v == uint64(v) && r.table == g.table && s == &g.out {
 		r.live, taken = false, true
-		block, err = gather(r.held, g.table.blockSize, r.off, r.n, &scratch.Block)
+		block, err = r.bytes(&scratch.Block)
 	} else if sess, ok := scratch.Prefetch.(*prefetchSession); ok && s == &g.out {
 		block, err, taken = sess.take(uint64(v), g.table.blockSize, &scratch.Block)
 	}

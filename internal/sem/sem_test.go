@@ -208,9 +208,10 @@ func (e *erroringStore) ReadAt(p []byte, off int64) (int, error) {
 
 // TestTraversalSurfacesDeviceFailure fails the device halfway through a
 // traversal's reads. How many reads a traversal makes depends on its read
-// shape — one per visit when a visit reads its extent, a few when parked
-// visitors share 4 KiB blocks — and, when they share, on which reads are in
-// flight together, so healthy runs count them first and the fewest counts.
+// shape — one per visit when a visit reads its extent, as on this uncached
+// graph, a few when parked visitors share 4 KiB blocks — and, when they
+// share, on which reads are in flight together, so healthy runs count them
+// first and the fewest counts.
 func TestTraversalSurfacesDeviceFailure(t *testing.T) {
 	g := buildGraph(t, 200, 2000, false, 6)
 	back := writeToMem(t, g)
