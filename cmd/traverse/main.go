@@ -73,7 +73,7 @@ func bind(fs *flag.FlagSet) func() (options, error) {
 	fs.StringVar(&o.profile, "profile", "FusionIO", "flash profile for -sem: FusionIO, Intel, Corsair")
 	var (
 		semMode = fs.Bool("sem", false, "semi-external: leave edges on a simulated flash device")
-		nocache = fs.Bool("nocache", false, "raw device: mount the flash device without the block cache; the mount pops 16-visitor windows and coalesces their reads")
+		nocache = fs.Bool("nocache", false, "raw device: mount the flash device without the block cache; a runner sweeps 16 visitors at a time and coalesces their reads")
 		shards  = fs.Int("shards", 0, "mount graph.shard0..N-1 as one sharded graph (0 = auto-detect from the files present)")
 	)
 	return func() (options, error) {
@@ -254,7 +254,7 @@ func chooseSource(o options, adj graph.Adjacency[uint32]) (src uint32, rule stri
 
 // reportSemIO prints the end-to-end I/O picture of a semi-external run:
 // device operation and byte counts (per shard when the mount is sharded, so
-// the fan-out of pop-window spans across member devices is visible), block-
+// the fan-out of sweep spans across member devices is visible), block-
 // cache effectiveness, and — when the prefetch pipeline was on — its
 // span-coalescing counters.
 func reportSemIO(io mount.IO, sharded bool) {

@@ -45,7 +45,7 @@ func main() {
 		cfg := m.Engine
 		// A semi-external mount always sorts; the demo forces the key off to
 		// show what it buys when queues are long. On the raw device it also
-		// turns the pop window off: every visitor reads its own adjacency.
+		// narrows the sweep to one visitor: no two extents merge.
 		cfg.Workers, cfg.SemiSort = workers, semiSort
 		if noCache {
 			cfg.Prefetch = 0

@@ -191,14 +191,15 @@ func (s *balanceSettler) VertexSettled(v uint64) {
 }
 
 // TestAbortMidWindowSettlesEveryVisitor aborts from inside the fourth visit
-// of an eight-wide pop window, with work sitting in the window, the queue and
-// the outbox. One worker makes the visit the abort lands on deterministic
-// (internal/sem's TestAbortedTraversalUnpinsStatePolicy is the 128-worker
-// loop); the settle accounting must balance exactly: the rest of the window
-// is skipped but settled, Wait drains queue and outbox, and every goroutine
-// exits. Under DeliverEveryVisit the outbox is no hiding place — the worker
-// flushes after the visit the abort lands in too — and the same accounting
-// must balance with everything in the queue.
+// of an eight-wide pop — an in-memory runner's batch, a device runner's sweep
+// — with work sitting in the pop, the queue and the outbox. One worker makes
+// the visit the abort lands on deterministic (internal/sem's
+// TestAbortedTraversalUnpinsStatePolicy is the 128-worker loop); the settle
+// accounting must balance exactly: the rest of the pop is skipped but
+// settled, Wait drains queue and outbox, and every goroutine exits. Under
+// DeliverEveryVisit the outbox is no hiding place — the worker flushes after
+// the visit the abort lands in too — and the same accounting must balance
+// with everything in the queue.
 func TestAbortMidWindowSettlesEveryVisitor(t *testing.T) {
 	for name, everyVisit := range map[string]bool{"size and drain triggers": false, "delivery after every visit": true} {
 		t.Run(name, func(t *testing.T) { abortMidWindowSettlesEveryVisitor(t, everyVisit) })
@@ -213,6 +214,13 @@ func abortMidWindowSettlesEveryVisitor(t *testing.T, everyVisit bool) {
 	var e *Engine[uint32]
 	e = New[uint32](Config{Workers: 1, Prefetch: 8}, func(ctx *Ctx[uint32], it pq.Item) error {
 		visits++
+		// In memory, arm at the first visit of a full batch once the outbox
+		// has flushed at least once, so all three hiding places hold visitors
+		// at abort time: the batch is in the runner's pop buffer, and it was
+		// full if the queue still holds visitors.
+		if !everyVisit && abortAt < 0 && visits > 2*batchSize && it == ctx.stats.pop[0] && e.queues[0].heap.Len() > 0 {
+			abortAt = visits + 3
+		}
 		if visits == abortAt {
 			e.Abort(sentinel)
 			return nil
@@ -224,15 +232,15 @@ func abortMidWindowSettlesEveryVisitor(t *testing.T, everyVisit bool) {
 	})
 	e.SetSettle(settle)
 	if everyVisit {
+		// On a device, arm on the first full sweep after as many visits.
 		e.DeliverEveryVisit()
+		e.SetRequest(func(sweep []pq.Item, _ []any, _ []<-chan struct{}, _ *graph.Scratch[uint32]) bool {
+			if abortAt < 0 && len(sweep) == 8 && visits > 2*batchSize {
+				abortAt = visits + 4
+			}
+			return false
+		})
 	}
-	e.SetPrefetch(func(window []pq.Item, _ *graph.Scratch[uint32]) {
-		// Arm on the first full window once the outbox has flushed at least
-		// once, so all three hiding places hold visitors at abort time.
-		if abortAt < 0 && len(window) == 8 && visits > 2*batchSize {
-			abortAt = visits + 4
-		}
-	})
 	e.Start()
 	e.Push(0, 0, 0)
 	st, err := e.Wait()
@@ -240,7 +248,7 @@ func abortMidWindowSettlesEveryVisitor(t *testing.T, everyVisit bool) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
 	if abortAt < 0 {
-		t.Fatal("the traversal never popped a full window; nothing was tested")
+		t.Fatal("the traversal never popped a full batch or sweep; nothing was tested")
 	}
 	if int(st.Visits) != abortAt || visits != abortAt {
 		t.Fatalf("visits = %d (stats %d), want the window cut short at visit %d", visits, st.Visits, abortAt)

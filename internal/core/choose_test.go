@@ -89,7 +89,7 @@ func TestBFSChoosesDriver(t *testing.T) {
 			{"symmetric mark/in memory, compressed", compressed(t, ug), ug, 0, "symmetric", true},
 			{"symmetric mark/cached", semStore(t, ug, plain, true), ug, 0, "symmetric", cached},
 			{"symmetric mark/raw", semStore(t, ug, plain, false), ug, window, "symmetric", true},
-			{"symmetric mark/3 shards, unwindowed", semShardedMirror(t, ug, 3, plain), ug, 0, "symmetric", cached},
+			{"symmetric mark/3 shards, sweeps of one", semShardedMirror(t, ug, 3, plain), ug, 0, "symmetric", cached},
 			{"in-edge section/cached", semStore(t, g, section, true), g, 0, "section", cached},
 			{"in-edge section/raw", semStore(t, g, section, false), g, window, "section", true},
 			{"Bidi/in memory", bidiIM(t, g), g, 0, "section", true},

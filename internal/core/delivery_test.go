@@ -193,6 +193,7 @@ func blockedWorkerHoldsNoVisitors(t *testing.T, window int) {
 func TestMissDoesNotBlockItsRunner(t *testing.T) {
 	t.Run("one fetch", missDoesNotBlockItsRunner)
 	t.Run("extent under two fetches", extentUnderTwoFetches)
+	t.Run("pop sweep", popSweep)
 }
 
 // missDoesNotBlockItsRunner runs from 0 over
@@ -218,7 +219,7 @@ func missDoesNotBlockItsRunner(t *testing.T) {
 	if shared {
 		t.Fatal("vertices 1 and 3 share a 4 KiB block: 1's parked read would wait on 3's")
 	}
-	r := awaitSSSP(t, sg, store)
+	r := awaitSSSP(t, sg, store, 0)
 	if !r.seen {
 		t.Fatal("the runner waited in the read of vertex 3 and read nothing else: a miss blocked its runner")
 	}
@@ -289,11 +290,48 @@ func extentUnderTwoFetches(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.armed.Store(true)
-	r := awaitSSSP(t, &watchedGraph{Graph: cg, watch: 2, seen: make(chan struct{})}, store)
+	r := awaitSSSP(t, &watchedGraph{Graph: cg, watch: 2, seen: make(chan struct{})}, store, 0)
 	if !r.seen {
 		t.Fatal("the runner visited 3 while the last of its blocks was under the held fetch, and waited in it: 2 never ran")
 	}
 	for v, want := range []graph.Dist{0, graph.InfDist, 3, 2, 1} {
+		if r.res.Dist[v] != want {
+			t.Errorf("dist[%d] = %d, want %d", v, r.res.Dist[v], want)
+		}
+	}
+}
+
+// popSweep runs from 0 over
+//
+//	0 -1-> 3 -1-> 0        0 -2-> 1 -1-> 0        2 -1-> 0 (x5000)
+//
+// on a graph that windows, with no cache and a 16-wide sweep: the runner
+// visits 0 and pops 3 and 1 in one sweep. Unreached 2's parallel edges put
+// 3's adjacency more than the coalescing gap past 1's, so their extents are
+// two range fetches, and the gate holds 3's. A runner that reads its sweep
+// in the order it visits waits in 3's range; one that parks 3 on it visits 1
+// once 1's range lands.
+func popSweep(t *testing.T) {
+	b := graph.NewBuilder[uint32](4, true)
+	b.AddEdge(0, 3, 1)
+	b.AddEdge(0, 1, 2)
+	b.AddEdge(3, 0, 1)
+	b.AddEdge(1, 0, 1)
+	padEdges(b, 2, 0, 1, 5000)
+	g, err := b.Build(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gap := 8 * g.Degree(2); gap <= sem.DefaultPrefetchGap { // weighted v1 records: 8 bytes
+		t.Fatalf("3's adjacency starts %d bytes past 1's: their extents would merge into one range", gap)
+	}
+	sg, store, _ := gatedSEM(t, g, 3, 1)
+	sg.EnablePrefetch(sem.PrefetchConfig{MaxGap: sem.DefaultPrefetchGap})
+	r := awaitSSSP(t, sg, store, 16)
+	if !r.seen {
+		t.Fatal("the runner waited in the range of vertex 3 and ran nothing else of its sweep: a miss blocked its runner")
+	}
+	for v, want := range []graph.Dist{0, 2, graph.InfDist, 1} {
 		if r.res.Dist[v] != want {
 			t.Errorf("dist[%d] = %d, want %d", v, r.res.Dist[v], want)
 		}
@@ -306,9 +344,10 @@ type gatedRun struct {
 	seen bool
 }
 
-// awaitSSSP runs SSSP from 0 over g on one queue while awaitSeen judges
-// whether the watched vertex ran with the gate holding a read.
-func awaitSSSP(t *testing.T, g *watchedGraph, store *holdGate) gatedRun {
+// awaitSSSP runs SSSP from 0 over g on one queue, popping sweeps of up to
+// prefetch visitors, while awaitSeen judges whether the watched vertex ran
+// with the gate holding a read.
+func awaitSSSP(t *testing.T, g *watchedGraph, store *holdGate, prefetch int) gatedRun {
 	t.Helper()
 	type result struct {
 		res *SSSPResult[uint32]
@@ -316,7 +355,7 @@ func awaitSSSP(t *testing.T, g *watchedGraph, store *holdGate) gatedRun {
 	}
 	done := make(chan result, 1)
 	go func() {
-		res, err := SSSP[uint32](g, 0, Config{Workers: 1})
+		res, err := SSSP[uint32](g, 0, Config{Workers: 1, Prefetch: prefetch})
 		done <- result{res, err}
 	}()
 	seen := awaitSeen(g, store)

@@ -89,7 +89,7 @@ const cachedDensity = 8
 // forced directions answer for themselves; DirectionAuto asks, in O(1): can g
 // serve in-edges (graph.InEdges), and if its adjacency sits behind a cache —
 // on a device (graph.BatchAdjacency) whose mount gave the asynchronous kernel
-// no pop window (cfg.Prefetch) — is it at least cachedDensity edges a vertex.
+// sweeps of one (cfg.Prefetch) — is it at least cachedDensity edges a vertex.
 func drives[V graph.Vertex](cfg Config, g graph.Adjacency[V]) bool {
 	switch cfg.Direction {
 	case DirectionTopDown:
@@ -214,8 +214,8 @@ func (w *dirWorker[V]) grow() {
 // topDown expands one slice of the current frontier: the CAS winner on a
 // neighbor's level word settles it, records the parent, and claims it for
 // the next frontier. On a batching back end every ioFanout vertices of the
-// slice are announced before their expansions run — the pop-window trick of
-// the asynchronous engine — so their adjacency reads are in flight together,
+// slice are announced before their expansions run — the sweep of the
+// asynchronous engine — so their adjacency reads are in flight together,
 // on the raw device and behind the cache alike. The cancellation poll comes
 // before every vertex: a vertex is at most one read.
 //

@@ -136,7 +136,7 @@ func bidiCompressed(t testing.TB, g *graph.CSR[uint32]) *graph.Bidi[uint32] {
 // sections, SEM symmetric, and a sharded SEM mount — against the serial
 // baseline. Parents are checked structurally (a parent must sit exactly one
 // level above its child), the same contract the async kernel's tests use.
-// The SEM rows are raw-device mounts, windowed, and their block tables must
+// The SEM rows are raw-device mounts, sweeping 16, and their block tables must
 // be at rest after every row.
 func TestDirectionEquivalence(t *testing.T) {
 	type workload struct {

@@ -14,10 +14,12 @@
 // queue at a time and moves to the queue with the best head, so §III-B's
 // "Dijkstra within a queue" order does not depend on a scheduler that knows
 // nothing of priorities. On a device each owns a fixed share of the queues
-// and never waits in a read while it has other work: a visitor whose
-// adjacency is not resident is parked on its read and runs once the read has
-// landed (Engine.runParked), so the reads in flight are not bounded by the
-// goroutine count. There are no barriers between traversal steps: runners
+// and never waits in a read while it has other work: it pops a sweep of
+// visitors whose reads the storage back end starts in one call, merging
+// neighbouring extents, and a visitor whose adjacency is not resident is
+// parked on its read and runs once the read has landed (Engine.runParked),
+// so the reads in flight are not bounded by the goroutine count. There are
+// no barriers between traversal steps: runners
 // run label-correcting visitors fully asynchronously and the traversal
 // completes when every queued or parked visitor has finished (termination is
 // detected with an atomic outstanding-work counter).
@@ -41,6 +43,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,23 +61,17 @@ type Config struct {
 	// min(Workers, GOMAXPROCS) runners serve the queues. In memory a runner
 	// holds one queue at a time; on a device runner r owns the queues
 	// q ≡ r (mod R) for the whole traversal and parks a visitor on its read
-	// instead of waiting in it. Only a device traversal with a pop window
-	// (Prefetch > 1) runs Workers runners, runner i holding queue i, each
-	// reading its window synchronously. Defaults to 4 x GOMAXPROCS.
+	// instead of waiting in it. Defaults to 4 x GOMAXPROCS.
 	Workers int
 	// SemiSort enables the secondary vertex-id sort key inside each queue,
 	// the paper's semi-external locality optimization (§IV-C).
 	SemiSort bool
-	// Prefetch is the pop-window size of the semi-external I/O pipeline: a
-	// device runner pops up to Prefetch visitors from its queue in one batch
-	// and announces their vertices to the storage back end (via
-	// graph.BatchAdjacency) so adjacency reads are in flight before the
-	// visits run. 0 and 1 open no window: a device runner pops one visitor at
-	// a time and parks it on its read (graph.BatchAdjacency.Request) when its
-	// adjacency is not resident. An in-memory graph ignores it (its runners
-	// pop a fixed batch). Window-order visiting is safe: every relaxation is
-	// monotone, and every popped visitor belongs to the queue the popping
-	// runner holds.
+	// Prefetch is the sweep width of a device traversal (see
+	// Engine.runParked): a device runner pops up to max(Prefetch, 1)
+	// visitors and starts their reads in one graph.BatchAdjacency.Request,
+	// which may merge neighbouring extents into one device operation. Wider
+	// than one, it also bounds what a runner keeps parked. An in-memory graph
+	// ignores it (its runners pop a fixed batch).
 	Prefetch int
 	// Direction selects the BFS implementation (see direction.go). The zero
 	// value, DirectionAuto, lets BFS choose from the graph it is handed: the
@@ -106,9 +103,6 @@ type Config struct {
 func (c *Config) normalize() {
 	if c.Workers <= 0 {
 		c.Workers = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.Prefetch < 0 {
-		c.Prefetch = 0
 	}
 	if c.Direction < DirectionAuto || c.Direction > DirectionHybrid {
 		c.Direction = DirectionAuto
@@ -262,14 +256,9 @@ type Engine[V graph.Vertex] struct {
 	pushes atomic.Uint64
 	pruned atomic.Uint64
 
-	// prefetch, when set (SetPrefetch), receives each runner's pop-window
-	// before the window's visitors execute, so a storage back end can start
-	// adjacency I/O early. Only a windowed traversal calls it.
-	prefetch func(window []pq.Item, scratch *graph.Scratch[V])
-	// request, when set (SetRequest), starts a popped visitor's adjacency
-	// read on a windowless device traversal; a visitor it returns a wait
-	// channel for is parked on it.
-	request func(it pq.Item, scratch *graph.Scratch[V]) (wait <-chan struct{}, full bool)
+	// request, when set (SetRequest), starts the adjacency reads of a device
+	// runner's sweep; a visitor it returns a wait channel for is parked on it.
+	request func(sweep []pq.Item, reads []any, waits []<-chan struct{}, scratch *graph.Scratch[V]) (full bool)
 
 	// settle, when set (SetSettle), receives the visitor lifecycle: a
 	// VertexQueued at every push site and a VertexSettled for every visitor
@@ -310,21 +299,15 @@ func newEngine[V graph.Vertex](cfg Config, visit VisitFunc[V], res *engineRes[V]
 	}
 }
 
-// SetPrefetch registers the pop-window hook: fn gets each batch of more than
-// one popped visitor (all from the queue the runner holds) and the runner's
-// scratch before any of it executes, when Config.Prefetch > 1. Must be called
-// before Start.
-func (e *Engine[V]) SetPrefetch(fn func(window []pq.Item, scratch *graph.Scratch[V])) {
-	e.prefetch = fn
-}
-
-// SetRequest registers the read hook of a windowless device traversal: fn
-// gets each popped visitor and the runner's scratch before the visit and
-// starts its adjacency read (see graph.BatchAdjacency.Request). A non-nil
-// wait parks the visitor, with whatever fn left in scratch.Read, until wait
-// is closed; full tells the runner to run what has landed before it pops
-// again. Without it every visitor runs at once. Must be called before Start.
-func (e *Engine[V]) SetRequest(fn func(it pq.Item, scratch *graph.Scratch[V]) (wait <-chan struct{}, full bool)) {
+// SetRequest registers the read hook of a device traversal: fn gets each
+// sweep a runner popped, or a parked group whose fetch landed, with the
+// runner's scratch, and fills reads and waits as graph.BatchAdjacency.Request
+// does; it may reorder sweep, moving reads along. A visitor whose wait is not
+// nil is parked with its read until the wait is closed; the rest run at once,
+// in sweep order, each with its read in scratch.Read. full stops a runner
+// with sweeps of one popping. Without a hook every visitor runs at once. Must
+// be called before Start.
+func (e *Engine[V]) SetRequest(fn func(sweep []pq.Item, reads []any, waits []<-chan struct{}, scratch *graph.Scratch[V]) (full bool)) {
 	e.request = fn
 }
 
@@ -336,25 +319,16 @@ func (e *Engine[V]) SetRequest(fn func(it pq.Item, scratch *graph.Scratch[V]) (w
 func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }
 
 // DeliverEveryVisit tells the engine its graph lives on a device: every
-// runner delivers its outbox after each visit, so it never blocks in a
-// storage read holding a visitor another could run, and runner r owns the
-// queues q ≡ r (mod R) throughout. Without a pop window a visitor whose read
-// has not landed is parked (SetRequest); with one, R is Workers and each
-// queue keeps a window's reads in flight of its own. Must precede Start.
+// runner delivers its outbox after each visit, so a visitor it pushed is
+// never held back while the runner's reads are in the device, runner r owns
+// the queues q ≡ r (mod R) throughout, and a visitor whose read has not
+// landed is parked (SetRequest). Must precede Start.
 func (e *Engine[V]) DeliverEveryVisit() { e.device = true }
 
-// windowed reports a device traversal with a pop window: one runner per
-// queue, each reading its window synchronously.
-func (e *Engine[V]) windowed() bool { return e.device && e.cfg.Prefetch > 1 }
-
-// Start launches the runner goroutines: one per queue on a windowed device
-// traversal, otherwise min(Workers, GOMAXPROCS). It must be called exactly
-// once, before Wait.
+// Start launches the min(Workers, GOMAXPROCS) runner goroutines. It must be
+// called exactly once, before Wait.
 func (e *Engine[V]) Start() {
-	n := len(e.queues)
-	if !e.windowed() {
-		n = min(n, runtime.GOMAXPROCS(0))
-	}
+	n := min(len(e.queues), runtime.GOMAXPROCS(0))
 	e.runners = n
 	e.res.grow(n)
 	for i, q := range e.queues {
@@ -513,24 +487,17 @@ func (e *Engine[V]) retire(ctx *Ctx[V], id int) {
 
 // run is the engine's one loop (§III): hold a queue, pop a batch, visit,
 // push to the hash-selected owners, let go and choose again. An in-memory
-// runner pops popBatch visitors; a windowed device runner a Config.Prefetch-
-// wide window it announces to the storage back end (the pop-window hook)
-// before visiting. A windowless device runner runs runParked instead. Every
-// popped visitor came off a queue the runner holds, so exclusive vertex
-// ownership holds at any width.
+// runner pops popBatch visitors at a time; a device runner runs runParked
+// instead. Every popped visitor came off a queue the runner holds, so
+// exclusive vertex ownership holds at any width.
 //
 //lint:hotpath
 func (e *Engine[V]) run(id int) {
 	ctx := &Ctx[V]{engine: e, Worker: id, Scratch: e.res.scratch[id], out: e.res.outs[id], stats: &e.res.stats[id]}
 	defer e.retire(ctx, id)
-	if e.device && !e.windowed() {
+	if e.device {
 		e.runParked(ctx, id)
 		return
-	}
-	width, window := popBatch, ctx.stats.pop[:0]
-	if e.windowed() {
-		width = e.cfg.Prefetch
-		window = make([]pq.Item, 0, width)
 	}
 	// The abort check at the loop top is the cancellation point: an aborted
 	// runner exits without draining (Wait settles what is left).
@@ -542,83 +509,106 @@ func (e *Engine[V]) run(id int) {
 			}
 		}
 		q := e.queues[held]
-		window = q.tryPopBatch(window[:0], width)
-		if len(window) > 1 && e.prefetch != nil && !e.aborted.Load() {
-			e.prefetch(window, ctx.Scratch)
-		}
-		// An abort landing mid-window skips the remaining visits but still
+		// An abort landing mid-batch skips the remaining visits but still
 		// settles and finishes every popped visitor: they left the queue, so
 		// Wait's drain will not see them.
-		for _, it := range window {
+		for _, it := range q.tryPopBatch(ctx.stats.pop[:0], popBatch) {
 			e.runVisitor(ctx, id, held, it)
 		}
-		if !e.device {
-			q.claim.Store(0)
-		}
+		q.claim.Store(0)
 	}
 }
 
-// runParked is the loop of a windowless device traversal. Runner id owns the
-// queues id, id+R, ... for the whole traversal and pops the lowest head among
-// them (claim), one visitor at a time, whose read the request hook starts. A
-// visitor whose adjacency is not resident is parked on its read — the
-// Terminator still counts it — and the runner pops its next. Parked visitors
-// whose reads have landed run first, a fetch's visitors together (one still
-// under another fetch parks again), and the runner blocks only when it has
-// nothing else to run. While the back end reports its asynchronous reads
-// full, a runner with parked visitors of its own pops no more: what is
-// parked is bounded by the table, not by a runner count.
+// runParked is the loop of a device traversal. Runner id owns the queues id,
+// id+R, ... for the whole traversal. Its pop is a sweep of up to
+// max(Config.Prefetch, 1) visitors, each off the lowest head among its queues
+// (claim), whose reads the request hook starts in one call. A visitor whose
+// adjacency is not resident is parked on its read — the Terminator still
+// counts it — and the rest run at once. Landed reads run first, a fetch's
+// visitors together (one still under another fetch parks again), and the
+// runner blocks only with nothing else to run. A runner with parked visitors
+// stops popping at its bound: with sweeps wider than one, its queues' share
+// of Workers x Prefetch — what they held popped when each queue had a window
+// of its own — and with sweeps of one, while the back end reports full.
 //
 //lint:hotpath
 func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
 	ps := &e.res.parked[id]
+	width := max(e.cfg.Prefetch, 1)
+	bound := width * ((len(e.queues) - id + e.runners - 1) / e.runners)
 	full := false
 	for !e.aborted.Load() {
 		if i := ps.landed(); i >= 0 {
-			// A visitor whose extent is under another fetch too parks again
-			// on it: the hook re-checks the read the visitor carries.
-			for _, pv := range ps.groups[i].visitors {
-				ctx.Scratch.Read = pv.read
-				if e.request != nil && !e.aborted.Load() {
-					if wait, _ := e.request(pv.it, ctx.Scratch); wait != nil {
-						ps.add(wait, parkedVisitor{it: pv.it, read: ctx.Scratch.Read})
-						ctx.Scratch.Read = nil
-						continue
-					}
-				}
-				e.runVisitor(ctx, id, e.owner(pv.it.V), pv.it)
-			}
+			// The group goes back through the hook, which re-checks the read
+			// each visitor carries: one whose extent is under another fetch
+			// too parks again on it.
+			e.start(ctx, id, ps, ps.groups[i].items, ps.groups[i].reads)
 			ps.remove(i)
 			full = false
 			continue
 		}
-		popping, held := !full || len(ps.groups) == 0, -1
+		popping := ps.n == 0 || (width == 1 && !full) || (width > 1 && ps.n < bound)
+		var sweep []pq.Item
 		if popping {
-			held = e.claim(id, ctx.Worker)
+			sweep = e.sweep(id, width, ps.sweep[:0])
 		}
-		if held < 0 {
-			if held = e.park(id, ctx.Worker, popping); held < 0 {
-				if e.done.Load() {
-					return
-				}
-				continue // a read landed
+		if len(sweep) == 0 {
+			if e.park(id, ctx.Worker, popping) < 0 && e.done.Load() {
+				return
 			}
+			continue // a queue has work, or a read landed
 		}
-		window := e.queues[held].tryPopBatch(ctx.stats.pop[:0], 1)
-		if len(window) == 0 {
+		reads := slices.Grow(ps.reads[:0], len(sweep))[:len(sweep)]
+		k := min(len(ps.free), len(sweep)) // reads to reuse; the rest are nil
+		clear(reads[copy(reads, ps.free[len(ps.free)-k:]):])
+		ps.sweep, ps.reads, ps.free = sweep, reads, ps.free[:len(ps.free)-k]
+		full = e.start(ctx, id, ps, sweep, reads)
+	}
+}
+
+// sweep appends to dst up to width visitors popped one at a time, each off
+// the best head among the queues runner id owns.
+//
+//lint:hotpath
+func (e *Engine[V]) sweep(id, width int, dst []pq.Item) []pq.Item {
+	for len(dst) < width {
+		q := e.claim(id, id)
+		if q < 0 {
+			break
+		}
+		dst = e.queues[q].tryPopBatch(dst, 1)
+	}
+	return dst
+}
+
+// start hands a sweep and its reads to the request hook, parks each visitor
+// the hook returned a wait for, and runs the rest at once in sweep order,
+// keeping their reads for reuse. It reports the back end full.
+//
+//lint:hotpath
+func (e *Engine[V]) start(ctx *Ctx[V], id int, ps *parkedSet, sweep []pq.Item, reads []any) (full bool) {
+	waits := slices.Grow(ps.waits[:0], len(sweep))[:len(sweep)]
+	if e.request != nil && !e.aborted.Load() {
+		full = e.request(sweep, reads, waits, ctx.Scratch)
+	}
+	if cap(ps.free) < len(ps.free)+len(sweep) {
+		ps.free = slices.Grow(ps.free, len(sweep))
+	}
+	for i, it := range sweep {
+		if waits[i] != nil {
+			ps.add(waits[i], it, reads[i])
 			continue
 		}
-		it := window[0]
-		if e.request != nil && !e.aborted.Load() {
-			var wait <-chan struct{}
-			if wait, full = e.request(it, ctx.Scratch); wait != nil {
-				ps.add(wait, parkedVisitor{it: it, read: ctx.Scratch.Read})
-				ctx.Scratch.Read = nil
-				continue
-			}
+		ctx.Scratch.Read = reads[i]
+		e.runVisitor(ctx, id, e.owner(it.V), it)
+		if reads[i] != nil {
+			ps.free = append(ps.free, reads[i])
 		}
-		e.runVisitor(ctx, id, held, it)
 	}
+	ctx.Scratch.Read = nil
+	clear(waits)
+	ps.waits = waits
+	return full
 }
 
 // runVisitor runs one popped visitor of queue held — unless the traversal was
@@ -816,10 +806,10 @@ func (e *Engine[V]) drainAborted() {
 	for i := range e.res.parked {
 		ps := &e.res.parked[i]
 		for _, g := range ps.groups {
-			for _, pv := range g.visitors {
-				drop(pv.it)
+			for _, it := range g.items {
+				drop(it)
 			}
-			e.leftParked += len(g.visitors)
+			e.leftParked += len(g.items)
 		}
 		ps.reset()
 	}

@@ -375,10 +375,9 @@ func (s *countingStore) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestRunnersPerTraversal pins how many goroutines serve the queues, counted
-// while the traversal runs: in memory (from inside a visitor) and on a device
-// without a pop window (at the first adjacency read) at most GOMAXPROCS
-// runners, however many queues, plus the context watcher; on a device with a
-// pop window one runner per queue.
+// while the traversal runs: in memory (from inside a visitor) and on a
+// device, with or without a pop window (at the first adjacency read), at most
+// GOMAXPROCS runners, however many queues, plus the context watcher.
 func TestRunnersPerTraversal(t *testing.T) {
 	settle := func(t *testing.T) {
 		// An earlier engine's runners may still be returning from Wait's join.
@@ -431,9 +430,6 @@ func TestRunnersPerTraversal(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			settle(t)
 			workers, want := 64, min(64, runtime.GOMAXPROCS(0))
-			if window > 1 {
-				want = workers
-			}
 			store := &countingStore{data: buf.Bytes()}
 			sg, err := sem.Open[uint32](store)
 			if err != nil {

@@ -14,7 +14,7 @@ import (
 // 4 are the same visitor with different relaxation arithmetic). The kernel is
 // parameterized over graph.Adjacency, so every algorithm runs unchanged
 // against the in-memory CSR and the semi-external store — SEM traversals get
-// SemiSort, the pop window, and mailbox batching with no per-backend visitor
+// SemiSort, the sweep, and mailbox batching with no per-backend visitor
 // code.
 //
 // The shared visitor body (label-correcting, §III-B) is "claim, then push":
@@ -216,7 +216,7 @@ func runKernel[V graph.Vertex](
 
 // engine wires an engine for the kernel onto res: the settle sink of a back
 // end that wants the visitor lifecycle and, on a device, delivery after every
-// visit and the read hook of the pop window or of a parked visitor.
+// visit and the read hook of a runner's sweep.
 func (k *kernelState[V]) engine(cfg Config, res *engineRes[V]) *Engine[V] {
 	e := newEngine(cfg, k.visit, res)
 	// A storage back end that caches blocks opts in through an optional
@@ -229,31 +229,27 @@ func (k *kernelState[V]) engine(cfg Config, res *engineRes[V]) *Engine[V] {
 			e.SetSettle(sink)
 		}
 	}
-	// An overtaken visitor will be dropped at visit time; the device hooks
-	// skip its I/O too.
+	// An overtaken visitor will be dropped at visit time; the read hook moves
+	// it behind the rest of its sweep and starts no read for it.
 	if ba, ok := onDevice(k.g); ok {
 		e.DeliverEveryVisit()
-		if cfg.Prefetch > 1 {
-			e.SetPrefetch(func(window []pq.Item, scratch *graph.Scratch[V]) {
-				vs := scratch.Window[:0]
-				for _, it := range window {
-					if v := V(it.V); it.Pri <= atomic.LoadUint64(&k.labels[v]) {
-						vs = append(vs, v)
+		e.SetRequest(func(sweep []pq.Item, reads []any, waits []<-chan struct{}, scratch *graph.Scratch[V]) bool {
+			vs := scratch.Window[:0]
+			for i, it := range sweep {
+				if it.Pri <= atomic.LoadUint64(&k.labels[it.V]) {
+					if j := len(vs); j != i {
+						sweep[i], sweep[j] = sweep[j], it
+						reads[i], reads[j] = reads[j], reads[i]
 					}
+					vs = append(vs, V(it.V))
 				}
-				scratch.Window = vs
-				if len(vs) > 0 {
-					ba.NeighborsBatch(vs, scratch)
-				}
-			})
-		} else {
-			e.SetRequest(func(it pq.Item, scratch *graph.Scratch[V]) (<-chan struct{}, bool) {
-				if it.Pri > atomic.LoadUint64(&k.labels[it.V]) {
-					return nil, false
-				}
-				return ba.Request(V(it.V), scratch)
-			})
-		}
+			}
+			scratch.Window = vs
+			if len(vs) == 0 {
+				return false
+			}
+			return ba.Request(vs, reads[:len(vs)], waits[:len(vs)], scratch)
+		})
 	}
 	return e
 }

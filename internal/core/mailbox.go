@@ -23,9 +23,8 @@ import (
 //  2. drain: its runner found no queue to hold and is about to park, which
 //     makes starvation and outbox-induced deadlock impossible;
 //  3. visit: on a device-backed traversal (Engine.DeliverEveryVisit), the
-//     end of every visit — the next visitor a runner pops may be parked on a
-//     read, and a windowed runner waits in its reads while it holds a queue
-//     that is not empty.
+//     end of every visit — the rest of a runner's sweep, and the visitors it
+//     pops next, may be parked on reads for as long as those take.
 //
 // The termination counter includes buffered visitors, so a traversal cannot
 // end while any outbox is non-empty.
@@ -173,46 +172,52 @@ func (o *outbox) reset() {
 	o.touched = o.touched[:0]
 }
 
-// parkedVisitor is a popped visitor waiting on its adjacency read, and the
-// read the back end left in the scratch, handed back before the visit.
-type parkedVisitor struct {
-	it   pq.Item
-	read any
-}
-
-// fetchGroup is the visitors one runner parked on one fetch. watched marks a
-// group whose landing wakes the runner (Engine.watch).
+// fetchGroup is the visitors one runner parked on one fetch, with the read
+// each carries back to the visit. watched marks a group whose landing wakes
+// the runner (Engine.watch).
 type fetchGroup struct {
-	wait     <-chan struct{}
-	visitors []parkedVisitor
-	watched  bool
+	wait    <-chan struct{}
+	items   []pq.Item
+	reads   []any
+	watched bool
 }
 
 // parkedSet is one device runner's parked visitors, grouped by the fetch
-// they wait on, oldest group first. Only its runner touches it while the
-// traversal runs. Groups past len keep their visitor buffers for reuse.
+// they wait on, oldest group first, and the buffers of its sweeps: sweep,
+// reads and waits are Engine.start's, free the reads of visitors that have
+// run, for the back end to reuse. Only its runner touches it while the
+// traversal runs. Groups past len keep their buffers for reuse.
 type parkedSet struct {
 	groups []fetchGroup
+	n      int // visitors parked
+	sweep  []pq.Item
+	reads  []any
+	waits  []<-chan struct{}
+	free   []any
 }
 
-// add parks pv on wait, in the group of the visitors already waiting on it.
+// add parks it, with its read, on wait, in the group of the visitors
+// already waiting on it: most likely the newest, where a sweep's go.
 //
 //lint:hotpath
-func (s *parkedSet) add(wait <-chan struct{}, pv parkedVisitor) {
-	i := 0
-	for i < len(s.groups) && s.groups[i].wait != wait {
-		i++
+func (s *parkedSet) add(wait <-chan struct{}, it pq.Item, read any) {
+	s.n++
+	i := len(s.groups) - 1
+	for i >= 0 && s.groups[i].wait != wait {
+		i--
 	}
-	if i == len(s.groups) { // the first visitor parked on this fetch
+	if i < 0 { // the first visitor parked on this fetch
+		i = len(s.groups)
 		if i == cap(s.groups) {
 			s.groups = append(s.groups, fetchGroup{})
 		} else {
 			s.groups = s.groups[:i+1]
 		}
 		g := &s.groups[i]
-		g.wait, g.visitors, g.watched = wait, g.visitors[:0], false
+		g.wait, g.items, g.reads, g.watched = wait, g.items[:0], g.reads[:0], false
 	}
-	s.groups[i].visitors = append(s.groups[i].visitors, pv)
+	g := &s.groups[i]
+	g.items, g.reads = append(g.items, it), append(g.reads, read)
 }
 
 // landed returns the oldest group whose read has landed, or -1.
@@ -229,24 +234,23 @@ func (s *parkedSet) landed() int {
 	return -1
 }
 
-// remove drops group i, whose visitors have run, keeping the order of the
-// rest and its buffer for the next group.
+// remove drops group i, whose visitors have left, keeping the order of the
+// rest and its buffers for the next group.
 //
 //lint:hotpath
 func (s *parkedSet) remove(i int) {
 	g := s.groups[i]
-	clear(g.visitors) // the reads' bytes go with their visitors
+	s.n -= len(g.items)
+	clear(g.reads) // the reads' bytes go with their visitors
 	copy(s.groups[i:], s.groups[i+1:])
 	last := len(s.groups) - 1
-	s.groups[last] = fetchGroup{visitors: g.visitors[:0]}
+	s.groups[last] = fetchGroup{items: g.items[:0], reads: g.reads[:0]}
 	s.groups = s.groups[:last]
 }
 
-// reset drops every group without running it.
+// reset drops every group without running it; the free list stays.
 func (s *parkedSet) reset() {
-	for i := range s.groups {
-		clear(s.groups[i].visitors)
-		s.groups[i].visitors = s.groups[i].visitors[:0]
+	for len(s.groups) > 0 {
+		s.remove(0)
 	}
-	s.groups = s.groups[:0]
 }

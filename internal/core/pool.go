@@ -20,7 +20,7 @@ import (
 // steady state on everything except the result arrays themselves.
 
 // workerStats is one runner's hot, written-on-every-visit state: the
-// visit/push/prune counters and the pop window. The cells live in one
+// visit/push/prune counters and the in-memory pop batch. The cells live in one
 // contiguous array (engineRes.stats); the pad rounds each to whole 64-byte
 // lines, so no write ping-pongs a line another runner's cell shares.
 type workerStats struct {

@@ -46,13 +46,12 @@ type Scratch[V Vertex] struct {
 	Targets []V
 	Weights []Weight
 	Block   []byte
-	// Window is the engine's buffer for one pop window's NeighborsBatch argument.
+	// Window is the engine's buffer for one sweep's Request argument.
 	Window []V
 	// Read is the adjacency read BatchAdjacency.Request started for the next
-	// Neighbors call on this scratch: Request leaves it here, an engine that
-	// parks the visitor takes it along and puts it back before the visit, and
-	// Neighbors decodes from it instead of reading again. Opaque to all but
-	// the back end that set it.
+	// Neighbors call on this scratch: the engine puts a visitor's read here
+	// before the visit, and Neighbors decodes from it instead of reading
+	// again. Opaque to all but the back end that started it.
 	Read any
 	// Prefetch is an opaque per-worker prefetch session owned by storage
 	// back ends that implement BatchAdjacency. The engine only carries it
@@ -85,19 +84,23 @@ type Adjacency[V Vertex] interface {
 // without copying. Reads still unconsumed when the next NeighborsBatch
 // arrives on the scratch are abandoned.
 //
-// Request starts the read of one vertex's adjacency and leaves it in
-// scratch.Read for the Neighbors call of that vertex. wait is nil when the
-// bytes are already resident; otherwise it is closed once a fetch the read
-// is under has landed, and visitors whose reads share one fetch get the same
-// channel. Called again for the vertex while scratch.Read still holds its
-// read, Request starts nothing and reports the next fetch that read is still
-// under, nil once all have landed: one extent may span several. full reports
-// that the back end has as many asynchronous reads outstanding as it wants:
-// a caller should run what has landed before it requests more.
+// Request starts the reads of a sweep of vertices in one call, so that
+// neighbouring extents can share device operations. reads and waits are as
+// long as vs. On entry reads[i] is a read of an earlier call the caller is
+// done with, for the back end to reuse, or nil; a read that is still vs[i]'s
+// own (its visitor was parked and has not run) is re-checked instead:
+// nothing is claimed for it and waits[i] names the next fetch it is still
+// under, nil once all have landed: one extent may span several. On return
+// reads[i] is vs[i]'s read, which the caller puts in scratch.Read before the
+// Neighbors call of vs[i], and waits[i] is nil when its bytes are resident,
+// otherwise closed once a fetch they are under has landed; reads that share
+// one fetch get the same channel. full reports that the back end has as many
+// asynchronous reads outstanding as it wants: a caller should run what has
+// landed before it requests more.
 type BatchAdjacency[V Vertex] interface {
 	Adjacency[V]
 	NeighborsBatch(vs []V, scratch *Scratch[V])
-	Request(v V, scratch *Scratch[V]) (wait <-chan struct{}, full bool)
+	Request(vs []V, reads []any, waits []<-chan struct{}, scratch *Scratch[V]) (full bool)
 }
 
 // Settler is implemented by storage back ends that want traversal-state

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the graph-layer shard router: one logical graph partitioned
 // across N member stores by vertex id modulo N, so a graph that outgrows one
@@ -9,8 +12,8 @@ import "fmt"
 // local ids u = v / N: its index covers its own vertices, so N members hold
 // one index between them, not N. Edge targets stay global ids. Each member
 // keeps its own device, block cache, and prefetcher; the router decides which
-// member answers for which vertex, translates the id, and fans pop-windows
-// out per shard.
+// member answers for which vertex, translates the id, and fans windows and
+// sweeps out per shard.
 //
 // The modulo partition is part of the on-disk shard contract (sem's shard
 // map records it as partition id 2); changing it would orphan every shard set
@@ -62,10 +65,9 @@ func ExtractShard[V Vertex](g *CSR[V], shard, shards int) (*CSR[V], error) {
 // Sharded composes N member adjacencies into one logical graph: vertex v's
 // neighbors are row v/N of member v%N. It implements Adjacency and
 // BatchAdjacency, so the one traversal kernel runs over a sharded mount
-// unchanged; NeighborsBatch partitions a worker's pop-window by owning shard
-// and hands each member its group, so every shard's prefetcher coalesces and
-// issues spans against its own device concurrently, and Request hands one
-// vertex's read to its member.
+// unchanged; NeighborsBatch and Request partition a worker's window or sweep
+// by owning shard and hand each member its group, so every shard coalesces
+// its own extents and reads its own device concurrently.
 //
 // Sharded itself is stateless beyond the member list — all per-worker state
 // (per-shard sub-scratches, window groups) lives in the caller's Scratch — so
@@ -144,10 +146,14 @@ func (s *Sharded[V]) Degree(v V) int {
 // shardScratch is the router's per-worker state, stored in Scratch.Prefetch:
 // one sub-scratch per member (so each shard's decode buffers and prefetch
 // session stay isolated — two members must never share a session) and the
-// reusable window groups of NeighborsBatch.
+// reusable per-member groups of NeighborsBatch and Request: the rows, their
+// positions in the caller's sweep, and the reads and waits of those.
 type shardScratch[V Vertex] struct {
 	subs   []*Scratch[V]
 	groups [][]V
+	at     [][]int
+	reads  [][]any
+	waits  [][]<-chan struct{}
 }
 
 // state returns the worker's shard scratch, building it on first use with
@@ -155,9 +161,13 @@ type shardScratch[V Vertex] struct {
 func (s *Sharded[V]) state(scratch *Scratch[V]) *shardScratch[V] {
 	ss, ok := scratch.Prefetch.(*shardScratch[V])
 	if !ok || len(ss.subs) != len(s.members) {
+		n := len(s.members)
 		ss = &shardScratch[V]{
-			subs:   make([]*Scratch[V], len(s.members)),
-			groups: make([][]V, len(s.members)),
+			subs:   make([]*Scratch[V], n),
+			groups: make([][]V, n),
+			at:     make([][]int, n),
+			reads:  make([][]any, n),
+			waits:  make([][]<-chan struct{}, n),
 		}
 		for i := range ss.subs {
 			ss.subs[i] = &Scratch[V]{}
@@ -186,26 +196,47 @@ func (s *Sharded[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, error) 
 	return s.members[k].Neighbors(u, sub)
 }
 
-// Request implements BatchAdjacency: v's owning member starts the read on its
-// sub-scratch, and the read moves up to scratch.Read, where the engine finds
-// it, until Neighbors hands it back; a read still up there goes down first,
-// so the member can re-check it. A member that cannot batch reads
-// synchronously at the visit.
-func (s *Sharded[V]) Request(v V, scratch *Scratch[V]) (<-chan struct{}, bool) {
-	k, u := s.owner(v)
-	if scratch == nil || s.batch[k] == nil {
-		return nil, false
+// Request implements BatchAdjacency: the sweep is grouped by owning member,
+// each member starts its group's reads on its sub-scratch in one call, and
+// the reads and waits go back to their places in the sweep; Neighbors hands a
+// read down to its member. A member that cannot batch gets no read: its
+// vertices are read at the visit.
+func (s *Sharded[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scratch *Scratch[V]) (full bool) {
+	clear(waits)
+	if scratch == nil {
+		return false
 	}
-	sub := s.state(scratch).subs[k]
-	if scratch.Read != nil {
-		sub.Read = scratch.Read
+	ss := s.state(scratch)
+	for k := range ss.groups {
+		ss.groups[k], ss.at[k], ss.reads[k] = ss.groups[k][:0], ss.at[k][:0], ss.reads[k][:0]
 	}
-	wait, full := s.batch[k].Request(u, sub)
-	scratch.Read, sub.Read = sub.Read, nil
-	return wait, full
+	for i, v := range vs {
+		if k, u := s.owner(v); s.batch[k] != nil {
+			ss.groups[k] = append(ss.groups[k], u)
+			ss.at[k] = append(ss.at[k], i)
+			ss.reads[k] = append(ss.reads[k], reads[i])
+		}
+	}
+	for k, b := range s.batch {
+		n := len(ss.groups[k])
+		if n == 0 {
+			continue
+		}
+		ws := slices.Grow(ss.waits[k][:0], n)[:n]
+		if b.Request(ss.groups[k], ss.reads[k], ws, ss.subs[k]) {
+			full = true
+		}
+		for j, i := range ss.at[k] {
+			reads[i], waits[i] = ss.reads[k][j], ws[j]
+		}
+		clear(ss.reads[k])
+		clear(ws)
+		ss.waits[k] = ws
+	}
+	return full
 }
 
-// NeighborsBatch implements BatchAdjacency: group the pop-window by owning
+// NeighborsBatch implements BatchAdjacency: group the window by owning
 // shard, then announce each group to its member so per-shard extents coalesce
 // among themselves (extents of different shards live in different files and
 // could never merge) and every shard's device starts reading concurrently.

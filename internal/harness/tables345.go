@@ -184,7 +184,7 @@ func semBFS(src uint32) func(graph.Adjacency[uint32], core.Config) error {
 }
 
 // semConfig is the engine configuration for a run on m: the one the mount
-// derived (sort key, pop window, switch thresholds) at SEMThreads workers,
+// derived (sort key, sweep width, switch thresholds) at SEMThreads workers,
 // with BFS forced onto the asynchronous kernel — Tables IV and the ablations
 // are the paper's exhibits and measure the paper's engine. (SSSP and CC never
 // take the driver; the direction ablation forces each side itself.)

@@ -26,7 +26,7 @@ type IO struct {
 	Cache                  sem.CacheIOStats
 	PinnedHW               int64
 	// Prefetch is the window pipeline's span-coalescing and in-edge scan
-	// counters: the asynchronous kernel's windows on the raw device, the BFS
+	// counters: the asynchronous kernel's sweeps on the raw device, the BFS
 	// driver's on every semi-external mount. Zero on a mount that never
 	// windowed or scanned.
 	Prefetch sem.PrefetchStats

@@ -36,16 +36,18 @@ import (
 
 // The block-cache recipe every mount shares — 4 KiB blocks, a budget of the
 // store's bytes / cacheFrac (never below Options.CacheFloor), readahead blocks
-// per miss in one device operation — and the pop window of a mount without
+// per miss in one device operation — and the sweep width of a mount without
 // the cache.
 const (
 	blockSize = 4096
 	cacheFrac = 2
 	readahead = 8
-	// rawWindow visitors are popped at once on a raw-device mount, their
-	// reads coalesced across sem.DefaultPrefetchGap: 1.5-3.7x faster than
-	// one read per visit there, 1.3-2.2x slower behind the cache
-	// (EXPERIMENTS.md "The mount chooses").
+	// rawWindow visitors make one sweep on a raw-device mount
+	// (Config.Prefetch), their reads coalesced across sem.DefaultPrefetchGap,
+	// and a runner keeps up to rawWindow visitors a queue parked. 16 popped
+	// at once read 1.5-3.7x faster than one read per visit there and
+	// 1.3-2.2x slower behind the cache (EXPERIMENTS.md "The mount chooses",
+	// "The raw device parks too").
 	rawWindow = 16
 )
 
@@ -57,8 +59,8 @@ type Options struct {
 	// Profile is the device model of a SEM mount.
 	Profile ssd.Profile
 	// NoCache mounts the raw device without the block cache: every adjacency
-	// read is a device operation, so the engine pops rawWindow visitors at
-	// once and their ranges become block requests on a table that keeps no
+	// read is a device operation, so a runner's sweep is rawWindow visitors,
+	// whose merged ranges become block requests on a table that keeps no
 	// block.
 	NoCache bool
 	// CacheFloor is the smallest block-cache budget in bytes; the budget is
@@ -259,8 +261,9 @@ func (o Options) cacheBudget(size int64) int64 {
 // vertex-id sort key is on exactly when the edges stay on a device: at the
 // queue lengths the proposal filter leaves it ties either way (EXPERIMENTS.md
 // "Semi-sort at 128 queues"), so it is the mount's constant, not a knob. The
-// asynchronous kernel's pop window is on exactly on the raw device; the graph
-// serves windows on every semi-external mount, for the BFS driver. Direction
+// asynchronous kernel sweeps rawWindow visitors exactly on the raw device,
+// one behind the cache; the graph serves windows on every semi-external
+// mount, for the BFS driver. Direction
 // is left at its zero value — core.BFS chooses its driver from Adj — and a
 // graph that can answer "who points at v?" gets the switch thresholds of its
 // own degree distribution instead of one-size-fits-all constants, for

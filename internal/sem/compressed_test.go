@@ -365,10 +365,16 @@ func TestRequestResidentNoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		scratch := &graph.Scratch[uint32]{}
+		vs, reads, waits := make([]uint32, 1), make([]any, 1), make([]<-chan struct{}, 1)
+		request := func(v uint32) {
+			vs[0] = v
+			sg.Request(vs, reads, waits, scratch)
+			scratch.Read = reads[0]
+		}
 		visit := func() {
 			for v := uint32(0); v < 200; v++ {
-				if wait, _ := sg.Request(v, scratch); wait != nil {
-					<-wait
+				if request(v); waits[0] != nil {
+					<-waits[0]
 				}
 				if _, _, err := sg.Neighbors(v, scratch); err != nil {
 					t.Fatal(err)
@@ -389,9 +395,9 @@ func TestRequestResidentNoAllocs(t *testing.T) {
 			after, _ := cache.Stats()
 			return after - h
 		}
-		requests := claims(func(v uint32) { sg.Request(v, scratch) })
+		requests := claims(request)
 		visits := claims(func(v uint32) {
-			sg.Request(v, scratch)
+			request(v)
 			if _, _, err := sg.Neighbors(v, scratch); err != nil {
 				t.Fatal(err)
 			}

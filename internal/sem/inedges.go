@@ -4,7 +4,7 @@ package sem
 // in-edges from the on-flash in-edge section (flagInEdges) or, for symmetric
 // graphs (flagSymmetric), from the edge region itself. Its centerpiece is
 // ScanInEdges, the storage side of the bottom-up traversal phase — instead of
-// the pop-window's per-vertex random reads it walks a contiguous vertex-id
+// a sweep's per-vertex random reads it walks a contiguous vertex-id
 // range in storage order and coalesces the needed extents into large
 // sequential spans, which is precisely the access pattern the paper's
 // semi-external model rewards: the RAM-resident in-edge index decides what to
@@ -51,7 +51,7 @@ func (g *Graph[V]) InDegree(v V) int {
 
 // InNeighbors implements graph.InAdjacency with one positional read per call,
 // through the same routine as Neighbors. Symmetric files answer from the edge
-// region (and may therefore consume a prefetched pop-window span); in-edge
+// region (and may therefore consume a prefetched window's span); in-edge
 // sections read synchronously — bottom-up phases should use ScanInEdges,
 // whose sequential spans are the whole point.
 func (g *Graph[V]) InNeighbors(v V, scratch *graph.Scratch[V]) ([]V, error) {
@@ -71,7 +71,7 @@ func (g *Graph[V]) InNeighbors(v V, scratch *graph.Scratch[V]) ([]V, error) {
 // prefetch is disabled, capped at scanSpanBytes per read), and visit each
 // vertex from its span's bytes. With a prefetcher attached the spans are
 // double-buffered: span k+1 is an asynchronous block request on the table —
-// the pop window's call — while span k decodes, so the device and the CPU
+// a window's call — while span k decodes, so the device and the CPU
 // overlap with megabyte streams instead of per-vertex records, and blocks
 // another reader has under I/O are shared; scan reads are tallied in
 // PrefetchStats.ScanSpans/ScanBytes. Without one each span is read through the

@@ -1,42 +1,42 @@
 package sem
 
-// This file is the semi-external asynchronous I/O pipeline. Two callers
-// announce windows through NeighborsBatch: the asynchronous engine its next
-// pop-window on a raw-device mount, and the BFS driver each ioFanout slice of
-// a top-down phase's frontier on every mount. The graph serves them once a
-// prefetcher is attached: Open attaches one over a CachedStore, a table that
-// keeps blocks, and a raw mount calls EnablePrefetch. The engine without a
-// pop window — every cached mount — asks for one vertex at a time through
-// Request instead: the blocks under its extent are requested from the table
-// the same way, a visitor whose blocks are not all resident is parked on a
-// fetch they are under until it lands — and on the next, if its extent spans
-// blocks of several fetches — while its runner runs other work, and
-// Neighbors then decodes from the entries Request held. A graph that never
-// windows over a zero-budget table reads the extent alone, as its
-// synchronous reads do, in a fetch of its own. The engine's SemiSort
-// key arranges for each worker to pop runs of id-adjacent vertices (§IV-C);
-// their adjacency extents therefore sit near each other in the on-device edge
-// region. A window's extents merge into ranges while each next one starts
-// within MaxGap bytes of the running end, and every range becomes one
-// asynchronous [lo, hi) block request on the graph's table
-// (cache.go). A block the table already holds — under another reader's fetch,
-// or cached — is shared; the rest are read in one device operation on the
-// table's bounded I/O pool while the worker starts visiting. On ssd.Device a
-// range pays one latency term plus bandwidth instead of k latencies — the
-// request-merging trick of FlashGraph-class I/O layers — a block several
-// workers' windows want is read once, and the visit of the first window
-// vertex overlaps the reads of the rest.
+// This file is the semi-external asynchronous I/O pipeline. It has two
+// callers. The asynchronous engine hands each sweep a device runner popped —
+// up to Config.Prefetch visitors, 16 on a raw-device mount, one behind the
+// cache — to Request; the BFS driver announces each ioFanout slice of a
+// top-down phase's frontier through NeighborsBatch. Open attaches a
+// prefetcher (the coalescing gap and the counters) over a CachedStore, a
+// table that keeps blocks, and a raw mount calls EnablePrefetch. The
+// engine's SemiSort key arranges for each worker to pop runs of id-adjacent
+// vertices (§IV-C); their adjacency extents therefore sit near each other in
+// the on-device edge region. A sweep's or window's extents merge into ranges
+// while each next one starts within MaxGap bytes of the running end, and
+// every range becomes one asynchronous [lo, hi) block request on the graph's
+// table (cache.go). A block the table already holds — under another reader's
+// fetch, or cached — is shared; the rest are read in one device operation on
+// the table's bounded I/O pool while the worker runs other work. On
+// ssd.Device a range pays one latency term plus bandwidth instead of k
+// latencies — the request-merging trick of FlashGraph-class I/O layers — and
+// a block several workers want is read once. Request gives each vertex of a
+// sweep a read holding the entries of its own blocks, out of its range's: a
+// visitor whose blocks are not all resident is parked on a fetch they are
+// under until it lands — and on the next, if its extent spans blocks of
+// several fetches — and Neighbors then decodes from the entries the read
+// holds, with no second claim. A window's entries stay in the worker's
+// session until the next window. A graph that never windows over a
+// zero-budget table reads each extent alone, as its synchronous reads do, in
+// a fetch of its own.
 //
-// Ownership and correctness: a window is popped from one worker's queue, so
-// every vertex in it is owned by that worker (the engine's hash routing), or
-// it is one driver worker's slice of a frontier; the session holding the
-// window's block entries lives in that worker's scratch — no other worker
-// ever touches it. A fetch publishes to its readers
-// only through its ready channel (close happens-after the bytes and the error
-// are written). Visiting in pop-window order rather than strict one-at-a-time
-// heap order is safe for the label-correcting kernels because every
-// relaxation is monotone: reordering costs at most extra corrections, never
-// wrong labels.
+// Ownership and correctness: a sweep is popped from queues one worker owns,
+// so every vertex in it is owned by that worker (the engine's hash routing),
+// or a window is one driver worker's slice of a frontier; the reads and the
+// session holding a window's block entries live in that worker's scratch and
+// parked visitors — no other worker ever touches them. A fetch publishes to
+// its readers only through its ready channel (close happens-after the bytes
+// and the error are written). Visiting in sweep order rather than strict
+// one-at-a-time heap order is safe for the label-correcting kernels because
+// every relaxation is monotone: reordering costs at most extra corrections,
+// never wrong labels.
 
 import (
 	"cmp"
@@ -82,7 +82,9 @@ type PrefetchConfig struct {
 // PrefetchStats counts prefetcher activity over the graph's lifetime. All
 // counters are monotone; read them after a traversal completes.
 type PrefetchStats struct {
-	Windows   uint64 // NeighborsBatch calls that requested at least one range
+	// Windows counts the NeighborsBatch calls that requested at least one
+	// range, and the Request sweeps of more than one extent.
+	Windows   uint64
 	Vertices  uint64 // nonzero-degree vertices accepted into windows
 	Spans     uint64 // device reads the window ranges issued
 	SpanBytes uint64 // bytes those reads transferred
@@ -178,9 +180,10 @@ func (g *Graph[V]) PrefetchStats() PrefetchStats {
 	}
 }
 
-// extent is a vertex's adjacency byte range. In a window, k is where the
-// entry of its first block sits in the session's held list, and done marks
-// it consumed, so a vertex popped twice in one window consumes its own.
+// extent is a vertex's adjacency byte range. In a window or sweep, k is
+// where the entry of its first block sits in the held list its ranges
+// filled; in a window done marks it consumed, so a vertex popped twice in
+// one window consumes its own; in a sweep v is its place in the sweep.
 type extent struct {
 	v    uint64
 	off  int64
@@ -190,8 +193,8 @@ type extent struct {
 }
 
 // coalesce merges the run of offset-sorted extents starting at exts[i] into
-// one range — the one place extents become device requests, shared by the
-// pop-window (NeighborsBatch) and the bottom-up scan (ScanInEdges). A
+// one range — the one place extents become device requests, shared by
+// windows and sweeps (requestRanges) and the bottom-up scan (ScanInEdges). A
 // following extent joins while it starts within maxGap bytes of the range's
 // end and the range stays within maxBytes; duplicate or overlapping extents
 // (the same vertex popped twice in one window) fold into the same bytes. The
@@ -231,6 +234,11 @@ type prefetchSession struct {
 	// keeps their bytes alive until Neighbors decodes; the table, on the raw
 	// device, keeps nothing itself.
 	held []*cacheEntry
+	// sweep and sweepHeld are Request's buffers: a sweep's extents, each v
+	// its place in the sweep, and its ranges' entries, which the sweep's
+	// reads hold from the call on.
+	sweep     []extent
+	sweepHeld []*cacheEntry
 }
 
 // take hands v's window bytes to the caller once the reads under them
@@ -254,19 +262,21 @@ func (s *prefetchSession) take(v uint64, blockSize int64, buf *[]byte) (block []
 	return nil, nil, false
 }
 
-// EnablePrefetch makes the graph service NeighborsBatch windows: each window's
-// extents merge into ranges that become asynchronous block requests on the
-// graph's table, and its in-edge scans double-buffer through the same call.
-// Without it NeighborsBatch is a no-op and every read is synchronous. Open
-// calls it over a CachedStore; a graph over a raw store needs the call, once,
-// before the traversal starts.
+// EnablePrefetch makes the graph service NeighborsBatch windows and merge a
+// Request sweep's extents: a window's or sweep's extents merge into ranges
+// across cfg.MaxGap that become asynchronous block requests on the graph's
+// table, and its in-edge scans double-buffer through the same call. Without
+// it NeighborsBatch is a no-op, every Neighbors read without a Request is
+// synchronous, and over a zero-budget table Request reads each extent alone.
+// Open calls it over a CachedStore; a graph over a raw store needs the call,
+// once, before the traversal starts.
 func (g *Graph[V]) EnablePrefetch(cfg PrefetchConfig) {
 	cfg.normalize()
 	g.prefetch = &Prefetcher{cfg: cfg}
 }
 
 // NeighborsBatch implements graph.BatchAdjacency: it announces the worker's
-// next pop-window of vertices, merges their adjacency extents into ranges and
+// next window of vertices, merges their adjacency extents into ranges and
 // requests each range's blocks from the table. Subsequent Neighbors calls on
 // the same scratch decode from the entries the session holds, without
 // copying unless an extent runs past its fetch; a window's entries still
@@ -277,18 +287,14 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 	if p == nil {
 		return
 	}
-	sess, _ := scratch.Prefetch.(*prefetchSession)
-	if sess == nil {
-		sess = &prefetchSession{p: p}
-		scratch.Prefetch = sess
-	}
+	sess := g.session(scratch)
 	for i := range sess.exts {
 		if !sess.exts[i].done {
 			p.abandoned.Add(1)
 		}
 	}
 	clear(sess.held)
-	exts, held := sess.exts[:0], sess.held[:0]
+	exts := sess.exts[:0]
 	for _, v := range vs {
 		// The extent is a record span on v1 stores and a compressed block on
 		// v2 — the ranges and the uncopied handoff below are format-blind.
@@ -296,40 +302,71 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 			exts = append(exts, extent{v: uint64(v), off: off, n: n})
 		}
 	}
-	if len(exts) > 0 {
-		slices.SortFunc(exts, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
-		p.windows.Add(1)
-		p.vertices.Add(uint64(len(exts)))
+	sess.exts, sess.held = exts, g.requestRanges(exts, sess.held[:0], p)
+}
+
+// session returns the worker's prefetch session, building it on first use.
+func (g *Graph[V]) session(scratch *graph.Scratch[V]) *prefetchSession {
+	sess, _ := scratch.Prefetch.(*prefetchSession)
+	if sess == nil {
+		sess = &prefetchSession{p: g.prefetch}
+		scratch.Prefetch = sess
+	}
+	return sess
+}
+
+// requestRanges sorts exts by offset, merges them into ranges across the
+// prefetcher's gap (none without one) and requests each range's blocks from
+// the table, appending their entries to held; exts[k].k is where the entry of
+// extent k's first block sits there. count, when non-nil, is the prefetcher
+// the window's reads are counted in.
+func (g *Graph[V]) requestRanges(exts []extent, held []*cacheEntry, count *Prefetcher) []*cacheEntry {
+	if len(exts) == 0 {
+		return held
+	}
+	slices.SortFunc(exts, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
+	var gap int64
+	if g.prefetch != nil {
+		gap = int64(g.prefetch.cfg.MaxGap)
+	}
+	if count != nil {
+		count.windows.Add(1)
+		count.vertices.Add(uint64(len(exts)))
 	}
 	bs := g.table.blockSize
 	for i := 0; i < len(exts); {
-		j, end := coalesce(exts, i, int64(p.cfg.MaxGap), math.MaxInt64)
+		j, end := coalesce(exts, i, gap, math.MaxInt64)
 		lo := exts[i].off / bs
 		for k := i; k < j; k++ {
 			exts[k].k = len(held) + int(exts[k].off/bs-lo)
 		}
 		var off, n int64
-		if held, off, n = g.table.request(held, lo, (end-1)/bs+1); n == 0 {
-			p.dedupSpans.Add(1)
-			p.dedupBytes.Add(uint64(end - exts[i].off))
-		} else {
-			p.spans.Add(1)
-			p.spanBytes.Add(uint64(n))
-			p.gapBytes.Add(uint64(n - wanted(exts[i:j], off, off+n)))
+		held, off, n = g.table.request(held, lo, (end-1)/bs+1)
+		switch {
+		case count == nil:
+		case n == 0:
+			count.dedupSpans.Add(1)
+			count.dedupBytes.Add(uint64(end - exts[i].off))
+		default:
+			count.spans.Add(1)
+			count.spanBytes.Add(uint64(n))
+			count.gapBytes.Add(uint64(n - wanted(exts[i:j], off, off+n)))
 		}
 		i = j
 	}
-	sess.exts, sess.held = exts, held
+	return held
 }
 
 // heldRead is one vertex's read started by Request: the entries of the
 // blocks under its extent, held so that their bytes outlive the cache's
 // eviction and the zero-budget table's forgetting until Neighbors decodes
 // them — or, for an exact read (requestExact), the one entry holding just
-// the extent. live is cleared when Neighbors has; a runner's next Request
-// reuses the struct it finds in the scratch.
+// the extent. live is cleared when Neighbors has decoded it, or when Request
+// reuses a read whose visitor never did; p, when set, is the prefetcher that
+// counted the read and counts it consumed or abandoned.
 type heldRead struct {
 	table *CachedStore
+	p     *Prefetcher
 	v     uint64
 	off   int64
 	n     int
@@ -353,53 +390,95 @@ func (r *heldRead) pending() <-chan struct{} {
 	return nil
 }
 
-// bytes returns the extent once the fetches under it have landed.
-func (r *heldRead) bytes(buf *[]byte) ([]byte, error) {
-	if r.exact {
-		e := r.held[0]
+// take returns the extent once the fetches under it have landed, and lets go
+// of the entries: the read is consumed.
+func (r *heldRead) take(buf *[]byte) ([]byte, error) {
+	var b []byte
+	var err error
+	if e := r.held[0]; r.exact {
 		<-e.ready
-		return e.data, e.err
+		b, err = e.data, e.err
+	} else {
+		b, err = gather(r.held, r.table.blockSize, r.off, r.n, buf)
 	}
-	return gather(r.held, r.table.blockSize, r.off, r.n, buf)
+	if r.p != nil {
+		r.p.consumed.Add(1)
+	}
+	r.release()
+	return b, err
 }
 
-// Request implements graph.BatchAdjacency: it requests the blocks under v's
-// adjacency extent from the table — a resident block is held at once, an
-// absent one joins a fetch in flight or starts one on the I/O pool, with the
-// miss's readahead — and leaves the held entries in scratch.Read, where the
-// Neighbors call for v finds them without a second claim. A graph that never
-// windows over a zero-budget table requests the extent alone instead, as
-// its synchronous read would (CachedStore.read). wait is the ready channel
-// of the first fetch the read is still under, nil when every byte is
-// resident. Called again for v while scratch.Read holds v's live read, it
-// claims nothing and reports the next fetch that read is still under: an
-// extent's blocks may be under several fetches. full reports the table at
-// its bound on asynchronous reads (CachedStore.full). A resident extent
-// allocates nothing.
-func (g *Graph[V]) Request(v V, scratch *graph.Scratch[V]) (wait <-chan struct{}, full bool) {
+// release drops the read's entries, keeping the slice for its next use.
+func (r *heldRead) release() {
+	clear(r.held)
+	r.held, r.live = r.held[:0], false
+}
+
+// Request implements graph.BatchAdjacency for a sweep: the extents of vs
+// merge into ranges as a window's do, each range's blocks are requested from
+// the table once — a resident block is held at once, an absent one joins a
+// fetch in flight or starts one on the I/O pool, with the miss's readahead —
+// and each vertex's read holds the entries of its own blocks out of its
+// range's, where the Neighbors call for it finds them without a second claim.
+// A graph that never windows over a zero-budget table requests each extent
+// alone instead, as its synchronous read would (CachedStore.read). The
+// prefetcher counts a sweep of more than one extent as a window, and its
+// reads as consumed when Neighbors decodes them, or abandoned when Request
+// reuses one whose visitor never did. full reports the table at its bound on
+// asynchronous reads (CachedStore.full). A sweep of resident extents
+// allocates nothing once its reads are reused.
+func (g *Graph[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scratch *graph.Scratch[V]) bool {
 	c := g.table
-	r, _ := scratch.Read.(*heldRead)
-	if r != nil && r.live && r.v == uint64(v) && r.table == c {
-		return r.pending(), c.full()
-	}
-	off, n := g.out.extent(v)
-	lo, hi := off/c.blockSize, (off+int64(n)-1)/c.blockSize+1
-	if n > 0 && hi <= c.maxBlock { // else Neighbors reads, and reports, it
+	exact := c.capBlocks == 0 && g.prefetch == nil
+	sess := g.session(scratch)
+	exts := sess.sweep[:0]
+	for i, v := range vs {
+		r, _ := reads[i].(*heldRead)
+		if r != nil && r.live && r.table == c && r.v == uint64(v) {
+			waits[i] = r.pending() // its own read: re-checked, not requested
+			continue
+		}
+		waits[i] = nil
 		if r == nil {
 			r = &heldRead{}
+			reads[i] = r
+		} else if r.live { // its visitor was dropped before decoding it
+			if r.p != nil {
+				r.p.abandoned.Add(1)
+			}
+			r.release()
 		}
-		clear(r.held)
-		r.exact = c.capBlocks == 0 && g.prefetch == nil
-		if r.exact {
-			r.held = append(r.held[:0], c.requestExact(off, n))
-		} else {
-			r.held, _, _ = c.request(r.held[:0], lo, hi)
+		off, n := g.out.extent(v)
+		if n == 0 || (off+int64(n)-1)/c.blockSize >= c.maxBlock {
+			continue // Neighbors reads, and reports, it
 		}
-		r.table, r.v, r.off, r.n, r.live = c, uint64(v), off, n, true
-		wait = r.pending()
-		scratch.Read = r
+		r.table, r.p, r.v, r.off, r.n, r.exact, r.live = c, nil, uint64(v), off, n, exact, true
+		if exact {
+			r.held = append(r.held, c.requestExact(off, n))
+			waits[i] = r.pending()
+			continue
+		}
+		exts = append(exts, extent{v: uint64(i), off: off, n: n})
 	}
-	return wait, c.full()
+	bs := c.blockSize
+	if len(exts) == 1 { // the one range is the extent's blocks: into its read
+		e := exts[0]
+		r := reads[e.v].(*heldRead)
+		r.held, _, _ = c.request(r.held, e.off/bs, (e.off+int64(e.n)-1)/bs+1)
+		waits[e.v] = r.pending()
+		sess.sweep = exts
+		return c.full()
+	}
+	held := g.requestRanges(exts, sess.sweepHeld[:0], g.prefetch)
+	for _, e := range exts {
+		r := reads[e.v].(*heldRead)
+		r.held = append(r.held, held[e.k:e.k+int((e.off+int64(e.n)-1)/bs-e.off/bs)+1]...)
+		r.p = g.prefetch
+		waits[e.v] = r.pending()
+	}
+	clear(held)
+	sess.sweep, sess.sweepHeld = exts, held[:0]
+	return c.full()
 }
 
 // The semi-external graph is the repository's only BatchAdjacency back end.

@@ -764,8 +764,8 @@ func (g *Graph[V]) neighbors(s *section[V], v V, scratch *graph.Scratch[V]) ([]V
 	var err error
 	taken := false
 	if r, ok := scratch.Read.(*heldRead); ok && r.live && r.v == uint64(v) && r.table == g.table && s == &g.out {
-		r.live, taken = false, true
-		block, err = r.bytes(&scratch.Block)
+		block, err = r.take(&scratch.Block)
+		taken = true
 	} else if sess, ok := scratch.Prefetch.(*prefetchSession); ok && s == &g.out {
 		block, err, taken = sess.take(uint64(v), g.table.blockSize, &scratch.Block)
 	}

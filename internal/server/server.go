@@ -78,7 +78,7 @@ type Config struct {
 	CacheEntries int
 	// Engine configures the traversal engine of every graph added without a
 	// Mount. A mounted graph runs under its own Mount.Engine — the storage
-	// stack decides the sort key, pop window, direction and thresholds — and
+	// stack decides the sort key, sweep width, direction and thresholds — and
 	// takes only Workers from here. Context is ignored: the server installs a
 	// per-query context.
 	Engine core.Config
