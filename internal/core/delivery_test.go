@@ -127,11 +127,11 @@ func padEdges(b *graph.Builder[uint32], u, t uint32, w graph.Weight, n int) {
 // outbox before visiting 4. 3's parallel back edges (all
 // pruned) put 4's adjacency in another 4 KiB block than 0's, 1's and 2's, so
 // the layout holds where a parked read is a block request too: a read of 1
-// that joined 4's block would wait with it. Without a pop window A parks 4 on
+// that joined 4's block would wait with it. With sweeps of one A parks 4 on
 // its read; the verdict is the visit of 1, not a read of it: parked reads run
-// on the table's I/O pool in any order. With a 16-wide pop window A pops 2
-// and 4 in one window on one runner per queue, and the rule holds inside it
-// too: delivery follows the visit, not the window.
+// on the table's I/O pool in any order. With a 16-wide sweep A pops 2 and 4
+// in one sweep, and the rule holds inside it too: delivery follows the
+// visit, not the sweep.
 func TestBlockedWorkerHoldsNoVisitors(t *testing.T) {
 	for name, window := range map[string]int{"one visitor a pop": 0, "16-wide pop window": 16} {
 		t.Run(name, func(t *testing.T) { blockedWorkerHoldsNoVisitors(t, window) })

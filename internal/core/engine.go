@@ -542,7 +542,7 @@ func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
 			// The group goes back through the hook, which re-checks the read
 			// each visitor carries: one whose extent is under another fetch
 			// too parks again on it.
-			e.start(ctx, id, ps, ps.groups[i].items, ps.groups[i].reads)
+			e.runSweep(ctx, id, ps, ps.groups[i].items, ps.groups[i].reads)
 			ps.remove(i)
 			full = false
 			continue
@@ -562,7 +562,7 @@ func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
 		k := min(len(ps.free), len(sweep)) // reads to reuse; the rest are nil
 		clear(reads[copy(reads, ps.free[len(ps.free)-k:]):])
 		ps.sweep, ps.reads, ps.free = sweep, reads, ps.free[:len(ps.free)-k]
-		full = e.start(ctx, id, ps, sweep, reads)
+		full = e.runSweep(ctx, id, ps, sweep, reads)
 	}
 }
 
@@ -581,12 +581,12 @@ func (e *Engine[V]) sweep(id, width int, dst []pq.Item) []pq.Item {
 	return dst
 }
 
-// start hands a sweep and its reads to the request hook, parks each visitor
+// runSweep hands a sweep and its reads to the request hook, parks each visitor
 // the hook returned a wait for, and runs the rest at once in sweep order,
 // keeping their reads for reuse. It reports the back end full.
 //
 //lint:hotpath
-func (e *Engine[V]) start(ctx *Ctx[V], id int, ps *parkedSet, sweep []pq.Item, reads []any) (full bool) {
+func (e *Engine[V]) runSweep(ctx *Ctx[V], id int, ps *parkedSet, sweep []pq.Item, reads []any) (full bool) {
 	waits := slices.Grow(ps.waits[:0], len(sweep))[:len(sweep)]
 	if e.request != nil && !e.aborted.Load() {
 		full = e.request(sweep, reads, waits, ctx.Scratch)

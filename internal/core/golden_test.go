@@ -50,7 +50,7 @@ type goldenRun struct {
 // initial visitor queued before Start. The public CC races ParallelInit
 // against the already-running worker, so its counters are not reproducible
 // even with one worker; seeded up front the run is a pure function of pop
-// order. prefetch > 1 registers a recording pop-window hook.
+// order. prefetch > 1 registers a recording read hook, as on a device.
 func ccSeededBeforeStart(t *testing.T, g *graph.CSR[uint32], prefetch int) goldenRun {
 	t.Helper()
 	labels := make([]graph.Dist, g.NumVertices())
@@ -82,7 +82,7 @@ func ccSeededBeforeStart(t *testing.T, g *graph.CSR[uint32], prefetch int) golde
 // TestSingleWorkerGolden pins the runner loop's pop order: a one-queue run
 // is deterministic, so its visit, push, prune and queue high-water counters
 // and its labels are a fingerprint of the exact pop/visit/deliver sequence,
-// with the loop at its in-memory batch and at a 16-wide pop window.
+// with the loop at its in-memory batch and at a 16-wide device sweep.
 //
 // The label digests are the ones recorded before the claim-at-push filter
 // (kernelState.propose); the counters were re-recorded with it. Without the

@@ -184,7 +184,7 @@ type fetchGroup struct {
 
 // parkedSet is one device runner's parked visitors, grouped by the fetch
 // they wait on, oldest group first, and the buffers of its sweeps: sweep,
-// reads and waits are Engine.start's, free the reads of visitors that have
+// reads and waits are Engine.runSweep's, free the reads of visitors that have
 // run, for the back end to reuse. Only its runner touches it while the
 // traversal runs. Groups past len keep their buffers for reuse.
 type parkedSet struct {
