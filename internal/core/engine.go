@@ -1,10 +1,11 @@
 // Package core implements the paper's primary contribution: a multithreaded
 // asynchronous visitor-queue engine for graph traversal (§III).
 //
-// The engine keeps Workers prioritized visitor queues. A visitor destined for
-// vertex v is pushed to the queue selected by a hash of v, and a queue is
-// popped only by the runner goroutine holding it, so a vertex is only ever
-// visited by one runner at a time. That ownership discipline provides the
+// The engine keeps prioritized visitor queues: Workers of them in memory,
+// one per runner on a device. A visitor destined for vertex v is pushed to
+// the queue selected by a hash of v, and a queue is popped only by the
+// runner goroutine holding it, so a vertex is only ever visited by one
+// runner at a time. That ownership discipline provides the
 // paper's "exclusive access to a vertex when executing, removing the need for
 // additional vertex-level locking", and a near-uniform hash spreads high-cost
 // hub vertices across queues for load balance. The paper makes one thread
@@ -13,16 +14,20 @@
 // GOMAXPROCS runners serve the queues (Engine.run). In memory each holds one
 // queue at a time and moves to the queue with the best head, so §III-B's
 // "Dijkstra within a queue" order does not depend on a scheduler that knows
-// nothing of priorities. On a device each owns a fixed share of the queues
-// and never waits in a read while it has other work: it pops a sweep of
-// visitors whose reads the storage back end starts in one call, merging
-// neighbouring extents, and a visitor whose adjacency is not resident is
-// parked on its read and runs once the read has landed (Engine.runParked),
-// so the reads in flight are not bounded by the goroutine count. There are
-// no barriers between traversal steps: runners
-// run label-correcting visitors fully asynchronously and the traversal
-// completes when every queued or parked visitor has finished (termination is
-// detected with an atomic outstanding-work counter).
+// nothing of priorities. On a device each owns one queue for the whole
+// traversal and never waits in a read while it has other work: it pops a
+// sweep of visitors whose reads the storage back end starts in one call,
+// merging neighbouring extents, and a visitor whose adjacency is not
+// resident is parked on its read and runs once the read has landed
+// (Engine.runParked), so the reads in flight are not bounded by the
+// goroutine count. The relaxation kernel's queues hold at most one visitor
+// per vertex: a delivered visitor merges with the one queued for its vertex,
+// the better one staying (workQueue.merge), so each queue's "Dijkstra
+// within a queue" pops no visitor a better one has overtaken. There are no
+// barriers between traversal steps: runners run label-correcting visitors
+// fully asynchronously and the traversal completes when every queued or
+// parked visitor has finished (termination is detected with an atomic
+// outstanding-work counter).
 //
 // The implementation is layered into three files:
 //
@@ -54,14 +59,16 @@ import (
 
 // Config controls an Engine run.
 type Config struct {
-	// Workers is the number of ownership queues, the paper's thread count.
-	// The paper oversubscribes (512 threads on 16 cores) to reduce queue
-	// lock contention and to keep flash reads in flight; values far above
-	// GOMAXPROCS are expected. It is not the number of goroutines: R =
-	// min(Workers, GOMAXPROCS) runners serve the queues. In memory a runner
-	// holds one queue at a time; on a device runner r owns the queues
-	// q ≡ r (mod R) for the whole traversal and parks a visitor on its read
-	// instead of waiting in it. Defaults to 4 x GOMAXPROCS.
+	// Workers is the paper's thread count. The paper oversubscribes (512
+	// threads on 16 cores) to reduce queue lock contention and to keep flash
+	// reads in flight; values far above GOMAXPROCS are expected. It is not
+	// the number of goroutines: R = min(Workers, GOMAXPROCS) runners serve
+	// the queues. In memory it is the number of ownership queues, and a
+	// runner holds one at a time. On a device the engine keeps R queues, one
+	// per runner for the whole traversal, and Workers sets only how much a
+	// runner keeps parked on reads (Workers x Prefetch / R, see
+	// Engine.runParked) and the width of the BFS direction driver. Defaults
+	// to 4 x GOMAXPROCS.
 	Workers int
 	// SemiSort enables the secondary vertex-id sort key inside each queue,
 	// the paper's semi-external locality optimization (§IV-C).
@@ -127,17 +134,27 @@ type Stats struct {
 	// (kernelState.propose); they were never queued. Pushes + Pruned is the
 	// number of edges the kernel's visitors relaxed. Zero for custom visitors
 	// and for the direction driver.
-	Pruned   uint64
-	MaxQueue int // high-water mark across all visitor queues
-	Workers  int // worker count used
+	Pruned uint64
+	// Merged counts the visitors a queue dropped at delivery because it held
+	// one for the same vertex at an equal-or-better priority, or because the
+	// delivered one beat and replaced it (Engine.mergeVisitors): overtaken
+	// visitors that were never run. Visits + Merged = Pushes + seeds on a
+	// completed traversal. Zero for custom visitors and for the direction
+	// driver.
+	Merged uint64
+	// MaxQueue is the high-water mark across the visitor queues: on a
+	// device, the R queues, one per runner.
+	MaxQueue int
+	Workers  int // Config.Workers of the run
 	// PeakOutstanding is the maximum number of simultaneously queued or
 	// executing visitors: a direct measurement of the graph's available
 	// path parallelism (§III-B1 — the chain of Figure 2 pins this near 1,
 	// scale-free graphs push it toward the frontier size).
 	PeakOutstanding int64
 	// WorkerVisits is the per-queue visit count, for load-balance analysis
-	// (§III-A: the near-uniform hash should spread hub vertices evenly); for
-	// the direction driver, per phase worker that ran.
+	// (§III-A: the near-uniform hash should spread hub vertices evenly): one
+	// count per queue, Workers in memory and R on a device; for the direction
+	// driver, per phase worker that ran.
 	WorkerVisits []uint64
 
 	// Direction-driver counters (see direction.go); all zero for traversals
@@ -166,8 +183,8 @@ func (s Stats) Imbalance() float64 {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("visits=%d pushes=%d pruned=%d maxQueue=%d peak=%d workers=%d",
-		s.Visits, s.Pushes, s.Pruned, s.MaxQueue, s.PeakOutstanding, s.Workers)
+	return fmt.Sprintf("visits=%d pushes=%d pruned=%d merged=%d maxQueue=%d peak=%d workers=%d",
+		s.Visits, s.Pushes, s.Pruned, s.Merged, s.MaxQueue, s.PeakOutstanding, s.Workers)
 }
 
 // Ctx is the per-runner context handed to every visitor invocation. It
@@ -176,7 +193,8 @@ func (s Stats) String() string {
 type Ctx[V graph.Vertex] struct {
 	engine *Engine[V]
 	// Worker is the queue the runner holds while the visitor runs: the
-	// owner of every vertex it visits, in [0, Config.Workers).
+	// owner of every vertex it visits, in [0, Config.Workers) in memory and
+	// in [0, R) on a device.
 	Worker  int
 	Scratch *graph.Scratch[V]
 	out     *outbox
@@ -318,23 +336,44 @@ func (e *Engine[V]) SetRequest(fn func(sweep []pq.Item, reads []any, waits []<-c
 // and cheap.
 func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }
 
-// DeliverEveryVisit tells the engine its graph lives on a device: every
-// runner delivers its outbox after each visit, so a visitor it pushed is
-// never held back while the runner's reads are in the device, runner r owns
-// the queues q ≡ r (mod R) throughout, and a visitor whose read has not
-// landed is parked (SetRequest). Must precede Start.
-func (e *Engine[V]) DeliverEveryVisit() { e.device = true }
+// DeliverEveryVisit tells the engine its graph lives on a device: the engine
+// keeps R = min(Workers, GOMAXPROCS) queues, runner r owns queue r
+// throughout, every runner delivers its outbox after each visit, so a
+// visitor it pushed is never held back while the runner's reads are in the
+// device, and a visitor whose read has not landed is parked (SetRequest).
+// Must precede Start and any Push.
+func (e *Engine[V]) DeliverEveryVisit() {
+	e.device = true
+	e.runners = min(len(e.queues), runtime.GOMAXPROCS(0))
+	e.queues = e.queues[:e.runners]
+}
+
+// mergeVisitors makes every queue keep one visitor per vertex: slot, one
+// word per vertex of the graph, all zero, indexes the queues' heaps (each
+// vertex's word is its owner's), and a delivery that meets a visitor queued
+// for its vertex keeps the better of the two and retires the other
+// (workQueue.merge). For visitors whose worse duplicates a visit would drop
+// unrun, as the relaxation kernel's are. Must follow SetSettle and
+// DeliverEveryVisit and precede Start and any Push.
+func (e *Engine[V]) mergeVisitors(slot []int32) {
+	for _, q := range e.queues {
+		q.heap.Index(slot)
+		q.term, q.settle = e.term, e.settle
+	}
+}
 
 // Start launches the min(Workers, GOMAXPROCS) runner goroutines. It must be
 // called exactly once, before Wait.
 func (e *Engine[V]) Start() {
-	n := min(len(e.queues), runtime.GOMAXPROCS(0))
-	e.runners = n
+	if !e.device {
+		e.runners = min(len(e.queues), runtime.GOMAXPROCS(0))
+	}
+	n := e.runners
 	e.res.grow(n)
 	for i, q := range e.queues {
-		q.home, q.tieV = e.res.parkers[i%n], e.device
+		q.home = e.res.parkers[i%n]
 		if e.device {
-			q.claim.Store(int32(i%n + 1))
+			q.claim.Store(int32(i + 1))
 		}
 	}
 	if ctx := e.cfg.Context; ctx != nil {
@@ -435,12 +474,13 @@ func (e *Engine[V]) Wait() (Stats, error) {
 		Visits:          e.visits.Load(),
 		Pushes:          e.pushes.Load(),
 		Pruned:          e.pruned.Load(),
-		Workers:         len(e.queues),
+		Workers:         e.cfg.Workers,
 		PeakOutstanding: e.term.Peak(),
 		WorkerVisits:    make([]uint64, len(e.queues)),
 	}
 	for i, q := range e.queues {
 		st.WorkerVisits[i] = q.visits
+		st.Merged += q.merged
 		st.MaxQueue = max(st.MaxQueue, q.heap.MaxLen())
 	}
 	return st, e.err
@@ -478,9 +518,7 @@ func (e *Engine[V]) retire(ctx *Ctx[V], id int) {
 	e.pushes.Add(ctx.stats.pushes)
 	e.pruned.Add(ctx.stats.pruned)
 	if e.device {
-		for q := id; q < len(e.queues); q += e.runners {
-			e.queues[q].claim.Store(0)
-		}
+		e.queues[id].claim.Store(0)
 	}
 	e.wg.Done()
 }
@@ -519,23 +557,24 @@ func (e *Engine[V]) run(id int) {
 	}
 }
 
-// runParked is the loop of a device traversal. Runner id owns the queues id,
-// id+R, ... for the whole traversal. Its pop is a sweep of up to
-// max(Config.Prefetch, 1) visitors, each off the lowest head among its queues
-// (claim), whose reads the request hook starts in one call. A visitor whose
-// adjacency is not resident is parked on its read — the Terminator still
-// counts it — and the rest run at once. Landed reads run first, a fetch's
-// visitors together (one still under another fetch parks again), and the
-// runner blocks only with nothing else to run. A runner with parked visitors
-// stops popping at its bound: with sweeps wider than one, its queues' share
-// of Workers x Prefetch — what they held popped when each queue had a window
-// of its own — and with sweeps of one, while the back end reports full.
+// runParked is the loop of a device traversal. Runner id owns queue id, one
+// of R, for the whole traversal. Its pop is a sweep of up to
+// max(Config.Prefetch, 1) visitors off that queue, whose reads the request
+// hook starts in one call. A visitor whose adjacency is not resident is
+// parked on its read — the Terminator still counts it — and the rest run at
+// once. Landed reads run first, a fetch's visitors together (one still under
+// another fetch parks again), and the runner blocks only with nothing else to
+// run. A runner with parked visitors stops popping at its bound: with sweeps
+// wider than one, its share of Workers x Prefetch — what Workers queues held
+// popped when each had a window of its own — and with sweeps of one, while
+// the back end reports full.
 //
 //lint:hotpath
 func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
 	ps := &e.res.parked[id]
+	q := e.queues[id]
 	width := max(e.cfg.Prefetch, 1)
-	bound := width * ((len(e.queues) - id + e.runners - 1) / e.runners)
+	bound := width * e.cfg.Workers / e.runners
 	full := false
 	for !e.aborted.Load() {
 		if i := ps.landed(); i >= 0 {
@@ -549,8 +588,8 @@ func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
 		}
 		popping := ps.n == 0 || (width == 1 && !full) || (width > 1 && ps.n < bound)
 		var sweep []pq.Item
-		if popping {
-			sweep = e.sweep(id, width, ps.sweep[:0])
+		if popping && q.head.Load() != 0 {
+			sweep = q.tryPopBatch(ps.sweep[:0], width)
 		}
 		if len(sweep) == 0 {
 			if e.park(id, ctx.Worker, popping) < 0 && e.done.Load() {
@@ -564,21 +603,6 @@ func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
 		ps.sweep, ps.reads, ps.free = sweep, reads, ps.free[:len(ps.free)-k]
 		full = e.runSweep(ctx, id, ps, sweep, reads)
 	}
-}
-
-// sweep appends to dst up to width visitors popped one at a time, each off
-// the best head among the queues runner id owns.
-//
-//lint:hotpath
-func (e *Engine[V]) sweep(id, width int, dst []pq.Item) []pq.Item {
-	for len(dst) < width {
-		q := e.claim(id, id)
-		if q < 0 {
-			break
-		}
-		dst = e.queues[q].tryPopBatch(dst, 1)
-	}
-	return dst
 }
 
 // runSweep hands a sweep and its reads to the request hook, parks each visitor
@@ -600,7 +624,7 @@ func (e *Engine[V]) runSweep(ctx *Ctx[V], id int, ps *parkedSet, sweep []pq.Item
 			continue
 		}
 		ctx.Scratch.Read = reads[i]
-		e.runVisitor(ctx, id, e.owner(it.V), it)
+		e.runVisitor(ctx, id, id, it)
 		if reads[i] != nil {
 			ps.free = append(ps.free, reads[i])
 		}
@@ -640,9 +664,8 @@ func (e *Engine[V]) runVisitor(ctx *Ctx[V], id, held int, it pq.Item) {
 }
 
 // assertHeld checks, under `-tags invariants`, the owner rule at a visit:
-// runner id holds queue held, the visitor is held's, on a device held is one
-// of the queues the runner owns (q ≡ id mod R), and the runner holds no
-// undelivered visitor.
+// runner id holds queue held (on a device, its own), the visitor is held's,
+// and on a device the runner holds no undelivered visitor.
 func (e *Engine[V]) assertHeld(ctx *Ctx[V], id, held int, it pq.Item) {
 	if c := e.queues[held].claim.Load(); c != int32(id+1) {
 		invariant.Failf("owner rule: runner %d popped queue %d, which runner %d holds", id, held, c-1)
@@ -650,35 +673,24 @@ func (e *Engine[V]) assertHeld(ctx *Ctx[V], id, held int, it pq.Item) {
 	if o := e.owner(it.V); o != held {
 		invariant.Failf("owner rule: visitor for vertex %d (queue %d) popped from queue %d", it.V, o, held)
 	}
-	if e.device && held%e.runners != id {
-		invariant.Failf("delivery rule: runner %d ran a visitor of queue %d, which runner %d owns", id, held, held%e.runners)
-	}
 	if e.device && len(ctx.out.touched) != 0 {
 		invariant.Failf("delivery rule: runner %d visits holding undelivered visitors for %d queues", id, len(ctx.out.touched))
 	}
 }
 
-// claim returns the queue runner id now holds, or -1. A device runner takes
-// the best head among the queues it owns, ties going to the lower vertex:
-// the semi-sort key (§IV-C) across its queues as within each, so visitors of
-// one label are read in storage order, not one queue's hash stride at a
-// time. An in-memory runner takes the best head of the queue it left and two
-// random ones (MultiQueues' "two choices", Rihani, Sanders, Dementiev, SPAA
-// 2015), failing those the best of every queue.
+// claim returns the queue runner id now holds, or -1. A device runner holds
+// its own queue throughout and reports it when it has work. An in-memory
+// runner takes the best head of the queue it left and two random ones
+// (MultiQueues' "two choices", Rihani, Sanders, Dementiev, SPAA 2015),
+// failing those the best of every queue.
 //
 //lint:hotpath
 func (e *Engine[V]) claim(id, last int) int {
 	if e.device {
-		best, head, vertex := -1, uint64(0), uint64(0)
-		for q := id; q < len(e.queues); q += e.runners {
-			wq := e.queues[q]
-			if h := wq.head.Load(); h != 0 && (best < 0 || h <= head) {
-				if v := wq.headV.Load(); best < 0 || h < head || v < vertex {
-					best, head, vertex = q, h, v
-				}
-			}
+		if e.queues[id].head.Load() != 0 {
+			return id
 		}
-		return best
+		return -1
 	}
 	best, head := e.better(last, -1, 0)
 	best, head = e.better(rand.IntN(len(e.queues)), best, head)

@@ -377,7 +377,9 @@ func (s *countingStore) ReadAt(p []byte, off int64) (int, error) {
 // TestRunnersPerTraversal pins how many goroutines serve the queues, counted
 // while the traversal runs: in memory (from inside a visitor) and on a
 // device, with or without a pop window (at the first adjacency read), at most
-// GOMAXPROCS runners, however many queues, plus the context watcher.
+// GOMAXPROCS runners, however many queues, plus the context watcher. In
+// memory there is a queue per worker; on a device one per runner, while
+// Stats.Workers still reports the configured count.
 func TestRunnersPerTraversal(t *testing.T) {
 	settle := func(t *testing.T) {
 		// An earlier engine's runners may still be returning from Wait's join.
@@ -390,10 +392,10 @@ func TestRunnersPerTraversal(t *testing.T) {
 			}
 		}
 	}
-	check := func(t *testing.T, st Stats, workers, want, runners, started int) {
+	check := func(t *testing.T, st Stats, workers, queues, want, runners, started int) {
 		t.Helper()
-		if st.Workers != workers || len(st.WorkerVisits) != workers {
-			t.Fatalf("stats report %d workers and %d per-queue counts, want %d", st.Workers, len(st.WorkerVisits), workers)
+		if st.Workers != workers || len(st.WorkerVisits) != queues {
+			t.Fatalf("stats report %d workers and %d per-queue counts, want %d and %d", st.Workers, len(st.WorkerVisits), workers, queues)
 		}
 		if runners != want || started > want+1 {
 			t.Fatalf("%d queues: %d runner goroutines and %d started by the engine, want %d runners plus the context watcher",
@@ -419,7 +421,7 @@ func TestRunnersPerTraversal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, st, workers, want, runners, started)
+		check(t, st, workers, workers, want, runners, started)
 	})
 	g := randomDigraph(t, 300, 2400, true, 23)
 	var buf bytes.Buffer
@@ -441,7 +443,7 @@ func TestRunnersPerTraversal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, res.Stats, workers, want, int(store.runners.Load()), int(store.started.Load()))
+			check(t, res.Stats, workers, want, want, int(store.runners.Load()), int(store.started.Load()))
 		})
 	}
 }

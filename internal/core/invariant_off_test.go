@@ -57,3 +57,13 @@ func TestPoolDoubleReleaseSilent(t *testing.T) {
 		t.Fatalf("free list holds %d sets, want 2 (both releases accepted)", got)
 	}
 }
+
+// TestDuplicateVisitorSilent delivers into the same corrupted queue as
+// TestDuplicateVisitorPanics: without the tag the delivery does not look.
+func TestDuplicateVisitorSilent(t *testing.T) {
+	q := duplicateQueue()
+	q.pushBatch([]pq.Item{{Pri: 3, V: 2}})
+	if n := q.heap.Len(); n != 3 {
+		t.Fatalf("queue holds %d visitors, want the two for vertex 1 and one for 2", n)
+	}
+}

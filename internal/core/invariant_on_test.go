@@ -146,3 +146,13 @@ func TestLostProposalPanics(t *testing.T) {
 	labels[3] = 1
 	expectInvariantPanic(t, "proposal filter", func() { k.assertQuiescent(0) })
 }
+
+// TestDuplicateVisitorPanics gives a merging queue a second visitor for a
+// vertex behind its index's back, as a push that bypassed the merge would:
+// the next delivery must find the queue holding two visitors for one vertex.
+func TestDuplicateVisitorPanics(t *testing.T) {
+	q := duplicateQueue()
+	expectInvariantPanic(t, "two visitors for one vertex", func() {
+		q.pushBatch([]pq.Item{{Pri: 3, V: 2}})
+	})
+}

@@ -215,8 +215,9 @@ func runKernel[V graph.Vertex](
 }
 
 // engine wires an engine for the kernel onto res: the settle sink of a back
-// end that wants the visitor lifecycle and, on a device, delivery after every
-// visit and the read hook of a runner's sweep.
+// end that wants the visitor lifecycle, on a device delivery after every
+// visit and the read hook of a runner's sweep, and queues that keep one
+// visitor per vertex.
 func (k *kernelState[V]) engine(cfg Config, res *engineRes[V]) *Engine[V] {
 	e := newEngine(cfg, k.visit, res)
 	// A storage back end that caches blocks opts in through an optional
@@ -251,6 +252,10 @@ func (k *kernelState[V]) engine(cfg Config, res *engineRes[V]) *Engine[V] {
 			return ba.Request(vs, reads[:len(vs)], waits[:len(vs)], scratch)
 		})
 	}
+	// A visitor that meets a better or equal one queued for its vertex would
+	// be dropped at its visit; its queue drops it at delivery instead, and a
+	// better one takes the queued one's place.
+	e.mergeVisitors(make([]int32, len(k.labels)))
 	return e
 }
 

@@ -232,11 +232,13 @@ func TestParentsAreTreeEdges(t *testing.T) {
 	}
 }
 
-// TestPrunedAccounting checks Stats.Pruned against what it is defined by, on
-// a multi-worker run: every queued visitor of a completed traversal is
-// visited (Visits = Pushes + the one external seed), and every relaxation of
-// a reached vertex sends each out-edge to exactly one of Pushes and Pruned —
-// at least once per reached vertex, more when a label was corrected.
+// TestPrunedAccounting checks Stats.Pruned and Stats.Merged against what
+// they are defined by, on a multi-worker run: every queued visitor of a
+// completed traversal is either visited or merged into another for its
+// vertex (Visits + Merged = Pushes + the one external seed), and every
+// relaxation of a reached vertex sends each out-edge to exactly one of
+// Pushes and Pruned — at least once per reached vertex, more when a label
+// was corrected.
 func TestPrunedAccounting(t *testing.T) {
 	dg := randomDigraph(t, 400, 3200, true, 17)
 	res, err := SSSP[uint32](dg, 5, Config{Workers: 8})
@@ -244,8 +246,11 @@ func TestPrunedAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.Stats
-	if st.Visits != st.Pushes+1 {
-		t.Errorf("visits %d, want pushes %d + 1 seed", st.Visits, st.Pushes)
+	if st.Visits+st.Merged != st.Pushes+1 {
+		t.Errorf("visits %d + merged %d, want pushes %d + 1 seed", st.Visits, st.Merged, st.Pushes)
+	}
+	if st.Merged == 0 {
+		t.Error("no visitor was merged: the kernel's queues keep every duplicate")
 	}
 	var outEdges uint64
 	for v, d := range res.Dist {
@@ -256,8 +261,10 @@ func TestPrunedAccounting(t *testing.T) {
 	if st.Pruned == 0 || st.Pushes+st.Pruned < outEdges {
 		t.Errorf("pushes %d + pruned %d, want at least the reached vertices' %d out-edges and some pruned", st.Pushes, st.Pruned, outEdges)
 	}
-	if want := "pruned="; !strings.Contains(st.String(), want) {
-		t.Errorf("Stats.String() = %q, want it to carry %q", st.String(), want)
+	for _, want := range []string{"pruned=", "merged="} {
+		if !strings.Contains(st.String(), want) {
+			t.Errorf("Stats.String() = %q, want it to carry %q", st.String(), want)
+		}
 	}
 }
 

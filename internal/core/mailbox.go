@@ -4,13 +4,17 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/graph"
+	"repro/internal/invariant"
 	"repro/internal/pq"
 )
 
 // This file is the engine's mailbox layer: the lock-protected ownership
-// queues (mailboxes), the per-runner outboxes that batch pushes destined for
-// other queues, the park/wake rule of the runners that serve the queues, and
-// the visitors a device runner parked on their reads.
+// queues (mailboxes), which in the relaxation kernel keep one visitor per
+// vertex, merging each delivered visitor with the one queued for its
+// vertex; the per-runner outboxes that batch pushes destined for other
+// queues; the park/wake rule of the runners that serve the queues; and the
+// visitors a device runner parked on their reads.
 //
 // The paper hides queue-lock contention by oversubscribing threads (512 on 16
 // cores, §IV-A) so that any one queue's lock is rarely fought over. The
@@ -42,28 +46,26 @@ type workQueue struct {
 	heap *pq.Heap
 	// head is the best queued priority + 1 (saturating), 0 when empty:
 	// published under mu at every push and pop, read by runners choosing.
-	// headV is that visitor's vertex, the semi-sort key a device runner
-	// breaks ties between its queues with; only a device traversal, which
-	// sets tieV at Start, publishes it.
-	head, headV atomic.Uint64
-	tieV        bool
+	head atomic.Uint64
 	// claim is the id + 1 of the runner holding the queue, 0 when none does.
 	claim atomic.Int32
 	// visits counts the visitors run from this queue; only its holder writes.
 	visits uint64
+	// term, set on a merging queue (Engine.mergeVisitors), retires the
+	// visitors a merge drops, with settle when the engine has a sink; merged
+	// counts them, under mu.
+	term   *Terminator
+	settle graph.Settler
+	merged uint64
 	// home is the runner a delivery wakes if it is parked: runner i mod R.
 	home *parker
 }
 
-// publish stores the heap's best priority in head and, under tieV, its
-// vertex in headV. Must hold q.mu.
+// publish stores the heap's best priority in head. Must hold q.mu.
 func (q *workQueue) publish() {
 	var h uint64
 	if it, ok := q.heap.Min(); ok {
 		h = min(it.Pri, ^uint64(0)-1) + 1
-		if q.tieV {
-			q.headV.Store(it.V)
-		}
 	}
 	q.head.Store(h)
 }
@@ -77,10 +79,41 @@ func (q *workQueue) pushBatch(its []pq.Item) {
 		return
 	}
 	q.mu.Lock()
-	q.heap.PushBatch(its)
+	if q.term != nil {
+		q.merge(its)
+	} else {
+		q.heap.PushBatch(its)
+	}
 	q.publish()
 	q.mu.Unlock()
 	q.home.wake()
+}
+
+// merge queues its on a merging queue, keeping one visitor per vertex
+// (pq.Heap.Merge), and retires each visitor a merge drops as a visit of an
+// overtaken one would: settled and finished. It retires under q.mu, where
+// the visitor that stays is still queued, so the Terminator cannot reach
+// zero here. Must hold q.mu.
+//
+//lint:hotpath
+func (q *workQueue) merge(its []pq.Item) {
+	for _, it := range its {
+		if !q.heap.Merge(it) {
+			continue
+		}
+		q.merged++
+		if q.settle != nil {
+			q.settle.VertexSettled(it.V)
+		}
+		if q.term.Finish() && invariant.Enabled {
+			invariant.Failf("merge: the terminator reached zero at a merge, with vertex %d's visitor queued", it.V)
+		}
+	}
+	if invariant.Enabled {
+		if err := q.heap.CheckIndex(); err != nil {
+			invariant.Failf("merge: a queue holds two visitors for one vertex: %v", err)
+		}
+	}
 }
 
 // tryPopBatch removes up to k visitors under one lock acquisition, appending

@@ -87,9 +87,10 @@ func (r *engineRes[V]) reset() {
 	for _, q := range r.queues {
 		q.mu.Lock()
 		q.heap.Reset()
+		q.heap.Index(nil) // the slot array was the finished traversal's
 		q.publish()
 		q.mu.Unlock()
-		q.visits = 0
+		q.visits, q.merged, q.term, q.settle = 0, 0, nil, nil
 	}
 	for _, s := range r.scratch {
 		s.Prefetch, s.Read = nil, nil

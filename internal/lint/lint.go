@@ -11,9 +11,6 @@
 //   - hotpath: no fmt calls, time.Now, map allocation, or closure creation
 //     inside functions annotated `//lint:hotpath` (a map that never escapes
 //     allocates nothing an AllocsPerRun check can count);
-//   - droppederr: ignored error results from Read/ReadAt/Write/WriteAt/
-//     Close/Flush/Sync/Encode/WriteString calls, and `defer Close()` on a
-//     write path whose write errors are otherwise handled;
 //   - blockwhilelocked: no blocking operation while a sync.Mutex/RWMutex is
 //     held in the same function, `//lint:blockwhilelocked` documents an
 //     exception.
@@ -48,7 +45,7 @@ type Analyzer struct {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Hotpath, DroppedErr, BlockWhileLocked,
+		Hotpath, BlockWhileLocked,
 	}
 }
 

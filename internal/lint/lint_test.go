@@ -85,18 +85,6 @@ func TestHotpath(t *testing.T) {
 	})
 }
 
-func TestDroppedErr(t *testing.T) {
-	expectExactly(t, DroppedErr, map[string]string{
-		"dropped.go:11":      "s.Close error is dropped",
-		"dropped.go:12":      "s.ReadAt error is blanked",
-		"dropped.go:13":      "s.Write error is dropped",
-		"droppedwrite.go:17": "s.Close error is discarded by defer on a write path",
-		"droppedwrite.go:26": "s.Encode error is dropped",
-		"droppedwrite.go:31": "s.WriteString error is dropped",
-		"droppedwrite.go:64": "s.Close error is dropped",
-	})
-}
-
 func TestBlockWhileLocked(t *testing.T) {
 	expectExactly(t, BlockWhileLocked, map[string]string{
 		"blocklocked.go:17":  "channel receive while holding fixture.relay.mu",

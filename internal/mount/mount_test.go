@@ -400,6 +400,44 @@ func TestWriteTable(t *testing.T) {
 	}
 }
 
+// closeFails is a file whose writes land and whose Close reports the
+// failure of its last write-back, as an NFS or quota-bound file does.
+type closeFails struct {
+	bytes.Buffer
+	closed bool
+}
+
+var errWriteBack = errors.New("write-back failed")
+
+func (f *closeFails) Close() error {
+	f.closed = true
+	return errWriteBack
+}
+
+// TestWriteFileReportsClose pins that the write path reports every error of
+// the file it writes: a failed close after a clean write and flush is the
+// only sign that the bytes never reached the disk, and a failed write is
+// reported over the close it still makes.
+func TestWriteFileReportsClose(t *testing.T) {
+	f := &closeFails{}
+	open := func() (io.WriteCloser, error) { return f, nil }
+	err := writeOpened(open, func(w io.Writer) error {
+		_, err := io.WriteString(w, "graph")
+		return err
+	})
+	if !errors.Is(err, errWriteBack) {
+		t.Errorf("a failed close after a clean write returned %v, want %v", err, errWriteBack)
+	}
+	if f.String() != "graph" || !f.closed {
+		t.Errorf("wrote %q, closed %v: want the flushed bytes and a close", f.String(), f.closed)
+	}
+	failed := errors.New("encode failed")
+	f = &closeFails{}
+	if err := writeOpened(open, func(io.Writer) error { return failed }); err != failed || !f.closed {
+		t.Errorf("a failed write returned %v (closed %v), want %v and the file closed", err, f.closed, failed)
+	}
+}
+
 // TestOptionLedger pins the number of independently settable mount options, so
 // the next one is added on purpose.
 func TestOptionLedger(t *testing.T) {

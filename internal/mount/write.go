@@ -118,7 +118,12 @@ func WriteBackings(g *graph.CSR[uint32], o WriteOptions) ([]ssd.Backing, error) 
 // WriteFile creates path and streams write's output into it through a
 // buffered writer, reporting the first of the write, flush and close errors.
 func WriteFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+	return writeOpened(func() (io.WriteCloser, error) { return os.Create(path) }, write)
+}
+
+// writeOpened is WriteFile on the file open returns.
+func writeOpened(open func() (io.WriteCloser, error), write func(io.Writer) error) error {
+	f, err := open()
 	if err != nil {
 		return err
 	}

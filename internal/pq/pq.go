@@ -1,9 +1,17 @@
-// Package pq implements the binary min-heap underlying each worker's
-// prioritized visitor queue. The heap orders items by a primary 64-bit
-// priority and, when enabled, a secondary vertex-id key — the paper's
-// semi-external "semi-sort" optimization that increases storage locality by
-// visiting equal-priority vertices in ascending id order (§IV-C).
+// Package pq implements the binary min-heap underlying each ownership
+// queue. The heap orders items by a primary 64-bit priority and, when
+// enabled, a secondary vertex-id key — the paper's semi-external "semi-sort"
+// optimization that increases storage locality by visiting equal-priority
+// vertices in ascending id order (§IV-C).
+//
+// A heap given a per-vertex slot index (Index) is addressable: it holds at
+// most one item per vertex, and Merge folds an item into the one already
+// queued for its vertex (a decrease-key when the new one is better), so a
+// label-correcting traversal keeps each vertex's best visitor instead of
+// popping and dropping the ones it has overtaken.
 package pq
+
+import "fmt"
 
 // Item is a queued visitor. Pri is the traversal priority (path length for
 // SSSP/BFS, candidate component id for CC), V is the vertex to visit, and Aux
@@ -17,7 +25,11 @@ type Item struct {
 // Heap is a non-concurrent binary min-heap of Items. Concurrency control
 // belongs to the owning worker queue, not the heap.
 type Heap struct {
-	items    []Item
+	items []Item
+	// slot, attached by Index, is the position index of an addressable heap:
+	// slot[v] is 1 + the position of v's item, 0 while none is queued. Nil
+	// on a plain heap.
+	slot     []int32
 	semiSort bool // break priority ties by ascending vertex id
 	maxLen   int
 }
@@ -55,10 +67,34 @@ func (h *Heap) Min() (it Item, ok bool) {
 }
 
 // Reset empties the heap and clears the high-water mark, keeping the backing
-// array for reuse across traversals.
+// array for reuse across traversals. The index, if any, stays attached and
+// is all zero again.
 func (h *Heap) Reset() {
+	if h.slot != nil {
+		for _, it := range h.items {
+			h.slot[it.V] = 0
+		}
+	}
 	h.items = h.items[:0]
 	h.maxLen = 0
+}
+
+// Index makes the heap addressable over slot, one word per vertex, all zero;
+// nil makes it plain again. The heap must be empty. Heaps whose vertices are
+// disjoint may share one slot array. Items then go in through Merge.
+func (h *Heap) Index(slot []int32) { h.slot = slot }
+
+// CheckIndex reports an addressable heap's index inconsistent with its
+// items: an item whose vertex's slot does not name its position, which a
+// second item for one vertex always is. It costs O(Len); tests and
+// invariant checks call it.
+func (h *Heap) CheckIndex() error {
+	for i, it := range h.items {
+		if s := h.slot[it.V]; int(s) != i+1 {
+			return fmt.Errorf("pq: item %d (vertex %d) but slot[%d] = %d", i, it.V, it.V, s)
+		}
+	}
+	return nil
 }
 
 func (h *Heap) less(a, b Item) bool {
@@ -71,7 +107,7 @@ func (h *Heap) less(a, b Item) bool {
 	return false
 }
 
-// Push inserts an item.
+// Push inserts an item. An addressable heap takes items through Merge.
 //
 //lint:hotpath
 func (h *Heap) Push(it Item) {
@@ -86,6 +122,7 @@ func (h *Heap) Push(it Item) {
 // engine's mailbox layer delivers outbox flushes through this path so the
 // queue lock is held for one amortized operation instead of len(its) calls.
 // The input slice is consumed before PushBatch returns; callers may reuse it.
+// An addressable heap takes items through Merge.
 //
 //lint:hotpath
 func (h *Heap) PushBatch(its []Item) {
@@ -98,15 +135,46 @@ func (h *Heap) PushBatch(its []Item) {
 	}
 }
 
+// Merge queues it on an addressable heap, keeping one item per vertex. If
+// one is already queued for it.V, the one with the lower priority stays —
+// it replaces the queued one (a decrease-key, Aux and all) only when it is
+// strictly lower — and the other is dropped; Merge then reports true.
+//
+//lint:hotpath
+func (h *Heap) Merge(it Item) (dropped bool) {
+	s := h.slot[it.V]
+	if s == 0 {
+		h.Push(it)
+		return false
+	}
+	if i := int(s - 1); it.Pri < h.items[i].Pri {
+		h.items[i] = it
+		h.siftUp(i)
+	}
+	return true
+}
+
+// place puts it at position i, keeping the index.
+func (h *Heap) place(i int, it Item) {
+	h.items[i] = it
+	if h.slot != nil {
+		h.slot[it.V] = int32(i + 1)
+	}
+}
+
+// siftUp and siftDown carry the moving item in hand and write each item
+// they pass once: the same comparisons, and so the same order, as swapping.
 func (h *Heap) siftUp(i int) {
+	it := h.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if !h.less(it, h.items[parent]) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		h.place(i, h.items[parent])
 		i = parent
 	}
+	h.place(i, it)
 }
 
 // Pop removes and returns the minimum item. ok is false when the heap is
@@ -119,10 +187,21 @@ func (h *Heap) Pop() (it Item, ok bool) {
 		return Item{}, false
 	}
 	it = h.items[0]
-	h.items[0] = h.items[n-1]
-	h.items = h.items[:n-1]
-	h.siftDown(0)
+	h.removeMin(n)
 	return it, true
+}
+
+// removeMin removes the root of a heap of n > 0 items.
+func (h *Heap) removeMin(n int) {
+	if h.slot != nil {
+		h.slot[h.items[0].V] = 0
+	}
+	last := h.items[n-1]
+	h.items = h.items[:n-1]
+	if n > 1 {
+		h.items[0] = last
+		h.siftDown(0)
+	}
 }
 
 // PopBatch removes up to k minimum items, appending them to dst and returning
@@ -148,30 +227,28 @@ func (h *Heap) PopBatch(dst []Item, k int) []Item {
 		dst = grown
 	}
 	for i := 0; i < k; i++ {
-		n := len(h.items)
 		dst = append(dst, h.items[0])
-		h.items[0] = h.items[n-1]
-		h.items = h.items[:n-1]
-		h.siftDown(0)
+		h.removeMin(len(h.items))
 	}
 	return dst
 }
 
 func (h *Heap) siftDown(i int) {
 	n := len(h.items)
+	it := h.items[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h.less(h.items[l], h.items[min]) {
-			min = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(h.items[r], h.items[min]) {
-			min = r
+		if r := c + 1; r < n && h.less(h.items[r], h.items[c]) {
+			c = r
 		}
-		if min == i {
-			return
+		if !h.less(h.items[c], it) {
+			break
 		}
-		h.items[i], h.items[min] = h.items[min], h.items[i]
-		i = min
+		h.place(i, h.items[c])
+		i = c
 	}
+	h.place(i, it)
 }

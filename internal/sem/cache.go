@@ -48,6 +48,11 @@ type CachedStore struct {
 	// The rest of IOStats. flying is the number of blocks under I/O now.
 	fetched, waits, evictions atomic.Uint64
 	flying, flyingHW          atomic.Int64
+
+	// spans recycles the span buffers of multi-block misses on a budgeted
+	// table (*[]byte): there each block is copied out of its span, which is
+	// garbage once fetch returns.
+	spans sync.Pool
 }
 
 // cacheShard holds the filled blocks it is charged for — blocks and lru, at
@@ -304,21 +309,33 @@ func (c *CachedStore) fetch(buf []byte, off int64, owned []*cacheEntry) error {
 	// bandwidth term, as with OS readahead.
 	lo := owned[0].id
 	off = lo * c.blockSize
-	buf = make([]byte, min((owned[len(owned)-1].id+1)*c.blockSize, c.size)-off)
+	n := min((owned[len(owned)-1].id+1)*c.blockSize, c.size) - off
+	// Blocks of a budgeted multi-block span are not sub-slices of it, which
+	// would keep all of it alive for as long as any one of its blocks stays
+	// cached: each gets a backing of its own, so evicting span-mates frees
+	// bytes, and the span goes back to the pool.
+	copied := c.capBlocks > 0 && len(owned) > 1
+	var span *[]byte
+	if copied {
+		if span, _ = c.spans.Get().(*[]byte); span == nil || int64(cap(*span)) < n {
+			span = new([]byte)
+			*span = make([]byte, n)
+		}
+		buf = (*span)[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	_, err := c.inner.ReadAt(buf, off)
 	for _, entry := range owned {
 		entry.err = err
 		if err == nil {
 			from := buf[(entry.id-lo)*c.blockSize:]
 			n := min(int64(len(from)), c.blockSize)
-			if c.capBlocks == 0 || len(owned) == 1 {
-				entry.data = from[:n]
-			} else {
-				// Not a sub-slice of the span, which would keep all of it alive
-				// for as long as any one of its blocks stays cached: each block
-				// gets a backing of its own, so evicting span-mates frees bytes.
+			if copied {
 				entry.data = make([]byte, n)
 				copy(entry.data, from)
+			} else {
+				entry.data = from[:n]
 			}
 		}
 		sh := c.shard(entry.id)
@@ -333,6 +350,9 @@ func (c *CachedStore) fetch(buf []byte, off int64, owned []*cacheEntry) error {
 			}
 		}
 		sh.mu.Unlock()
+	}
+	if span != nil {
+		c.spans.Put(span)
 	}
 	c.flying.Add(-int64(len(owned)))
 	close(owned[0].ready)
