@@ -129,13 +129,13 @@ const serialPhaseEdges = 2048
 
 // ioFanout is the slice of the frontier one worker of a top-down phase takes
 // on an I/O-backed store (one that batches adjacency reads), and the width of
-// the windows it announces there. Such a phase is bound by device latency,
+// the sweeps it requests there. Such a phase is bound by device latency,
 // not by its edge count, so it fans out until every ioFanout vertices have a
 // worker even when serialPhaseEdges would run it inline, and each worker
-// announces its vertices ioFanout at a time so that their misses are in the
-// device together: the same 16 a raw-device mount pops, and behind the cache
-// 3.4x faster than reading one miss at a time (EXPERIMENTS.md "The driver
-// reads its frontier at once").
+// requests its vertices' reads ioFanout at a time so that their misses are in
+// the device together: the same 16 a raw-device mount pops, and behind the
+// cache 3.4x faster than reading one miss at a time (EXPERIMENTS.md "The
+// driver reads its frontier at once").
 const ioFanout = 16
 
 // dirDriver is the per-traversal state of the hybrid driver.
@@ -143,7 +143,7 @@ type dirDriver[V graph.Vertex] struct {
 	g      graph.Adjacency[V]
 	in     graph.InAdjacency[V]
 	scan   graph.InScanner[V]      // nil when in lacks bulk range scanning
-	batch  graph.BatchAdjacency[V] // nil when g lacks read-ahead batching
+	batch  graph.BatchAdjacency[V] // nil when g reads no adjacency asynchronously
 	level  []graph.Dist
 	parent []V
 	n      uint64
@@ -201,6 +201,11 @@ type dirWorker[V graph.Vertex] struct {
 	edges   uint64 // edges examined
 	total   uint64 // visits over all phases so far (Stats.WorkerVisits)
 	err     error
+
+	// reads and waits are the Request arguments of one ioFanout slice on a
+	// batching back end (nil elsewhere); the reads are reused slice to slice.
+	reads []any
+	waits []<-chan struct{}
 }
 
 // grow doubles next's capacity; kept out of the hotpath append sites so they
@@ -213,11 +218,12 @@ func (w *dirWorker[V]) grow() {
 
 // topDown expands one slice of the current frontier: the CAS winner on a
 // neighbor's level word settles it, records the parent, and claims it for
-// the next frontier. On a batching back end every ioFanout vertices of the
-// slice are announced before their expansions run — the sweep of the
-// asynchronous engine — so their adjacency reads are in flight together,
-// on the raw device and behind the cache alike. The cancellation poll comes
-// before every vertex: a vertex is at most one read.
+// the next frontier. On a batching back end the reads of every ioFanout
+// vertices of the slice start in one Request before their expansions run —
+// the sweep of the asynchronous engine — so they are in flight together, on
+// the raw device and behind the cache alike; each expansion's Neighbors call
+// waits for its own read. The cancellation poll comes before every vertex: a
+// vertex is at most one read.
 //
 //lint:hotpath
 func (w *dirWorker[V]) topDown(d *dirDriver[V], frontier []V, nextLevel uint64) {
@@ -225,8 +231,13 @@ func (w *dirWorker[V]) topDown(d *dirDriver[V], frontier []V, nextLevel uint64) 
 		if w.err = d.canceled(); w.err != nil {
 			return
 		}
-		if d.batch != nil && i%ioFanout == 0 && len(frontier)-i > 1 {
-			d.batch.NeighborsBatch(frontier[i:min(i+ioFanout, len(frontier))], w.scratch)
+		if d.batch != nil {
+			k := i % ioFanout
+			if k == 0 {
+				n := min(ioFanout, len(frontier)-i)
+				d.batch.Request(frontier[i:i+n], w.reads[:n], w.waits[:n], w.scratch)
+			}
+			w.scratch.Read = w.reads[k]
 		}
 		w.visits++
 		targets, _, err := d.g.Neighbors(u, w.scratch)
@@ -458,7 +469,11 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 			d.markFrontier(frontier)
 		}
 		for len(workers) < width {
-			workers = append(workers, &dirWorker[V]{scratch: &graph.Scratch[V]{}})
+			w := &dirWorker[V]{scratch: &graph.Scratch[V]{}}
+			if d.batch != nil {
+				w.reads, w.waits = make([]any, ioFanout), make([]<-chan struct{}, ioFanout)
+			}
+			workers = append(workers, w)
 		}
 		d.phase(workers[:width], frontier, useBU, curLevel)
 

@@ -349,12 +349,13 @@ func TestDirectionRequiresInEdges(t *testing.T) {
 }
 
 // overlapStore serves a serialized graph from memory and records the most
-// reads inside it at once. Once armed, a read waits until a second one is
-// inside too, or until expired closes: that timer is the verdict of a run
-// whose reads are serial, never a synchronisation.
+// reads inside it at once. Once armed, a read past the first free ones waits
+// until a second one is inside too, or until expired closes: that timer is
+// the verdict of a run whose reads are serial, never a synchronisation.
 type overlapStore struct {
 	data            []byte
 	armed           atomic.Bool
+	free            atomic.Int64
 	inside, peak    atomic.Int64
 	once            sync.Once
 	paired, expired chan struct{}
@@ -374,7 +375,7 @@ func (s *overlapStore) ReadAt(p []byte, off int64) (int, error) {
 	if n >= 2 {
 		s.once.Do(func() { close(s.paired) })
 	}
-	if s.armed.Load() {
+	if s.armed.Load() && s.free.Add(-1) < 0 {
 		select {
 		case <-s.paired:
 		case <-s.expired:
@@ -386,12 +387,15 @@ func (s *overlapStore) ReadAt(p []byte, off int64) (int, error) {
 // TestDriverReadsOverlapBehindCache pins that a phase worker of the
 // direction-switching driver has its reads in the device together behind a
 // block cache (the mount's recipe: 4 KiB blocks, readahead 8), one worker
-// and no pop window configured:
+// and no pop sweep configured:
 //
 //   - top-down: the source's four children sit 48 KB apart on the device,
-//     more than a readahead span and the window's coalescing gap, so their
-//     misses are separate reads, and the window announcing them puts them in
+//     more than a readahead span and the sweep's coalescing gap, so their
+//     misses are separate reads, and the one Request of them puts them in
 //     the device at once;
+//   - top-down over a bare store: the same graph opened on the store itself,
+//     no cache and no prefetcher, where Request reads each extent alone, but
+//     all four at once;
 //   - bottom-up: the two unvisited vertices' in-lists are two scan spans 40
 //     KB apart, and the scan requests the second while it decodes the first.
 //
@@ -417,35 +421,49 @@ func TestDriverReadsOverlapBehindCache(t *testing.T) {
 	for k := uint32(0); k < 30_000; k++ {
 		bu.AddEdge(3+k, k/20_000, 1)
 	}
+	tdg, err := td.Build(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bug, err := bu.Build(false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
-		b    *graph.Builder[uint32]
+		g    *graph.CSR[uint32]
 		src  uint32
 		dir  Direction
+		bare bool
 	}{
-		{"top-down", td, 8, DirectionHybrid},
-		{"bottom-up", bu, 1, DirectionBottomUp},
+		{"top-down", tdg, 8, DirectionHybrid, false},
+		{"top-down over a bare store", tdg, 8, DirectionHybrid, true},
+		{"bottom-up", bug, 1, DirectionBottomUp, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := tc.b.Build(false)
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := tc.g
 			var buf bytes.Buffer
 			if err := sem.Write(&buf, g, sem.WriteConfig{InEdges: true}); err != nil {
 				t.Fatal(err)
 			}
 			store := newOverlapStore(buf.Bytes())
-			cache, err := sem.NewCachedStoreRA(store, 4096, store.Size(), 8)
+			var under sem.Store = store
+			if !tc.bare {
+				cache, err := sem.NewCachedStoreRA(store, 4096, store.Size(), 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				under = cache
+			}
+			sg, err := sem.Open[uint32](under)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sg, err := sem.Open[uint32](cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The source's own list is read alone; warm it before arming.
-			if _, _, err := sg.Neighbors(tc.src, &graph.Scratch[uint32]{}); err != nil {
+			// The source's own list is read alone: warm it before arming, or,
+			// with no cache to keep it, let its read through ungated.
+			if tc.bare {
+				store.free.Store(1)
+			} else if _, _, err := sg.Neighbors(tc.src, &graph.Scratch[uint32]{}); err != nil {
 				t.Fatal(err)
 			}
 			store.peak.Store(0)

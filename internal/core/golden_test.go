@@ -17,9 +17,6 @@ type windowAdj struct {
 	windows, announced int
 }
 
-// NeighborsBatch never runs: only the BFS driver announces windows.
-func (w *windowAdj) NeighborsBatch([]uint32, *graph.Scratch[uint32]) {}
-
 func (w *windowAdj) Request(vs []uint32, _ []any, _ []<-chan struct{}, _ *graph.Scratch[uint32]) bool {
 	w.windows++
 	w.announced += len(vs)

@@ -78,7 +78,7 @@ func (r *engineRes[V]) grow(n int) {
 // reset returns the resource set to its pristine state: outbox buffers are
 // discarded (an aborted runner can exit holding undelivered visitors), the
 // queues emptied and their counts zeroed, parked visitors dropped. Scratch
-// keeps its decode buffers but drops any prefetch session and started read,
+// keeps its decode buffers but drops any Request buffers and started read,
 // which are tied to the previous run's graph.
 func (r *engineRes[V]) reset() {
 	for _, o := range r.outs {

@@ -8,10 +8,10 @@ import (
 )
 
 // TestPrefetchConfigFallsBackOnIMGraphs pins the Prefetch:0 compatibility
-// contract from the other side: asking for a pop window on a back end without
+// contract from the other side: asking for a pop sweep on a back end without
 // BatchAdjacency (the in-memory CSR) must not change results, and neither may
-// a window on a SEM graph whose prefetcher was never enabled (NeighborsBatch
-// is a documented no-op there).
+// a sweep on a SEM graph whose prefetcher was never enabled (Request reads
+// each extent alone there).
 func TestPrefetchConfigFallsBackOnIMGraphs(t *testing.T) {
 	g := randomDigraph(t, 300, 2400, true, 19)
 	wantLevel, err := baseline.SerialBFS[uint32](g, 0)

@@ -53,10 +53,10 @@ type Scratch[V Vertex] struct {
 	// before the visit, and Neighbors decodes from it instead of reading
 	// again. Opaque to all but the back end that started it.
 	Read any
-	// Prefetch is an opaque per-worker prefetch session owned by storage
-	// back ends that implement BatchAdjacency. The engine only carries it
-	// alongside the worker's other scratch state; the back end allocates and
-	// interprets it. Nil until the back end's first NeighborsBatch call.
+	// Prefetch is opaque per-worker state owned by storage back ends that
+	// implement BatchAdjacency: Request's reusable buffers. The engine only
+	// carries it alongside the worker's other scratch state; the back end
+	// allocates and interprets it. Nil until the back end's first call.
 	Prefetch any
 }
 
@@ -76,13 +76,9 @@ type Adjacency[V Vertex] interface {
 // BatchAdjacency is implemented by storage back ends that can service
 // adjacency reads asynchronously: the "on a device" capability. In-memory
 // back ends, for which adjacency access is free, have no reason to implement
-// it.
-//
-// NeighborsBatch announces a window of vertices the calling worker will visit
-// next; the back end may begin I/O immediately and hand each completed read
-// to the subsequent Neighbors call for that vertex on the same scratch,
-// without copying. Reads still unconsumed when the next NeighborsBatch
-// arrives on the scratch are abandoned.
+// it. Its one call is Request, made by the asynchronous engine for each sweep
+// a device runner pops and by the BFS driver for each slice of a top-down
+// frontier.
 //
 // Request starts the reads of a sweep of vertices in one call, so that
 // neighbouring extents can share device operations. reads and waits are as
@@ -94,12 +90,12 @@ type Adjacency[V Vertex] interface {
 // reads[i] is vs[i]'s read, which the caller puts in scratch.Read before the
 // Neighbors call of vs[i], and waits[i] is nil when its bytes are resident,
 // otherwise closed once a fetch they are under has landed; reads that share
-// one fetch get the same channel. full reports that the back end has as many
-// asynchronous reads outstanding as it wants: a caller should run what has
-// landed before it requests more.
+// one fetch get the same channel; Neighbors waits out a read that has not
+// landed, so a caller that parks nothing may ignore waits. full reports that
+// the back end has as many asynchronous reads outstanding as it wants: a
+// caller should run what has landed before it requests more.
 type BatchAdjacency[V Vertex] interface {
 	Adjacency[V]
-	NeighborsBatch(vs []V, scratch *Scratch[V])
 	Request(vs []V, reads []any, waits []<-chan struct{}, scratch *Scratch[V]) (full bool)
 }
 

@@ -12,8 +12,8 @@ import (
 // local ids u = v / N: its index covers its own vertices, so N members hold
 // one index between them, not N. Edge targets stay global ids. Each member
 // keeps its own device, block cache, and prefetcher; the router decides which
-// member answers for which vertex, translates the id, and fans windows and
-// sweeps out per shard.
+// member answers for which vertex, translates the id, and fans sweeps out
+// per shard.
 //
 // The modulo partition is part of the on-disk shard contract (sem's shard
 // map records it as partition id 2); changing it would orphan every shard set
@@ -65,17 +65,17 @@ func ExtractShard[V Vertex](g *CSR[V], shard, shards int) (*CSR[V], error) {
 // Sharded composes N member adjacencies into one logical graph: vertex v's
 // neighbors are row v/N of member v%N. It implements Adjacency and
 // BatchAdjacency, so the one traversal kernel runs over a sharded mount
-// unchanged; NeighborsBatch and Request partition a worker's window or sweep
-// by owning shard and hand each member its group, so every shard coalesces
-// its own extents and reads its own device concurrently.
+// unchanged; Request partitions a worker's sweep by owning shard and hands
+// each member its group, so every shard coalesces its own extents and reads
+// its own device concurrently.
 //
 // Sharded itself is stateless beyond the member list — all per-worker state
-// (per-shard sub-scratches, window groups) lives in the caller's Scratch — so
+// (per-shard sub-scratches, sweep groups) lives in the caller's Scratch — so
 // one router is safely shared by any number of traversal workers and queries.
 type Sharded[V Vertex] struct {
 	members []Adjacency[V]
 	// batch[k] is members[k]'s BatchAdjacency side, nil when the member
-	// cannot service windows (then its group's reads stay synchronous).
+	// cannot service sweeps (then its group's reads stay synchronous).
 	batch []BatchAdjacency[V]
 	n     uint64
 }
@@ -144,10 +144,10 @@ func (s *Sharded[V]) Degree(v V) int {
 }
 
 // shardScratch is the router's per-worker state, stored in Scratch.Prefetch:
-// one sub-scratch per member (so each shard's decode buffers and prefetch
-// session stay isolated — two members must never share a session) and the
-// reusable per-member groups of NeighborsBatch and Request: the rows, their
-// positions in the caller's sweep, and the reads and waits of those.
+// one sub-scratch per member (so each shard's decode buffers and Request
+// buffers stay isolated — two members must never share them) and the
+// reusable per-member groups of Request: the rows, their positions in the
+// caller's sweep, and the reads and waits of those.
 type shardScratch[V Vertex] struct {
 	subs   []*Scratch[V]
 	groups [][]V
@@ -178,10 +178,10 @@ func (s *Sharded[V]) state(scratch *Scratch[V]) *shardScratch[V] {
 }
 
 // Neighbors implements Adjacency: route to v's owning member with that
-// member's sub-scratch, so a prefetched span started by NeighborsBatch on the
-// same scratch is consumed without copying. The returned slices live in the
-// member's sub-scratch and are valid until the next call for a vertex of the
-// same shard on the same scratch.
+// member's sub-scratch, handing down the read Request started for v, so the
+// member decodes from it without reading again. The returned slices live in
+// the member's sub-scratch and are valid until the next call for a vertex of
+// the same shard on the same scratch.
 //
 //lint:hotpath
 func (s *Sharded[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, error) {
@@ -234,29 +234,6 @@ func (s *Sharded[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scrat
 		ss.waits[k] = ws
 	}
 	return full
-}
-
-// NeighborsBatch implements BatchAdjacency: group the window by owning
-// shard, then announce each group to its member so per-shard extents coalesce
-// among themselves (extents of different shards live in different files and
-// could never merge) and every shard's device starts reading concurrently.
-func (s *Sharded[V]) NeighborsBatch(vs []V, scratch *Scratch[V]) {
-	if scratch == nil {
-		return // nothing could ever consume the prefetched reads
-	}
-	ss := s.state(scratch)
-	for i := range ss.groups {
-		ss.groups[i] = ss.groups[i][:0]
-	}
-	for _, v := range vs {
-		k, u := s.owner(v)
-		ss.groups[k] = append(ss.groups[k], u)
-	}
-	for k, b := range s.batch {
-		if b != nil && len(ss.groups[k]) > 0 {
-			b.NeighborsBatch(ss.groups[k], ss.subs[k])
-		}
-	}
 }
 
 // shardSettler routes settle notifications to each vertex's owning member's

@@ -127,6 +127,16 @@ func TestNewShardedValidation(t *testing.T) {
 	}
 }
 
+// batchCSR gives a CSR shard the BatchAdjacency capability, so the router
+// groups sweeps for it: every adjacency is resident, so Request starts no
+// read and parks nothing.
+type batchCSR struct{ *CSR[uint32] }
+
+func (batchCSR) Request(_ []uint32, _ []any, waits []<-chan struct{}, _ *Scratch[uint32]) bool {
+	clear(waits)
+	return false
+}
+
 func TestShardedRouterMatchesCSR(t *testing.T) {
 	g := shardTestGraph(t, 300, 2000, 11)
 	for _, shards := range []int{1, 2, 4} {
@@ -136,7 +146,7 @@ func TestShardedRouterMatchesCSR(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ExtractShard: %v", err)
 			}
-			members[k] = sub
+			members[k] = batchCSR{sub}
 		}
 		s, err := NewSharded(members)
 		if err != nil {
@@ -153,13 +163,19 @@ func TestShardedRouterMatchesCSR(t *testing.T) {
 			t.Fatalf("shards=%d: Weighted() = false for a weighted graph", shards)
 		}
 		scratch := &Scratch[uint32]{}
-		window := make([]uint32, 0, 8)
-		for v := uint64(0); v < g.NumVertices(); v++ {
-			window = append(window, uint32(v))
-			if len(window) == cap(window) {
-				s.NeighborsBatch(window, scratch)
-				window = window[:0]
+		// Sweeps of 8 in id order, as a device runner requests them.
+		vs := make([]uint32, g.NumVertices())
+		for i := range vs {
+			vs[i] = uint32(i)
+		}
+		reads, waits := make([]any, 8), make([]<-chan struct{}, 8)
+		for v := range vs {
+			k := v % len(reads)
+			if k == 0 {
+				sweep := vs[v:min(v+len(reads), len(vs))]
+				s.Request(sweep, reads[:len(sweep)], waits[:len(sweep)], scratch)
 			}
+			scratch.Read = reads[k]
 			if d, want := s.Degree(uint32(v)), g.Degree(uint32(v)); d != want {
 				t.Fatalf("shards=%d: Degree(%d) = %d, want %d", shards, v, d, want)
 			}
@@ -194,7 +210,10 @@ func TestShardedNilScratch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	s.NeighborsBatch([]uint32{1, 2, 3}, nil) // must be a safe no-op
+	waits := []<-chan struct{}{make(chan struct{})}
+	if s.Request([]uint32{1}, make([]any, 1), waits, nil) || waits[0] != nil { // must be a safe no-op
+		t.Fatalf("Request with nil scratch reported full or left wait %v", waits[0])
+	}
 	ts, _, err := s.Neighbors(3, nil)
 	wantTs, _, _ := g.Neighbors(3, nil)
 	if err != nil || len(ts) != len(wantTs) {
@@ -204,8 +223,7 @@ func TestShardedNilScratch(t *testing.T) {
 
 // TestShardedHotPathNoAllocs pins the acceptance criterion that routing adds
 // no per-edge (or even per-visit) allocation: once a worker's shard scratch
-// is warm, Degree/Neighbors/NeighborsBatch through the router are
-// allocation-free.
+// is warm, Degree/Neighbors/Request through the router are allocation-free.
 func TestShardedHotPathNoAllocs(t *testing.T) {
 	g := shardTestGraph(t, 256, 2000, 13)
 	members := make([]Adjacency[uint32], 4)
@@ -214,7 +232,7 @@ func TestShardedHotPathNoAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ExtractShard: %v", err)
 		}
-		members[k] = sub
+		members[k] = batchCSR{sub}
 	}
 	s, err := NewSharded(members)
 	if err != nil {
@@ -222,10 +240,12 @@ func TestShardedHotPathNoAllocs(t *testing.T) {
 	}
 	scratch := &Scratch[uint32]{}
 	window := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
-	s.NeighborsBatch(window, scratch) // warm: builds the shard scratch + groups
+	reads, waits := make([]any, len(window)), make([]<-chan struct{}, len(window))
+	s.Request(window, reads, waits, scratch) // warm: builds the shard scratch + groups
 	allocs := testing.AllocsPerRun(100, func() {
-		s.NeighborsBatch(window, scratch)
-		for _, v := range window {
+		s.Request(window, reads, waits, scratch)
+		for i, v := range window {
+			scratch.Read = reads[i]
 			s.Degree(v)
 			if _, _, err := s.Neighbors(v, scratch); err != nil {
 				t.Fatal(err)

@@ -215,8 +215,8 @@ func AblationDirection(o Options) (*Table, error) {
 	}
 	inputs = append(inputs, input{fmt.Sprintf("grid %dx%d", side, side), grid, 0, guard})
 
-	// On the raw device both sides announce windows — the kernel its pop
-	// window, the driver its frontier slices and scan spans — so the
+	// On the raw device both sides request sweeps — the kernel its pops,
+	// the driver its frontier slices and scan spans — so the
 	// direction comparison does not also toggle I/O overlap.
 	o.NoCache, o.inEdges = true, true
 	for _, in := range inputs {

@@ -25,10 +25,10 @@ type IO struct {
 	CacheHits, CacheMisses uint64
 	Cache                  sem.CacheIOStats
 	PinnedHW               int64
-	// Prefetch is the window pipeline's span-coalescing and in-edge scan
+	// Prefetch is the sweep pipeline's span-coalescing and in-edge scan
 	// counters: the asynchronous kernel's sweeps on the raw device, the BFS
-	// driver's on every semi-external mount. Zero on a mount that never
-	// windowed or scanned.
+	// driver's on every semi-external mount. Zero on a mount that merged no
+	// sweep and scanned nothing.
 	Prefetch sem.PrefetchStats
 	// EdgeBytes is the on-flash size of the edge data and Edges the logical
 	// edge count, both summed across the shards.

@@ -8,8 +8,8 @@
 // through here, so the default recipe (4 KiB blocks, half the file, readahead
 // 8), the choice of read path from whether a cache is mounted (behind the
 // cache the traversal's state widens each miss and the asynchronous kernel
-// pops one visitor at a time; on the raw device it pops windows; either way
-// the BFS driver announces its frontier in windows and its scans double-
+// pops one visitor at a time; on the raw device it pops sweeps; either way
+// the BFS driver requests its frontier in sweeps and its scans double-
 // buffer, and every range becomes a block request that shares reads in
 // flight), and the rule that
 // an in-memory mount pairs a directed graph with its transpose exactly when
@@ -216,7 +216,8 @@ func inSections(backings []ssd.Backing) bool {
 
 // semStack is the semi-external half, one simulated device per backing: the
 // cache fed by the graph it serves, or the raw device under the zero-budget
-// table sem.Open puts there with windows enabled; then the shard router.
+// table sem.Open puts there with its prefetcher enabled; then the shard
+// router.
 func semStack(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, error) {
 	m := &Mounted{Devices: make([]*ssd.Device, len(backings)), Graphs: make([]*sem.Graph[uint32], len(backings))}
 	if !opt.NoCache {
@@ -262,8 +263,8 @@ func (o Options) cacheBudget(size int64) int64 {
 // queue lengths the proposal filter leaves it ties either way (EXPERIMENTS.md
 // "Semi-sort at 128 queues"), so it is the mount's constant, not a knob. The
 // asynchronous kernel sweeps rawWindow visitors exactly on the raw device,
-// one behind the cache; the graph serves windows on every semi-external
-// mount, for the BFS driver. Direction
+// one behind the cache, and the BFS driver requests its frontier slices
+// through the same call on every semi-external mount. Direction
 // is left at its zero value — core.BFS chooses its driver from Adj — and a
 // graph that can answer "who points at v?" gets the switch thresholds of its
 // own degree distribution instead of one-size-fits-all constants, for

@@ -420,7 +420,7 @@ func (c *CachedStore) full() bool {
 }
 
 // read returns the n bytes at off. A reader of a zero-budget table with no
-// reads in flight to share (share false: a graph that never windows) reads
+// reads in flight to share (share false: a graph without a prefetcher) reads
 // them into *buf in one operation. Otherwise it claims the blocks under them
 // — on a cache block by block, a miss fetched with its readahead before the
 // next block is looked up; on a zero-budget table all at once — fetches the

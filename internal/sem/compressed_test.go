@@ -278,7 +278,7 @@ func TestCompressed64Bit(t *testing.T) {
 	}
 }
 
-// A window announced over a compressed store must coalesce the variable-
+// A sweep requested over a compressed store must coalesce the variable-
 // length block extents into spans and hand each block to Neighbors with the
 // same contents a synchronous read yields — the zero-copy decode handoff.
 func TestCompressedPrefetchConsumesSpans(t *testing.T) {
@@ -292,12 +292,13 @@ func TestCompressedPrefetchConsumesSpans(t *testing.T) {
 	sg.EnablePrefetch(PrefetchConfig{MaxGap: DefaultPrefetchGap})
 	scratch := &graph.Scratch[uint32]{}
 	window := []uint32{3, 4, 5, 20, 21, 40}
-	sg.NeighborsBatch(window, scratch)
+	reads, _ := request(sg, scratch, window, nil)
 	ps := sg.PrefetchStats()
 	if ps.Spans == 0 {
-		t.Fatalf("no spans issued for window: %+v", ps)
+		t.Fatalf("no spans issued for the sweep: %+v", ps)
 	}
-	for _, v := range window {
+	for i, v := range window {
+		scratch.Read = reads[i]
 		gt, gw, err := sg.Neighbors(v, scratch)
 		if err != nil {
 			t.Fatal(err)
@@ -313,7 +314,7 @@ func TestCompressedPrefetchConsumesSpans(t *testing.T) {
 		}
 	}
 	if ps = sg.PrefetchStats(); ps.Consumed != uint64(len(window)) {
-		t.Fatalf("consumed %d of %d window vertices", ps.Consumed, len(window))
+		t.Fatalf("consumed %d of %d sweep vertices", ps.Consumed, len(window))
 	}
 }
 

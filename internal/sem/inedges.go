@@ -51,7 +51,7 @@ func (g *Graph[V]) InDegree(v V) int {
 
 // InNeighbors implements graph.InAdjacency with one positional read per call,
 // through the same routine as Neighbors. Symmetric files answer from the edge
-// region (and may therefore consume a prefetched window's span); in-edge
+// region (and may therefore decode from a read Request started); in-edge
 // sections read synchronously — bottom-up phases should use ScanInEdges,
 // whose sequential spans are the whole point.
 func (g *Graph[V]) InNeighbors(v V, scratch *graph.Scratch[V]) ([]V, error) {
@@ -71,7 +71,7 @@ func (g *Graph[V]) InNeighbors(v V, scratch *graph.Scratch[V]) ([]V, error) {
 // prefetch is disabled, capped at scanSpanBytes per read), and visit each
 // vertex from its span's bytes. With a prefetcher attached the spans are
 // double-buffered: span k+1 is an asynchronous block request on the table —
-// a window's call — while span k decodes, so the device and the CPU
+// as a sweep's range is — while span k decodes, so the device and the CPU
 // overlap with megabyte streams instead of per-vertex records, and blocks
 // another reader has under I/O are shared; scan reads are tallied in
 // PrefetchStats.ScanSpans/ScanBytes. Without one each span is read through the

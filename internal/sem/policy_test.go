@@ -357,8 +357,8 @@ func TestConcurrentStateTraversals(t *testing.T) {
 
 // failAfter serves a fixed number of adjacency reads from the embedded graph
 // and then fails, aborting the traversal from inside a visit. Embedding keeps
-// the graph's NeighborsBatch and SettleSink, so the engine still windows its
-// pops and still feeds the cache.
+// the graph's Request and SettleSink, so the engine still sweeps its pops
+// and still feeds the cache.
 type failAfter struct {
 	*Graph[uint32]
 	left atomic.Int64

@@ -1,42 +1,40 @@
 package sem
 
-// This file is the semi-external asynchronous I/O pipeline. It has two
-// callers. The asynchronous engine hands each sweep a device runner popped —
-// up to Config.Prefetch visitors, 16 on a raw-device mount, one behind the
-// cache — to Request; the BFS driver announces each ioFanout slice of a
-// top-down phase's frontier through NeighborsBatch. Open attaches a
-// prefetcher (the coalescing gap and the counters) over a CachedStore, a
-// table that keeps blocks, and a raw mount calls EnablePrefetch. The
-// engine's SemiSort key arranges for each worker to pop runs of id-adjacent
-// vertices (§IV-C); their adjacency extents therefore sit near each other in
-// the on-device edge region. A sweep's or window's extents merge into ranges
-// while each next one starts within MaxGap bytes of the running end, and
-// every range becomes one asynchronous [lo, hi) block request on the graph's
-// table (cache.go). A block the table already holds — under another reader's
-// fetch, or cached — is shared; the rest are read in one device operation on
-// the table's bounded I/O pool while the worker runs other work. On
-// ssd.Device a range pays one latency term plus bandwidth instead of k
-// latencies — the request-merging trick of FlashGraph-class I/O layers — and
-// a block several workers want is read once. Request gives each vertex of a
-// sweep a read holding the entries of its own blocks, out of its range's: a
-// visitor whose blocks are not all resident is parked on a fetch they are
-// under until it lands — and on the next, if its extent spans blocks of
-// several fetches — and Neighbors then decodes from the entries the read
-// holds, with no second claim. A window's entries stay in the worker's
-// session until the next window. A graph that never windows over a
-// zero-budget table reads each extent alone, as its synchronous reads do, in
-// a fetch of its own.
+// This file is the semi-external asynchronous I/O pipeline. Its one entry is
+// Request, and it has two callers: the asynchronous engine hands it each
+// sweep a device runner pops — up to Config.Prefetch visitors, 16 on a
+// raw-device mount, one behind the cache — and the BFS driver each ioFanout
+// slice of a top-down phase's frontier. Open attaches a prefetcher (the
+// coalescing gap and the counters) over a CachedStore, a table that keeps
+// blocks, and a raw mount calls EnablePrefetch. The engine's SemiSort key
+// arranges for each worker to pop runs of id-adjacent vertices (§IV-C); their
+// adjacency extents therefore sit near each other in the on-device edge
+// region. A sweep's extents merge into ranges while each next one starts
+// within MaxGap bytes of the running end, and every range becomes one
+// asynchronous [lo, hi) block request on the graph's table (cache.go). A
+// block the table already holds — under another reader's fetch, or cached —
+// is shared; the rest are read in one device operation on the table's
+// bounded I/O pool while the worker runs other work. On ssd.Device a range
+// pays one latency term plus bandwidth instead of k latencies — the
+// request-merging trick of FlashGraph-class I/O layers — and a block several
+// workers want is read once. Request gives each vertex of a sweep a read
+// holding the entries of its own blocks, out of its range's: a visitor whose
+// blocks are not all resident is parked on a fetch they are under until it
+// lands — and on the next, if its extent spans blocks of several fetches —
+// or, in the driver, its Neighbors call waits for them; Neighbors then
+// decodes from the entries the read holds, with no second claim. A graph
+// without a prefetcher, over a zero-budget table, reads each extent alone, as
+// its synchronous reads do, in a fetch of its own.
 //
 // Ownership and correctness: a sweep is popped from queues one worker owns,
 // so every vertex in it is owned by that worker (the engine's hash routing),
-// or a window is one driver worker's slice of a frontier; the reads and the
-// session holding a window's block entries live in that worker's scratch and
-// parked visitors — no other worker ever touches them. A fetch publishes to
-// its readers only through its ready channel (close happens-after the bytes
-// and the error are written). Visiting in sweep order rather than strict
-// one-at-a-time heap order is safe for the label-correcting kernels because
-// every relaxation is monotone: reordering costs at most extra corrections,
-// never wrong labels.
+// or it is one driver worker's slice of a frontier; the reads live in that
+// worker's scratch and parked visitors — no other worker ever touches them.
+// A fetch publishes to its readers only through its ready channel (close
+// happens-after the bytes and the error are written). Visiting in sweep order
+// rather than strict one-at-a-time heap order is safe for the
+// label-correcting kernels because every relaxation is monotone: reordering
+// costs at most extra corrections, never wrong labels.
 
 import (
 	"cmp"
@@ -47,10 +45,10 @@ import (
 	"repro/internal/graph"
 )
 
-// DefaultPrefetchGap is the coalescing gap of every window pipeline and of
-// the bottom-up scan. It is sized to bridge the ownership stride:
+// DefaultPrefetchGap is the coalescing gap of every sweep and of the
+// bottom-up scan. It is sized to bridge the ownership stride:
 // with W workers each owning a pseudorandom 1/W of the frontier, consecutive
-// extents in one worker's semi-sorted window sit ~W x degree x recordSize
+// extents in one worker's semi-sorted sweep sit ~W x degree x recordSize
 // bytes apart (~16 KiB at the repository defaults of 128 workers, degree 16,
 // 4-8 byte records). 32 KiB spans that stride most of the time, and the
 // bridged bytes cost only the device's bandwidth term (~160 µs on the
@@ -58,11 +56,11 @@ import (
 const DefaultPrefetchGap = 32 << 10
 
 // prefetchIOWorkers is the smallest bound on a table's concurrent
-// asynchronous fetches — window ranges and scan spans. A table over a store
+// asynchronous fetches — sweep ranges and scan spans. A table over a store
 // that reports its channel count (ssd.Device) widens the pool to it, so the
 // bound never throttles a device below its own parallelism; the paper's three
 // profiles have 9-20 channels and keep 32. It exists to keep the goroutine
-// and buffer fan-out finite when hundreds of traversal workers window
+// and buffer fan-out finite when hundreds of traversal workers sweep
 // simultaneously.
 const prefetchIOWorkers = 32
 
@@ -82,20 +80,22 @@ type PrefetchConfig struct {
 // PrefetchStats counts prefetcher activity over the graph's lifetime. All
 // counters are monotone; read them after a traversal completes.
 type PrefetchStats struct {
-	// Windows counts the NeighborsBatch calls that requested at least one
-	// range, and the Request sweeps of more than one extent.
+	// Windows counts the Request sweeps of more than one extent: the ones
+	// that merge ranges. The counters below count only their reads.
 	Windows   uint64
-	Vertices  uint64 // nonzero-degree vertices accepted into windows
-	Spans     uint64 // device reads the window ranges issued
+	Vertices  uint64 // nonzero-degree vertices in those sweeps
+	Spans     uint64 // device reads their ranges issued
 	SpanBytes uint64 // bytes those reads transferred
-	// GapBytes is the part of SpanBytes no window vertex asked for: the gaps
+	// GapBytes is the part of SpanBytes no sweep vertex asked for: the gaps
 	// bridged between near-contiguous extents, and each read's rounding out to
 	// whole blocks.
-	GapBytes  uint64
-	Consumed  uint64 // prefetched adjacency lists delivered to Neighbors
-	Abandoned uint64 // prefetched lists dropped unread (stale by visit time)
+	GapBytes uint64
+	Consumed uint64 // sweep reads Neighbors decoded
+	// Abandoned counts the sweep reads still undecoded when Request reused
+	// them: their visitors were dropped before visiting.
+	Abandoned uint64
 
-	// Cross-worker sharing through the table: DedupSpans counts the window
+	// Cross-worker sharing through the table: DedupSpans counts the sweep
 	// ranges that issued no read of their own, every block of theirs being
 	// under another reader's fetch already (or cached), and DedupBytes the
 	// bytes those ranges spanned.
@@ -103,7 +103,7 @@ type PrefetchStats struct {
 	DedupBytes uint64
 
 	// Bottom-up scan-phase counters (ScanInEdges): the device reads its spans
-	// issued and the bytes they transferred, disjoint from the window
+	// issued and the bytes they transferred, disjoint from the sweep
 	// counters above.
 	ScanSpans uint64
 	ScanBytes uint64
@@ -142,7 +142,7 @@ func (s PrefetchStats) ConsumedFrac() float64 {
 	return float64(s.Consumed) / float64(s.Vertices)
 }
 
-// Prefetcher is a graph's window configuration and counters; the reads are
+// Prefetcher is a graph's sweep configuration and counters; the reads are
 // the table's. Safe for concurrent use by many workers: all state is atomic.
 type Prefetcher struct {
 	cfg PrefetchConfig
@@ -180,24 +180,22 @@ func (g *Graph[V]) PrefetchStats() PrefetchStats {
 	}
 }
 
-// extent is a vertex's adjacency byte range. In a window or sweep, k is
-// where the entry of its first block sits in the held list its ranges
-// filled; in a window done marks it consumed, so a vertex popped twice in
-// one window consumes its own; in a sweep v is its place in the sweep.
+// extent is a vertex's adjacency byte range. In a sweep, v is its place in
+// the sweep and k is where the entry of its first block sits in the held
+// list its ranges filled.
 type extent struct {
-	v    uint64
-	off  int64
-	n    int
-	k    int
-	done bool
+	v   uint64
+	off int64
+	n   int
+	k   int
 }
 
 // coalesce merges the run of offset-sorted extents starting at exts[i] into
 // one range — the one place extents become device requests, shared by
-// windows and sweeps (requestRanges) and the bottom-up scan (ScanInEdges). A
-// following extent joins while it starts within maxGap bytes of the range's
-// end and the range stays within maxBytes; duplicate or overlapping extents
-// (the same vertex popped twice in one window) fold into the same bytes. The
+// sweeps (requestRanges) and the bottom-up scan (ScanInEdges). A following
+// extent joins while it starts within maxGap bytes of the range's end and the
+// range stays within maxBytes; duplicate or overlapping extents (the same
+// vertex twice in one sweep) fold into the same bytes. The
 // range is exts[i:j] over [exts[i].off, end).
 //
 //lint:hotpath
@@ -225,132 +223,62 @@ func wanted(exts []extent, lo, hi int64) (n int64) {
 	return n
 }
 
-// prefetchSession is the per-worker window state, stored in the worker's
-// graph.Scratch.Prefetch. Only the owning worker reads or writes it.
-type prefetchSession struct {
-	p    *Prefetcher
-	exts []extent // the current window, in offset order
-	// held is the window's block entries, range after range. Holding them
-	// keeps their bytes alive until Neighbors decodes; the table, on the raw
-	// device, keeps nothing itself.
-	held []*cacheEntry
-	// sweep and sweepHeld are Request's buffers: a sweep's extents, each v
-	// its place in the sweep, and its ranges' entries, which the sweep's
-	// reads hold from the call on.
-	sweep     []extent
-	sweepHeld []*cacheEntry
-}
-
-// take hands v's window bytes to the caller once the reads under them
-// complete. ok is false when v has no live extent in the current window, in
-// which case the caller reads synchronously. A read error is surfaced to the
-// consumer, consistent with the synchronous path's failure policy (no silent
-// retry).
-//
-//lint:hotpath
-func (s *prefetchSession) take(v uint64, blockSize int64, buf *[]byte) (block []byte, err error, ok bool) {
-	for i := range s.exts {
-		e := &s.exts[i]
-		if e.done || e.v != v {
-			continue
-		}
-		e.done = true
-		s.p.consumed.Add(1)
-		block, err = gather(s.held[e.k:], blockSize, e.off, e.n, buf)
-		return block, err, true
-	}
-	return nil, nil, false
-}
-
-// EnablePrefetch makes the graph service NeighborsBatch windows and merge a
-// Request sweep's extents: a window's or sweep's extents merge into ranges
-// across cfg.MaxGap that become asynchronous block requests on the graph's
-// table, and its in-edge scans double-buffer through the same call. Without
-// it NeighborsBatch is a no-op, every Neighbors read without a Request is
-// synchronous, and over a zero-budget table Request reads each extent alone.
-// Open calls it over a CachedStore; a graph over a raw store needs the call,
-// once, before the traversal starts.
+// EnablePrefetch makes the graph merge a Request sweep's extents: they merge
+// into ranges across cfg.MaxGap that become asynchronous block requests on the
+// graph's table, and its in-edge scans double-buffer through the same call.
+// Without it every Neighbors read without a Request is synchronous, and over a
+// zero-budget table Request reads each extent alone. Open calls it over a
+// CachedStore; a graph over a raw store needs the call, once, before the
+// traversal starts.
 func (g *Graph[V]) EnablePrefetch(cfg PrefetchConfig) {
 	cfg.normalize()
 	g.prefetch = &Prefetcher{cfg: cfg}
 }
 
-// NeighborsBatch implements graph.BatchAdjacency: it announces the worker's
-// next window of vertices, merges their adjacency extents into ranges and
-// requests each range's blocks from the table. Subsequent Neighbors calls on
-// the same scratch decode from the entries the session holds, without
-// copying unless an extent runs past its fetch; a window's entries still
-// unconsumed when the next one arrives are abandoned (their reads complete,
-// and nobody holds the bytes).
-func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
-	p := g.prefetch
-	if p == nil {
-		return
-	}
-	sess := g.session(scratch)
-	for i := range sess.exts {
-		if !sess.exts[i].done {
-			p.abandoned.Add(1)
-		}
-	}
-	clear(sess.held)
-	exts := sess.exts[:0]
-	for _, v := range vs {
-		// The extent is a record span on v1 stores and a compressed block on
-		// v2 — the ranges and the uncopied handoff below are format-blind.
-		if off, n := g.out.extent(v); n > 0 {
-			exts = append(exts, extent{v: uint64(v), off: off, n: n})
-		}
-	}
-	sess.exts, sess.held = exts, g.requestRanges(exts, sess.held[:0], p)
+// prefetchSession is a worker's Request buffers, stored in its
+// graph.Scratch.Prefetch: a sweep's extents, each v its place in the sweep,
+// and its ranges' entries, which the sweep's reads hold from the call on.
+// Only the owning worker reads or writes it.
+type prefetchSession struct {
+	sweep []extent
+	held  []*cacheEntry
 }
 
-// session returns the worker's prefetch session, building it on first use.
+// session returns the worker's Request buffers, building them on first use.
 func (g *Graph[V]) session(scratch *graph.Scratch[V]) *prefetchSession {
 	sess, _ := scratch.Prefetch.(*prefetchSession)
 	if sess == nil {
-		sess = &prefetchSession{p: g.prefetch}
+		sess = &prefetchSession{}
 		scratch.Prefetch = sess
 	}
 	return sess
 }
 
 // requestRanges sorts exts by offset, merges them into ranges across the
-// prefetcher's gap (none without one) and requests each range's blocks from
-// the table, appending their entries to held; exts[k].k is where the entry of
-// extent k's first block sits there. count, when non-nil, is the prefetcher
-// the window's reads are counted in.
-func (g *Graph[V]) requestRanges(exts []extent, held []*cacheEntry, count *Prefetcher) []*cacheEntry {
-	if len(exts) == 0 {
-		return held
-	}
+// prefetcher's gap and requests each range's blocks from the table,
+// appending their entries to held; exts[k].k is where the entry of extent
+// k's first block sits there. The prefetcher counts the sweep and its reads.
+func (g *Graph[V]) requestRanges(exts []extent, held []*cacheEntry) []*cacheEntry {
+	p := g.prefetch
 	slices.SortFunc(exts, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
-	var gap int64
-	if g.prefetch != nil {
-		gap = int64(g.prefetch.cfg.MaxGap)
-	}
-	if count != nil {
-		count.windows.Add(1)
-		count.vertices.Add(uint64(len(exts)))
-	}
+	p.windows.Add(1)
+	p.vertices.Add(uint64(len(exts)))
 	bs := g.table.blockSize
 	for i := 0; i < len(exts); {
-		j, end := coalesce(exts, i, gap, math.MaxInt64)
+		j, end := coalesce(exts, i, int64(p.cfg.MaxGap), math.MaxInt64)
 		lo := exts[i].off / bs
 		for k := i; k < j; k++ {
 			exts[k].k = len(held) + int(exts[k].off/bs-lo)
 		}
 		var off, n int64
 		held, off, n = g.table.request(held, lo, (end-1)/bs+1)
-		switch {
-		case count == nil:
-		case n == 0:
-			count.dedupSpans.Add(1)
-			count.dedupBytes.Add(uint64(end - exts[i].off))
-		default:
-			count.spans.Add(1)
-			count.spanBytes.Add(uint64(n))
-			count.gapBytes.Add(uint64(n - wanted(exts[i:j], off, off+n)))
+		if n == 0 {
+			p.dedupSpans.Add(1)
+			p.dedupBytes.Add(uint64(end - exts[i].off))
+		} else {
+			p.spans.Add(1)
+			p.spanBytes.Add(uint64(n))
+			p.gapBytes.Add(uint64(n - wanted(exts[i:j], off, off+n)))
 		}
 		i = j
 	}
@@ -414,22 +342,23 @@ func (r *heldRead) release() {
 	r.held, r.live = r.held[:0], false
 }
 
-// Request implements graph.BatchAdjacency for a sweep: the extents of vs
-// merge into ranges as a window's do, each range's blocks are requested from
+// Request implements graph.BatchAdjacency: the extents of vs merge into
+// ranges across the prefetcher's gap, each range's blocks are requested from
 // the table once — a resident block is held at once, an absent one joins a
 // fetch in flight or starts one on the I/O pool, with the miss's readahead —
 // and each vertex's read holds the entries of its own blocks out of its
 // range's, where the Neighbors call for it finds them without a second claim.
-// A graph that never windows over a zero-budget table requests each extent
-// alone instead, as its synchronous read would (CachedStore.read). The
-// prefetcher counts a sweep of more than one extent as a window, and its
-// reads as consumed when Neighbors decodes them, or abandoned when Request
-// reuses one whose visitor never did. full reports the table at its bound on
-// asynchronous reads (CachedStore.full). A sweep of resident extents
-// allocates nothing once its reads are reused.
+// A graph without a prefetcher (a bare zero-budget table: Open gives every
+// CachedStore one) requests each extent alone instead, as its synchronous
+// read would (CachedStore.read), so a sweep's exact reads are in flight
+// together. The prefetcher counts a sweep of more than one extent as a
+// window, and its reads as consumed when Neighbors decodes them, or abandoned
+// when Request reuses one whose visitor never did. full reports the table at
+// its bound on asynchronous reads (CachedStore.full). A sweep of resident
+// extents allocates nothing once its reads are reused.
 func (g *Graph[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scratch *graph.Scratch[V]) bool {
 	c := g.table
-	exact := c.capBlocks == 0 && g.prefetch == nil
+	exact := g.prefetch == nil
 	sess := g.session(scratch)
 	exts := sess.sweep[:0]
 	for i, v := range vs {
@@ -461,23 +390,25 @@ func (g *Graph[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scratch
 		exts = append(exts, extent{v: uint64(i), off: off, n: n})
 	}
 	bs := c.blockSize
-	if len(exts) == 1 { // the one range is the extent's blocks: into its read
+	sess.sweep = exts
+	switch len(exts) {
+	case 0:
+	case 1: // the one range is the extent's blocks: into its read
 		e := exts[0]
 		r := reads[e.v].(*heldRead)
 		r.held, _, _ = c.request(r.held, e.off/bs, (e.off+int64(e.n)-1)/bs+1)
 		waits[e.v] = r.pending()
-		sess.sweep = exts
-		return c.full()
+	default:
+		held := g.requestRanges(exts, sess.held[:0])
+		for _, e := range exts {
+			r := reads[e.v].(*heldRead)
+			r.held = append(r.held, held[e.k:e.k+int((e.off+int64(e.n)-1)/bs-e.off/bs)+1]...)
+			r.p = g.prefetch
+			waits[e.v] = r.pending()
+		}
+		clear(held)
+		sess.held = held[:0]
 	}
-	held := g.requestRanges(exts, sess.sweepHeld[:0], g.prefetch)
-	for _, e := range exts {
-		r := reads[e.v].(*heldRead)
-		r.held = append(r.held, held[e.k:e.k+int((e.off+int64(e.n)-1)/bs-e.off/bs)+1]...)
-		r.p = g.prefetch
-		waits[e.v] = r.pending()
-	}
-	clear(held)
-	sess.sweep, sess.sweepHeld = exts, held[:0]
 	return c.full()
 }
 

@@ -59,6 +59,25 @@ func checkNeighbors(t *testing.T, sg *Graph[uint32], g *graph.CSR[uint32], v uin
 	}
 }
 
+// request starts the reads of vs in one Request call on sc, as an engine
+// sweep or a BFS driver slice does, reusing reads when given, and returns
+// the reads and their waits.
+func request(sg *Graph[uint32], sc *graph.Scratch[uint32], vs []uint32, reads []any) ([]any, []<-chan struct{}) {
+	if reads == nil {
+		reads = make([]any, len(vs))
+	}
+	waits := make([]<-chan struct{}, len(vs))
+	sg.Request(vs, reads, waits, sc)
+	return reads, waits
+}
+
+// checkRead visits v with the read Request started for it.
+func checkRead(t *testing.T, sg *Graph[uint32], g *graph.CSR[uint32], v uint32, read any, sc *graph.Scratch[uint32]) {
+	t.Helper()
+	sc.Read = read
+	checkNeighbors(t, sg, g, v, sc)
+}
+
 func TestPrefetchCoalescesWithinGap(t *testing.T) {
 	g := prefetchFixture(t)
 	back := writeToMem(t, g)
@@ -67,16 +86,16 @@ func TestPrefetchCoalescesWithinGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Window {0, 2} skips vertex 1: the extents sit 4 bytes apart. MaxGap 4
+	// Sweep {0, 2} skips vertex 1: the extents sit 4 bytes apart. MaxGap 4
 	// bridges them into one span whose gap bytes are exactly deg(1) records
 	// (blocks of one record round nothing).
 	withBlocks(sg, 4)
 	sg.EnablePrefetch(PrefetchConfig{MaxGap: 4})
 	sc := &graph.Scratch[uint32]{}
 	base := dev.Stats().Reads
-	sg.NeighborsBatch([]uint32{0, 2}, sc)
-	checkNeighbors(t, sg, g, 0, sc)
-	checkNeighbors(t, sg, g, 2, sc)
+	reads, _ := request(sg, sc, []uint32{0, 2}, nil)
+	checkRead(t, sg, g, 0, reads[0], sc)
+	checkRead(t, sg, g, 2, reads[1], sc)
 	st := sg.PrefetchStats()
 	if st.Windows != 1 || st.Vertices != 2 || st.Spans != 1 {
 		t.Fatalf("stats = %+v, want 1 window, 2 vertices, 1 span", st)
@@ -106,9 +125,9 @@ func TestPrefetchSplitsBeyondGap(t *testing.T) {
 	withBlocks(sg, 4)
 	sg.EnablePrefetch(PrefetchConfig{MaxGap: 3})
 	sc := &graph.Scratch[uint32]{}
-	sg.NeighborsBatch([]uint32{0, 2}, sc)
-	checkNeighbors(t, sg, g, 0, sc)
-	checkNeighbors(t, sg, g, 2, sc)
+	reads, _ := request(sg, sc, []uint32{0, 2}, nil)
+	checkRead(t, sg, g, 0, reads[0], sc)
+	checkRead(t, sg, g, 2, reads[1], sc)
 	st := sg.PrefetchStats()
 	if st.Spans != 2 || st.GapBytes != 0 {
 		t.Fatalf("stats = %+v, want 2 spans and 0 gap bytes", st)
@@ -127,13 +146,13 @@ func TestPrefetchDuplicateVertexInWindow(t *testing.T) {
 	sg.EnablePrefetch(PrefetchConfig{MaxGap: 0})
 	sc := &graph.Scratch[uint32]{}
 	// The same vertex twice: overlapping extents fold into one span, and
-	// each Neighbors call consumes its own entry.
-	sg.NeighborsBatch([]uint32{2, 2}, sc)
-	checkNeighbors(t, sg, g, 2, sc)
-	checkNeighbors(t, sg, g, 2, sc)
+	// each Neighbors call consumes its own read.
+	reads, _ := request(sg, sc, []uint32{2, 2}, nil)
+	checkRead(t, sg, g, 2, reads[0], sc)
+	checkRead(t, sg, g, 2, reads[1], sc)
 	st := sg.PrefetchStats()
 	if st.Spans != 1 || st.Vertices != 2 {
-		t.Fatalf("stats = %+v, want 1 span covering 2 window entries", st)
+		t.Fatalf("stats = %+v, want 1 span covering 2 sweep reads", st)
 	}
 	if st.Consumed != 2 || st.Abandoned != 0 {
 		t.Fatalf("consumed=%d abandoned=%d, want 2/0", st.Consumed, st.Abandoned)
@@ -148,19 +167,22 @@ func TestPrefetchAbandonsUnconsumedEntries(t *testing.T) {
 	}
 	sg.EnablePrefetch(PrefetchConfig{MaxGap: 0})
 	sc := &graph.Scratch[uint32]{}
-	sg.NeighborsBatch([]uint32{0, 2}, sc)
-	checkNeighbors(t, sg, g, 0, sc) // vertex 2's entry left unread
-	sg.NeighborsBatch([]uint32{1}, sc)
-	checkNeighbors(t, sg, g, 1, sc)
+	reads, _ := request(sg, sc, []uint32{0, 2}, nil)
+	checkRead(t, sg, g, 0, reads[0], sc) // vertex 2's read left live
+	// The next sweep reuses both reads: vertex 2's, never decoded, counts
+	// abandoned; vertex 0's, decoded, counts nothing.
+	reads, _ = request(sg, sc, []uint32{1, 0}, []any{reads[1], reads[0]})
+	checkRead(t, sg, g, 1, reads[0], sc)
+	checkRead(t, sg, g, 0, reads[1], sc)
 	st := sg.PrefetchStats()
 	if st.Abandoned != 1 {
 		t.Fatalf("abandoned = %d, want 1", st.Abandoned)
 	}
-	if st.Consumed != 2 {
-		t.Fatalf("consumed = %d, want 2", st.Consumed)
+	if st.Consumed != 3 {
+		t.Fatalf("consumed = %d, want 3", st.Consumed)
 	}
-	// A vertex whose entry was abandoned still reads synchronously.
-	checkNeighbors(t, sg, g, 2, sc)
+	// A vertex whose read was abandoned still reads synchronously.
+	checkRead(t, sg, g, 2, nil, sc)
 }
 
 func TestPrefetchZeroDegreeAndEmptyWindows(t *testing.T) {
@@ -171,12 +193,16 @@ func TestPrefetchZeroDegreeAndEmptyWindows(t *testing.T) {
 	}
 	sg.EnablePrefetch(PrefetchConfig{})
 	sc := &graph.Scratch[uint32]{}
-	sg.NeighborsBatch(nil, sc)
-	sg.NeighborsBatch([]uint32{3}, sc) // degree 0: no extent, no span
+	request(sg, sc, nil, nil)
+	reads, waits := request(sg, sc, []uint32{3, 3}, nil) // degree 0: no extent, no span
+	if waits[0] != nil || waits[1] != nil {
+		t.Fatalf("waits = %v, want none for degree-0 vertices", waits)
+	}
 	st := sg.PrefetchStats()
 	if st.Windows != 0 || st.Spans != 0 {
 		t.Fatalf("stats = %+v, want no windows or spans issued", st)
 	}
+	sc.Read = reads[0]
 	if got, _, err := sg.Neighbors(3, sc); err != nil || len(got) != 0 {
 		t.Fatalf("Neighbors(3) = %v, %v; want empty", got, err)
 	}
@@ -193,9 +219,12 @@ func TestPrefetchSurfacesReadError(t *testing.T) {
 	// reach the Neighbors caller, matching the synchronous failure policy.
 	sg.table.inner = &erroringStore{inner: sg.table.inner, after: 0}
 	sc := &graph.Scratch[uint32]{}
-	sg.NeighborsBatch([]uint32{0}, sc)
-	if _, _, err := sg.Neighbors(0, sc); err == nil {
-		t.Fatal("prefetched read error was swallowed")
+	for _, vs := range [][]uint32{{0}, {0, 2}} {
+		reads, _ := request(sg, sc, vs, nil)
+		sc.Read = reads[0]
+		if _, _, err := sg.Neighbors(0, sc); err == nil {
+			t.Fatalf("sweep %v: the requested read's error was swallowed", vs)
+		}
 	}
 }
 
@@ -253,8 +282,8 @@ func TestPrefetchTraversalMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestWindowsShareABlockInFlight has two workers' windows ask for extents in
-// one device block that no single range covers. The first window's read is
+// TestWindowsShareABlockInFlight has two workers' sweeps ask for extents in
+// one device block that no single range covers. The first sweep's read is
 // held in the device; the second must wait on it instead of reading the block
 // again. Sharing by covered byte span — the table the block table replaced —
 // reads the block twice.
@@ -293,11 +322,12 @@ func TestWindowsShareABlockInFlight(t *testing.T) {
 	withBlocks(sg, gatedBlock)
 	sg.EnablePrefetch(PrefetchConfig{})
 
+	// Request returns with the reads in flight; each worker's Neighbors call
+	// waits for its own.
 	var wg sync.WaitGroup
-	worker := func(v uint32) {
+	worker := func(v uint32, read any, sc *graph.Scratch[uint32]) {
 		defer wg.Done()
-		sc := &graph.Scratch[uint32]{}
-		sg.NeighborsBatch([]uint32{v}, sc)
+		sc.Read = read
 		got, _, err := sg.Neighbors(v, sc)
 		want, _, _ := g.Neighbors(v, nil)
 		if err != nil || !slices.Equal(got, want) {
@@ -305,18 +335,20 @@ func TestWindowsShareABlockInFlight(t *testing.T) {
 		}
 	}
 	entered, _ := dev.counts()
+	scA, scC := &graph.Scratch[uint32]{}, &graph.Scratch[uint32]{}
+	readA, waitA := request(sg, scA, []uint32{a}, nil)
+	waitFor(t, "the first sweep's read to reach the device", func() bool { n, _ := dev.counts(); return n == entered+1 })
+	readC, waitC := request(sg, scC, []uint32{c}, nil)
+	if waitA[0] == nil || waitC[0] != waitA[0] {
+		t.Fatalf("waits %v and %v: want the second read on the first's fetch", waitA[0], waitC[0])
+	}
 	wg.Add(2)
-	go worker(a)
-	waitFor(t, "the first window's read to reach the device", func() bool { n, _ := dev.counts(); return n == entered+1 })
-	go worker(c)
-	waitFor(t, "the second window's request", func() bool { st := sg.PrefetchStats(); return st.Spans+st.DedupSpans == 2 })
+	go worker(a, readA[0], scA)
+	go worker(c, readC[0], scC)
 	dev.open()
 	wg.Wait()
 	if n, _ := dev.counts(); n != entered+1 || dev.reads[block] != 1 {
 		t.Fatalf("%d device reads, block %d read %d times; want one read of it", n-entered, block, dev.reads[block])
-	}
-	if st := sg.PrefetchStats(); st.Spans != 1 || st.Consumed != 2 {
-		t.Fatalf("stats %+v: want one read serving two windows", st)
 	}
 	assertQuiescent(t, sg.table)
 }
@@ -356,7 +388,7 @@ func TestFailedBlockReachesEveryWindowReader(t *testing.T) {
 	}
 	dev.bad.Store(bad)
 
-	// One window: the vertices around the failed block, which share its read,
+	// One sweep: the vertices around the failed block, which share its read,
 	// and every tenth vertex well away from it, which read apart.
 	sc := &graph.Scratch[uint32]{}
 	var window []uint32
@@ -367,10 +399,11 @@ func TestFailedBlockReachesEveryWindowReader(t *testing.T) {
 			window = append(window, v)
 		}
 	}
-	sg.NeighborsBatch(window, sc)
+	reads, _ := request(sg, sc, window, nil)
 	onBad, fine := 0, 0
-	for _, v := range window {
+	for i, v := range window {
 		off, n := sg.out.extent(v)
+		sc.Read = reads[i]
 		got, _, err := sg.Neighbors(v, sc)
 		if off/gatedBlock <= bad && bad <= (off+int64(n)-1)/gatedBlock {
 			onBad++
@@ -385,7 +418,7 @@ func TestFailedBlockReachesEveryWindowReader(t *testing.T) {
 		}
 	}
 	if onBad == 0 || fine == 0 {
-		t.Fatalf("%d window vertices on the failed block, %d read whole: the test needs both", onBad, fine)
+		t.Fatalf("%d sweep vertices on the failed block, %d read whole: the test needs both", onBad, fine)
 	}
 
 	cfg := core.Config{Workers: 16, SemiSort: true, Prefetch: 16}
@@ -409,9 +442,9 @@ func TestFailedBlockReachesEveryWindowReader(t *testing.T) {
 }
 
 // TestRawTableKeepsNoBlock pins that the zero-budget table Open puts under a
-// raw store installs nothing: a window's bytes live in the worker's session
-// only, the next window drops them, and the table ends every traversal
-// holding no block — so a raw-device mount keeps measuring the device.
+// raw store installs nothing: a sweep's bytes live in its reads only, a
+// decoded read lets go of them, and the table ends every traversal holding
+// no block — so a raw-device mount keeps measuring the device.
 func TestRawTableKeepsNoBlock(t *testing.T) {
 	g := buildGraph(t, 400, 4000, false, 57)
 	sg, err := Open[uint32](fastDevice(writeToMem(t, g)))
@@ -424,21 +457,30 @@ func TestRawTableKeepsNoBlock(t *testing.T) {
 	}
 	sc := &graph.Scratch[uint32]{}
 	window := []uint32{3, 40, 41, 200, 399}
-	sg.NeighborsBatch(window, sc)
-	for _, v := range window {
-		checkNeighbors(t, sg, g, v, sc)
+	reads, _ := request(sg, sc, window, nil)
+	held := 0
+	for _, r := range reads {
+		held += len(r.(*heldRead).held)
+	}
+	if held == 0 {
+		t.Fatal("the sweep's reads hold no block entries")
 	}
 	sess := sc.Prefetch.(*prefetchSession)
-	if len(sess.held) == 0 {
-		t.Fatal("the window holds no block entries")
-	}
-	assertQuiescent(t, sg.table)
-	sg.NeighborsBatch([]uint32{window[0]}, sc)
-	for _, e := range sess.held[len(sess.held):cap(sess.held)] {
+	for _, e := range sess.held[:cap(sess.held)] {
 		if e != nil {
-			t.Fatalf("the next window still references block %d", e.id)
+			t.Fatalf("the sweep's range buffer still references block %d", e.id)
 		}
 	}
+	for i, v := range window {
+		checkRead(t, sg, g, v, reads[i], sc)
+		r := reads[i].(*heldRead)
+		for _, e := range r.held[:cap(r.held)] {
+			if e != nil {
+				t.Fatalf("vertex %d's decoded read still references block %d", v, e.id)
+			}
+		}
+	}
+	assertQuiescent(t, sg.table)
 	if _, err := core.SSSP[uint32](sg, 0, core.Config{Workers: 16, SemiSort: true, Prefetch: 16}); err != nil {
 		t.Fatal(err)
 	}

@@ -107,9 +107,9 @@ type Graph[V graph.Vertex] struct {
 	shards     int
 	totalEdges uint64
 
-	// prefetch, when non-nil, turns NeighborsBatch windows into asynchronous
-	// block requests on the table (see prefetch.go). Nil means NeighborsBatch
-	// is a no-op and every Neighbors call reads synchronously.
+	// prefetch, when non-nil, merges a Request sweep's extents into range
+	// requests on the table (see prefetch.go). Nil means Request reads each
+	// extent alone and a Neighbors call without a Request reads on its own.
 	prefetch *Prefetcher
 
 	// cache, set by EnableStateCache when the store is a CachedStore,
@@ -535,9 +535,10 @@ func Open[V graph.Vertex](store Store) (*Graph[V], error) {
 	}
 	// A zero-budget table keeps nothing; it is where readers of one block
 	// share its read, and its fetch is where the graph meets the device. A
-	// table the caller built, such as the mount's cache, serves windows and
+	// table the caller built, such as the mount's cache, merges sweeps and
 	// scan spans as the raw mount's does: a level-synchronous phase knows its
-	// read set, and announcing it puts the misses in the device together.
+	// read set, and requesting it at once puts the misses in the device
+	// together.
 	if g.table, _ = store.(*CachedStore); g.table == nil {
 		end := g.out.base + g.out.bytes()
 		if g.in != nil {
@@ -743,9 +744,8 @@ func (s *section[V]) decode(block []byte, v V, scratch *graph.Scratch[V]) ([]V, 
 
 // Neighbors implements graph.Adjacency with one read through the table per
 // call — the semi-external random access the experiments measure. When the
-// worker's scratch carries the read Request started for v, or a prefetch
-// session holding v's window entries (see NeighborsBatch), the call waits for
-// those reads instead of issuing its own and decodes straight out of the
+// worker's scratch carries the read Request started for v, the call waits
+// for that read instead of issuing its own and decodes straight out of the
 // fetched bytes. The decoded slices live in scratch and are valid until the
 // next call.
 func (g *Graph[V]) Neighbors(v V, scratch *graph.Scratch[V]) ([]V, []graph.Weight, error) {
@@ -753,23 +753,18 @@ func (g *Graph[V]) Neighbors(v V, scratch *graph.Scratch[V]) ([]V, []graph.Weigh
 }
 
 // neighbors is the one read-extent-and-decode routine behind Neighbors and
-// InNeighbors. Pop-window ranges cover edge-region extents, so only reads of
-// that section (a symmetric file's in-reads included) consult the prefetch
-// session.
+// InNeighbors: it decodes from the read Request started for v, or reads
+// synchronously. Request reads edge-region extents, so only reads of that
+// section (a symmetric file's in-reads included) consult the held read.
 func (g *Graph[V]) neighbors(s *section[V], v V, scratch *graph.Scratch[V]) ([]V, []graph.Weight, error) {
 	if s.degree(v) == 0 {
 		return nil, nil, nil
 	}
 	var block []byte
 	var err error
-	taken := false
 	if r, ok := scratch.Read.(*heldRead); ok && r.live && r.v == uint64(v) && r.table == g.table && s == &g.out {
 		block, err = r.take(&scratch.Block)
-		taken = true
-	} else if sess, ok := scratch.Prefetch.(*prefetchSession); ok && s == &g.out {
-		block, err, taken = sess.take(uint64(v), g.table.blockSize, &scratch.Block)
-	}
-	if !taken {
+	} else {
 		off, n := s.extent(v)
 		block, err = g.table.read(off, n, &scratch.Block, g.prefetch != nil)
 	}

@@ -199,8 +199,8 @@ func validateShardSet[V graph.Vertex](gs []*Graph[V]) error {
 // router. gs must be in shard order and form a complete partition (checked
 // from the shard maps; failures wrap ErrShardSpec). Members may mix v1 and
 // v2 formats — each decodes its own extents. Enable prefetching per member
-// (EnablePrefetch on each g) before or after mounting; windows fan out to
-// whichever members have it.
+// (EnablePrefetch on each g) before or after mounting; a member without it
+// reads each extent of its part of a sweep alone.
 func MountShards[V graph.Vertex](gs []*Graph[V]) (*graph.Sharded[V], error) {
 	if err := validateShardSet(gs); err != nil {
 		return nil, err

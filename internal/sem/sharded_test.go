@@ -331,9 +331,9 @@ func TestLoadShardedCSR(t *testing.T) {
 }
 
 // TestShardedSEMWithDevices mounts a 4-shard set over four simulated flash
-// devices with prefetching enabled and checks that batched windows fan out:
-// after touching every vertex via NeighborsBatch+Neighbors, every member
-// device has serviced reads and every member prefetcher has issued spans.
+// devices with prefetching enabled and checks that sweeps fan out: after
+// touching every vertex via Request+Neighbors, every member device has
+// serviced reads and every member prefetcher has issued spans.
 func TestShardedSEMWithDevices(t *testing.T) {
 	g := buildGraph(t, 400, 4000, false, 55)
 	const shards = 4
@@ -354,9 +354,11 @@ func TestShardedSEMWithDevices(t *testing.T) {
 	}
 	scratch := &graph.Scratch[uint32]{}
 	window := make([]uint32, 0, 64)
+	reads, waits := make([]any, cap(window)), make([]<-chan struct{}, cap(window))
 	flush := func() {
-		mounted.NeighborsBatch(window, scratch)
-		for _, v := range window {
+		mounted.Request(window, reads[:len(window)], waits[:len(window)], scratch)
+		for i, v := range window {
+			scratch.Read = reads[i]
 			ts, _, err := mounted.Neighbors(v, scratch)
 			if err != nil {
 				t.Fatalf("Neighbors(%d): %v", v, err)
@@ -377,7 +379,7 @@ func TestShardedSEMWithDevices(t *testing.T) {
 	var agg PrefetchStats
 	for k := 0; k < shards; k++ {
 		if st := devs[k].Stats(); st.Reads == 0 {
-			t.Fatalf("shard %d device serviced no reads; window fan-out broken", k)
+			t.Fatalf("shard %d device serviced no reads; sweep fan-out broken", k)
 		}
 		ps := gs[k].PrefetchStats()
 		if ps.Spans == 0 {

@@ -202,7 +202,7 @@ func (s *Server) buildVars() *expvar.Map {
 
 // storageVars renders one mount's I/O snapshot into its graphs.<name> entry:
 // nothing for an in-memory mount, the prefetch block only on a mount that
-// windowed.
+// merged a sweep.
 func storageVars(gv map[string]any, io mount.IO) {
 	if len(io.Shards) == 0 {
 		return

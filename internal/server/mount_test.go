@@ -97,7 +97,8 @@ func TestGraphLedger(t *testing.T) {
 // an in-memory, a cached semi-external and a 3-shard cached semi-external
 // mount of one graph, all through MountGraph, renders exactly these keys per
 // graphs.<name> entry (no prefetch block: behind the cache only the BFS
-// driver windows, and this directed graph runs the asynchronous kernel), and
+// driver's sweeps merge, and this directed graph runs the asynchronous
+// kernel), and
 // the sharded entry's summed device counters are the sum of its per-shard
 // ones.
 func TestMetricsGraphKeys(t *testing.T) {
