@@ -295,7 +295,10 @@ func (s *gatedStore) Size() int64 { return int64(len(s.data)) }
 // TestDirectionCancelMidPhase cancels the level-synchronous driver while a
 // phase worker is blocked in a storage read, with more reads of the same
 // phase still to come: the driver must return the context's error without
-// issuing another read, as the asynchronous engine does within one visit.
+// issuing another read, as the asynchronous engine does within one visit. On
+// the device a top-down worker requests its reads an ioFanout slice at a
+// time, so the reads of the slice in hand are already issued; the next slice
+// must not be.
 // (It used to look at the context between phases only, so a serving deadline
 // waited out a whole bottom-up scan of the device.) The third case is the
 // path serve takes: no direction forced, an EnginePool, a graph on which BFS
@@ -305,9 +308,11 @@ func (s *gatedStore) Size() int64 { return int64(len(s.data)) }
 // further window is announced.
 func TestDirectionCancelMidPhase(t *testing.T) {
 	// Bottom-up: ~700k in-edges are several 1 MiB scan spans for the one
-	// worker; the gate holds the first. Top-down: level 2 of a grid walked
-	// from its corner is {2, 9, 16}, one adjacency read each after the three
-	// of levels 0-1; the gate holds the second of them. Behind a cache of
+	// worker; the gate holds the first. Top-down: level k < 24 of a 24x24
+	// grid walked from its corner is its k+1 vertices on the anti-diagonal,
+	// one adjacency read each; level 16 is two slices, 16 reads and 1, after
+	// the 136 of levels 0-15. The gate holds the second read of the first
+	// slice, so the 16 are issued and the 17th must not be. Behind a cache of
 	// 8-byte blocks with no readahead each of levels 0-2 is one read — level
 	// 0's miss, then one window a level — and the gate holds level 2's.
 	dense, err := gen.ErdosRenyi[uint32](4096, 700_000, 3)
@@ -315,6 +320,10 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid, err := gen.Grid[uint32](8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := gen.Grid[uint32](24, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,15 +339,16 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 		g       *graph.CSR[uint32]
 		run     func(context.Context, graph.Adjacency[uint32]) error
 		blockAt int64
+		reads   int64 // issued before the cancellation; 0 = blockAt
 		cached  bool
 	}{
-		{"bottom-up scan", dense, forced(DirectionBottomUp), 1, false},
-		{"top-down phase", grid, forced(DirectionHybrid), 5, false},
+		{"bottom-up scan", dense, forced(DirectionBottomUp), 1, 0, false},
+		{"top-down phase", wide, forced(DirectionHybrid), 136 + 2, 136 + ioFanout, false},
 		{"chosen, pooled", dense, func(ctx context.Context, g graph.Adjacency[uint32]) error {
 			_, err := pool.BFS(ctx, g, 0)
 			return err
-		}, 1, false},
-		{"top-down behind the cache", grid, forced(DirectionHybrid), 3, true},
+		}, 1, 0, false},
+		{"top-down behind the cache", grid, forced(DirectionHybrid), 3, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -370,8 +380,17 @@ func TestDirectionCancelMidPhase(t *testing.T) {
 			if err := <-done; !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			if got := store.reads.Load() - opened; got != tc.blockAt {
-				t.Fatalf("%d reads after the mount, want %d: the phase kept reading after the cancellation", got, tc.blockAt)
+			want := tc.blockAt
+			if tc.reads != 0 {
+				want = tc.reads
+			}
+			// Reads issued before the cancellation may reach the store after
+			// the traversal returns: wait for them.
+			for deadline := time.Now().Add(5 * time.Second); store.reads.Load()-opened < want && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if got := store.reads.Load() - opened; got != want {
+				t.Fatalf("%d reads after the mount, want %d: the phase kept reading after the cancellation", got, want)
 			}
 			if tc.cached && windows == 0 {
 				t.Fatal("the gated read was no window's: nothing announced before the cancellation")

@@ -222,8 +222,11 @@ func (w *dirWorker[V]) grow() {
 // vertices of the slice start in one Request before their expansions run —
 // the sweep of the asynchronous engine — so they are in flight together, on
 // the raw device and behind the cache alike; each expansion's Neighbors call
-// waits for its own read. The cancellation poll comes before every vertex: a
-// vertex is at most one read.
+// waits for its own read. The worker ignores Request's full: it requests a
+// slice only once the previous slice's reads are decoded, so a phase has at
+// most Workers×ioFanout reads in flight — on a graph without a prefetcher
+// that many exact fetches, which take no slot of the I/O pool. The
+// cancellation poll comes before every vertex: a vertex is at most one read.
 //
 //lint:hotpath
 func (w *dirWorker[V]) topDown(d *dirDriver[V], frontier []V, nextLevel uint64) {

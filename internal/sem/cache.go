@@ -394,7 +394,9 @@ func (c *CachedStore) submit(owned []*cacheEntry) {
 // waiting on another reader's read is no device parallelism — on such a
 // store a parked SSSP ran 1.5x slower on the pool (EXPERIMENTS.md "A miss
 // parks its visitor"). async still counts it, so a reader that heeds full
-// keeps these finite too.
+// keeps these finite too; the BFS driver, which does not, waits for each
+// slice's reads before requesting the next, at most Workers×ioFanout in
+// flight (core.dirWorker.topDown).
 func (c *CachedStore) requestExact(off int64, n int) *cacheEntry {
 	e := &cacheEntry{id: -1, data: make([]byte, n), ready: make(chan struct{})}
 	c.async.Add(1)

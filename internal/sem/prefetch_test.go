@@ -283,10 +283,11 @@ func TestPrefetchTraversalMatchesBaseline(t *testing.T) {
 }
 
 // TestWindowsShareABlockInFlight has two workers' sweeps ask for extents in
-// one device block that no single range covers. The first sweep's read is
-// held in the device; the second must wait on it instead of reading the block
-// again. Sharing by covered byte span — the table the block table replaced —
-// reads the block twice.
+// one device block that no single range covers: the first {a, a+1}, the
+// second {a+2, c}. The first sweep's read is held in the device; the second
+// sweep's range must wait on it instead of reading the block again, and the
+// prefetcher counts it as a range that issued no read. Sharing by covered
+// byte span — the table the block table replaced — reads the block twice.
 func TestWindowsShareABlockInFlight(t *testing.T) {
 	// Degree 2, unweighted: 8-byte extents, eight to a 64-byte block.
 	b := graph.NewBuilder[uint32](64, false)
@@ -303,7 +304,7 @@ func TestWindowsShareABlockInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// a and c = a+3 sit in one block with a's neighbours' extents between them.
+	// a and c = a+3 sit in one block, and so do the extents between them.
 	var a, c uint32
 	var block int64
 	for v := uint32(0); ; v++ {
@@ -322,33 +323,45 @@ func TestWindowsShareABlockInFlight(t *testing.T) {
 	withBlocks(sg, gatedBlock)
 	sg.EnablePrefetch(PrefetchConfig{})
 
-	// Request returns with the reads in flight; each worker's Neighbors call
-	// waits for its own.
+	// Request returns with the reads in flight; each worker's Neighbors calls
+	// wait for its own.
 	var wg sync.WaitGroup
-	worker := func(v uint32, read any, sc *graph.Scratch[uint32]) {
+	worker := func(vs []uint32, reads []any, sc *graph.Scratch[uint32]) {
 		defer wg.Done()
-		sc.Read = read
-		got, _, err := sg.Neighbors(v, sc)
-		want, _, _ := g.Neighbors(v, nil)
-		if err != nil || !slices.Equal(got, want) {
-			t.Errorf("Neighbors(%d) = %v, %v; want %v", v, got, err, want)
+		for i, v := range vs {
+			sc.Read = reads[i]
+			got, _, err := sg.Neighbors(v, sc)
+			want, _, _ := g.Neighbors(v, nil)
+			if err != nil || !slices.Equal(got, want) {
+				t.Errorf("Neighbors(%d) = %v, %v; want %v", v, got, err, want)
+			}
 		}
 	}
 	entered, _ := dev.counts()
+	first, second := []uint32{a, a + 1}, []uint32{a + 2, c}
 	scA, scC := &graph.Scratch[uint32]{}, &graph.Scratch[uint32]{}
-	readA, waitA := request(sg, scA, []uint32{a}, nil)
+	readsA, waitsA := request(sg, scA, first, nil)
 	waitFor(t, "the first sweep's read to reach the device", func() bool { n, _ := dev.counts(); return n == entered+1 })
-	readC, waitC := request(sg, scC, []uint32{c}, nil)
-	if waitA[0] == nil || waitC[0] != waitA[0] {
-		t.Fatalf("waits %v and %v: want the second read on the first's fetch", waitA[0], waitC[0])
+	readsC, waitsC := request(sg, scC, second, nil)
+	for i, w := range append(waitsA, waitsC...) {
+		if w == nil || w != waitsA[0] {
+			t.Fatalf("wait %d is %v, want the first sweep's fetch %v", i, w, waitsA[0])
+		}
 	}
 	wg.Add(2)
-	go worker(a, readA[0], scA)
-	go worker(c, readC[0], scC)
+	go worker(first, readsA, scA)
+	go worker(second, readsC, scC)
 	dev.open()
 	wg.Wait()
 	if n, _ := dev.counts(); n != entered+1 || dev.reads[block] != 1 {
 		t.Fatalf("%d device reads, block %d read %d times; want one read of it", n-entered, block, dev.reads[block])
+	}
+	offB, _ := sg.out.extent(a + 2)
+	offC, nC := sg.out.extent(c)
+	st := sg.PrefetchStats()
+	if st.Windows != 2 || st.Vertices != 4 || st.Spans != 1 || st.DedupSpans != 1 ||
+		st.DedupBytes != uint64(offC+int64(nC)-offB) || st.Consumed != 4 || st.Abandoned != 0 {
+		t.Fatalf("stats %+v: want one read serving two sweeps, the second's range counted shared, four reads consumed", st)
 	}
 	assertQuiescent(t, sg.table)
 }
