@@ -177,7 +177,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		report(start, res.Stats.String())
+		io = report(start, res.Stats.String(), m)
 		fmt.Printf("levels=%d visited=%.1f%%\n", res.NumLevels(), 100*res.FracVisited())
 		if res.Stats.TopDownPhases+res.Stats.BottomUpPhases > 0 {
 			fmt.Printf("direction: alpha=%d beta=%d topdown=%d bottomup=%d switches=%d peakFrontier=%d\n",
@@ -200,7 +200,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		report(start, res.Stats.String())
+		io = report(start, res.Stats.String(), m)
 		if o.check {
 			want, _, err := baseline.SerialDijkstra(adj, src)
 			if err != nil {
@@ -218,7 +218,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		report(start, res.Stats.String())
+		io = report(start, res.Stats.String(), m)
 		fmt.Printf("components=%d\n", res.NumComponents())
 		if o.check {
 			want, err := baseline.SerialCC(adj)
@@ -234,7 +234,7 @@ func run(o options) error {
 		}
 	}
 	if o.mount.SEM {
-		reportSemIO(m.IO(), m.Shards > 0)
+		reportSemIO(io, m.Shards > 0)
 	}
 	return nil
 }
@@ -289,6 +289,9 @@ func reportSemIO(io mount.IO, sharded bool) {
 	}
 }
 
-func report(start time.Time, detail string) {
+// report prints a traversal's time and stats, and returns the mount's I/O
+// counters as the traversal left them, before -check reads the graph again.
+func report(start time.Time, detail string, m *mount.Mounted) mount.IO {
 	fmt.Printf("time=%.3fs  %s\n", time.Since(start).Seconds(), detail)
+	return m.IO()
 }

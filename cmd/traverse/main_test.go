@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mount"
 	"repro/internal/mount/mounttest"
@@ -159,6 +160,33 @@ func TestSaysWhichBFSRan(t *testing.T) {
 	}
 	if out, err := traverse("-graph " + und + " -algo sssp"); err != nil || strings.Contains(out, "bfs:") {
 		t.Errorf("sssp printed a bfs: line: %v\n%s", err, out)
+	}
+}
+
+// TestCheckLeavesIOReportAlone: -check reads the whole graph through the
+// mount after the run, and the device: line must not count those reads. A
+// raw-mount BFS prints the same device counts with and without it (the
+// peak of reads in flight depends on the schedule and is left out).
+func TestCheckLeavesIOReportAlone(t *testing.T) {
+	g, err := gen.RMATUndirected[uint32](10, 8, gen.RMATA, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "u10.asg")
+	if err := mount.WriteFiles(path, g, mount.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	device := func(flags string) string {
+		out, err := traverse("-graph " + path + " -sem -nocache -algo bfs -workers 8" + flags)
+		i := strings.Index(out, "\ndevice: ")
+		if err != nil || i < 0 {
+			t.Fatalf("traverse%s: %v, no device: line\n%s", flags, err, out)
+		}
+		line, _, _ := strings.Cut(out[i+1:], " peakReads=")
+		return line
+	}
+	if plain, checked := device(""), device(" -check"); plain != checked {
+		t.Errorf("device counts differ with -check:\n  without: %s\n  with:    %s", plain, checked)
 	}
 }
 

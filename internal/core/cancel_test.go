@@ -102,6 +102,88 @@ func TestWaitJoinsContextWatcher(t *testing.T) {
 	}
 }
 
+// abortingCtx is a Config.Context whose Done the test closes. Its Err
+// reports nil until then; after that it signals entered and blocks until the
+// test closes release, holding the watcher inside e.Abort(ctx.Err()) before
+// the abort flag is set.
+type abortingCtx struct {
+	context.Context
+	done, entered, release chan struct{}
+	once                   sync.Once
+}
+
+func (c *abortingCtx) Done() <-chan struct{} { return c.done }
+
+func (c *abortingCtx) Err() error {
+	select {
+	case <-c.done:
+	default:
+		return nil
+	}
+	c.once.Do(func() { close(c.entered) })
+	<-c.release
+	return context.Canceled
+}
+
+// TestWaitJoinsAbortingWatcher forces the schedule where a cancellation
+// lands as the runners exit: Wait reaches its join on the watcher while the
+// watcher is still inside Abort, then the watcher runs Abort to the end.
+// Wait must come back: a join held under any lock that Abort's finish takes
+// never does.
+func TestWaitJoinsAbortingWatcher(t *testing.T) {
+	c := &abortingCtx{Context: context.Background(), done: make(chan struct{}),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	e := New[uint32](Config{Workers: 2, Context: c}, func(ctx *Ctx[uint32], it pq.Item) error {
+		if it.Pri < 64 {
+			ctx.Push(it.Pri+1, uint32(it.V+1), 0)
+		}
+		return nil
+	})
+	e.Start()
+	e.Push(0, 0, 0)
+	close(c.done)
+	<-c.entered
+	waited := make(chan error, 1)
+	go func() {
+		_, err := e.Wait()
+		waited <- err
+	}()
+	// Wait is at its watcher join once its goroutine parks in a channel
+	// receive; the runners have left by then.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		stack := buf[:runtime.Stack(buf, true)]
+		if waitAtWatcherJoin(stack) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Wait never reached its watcher join:\n%s", stack)
+		}
+	}
+	close(c.release)
+	select {
+	case err := <-waited:
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want nil or context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not return after the watcher's Abort")
+	}
+}
+
+// waitAtWatcherJoin reports whether a goroutine in the dump stack is
+// Engine.Wait parked in a channel receive (the wakers' goroutines, which
+// Wait joins first, park in a select).
+func waitAtWatcherJoin(stack []byte) bool {
+	for _, g := range bytes.Split(stack, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte(".(*Engine[...]).Wait(")) &&
+			!bytes.Contains(g, []byte(".wakeOn(")) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestAbortStopsSelfSustainingTraversal aborts an engine whose visitors push
 // forever; without Abort the traversal never terminates.
 func TestAbortStopsSelfSustainingTraversal(t *testing.T) {

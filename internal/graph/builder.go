@@ -22,6 +22,7 @@ type Builder[V Vertex] struct {
 	// symmetrized holds from Symmetrize until an edge is added: Build then
 	// marks the CSR as its own transpose.
 	symmetrized bool
+	built       bool // a Build succeeded: the builder is single-shot
 }
 
 // NewBuilder creates a builder for a graph with n vertices. If weighted is
@@ -32,14 +33,23 @@ func NewBuilder[V Vertex](n uint64, weighted bool) *Builder[V] {
 
 // AddEdge appends a directed edge u->v with weight w.
 func (b *Builder[V]) AddEdge(u, v V, w Weight) {
+	b.unbuilt()
 	b.edges = append(b.edges, Edge[V]{Src: u, Dst: v, W: w})
 	b.symmetrized = false
 }
 
 // AddEdges appends a batch of directed edges.
 func (b *Builder[V]) AddEdges(edges []Edge[V]) {
+	b.unbuilt()
 	b.edges = append(b.edges, edges...)
 	b.symmetrized = false
+}
+
+// unbuilt panics once Build has run: an edge added now would be in no graph.
+func (b *Builder[V]) unbuilt() {
+	if b.built {
+		panic("graph: Builder used after Build")
+	}
 }
 
 // Symmetrize adds the reverse of every edge currently in the builder,
@@ -48,6 +58,7 @@ func (b *Builder[V]) AddEdges(edges []Edge[V]) {
 // A Build that follows with no edge added in between yields a CSR marked
 // symmetric (see CSR.Symmetric): it serves its own reverse adjacency.
 func (b *Builder[V]) Symmetrize() {
+	b.unbuilt()
 	orig := len(b.edges)
 	for i := 0; i < orig; i++ {
 		e := b.edges[i]
@@ -62,8 +73,12 @@ func (b *Builder[V]) Symmetrize() {
 // dedup is set (keeping the smallest weight, so de-duplication never lengthens
 // a shortest path), and assembles the CSR. Build validates endpoints and
 // returns an error for out-of-range vertices rather than producing a
-// corrupted graph.
+// corrupted graph. A builder builds once: a second Build is an error, and an
+// edge added or a Symmetrize after Build panics.
 func (b *Builder[V]) Build(dedup bool) (*CSR[V], error) {
+	if b.built {
+		return nil, fmt.Errorf("graph: Builder already built")
+	}
 	for _, e := range b.edges {
 		if uint64(e.Src) >= b.n || uint64(e.Dst) >= b.n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d vertices", e.Src, e.Dst, b.n)
@@ -111,7 +126,7 @@ func (b *Builder[V]) Build(dedup bool) (*CSR[V], error) {
 			g.weights[i] = e.W
 		}
 	}
-	b.edges = nil // builder is single-shot; release memory
+	b.edges, b.built = nil, true // release memory
 	return g, nil
 }
 

@@ -120,6 +120,33 @@ func TestBuildRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestBuilderIsSingleShot: a second Build is an error, not an edgeless
+// graph, and adding an edge or symmetrizing after Build panics.
+func TestBuilderIsSingleShot(t *testing.T) {
+	b := NewBuilder[uint32](2, false)
+	b.AddEdge(0, 1, 1)
+	if g, err := b.Build(true); err != nil || g.NumEdges() != 1 {
+		t.Fatalf("first Build: %v", err)
+	}
+	if g, err := b.Build(true); err == nil {
+		t.Fatalf("second Build returned a graph of %d edges and no error", g.NumEdges())
+	}
+	for name, use := range map[string]func(){
+		"AddEdge":    func() { b.AddEdge(1, 0, 1) },
+		"AddEdges":   func() { b.AddEdges([]Edge[uint32]{{Src: 1, Dst: 0}}) },
+		"Symmetrize": b.Symmetrize,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Build did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
 func TestEdgeWeightUnweightedIsOne(t *testing.T) {
 	g := mustBuild(t, 2, false, false, []Edge[uint32]{{Src: 0, Dst: 1, W: 42}})
 	// No weight array at all: every reader takes nil weights as weight 1.

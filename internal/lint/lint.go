@@ -5,15 +5,10 @@
 // layer missed is caught by it alone (EXPERIMENTS.md "Lint audit"); the
 // seed is a case in testdata/fixture.
 //
-// The analyzers (run by cmd/lint and by TestRepositoryIsClean, enforced in
-// CI):
-//
-//   - hotpath: no fmt calls, time.Now, map allocation, or closure creation
-//     inside functions annotated `//lint:hotpath` (a map that never escapes
-//     allocates nothing an AllocsPerRun check can count);
-//   - blockwhilelocked: no blocking operation while a sync.Mutex/RWMutex is
-//     held in the same function, `//lint:blockwhilelocked` documents an
-//     exception.
+// The one analyzer (run by cmd/lint and by TestRepositoryIsClean, enforced
+// in CI) is hotpath: no fmt calls, time.Now, map allocation, or closure
+// creation inside functions annotated `//lint:hotpath` (a map that never
+// escapes allocates nothing an AllocsPerRun check can count).
 package lint
 
 import (
@@ -44,9 +39,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		Hotpath, BlockWhileLocked,
-	}
+	return []*Analyzer{Hotpath}
 }
 
 // RunAll applies every analyzer to every package and returns the findings

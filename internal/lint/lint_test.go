@@ -85,15 +85,6 @@ func TestHotpath(t *testing.T) {
 	})
 }
 
-func TestBlockWhileLocked(t *testing.T) {
-	expectExactly(t, BlockWhileLocked, map[string]string{
-		"blocklocked.go:17":  "channel receive while holding fixture.relay.mu",
-		"blocklocked.go:23":  "sync.WaitGroup.Wait while holding fixture.relay.mu",
-		"blocklocked.go:38":  "select without default while holding fixture.board.rw",
-		"blocklocked.go:103": "channel receive while holding fixture.relay.mu",
-	})
-}
-
 // TestDiagnosticFormat pins the contract the CI gate and editors rely on:
 // one diagnostic per line, formatted file:line: analyzer: message.
 func TestDiagnosticFormat(t *testing.T) {
