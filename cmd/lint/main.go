@@ -1,7 +1,7 @@
-// Command lint runs the project's static analyzers (internal/lint) over the
-// given package patterns (default ./...) and prints diagnostics as
+// Command lint runs the project's static check, hotpath (internal/lint), over
+// the given package patterns (default ./...) and prints diagnostics as
 //
-//	file:line: analyzer: message
+//	file:line: hotpath: message
 //
 // Exit status: 0 when clean, 1 when any diagnostic fired, 2 on load errors
 // (parse or type-check failure). CI runs `go run ./cmd/lint ./...` and treats
@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		cwd = ""
 	}
-	diags := lint.RunAll(pkgs, lint.Analyzers())
+	diags := lint.Hotpath(pkgs)
 	for _, d := range diags {
 		if cwd != "" {
 			if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil {

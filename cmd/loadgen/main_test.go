@@ -22,6 +22,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-sim -vertices 64 -shed maybe", `loadgen: unknown -shed "maybe" (want deadline or off)`},
 		{"-sim -vertices 64 -ratelimit fast", `loadgen: -ratelimit: bad rate "fast" (want rate[:burst])`},
 		{"-sim -vertices 64 -tenant-limit nobody", `tenant limit "nobody": want name=rate[:burst]`},
+		{"-sim -vertices 64 -ratelimit NaN", `loadgen: -ratelimit: bad rate "NaN" (want rate[:burst])`},
+		{"-sim -vertices 64 -tenant-limit gold=100:Inf", `bad burst "100:Inf" (want rate[:burst])`},
 		{"-sim -vertices 64 -concurrency -1", "Slots -1 is negative"},
 		{"-vertices 64", "loadgen: exactly one of -url, -graph, or -sim must be given"},
 	} {

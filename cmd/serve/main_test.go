@@ -30,6 +30,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-graph g=" + g + " -shed maybe", `serve: unknown -shed "maybe" (want deadline or off)`},
 		{"-graph g=" + g + " -ratelimit 5:x", `serve: -ratelimit: bad burst "5:x" (want rate[:burst])`},
 		{"-graph g=" + g + " -tenant-limit =5", `tenant limit "=5": want name=rate[:burst]`},
+		{"-graph g=" + g + " -ratelimit 100:Inf", `serve: -ratelimit: bad burst "100:Inf" (want rate[:burst])`},
+		{"-graph g=" + g + " -tenant-limit gold=NaN", `bad rate "NaN" (want rate[:burst])`},
+		{"-graph g=" + g + ",sem,limit=100:NaN", `bad burst "100:NaN" (want rate[:burst])`},
+		{"-graph g=" + g + ",sem,Intel,Corsair", `second device profile "Corsair" (after "Intel")`},
 		{"-graph g=" + g + " -queue -1", "MaxQueue -1 is negative"},
 		{"-graph g=" + g + ",shards=-1", `bad shard count "shards=-1"`},
 		{"", "serve: at least one -graph name=path is required"},

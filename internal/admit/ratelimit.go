@@ -1,6 +1,9 @@
 package admit
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Per-tenant rate limiting: admission bounds how much work runs at once, but
 // nothing stops one tenant from filling the whole queue and shedding
@@ -78,11 +81,21 @@ func (c *RateLimitConfig) Bucket(tenant string) (b Bucket, limited bool) {
 	if rate <= 0 {
 		return Bucket{}, false
 	}
-	interval := time.Duration(float64(time.Second) / rate)
+	interval := duration(float64(time.Second) / rate)
 	if interval < 1 {
 		interval = 1
 	}
-	return Bucket{Interval: interval, Tau: time.Duration((burst - 1) * float64(interval))}, true
+	return Bucket{Interval: interval, Tau: duration((burst - 1) * float64(interval))}, true
+}
+
+// duration converts ns to a Duration, saturating at the largest one: a
+// conversion past it yields the most negative Duration on amd64, which as a
+// Tau would refuse every request.
+func duration(ns float64) time.Duration {
+	if ns >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
 }
 
 // Bucket is one tenant's GCRA parameters; the TAT lives with the driver.

@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -61,6 +62,25 @@ func TestBucketResolution(t *testing.T) {
 	if _, limited := only.Bucket("anyone"); limited || !only.Enabled() {
 		t.Fatal("an override-only config must limit its tenant and nobody else")
 	}
+	// A finite burst or interval past the largest Duration saturates: a huge
+	// burst means unbounded and a tiny rate one request per ~292 years, not
+	// a negative tolerance that refuses every request or a 1ns interval.
+	huge := RateLimitConfig{Rate: 100, Burst: 1e30, Tenants: map[string]TenantLimit{"slow": {Rate: 1e-12, Burst: 1}}}
+	huge.Normalize()
+	b, _ := huge.Bucket("anyone")
+	if b.Interval != 10*ms || b.Tau != math.MaxInt64 {
+		t.Fatalf("burst 1e30: bucket %+v, want 10ms interval and the largest tolerance", b)
+	}
+	for i, tat := 0, time.Duration(0); i < 1000; i++ {
+		var ok bool
+		if tat, ok = b.Conform(tat, 0); !ok {
+			t.Fatalf("burst 1e30: request %d refused", i)
+		}
+	}
+	if b, _ := huge.Bucket("slow"); b.Interval != math.MaxInt64 {
+		t.Fatalf("rate 1e-12: bucket %+v, want the largest interval", b)
+	}
+
 	off := RateLimitConfig{Rate: -3}
 	off.Normalize()
 	if off.Enabled() {

@@ -208,14 +208,6 @@ type dirWorker[V graph.Vertex] struct {
 	waits []<-chan struct{}
 }
 
-// grow doubles next's capacity; kept out of the hotpath append sites so they
-// stay allocation-free on the common path.
-func (w *dirWorker[V]) grow() {
-	next := make([]V, len(w.next), 2*cap(w.next)+64)
-	copy(next, w.next)
-	w.next = next
-}
-
 // topDown expands one slice of the current frontier: the CAS winner on a
 // neighbor's level word settles it, records the parent, and claims it for
 // the next frontier. On a batching back end the reads of every ioFanout
@@ -256,9 +248,6 @@ func (w *dirWorker[V]) topDown(d *dirDriver[V], frontier []V, nextLevel uint64) 
 			if atomic.CompareAndSwapUint64(&d.level[t], graph.InfDist, nextLevel) {
 				d.parent[t] = u
 				w.mf += uint64(d.g.Degree(t))
-				if len(w.next) == cap(w.next) {
-					w.grow()
-				}
 				w.next = append(w.next, t)
 			}
 		}
@@ -286,9 +275,6 @@ func (w *dirWorker[V]) probe(d *dirDriver[V], v V, in []V, curLevel uint64) erro
 		atomic.StoreUint64(&d.level[v], curLevel+1)
 		d.parent[v] = u
 		w.mf += uint64(d.g.Degree(v))
-		if len(w.next) == cap(w.next) {
-			w.grow()
-		}
 		w.next = append(w.next, v)
 		break
 	}

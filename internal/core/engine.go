@@ -615,9 +615,6 @@ func (e *Engine[V]) runSweep(ctx *Ctx[V], id int, ps *parkedSet, sweep []pq.Item
 	if e.request != nil && !e.aborted.Load() {
 		full = e.request(sweep, reads, waits, ctx.Scratch)
 	}
-	if cap(ps.free) < len(ps.free)+len(sweep) {
-		ps.free = slices.Grow(ps.free, len(sweep))
-	}
 	for i, it := range sweep {
 		if waits[i] != nil {
 			ps.add(waits[i], it, reads[i])

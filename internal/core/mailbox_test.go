@@ -153,3 +153,29 @@ func TestPushNoAllocs(t *testing.T) {
 		t.Fatalf("%d pushes through the outbox allocate %.1f times, want 0", 4*batchSize, allocs)
 	}
 }
+
+// TestParkedSetNoAllocs pins a device runner's parked visitors at zero heap
+// allocations once its groups have grown: parking visitors on their fetches,
+// finding a landed one and dropping its group reuse the group buffers. A
+// read that misses parks its visitor, so an allocation here is one per miss
+// of every cold traversal, which the warm-cache traversal tests never take.
+func TestParkedSetNoAllocs(t *testing.T) {
+	var ps parkedSet
+	landed := make([]chan struct{}, 4)
+	for i := range landed {
+		landed[i] = make(chan struct{})
+		close(landed[i])
+	}
+	round := func() {
+		for v := 0; v < 32; v++ {
+			ps.add(landed[v%len(landed)], pq.Item{V: uint64(v)}, nil)
+		}
+		for ps.n > 0 {
+			ps.remove(ps.landed())
+		}
+	}
+	round() // warm: grows the groups and their buffers
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("parking and dropping 32 visitors on 4 fetches allocates %.1f times, want 0", allocs)
+	}
+}

@@ -1,46 +1,40 @@
 package lint
 
 import (
+	"cmp"
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// Hotpath enforces allocation discipline in functions annotated with a
-// `//lint:hotpath` doc-comment line: the engine's per-visit code (worker pop
-// loops, the relaxation kernel, mailbox delivery, queue operations, SEM
-// decode and prefetch consumption) runs millions of times per traversal, and
-// a single fmt call, time.Now, map allocation, or closure sneaking in
-// regresses every benchmark at once. Inside an annotated function the
-// analyzer flags:
+// Hotpath checks the functions annotated with a `//lint:hotpath` doc-comment
+// line: the engine's per-visit code (runner loops, the relaxation kernel,
+// mailbox delivery, queue operations, SEM decode and read consumption), which
+// runs millions of times per traversal. Inside an annotated function it flags
+// the two costs an allocation test cannot count:
 //
-//   - any call into the fmt package (formatting allocates);
-//   - time.Now (a vDSO call per visit is still a call per visit);
-//   - map allocation: make(map...) or a map composite literal;
-//   - function literals: a closure capturing variables escapes them to the
-//     heap (including the append-into-captured-slice pattern); hoist it to a
-//     named method as Engine.retire and kernelState.visit are;
-//   - append growth inside a loop when the function never hints the slice's
-//     capacity: each time append outgrows the backing array it reallocates
-//     and copies, so a decode or batch loop pays O(n log n) copying and
-//     allocator traffic that a single sized make (or a cap() pre-grow check,
-//     as Heap.PopBatch does) would eliminate. A slice is considered hinted
-//     when the function assigns it a make with an explicit capacity or
-//     consults cap() on it;
-//   - slice allocation (make) inside a loop: a scan or probe loop that makes
-//     a fresh slice per iteration pays the allocator once per vertex — the
-//     bottom-up in-edge scan visits every unvisited vertex per phase, so this
-//     is a per-phase O(n) allocation storm. Hoist the make above the loop or
-//     reuse per-worker scratch. A make under an if whose condition consults
-//     cap() is the grow-on-overflow idiom (dirWorker.grow's call site) and
-//     stays quiet: it runs O(log n) times, not O(n).
-const hotpathName = "hotpath"
-
-var Hotpath = &Analyzer{
-	Name: hotpathName,
-	Doc:  "no fmt, time.Now, map allocation, closures, uncapped append growth, or per-iteration slice makes in //lint:hotpath functions",
-	Run:  runHotpath,
+//   - map allocation: make(map...) or a map composite literal. A map that
+//     never escapes lives on the stack and allocates nothing, yet building
+//     one per push made Ctx.Push 43 % slower;
+//   - time.Now: a vDSO call per visit is still a call per visit.
+//
+// It returns the findings of every package, sorted by file, line and column.
+func Hotpath(pkgs []*Package) []Diagnostic {
+	var diags []Diagnostic
+	for _, p := range pkgs {
+		diags = append(diags, runHotpath(p)...)
+	}
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column))
+	})
+	return diags
 }
+
+const hotpathName = "hotpath"
 
 // HotpathDirective is the doc-comment line that opts a function into the
 // hotpath discipline.
@@ -58,224 +52,50 @@ func isHotpath(fn *ast.FuncDecl) bool {
 	return false
 }
 
+func isMap(p *Package, e ast.Expr) bool {
+	t := p.Info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
 func runHotpath(p *Package) []Diagnostic {
 	var diags []Diagnostic
-	flag := func(n ast.Node, fnName, msg string) {
-		diags = append(diags, Diagnostic{
-			Pos:      p.Fset.Position(n.Pos()),
-			Analyzer: hotpathName,
-			Message:  msg + " in hotpath function " + fnName,
-		})
-	}
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || !isHotpath(fn) || fn.Body == nil {
 				continue
 			}
-			name := fn.Name.Name
+			flag := func(n ast.Node, msg string) {
+				diags = append(diags, Diagnostic{
+					Pos:     p.Fset.Position(n.Pos()),
+					Message: msg + " in hotpath function " + fn.Name.Name,
+				})
+			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch node := n.(type) {
 				case *ast.CallExpr:
-					if sel, ok := node.Fun.(*ast.SelectorExpr); ok {
+					if sel, ok := node.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Now" {
 						if id, ok := sel.X.(*ast.Ident); ok {
-							if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {
-								switch pn.Imported().Path() {
-								case "fmt":
-									flag(node, name, "call to fmt."+sel.Sel.Name+" (formats and allocates)")
-								case "time":
-									if sel.Sel.Name == "Now" {
-										flag(node, name, "call to time.Now")
-									}
-								}
+							if pn, ok := p.Info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "time" {
+								flag(node, "call to time.Now")
 							}
 						}
 					}
-					if id, ok := node.Fun.(*ast.Ident); ok && id.Name == "make" && len(node.Args) > 0 {
-						if t := p.Info.TypeOf(node.Args[0]); t != nil {
-							if _, isMap := t.Underlying().(*types.Map); isMap {
-								flag(node, name, "map allocation (make)")
-							}
-						}
+					if id, ok := node.Fun.(*ast.Ident); ok && id.Name == "make" && len(node.Args) > 0 && isMap(p, node.Args[0]) {
+						flag(node, "map allocation (make)")
 					}
 				case *ast.CompositeLit:
-					if t := p.Info.TypeOf(node); t != nil {
-						if _, isMap := t.Underlying().(*types.Map); isMap {
-							flag(node, name, "map allocation (composite literal)")
-						}
+					if isMap(p, node) {
+						flag(node, "map allocation (composite literal)")
 					}
-				case *ast.FuncLit:
-					flag(node, name, "closure allocation (captured variables escape); hoist to a named method")
-					return false // the closure's body is not this function's hot path
 				}
 				return true
 			})
-			for _, d := range appendGrowth(p, fn) {
-				flag(d, name, "append growth in a loop without a capacity hint (sized make or cap() pre-grow)")
-			}
-			for _, d := range sliceMakeInLoop(p, fn) {
-				flag(d, name, "slice allocation (make) inside a loop without a cap() growth guard; hoist it or reuse scratch")
-			}
 		}
 	}
 	return diags
-}
-
-// sliceObj resolves the slice variable an append or cap expression refers to:
-// the object of a plain identifier, of a selector's field, or of either under
-// a reslicing (append(buf[:0], ...) reuses buf's backing array, so buf's
-// capacity hint carries over). Nil for anything more elaborate (index
-// expressions etc.), which the growth rule then skips.
-func sliceObj(p *Package, e ast.Expr) types.Object {
-	switch x := e.(type) {
-	case *ast.Ident:
-		if o := p.Info.Uses[x]; o != nil {
-			return o
-		}
-		return p.Info.Defs[x]
-	case *ast.SelectorExpr:
-		return p.Info.Uses[x.Sel]
-	case *ast.SliceExpr:
-		return sliceObj(p, x.X)
-	}
-	return nil
-}
-
-// isBuiltin reports whether the call invokes the named builtin (shadowed
-// identifiers resolve to a non-Builtin object and are excluded).
-func isBuiltin(p *Package, call *ast.CallExpr, name string) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, ok = p.Info.Uses[id].(*types.Builtin)
-	return ok
-}
-
-// sliceMakeInLoop returns the slice make calls lexically inside fn's loops
-// that are not under a cap() growth guard: an enclosing if whose condition
-// consults cap() marks the grow-on-overflow idiom, which allocates O(log n)
-// times rather than once per iteration.
-func sliceMakeInLoop(p *Package, fn *ast.FuncDecl) []ast.Node {
-	hasCap := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && isBuiltin(p, call, "cap") {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	var bad []ast.Node
-	flagged := make(map[ast.Node]bool)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		var body *ast.BlockStmt
-		switch l := n.(type) {
-		case *ast.ForStmt:
-			body = l.Body
-		case *ast.RangeStmt:
-			body = l.Body
-		case *ast.FuncLit:
-			return false // closures are flagged (and skipped) wholesale above
-		default:
-			return true
-		}
-		ast.Inspect(body, func(m ast.Node) bool {
-			switch node := m.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.IfStmt:
-				if hasCap(node.Cond) {
-					return false // grow-on-overflow: the make runs only when full
-				}
-			case *ast.CallExpr:
-				if !isBuiltin(p, node, "make") || len(node.Args) == 0 || flagged[node] {
-					return true
-				}
-				if t := p.Info.TypeOf(node.Args[0]); t != nil {
-					if _, isSlice := t.Underlying().(*types.Slice); isSlice {
-						flagged[node] = true
-						bad = append(bad, node)
-					}
-				}
-			}
-			return true
-		})
-		return true
-	})
-	return bad
-}
-
-// appendGrowth returns the append calls inside fn's loops whose destination
-// slice the function never capacity-hints.
-func appendGrowth(p *Package, fn *ast.FuncDecl) []ast.Node {
-	// Pass 1: collect hinted slices — assigned from a make with an explicit
-	// capacity argument, or measured with cap() anywhere in the function (the
-	// pre-grow idiom checks cap before the loop).
-	hinted := make(map[types.Object]bool)
-	hint := func(e ast.Expr) {
-		if o := sliceObj(p, e); o != nil {
-			hinted[o] = true
-		}
-	}
-	sizedMake := func(e ast.Expr) bool {
-		call, ok := e.(*ast.CallExpr)
-		return ok && isBuiltin(p, call, "make") && len(call.Args) >= 3
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.CallExpr:
-			if isBuiltin(p, node, "cap") && len(node.Args) == 1 {
-				hint(node.Args[0])
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range node.Rhs {
-				if i < len(node.Lhs) && sizedMake(rhs) {
-					hint(node.Lhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			for i, rhs := range node.Values {
-				if i < len(node.Names) && sizedMake(rhs) {
-					hint(node.Names[i])
-				}
-			}
-		}
-		return true
-	})
-	// Pass 2: flag unhinted appends lexically inside a loop. flagged dedupes
-	// the appends nested loops would otherwise report once per level.
-	var bad []ast.Node
-	flagged := make(map[ast.Node]bool)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		var body *ast.BlockStmt
-		switch l := n.(type) {
-		case *ast.ForStmt:
-			body = l.Body
-		case *ast.RangeStmt:
-			body = l.Body
-		case *ast.FuncLit:
-			return false // closures are flagged (and skipped) wholesale above
-		default:
-			return true
-		}
-		ast.Inspect(body, func(m ast.Node) bool {
-			if _, ok := m.(*ast.FuncLit); ok {
-				return false
-			}
-			call, ok := m.(*ast.CallExpr)
-			if !ok || !isBuiltin(p, call, "append") || len(call.Args) == 0 || flagged[call] {
-				return true
-			}
-			if o := sliceObj(p, call.Args[0]); o != nil && hinted[o] {
-				return true
-			}
-			flagged[call] = true
-			bad = append(bad, call)
-			return true
-		})
-		return true
-	})
-	return bad
 }

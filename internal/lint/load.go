@@ -19,7 +19,7 @@ import (
 	"sync"
 )
 
-// This file is the analyzer suite's package loader. It is stdlib-only: the
+// This file is the check's package loader. It is stdlib-only: the
 // `go list -export` command resolves patterns, build constraints, and
 // dependency export data (compiling what the build cache is missing), and
 // go/parser + go/types rebuild full syntax trees and type information for
@@ -51,7 +51,7 @@ type listedPkg struct {
 // Load resolves patterns (e.g. "./...") relative to dir into parsed,
 // type-checked packages. Test files are not included (matching what `go
 // build` compiles and what export data describes). A package that fails to
-// parse or type-check aborts the load: the analyzers assume well-typed
+// parse or type-check aborts the load: the check assumes well-typed
 // input, and the build gate runs before the lint gate in CI.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
@@ -91,9 +91,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	// is concurrency-safe and shared (every Package reports positions in one
 	// coordinate space), but a "gc" importer is not: each worker gets its own
 	// importer reading the same export-data files, which means a dependency's
-	// *types.Package is not pointer-identical across roots. The analyzers
-	// already canonicalize cross-package identity to strings (funcKey,
-	// classOf), so nothing downstream relies on object identity.
+	// *types.Package is not pointer-identical across roots. The check
+	// compares no objects across packages, so nothing relies on that
+	// identity.
 	fset := token.NewFileSet()
 	results := make([]*Package, len(roots))
 	errs := make([]error, len(roots))

@@ -57,6 +57,13 @@ func TestBindFlags(t *testing.T) {
 		{[]string{"-ratelimit", "fast"}, `-ratelimit: bad rate "fast" (want rate[:burst])`},
 		{[]string{"-ratelimit", "5:-1"}, `-ratelimit: bad burst "5:-1" (want rate[:burst])`},
 		{[]string{"-tenant-limit", "nobody"}, `tenant limit "nobody": want name=rate[:burst]`},
+		// NaN would turn limiting off, an infinite rate or burst lock the
+		// tenant out: neither parses.
+		{[]string{"-ratelimit", "NaN"}, `-ratelimit: bad rate "NaN" (want rate[:burst])`},
+		{[]string{"-ratelimit", "Inf"}, `-ratelimit: bad rate "Inf" (want rate[:burst])`},
+		{[]string{"-ratelimit", "100:Inf"}, `-ratelimit: bad burst "100:Inf" (want rate[:burst])`},
+		{[]string{"-ratelimit", "100:NaN"}, `-ratelimit: bad burst "100:NaN" (want rate[:burst])`},
+		{[]string{"-tenant-limit", "gold=NaN"}, `bad rate "NaN" (want rate[:burst])`},
 		{[]string{"-concurrency", "-1"}, "Slots -1 is negative"},
 		{[]string{"-queue", "-5"}, "MaxQueue -5 is negative"},
 		{[]string{"-queue-timeout", "-1s"}, "QueueTimeout -1s is negative"},

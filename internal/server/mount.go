@@ -6,6 +6,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -38,6 +39,7 @@ func ParseMountSpec(arg string) (MountSpec, error) {
 	parts := strings.Split(rest, ",")
 	s.Path = parts[0]
 	s.Profile = "FusionIO"
+	profiled := false
 	for _, opt := range parts[1:] {
 		switch {
 		case opt == "sem":
@@ -54,8 +56,10 @@ func ParseMountSpec(arg string) (MountSpec, error) {
 				return s, fmt.Errorf("graph spec %q: %w", arg, err)
 			}
 			s.Limit = &RateLimitConfig{Rate: rate, Burst: burst}
+		case s.SEM && profiled:
+			return s, fmt.Errorf("graph spec %q: second device profile %q (after %q)", arg, opt, s.Profile)
 		case s.SEM:
-			s.Profile = opt
+			s.Profile, profiled = opt, true
 		default:
 			return s, fmt.Errorf("graph spec %q: unknown option %q (want \"sem\", \"shards=N\", or \"limit=R[:B]\")", arg, opt)
 		}
@@ -73,13 +77,15 @@ func ParseMountSpec(arg string) (MountSpec, error) {
 
 // ParseRateSpec parses "rate[:burst]" (requests/second, requests) as used by
 // the -ratelimit and -tenant-limit flags and the graph spec limit option.
+// Both are finite and non-negative: NaN would silently turn limiting off,
+// and an infinite burst would lock the tenant out.
 func ParseRateSpec(arg string) (rate, burst float64, err error) {
 	rateStr, burstStr, hasBurst := strings.Cut(arg, ":")
-	if rate, err = strconv.ParseFloat(rateStr, 64); err != nil || rate < 0 {
+	if rate, err = strconv.ParseFloat(rateStr, 64); err != nil || !(rate >= 0) || math.IsInf(rate, 1) {
 		return 0, 0, fmt.Errorf("bad rate %q (want rate[:burst])", arg)
 	}
 	if hasBurst {
-		if burst, err = strconv.ParseFloat(burstStr, 64); err != nil || burst < 0 {
+		if burst, err = strconv.ParseFloat(burstStr, 64); err != nil || !(burst >= 0) || math.IsInf(burst, 1) {
 			return 0, 0, fmt.Errorf("bad burst %q (want rate[:burst])", arg)
 		}
 	}

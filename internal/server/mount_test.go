@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -77,6 +78,31 @@ func TestMountGraph(t *testing.T) {
 		t.Errorf("3 of 4 shards: err = %v, want ErrShardSpec", err)
 	}
 
+}
+
+// TestParseMountSpec checks the -graph grammar: one device profile after
+// sem, the limit option through ParseRateSpec.
+func TestParseMountSpec(t *testing.T) {
+	g := filepath.Join(t.TempDir(), "g.asg")
+	if err := os.WriteFile(g, []byte("stub"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseMountSpec("g=" + g + ",sem,Intel,limit=5:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (MountSpec{Name: "g", Path: g, SEM: true, Profile: "Intel", Limit: &RateLimitConfig{Rate: 5, Burst: 2}}); !reflect.DeepEqual(spec, want) {
+		t.Fatalf("spec %+v, want %+v", spec, want)
+	}
+	for _, tc := range []struct{ arg, want string }{
+		{"g=" + g + ",sem,Intel,Corsair", `second device profile "Corsair" (after "Intel")`},
+		{"g=" + g + ",Intel", `unknown option "Intel"`},
+		{"g=" + g + ",limit=100:Inf", `bad burst "100:Inf"`},
+	} {
+		if _, err := ParseMountSpec(tc.arg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.arg, err, tc.want)
+		}
+	}
 }
 
 // TestGraphLedger pins server.Graph's exported fields: what a served graph is
