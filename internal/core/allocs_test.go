@@ -145,9 +145,8 @@ func TestInMemoryTraversalAllocs(t *testing.T) {
 // through the shard router of a 3-shard set. No read misses, so no visitor
 // parks; a traversal allocates what an in-memory one does, plus each runner's
 // Request buffers. The router keeps its members' scratch in the runner's
-// Scratch.Prefetch, which the pool drops between traversals, so their decode
-// buffers regrow to the graph's degrees each time: 19 more allocations on the
-// larger graph, and a slack of 32 there.
+// Scratch.Prefetch, which the pool keeps between traversals, so the members'
+// decode and request buffers grow once, not once a traversal.
 func TestDeviceTraversalAllocs(t *testing.T) {
 	ctx := context.Background()
 	ws, wl := allocGraphs(t, false)
@@ -159,7 +158,7 @@ func TestDeviceTraversalAllocs(t *testing.T) {
 	}{
 		{"v1 sweeps of 1", sem.WriteConfig{}, 1, 0, 16},
 		{"v2 sweeps of 16", sem.WriteConfig{Compress: true}, 16, 0, 16},
-		{"v1 3 shards", sem.WriteConfig{}, 1, 3, 32},
+		{"v1 3 shards", sem.WriteConfig{}, 1, 3, 16},
 	} {
 		pool := NewEnginePool[uint32](Config{Workers: 8, Prefetch: tc.width, Direction: DirectionTopDown})
 		bfs := func(g graph.Adjacency[uint32]) func() error {
@@ -175,12 +174,11 @@ func TestDeviceTraversalAllocs(t *testing.T) {
 // thin frontiers keep every phase top-down) and over a warm, fully resident
 // cache (topDown's Request slices, ScanInEdges and its coalesced spans) in
 // both edge formats. The driver builds its phase workers (their scratch,
-// reads and next-frontier lists) per traversal, ScanInEdges its extent and
-// span lists per call, and the fold a frontier per level it outgrows, so a
-// larger graph's traversal runs more of them and doubles each a few more
-// times: 42–63 more allocations on the RMAT graphs in memory, about 305 on
-// the device, 194 on the grid's 144 more levels. The slack is one allocation
-// per 16 added vertices.
+// reads and next-frontier lists) per traversal and ScanInEdges its extent and
+// span lists per call, so a larger graph's traversal runs more of them and
+// doubles each a few more times: 41–63 more allocations on the RMAT graphs in
+// memory, about 305 on the device, 148 on the grid's 144 more levels. The
+// slack is one allocation per 16 added vertices.
 func TestDriverTraversalAllocs(t *testing.T) {
 	ctx := context.Background()
 	pool := NewEnginePool[uint32](Config{Workers: 4, Direction: DirectionHybrid})

@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -467,10 +468,11 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 		d.phase(workers[:width], frontier, useBU, curLevel)
 
 		// Fold the phase: merge the per-worker next-frontiers into one
-		// contiguous frontier, sized first from their summed lengths — grown by
-		// append it is reallocated and copied a dozen times on its way to a
-		// scale-free graph's peak — gather the counters, and reset worker
-		// state for the next level.
+		// contiguous frontier, grown first to their summed length with
+		// append's amortized growth, so a frontier that grows by a few
+		// vertices a level is not reallocated every level, and one that
+		// jumps to a scale-free graph's peak is reallocated once; gather the
+		// counters, and reset worker state for the next level.
 		mf = 0
 		total := 0
 		for _, w := range workers[:width] {
@@ -479,10 +481,7 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 			}
 			total += len(w.next)
 		}
-		if cap(frontier) < total {
-			frontier = make([]V, 0, total)
-		}
-		frontier = frontier[:0]
+		frontier = slices.Grow(frontier[:0], total)
 		for _, w := range workers[:width] {
 			frontier = append(frontier, w.next...)
 			mf += w.mf

@@ -78,8 +78,9 @@ func (r *engineRes[V]) grow(n int) {
 // reset returns the resource set to its pristine state: outbox buffers are
 // discarded (an aborted runner can exit holding undelivered visitors), the
 // queues emptied and their counts zeroed, parked visitors dropped. Scratch
-// keeps its decode buffers but drops any Request buffers and started read,
-// which are tied to the previous run's graph.
+// keeps its decode buffers and the back end's Request buffers (each back end
+// checks the type, and the shard router the member count, of what it finds
+// there), and drops the started read, which was the previous run's.
 func (r *engineRes[V]) reset() {
 	for _, o := range r.outs {
 		o.reset()
@@ -93,7 +94,7 @@ func (r *engineRes[V]) reset() {
 		q.visits, q.merged, q.term, q.settle = 0, 0, nil, nil
 	}
 	for _, s := range r.scratch {
-		s.Prefetch, s.Read = nil, nil
+		s.Read = nil
 	}
 	for i := range r.parked {
 		r.parked[i].reset()
