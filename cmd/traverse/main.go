@@ -180,8 +180,8 @@ func run(o options) error {
 		io = report(start, res.Stats.String(), m)
 		fmt.Printf("levels=%d visited=%.1f%%\n", res.NumLevels(), 100*res.FracVisited())
 		if res.Stats.TopDownPhases+res.Stats.BottomUpPhases > 0 {
-			fmt.Printf("direction: alpha=%d beta=%d topdown=%d bottomup=%d switches=%d peakFrontier=%d\n",
-				cfg.Alpha, cfg.Beta, res.Stats.TopDownPhases, res.Stats.BottomUpPhases, res.Stats.DirectionSwitches, res.Stats.PeakFrontier)
+			fmt.Printf("direction: alpha=%d beta=%d topdown=%d bottomup=%d switches=%d peakFrontier=%d widest=%d\n",
+				cfg.Alpha, cfg.Beta, res.Stats.TopDownPhases, res.Stats.BottomUpPhases, res.Stats.DirectionSwitches, res.Stats.PeakFrontier, len(res.Stats.WorkerVisits))
 		}
 		if o.check {
 			want, err := baseline.SerialBFS(adj, src)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -120,7 +121,9 @@ func TestSourceRule(t *testing.T) {
 
 // TestSaysWhichBFSRan: with no flag to read, the `bfs:` line names the driver
 // BFS chose and the facts it chose from, on every store; the phase counters
-// follow whenever the driver ran.
+// follow whenever the driver ran, with the widest phase's worker count: in
+// memory the clique's few edges run every phase inline, on a device its
+// bottom-up phase is min(16, -workers) wide.
 func TestSaysWhichBFSRan(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, symmetrize bool) string {
@@ -146,11 +149,12 @@ func TestSaysWhichBFSRan(t *testing.T) {
 		return path
 	}
 	und, directed := write("und.asg", true), write("dir.asg", false)
-	for _, store := range []struct{ flags, name string }{{"", "im"}, {"-sem", "cached"}, {"-sem -nocache", "raw"}} {
+	for _, store := range []struct{ flags, name, widest string }{{"", "im", "1"}, {"-sem", "cached", "4"}, {"-sem -nocache", "raw", "4"}} {
 		out, err := traverse("-graph " + und + " -workers 4 -check " + store.flags)
 		want := "bfs: driver=direction-switching (in-edges=symmetric, edges/vertex=15.0, store=" + store.name + ")"
-		if err != nil || !strings.Contains(out, want) || !strings.Contains(out, "direction: alpha=") || !strings.Contains(out, "check: levels match") {
-			t.Errorf("undirected %s: %v, want %q, a direction: line and a passing check\n%s", store.name, err, want, out)
+		line := regexp.MustCompile(`(?m)^direction: alpha=\d+ beta=\d+ topdown=\d+ bottomup=[1-9]\d* switches=\d+ peakFrontier=\d+ widest=` + store.widest + `$`)
+		if err != nil || !strings.Contains(out, want) || !line.MatchString(out) || !strings.Contains(out, "check: levels match") {
+			t.Errorf("undirected %s: %v, want %q, a direction: line with a bottom-up phase and widest=%s, and a passing check\n%s", store.name, err, want, store.widest, out)
 		}
 		out, err = traverse("-graph " + directed + " -workers 4 -check " + store.flags)
 		want = "bfs: driver=asynchronous (in-edges=none, edges/vertex=7.5, store=" + store.name + ")"

@@ -174,11 +174,11 @@ func TestDeviceTraversalAllocs(t *testing.T) {
 // thin frontiers keep every phase top-down) and over a warm, fully resident
 // cache (topDown's Request slices, ScanInEdges and its coalesced spans) in
 // both edge formats. The driver builds its phase workers (their scratch,
-// reads and next-frontier lists) per traversal and ScanInEdges its extent and
-// span lists per call, so a larger graph's traversal runs more of them and
-// doubles each a few more times: 41–63 more allocations on the RMAT graphs in
-// memory, about 305 on the device, 148 on the grid's 144 more levels. The
-// slack is one allocation per 16 added vertices.
+// reads, next-frontier lists and the scan buffers ScanInEdges keeps in the
+// scratch) per traversal, so a larger graph's traversal grows each a few more
+// times: 37–60 more allocations on the RMAT graphs in memory, about 225 on
+// the device, 148 on the grid's 144 more levels. The slack is one allocation
+// per 16 added vertices.
 func TestDriverTraversalAllocs(t *testing.T) {
 	ctx := context.Background()
 	pool := NewEnginePool[uint32](Config{Workers: 4, Direction: DirectionHybrid})

@@ -136,7 +136,13 @@ const serialPhaseEdges = 2048
 // requests its vertices' reads ioFanout at a time so that their misses are in
 // the device together: the same 16 a raw-device mount pops, and behind the
 // cache 3.4x faster than reading one miss at a time (EXPERIMENTS.md "The
-// driver reads its frontier at once").
+// driver reads its frontier at once"). It is also the least width of a
+// bottom-up phase there (up to Config.Workers): the unvisited set's in-edge
+// spans are read by at least ioFanout scans at once rather than by the one
+// or two the phase's edge count asks for: the late bottom-up phases of a
+// cached BFS take half the time (EXPERIMENTS.md "A bottom-up phase is as wide
+// as the device"). It goes no wider: 16 scans of two spans each already
+// outnumber the 20 channels of FusionIO, the widest simulated device.
 const ioFanout = 16
 
 // dirDriver is the per-traversal state of the hybrid driver.
@@ -149,6 +155,7 @@ type dirDriver[V graph.Vertex] struct {
 	parent []V
 	n      uint64
 	ctx    context.Context // cfg.Context; nil when the traversal cannot be cancelled
+	need   func(V) bool    // unvisited, as a func value built once per traversal
 	// front is the current frontier as a bitmap, rebuilt before each
 	// bottom-up phase and read-only during it: a probe tests one bit of n/8
 	// bytes per in-edge instead of loading an 8-byte level word from 8n.
@@ -207,6 +214,28 @@ type dirWorker[V graph.Vertex] struct {
 	// batching back end (nil elsewhere); the reads are reused slice to slice.
 	reads []any
 	waits []<-chan struct{}
+
+	// visit is bottomUp's callback, built once per worker rather than once a
+	// phase; curLevel is the level its probes settle from.
+	visit    func(v V, in []V) error
+	curLevel uint64
+
+	// A cache line of padding keeps this worker's per-edge counters and next
+	// list off the line of the worker allocated after it: workers are
+	// allocated one by one and sit next to each other in their size class.
+	// Without it, once the struct outgrew its 128-byte size class, in-memory
+	// BFS on RMAT-A 2^14 ran ~6 % slower on a 2-core Xeon.
+	_ [64]byte
+}
+
+// newDirWorker builds a phase worker of d.
+func newDirWorker[V graph.Vertex](d *dirDriver[V]) *dirWorker[V] {
+	w := &dirWorker[V]{scratch: &graph.Scratch[V]{}}
+	w.visit = func(v V, in []V) error { return w.probe(d, v, in, w.curLevel) }
+	if d.batch != nil {
+		w.reads, w.waits = make([]any, ioFanout), make([]<-chan struct{}, ioFanout)
+	}
+	return w
 }
 
 // topDown expands one slice of the current frontier: the CAS winner on a
@@ -287,9 +316,9 @@ func (w *dirWorker[V]) probe(d *dirDriver[V], v V, in []V, curLevel uint64) erro
 // the shard router) stream the range in storage order — the SEM sequential-
 // scan phase; others fall back to per-vertex in-neighbor reads.
 func (w *dirWorker[V]) bottomUp(d *dirDriver[V], lo, hi V, curLevel uint64) {
-	visit := func(v V, in []V) error { return w.probe(d, v, in, curLevel) }
+	w.curLevel = curLevel
 	if d.scan != nil {
-		if err := d.scan.ScanInEdges(lo, hi, d.unvisited, visit, w.scratch); err != nil {
+		if err := d.scan.ScanInEdges(lo, hi, d.need, w.visit, w.scratch); err != nil {
 			w.err = err
 		}
 		return
@@ -306,7 +335,7 @@ func (w *dirWorker[V]) bottomUp(d *dirDriver[V], lo, hi V, curLevel uint64) {
 		if len(in) == 0 {
 			continue
 		}
-		if err := visit(v, in); err != nil {
+		if err := w.probe(d, v, in, curLevel); err != nil {
 			w.err = err
 			return
 		}
@@ -351,10 +380,11 @@ func (w *dirWorker[V]) run(d *dirDriver[V], frontier []V, useBU bool, lo, hi, cu
 	}
 }
 
-// phaseWorkers scales the fan-out to the phase's work estimate, capped at the
-// configured worker count: small phases run inline (see serialPhaseEdges),
-// large ones use the full width — for SEM mounts the oversubscription hides
-// device latency exactly as in the asynchronous engine.
+// phaseWorkers scales the fan-out to the phase's CPU work estimate, one
+// worker per serialPhaseEdges edges capped at the configured worker count:
+// small phases run inline, large ones use the full width. It sizes CPU work
+// only; on an I/O-backed store hybridBFS widens both directions' phases to
+// keep ioFanout reads in the device together.
 func phaseWorkers(workers int, work uint64) int {
 	if work <= serialPhaseEdges {
 		return 1
@@ -385,6 +415,7 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 	d := &dirDriver[V]{g: g, in: in, level: res.Level, parent: res.Parent, n: n, ctx: cfg.Context}
 	d.scan, _ = g.(graph.InScanner[V])
 	d.batch, _ = g.(graph.BatchAdjacency[V])
+	d.need = d.unvisited
 
 	// Phase workers exist up to the widest phase run so far, not cfg.Workers
 	// up front: most traversals' phases mostly run inline, and the fold below
@@ -444,6 +475,12 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 		if useBU {
 			st.BottomUpPhases++
 			width = phaseWorkers(cfg.Workers, mu+nf)
+			if d.batch != nil {
+				// On an I/O-backed store the scan is latency-bound too: cut
+				// [0, n) into at least ioFanout ranges so that their spans are
+				// in the device together instead of one range read serially.
+				width = max(width, min(ioFanout, cfg.Workers))
+			}
 		} else {
 			st.TopDownPhases++
 			width = phaseWorkers(cfg.Workers, mf)
@@ -459,11 +496,7 @@ func hybridBFS[V graph.Vertex](g graph.Adjacency[V], src V, cfg Config) (*BFSRes
 			d.markFrontier(frontier)
 		}
 		for len(workers) < width {
-			w := &dirWorker[V]{scratch: &graph.Scratch[V]{}}
-			if d.batch != nil {
-				w.reads, w.waits = make([]any, ioFanout), make([]<-chan struct{}, ioFanout)
-			}
-			workers = append(workers, w)
+			workers = append(workers, newDirWorker(d))
 		}
 		d.phase(workers[:width], frontier, useBU, curLevel)
 

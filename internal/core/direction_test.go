@@ -327,6 +327,60 @@ func TestDirectionTopDownFansOutOnIOBackedStore(t *testing.T) {
 	}
 }
 
+// TestBottomUpWidthFollowsTheDevice pins the width of a bottom-up phase on a
+// batching (I/O-backed) back end: at least min(ioFanout, Workers) workers
+// scan the id space, however few edges are left unexplored, so that their
+// in-edge spans are in the device together. The graph has fewer edges than
+// serialPhaseEdges, so in memory every phase runs inline, and 128 vertices,
+// so no top-down frontier on the device is more than 128/ioFanout = 8
+// workers wide: a phase ioFanout wide can only be bottom-up.
+func TestBottomUpWidthFollowsTheDevice(t *testing.T) {
+	g, err := gen.RMATUndirected[uint32](7, 4, gen.RMATA, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() > serialPhaseEdges {
+		t.Fatalf("%d edges: every in-memory phase must fit serialPhaseEdges (%d)", g.NumEdges(), serialPhaseEdges)
+	}
+	raw, _ := rawMirror(t, g, sem.WriteConfig{Symmetric: true})
+	for _, workers := range []int{128, 4} {
+		cfg := Config{Workers: workers, Direction: DirectionHybrid}
+		want, err := BFS[uint32](g, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Stats.BottomUpPhases == 0 {
+			t.Fatalf("workers %d: no bottom-up phase ran in memory", workers)
+		}
+		if w := len(want.Stats.WorkerVisits); w != 1 {
+			t.Fatalf("workers %d: in memory the widest phase had %d workers, want phaseWorkers's 1", workers, w)
+		}
+		for _, dev := range []struct {
+			name string
+			g    graph.Adjacency[uint32]
+		}{
+			{"bare table", semMirrorCfg(t, g, sem.WriteConfig{Symmetric: true})},
+			{"raw mount", raw},
+		} {
+			res, err := BFS[uint32](dev.g, 0, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.BottomUpPhases != want.Stats.BottomUpPhases {
+				t.Fatalf("workers %d, %s: %d bottom-up phases, %d in memory", workers, dev.name, res.Stats.BottomUpPhases, want.Stats.BottomUpPhases)
+			}
+			if w := len(res.Stats.WorkerVisits); w < min(ioFanout, workers) {
+				t.Errorf("workers %d, %s: the widest phase had %d workers, want at least %d", workers, dev.name, w, min(ioFanout, workers))
+			}
+			for v := range want.Level {
+				if res.Level[v] != want.Level[v] {
+					t.Fatalf("workers %d, %s: level[%d] = %d, %d in memory", workers, dev.name, v, res.Level[v], want.Level[v])
+				}
+			}
+		}
+	}
+}
+
 // TestDirectionRequiresInEdges pins the capability contract: a non-top-down
 // direction against a back end without reverse adjacency fails with
 // ErrNoInEdges (and the CLI maps that to a usage error).

@@ -19,7 +19,10 @@ import (
 
 // scanSpanBytes caps one bottom-up scan read. A span this size amortizes the
 // device latency term thousands of times over while keeping the double
-// buffer's memory footprint bounded (two spans per scanning worker).
+// buffer's memory footprint bounded: two spans per scanning worker, and the
+// BFS driver runs a bottom-up phase on a device at least 16 workers wide (or
+// at its CPU width, when that is more), so up to 2 x max(16, CPU width) spans
+// a phase.
 const scanSpanBytes = 1 << 20
 
 // errNoInSection reports a reverse-adjacency call on a store without the
@@ -75,7 +78,9 @@ func (g *Graph[V]) InNeighbors(v V, scratch *graph.Scratch[V]) ([]V, error) {
 // overlap with megabyte streams instead of per-vertex records, and blocks
 // another reader has under I/O are shared; scan reads are tallied in
 // PrefetchStats.ScanSpans/ScanBytes. Without one each span is read through the
-// table when its turn comes.
+// table when its turn comes. The extent list, the spans' held entries and the
+// gather buffer live in the scratch's Request session, so a scan whose blocks
+// are resident allocates nothing once they have grown.
 func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in []V) error, scratch *graph.Scratch[V]) error {
 	if g.in == nil {
 		return errNoInSection
@@ -89,11 +94,12 @@ func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in [
 	if lo >= hi {
 		return nil
 	}
+	sess := g.session(scratch)
 
 	// Gather the needed extents in storage order. need is consulted here,
 	// before any device I/O, per the InScanner contract; vertex ids ascend and
 	// both index layouts are monotone, so the extents arrive pre-sorted.
-	exts := make([]extent, 0, 256)
+	exts := sess.scan[:0]
 	for v := lo; v < hi; v++ {
 		if !need(v) {
 			continue
@@ -104,6 +110,7 @@ func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in [
 		}
 		exts = append(exts, extent{v: uint64(v), off: off, n: nb})
 	}
+	sess.scan = exts
 	if len(exts) == 0 {
 		return nil
 	}
@@ -113,44 +120,33 @@ func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in [
 		maxGap = int64(g.prefetch.cfg.MaxGap)
 	}
 
-	// Merge into sequential spans, each capped at scanSpanBytes.
-	type span struct {
-		i, j int
-		end  int64
-		held []*cacheEntry // its blocks, once requested
-	}
-	spans := make([]span, 0, 16)
-	for i := 0; i < len(exts); {
-		j, end := coalesce(exts, i, maxGap, scanSpanBytes)
-		spans = append(spans, span{i: i, j: j, end: end})
-		i = j
-	}
+	// Merge into sequential spans, each capped at scanSpanBytes, one span
+	// ahead of the one decoding: span k's blocks are held in
+	// sess.scanHeld[k%2] from its request until it is gathered.
+	defer sess.releaseScan()
 	c, p := g.table, g.prefetch
-	request := func(s *span) {
-		var n int64
-		s.held, _, n = c.request(nil, exts[s.i].off/c.blockSize, (s.end-1)/c.blockSize+1)
-		if n > 0 {
-			p.scanSpans.Add(1)
-			p.scanBytes.Add(uint64(n))
-		}
-	}
+	s := nextSpan(exts, 0, maxGap)
 	if p != nil {
-		request(&spans[0])
+		g.requestSpan(exts, s, &sess.scanHeld[0])
 	}
-	var buf []byte
-	for k := range spans {
-		s := &spans[k]
-		if p != nil && k+1 < len(spans) {
-			request(&spans[k+1])
+	for k := 0; ; k++ {
+		var next scanSpan
+		if s.j < len(exts) {
+			next = nextSpan(exts, s.j, maxGap)
+			if p != nil {
+				g.requestSpan(exts, next, &sess.scanHeld[(k+1)%2])
+			}
 		}
 		off, n := exts[s.i].off, int(s.end-exts[s.i].off)
 		var b []byte
 		var err error
-		if s.held != nil {
-			b, err = gather(s.held, c.blockSize, off, n, &buf)
-			s.held = nil // the bytes go with the span
+		if p != nil {
+			held := &sess.scanHeld[k%2]
+			b, err = gather(*held, c.blockSize, off, n, &sess.buf)
+			clear(*held) // the bytes go with the span
+			*held = (*held)[:0]
 		} else {
-			b, err = c.read(off, n, &buf, false)
+			b, err = c.read(off, n, &sess.buf, false)
 		}
 		if err != nil {
 			return fmt.Errorf("sem: scan in-edges at %d: %w", off, err)
@@ -168,8 +164,35 @@ func (g *Graph[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in [
 				return err
 			}
 		}
+		if s.j == len(exts) {
+			return nil
+		}
+		s = next
 	}
-	return nil
+}
+
+// scanSpan is one read of ScanInEdges: extents [i, j) over [exts[i].off, end).
+type scanSpan struct {
+	i, j int
+	end  int64
+}
+
+// nextSpan coalesces the span of exts that starts at extent i.
+func nextSpan(exts []extent, i int, maxGap int64) scanSpan {
+	j, end := coalesce(exts, i, maxGap, scanSpanBytes)
+	return scanSpan{i: i, j: j, end: end}
+}
+
+// requestSpan requests span s's blocks from the table into *held, and counts
+// the device read it issued, if any, as a scan span.
+func (g *Graph[V]) requestSpan(exts []extent, s scanSpan, held *[]*cacheEntry) {
+	c := g.table
+	var n int64
+	*held, _, n = c.request((*held)[:0], exts[s.i].off/c.blockSize, (s.end-1)/c.blockSize+1)
+	if n > 0 {
+		g.prefetch.scanSpans.Add(1)
+		g.prefetch.scanBytes.Add(uint64(n))
+	}
 }
 
 // The semi-external store is direction-capable when its file carries the

@@ -163,6 +163,72 @@ func TestScanInEdgesMatchesPerVertex(t *testing.T) {
 	}
 }
 
+// TestScanInEdgesNoAllocs pins the bottom-up scan at zero heap allocations
+// once the scratch's session has grown, on a graph whose table holds every
+// block: the extent list, the spans' held entries and the buffer a span
+// crossing blocks is gathered into are the session's, reused call to call.
+// The graph's gap of 0 and its 512-byte blocks give each range many
+// double-buffered spans, some across blocks; the scan is cut into four
+// ranges, as a bottom-up phase cuts it among its workers.
+func TestScanInEdgesNoAllocs(t *testing.T) {
+	dg := buildGraph(t, 400, 4000, false, 25)
+	for _, tc := range []struct {
+		name string
+		cfg  WriteConfig
+	}{
+		{"v1 section", WriteConfig{InEdges: true}},
+		{"v2 section", WriteConfig{Compress: true, InEdges: true}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, dg, tc.cfg); err != nil {
+			t.Fatal(err)
+		}
+		cache, err := NewCachedStore(bytes.NewReader(buf.Bytes()), 512, int64(buf.Len())+512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg, err := Open[uint32](cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg.EnablePrefetch(PrefetchConfig{MaxGap: 0})
+		scratch := &graph.Scratch[uint32]{}
+		need := func(v uint32) bool { return v%3 != 0 }
+		var visited, edges int
+		visit := func(v uint32, in []uint32) error {
+			visited++
+			edges += len(in)
+			return nil
+		}
+		scan := func() {
+			for lo := uint32(0); lo < 400; lo += 100 {
+				if err := sg.ScanInEdges(lo, lo+100, need, visit, scratch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		scan() // warm: fills the cache and grows the session
+		_, misses := cache.Stats()
+		spans := sg.PrefetchStats().ScanSpans
+		visited, edges = 0, 0
+		if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+			t.Fatalf("%s: scanning 400 vertices' in-edges allocates %.1f times, want 0", tc.name, allocs)
+		}
+		if _, m := cache.Stats(); m != misses {
+			t.Fatalf("%s: the measured scans missed the cache: misses %d -> %d", tc.name, misses, m)
+		}
+		if sg.PrefetchStats().ScanSpans != spans {
+			t.Fatalf("%s: the measured scans read the device", tc.name)
+		}
+		if visited == 0 || edges == 0 {
+			t.Fatalf("%s: the measured scans visited %d vertices, %d in-edges", tc.name, visited, edges)
+		}
+		if sess := scratch.Prefetch.(*prefetchSession); cap(sess.buf) == 0 {
+			t.Fatalf("%s: no span crossed a block, so no gather copy was measured", tc.name)
+		}
+	}
+}
+
 // TestWriteRejectsInEdgesWithSymmetric pins the writer-side exclusivity.
 func TestWriteRejectsInEdgesWithSymmetric(t *testing.T) {
 	g := buildGraph(t, 20, 40, false, 23)

@@ -237,11 +237,26 @@ func (g *Graph[V]) EnablePrefetch(cfg PrefetchConfig) {
 
 // prefetchSession is a worker's Request buffers, stored in its
 // graph.Scratch.Prefetch: a sweep's extents, each v its place in the sweep,
-// and its ranges' entries, which the sweep's reads hold from the call on.
-// Only the owning worker reads or writes it.
+// and its ranges' entries, which the sweep's reads hold from the call on;
+// and ScanInEdges's: its extents, the entries of the two spans it has
+// requested and not yet decoded, and the buffer a span crossing blocks is
+// gathered into. Only the owning worker reads or writes it.
 type prefetchSession struct {
 	sweep []extent
 	held  []*cacheEntry
+
+	scan     []extent
+	scanHeld [2][]*cacheEntry
+	buf      []byte
+}
+
+// releaseScan drops the entries a scan still holds — the spans it requested
+// and did not decode, when it stopped early — keeping the slices.
+func (s *prefetchSession) releaseScan() {
+	for k := range s.scanHeld {
+		clear(s.scanHeld[k])
+		s.scanHeld[k] = s.scanHeld[k][:0]
+	}
 }
 
 // session returns the worker's Request buffers, building them on first use.
