@@ -172,12 +172,10 @@ func TestWaitJoinsAbortingWatcher(t *testing.T) {
 }
 
 // waitAtWatcherJoin reports whether a goroutine in the dump stack is
-// Engine.Wait parked in a channel receive (the wakers' goroutines, which
-// Wait joins first, park in a select).
+// Engine.Wait parked in a channel receive.
 func waitAtWatcherJoin(stack []byte) bool {
 	for _, g := range bytes.Split(stack, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte(".(*Engine[...]).Wait(")) &&
-			!bytes.Contains(g, []byte(".wakeOn(")) {
+		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte(".(*Engine[...]).Wait(")) {
 			return true
 		}
 	}
@@ -316,7 +314,7 @@ func abortMidWindowSettlesEveryVisitor(t *testing.T, everyVisit bool) {
 	if everyVisit {
 		// On a device, arm on the first full sweep after as many visits.
 		e.DeliverEveryVisit()
-		e.SetRequest(func(sweep []pq.Item, _ []any, _ []<-chan struct{}, _ *graph.Scratch[uint32]) bool {
+		e.SetRequest(func(sweep []pq.Item, _ []any, _ []<-chan struct{}, _ graph.Completions, _ *graph.Scratch[uint32]) bool {
 			if abortAt < 0 && len(sweep) == 8 && visits > 2*batchSize {
 				abortAt = visits + 4
 			}

@@ -41,17 +41,17 @@ func (s *holdGate) ReadAt(p []byte, off int64) (int, error) {
 
 func (s *holdGate) Size() int64 { return int64(len(s.data)) }
 
-// watchedGraph is a semi-external graph that closes seen when a visit decodes
+// seenGraph is a semi-external graph that closes seen when a visit decodes
 // the adjacency of vertex watch: its read has landed and its visitor runs.
 // Embedding keeps the graph's device capability.
-type watchedGraph struct {
+type seenGraph struct {
 	*sem.Graph[uint32]
 	watch uint32
 	once  sync.Once
 	seen  chan struct{}
 }
 
-func (w *watchedGraph) Neighbors(v uint32, s *graph.Scratch[uint32]) ([]uint32, []graph.Weight, error) {
+func (w *seenGraph) Neighbors(v uint32, s *graph.Scratch[uint32]) ([]uint32, []graph.Weight, error) {
 	if v == w.watch {
 		w.once.Do(func() { close(w.seen) })
 	}
@@ -64,7 +64,7 @@ func (w *watchedGraph) Neighbors(v uint32, s *graph.Scratch[uint32]) ([]uint32, 
 // they are. It reports whether hold's first byte sits in the same 4 KiB block
 // as watch's, where a block-reading table would make watch's read wait on
 // hold's.
-func gatedSEM(t *testing.T, g *graph.CSR[uint32], hold, watch uint32) (*watchedGraph, *holdGate, bool) {
+func gatedSEM(t *testing.T, g *graph.CSR[uint32], hold, watch uint32) (*seenGraph, *holdGate, bool) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := sem.Write(&buf, g, sem.WriteConfig{}); err != nil {
@@ -85,14 +85,14 @@ func gatedSEM(t *testing.T, g *graph.CSR[uint32], hold, watch uint32) (*watchedG
 	w := extent(watch)
 	store.hold = extent(hold)
 	store.armed.Store(true)
-	return &watchedGraph{Graph: sg, watch: watch, seen: make(chan struct{})}, store, w[0]/4096 == store.hold[0]/4096
+	return &seenGraph{Graph: sg, watch: watch, seen: make(chan struct{})}, store, w[0]/4096 == store.hold[0]/4096
 }
 
 // awaitSeen waits for the gate to hold a read, then gives the traversal 5 s
-// to visit the watched vertex, and releases the gate either way. The timer is
+// to visit the vertex it looks for, and releases the gate either way. The timer is
 // the verdict of a run that would otherwise never end, not a
 // synchronisation.
-func awaitSeen(g *watchedGraph, store *holdGate) bool {
+func awaitSeen(g *seenGraph, store *holdGate) bool {
 	<-store.entered
 	defer close(store.release)
 	select {
@@ -290,7 +290,7 @@ func extentUnderTwoFetches(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.armed.Store(true)
-	r := awaitSSSP(t, &watchedGraph{Graph: cg, watch: 2, seen: make(chan struct{})}, store, 0)
+	r := awaitSSSP(t, &seenGraph{Graph: cg, watch: 2, seen: make(chan struct{})}, store, 0)
 	if !r.seen {
 		t.Fatal("the runner visited 3 while the last of its blocks was under the held fetch, and waited in it: 2 never ran")
 	}
@@ -345,9 +345,9 @@ type gatedRun struct {
 }
 
 // awaitSSSP runs SSSP from 0 over g on one queue, popping sweeps of up to
-// prefetch visitors, while awaitSeen judges whether the watched vertex ran
+// prefetch visitors, while awaitSeen judges whether the vertex it looks for ran
 // with the gate holding a read.
-func awaitSSSP(t *testing.T, g *watchedGraph, store *holdGate, prefetch int) gatedRun {
+func awaitSSSP(t *testing.T, g *seenGraph, store *holdGate, prefetch int) gatedRun {
 	t.Helper()
 	type result struct {
 		res *SSSPResult[uint32]

@@ -260,7 +260,7 @@ func (w *dirWorker[V]) topDown(d *dirDriver[V], frontier []V, nextLevel uint64) 
 			k := i % ioFanout
 			if k == 0 {
 				n := min(ioFanout, len(frontier)-i)
-				d.batch.Request(frontier[i:i+n], w.reads[:n], w.waits[:n], w.scratch)
+				d.batch.Request(frontier[i:i+n], w.reads[:n], w.waits[:n], nil, w.scratch)
 			}
 			w.scratch.Read = w.reads[k]
 		}

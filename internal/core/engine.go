@@ -18,9 +18,9 @@
 // traversal and never waits in a read while it has other work: it pops a
 // sweep of visitors whose reads the storage back end starts in one call,
 // merging neighbouring extents, and a visitor whose adjacency is not
-// resident is parked on its read and runs once the read has landed
-// (Engine.runParked), so the reads in flight are not bounded by the
-// goroutine count. The relaxation kernel's queues hold at most one visitor
+// resident is parked on its read and runs once its landing is posted to
+// the runner (Engine.runParked), so the reads in flight are not bounded by
+// the goroutine count. The relaxation kernel's queues hold at most one visitor
 // per vertex: a delivered visitor merges with the one queued for its vertex,
 // the better one staying (workQueue.merge), so each queue's "Dijkstra
 // within a queue" pops no visitor a better one has overtaken. There are no
@@ -34,8 +34,8 @@
 //   - mailbox.go — the delivery layer: lock-protected ownership queues,
 //     per-runner outboxes that batch pushes per destination queue (delivered
 //     when a bucket fills, its runner is about to park, or on a device a
-//     visit ends), the park/wake rule of the runners, and the visitors a
-//     device runner parked on their reads;
+//     visit ends), the park/wake rule of the runners, the visitors a device
+//     runner parked on their reads, and its completion list;
 //   - terminate.go — the termination layer: the Terminator outstanding-work
 //     counter with init token and CAS-max peak tracking;
 //   - kernels.go — the algorithm layer: the single label-relaxation kernel
@@ -245,15 +245,11 @@ type Engine[V graph.Vertex] struct {
 	visit  VisitFunc[V]
 	queues []*workQueue
 	wg     sync.WaitGroup
-	// wakers counts the goroutines watching parked reads (watch).
-	wakers sync.WaitGroup
 
 	// res holds the recyclable queue and runner state; a pooled traversal's
 	// caller hands it back to its EnginePool after Wait.
 	res *engineRes[V]
-	// stop is closed by Wait once the runners have exited; it retires the
-	// Config.Context watcher goroutine and the parked reads' wakers, so
-	// neither leaks.
+	// stop, closed by Wait once the runners have exited, retires the watcher.
 	stop chan struct{}
 	// watcherDone, non-nil iff Start launched a Config.Context watcher, is
 	// closed when that watcher exits. Wait joins on it, so a watcher caught
@@ -274,9 +270,8 @@ type Engine[V graph.Vertex] struct {
 	pushes atomic.Uint64
 	pruned atomic.Uint64
 
-	// request, when set (SetRequest), starts the adjacency reads of a device
-	// runner's sweep; a visitor it returns a wait channel for is parked on it.
-	request func(sweep []pq.Item, reads []any, waits []<-chan struct{}, scratch *graph.Scratch[V]) (full bool)
+	// request is the read hook of a device traversal (SetRequest).
+	request func(sweep []pq.Item, reads []any, waits []<-chan struct{}, to graph.Completions, scratch *graph.Scratch[V]) (full bool)
 
 	// settle, when set (SetSettle), receives the visitor lifecycle: a
 	// VertexQueued at every push site and a VertexSettled for every visitor
@@ -319,13 +314,13 @@ func newEngine[V graph.Vertex](cfg Config, visit VisitFunc[V], res *engineRes[V]
 
 // SetRequest registers the read hook of a device traversal: fn gets each
 // sweep a runner popped, or a parked group whose fetch landed, with the
-// runner's scratch, and fills reads and waits as graph.BatchAdjacency.Request
-// does; it may reorder sweep, moving reads along. A visitor whose wait is not
-// nil is parked with its read until the wait is closed; the rest run at once,
-// in sweep order, each with its read in scratch.Read. full stops a runner
-// with sweeps of one popping. Without a hook every visitor runs at once. Must
-// be called before Start.
-func (e *Engine[V]) SetRequest(fn func(sweep []pq.Item, reads []any, waits []<-chan struct{}, scratch *graph.Scratch[V]) (full bool)) {
+// runner's completion sink and scratch, and fills reads and waits as
+// graph.BatchAdjacency.Request does; it may reorder sweep, moving reads
+// along. A visitor with a wait is parked with its read until the sink is
+// posted that wait; the rest run at once, in sweep order, each with its read
+// in scratch.Read. full stops a runner with sweeps of one popping. Must be
+// called before Start.
+func (e *Engine[V]) SetRequest(fn func(sweep []pq.Item, reads []any, waits []<-chan struct{}, to graph.Completions, scratch *graph.Scratch[V]) (full bool)) {
 	e.request = fn
 }
 
@@ -466,7 +461,6 @@ func (e *Engine[V]) Wait() (Stats, error) {
 	e.wg.Wait()
 	e.drainAborted()
 	close(e.stop)
-	e.wakers.Wait()
 	if e.watcherDone != nil {
 		<-e.watcherDone
 	}
@@ -494,21 +488,13 @@ func (e *Engine[V]) finish() {
 	}
 }
 
-// fail records the first visitor error, marks the traversal aborted so no
-// further visitors execute, and wakes every parked runner so the engine
-// winds down promptly even with work still queued.
-func (e *Engine[V]) fail(err error) {
+// Abort cancels the traversal, from outside a visitor or with a visitor's
+// error: runners exit at their next abort check without draining, parked
+// runners are woken, and Wait returns the first cause. Safe for concurrent use.
+func (e *Engine[V]) Abort(err error) {
 	e.errOnce.Do(func() { e.err = err })
 	e.aborted.Store(true)
 	e.finish()
-}
-
-// Abort cancels the traversal from outside a visitor: runners exit at their
-// next abort check without draining remaining work, parked runners are
-// woken, and Wait returns err (unless a visitor error was recorded first).
-// Safe for concurrent use once Start has returned; the first cause wins.
-func (e *Engine[V]) Abort(err error) {
-	e.fail(err)
 }
 
 // retire folds a finished runner's counters into the engine totals and lets
@@ -562,22 +548,22 @@ func (e *Engine[V]) run(id int) {
 // max(Config.Prefetch, 1) visitors off that queue, whose reads the request
 // hook starts in one call. A visitor whose adjacency is not resident is
 // parked on its read — the Terminator still counts it — and the rest run at
-// once. Landed reads run first, a fetch's visitors together (one still under
-// another fetch parks again), and the runner blocks only with nothing else to
-// run. A runner with parked visitors stops popping at its bound: with sweeps
-// wider than one, its share of Workers x Prefetch — what Workers queues held
-// popped when each had a window of its own — and with sweeps of one, while
-// the back end reports full.
+// once. Landed reads run first, in landing order, a fetch's visitors together
+// (one still under another fetch parks again), and the runner blocks only
+// with nothing else to run. A runner with parked visitors stops popping at
+// its bound: with sweeps wider than one, its share of Workers x Prefetch —
+// what Workers queues held popped when each had a window of its own — and
+// with sweeps of one, while the back end reports full.
 //
 //lint:hotpath
 func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
-	ps := &e.res.parked[id]
+	ps, p := &e.res.parked[id], e.res.parkers[id]
 	q := e.queues[id]
 	width := max(e.cfg.Prefetch, 1)
 	bound := width * e.cfg.Workers / e.runners
 	full := false
 	for !e.aborted.Load() {
-		if i := ps.landed(); i >= 0 {
+		if i := ps.landing(p); i >= 0 {
 			// The group goes back through the hook, which re-checks the read
 			// each visitor carries: one whose extent is under another fetch
 			// too parks again on it.
@@ -613,7 +599,7 @@ func (e *Engine[V]) runParked(ctx *Ctx[V], id int) {
 func (e *Engine[V]) runSweep(ctx *Ctx[V], id int, ps *parkedSet, sweep []pq.Item, reads []any) (full bool) {
 	waits := slices.Grow(ps.waits[:0], len(sweep))[:len(sweep)]
 	if e.request != nil && !e.aborted.Load() {
-		full = e.request(sweep, reads, waits, ctx.Scratch)
+		full = e.request(sweep, reads, waits, e.res.parkers[id], ctx.Scratch)
 	}
 	for i, it := range sweep {
 		if waits[i] != nil {
@@ -646,7 +632,7 @@ func (e *Engine[V]) runVisitor(ctx *Ctx[V], id, held int, it pq.Item) {
 		ctx.stats.visits++
 		e.queues[held].visits++
 		if err := e.visit(ctx, it); err != nil {
-			e.fail(err)
+			e.Abort(err)
 		}
 	}
 	if e.settle != nil {
@@ -727,10 +713,10 @@ func (e *Engine[V]) scan() int {
 
 // park is the drain trigger and the park rule (mailbox.go): runner id, with
 // nothing to run, delivers its outbox, marks itself sleeping, tries once more
-// to claim (if popping) or to find a landed read among its parked visitors,
-// and waits for a wake-up only if that fails; the landing of a parked read
-// wakes it too (watch). It returns the queue it then holds, or -1 once a
-// read has landed or the traversal is over.
+// to claim (if popping) or to find a landing in its completion list, and
+// waits for a wake-up only if that fails; a posted landing wakes it too
+// (parker.Landed). It returns the queue it then holds, or -1 once a read has
+// landed or the traversal is over.
 //
 //lint:hotpath
 func (e *Engine[V]) park(id, last int, popping bool) int {
@@ -742,38 +728,13 @@ func (e *Engine[V]) park(id, last int, popping bool) int {
 		if popping {
 			held = e.claim(id, last)
 		}
-		if held >= 0 || e.done.Load() || ps.landed() >= 0 {
+		if held >= 0 || e.done.Load() || ps.landing(p) >= 0 {
 			if !p.sleeping.CompareAndSwap(true, false) {
 				<-p.ch // a waker saw the runner asleep first and owes it a token
 			}
 			return held
 		}
-		e.watch(ps, p)
 		<-p.ch
-	}
-}
-
-// watch has the landing of every parked read wake runner p: each group not
-// yet watched gets a goroutine that waits on its read, or on the end of the
-// traversal, which Wait joins. Only a runner about to sleep watches, so a
-// read that lands while its runner is busy costs no goroutine.
-func (e *Engine[V]) watch(ps *parkedSet, p *parker) {
-	for i := range ps.groups {
-		if g := &ps.groups[i]; !g.watched {
-			g.watched = true
-			e.wakers.Add(1)
-			go e.wakeOn(g.wait, p)
-		}
-	}
-}
-
-// wakeOn wakes p once wait is closed, unless the traversal ends first.
-func (e *Engine[V]) wakeOn(wait <-chan struct{}, p *parker) {
-	defer e.wakers.Done()
-	select {
-	case <-wait:
-		p.wake()
-	case <-e.stop:
 	}
 }
 

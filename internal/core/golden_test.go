@@ -17,7 +17,7 @@ type windowAdj struct {
 	windows, announced int
 }
 
-func (w *windowAdj) Request(vs []uint32, _ []any, _ []<-chan struct{}, _ *graph.Scratch[uint32]) bool {
+func (w *windowAdj) Request(vs []uint32, _ []any, _ []<-chan struct{}, _ graph.Completions, _ *graph.Scratch[uint32]) bool {
 	w.windows++
 	w.announced += len(vs)
 	return false
@@ -58,7 +58,7 @@ func ccSeededBeforeStart(t *testing.T, g *graph.CSR[uint32], prefetch int) golde
 		// What runKernel wires for a graph on a device: the read hook and
 		// delivery after every visit.
 		e.DeliverEveryVisit()
-		e.SetRequest(func(sweep []pq.Item, _ []any, _ []<-chan struct{}, _ *graph.Scratch[uint32]) bool {
+		e.SetRequest(func(sweep []pq.Item, _ []any, _ []<-chan struct{}, _ graph.Completions, _ *graph.Scratch[uint32]) bool {
 			run.windows++
 			run.announced += len(sweep)
 			return false

@@ -234,7 +234,7 @@ func (k *kernelState[V]) engine(cfg Config, res *engineRes[V]) *Engine[V] {
 	// it behind the rest of its sweep and starts no read for it.
 	if ba, ok := onDevice(k.g); ok {
 		e.DeliverEveryVisit()
-		e.SetRequest(func(sweep []pq.Item, reads []any, waits []<-chan struct{}, scratch *graph.Scratch[V]) bool {
+		e.SetRequest(func(sweep []pq.Item, reads []any, waits []<-chan struct{}, to graph.Completions, scratch *graph.Scratch[V]) bool {
 			vs := scratch.Window[:0]
 			for i, it := range sweep {
 				if it.Pri <= atomic.LoadUint64(&k.labels[it.V]) {
@@ -249,7 +249,7 @@ func (k *kernelState[V]) engine(cfg Config, res *engineRes[V]) *Engine[V] {
 			if len(vs) == 0 {
 				return false
 			}
-			return ba.Request(vs, reads[:len(vs)], waits[:len(vs)], scratch)
+			return ba.Request(vs, reads[:len(vs)], waits[:len(vs)], to, scratch)
 		})
 	}
 	// A visitor that meets a better or equal one queued for its vertex would

@@ -132,10 +132,21 @@ func (q *workQueue) tryPopBatch(dst []pq.Item, k int) []pq.Item {
 // to hold sets sleeping and tries once more to claim before it waits on ch; a
 // delivery publishes its queue's head before it reads its home runner's
 // sleeping. Both are sequentially consistent atomics, so either the delivery
-// sees the runner asleep or the runner's last try sees the delivery.
+// sees the runner asleep or the runner's last try sees the delivery; so for
+// a landing, which Landed appends to landed under mu before it wakes.
 type parker struct {
 	sleeping atomic.Bool
 	ch       chan struct{} // capacity 1: the one token a wake owes
+	mu       sync.Mutex
+	landed   []<-chan struct{} // the fetches posted, in landing order
+}
+
+// Landed implements graph.Completions for the fetches a runner parked on.
+func (p *parker) Landed(wait <-chan struct{}) {
+	p.mu.Lock()
+	p.landed = append(p.landed, wait)
+	p.mu.Unlock()
+	p.wake()
 }
 
 // wake hands a sleeping runner its token; the CAS makes one waker owe it. A
@@ -206,20 +217,18 @@ func (o *outbox) reset() {
 }
 
 // fetchGroup is the visitors one runner parked on one fetch, with the read
-// each carries back to the visit. watched marks a group whose landing wakes
-// the runner (Engine.watch).
+// each carries back to the visit.
 type fetchGroup struct {
-	wait    <-chan struct{}
-	items   []pq.Item
-	reads   []any
-	watched bool
+	wait  <-chan struct{}
+	items []pq.Item
+	reads []any
 }
 
 // parkedSet is one device runner's parked visitors, grouped by the fetch
-// they wait on, oldest group first, and the buffers of its sweeps: sweep,
-// reads and waits are Engine.runSweep's, free the reads of visitors that have
-// run, for the back end to reuse. Only its runner touches it while the
-// traversal runs. Groups past len keep their buffers for reuse.
+// they wait on, and the buffers of its sweeps: sweep, reads and waits are
+// Engine.runSweep's, free the reads of visitors that have run, for the back
+// end to reuse. Only its runner touches it while the traversal runs. Groups
+// past len keep their buffers for reuse.
 type parkedSet struct {
 	groups []fetchGroup
 	n      int // visitors parked
@@ -247,37 +256,40 @@ func (s *parkedSet) add(wait <-chan struct{}, it pq.Item, read any) {
 			s.groups = s.groups[:i+1]
 		}
 		g := &s.groups[i]
-		g.wait, g.items, g.reads, g.watched = wait, g.items[:0], g.reads[:0], false
+		g.wait, g.items, g.reads = wait, g.items[:0], g.reads[:0]
 	}
 	g := &s.groups[i]
 	g.items, g.reads = append(g.items, it), append(g.reads, read)
 }
 
-// landed returns the oldest group whose read has landed, or -1.
+// landing returns the group of p's first posted fetch a group waits on, or
+// -1, dropping the posts before it: a run group's, or a finished traversal's.
 //
 //lint:hotpath
-func (s *parkedSet) landed() int {
-	for i := range s.groups {
-		select {
-		case <-s.groups[i].wait:
-			return i
-		default:
+func (s *parkedSet) landing(p *parker) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.landed) > 0 {
+		for i := range s.groups {
+			if s.groups[i].wait == p.landed[0] {
+				return i
+			}
 		}
+		p.landed = p.landed[:copy(p.landed, p.landed[1:])]
 	}
 	return -1
 }
 
-// remove drops group i, whose visitors have left, keeping the order of the
-// rest and its buffers for the next group.
+// remove drops group i, whose visitors have left, in favour of the last
+// group (landing order decides what runs next), keeping i's buffers.
 //
 //lint:hotpath
 func (s *parkedSet) remove(i int) {
 	g := s.groups[i]
 	s.n -= len(g.items)
 	clear(g.reads) // the reads' bytes go with their visitors
-	copy(s.groups[i:], s.groups[i+1:])
 	last := len(s.groups) - 1
-	s.groups[last] = fetchGroup{items: g.items[:0], reads: g.reads[:0]}
+	s.groups[i], s.groups[last] = s.groups[last], fetchGroup{items: g.items[:0], reads: g.reads[:0]}
 	s.groups = s.groups[:last]
 }
 

@@ -155,26 +155,41 @@ func TestPushNoAllocs(t *testing.T) {
 }
 
 // TestParkedSetNoAllocs pins a device runner's parked visitors at zero heap
-// allocations once its groups have grown: parking visitors on their fetches,
-// finding a landed one and dropping its group reuse the group buffers. A
-// read that misses parks its visitor, so an allocation here is one per miss
+// allocations once its groups and its completion list have grown: parking
+// visitors on their fetches, posting their landings to the runner's parker,
+// taking them in landing order and dropping each group reuse the group and
+// list buffers; a post no group waits on (a finished traversal's) is dropped.
+// A read that misses parks its visitor, so an allocation here is one per miss
 // of every cold traversal, which the warm-cache traversal tests never take.
 func TestParkedSetNoAllocs(t *testing.T) {
 	var ps parkedSet
-	landed := make([]chan struct{}, 4)
-	for i := range landed {
-		landed[i] = make(chan struct{})
-		close(landed[i])
+	p := &parker{ch: make(chan struct{}, 1)}
+	fetches := make([]chan struct{}, 5)
+	for i := range fetches {
+		fetches[i] = make(chan struct{})
+		close(fetches[i])
 	}
+	parked, stale := fetches[:4], fetches[4]
 	round := func() {
 		for v := 0; v < 32; v++ {
-			ps.add(landed[v%len(landed)], pq.Item{V: uint64(v)}, nil)
+			ps.add(parked[v%len(parked)], pq.Item{V: uint64(v)}, nil)
 		}
-		for ps.n > 0 {
-			ps.remove(ps.landed())
+		p.Landed(stale)
+		for i := len(parked) - 1; i >= 0; i-- {
+			p.Landed(parked[i])
+		}
+		for i := len(parked) - 1; i >= 0; i-- {
+			g := ps.landing(p)
+			if g < 0 || ps.groups[g].wait != parked[i] {
+				t.Fatalf("landing took group %d, want the one parked on fetch %d, the next posted", g, i)
+			}
+			ps.remove(g)
+		}
+		if g := ps.landing(p); g >= 0 || ps.n != 0 || len(p.landed) != 0 {
+			t.Fatalf("with every group run, landing found group %d, %d visitors parked, %d posts kept", g, ps.n, len(p.landed))
 		}
 	}
-	round() // warm: grows the groups and their buffers
+	round() // warm: grows the groups, their buffers and the list
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Fatalf("parking and dropping 32 visitors on 4 fetches allocates %.1f times, want 0", allocs)
 	}

@@ -84,20 +84,25 @@ type Adjacency[V Vertex] interface {
 // neighbouring extents can share device operations. reads and waits are as
 // long as vs. On entry reads[i] is a read of an earlier call the caller is
 // done with, for the back end to reuse, or nil; a read that is still vs[i]'s
-// own (its visitor was parked and has not run) is re-checked instead:
-// nothing is claimed for it and waits[i] names the next fetch it is still
-// under, nil once all have landed: one extent may span several. On return
-// reads[i] is vs[i]'s read, which the caller puts in scratch.Read before the
-// Neighbors call of vs[i], and waits[i] is nil when its bytes are resident,
-// otherwise closed once a fetch they are under has landed; reads that share
-// one fetch get the same channel; Neighbors waits out a read that has not
-// landed, so a caller that parks nothing may ignore waits. full reports that
-// the back end has as many asynchronous reads outstanding as it wants: a
+// own (its visitor was parked and has not run) is re-checked: waits[i] names
+// the next fetch it is still under (one extent may span several), nil once all
+// have landed. On return reads[i] is vs[i]'s read, which the caller puts in
+// scratch.Read before the Neighbors call of vs[i], and waits[i] is nil when
+// its bytes are resident, otherwise the channel of a fetch they are under,
+// shared by the reads under it and closed once it has landed, filled or
+// failed. The goroutine that lands the fetch then passes that channel to
+// to.Landed once, so Landed must not block; a fetch landing while Request
+// subscribes is posted or reported landed, never lost. A caller that parks
+// nothing passes a nil to: Neighbors waits out a read that has not landed.
+// full reports the back end at its bound on outstanding asynchronous reads: a
 // caller should run what has landed before it requests more.
 type BatchAdjacency[V Vertex] interface {
 	Adjacency[V]
-	Request(vs []V, reads []any, waits []<-chan struct{}, scratch *Scratch[V]) (full bool)
+	Request(vs []V, reads []any, waits []<-chan struct{}, to Completions, scratch *Scratch[V]) (full bool)
 }
+
+// Completions is the sink of BatchAdjacency.Request's landings.
+type Completions interface{ Landed(wait <-chan struct{}) }
 
 // Settler is implemented by storage back ends that want traversal-state
 // notifications from the engine: VertexQueued fires when a visitor for v

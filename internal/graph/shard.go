@@ -198,10 +198,10 @@ func (s *Sharded[V]) Neighbors(v V, scratch *Scratch[V]) ([]V, []Weight, error) 
 
 // Request implements BatchAdjacency: the sweep is grouped by owning member,
 // each member starts its group's reads on its sub-scratch in one call, and
-// the reads and waits go back to their places in the sweep; Neighbors hands a
-// read down to its member. A member that cannot batch gets no read: its
-// vertices are read at the visit.
-func (s *Sharded[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scratch *Scratch[V]) (full bool) {
+// the reads and waits go back to their places in the sweep; a member posts
+// its own landings to to; Neighbors hands a read down to its member. A member
+// that cannot batch gets no read: its vertices are read at the visit.
+func (s *Sharded[V]) Request(vs []V, reads []any, waits []<-chan struct{}, to Completions, scratch *Scratch[V]) (full bool) {
 	clear(waits)
 	if scratch == nil {
 		return false
@@ -223,9 +223,7 @@ func (s *Sharded[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scrat
 			continue
 		}
 		ws := slices.Grow(ss.waits[k][:0], n)[:n]
-		if b.Request(ss.groups[k], ss.reads[k], ws, ss.subs[k]) {
-			full = true
-		}
+		full = b.Request(ss.groups[k], ss.reads[k], ws, to, ss.subs[k]) || full
 		for j, i := range ss.at[k] {
 			reads[i], waits[i] = ss.reads[k][j], ws[j]
 		}

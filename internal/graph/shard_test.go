@@ -132,7 +132,7 @@ func TestNewShardedValidation(t *testing.T) {
 // read and parks nothing.
 type batchCSR struct{ *CSR[uint32] }
 
-func (batchCSR) Request(_ []uint32, _ []any, waits []<-chan struct{}, _ *Scratch[uint32]) bool {
+func (batchCSR) Request(_ []uint32, _ []any, waits []<-chan struct{}, _ Completions, _ *Scratch[uint32]) bool {
 	clear(waits)
 	return false
 }
@@ -173,7 +173,7 @@ func TestShardedRouterMatchesCSR(t *testing.T) {
 			k := v % len(reads)
 			if k == 0 {
 				sweep := vs[v:min(v+len(reads), len(vs))]
-				s.Request(sweep, reads[:len(sweep)], waits[:len(sweep)], scratch)
+				s.Request(sweep, reads[:len(sweep)], waits[:len(sweep)], nil, scratch)
 			}
 			scratch.Read = reads[k]
 			if d, want := s.Degree(uint32(v)), g.Degree(uint32(v)); d != want {
@@ -211,7 +211,7 @@ func TestShardedNilScratch(t *testing.T) {
 		t.Fatalf("NewSharded: %v", err)
 	}
 	waits := []<-chan struct{}{make(chan struct{})}
-	if s.Request([]uint32{1}, make([]any, 1), waits, nil) || waits[0] != nil { // must be a safe no-op
+	if s.Request([]uint32{1}, make([]any, 1), waits, nil, nil) || waits[0] != nil { // must be a safe no-op
 		t.Fatalf("Request with nil scratch reported full or left wait %v", waits[0])
 	}
 	ts, _, err := s.Neighbors(3, nil)
@@ -241,9 +241,9 @@ func TestShardedHotPathNoAllocs(t *testing.T) {
 	scratch := &Scratch[uint32]{}
 	window := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
 	reads, waits := make([]any, len(window)), make([]<-chan struct{}, len(window))
-	s.Request(window, reads, waits, scratch) // warm: builds the shard scratch + groups
+	s.Request(window, reads, waits, nil, scratch) // warm: builds the shard scratch + groups
 	allocs := testing.AllocsPerRun(100, func() {
-		s.Request(window, reads, waits, scratch)
+		s.Request(window, reads, waits, nil, scratch)
 		for i, v := range window {
 			scratch.Read = reads[i]
 			s.Degree(v)

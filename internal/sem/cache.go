@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/invariant"
 )
 
@@ -74,9 +75,29 @@ type cacheEntry struct {
 	id int64
 	// data is the block's bytes; on a zero-budget table its capacity runs on
 	// to the end of the fetch, so an extent crossing blocks reads uncopied.
-	data  []byte
-	ready chan struct{} // closed once data/err are set; one per fetch
-	err   error
+	data []byte
+	*flight
+	err error
+}
+
+// flight is one fetch, shared by its blocks' entries: ready is closed once
+// their data and err are set, and land posts it to subs (heldRead.pending).
+type flight struct {
+	ready chan struct{}
+	done  atomic.Bool
+	mu    sync.Mutex
+	subs  []graph.Completions
+}
+
+// land completes the fetch, filled or failed.
+func (f *flight) land() {
+	f.mu.Lock()
+	f.done.Store(true)
+	f.mu.Unlock()
+	close(f.ready)
+	for _, to := range f.subs {
+		to.Landed(f.ready)
+	}
 }
 
 // Sizer is implemented by stores that know their total size (ssd.Device,
@@ -220,9 +241,9 @@ func (c *CachedStore) evictLocked(sh *cacheShard, keep *list.Element) {
 // block's (a hit), that of a block another fetch has under I/O (a wait: the
 // reader shares that read — else a cold block would be read once per reader),
 // or a new one reserving the block, also returned in owned for the caller to
-// hand to fetch. The new entries share one ready channel.
+// hand to fetch. The new entries share one flight.
 func (c *CachedStore) claim(held []*cacheEntry, lo, hi int64) (_, owned []*cacheEntry) {
-	var ready chan struct{}
+	var f *flight
 	var hits, waits uint64
 	for id := lo; id < hi; id++ {
 		sh := c.shard(id)
@@ -235,10 +256,10 @@ func (c *CachedStore) claim(held []*cacheEntry, lo, hi int64) (_, owned []*cache
 		} else if e != nil {
 			waits++
 		} else {
-			if ready == nil {
-				ready = make(chan struct{})
+			if f == nil {
+				f = &flight{ready: make(chan struct{})}
 			}
-			e = c.reserveLocked(sh, id, ready)
+			e = c.reserveLocked(sh, id, f)
 			owned = append(owned, e)
 		}
 		sh.mu.Unlock()
@@ -251,8 +272,8 @@ func (c *CachedStore) claim(held []*cacheEntry, lo, hi int64) (_, owned []*cache
 
 // reserveLocked takes absent block id into the shard's in-flight table.
 // Caller holds sh.mu.
-func (c *CachedStore) reserveLocked(sh *cacheShard, id int64, ready chan struct{}) *cacheEntry {
-	e := &cacheEntry{id: id, ready: ready}
+func (c *CachedStore) reserveLocked(sh *cacheShard, id int64, f *flight) *cacheEntry {
+	e := &cacheEntry{id: id, flight: f}
 	sh.inflight[id] = e
 	for n := c.flying.Add(1); ; {
 		hw := c.flyingHW.Load()
@@ -286,7 +307,7 @@ func (c *CachedStore) ahead(owned []*cacheEntry) []*cacheEntry {
 		sh := c.shard(id)
 		sh.mu.Lock()
 		if _, cached := sh.blocks[id]; !cached && sh.inflight[id] == nil {
-			owned = append(owned, c.reserveLocked(sh, id, owned[0].ready))
+			owned = append(owned, c.reserveLocked(sh, id, owned[0].flight))
 		}
 		sh.mu.Unlock()
 	}
@@ -296,7 +317,7 @@ func (c *CachedStore) ahead(owned []*cacheEntry) []*cacheEntry {
 // fetch is the only place a table reads its device. Handed reserved blocks it
 // reads from the first to the last in one operation, fills or fails each,
 // installs the filled ones under the budget (a zero budget installs nothing)
-// and closes their ready channel. Handed none, it reads buf at off for a
+// and lands their flight. Handed none, it reads buf at off for a
 // reader that shares it with nobody: a zero-budget table's synchronous read.
 func (c *CachedStore) fetch(buf []byte, off int64, owned []*cacheEntry) error {
 	c.misses.Add(1)
@@ -355,14 +376,15 @@ func (c *CachedStore) fetch(buf []byte, off int64, owned []*cacheEntry) error {
 		c.spans.Put(span)
 	}
 	c.flying.Add(-int64(len(owned)))
-	close(owned[0].ready)
+	owned[0].land()
 	return err
 }
 
-// request is the asynchronous claim: it appends the entries of blocks
-// [lo, hi) to held and hands the blocks it reserved to one fetch on the I/O
-// pool. It reports the bytes that fetch reads, from off; n is 0 when every
-// block was cached or under another reader's fetch already.
+// request is the asynchronous claim: it appends the entries of blocks [lo, hi)
+// to held and hands the blocks it reserved to one fetch on the I/O pool, which
+// bounds the table's concurrent asynchronous reads at max(prefetchIOWorkers,
+// the device's channels). It reports the bytes that fetch reads, from off; n is
+// 0 when every block was cached or under another reader's fetch already.
 func (c *CachedStore) request(held []*cacheEntry, lo, hi int64) (_ []*cacheEntry, off, n int64) {
 	held, owned := c.claim(held, lo, hi)
 	if len(owned) == 0 {
@@ -372,17 +394,13 @@ func (c *CachedStore) request(held []*cacheEntry, lo, hi int64) (_ []*cacheEntry
 	off = owned[0].id * c.blockSize
 	n = min((owned[len(owned)-1].id+1)*c.blockSize, c.size) - off
 	c.async.Add(1)
-	go c.submit(owned)
+	go func() {
+		c.io <- struct{}{}
+		_ = c.fetch(nil, 0, owned) // every reader finds the error on its entries
+		<-c.io
+		c.async.Add(-1)
+	}()
 	return held, off, n
-}
-
-// submit runs one fetch on the table's I/O pool, which bounds its concurrent
-// asynchronous reads at max(prefetchIOWorkers, the device's channels).
-func (c *CachedStore) submit(owned []*cacheEntry) {
-	c.io <- struct{}{}
-	_ = c.fetch(nil, 0, owned) // every reader finds the error on its entries
-	<-c.io
-	c.async.Add(-1)
 }
 
 // requestExact is the asynchronous form of the read a zero-budget table gives
@@ -398,17 +416,14 @@ func (c *CachedStore) submit(owned []*cacheEntry) {
 // slice's reads before requesting the next, at most Workers×ioFanout in
 // flight (core.dirWorker.topDown).
 func (c *CachedStore) requestExact(off int64, n int) *cacheEntry {
-	e := &cacheEntry{id: -1, data: make([]byte, n), ready: make(chan struct{})}
+	e := &cacheEntry{id: -1, data: make([]byte, n), flight: &flight{ready: make(chan struct{})}}
 	c.async.Add(1)
-	go c.submitExact(e, off)
+	go func() {
+		e.err = c.fetch(e.data, off, nil)
+		e.land()
+		c.async.Add(-1)
+	}()
 	return e
-}
-
-// submitExact runs requestExact's fetch.
-func (c *CachedStore) submitExact(e *cacheEntry, off int64) {
-	e.err = c.fetch(e.data, off, nil)
-	close(e.ready)
-	c.async.Add(-1)
 }
 
 // full reports that the asynchronous fetches outstanding have reached twice

@@ -369,7 +369,7 @@ func TestRequestResidentNoAllocs(t *testing.T) {
 		vs, reads, waits := make([]uint32, 1), make([]any, 1), make([]<-chan struct{}, 1)
 		request := func(v uint32) {
 			vs[0] = v
-			sg.Request(vs, reads, waits, scratch)
+			sg.Request(vs, reads, waits, nil, scratch)
 			scratch.Read = reads[0]
 		}
 		visit := func() {

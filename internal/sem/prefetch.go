@@ -1,40 +1,40 @@
 package sem
 
 // This file is the semi-external asynchronous I/O pipeline. Its one entry is
-// Request, and it has two callers: the asynchronous engine hands it each
-// sweep a device runner pops — up to Config.Prefetch visitors, 16 on a
-// raw-device mount, one behind the cache — and the BFS driver each ioFanout
-// slice of a top-down phase's frontier. Open attaches a prefetcher (the
-// coalescing gap and the counters) over a CachedStore, a table that keeps
-// blocks, and a raw mount calls EnablePrefetch. The engine's SemiSort key
-// arranges for each worker to pop runs of id-adjacent vertices (§IV-C); their
-// adjacency extents therefore sit near each other in the on-device edge
-// region. A sweep's extents merge into ranges while each next one starts
-// within MaxGap bytes of the running end, and every range becomes one
-// asynchronous [lo, hi) block request on the graph's table (cache.go). A
-// block the table already holds — under another reader's fetch, or cached —
-// is shared; the rest are read in one device operation on the table's
-// bounded I/O pool while the worker runs other work. On ssd.Device a range
-// pays one latency term plus bandwidth instead of k latencies — the
-// request-merging trick of FlashGraph-class I/O layers — and a block several
-// workers want is read once. Request gives each vertex of a sweep a read
-// holding the entries of its own blocks, out of its range's: a visitor whose
-// blocks are not all resident is parked on a fetch they are under until it
-// lands — and on the next, if its extent spans blocks of several fetches —
-// or, in the driver, its Neighbors call waits for them; Neighbors then
-// decodes from the entries the read holds, with no second claim. A graph
-// without a prefetcher, over a zero-budget table, reads each extent alone, as
-// its synchronous reads do, in a fetch of its own.
+// Request, and it has two callers: the asynchronous engine hands it each sweep
+// a device runner pops — up to Config.Prefetch visitors, 16 on a raw-device
+// mount, one behind the cache — and the BFS driver each ioFanout slice of a
+// top-down phase's frontier. Open attaches a prefetcher (the coalescing gap and
+// the counters) over a CachedStore, a table that keeps blocks, and a raw mount
+// calls EnablePrefetch. The engine's SemiSort key arranges for each worker to
+// pop runs of id-adjacent vertices (§IV-C); their adjacency extents therefore
+// sit near each other in the on-device edge region. A sweep's extents merge
+// into ranges while each next one starts within MaxGap bytes of the running
+// end, and every range becomes one asynchronous [lo, hi) block request on the
+// graph's table (cache.go). A block the table already holds — under another
+// reader's fetch, or cached — is shared; the rest are read in one device
+// operation on the table's bounded I/O pool while the worker runs other work.
+// On ssd.Device a range pays one latency term plus bandwidth instead of k
+// latencies — the request-merging trick of FlashGraph-class I/O layers — and a
+// block several workers want is read once. Request gives each vertex of a sweep
+// a read holding the entries of its own blocks, out of its range's: a visitor
+// whose blocks are not all resident is parked on a fetch they are under until
+// it lands — and on the next, if its extent spans blocks of several fetches —
+// and the landing is posted to its runner's sink, or, in the driver, which has
+// none, its Neighbors call waits for them; Neighbors then decodes from the
+// entries the read holds, with no second claim. A graph without a prefetcher,
+// over a zero-budget table, reads each extent alone, as its synchronous reads
+// do, in a fetch of its own.
 //
 // Ownership and correctness: a sweep is popped from queues one worker owns,
 // so every vertex in it is owned by that worker (the engine's hash routing),
 // or it is one driver worker's slice of a frontier; the reads live in that
 // worker's scratch and parked visitors — no other worker ever touches them.
 // A fetch publishes to its readers only through its ready channel (close
-// happens-after the bytes and the error are written). Visiting in sweep order
-// rather than strict one-at-a-time heap order is safe for the
-// label-correcting kernels because every relaxation is monotone: reordering
-// costs at most extra corrections, never wrong labels.
+// happens-after the bytes and the error are written), then posts it to their
+// sinks (flight.land). Visiting in sweep order rather than strict
+// one-at-a-time heap order is safe for the label-correcting kernels because
+// every relaxation is monotone: reordering costs at most extra corrections.
 
 import (
 	"cmp"
@@ -319,14 +319,20 @@ type heldRead struct {
 }
 
 // pending returns the ready channel of the first fetch the read is still
-// under, nil once every byte has landed.
+// under, nil once every byte has landed, and subscribes to to that fetch under
+// the lock land marks it done under: to is posted the landing or sees it here.
 //
 //lint:hotpath
-func (r *heldRead) pending() <-chan struct{} {
+func (r *heldRead) pending(to graph.Completions) <-chan struct{} {
 	for _, e := range r.held {
-		select {
-		case <-e.ready:
-		default:
+		if to != nil && !e.done.Load() {
+			e.mu.Lock()
+			if !e.done.Load() && !slices.Contains(e.subs, to) {
+				e.subs = append(e.subs, to)
+			}
+			e.mu.Unlock()
+		}
+		if !e.done.Load() {
 			return e.ready
 		}
 	}
@@ -368,10 +374,11 @@ func (r *heldRead) release() {
 // read would (CachedStore.read), so a sweep's exact reads are in flight
 // together. The prefetcher counts a sweep of more than one extent as a
 // window, and its reads as consumed when Neighbors decodes them, or abandoned
-// when Request reuses one whose visitor never did. full reports the table at
-// its bound on asynchronous reads (CachedStore.full). A sweep of resident
-// extents allocates nothing once its reads are reused.
-func (g *Graph[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scratch *graph.Scratch[V]) bool {
+// when Request reuses one whose visitor never did; a returned wait's fetch
+// posts it to to. full reports the table at its bound on asynchronous reads
+// (CachedStore.full). A sweep of resident extents allocates nothing once its
+// reads are reused.
+func (g *Graph[V]) Request(vs []V, reads []any, waits []<-chan struct{}, to graph.Completions, scratch *graph.Scratch[V]) bool {
 	c := g.table
 	exact := g.prefetch == nil
 	sess := g.session(scratch)
@@ -379,7 +386,7 @@ func (g *Graph[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scratch
 	for i, v := range vs {
 		r, _ := reads[i].(*heldRead)
 		if r != nil && r.live && r.table == c && r.v == uint64(v) {
-			waits[i] = r.pending() // its own read: re-checked, not requested
+			waits[i] = r.pending(to) // its own read: re-checked, not requested
 			continue
 		}
 		waits[i] = nil
@@ -399,7 +406,7 @@ func (g *Graph[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scratch
 		r.table, r.p, r.v, r.off, r.n, r.exact, r.live = c, nil, uint64(v), off, n, exact, true
 		if exact {
 			r.held = append(r.held, c.requestExact(off, n))
-			waits[i] = r.pending()
+			waits[i] = r.pending(to)
 			continue
 		}
 		exts = append(exts, extent{v: uint64(i), off: off, n: n})
@@ -412,14 +419,14 @@ func (g *Graph[V]) Request(vs []V, reads []any, waits []<-chan struct{}, scratch
 		e := exts[0]
 		r := reads[e.v].(*heldRead)
 		r.held, _, _ = c.request(r.held, e.off/bs, (e.off+int64(e.n)-1)/bs+1)
-		waits[e.v] = r.pending()
+		waits[e.v] = r.pending(to)
 	default:
 		held := g.requestRanges(exts, sess.held[:0])
 		for _, e := range exts {
 			r := reads[e.v].(*heldRead)
 			r.held = append(r.held, held[e.k:e.k+int((e.off+int64(e.n)-1)/bs-e.off/bs)+1]...)
 			r.p = g.prefetch
-			waits[e.v] = r.pending()
+			waits[e.v] = r.pending(to)
 		}
 		clear(held)
 		sess.held = held[:0]

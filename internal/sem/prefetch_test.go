@@ -67,7 +67,7 @@ func request(sg *Graph[uint32], sc *graph.Scratch[uint32], vs []uint32, reads []
 		reads = make([]any, len(vs))
 	}
 	waits := make([]<-chan struct{}, len(vs))
-	sg.Request(vs, reads, waits, sc)
+	sg.Request(vs, reads, waits, nil, sc)
 	return reads, waits
 }
 
@@ -498,4 +498,90 @@ func TestRawTableKeepsNoBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertQuiescent(t, sg.table)
+}
+
+// postLog is a completion sink that keeps what is posted to it.
+type postLog struct {
+	mu    sync.Mutex
+	posts []<-chan struct{}
+}
+
+func (l *postLog) Landed(wait <-chan struct{}) {
+	l.mu.Lock()
+	l.posts = append(l.posts, wait)
+	l.mu.Unlock()
+}
+
+func (l *postLog) taken() []<-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.posts)
+}
+
+// TestFetchPostsItsLanding pins the table's side of a parked read on a fetch
+// the device holds. A sink subscribed while the fetch is in flight — by the
+// sweep that started it and again by a re-check of the same read — is posted
+// the sweep's wait exactly once when the fetch lands; a sink that re-checks
+// the read after the landing is told it has landed and is posted nothing. A
+// failed fetch posts as a filled one does, and the read reports its error.
+func TestFetchPostsItsLanding(t *testing.T) {
+	for name, fail := range map[string]bool{"filled": false, "failed": true} {
+		t.Run(name, func(t *testing.T) { fetchPostsItsLanding(t, fail) })
+	}
+}
+
+func fetchPostsItsLanding(t *testing.T, fail bool) {
+	g := buildGraph(t, 400, 3200, false, 71)
+	data := writeToMem(t, g).Data
+	probe, err := Open[uint32](bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := uint32(200)
+	off, n := probe.out.extent(v)
+	if n == 0 {
+		t.Fatalf("vertex %d has no out-edges", v)
+	}
+	dev := gatedOver(data, off/gatedBlock*gatedBlock)
+	sg, err := Open[uint32](dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBlocks(sg, gatedBlock)
+	sg.EnablePrefetch(PrefetchConfig{})
+	dev.fail.Store(fail)
+
+	sc := &graph.Scratch[uint32]{}
+	early, late := &postLog{}, &postLog{}
+	vs, reads := []uint32{v}, make([]any, 1)
+	check := func(to graph.Completions) <-chan struct{} {
+		waits := make([]<-chan struct{}, 1)
+		sg.Request(vs, reads, waits, to, sc)
+		return waits[0]
+	}
+	wait := check(early)
+	if wait == nil {
+		t.Fatal("Request found the held bytes resident")
+	}
+	if again := check(early); again != wait {
+		t.Fatalf("the re-check waits on %v, want the fetch in flight %v", again, wait)
+	}
+	if posts := early.taken(); len(posts) != 0 {
+		t.Fatalf("%d posts before the fetch landed", len(posts))
+	}
+	dev.open()
+	waitFor(t, "the fetch to finish", func() bool { return sg.table.async.Load() == 0 })
+	if posts := early.taken(); len(posts) != 1 || posts[0] != wait {
+		t.Fatalf("posted %v, want the one wait %v", posts, wait)
+	}
+	if after := check(late); after != nil {
+		t.Fatalf("a re-check after the landing waits on %v, want it reported landed", after)
+	}
+	if posts := late.taken(); len(posts) != 0 {
+		t.Fatalf("a sink that came after the landing was posted %v", posts)
+	}
+	sc.Read = reads[0]
+	if _, _, err := sg.Neighbors(v, sc); (err != nil) != fail {
+		t.Fatalf("Neighbors(%d) after the fetch: %v", v, err)
+	}
 }

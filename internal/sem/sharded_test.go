@@ -356,7 +356,7 @@ func TestShardedSEMWithDevices(t *testing.T) {
 	window := make([]uint32, 0, 64)
 	reads, waits := make([]any, cap(window)), make([]<-chan struct{}, cap(window))
 	flush := func() {
-		mounted.Request(window, reads[:len(window)], waits[:len(window)], scratch)
+		mounted.Request(window, reads[:len(window)], waits[:len(window)], nil, scratch)
 		for i, v := range window {
 			scratch.Read = reads[i]
 			ts, _, err := mounted.Neighbors(v, scratch)
