@@ -270,13 +270,11 @@ func reportSemIO(io mount.IO, sharded bool) {
 		st.Reads, st.Writes, st.BytesRead, st.AvgReadBytes(), st.MaxReadBytes, st.PeakReads)
 	if io.Cached {
 		// waits are the hits that found their block still under I/O; fetched
-		// blocks over misses is the mean span; inflightHW is memory held
-		// beyond the budget at the worst moment, in blocks (per shard device);
-		// pinnedHW is the most blocks holding queued visitors at once (per
-		// shard device), the run a miss's span may extend through; 0 means
-		// the settle feed is not wired.
-		fmt.Printf("cache: hits=%d misses=%d hitRate=%.1f%% waits=%d fetched=%d evictions=%d inflightHW=%d pinnedHW=%d\n",
-			io.CacheHits, io.CacheMisses, 100*io.CacheHitRate(), io.Cache.Waits, io.Cache.Blocks, io.Cache.Evictions, io.Cache.InflightHW, io.PinnedHW)
+		// blocks over misses is the mean span, the readahead where a miss's
+		// window was absent; inflightHW is memory held beyond the budget at
+		// the worst moment, in blocks (per shard device).
+		fmt.Printf("cache: hits=%d misses=%d hitRate=%.1f%% waits=%d fetched=%d evictions=%d inflightHW=%d\n",
+			io.CacheHits, io.CacheMisses, 100*io.CacheHitRate(), io.Cache.Waits, io.Cache.Blocks, io.Cache.Evictions, io.Cache.InflightHW)
 	}
 	ps := io.Prefetch
 	if ps.Windows > 0 {

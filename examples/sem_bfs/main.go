@@ -73,7 +73,7 @@ func main() {
 		128, float64(one)/float64(many))
 	fmt.Println("   (the paper's §II-D point: flash needs multithreaded I/O to reach its IOPS ceiling)")
 
-	fmt.Println("\n2) storage locality (the default cache: half the file, readahead 8):")
+	fmt.Println("\n2) storage locality (the default cache: half the file, readahead 32):")
 	run("FusionIO, 128 workers", ssd.FusionIO, 128, true, false)
 	run("FusionIO, 128 workers, no semisort", ssd.FusionIO, 128, false, false)
 	run("Intel,    128 workers", ssd.Intel, 128, true, false)

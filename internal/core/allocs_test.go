@@ -73,7 +73,7 @@ func allocGraphs(t *testing.T, undirected bool) (small, large *graph.CSR[uint32]
 
 // residentSEM writes g per cfg and opens it the way a cached mount does, over
 // a block cache twice the file's size (nothing is evicted, so once a
-// traversal has warmed it every block is resident) with the settle feed on.
+// traversal has warmed it every block is resident).
 // With shards > 0 it writes a shard set and mounts each member so.
 func residentSEM(t *testing.T, g *graph.CSR[uint32], cfg sem.WriteConfig, shards int) graph.Adjacency[uint32] {
 	t.Helper()
@@ -106,7 +106,6 @@ func residentMember(t *testing.T, g *graph.CSR[uint32], cfg sem.WriteConfig) *se
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg.EnableStateCache()
 	return sg
 }
 
@@ -139,8 +138,8 @@ func TestInMemoryTraversalAllocs(t *testing.T) {
 
 // TestDeviceTraversalAllocs covers the device loop over a warm, fully
 // resident cache — Engine.runParked, runSweep and the parked set's sweep
-// buffers, sem.Graph.Request, heldRead, gather, the decode and the settle
-// feed — with the cached mount's sweeps of one on raw records, with sweeps
+// buffers, sem.Graph.Request, heldRead, gather and the decode — with the
+// cached mount's sweeps of one on raw records, with sweeps
 // of 16, whose extents Request merges (coalesce), on compressed blocks, and
 // through the shard router of a 3-shard set. No read misses, so no visitor
 // parks; a traversal allocates what an in-memory one does, plus each runner's

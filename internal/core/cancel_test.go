@@ -250,36 +250,17 @@ func TestContextUncancelledIsNoop(t *testing.T) {
 	}
 }
 
-// balanceSettler tracks, per vertex, visitors queued minus visitors settled.
-type balanceSettler struct {
-	mu      sync.Mutex
-	open    map[uint64]int
-	settled int
-}
-
-func (s *balanceSettler) VertexQueued(v uint64) {
-	s.mu.Lock()
-	s.open[v]++
-	s.mu.Unlock()
-}
-
-func (s *balanceSettler) VertexSettled(v uint64) {
-	s.mu.Lock()
-	s.open[v]--
-	s.settled++
-	s.mu.Unlock()
-}
-
 // TestAbortMidWindowSettlesEveryVisitor aborts from inside the fourth visit
 // of an eight-wide pop — an in-memory runner's batch, a device runner's sweep
 // — with work sitting in the pop, the queue and the outbox. One worker makes
 // the visit the abort lands on deterministic (internal/sem's
-// TestAbortedTraversalUnpinsStatePolicy is the 128-worker loop); the settle
-// accounting must balance exactly: the rest of the pop is skipped but
-// settled, Wait drains queue and outbox, and every goroutine exits. Under
-// DeliverEveryVisit the outbox is no hiding place — the worker flushes after
-// the visit the abort lands in too — and the same accounting must balance
-// with everything in the queue.
+// TestAbortedTraversalLeavesCacheQuiescent is the 128-worker loop); the
+// Terminator's accounting must balance exactly: the rest of the pop is
+// skipped but finished, Wait drains queue and outbox, so it counts nothing
+// once Wait returns, and every goroutine exits. Under DeliverEveryVisit the
+// outbox is no hiding place — the worker flushes after the visit the abort
+// lands in too — and the same accounting must balance with everything in the
+// queue.
 func TestAbortMidWindowSettlesEveryVisitor(t *testing.T) {
 	for name, everyVisit := range map[string]bool{"size and drain triggers": false, "delivery after every visit": true} {
 		t.Run(name, func(t *testing.T) { abortMidWindowSettlesEveryVisitor(t, everyVisit) })
@@ -289,7 +270,6 @@ func TestAbortMidWindowSettlesEveryVisitor(t *testing.T) {
 func abortMidWindowSettlesEveryVisitor(t *testing.T, everyVisit bool) {
 	before := runtime.NumGoroutine()
 	sentinel := errors.New("abort mid-window")
-	settle := &balanceSettler{open: make(map[uint64]int)}
 	visits, abortAt := 0, -1
 	var e *Engine[uint32]
 	e = New[uint32](Config{Workers: 1, Prefetch: 8}, func(ctx *Ctx[uint32], it pq.Item) error {
@@ -310,7 +290,6 @@ func abortMidWindowSettlesEveryVisitor(t *testing.T, everyVisit bool) {
 		}
 		return nil
 	})
-	e.SetSettle(settle)
 	if everyVisit {
 		// On a device, arm on the first full sweep after as many visits.
 		e.DeliverEveryVisit()
@@ -333,13 +312,13 @@ func abortMidWindowSettlesEveryVisitor(t *testing.T, everyVisit bool) {
 	if int(st.Visits) != abortAt || visits != abortAt {
 		t.Fatalf("visits = %d (stats %d), want the window cut short at visit %d", visits, st.Visits, abortAt)
 	}
-	for v, n := range settle.open {
-		if n != 0 {
-			t.Fatalf("vertex %d: %d visitors queued but never settled", v, n)
-		}
+	if o := e.term.Outstanding(); o != 0 {
+		t.Fatalf("the terminator counts %d visitors after Wait", o)
 	}
-	if settle.settled <= abortAt+4 {
-		t.Fatalf("settled %d visitors after %d visits: queue and outbox were not drained", settle.settled, abortAt)
+	// Every visitor queued (the pushes and the seed) was finished; the ones
+	// not visited are the rest of the pop, at most four, and what Wait drained.
+	if unvisited := st.Pushes + 1 - st.Visits; unvisited <= 4 {
+		t.Fatalf("finished %d visitors unvisited after %d visits: queue and outbox were not drained", unvisited, abortAt)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {

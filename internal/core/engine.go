@@ -213,9 +213,6 @@ func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
 	c.stats.pushes++
 	e := c.engine
 	e.term.Start()
-	if e.settle != nil {
-		e.settle.VertexQueued(uint64(v))
-	}
 	c.out.add(e.owner(uint64(v)), pq.Item{Pri: pri, V: uint64(v), Aux: aux})
 }
 
@@ -273,12 +270,6 @@ type Engine[V graph.Vertex] struct {
 	// request is the read hook of a device traversal (SetRequest).
 	request func(sweep []pq.Item, reads []any, waits []<-chan struct{}, to graph.Completions, scratch *graph.Scratch[V]) (full bool)
 
-	// settle, when set (SetSettle), receives the visitor lifecycle: a
-	// VertexQueued at every push site and a VertexSettled for every visitor
-	// that leaves the engine — visited, dropped stale, or drained by Wait
-	// after an abort — at the Terminator's Start/Finish sites, so once Wait
-	// returns the two streams balance per vertex.
-	settle graph.Settler
 	// device: the graph lives on a storage device (DeliverEveryVisit).
 	device bool
 	// runners is R, the number of runner goroutines Start launched.
@@ -324,13 +315,6 @@ func (e *Engine[V]) SetRequest(fn func(sweep []pq.Item, reads []any, waits []<-c
 	e.request = fn
 }
 
-// SetSettle registers a traversal-state sink (see graph.Settler): the engine
-// notifies it of every visitor queued and settled, the feed behind the SEM
-// cache's pending-run spans. Must be called before Start and before any
-// Push. The sink is called from every runner concurrently; it must be atomic
-// and cheap.
-func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }
-
 // DeliverEveryVisit tells the engine its graph lives on a device: the engine
 // keeps R = min(Workers, GOMAXPROCS) queues, runner r owns queue r
 // throughout, every runner delivers its outbox after each visit, so a
@@ -348,12 +332,12 @@ func (e *Engine[V]) DeliverEveryVisit() {
 // vertex's word is its owner's), and a delivery that meets a visitor queued
 // for its vertex keeps the better of the two and retires the other
 // (workQueue.merge). For visitors whose worse duplicates a visit would drop
-// unrun, as the relaxation kernel's are. Must follow SetSettle and
-// DeliverEveryVisit and precede Start and any Push.
+// unrun, as the relaxation kernel's are. Must follow DeliverEveryVisit and
+// precede Start and any Push.
 func (e *Engine[V]) mergeVisitors(slot []int32) {
 	for _, q := range e.queues {
 		q.heap.Index(slot)
-		q.term, q.settle = e.term, e.settle
+		q.term = e.term
 	}
 }
 
@@ -406,9 +390,6 @@ func (e *Engine[V]) owner(v uint64) int {
 // Ctx.Push).
 func (e *Engine[V]) Push(pri uint64, v V, aux uint64) {
 	e.term.Start()
-	if e.settle != nil {
-		e.settle.VertexQueued(uint64(v))
-	}
 	e.queues[e.owner(uint64(v))].pushBatch([]pq.Item{{Pri: pri, V: uint64(v), Aux: aux}})
 }
 
@@ -439,9 +420,6 @@ func (e *Engine[V]) ParallelInit(n uint64, gen func(i uint64) (pri uint64, v V, 
 			for i := lo; i < hi; i++ {
 				pri, v, aux := gen(i)
 				e.term.Start()
-				if e.settle != nil {
-					e.settle.VertexQueued(uint64(v))
-				}
 				out.add(e.owner(uint64(v)), pq.Item{Pri: pri, V: uint64(v), Aux: aux})
 			}
 			out.flush()
@@ -524,7 +502,7 @@ func (e *Engine[V]) run(id int) {
 		return
 	}
 	// The abort check at the loop top is the cancellation point: an aborted
-	// runner exits without draining (Wait settles what is left).
+	// runner exits without draining (Wait drains what is left).
 	for !e.aborted.Load() {
 		held := e.claim(id, ctx.Worker)
 		if held < 0 {
@@ -534,7 +512,7 @@ func (e *Engine[V]) run(id int) {
 		}
 		q := e.queues[held]
 		// An abort landing mid-batch skips the remaining visits but still
-		// settles and finishes every popped visitor: they left the queue, so
+		// finishes every popped visitor: they left the queue, so
 		// Wait's drain will not see them.
 		for _, it := range q.tryPopBatch(ctx.stats.pop[:0], popBatch) {
 			e.runVisitor(ctx, id, held, it)
@@ -619,8 +597,8 @@ func (e *Engine[V]) runSweep(ctx *Ctx[V], id int, ps *parkedSet, sweep []pq.Item
 }
 
 // runVisitor runs one popped visitor of queue held — unless the traversal was
-// aborted, which skips the visit — and then settles and finishes it and, on a
-// device, delivers the runner's outbox (the visit trigger).
+// aborted, which skips the visit — and then finishes it and, on a device,
+// delivers the runner's outbox (the visit trigger).
 //
 //lint:hotpath
 func (e *Engine[V]) runVisitor(ctx *Ctx[V], id, held int, it pq.Item) {
@@ -634,9 +612,6 @@ func (e *Engine[V]) runVisitor(ctx *Ctx[V], id, held int, it pq.Item) {
 		if err := e.visit(ctx, it); err != nil {
 			e.Abort(err)
 		}
-	}
-	if e.settle != nil {
-		e.settle.VertexSettled(it.V)
 	}
 	if e.term.Finish() {
 		e.finish()
@@ -738,52 +713,38 @@ func (e *Engine[V]) park(id, last int, popping bool) int {
 	}
 }
 
-// drainAborted settles and finishes every visitor an aborted traversal left
-// queued or parked — all queues, all runner outboxes, every visitor a runner
-// parked on a read — so a storage back end's settle counters return to where
-// the traversal found them on a mount that outlives the query, the
-// Terminator reaches zero, and no parked visitor holds a read's bytes. Wait
-// runs it once the runners have exited, when nothing can deliver into a
-// queue any more. What is drained is what the Terminator still counts (a
-// Start at every queueing site, a Finish for every visitor run), which
-// `-tags invariants` asserts — on completed traversals too, where that count
-// is zero. Every other build walks only an aborted traversal with a settle
-// sink: without one nothing reads the counts, and the resource set's reset,
-// or the collector, drops what is left.
+// drainAborted finishes every visitor an aborted traversal left queued or
+// parked — all queues, all runner outboxes, every visitor a runner parked on
+// a read — so that the Terminator reaches zero and no parked visitor holds a
+// read's block entries, and with them their bytes, past eviction. Wait runs
+// it once the runners have exited, when nothing can deliver into a queue any
+// more. What is drained is what the Terminator still counts (a Start at every
+// queueing site, a Finish for every visitor run), which `-tags invariants`
+// asserts — on completed traversals too, where that count is zero.
 func (e *Engine[V]) drainAborted() {
-	if !invariant.Enabled && (e.settle == nil || !e.aborted.Load()) {
+	if !invariant.Enabled && !e.aborted.Load() {
 		return
 	}
-	drop := func(it pq.Item) {
-		if e.settle != nil {
-			e.settle.VertexSettled(it.V)
-		}
-		e.term.Finish()
-	}
+	n := 0
 	for _, q := range e.queues {
-		for it, ok := q.heap.Pop(); ok; it, ok = q.heap.Pop() {
-			drop(it)
+		for _, ok := q.heap.Pop(); ok; _, ok = q.heap.Pop() {
+			n++
 		}
 	}
 	for _, out := range e.res.outs {
 		for owner, buf := range out.bufs {
-			for _, it := range buf {
-				drop(it)
-			}
+			n += len(buf)
 			out.bufs[owner] = buf[:0]
 		}
 	}
 	for i := range e.res.parked {
-		ps := &e.res.parked[i]
-		for _, g := range ps.groups {
-			for _, it := range g.items {
-				drop(it)
-			}
-			e.leftParked += len(g.items)
-		}
-		ps.reset()
+		e.leftParked += e.res.parked[i].n
+		e.res.parked[i].reset()
+	}
+	for range n + e.leftParked {
+		e.term.Finish()
 	}
 	if invariant.Enabled && e.term.Outstanding() != 0 {
-		invariant.Failf("settle feed: the terminator counts %d visitors queued or parked after Wait's drain", e.term.Outstanding())
+		invariant.Failf("abort drain: the terminator counts %d visitors queued or parked after Wait's drain", e.term.Outstanding())
 	}
 }

@@ -130,7 +130,7 @@ func (k *kernelState[V]) visit(ctx *Ctx[V], it pq.Item) error {
 // propose queues a visitor for t at priority pri unless an equal-or-better
 // one was already claimed: it lowers labels[t] to pri, and only the sender
 // whose compare-and-swap lands pushes. A pruned proposal touches neither the
-// Terminator, the settle sink nor the outbox.
+// Terminator nor the outbox.
 //
 //lint:hotpath
 func (k *kernelState[V]) propose(ctx *Ctx[V], pri uint64, t V, aux uint64) {
@@ -214,22 +214,11 @@ func runKernel[V graph.Vertex](
 	return st, err
 }
 
-// engine wires an engine for the kernel onto res: the settle sink of a back
-// end that wants the visitor lifecycle, on a device delivery after every
-// visit and the read hook of a runner's sweep, and queues that keep one
+// engine wires an engine for the kernel onto res: on a device delivery after
+// every visit and the read hook of a runner's sweep, and queues that keep one
 // visitor per vertex.
 func (k *kernelState[V]) engine(cfg Config, res *engineRes[V]) *Engine[V] {
 	e := newEngine(cfg, k.visit, res)
-	// A storage back end that caches blocks opts in through an optional
-	// capability: a SettleProvider's sink receives the visitor lifecycle,
-	// feeding the per-block settle counters behind the cache's span
-	// shaping. The sink is nil when nothing consumes the
-	// feed, so in-memory and raw-device mounts wire nothing.
-	if sp, ok := k.g.(graph.SettleProvider); ok {
-		if sink := sp.SettleSink(); sink != nil {
-			e.SetSettle(sink)
-		}
-	}
 	// An overtaken visitor will be dropped at visit time; the read hook moves
 	// it behind the rest of its sweep and starts no read for it.
 	if ba, ok := onDevice(k.g); ok {

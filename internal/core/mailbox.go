@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/graph"
 	"repro/internal/invariant"
 	"repro/internal/pq"
 )
@@ -52,10 +51,8 @@ type workQueue struct {
 	// visits counts the visitors run from this queue; only its holder writes.
 	visits uint64
 	// term, set on a merging queue (Engine.mergeVisitors), retires the
-	// visitors a merge drops, with settle when the engine has a sink; merged
-	// counts them, under mu.
+	// visitors a merge drops; merged counts them, under mu.
 	term   *Terminator
-	settle graph.Settler
 	merged uint64
 	// home is the runner a delivery wakes if it is parked: runner i mod R.
 	home *parker
@@ -91,7 +88,7 @@ func (q *workQueue) pushBatch(its []pq.Item) {
 
 // merge queues its on a merging queue, keeping one visitor per vertex
 // (pq.Heap.Merge), and retires each visitor a merge drops as a visit of an
-// overtaken one would: settled and finished. It retires under q.mu, where
+// overtaken one would: finished. It retires under q.mu, where
 // the visitor that stays is still queued, so the Terminator cannot reach
 // zero here. Must hold q.mu.
 //
@@ -102,9 +99,6 @@ func (q *workQueue) merge(its []pq.Item) {
 			continue
 		}
 		q.merged++
-		if q.settle != nil {
-			q.settle.VertexSettled(it.V)
-		}
 		if q.term.Finish() && invariant.Enabled {
 			invariant.Failf("merge: the terminator reached zero at a merge, with vertex %d's visitor queued", it.V)
 		}

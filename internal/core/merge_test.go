@@ -8,29 +8,6 @@ import (
 	"repro/internal/pq"
 )
 
-// settleCounts is a settle sink that counts each vertex's queued and settled
-// visitors.
-type settleCounts struct {
-	mu              sync.Mutex
-	queued, settled map[uint64]int
-}
-
-func newSettleCounts() *settleCounts {
-	return &settleCounts{queued: map[uint64]int{}, settled: map[uint64]int{}}
-}
-
-func (s *settleCounts) VertexQueued(v uint64) {
-	s.mu.Lock()
-	s.queued[v]++
-	s.mu.Unlock()
-}
-
-func (s *settleCounts) VertexSettled(v uint64) {
-	s.mu.Lock()
-	s.settled[v]++
-	s.mu.Unlock()
-}
-
 // within runs a traversal, failing t if it has not terminated within 5 s:
 // a lost Finish is a hang, not a wrong answer. The timer is the verdict of
 // the failing side only.
@@ -65,10 +42,10 @@ func within(t *testing.T, run func() (Stats, error)) Stats {
 //   - "worse": b@7, which meets the queued b@1 and is dropped unrun;
 //   - "better": b@0 with Aux 42, which replaces the queued b@1.
 //
-// Either way the dropped visitor must be retired — finished and settled —
-// so that the traversal terminates once the surviving b has run, b is
-// visited once with the survivor's priority and payload, and Visits +
-// Merged = Pushes + seeds.
+// Either way the dropped visitor must be retired — finished — so that the
+// traversal terminates once the surviving b has run with the Terminator at
+// zero, b is visited once with the survivor's priority and payload, and
+// Visits + Merged = Pushes + seeds.
 func TestLastVisitorMergedTerminates(t *testing.T) {
 	const a, b = 0, 1
 	for name, push := range map[string]pq.Item{
@@ -88,8 +65,6 @@ func TestLastVisitorMergedTerminates(t *testing.T) {
 				return nil
 			}
 			e := New[uint32](Config{Workers: 1}, visit)
-			sink := newSettleCounts()
-			e.SetSettle(sink)
 			e.DeliverEveryVisit()
 			e.mergeVisitors(make([]int32, 2))
 			e.Push(0, a, 0)
@@ -106,10 +81,8 @@ func TestLastVisitorMergedTerminates(t *testing.T) {
 			if st.Visits != 2 || st.Merged != 1 || st.Pushes != 1 {
 				t.Fatalf("visits %d, merged %d, pushes %d; want 2, 1, 1", st.Visits, st.Merged, st.Pushes)
 			}
-			for _, v := range []uint64{a, b} {
-				if sink.queued[v] != sink.settled[v] {
-					t.Errorf("vertex %d: %d visitors queued, %d settled", v, sink.queued[v], sink.settled[v])
-				}
+			if o := e.term.Outstanding(); o != 0 {
+				t.Errorf("the terminator counts %d visitors after Wait", o)
 			}
 		})
 	}

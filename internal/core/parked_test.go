@@ -44,30 +44,6 @@ func (s *failGate) ReadAt(p []byte, off int64) (int, error) {
 
 func (s *failGate) Size() int64 { return int64(len(s.data)) }
 
-// fedGraph is a semi-external graph whose settle feed also passes through a
-// balanceSettler, so the test sees what the cache's pending counts see.
-type fedGraph struct {
-	*sem.Graph[uint32]
-	bal *balanceSettler
-}
-
-func (g *fedGraph) SettleSink() graph.Settler { return forwardSettler{g.bal, g.Graph.SettleSink()} }
-
-type forwardSettler struct {
-	bal   *balanceSettler
-	inner graph.Settler
-}
-
-func (f forwardSettler) VertexQueued(v uint64) {
-	f.bal.VertexQueued(v)
-	f.inner.VertexQueued(v)
-}
-
-func (f forwardSettler) VertexSettled(v uint64) {
-	f.bal.VertexSettled(v)
-	f.inner.VertexSettled(v)
-}
-
 // coreGoroutines counts the goroutines this package started: runners and the
 // context watcher.
 func coreGoroutines() int {
@@ -119,9 +95,9 @@ func heldStar(t *testing.T) (*graph.CSR[uint32], []byte, [2]int64) {
 	return g, buf.Bytes(), hold
 }
 
-// fedMount opens the n bytes of store behind a cache as large as they are,
-// with readahead 1, and feeds it the traversal's state.
-func fedMount(t *testing.T, store sem.Store, n int) (*sem.Graph[uint32], *sem.CachedStore) {
+// cachedMount opens the n bytes of store behind a cache as large as they
+// are, with readahead 1.
+func cachedMount(t *testing.T, store sem.Store, n int) (*sem.Graph[uint32], *sem.CachedStore) {
 	t.Helper()
 	cache, err := sem.NewCachedStore(store, 4096, int64(n))
 	if err != nil {
@@ -130,9 +106,6 @@ func fedMount(t *testing.T, store sem.Store, n int) (*sem.Graph[uint32], *sem.Ca
 	sg, err := sem.Open[uint32](cache)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sg.EnableStateCache() {
-		t.Fatal("EnableStateCache refused a cached mount")
 	}
 	return sg, cache
 }
@@ -164,8 +137,10 @@ func runnersAsleep() int {
 // TestNoVisitorLeftParked aborts a traversal while visitors sit parked on a
 // read the gate holds (heldStar): once by cancelling its context, once by
 // failing that read. Either way Wait must return the abort's cause with the
-// Terminator at zero, every queued visitor settled in the feed, and no
-// goroutine of the engine left; once the read is over, nothing is in flight.
+// Terminator at zero, the visitors still parked drained — all sixteen when
+// the context is cancelled, since the read never landed — no runner holding
+// a parked read, and no goroutine of the engine left; once the read is over,
+// nothing is in flight.
 func TestNoVisitorLeftParked(t *testing.T) {
 	for name, fail := range map[string]bool{"context cancelled": false, "fetch failed": true} {
 		t.Run(name, func(t *testing.T) { noVisitorLeftParked(t, fail) })
@@ -175,8 +150,7 @@ func TestNoVisitorLeftParked(t *testing.T) {
 func noVisitorLeftParked(t *testing.T, fail bool) {
 	g, data, hold := heldStar(t)
 	store := &failGate{data: data, hold: hold, armed: true, entered: make(chan struct{}), release: make(chan error)}
-	sg, cache := fedMount(t, store, len(data))
-	fg := &fedGraph{Graph: sg, bal: &balanceSettler{open: make(map[uint64]int)}}
+	sg, cache := cachedMount(t, store, len(data))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -185,7 +159,7 @@ func noVisitorLeftParked(t *testing.T, fail bool) {
 	labels := make([]graph.Dist, g.NumVertices())
 	initLabels[uint32](labels, nil)
 	src := uint32(0)
-	k := newKernelState[uint32](fg, labels, nil, ssspStep, &src)
+	k := newKernelState[uint32](sg, labels, nil, ssspStep, &src)
 	e := k.engine(cfg, newEngineRes[uint32](cfg))
 	before := runtime.NumGoroutine()
 	e.Start()
@@ -209,9 +183,12 @@ func noVisitorLeftParked(t *testing.T, fail bool) {
 	if o := e.term.Outstanding(); o != 0 {
 		t.Errorf("the terminator counts %d visitors after Wait", o)
 	}
-	for v, open := range fg.bal.open {
-		if open != 0 {
-			t.Errorf("vertex %d: %d visitors queued and never settled", v, open)
+	if fail && e.leftParked > 16 || !fail && e.leftParked != 16 {
+		t.Errorf("Wait drained %d parked visitors; sixteen were parked on the held read", e.leftParked)
+	}
+	for i := range e.res.parked {
+		if ps := &e.res.parked[i]; ps.n != 0 || len(ps.groups) != 0 {
+			t.Errorf("runner %d still holds %d visitors parked on %d reads after Wait", i, ps.n, len(ps.groups))
 		}
 	}
 	if !fail {
@@ -232,7 +209,7 @@ func TestParkedRunnersStartNoGoroutines(t *testing.T) {
 	g, data, hold := heldStar(t)
 	store := &holdGate{data: data, hold: hold, entered: make(chan struct{}), release: make(chan struct{})}
 	store.armed.Store(true)
-	sg, cache := fedMount(t, store, len(data))
+	sg, cache := cachedMount(t, store, len(data))
 	cfg := Config{Workers: 128}
 	cfg.normalize()
 	labels := make([]graph.Dist, g.NumVertices())
@@ -281,7 +258,7 @@ func TestLandingPostedToRecycledRunner(t *testing.T) {
 	g, data, hold := heldStar(t)
 	store := &holdGate{data: data, hold: hold, entered: make(chan struct{}), release: make(chan struct{})}
 	store.armed.Store(true)
-	sg, cache := fedMount(t, store, len(data))
+	sg, cache := cachedMount(t, store, len(data))
 	pool := NewEnginePool[uint32](Config{Workers: 128})
 
 	ctx, cancel := context.WithCancel(context.Background())

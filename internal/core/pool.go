@@ -91,7 +91,7 @@ func (r *engineRes[V]) reset() {
 		q.heap.Index(nil) // the slot array was the finished traversal's
 		q.publish()
 		q.mu.Unlock()
-		q.visits, q.merged, q.term, q.settle = 0, 0, nil, nil
+		q.visits, q.merged, q.term = 0, 0, nil
 	}
 	for _, s := range r.scratch {
 		s.Read = nil

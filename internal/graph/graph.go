@@ -104,28 +104,6 @@ type BatchAdjacency[V Vertex] interface {
 // Completions is the sink of BatchAdjacency.Request's landings.
 type Completions interface{ Landed(wait <-chan struct{}) }
 
-// Settler is implemented by storage back ends that want traversal-state
-// notifications from the engine: VertexQueued fires when a visitor for v
-// enters the engine (push), VertexSettled when that visitor leaves it
-// (visited, dropped stale, or drained after an abort). The semi-external back
-// end feeds these into its block cache, where a miss extends its read through
-// the following blocks that hold queued work.
-// Calls arrive concurrently from every worker; implementations must be atomic
-// and cheap. The engine guarantees queued/settled arrive pairwise per visitor
-// by the time Wait returns, on completed and aborted traversals alike.
-type Settler interface {
-	VertexQueued(v uint64)
-	VertexSettled(v uint64)
-}
-
-// SettleProvider is the discovery side of Settler: back ends expose it
-// unconditionally and return a nil sink when nothing consumes the feed, so
-// the engine wires the per-push notification calls only on mounts that will
-// actually use them — an in-memory or raw-device mount pays nothing.
-type SettleProvider interface {
-	SettleSink() Settler
-}
-
 // CSR is an immutable in-memory compressed sparse row graph.
 type CSR[V Vertex] struct {
 	offsets []uint64 // len n+1; edge span of v is [offsets[v], offsets[v+1])

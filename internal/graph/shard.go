@@ -234,47 +234,6 @@ func (s *Sharded[V]) Request(vs []V, reads []any, waits []<-chan struct{}, to Co
 	return full
 }
 
-// shardSettler routes settle notifications to each vertex's owning member's
-// sink, under the member's row id; members without an active state policy
-// have a nil slot and their vertices' events are dropped (nothing would
-// consume them).
-type shardSettler struct {
-	sinks []Settler
-}
-
-//lint:hotpath
-func (s *shardSettler) VertexQueued(v uint64) {
-	if sink := s.sinks[ShardOf(v, len(s.sinks))]; sink != nil {
-		sink.VertexQueued(v / uint64(len(s.sinks)))
-	}
-}
-
-//lint:hotpath
-func (s *shardSettler) VertexSettled(v uint64) {
-	if sink := s.sinks[ShardOf(v, len(s.sinks))]; sink != nil {
-		sink.VertexSettled(v / uint64(len(s.sinks)))
-	}
-}
-
-// SettleSink implements SettleProvider by composing the members' sinks into
-// one shardSettler. Nil — no engine notification overhead — unless at least
-// one member is actively consuming settle events.
-func (s *Sharded[V]) SettleSink() Settler {
-	sinks := make([]Settler, len(s.members))
-	any := false
-	for i, m := range s.members {
-		if sp, ok := m.(SettleProvider); ok {
-			if sinks[i] = sp.SettleSink(); sinks[i] != nil {
-				any = true
-			}
-		}
-	}
-	if !any {
-		return nil
-	}
-	return &shardSettler{sinks: sinks}
-}
-
 // HasInEdges reports whether every member can serve reverse adjacency, the
 // router's dynamic side of the InAdjacency capability: shard writers store a
 // vertex's in-edges on its owning member (the transpose is partitioned by
@@ -365,5 +324,4 @@ func (s *Sharded[V]) ScanInEdges(lo, hi V, need func(V) bool, visit func(v V, in
 var (
 	_ BatchAdjacency[uint32] = (*Sharded[uint32])(nil)
 	_ InScanner[uint32]      = (*Sharded[uint32])(nil)
-	_ SettleProvider         = (*Sharded[uint32])(nil)
 )

@@ -15,16 +15,13 @@ type IO struct {
 	// Shards holds each member store's own counters in shard order: one
 	// entry for a plain semi-external file, none in memory.
 	Shards []ShardIO
-	// Cached reports a block cache in front of every device; the four fields
-	// after it are zero without one. CacheHits and CacheMisses count block
-	// lookups, Cache the miss path (waits on blocks under I/O, blocks
-	// fetched, evictions, blocks held beyond the budget), and PinnedHW is the
-	// most blocks holding queued visitors at once on any one shard: nonzero
-	// exactly when the traversal fed the cache its state.
+	// Cached reports a block cache in front of every device; the three
+	// fields after it are zero without one. CacheHits and CacheMisses count
+	// block lookups, and Cache the miss path (waits on blocks under I/O,
+	// blocks fetched, evictions, blocks held beyond the budget).
 	Cached                 bool
 	CacheHits, CacheMisses uint64
 	Cache                  sem.CacheIOStats
-	PinnedHW               int64
 	// Prefetch is the sweep pipeline's span-coalescing and in-edge scan
 	// counters: the asynchronous kernel's sweeps on the raw device, the BFS
 	// driver's on every semi-external mount. Zero on a mount that merged no
@@ -74,7 +71,6 @@ func (m *Mounted) IO() IO {
 		io.CacheHits += sh.CacheHits
 		io.CacheMisses += sh.CacheMisses
 		io.Cache.Add(c.IOStats())
-		io.PinnedHW = max(io.PinnedHW, c.PinnedHW())
 	}
 	for _, sg := range m.Graphs {
 		io.Prefetch.Add(sg.PrefetchStats())

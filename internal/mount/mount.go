@@ -6,8 +6,8 @@
 // derives the engine configuration that matches it.
 // cmd/traverse, cmd/serve, cmd/bench, the harness and the examples all mount
 // through here, so the default recipe (4 KiB blocks, half the file, readahead
-// 8), the choice of read path from whether a cache is mounted (behind the
-// cache the traversal's state widens each miss and the asynchronous kernel
+// 32), the choice of read path from whether a cache is mounted (behind the
+// cache each miss reads its readahead window and the asynchronous kernel
 // pops one visitor at a time; on the raw device it pops sweeps; either way
 // the BFS driver requests its frontier in sweeps and its scans double-
 // buffer, and every range becomes a block request that shares reads in
@@ -41,7 +41,11 @@ import (
 const (
 	blockSize = 4096
 	cacheFrac = 2
-	readahead = 8
+	// readahead is what a miss reads, 128 KiB (the table caps it at half its
+	// budget): the span cold traversals reached when a count of queued
+	// visitors per block still extended each miss, and that count bought
+	// nothing over it (EXPERIMENTS.md "The settle feed goes").
+	readahead = 32
 	// rawWindow visitors make one sweep on a raw-device mount
 	// (Config.Prefetch), their reads coalesced across sem.DefaultPrefetchGap,
 	// and a runner keeps up to rawWindow visitors a queue parked. 16 popped
@@ -215,7 +219,7 @@ func inSections(backings []ssd.Backing) bool {
 }
 
 // semStack is the semi-external half, one simulated device per backing: the
-// cache fed by the graph it serves, or the raw device under the zero-budget
+// block cache under the graph it serves, or the raw device under the zero-budget
 // table sem.Open puts there with its prefetcher enabled; then the shard
 // router.
 func semStack(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, error) {
@@ -238,8 +242,6 @@ func semStack(backings []ssd.Backing, sharded bool, opt Options) (*Mounted, erro
 		}
 		if opt.NoCache {
 			m.Graphs[i].EnablePrefetch(sem.PrefetchConfig{MaxGap: sem.DefaultPrefetchGap})
-		} else {
-			m.Graphs[i].EnableStateCache()
 		}
 	}
 	m.Adj = m.Graphs[0]

@@ -37,12 +37,11 @@ type Heap struct {
 // Note on cache-affine ordering: an earlier revision let semi-external mounts
 // install a residency probe here as a tiebreak between the priority and the
 // semi-sort key, so pop-windows would drain cache-resident work first.
-// Measured on RMAT under the state-aware cache policy it raised device
-// reads 30-65%: the semi-sort key exists to make each window's extents
-// contiguous on storage, and any ordering layered above it fragments the
-// coalesced spans the prefetcher forms. Window membership must stay purely
-// priority + id ordered; cache affinity is applied on the cache side instead
-// (pending-run span extension).
+// Measured on RMAT behind the block cache it raised device reads 30-65%: the
+// semi-sort key exists to make each window's extents contiguous on storage,
+// and any ordering layered above it fragments the coalesced spans the
+// prefetcher forms. Window membership must stay purely priority + id
+// ordered; cache affinity is the cache's own (its readahead span).
 
 // New returns an empty heap. When semiSort is true, ties on Pri are broken by
 // ascending V.

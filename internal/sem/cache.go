@@ -28,7 +28,7 @@ type CachedStore struct {
 	blockSize int64
 	size      int64 // backing size, for tail-block clamping
 	maxBlock  int64 // number of device blocks
-	readahead int   // blocks fetched per miss (>= 1)
+	readahead int   // blocks fetched per miss: >= 1, at most capBlocks/2 on a budgeted table
 	capBlocks int64 // total block budget across shards; 0 keeps nothing
 	shards    []cacheShard
 	io        chan struct{} // bounds the asynchronous block fetches (request)
@@ -36,12 +36,6 @@ type CachedStore struct {
 	// those on the I/O pool, those queued for a slot on it, and the exact
 	// reads (requestExact).
 	async atomic.Int64
-
-	// pending counts the queued visitors per block. Only span shaping reads
-	// it (ahead); only a graph mounted with EnableStateCache writes it, and
-	// while it is all zero every miss fetches the plain readahead span.
-	// Eviction is recency order whatever it holds.
-	pending pendingBlocks
 
 	hits   atomic.Uint64
 	misses atomic.Uint64 // one per fetch: every miss is one device operation
@@ -81,12 +75,21 @@ type cacheEntry struct {
 }
 
 // flight is one fetch, shared by its blocks' entries: ready is closed once
-// their data and err are set, and land posts it to subs (heldRead.pending).
+// their data and err are set, and land posts it to subs (heldRead.pending),
+// whose first slot is inline: a fetch one runner waits on allocates nothing
+// for it.
 type flight struct {
 	ready chan struct{}
 	done  atomic.Bool
 	mu    sync.Mutex
 	subs  []graph.Completions
+	sub   [1]graph.Completions
+}
+
+// init readies f, a new fetch, and returns it.
+func (f *flight) init() *flight {
+	f.ready, f.subs = make(chan struct{}), f.sub[:0]
+	return f
 }
 
 // land completes the fetch, filled or failed.
@@ -114,10 +117,12 @@ func NewCachedStore(inner Store, blockSize int, capacityBytes int64) (*CachedSto
 // miss in a single device operation, the way the OS page cache's readahead
 // turns the semi-sorted edge sweep into large sequential transfers. One
 // operation's latency is charged regardless of span; the extra bytes pay only
-// the device's bandwidth term, matching sequential-transfer behaviour.
-// capacityBytes bounds the filled blocks; blocks under I/O are extra, at most
-// concurrent misses x 4*readahead of them (see IOStats.InflightHW). A budget
-// of zero keeps no block at all.
+// the device's bandwidth term, matching sequential-transfer behaviour. A
+// budgeted table reads at most half its budget per miss: a span the size of
+// the budget flushes exactly the residency it is building (measured as a
+// ~10-20% read regression). capacityBytes bounds the filled blocks; blocks
+// under I/O are extra, at most concurrent misses x readahead of them (see
+// IOStats.InflightHW). A budget of zero keeps no block at all.
 func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead int) (*CachedStore, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("sem: block size must be positive, got %d", blockSize)
@@ -158,8 +163,8 @@ func newCachedStore(inner Store, blockSize, capacityBytes, size int64, readahead
 		shards:    make([]cacheShard, numShards),
 		io:        make(chan struct{}, pool),
 	}
-	if c.capBlocks > 0 { // nothing steers a table that keeps nothing
-		c.pending.count = make([]atomic.Int32, c.maxBlock)
+	if c.capBlocks > 0 {
+		c.readahead = int(min(int64(c.readahead), max(c.capBlocks/2, 1)))
 	}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
@@ -171,10 +176,6 @@ func newCachedStore(inner Store, blockSize, capacityBytes, size int64, readahead
 	}
 	return c
 }
-
-// PinnedHW reports the high-water mark of blocks holding queued visitors at
-// once (0 on a cache nobody feeds).
-func (c *CachedStore) PinnedHW() int64 { return c.pending.pinnedHW.Load() }
 
 // Stats reports cache hits and misses (block granularity). A read that waited
 // on a block another reader was fetching counts as a hit; IOStats splits those
@@ -257,7 +258,7 @@ func (c *CachedStore) claim(held []*cacheEntry, lo, hi int64) (_, owned []*cache
 			waits++
 		} else {
 			if f == nil {
-				f = &flight{ready: make(chan struct{})}
+				f = new(flight).init()
 			}
 			e = c.reserveLocked(sh, id, f)
 			owned = append(owned, e)
@@ -283,26 +284,15 @@ func (c *CachedStore) reserveLocked(sh *cacheShard, id int64, f *flight) *cacheE
 	}
 }
 
-// ahead extends a fetch past the blocks it owns. Each miss fetches up to
-// `readahead` consecutive blocks; span shaping then extends the window through
-// the contiguous run of blocks with pending visitors. Those blocks are
-// guaranteed future reads — the settle counters say queued work targets them
-// — so fetching them now converts their upcoming miss operations into hits for
-// only the bandwidth term of this one operation. The extension is capped at 4x
-// the readahead and at half of the cache's block budget: an uncapped span can
-// fill the entire cache from one miss and flush exactly the residency it is
-// trying to build (measured as a ~10-20% read regression when the span reaches
-// the whole budget). Blocks past the pending run are never fetched beyond the
-// readahead window, so a cold start, a settled region, an unfed cache or a
-// zero-budget table reads exactly what was asked. A block already cached or
-// under I/O stays its holder's.
+// ahead extends a fetch past the blocks it owns to the miss's readahead
+// window, [lo, lo+readahead): the blocks after a miss are the ones the
+// semi-sorted sweep reads next, and fetching them now turns their misses into
+// hits for only the bandwidth term of this one operation. The zero-budget
+// table Open puts under a raw store has a readahead of one block, so it reads
+// exactly what was asked. A block already cached or under I/O stays its
+// holder's.
 func (c *CachedStore) ahead(owned []*cacheEntry) []*cacheEntry {
-	lo := owned[0].id
-	hi := min(lo+int64(c.readahead), c.maxBlock)
-	limit := min(lo+min(4*int64(c.readahead), c.capBlocks/2), c.maxBlock)
-	for hi < limit && c.pending.has(hi) {
-		hi++
-	}
+	hi := min(owned[0].id+int64(c.readahead), c.maxBlock)
 	for id := owned[len(owned)-1].id + 1; id < hi; id++ {
 		sh := c.shard(id)
 		sh.mu.Lock()
@@ -416,7 +406,12 @@ func (c *CachedStore) request(held []*cacheEntry, lo, hi int64) (_ []*cacheEntry
 // slice's reads before requesting the next, at most Workers×ioFanout in
 // flight (core.dirWorker.topDown).
 func (c *CachedStore) requestExact(off int64, n int) *cacheEntry {
-	e := &cacheEntry{id: -1, data: make([]byte, n), flight: &flight{ready: make(chan struct{})}}
+	both := &struct { // one allocation: the entry lives exactly as long as its fetch
+		e cacheEntry
+		f flight
+	}{e: cacheEntry{id: -1, data: make([]byte, n)}}
+	both.e.flight = both.f.init()
+	e := &both.e
 	c.async.Add(1)
 	go func() {
 		e.err = c.fetch(e.data, off, nil)

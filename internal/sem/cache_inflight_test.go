@@ -148,17 +148,12 @@ func (c *CachedStore) residentRange(off int64, n int) bool {
 	return true
 }
 
-// inflightPolicies runs a test on an unfed cache and with every block pinned,
-// where each miss's span runs on through the pending blocks after it.
-func inflightPolicies(t *testing.T, test func(t *testing.T, pinAll func(*CachedStore))) {
-	t.Run("lru", func(t *testing.T) { test(t, func(*CachedStore) {}) })
-	t.Run("state-all-pinned", func(t *testing.T) {
-		test(t, func(c *CachedStore) {
-			for b := int64(0); b < c.maxBlock; b++ {
-				c.pending.queued(b)
-			}
-		})
-	})
+// inflightSpans runs a test at its own readahead (widen 1) and at four times
+// it (widen 4), which the table clamps to half its budget: each miss's span
+// then runs on through the blocks after it.
+func inflightSpans(t *testing.T, test func(t *testing.T, widen int)) {
+	t.Run("lru", func(t *testing.T) { test(t, 1) })
+	t.Run("wide-span", func(t *testing.T) { test(t, 4) })
 }
 
 // TestInflightBlocksAreNeverVictims misses more distinct blocks at once than
@@ -167,14 +162,13 @@ func inflightPolicies(t *testing.T, test func(t *testing.T, pinAll func(*CachedS
 // the in-flight table and wait, not read it again), and once the reads land
 // the cache holds no more than its budget.
 func TestInflightBlocksAreNeverVictims(t *testing.T) {
-	inflightPolicies(t, func(t *testing.T, pinAll func(*CachedStore)) {
+	inflightSpans(t, func(t *testing.T, widen int) {
 		const blocks, capBlocks = 16, 4
 		dev := newGatedStore(blocks, 0)
-		c, err := NewCachedStore(dev, gatedBlock, capBlocks*gatedBlock)
+		c, err := NewCachedStoreRA(dev, gatedBlock, capBlocks*gatedBlock, widen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pinAll(c)
 		var wg sync.WaitGroup
 		read := func(b int) {
 			defer wg.Done()
@@ -187,7 +181,7 @@ func TestInflightBlocksAreNeverVictims(t *testing.T) {
 			}
 		}
 		// Every reader of a wave ends up inside the device or waiting on a
-		// block that is (the state policy's span covers two blocks here).
+		// block that is (the wide span covers two blocks here).
 		settled := func(readers int) func() bool {
 			return func() bool {
 				entered, _ := dev.counts()
@@ -248,20 +242,19 @@ func TestInflightBlocksAreNeverVictims(t *testing.T) {
 // fill they push out nothing, and the second pass reads only the blocks the
 // budget never had room for.
 func TestBlocksUnderIODoNotFlushTheCache(t *testing.T) {
-	inflightPolicies(t, func(t *testing.T, pinAll func(*CachedStore)) {
+	inflightSpans(t, func(t *testing.T, widen int) {
 		const (
 			capBlocks, readahead = 32, 8
 			ids                  = capBlocks + readahead
 			coldFrom, workers    = 64, 16
-			coldStride           = 4 * readahead // the widest span a policy shapes
+			coldStride           = 4 * readahead // wider than the widest span
 			blocks               = coldFrom + workers*coldStride
 		)
 		dev := newGatedStore(blocks, coldFrom*gatedBlock)
-		c, err := NewCachedStoreRA(dev, gatedBlock, capBlocks*gatedBlock, readahead)
+		c, err := NewCachedStoreRA(dev, gatedBlock, capBlocks*gatedBlock, widen*readahead)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pinAll(c)
 		buf := make([]byte, 8)
 		for b := int64(0); b < ids; b++ {
 			if _, err := c.ReadAt(buf, b*gatedBlock); err != nil {

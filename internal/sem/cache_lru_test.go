@@ -19,11 +19,11 @@ func (s *spanLog) ReadAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// refLRU is the reference the cache is held to when nobody feeds it: per
-// shard (block id modulo the shard count) a recency list of at most capacity
-// blocks; a miss reads from the missed block through the last absent block of
-// the readahead window in one operation and installs the absent ones in
-// order, each evicting its shard's least recently used block.
+// refLRU is the reference the cache is held to: per shard (block id modulo
+// the shard count) a recency list of at most capacity blocks; a miss reads
+// from the missed block through the last absent block of the readahead window
+// in one operation and installs the absent ones in order, each evicting its
+// shard's least recently used block.
 type refLRU struct {
 	shards    [][]int64 // most recent first
 	capacity  int
@@ -52,10 +52,12 @@ func (r *refLRU) read(id int64) (hit bool, lo, hi int64) {
 	return false, id, absent[len(absent)-1] + 1
 }
 
-// TestUnfedCacheIsExactLRU drives a cache nobody feeds — the mount the
-// repository benchmark builds by hand — with random reads and holds it, read
-// by read, to the reference: the same hit/miss verdict and the same device
-// spans, across single- and multi-shard budgets and readahead widths.
+// TestUnfedCacheIsExactLRU drives a cache — the kind the repository
+// benchmark builds by hand, and every cached mount — with random reads and
+// holds it, read by read, to the reference: the same hit/miss verdict and the
+// same device spans, across single- and multi-shard budgets and readahead
+// widths, one of them past half the budget, where the window is half the
+// budget.
 func TestUnfedCacheIsExactLRU(t *testing.T) {
 	const block = 512
 	for _, tc := range []struct {
@@ -65,6 +67,7 @@ func TestUnfedCacheIsExactLRU(t *testing.T) {
 	}{
 		{100, 8, 1},    // one shard, no readahead
 		{100, 8, 4},    // one shard, readahead half the budget
+		{100, 8, 8},    // one shard, readahead the whole budget: a window of 4
 		{300, 40, 8},   // one shard at the mount's readahead
 		{300, 64, 8},   // two shards
 		{600, 200, 3},  // six shards
@@ -78,7 +81,7 @@ func TestUnfedCacheIsExactLRU(t *testing.T) {
 		ref := &refLRU{
 			shards:    make([][]int64, len(c.shards)),
 			capacity:  c.shards[0].capacity,
-			readahead: int64(tc.readahead),
+			readahead: min(int64(tc.readahead), tc.capBlocks/2),
 			maxBlock:  c.maxBlock,
 		}
 		rng := rand.New(rand.NewSource(tc.blocks + tc.capBlocks))
@@ -113,8 +116,39 @@ func TestUnfedCacheIsExactLRU(t *testing.T) {
 		if !slices.Equal(dev.spans, wantSpans) {
 			t.Errorf("%+v: %d device spans differ from the reference LRU's %d", tc, len(dev.spans), len(wantSpans))
 		}
-		if c.PinnedHW() != 0 {
-			t.Errorf("%+v: an unfed cache pinned %d blocks", tc, c.PinnedHW())
+	}
+}
+
+// TestMissReadsItsReadahead pins the read rule: a cold miss is one device
+// operation of min(readahead, capBlocks/2) blocks on a budgeted table, and of
+// its readahead on a table that keeps nothing. The first row is the
+// repository benchmark's hand-built cache (readahead 8 at half of a 128-block
+// file), which the clamp must leave at 8; the second the mount's readahead on
+// the same file.
+func TestMissReadsItsReadahead(t *testing.T) {
+	const block = 4096
+	for _, tc := range []struct {
+		capBlocks int64
+		readahead int
+		want      int64 // blocks the miss reads
+	}{
+		{64, 8, 8},
+		{64, 32, 32},
+		{64, 64, 32},
+		{8, 32, 4},
+		{2, 8, 1},
+		{0, 1, 1},
+	} {
+		dev := &spanLog{size: 128 * block}
+		c, err := NewCachedStoreRA(dev, block, tc.capBlocks*block, tc.readahead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReadAt(make([]byte, 8), 16*block+100); err != nil {
+			t.Fatal(err)
+		}
+		if want := [][2]int64{{16 * block, tc.want * block}}; !slices.Equal(dev.spans, want) {
+			t.Errorf("%+v: a miss read %v (offset, bytes), want %v", tc, dev.spans, want)
 		}
 	}
 }

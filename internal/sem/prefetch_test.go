@@ -585,3 +585,77 @@ func fetchPostsItsLanding(t *testing.T, fail bool) {
 		t.Fatalf("Neighbors(%d) after the fetch: %v", v, err)
 	}
 }
+
+// stepStore serves data, and once armed lets each read through only when
+// the test sends on step.
+type stepStore struct {
+	data  []byte
+	armed bool // set before any read can race it
+	step  chan struct{}
+}
+
+func (s *stepStore) ReadAt(p []byte, off int64) (int, error) {
+	if s.armed {
+		<-s.step
+	}
+	return bytes.NewReader(s.data).ReadAt(p, off)
+}
+
+func (s *stepStore) Size() int64 { return int64(len(s.data)) }
+
+// landingSink is a runner's completion sink reduced to a channel.
+type landingSink chan (<-chan struct{})
+
+func (l landingSink) Landed(wait <-chan struct{}) { l <- wait }
+
+// TestParkedFetchAllocs counts what one parked read allocates from its
+// Request to its landing and decode: an exact read (a graph without a
+// prefetcher over a bare store) and a block request (the raw mount's
+// zero-budget table with the prefetcher on). The fetch is held until the
+// reader has subscribed, so each run parks. An exact read allocates its
+// entry and flight together, its ready channel, its bytes and its fetch's
+// goroutine; a block request its entry, its flight, its ready channel, the
+// owned list it hands the fetch, the fetch's goroutine and its span buffer.
+// A fetch's first subscriber allocates nothing.
+func TestParkedFetchAllocs(t *testing.T) {
+	g := buildGraph(t, 400, 3200, false, 71)
+	data := writeToMem(t, g).Data
+	for _, tc := range []struct {
+		name     string
+		prefetch bool
+		want     float64
+	}{
+		{"exact read", false, 4},
+		{"block request", true, 6},
+	} {
+		store := &stepStore{data: data, step: make(chan struct{})}
+		sg, err := Open[uint32](store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.prefetch {
+			sg.EnablePrefetch(PrefetchConfig{})
+		}
+		store.armed = true
+		scratch, to := &graph.Scratch[uint32]{}, make(landingSink, 1)
+		vs, reads, waits := []uint32{200}, make([]any, 1), make([]<-chan struct{}, 1)
+		park := func() {
+			sg.Request(vs, reads, waits, to, scratch)
+			if waits[0] == nil {
+				t.Fatal("the read landed before its fetch was let through")
+			}
+			store.step <- struct{}{}
+			if posted := <-to; posted != waits[0] {
+				t.Fatalf("posted %v, want the parked read's wait %v", posted, waits[0])
+			}
+			scratch.Read = reads[0]
+			if _, _, err := sg.Neighbors(vs[0], scratch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		park() // warm: the read, the session and the decode buffers
+		if allocs := testing.AllocsPerRun(100, park); allocs > tc.want {
+			t.Errorf("%s: a parked fetch allocates %.1f times, want at most %.0f", tc.name, allocs, tc.want)
+		}
+	}
+}

@@ -111,11 +111,6 @@ type Graph[V graph.Vertex] struct {
 	// requests on the table (see prefetch.go). Nil means Request reads each
 	// extent alone and a Neighbors call without a Request reads on its own.
 	prefetch *Prefetcher
-
-	// cache, set by EnableStateCache when the store is a CachedStore,
-	// receives the engine's settle notifications mapped to block ids (see
-	// state.go). Nil means nobody feeds the cache.
-	cache *CachedStore
 }
 
 // section is one adjacency section of a file: a RAM-resident index over

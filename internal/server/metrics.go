@@ -210,11 +210,11 @@ func storageVars(gv map[string]any, io mount.IO) {
 	gv["device"] = deviceVars(io.Device)
 	if io.Cached {
 		// inflight_waits are the hits that found their block still under I/O;
-		// inflight_hw is blocks held beyond the budget; pinned_hw is the most
-		// blocks holding queued visitors at once (0: the cache is not fed).
+		// blocks_fetched over misses is the mean span; inflight_hw is blocks
+		// held beyond the budget.
 		gv["block_cache"] = map[string]any{"hits": io.CacheHits, "misses": io.CacheMisses,
 			"inflight_waits": io.Cache.Waits, "blocks_fetched": io.Cache.Blocks,
-			"evictions": io.Cache.Evictions, "inflight_hw": io.Cache.InflightHW, "pinned_hw": io.PinnedHW}
+			"evictions": io.Cache.Evictions, "inflight_hw": io.Cache.InflightHW}
 	}
 	if len(io.Shards) > 1 {
 		// Per-shard counters make the fan-out visible: a healthy sharded

@@ -184,7 +184,7 @@ func TestMetricsGraphKeys(t *testing.T) {
 		}
 	}
 	const deviceKeys = "bytes_read bytes_written max_read_bytes peak_reads reads writes"
-	const cacheKeys = "blocks_fetched evictions hits inflight_hw inflight_waits misses pinned_hw"
+	const cacheKeys = "blocks_fetched evictions hits inflight_hw inflight_waits misses"
 	for _, name := range []string{"sem", "sharded"} {
 		gv := graphs[name].(map[string]any)
 		if got := keys(gv["device"]); got != deviceKeys {
@@ -193,8 +193,10 @@ func TestMetricsGraphKeys(t *testing.T) {
 		if got := keys(gv["block_cache"]); got != cacheKeys {
 			t.Errorf("graphs.%s.block_cache keys = %q, want %q", name, got, cacheKeys)
 		}
-		if hw := gv["block_cache"].(map[string]any)["pinned_hw"].(float64); hw <= 0 {
-			t.Errorf("graphs.%s.block_cache.pinned_hw = %v: the mount did not feed its cache", name, hw)
+		// A graph this small leaves the cache a budget of one block, so a
+		// miss reads one: TestCacheRecipe in internal/mount pins the span.
+		if bc := gv["block_cache"].(map[string]any); bc["misses"].(float64) <= 0 || bc["blocks_fetched"].(float64) < bc["misses"].(float64) {
+			t.Errorf("graphs.%s.block_cache = %v: the queries did not read through the cache", name, bc)
 		}
 	}
 	sh := graphs["sharded"].(map[string]any)

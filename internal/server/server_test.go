@@ -607,8 +607,8 @@ func TestConcurrentQueriesShardedSEM(t *testing.T) {
 	if bc["blocks_fetched"].(float64) < bc["misses"].(float64) || bc["inflight_hw"].(float64) < 1 {
 		t.Fatalf("block_cache miss-path counters = %v", bc)
 	}
-	if _, ok := bc["pinned_hw"]; !ok || len(bc) != 7 {
-		t.Fatalf("block_cache = %v, want the six cache counters and pinned_hw", bc)
+	if len(bc) != 6 {
+		t.Fatalf("block_cache = %v, want the six cache counters", bc)
 	}
 }
 
