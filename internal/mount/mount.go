@@ -43,8 +43,9 @@ const (
 	cacheFrac = 2
 	// readahead is what a miss reads, 128 KiB (the table caps it at half its
 	// budget): the span cold traversals reached when a count of queued
-	// visitors per block still extended each miss, and that count bought
-	// nothing over it (EXPERIMENTS.md "The settle feed goes").
+	// visitors per block still extended each miss. Read plainly, it took
+	// fewer device operations than the count on every cold cell measured
+	// (EXPERIMENTS.md "The settle feed goes").
 	readahead = 32
 	// rawWindow visitors make one sweep on a raw-device mount
 	// (Config.Prefetch), their reads coalesced across sem.DefaultPrefetchGap,
