@@ -713,37 +713,34 @@ func (e *Engine[V]) park(id, last int, popping bool) int {
 	}
 }
 
-// drainAborted finishes every visitor an aborted traversal left queued or
-// parked — all queues, all runner outboxes, every visitor a runner parked on
-// a read — so that the Terminator reaches zero and no parked visitor holds a
-// read's block entries, and with them their bytes, past eviction. Wait runs
-// it once the runners have exited, when nothing can deliver into a queue any
-// more. What is drained is what the Terminator still counts (a Start at every
-// queueing site, a Finish for every visitor run), which `-tags invariants`
-// asserts — on completed traversals too, where that count is zero.
+// drainAborted accounts for every visitor an aborted traversal left queued
+// or parked — all queues, all runner outboxes, every visitor a runner parked
+// on a read — so that the Terminator reaches zero, and drops the parked
+// visitors, so that none holds a read's block entries, and with them their
+// bytes, past eviction. The queues and outboxes keep their visitors: the
+// pool's reset, or the collector, discards them. Wait runs it once the
+// runners have exited, when nothing can deliver into a queue any more. What
+// is counted is what the Terminator still counts (a Start at every queueing
+// site, a Finish for every visitor run), which `-tags invariants` asserts —
+// on completed traversals too, where that count is zero.
 func (e *Engine[V]) drainAborted() {
 	if !invariant.Enabled && !e.aborted.Load() {
 		return
 	}
 	n := 0
 	for _, q := range e.queues {
-		for _, ok := q.heap.Pop(); ok; _, ok = q.heap.Pop() {
-			n++
-		}
+		n += q.heap.Len()
 	}
 	for _, out := range e.res.outs {
-		for owner, buf := range out.bufs {
+		for _, buf := range out.bufs {
 			n += len(buf)
-			out.bufs[owner] = buf[:0]
 		}
 	}
 	for i := range e.res.parked {
 		e.leftParked += e.res.parked[i].n
 		e.res.parked[i].reset()
 	}
-	for range n + e.leftParked {
-		e.term.Finish()
-	}
+	e.term.outstanding.Add(-int64(n + e.leftParked)) // one Finish each
 	if invariant.Enabled && e.term.Outstanding() != 0 {
 		invariant.Failf("abort drain: the terminator counts %d visitors queued or parked after Wait's drain", e.term.Outstanding())
 	}

@@ -7,8 +7,8 @@
 // cmd/traverse, cmd/serve, cmd/bench, the harness and the examples all mount
 // through here, so the default recipe (4 KiB blocks, half the file, readahead
 // 32), the choice of read path from whether a cache is mounted (behind the
-// cache each miss reads its readahead window and the asynchronous kernel
-// pops one visitor at a time; on the raw device it pops sweeps; either way
+// cache a lone vertex's miss reads its readahead window and the asynchronous
+// kernel pops one visitor at a time; on the raw device it pops sweeps; either way
 // the BFS driver requests its frontier in sweeps and its scans double-
 // buffer, and every range becomes a block request that shares reads in
 // flight), and the rule that
@@ -41,11 +41,13 @@ import (
 const (
 	blockSize = 4096
 	cacheFrac = 2
-	// readahead is what a miss reads, 128 KiB (the table caps it at half its
-	// budget): the span cold traversals reached when a count of queued
-	// visitors per block still extended each miss. Read plainly, it took
-	// fewer device operations than the count on every cold cell measured
-	// (EXPERIMENTS.md "The settle feed goes").
+	// readahead is what a lone vertex's miss reads, 128 KiB (the table caps
+	// it at half its budget): the span the kernel's cold misses reached when
+	// a count of queued visitors per block still extended each one. A range
+	// its caller merged — the BFS driver's sweep ranges and scan spans — is
+	// read only to the coalescing gap, 8 blocks, as before (sem's
+	// Prefetcher.window). Measured on cold traversals in EXPERIMENTS.md "The
+	// settle feed goes".
 	readahead = 32
 	// rawWindow visitors make one sweep on a raw-device mount
 	// (Config.Prefetch), their reads coalesced across sem.DefaultPrefetchGap,

@@ -284,15 +284,15 @@ func (c *CachedStore) reserveLocked(sh *cacheShard, id int64, f *flight) *cacheE
 	}
 }
 
-// ahead extends a fetch past the blocks it owns to the miss's readahead
-// window, [lo, lo+readahead): the blocks after a miss are the ones the
-// semi-sorted sweep reads next, and fetching them now turns their misses into
-// hits for only the bandwidth term of this one operation. The zero-budget
-// table Open puts under a raw store has a readahead of one block, so it reads
-// exactly what was asked. A block already cached or under I/O stays its
-// holder's.
-func (c *CachedStore) ahead(owned []*cacheEntry) []*cacheEntry {
-	hi := min(owned[0].id+int64(c.readahead), c.maxBlock)
+// ahead extends a fetch past the blocks it owns to [lo, lo+window), lo its
+// first block. A plain miss's window is the table's readahead: the blocks
+// after it are the ones the semi-sorted sweep reads next, and fetching them
+// now turns their misses into hits for only the bandwidth term of this one
+// operation. The zero-budget table Open puts under a raw store has a
+// readahead of one block, so it reads exactly what was asked. A block already
+// cached or under I/O stays its holder's.
+func (c *CachedStore) ahead(owned []*cacheEntry, window int64) []*cacheEntry {
+	hi := min(owned[0].id+window, c.maxBlock)
 	for id := owned[len(owned)-1].id + 1; id < hi; id++ {
 		sh := c.shard(id)
 		sh.mu.Lock()
@@ -371,16 +371,17 @@ func (c *CachedStore) fetch(buf []byte, off int64, owned []*cacheEntry) error {
 }
 
 // request is the asynchronous claim: it appends the entries of blocks [lo, hi)
-// to held and hands the blocks it reserved to one fetch on the I/O pool, which
-// bounds the table's concurrent asynchronous reads at max(prefetchIOWorkers,
-// the device's channels). It reports the bytes that fetch reads, from off; n is
-// 0 when every block was cached or under another reader's fetch already.
-func (c *CachedStore) request(held []*cacheEntry, lo, hi int64) (_ []*cacheEntry, off, n int64) {
+// to held and hands the blocks it reserved, with those up to window blocks
+// from the first (ahead), to one fetch on the I/O pool, which bounds the
+// table's concurrent asynchronous reads at max(prefetchIOWorkers, the
+// device's channels). It reports the bytes that fetch reads, from off; n is 0
+// when every block was cached or under another reader's fetch already.
+func (c *CachedStore) request(held []*cacheEntry, lo, hi, window int64) (_ []*cacheEntry, off, n int64) {
 	held, owned := c.claim(held, lo, hi)
 	if len(owned) == 0 {
 		return held, 0, 0
 	}
-	owned = c.ahead(owned)
+	owned = c.ahead(owned, window)
 	off = owned[0].id * c.blockSize
 	n = min((owned[len(owned)-1].id+1)*c.blockSize, c.size) - off
 	c.async.Add(1)
@@ -464,7 +465,7 @@ func (c *CachedStore) read(off int64, n int, buf *[]byte, share bool) ([]byte, e
 	for id := lo; id < hi; id += step {
 		var owned []*cacheEntry
 		if held, owned = c.claim(held, id, id+step); len(owned) > 0 {
-			_ = c.fetch(nil, 0, c.ahead(owned)) // gather finds the error on the entry
+			_ = c.fetch(nil, 0, c.ahead(owned, int64(c.readahead))) // gather finds the error on the entry
 		}
 	}
 	return gather(held, c.blockSize, off, n, buf)

@@ -188,7 +188,7 @@ func nextSpan(exts []extent, i int, maxGap int64) scanSpan {
 func (g *Graph[V]) requestSpan(exts []extent, s scanSpan, held *[]*cacheEntry) {
 	c := g.table
 	var n int64
-	*held, _, n = c.request((*held)[:0], exts[s.i].off/c.blockSize, (s.end-1)/c.blockSize+1)
+	*held, _, n = c.request((*held)[:0], exts[s.i].off/c.blockSize, (s.end-1)/c.blockSize+1, g.prefetch.window)
 	if n > 0 {
 		g.prefetch.scanSpans.Add(1)
 		g.prefetch.scanBytes.Add(uint64(n))

@@ -34,7 +34,7 @@ func TestEvictionIgnoresPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, _, _ := cache.request(nil, 0, 1)
+	held, _, _ := cache.request(nil, 0, 1, 1)
 	<-held[0].ready
 	buf := make([]byte, 512)
 	for id := int64(1); id <= 12; id++ {

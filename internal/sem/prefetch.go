@@ -146,6 +146,15 @@ func (s PrefetchStats) ConsumedFrac() float64 {
 // the table's. Safe for concurrent use by many workers: all state is atomic.
 type Prefetcher struct {
 	cfg PrefetchConfig
+	// window is how far from its first block a range the caller merged — a
+	// sweep's range, a scan's span — is read: the coalescing gap, at most the
+	// table's readahead (32 KiB, 8 blocks, on a mount). Such a range is what
+	// its caller will read, and the one after it is another worker's, so it
+	// is not padded to a plain miss's readahead: padding every scan span of a
+	// bottom-up BFS to 32 blocks read into the next worker's span, and the
+	// reads that waited on a block in flight rose from ~300 to ~800-1 100
+	// (EXPERIMENTS.md "The settle feed goes").
+	window int64
 
 	windows, vertices, spans, spanBytes, gapBytes, consumed, abandoned atomic.Uint64
 	dedupSpans, dedupBytes, scanSpans, scanBytes                       atomic.Uint64
@@ -232,7 +241,8 @@ func wanted(exts []extent, lo, hi int64) (n int64) {
 // traversal starts.
 func (g *Graph[V]) EnablePrefetch(cfg PrefetchConfig) {
 	cfg.normalize()
-	g.prefetch = &Prefetcher{cfg: cfg}
+	g.prefetch = &Prefetcher{cfg: cfg,
+		window: min(int64(g.table.readahead), max(int64(cfg.MaxGap)/g.table.blockSize, 1))}
 }
 
 // prefetchSession is a worker's Request buffers, stored in its
@@ -286,7 +296,7 @@ func (g *Graph[V]) requestRanges(exts []extent, held []*cacheEntry) []*cacheEntr
 			exts[k].k = len(held) + int(exts[k].off/bs-lo)
 		}
 		var off, n int64
-		held, off, n = g.table.request(held, lo, (end-1)/bs+1)
+		held, off, n = g.table.request(held, lo, (end-1)/bs+1, p.window)
 		if n == 0 {
 			p.dedupSpans.Add(1)
 			p.dedupBytes.Add(uint64(end - exts[i].off))
@@ -366,8 +376,9 @@ func (r *heldRead) release() {
 // Request implements graph.BatchAdjacency: the extents of vs merge into
 // ranges across the prefetcher's gap, each range's blocks are requested from
 // the table once — a resident block is held at once, an absent one joins a
-// fetch in flight or starts one on the I/O pool, with the miss's readahead —
-// and each vertex's read holds the entries of its own blocks out of its
+// fetch in flight or starts one on the I/O pool, reading on to the table's
+// readahead when vs is one vertex (a plain miss), to the prefetcher's window
+// when it is a sweep — and each vertex's read holds the entries of its own blocks out of its
 // range's, where the Neighbors call for it finds them without a second claim.
 // A graph without a prefetcher (a bare zero-budget table: Open gives every
 // CachedStore one) requests each extent alone instead, as its synchronous
@@ -418,7 +429,11 @@ func (g *Graph[V]) Request(vs []V, reads []any, waits []<-chan struct{}, to grap
 	case 1: // the one range is the extent's blocks: into its read
 		e := exts[0]
 		r := reads[e.v].(*heldRead)
-		r.held, _, _ = c.request(r.held, e.off/bs, (e.off+int64(e.n)-1)/bs+1)
+		window := g.prefetch.window
+		if len(vs) == 1 { // a plain miss
+			window = int64(c.readahead)
+		}
+		r.held, _, _ = c.request(r.held, e.off/bs, (e.off+int64(e.n)-1)/bs+1, window)
 		waits[e.v] = r.pending(to)
 	default:
 		held := g.requestRanges(exts, sess.held[:0])

@@ -12,6 +12,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/ssd"
 )
 
 // prefetchFixture is a 4-vertex unweighted graph with known extents:
@@ -657,5 +658,61 @@ func TestParkedFetchAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, park); allocs > tc.want {
 			t.Errorf("%s: a parked fetch allocates %.1f times, want at most %.0f", tc.name, allocs, tc.want)
 		}
+	}
+}
+
+// TestRangeReadsItsWindow pins the two reads of a budgeted table. A lone
+// vertex's miss reads the table's readahead; a range its caller merged — a
+// sweep's range, a bottom-up scan's span — reads on only to the prefetcher's
+// window, the 32 KiB coalescing gap: 8 blocks of 4 KiB however wide the
+// readahead. The mount's recipe (readahead 32) and the repository
+// benchmark's (readahead 8) both read their ranges at 8.
+func TestRangeReadsItsWindow(t *testing.T) {
+	const n = 8192
+	g := buildGraph(t, n, 16*n, false, 17)
+	var buf bytes.Buffer
+	if err := Write(&buf, g, WriteConfig{InEdges: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, readahead := range []int{32, 8} {
+		c, err := NewCachedStoreRA(fastDevice(&ssd.MemBacking{Data: buf.Bytes()}), 4096, int64(buf.Len())/2, readahead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg, err := Open[uint32](c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := &graph.Scratch[uint32]{}
+		read := func(what string, want uint64, do func()) {
+			before := c.IOStats()
+			do()
+			if after := c.IOStats(); after.Fetches-before.Fetches != 1 || after.Blocks-before.Blocks != want {
+				t.Errorf("readahead %d, %s: %d device operations of %d blocks, want one of %d",
+					readahead, what, after.Fetches-before.Fetches, after.Blocks-before.Blocks, want)
+			}
+		}
+		request := func(vs ...uint32) func() {
+			return func() {
+				waits := make([]<-chan struct{}, len(vs))
+				sg.Request(vs, make([]any, len(vs)), waits, nil, scratch)
+				for _, w := range waits {
+					if w != nil {
+						<-w
+					}
+				}
+			}
+		}
+		// Each read starts in an out-edge or in-edge region no earlier read
+		// fetched, at least 8 blocks clear of any block one did.
+		read("a lone vertex's miss", uint64(readahead), request(n/4))
+		read("a sweep's range", 8, request(3*n/4, 3*n/4+1))
+		read("a scan span", 8, func() {
+			err := sg.ScanInEdges(n/2, n/2+1, func(uint32) bool { return true },
+				func(uint32, []uint32) error { return nil }, scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
